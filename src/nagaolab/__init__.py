@@ -9,7 +9,6 @@ from .homology import (
     UnsupportedGroupError,
     WedgeClass,
     WedgeMonomial,
-    WeightedMonomial,
     class_order_lower_bound,
     coinvariant_dims,
     dim_divided_power,
@@ -17,19 +16,12 @@ from .homology import (
     dim_table,
     h_dims,
     mv_ledger_check,
-    phi_star_class,
-    weighted_monomials,
 )
 from .nagao import (
     CrossValidationError,
-    E2ZtStructure,
-    NagaoStructureFp,
     e2zt_normal_form,
-    e2zt_structure,
-    e2zt_word_from_gens,
     letters_from_gens,
     nagao_normal_form,
-    nagao_structure,
     phi_p,
     sl2fpt_elementary_factor,
     sl2z_factor,

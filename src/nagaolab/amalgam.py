@@ -1,11 +1,12 @@
-"""Words and reduced normal forms in an amalgamated free product G1 *_A G2.
+"""Words and reduced normal forms in the amalgam E2(R[t]) = SL2(R) *_{B(R)} B(R[t]).
 
-The engine is generic over an ``AmalgamStructure``, which supplies membership
-predicates for the base subgroup A and for the two factors, plus a canonical
-right-coset transversal per factor: every factor element splits as
-g = a * s with a in A and s the canonical representative of the coset A*g
-(s is None exactly when g itself lies in A).  Element arithmetic is
-delegated to Mat2.
+One ``AmalgamStructure`` covers both coefficient rings in use: R = Z
+(``mod=None``) and R = F_p (``mod=p``, where E2(F_p[t]) = SL2(F_p[t]) by
+Nagao's theorem).  Factor 1 is the constant group SL2(R), factor 2 the
+upper-triangular group B(R[t]), glued along the constant upper-triangular
+group A = B(R).  Every factor element splits as g = a * s with a in A and s
+the canonical representative of the coset A*g (s is None exactly when g
+itself lies in A).  Element arithmetic is delegated to Mat2.
 
 A ``NormalForm`` is head * s_1 * ... * s_n with head in A, every s_j a
 nontrivial canonical representative, and consecutive s_j from different
@@ -17,9 +18,10 @@ around as an independent oracle, never as the definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .gl2 import Mat2
+from .gl2 import Mat2, _unit_inverse, e12, identity
+from .ring import Poly, is_prime
 
 __all__ = ["Letter", "NormalForm", "AmalgamStructure"]
 
@@ -48,20 +50,56 @@ class NormalForm:
 
 
 class AmalgamStructure:
-    """Configuration of one amalgam; subclasses fill in the four hooks below."""
+    """SL2(R) and B(R[t]) glued over B(R), for R = Z or R = F_p.
+
+    Coset conventions, fixed once: for the constant factor the
+    representative completes the bottom row (c, d), scaled by the unit that
+    makes c canonical (c > 0 over Z, c = 1 over F_p), to [[x, (x*d - 1)/c],
+    [c, d]] with x = d^-1 mod c; over F_p that is [[0, -1], [1, d]].  For the
+    polynomial factor it is the transvection E12(u^-1 * (f - f(0))),
+    unipotent with zero constant term."""
+
+    def __init__(self, mod: int | None = None):
+        if mod is not None and not is_prime(mod):
+            raise ValueError(f"p must be prime, got {mod!r}")
+        self.mod = mod
 
     def identity(self) -> Mat2:
-        raise NotImplementedError
+        return identity(self.mod)
 
     def in_base(self, m: Mat2) -> bool:
-        raise NotImplementedError
+        return (
+            m.mod == self.mod
+            and m.is_constant
+            and m.is_upper_triangular
+            and m.det() == Poly.one(self.mod)
+        )
 
     def in_factor(self, factor: int, m: Mat2) -> bool:
-        raise NotImplementedError
+        if m.mod != self.mod or m.det() != Poly.one(self.mod):
+            return False
+        return m.is_constant if factor == 1 else m.is_upper_triangular
 
     def transversal(self, factor: int, m: Mat2) -> tuple[Mat2, Mat2 | None]:
         """Split a factor element as (a, s) with m = a * s; s None iff m in A."""
-        raise NotImplementedError
+        mod = self.mod
+        if factor == 1:
+            c, d = m.c.constant_term, m.d.constant_term
+            if c == 0:
+                return m, None
+            # Scale the bottom row by the unit u that makes c canonical:
+            # u = sign(c) over Z, u = c^-1 over F_p (so c becomes 1).
+            u = (1 if c > 0 else -1) if mod is None else pow(c, -1, mod)
+            c, d = (c * u if mod is None else 1), d * u
+            x = pow(d, -1, c)
+            s = Mat2.of_ints(x, (x * d - 1) // c, c, d, mod)
+        else:
+            f = m.b
+            rep = _unit_inverse(m.a.constant_term, mod) * (f - Poly.constant(f.constant_term, mod))
+            if rep.is_zero:
+                return m, None
+            s = e12(rep)
+        return m * s.inv(), s
 
     # -- engine ---------------------------------------------------------
 
@@ -137,7 +175,7 @@ class AmalgamStructure:
         return head + nf.tail
 
     def nf_multiply(self, x: NormalForm, y: NormalForm) -> NormalForm:
-        if x.head.mod != y.head.mod or x.head.mod != self.identity().mod:
+        if x.head.mod != y.head.mod or x.head.mod != self.mod:
             raise ValueError("normal forms come from different structures")
         return self.normalize(self.word_of(x) + self.word_of(y))
 

@@ -11,23 +11,16 @@ import json
 import os
 import sys
 
-from .amalgam import Letter, NormalForm
+from .amalgam import AmalgamStructure, Letter, NormalForm
 from .gl2 import mat_from_json, parse_gen, parse_matrix
 from .homology import (
     GROUP_IDS,
     UnsupportedGroupError,
     coinvariant_dims,
     dim_table,
-    h_dims,
     mv_ledger_check,
 )
-from .nagao import (
-    CrossValidationError,
-    e2zt_structure,
-    letters_from_gens,
-    nagao_normal_form,
-    nagao_structure,
-)
+from .nagao import CrossValidationError, letters_from_gens, nagao_normal_form
 from .ring import PolyParseError, SearchCapExceeded, is_prime, sn_witness_search
 from .witnesses import verify_witness_suite
 
@@ -61,6 +54,8 @@ def _nf_from_json(obj, mod):
     head = mat_from_json(obj["head"], mod)
     tags = obj["tags"]
     tail = [mat_from_json(m, mod) for m in obj["tail"]]
+    if len(tags) != len(tail):
+        raise ValueError(f"normal form has {len(tags)} tags but {len(tail)} tail matrices")
     letters = [] if head.is_identity else [Letter(1, head)]
     letters += [Letter(int(t), m) for t, m in zip(tags, tail)]
     return letters
@@ -104,36 +99,26 @@ def _cmd_nf(args) -> int:
         payload, is_json = None, False
     is_word = is_json and not _is_matrix_json(payload)
 
-    if args.ring == "e2zt":
-        struct = e2zt_structure()
-        if not is_word:
-            print(
-                "out of scope: a bare matrix over Z[t] cannot be decomposed; "
-                "membership in the elementary subgroup is not decidable by "
-                "these methods, so supply a word in SL2(Z) and B(Z[t]) letters",
-                file=sys.stderr,
-            )
-            return EXIT_OUT_OF_SCOPE
-        letters = (
-            _nf_from_json(payload, None)
-            if isinstance(payload, dict)
-            else _word_from_json(payload, None)
+    if args.ring is None and args.mod is None:
+        print("nf needs --mod p (or --ring e2zt)", file=sys.stderr)
+        return EXIT_USAGE
+    mod = None if args.ring == "e2zt" else args.mod
+    if mod is None and not is_word:
+        print(
+            "out of scope: a bare matrix over Z[t] cannot be decomposed; "
+            "membership in the elementary subgroup is not decidable by "
+            "these methods, so supply a word in SL2(Z) and B(Z[t]) letters",
+            file=sys.stderr,
         )
-        nf = struct.normalize(letters)
+        return EXIT_OUT_OF_SCOPE
+    struct = AmalgamStructure(mod)
+    if isinstance(payload, dict):
+        nf = struct.normalize(_nf_from_json(payload, mod))
+    elif is_word:
+        nf = struct.normalize(_word_from_json(payload, mod))
     else:
-        if args.mod is None:
-            print("nf needs --mod p (or --ring e2zt)", file=sys.stderr)
-            return EXIT_USAGE
-        p = args.mod
-        struct = nagao_structure(p)
-        if is_word and isinstance(payload, dict):
-            nf = struct.normalize(_nf_from_json(payload, p))
-        elif is_word:
-            nf = struct.normalize(_word_from_json(payload, p))
-        elif is_json:
-            nf = nagao_normal_form(p, mat_from_json(payload, p))
-        else:
-            nf = nagao_normal_form(p, parse_matrix(text, p))
+        m = mat_from_json(payload, mod) if is_json else parse_matrix(text, mod)
+        nf = nagao_normal_form(mod, m)
     _print_nf(struct, nf, args.format)
     return EXIT_OK
 
@@ -151,8 +136,28 @@ def _table_rows(args):
         yield from dim_table(args.group, p, args.max_i, d).rows()
 
 
+# Per text format: (header, item template) for the table rows, then for the
+# ledger rows; a None header prints no line.
+_HDIM_LAYOUT = {
+    "text": (
+        (f"{'group':<14}{'p':>3}{'d':>4}{'i':>4}{'dim':>8}  flags",
+         "{group:<14}{p:>3}{d:>4}{i:>4}{dim:>8}  {flags}"),
+        (None, "ledger i={i}: e2zt={e2zt} vs {bzt} + {sl2z} - {bz} ... {mark}"),
+    ),
+    "csv": (
+        ("group,p,d,i,dim,flags", "{group},{p},{d},{i},{dim},{flags}"),
+        ("ledger: p,i,d,e2zt,bzt,sl2z,bz,ok", "{p},{i},{d},{e2zt},{bzt},{sl2z},{bz},{ok}"),
+    ),
+}
+
+
 def _cmd_hdim(args) -> int:
-    cap = int(os.environ.get("NAGAOLAB_MAX_DEG", DEFAULT_MAX_DEG_CAP))
+    cap_text = os.environ.get("NAGAOLAB_MAX_DEG", str(DEFAULT_MAX_DEG_CAP))
+    try:
+        cap = int(cap_text)
+    except ValueError:
+        print(f"NAGAOLAB_MAX_DEG must be an integer, got {cap_text!r}", file=sys.stderr)
+        return EXIT_USAGE
     if args.max_deg > cap:
         print(
             f"truncation degree {args.max_deg} exceeds the cap {cap} "
@@ -160,48 +165,29 @@ def _cmd_hdim(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
+    if args.max_i < 0:
+        print(f"--max-i must be >= 0, got {args.max_i}", file=sys.stderr)
+        return EXIT_USAGE
     if args.ledger and args.group != "e2zt":
         print("--ledger applies to --group e2zt", file=sys.stderr)
         return EXIT_USAGE
 
-    rows = list(_table_rows(args))
-    ledger = None
+    sections = {"rows": list(_table_rows(args))}
     if args.ledger:
-        ledger = [mv_ledger_check(args.mod, i, args.max_deg) for i in range(args.max_i + 1)]
-
+        sections["ledger"] = [
+            mv_ledger_check(args.mod, i, args.max_deg).as_dict()
+            for i in range(args.max_i + 1)
+        ]
     if args.format == "json":
-        obj = {"rows": rows}
-        if ledger is not None:
-            obj["ledger"] = [rep.as_dict() for rep in ledger]
-        print(json.dumps(obj, indent=2))
-    elif args.format == "csv":
-        print("group,p,d,i,dim,flags")
-        for r in rows:
-            print(f"{r['group']},{r['p']},{r['d']},{r['i']},{r['dim']},{r['flags']}")
-        if ledger is not None:
-            print("ledger: p,i,d,e2zt,bzt,sl2z,bz,ok")
-            for rep in ledger:
-                r = rep.as_dict()
-                print(
-                    f"{r['p']},{r['i']},{r['d']},{r['e2zt']},{r['bzt']},"
-                    f"{r['sl2z']},{r['bz']},{r['ok']}"
-                )
+        print(json.dumps(sections, indent=2))
     else:
-        print(f"{'group':<14}{'p':>3}{'d':>4}{'i':>4}{'dim':>8}  flags")
-        for r in rows:
-            print(
-                f"{r['group']:<14}{r['p']:>3}{r['d']:>4}{r['i']:>4}"
-                f"{r['dim']:>8}  {r['flags']}"
-            )
-        if ledger is not None:
-            for rep in ledger:
-                r = rep.as_dict()
-                mark = "OK" if r["ok"] else "MISMATCH"
-                print(
-                    f"ledger i={r['i']}: e2zt={r['e2zt']} vs "
-                    f"{r['bzt']} + {r['sl2z']} - {r['bz']} ... {mark}"
-                )
-    if ledger is not None and not all(rep.ok for rep in ledger):
+        for (header, template), items in zip(_HDIM_LAYOUT[args.format], sections.values()):
+            if header is not None:
+                print(header)
+            for item in items:
+                mark = "OK" if item.get("ok") else "MISMATCH"  # text ledger rows only
+                print(template.format(mark=mark, **item))
+    if not all(rep["ok"] for rep in sections.get("ledger", ())):
         return EXIT_VERIFY_FAIL
     return EXIT_OK
 

@@ -31,8 +31,6 @@ Supported group identifiers:
 
 from __future__ import annotations
 
-import itertools
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -45,7 +43,6 @@ __all__ = [
     "UnsupportedGroupError",
     "WedgeClass",
     "WedgeMonomial",
-    "WeightedMonomial",
     "class_order_lower_bound",
     "coinvariant_dims",
     "dim_divided_power",
@@ -53,8 +50,6 @@ __all__ = [
     "dim_table",
     "h_dims",
     "mv_ledger_check",
-    "phi_star_class",
-    "weighted_monomials",
 ]
 
 GROUP_IDS = (
@@ -116,53 +111,6 @@ def _abelian_mod_p_dim(n: int, i: int, p: int, weight_filter: bool) -> int:
             continue
         total += dim_exterior(n, wedge) * dim_divided_power(n, 2 * j)
     return total
-
-
-@dataclass(frozen=True)
-class WeightedMonomial:
-    """One basis monomial of the mod-p homology of a truncated coefficient
-    group: a wedge subset of generator exponents and a divided power multiset
-    of (exponent, multiplicity) pairs.  Degree and weight are derived from
-    the parts, never stored."""
-
-    wedge: tuple[int, ...]
-    divided: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if any(x >= y for x, y in zip(self.wedge, self.wedge[1:])):
-            raise ValueError("wedge exponents must strictly increase")
-        seen = [g for g, _ in self.divided]
-        if sorted(set(seen)) != seen:
-            raise ValueError("divided part must list distinct generators in order")
-        if any(m < 1 for _, m in self.divided):
-            raise ValueError("divided multiplicities must be >= 1")
-
-    @property
-    def degree(self) -> int:
-        return len(self.wedge) + 2 * sum(m for _, m in self.divided)
-
-    @property
-    def weight(self) -> int:
-        """Exponent of the diagonal unit-group action: every generator
-        scales by a square, divided powers raise it to the multiplicity."""
-        return 2 * len(self.wedge) + 2 * sum(m for _, m in self.divided)
-
-
-def weighted_monomials(exponents, i: int):
-    """Yield every homology basis monomial of homological degree i built on
-    the given generator exponents (wedge part degree 1, divided part degree
-    2 per multiplicity).  This is the enumeration the closed-form counters
-    summarize; the two are kept in agreement by tests."""
-    exps = tuple(exponents)
-    for wedge_size in range(min(i, len(exps)) + 1):
-        rest = i - wedge_size
-        if rest % 2:
-            continue
-        j = rest // 2
-        for subset in itertools.combinations(exps, wedge_size):
-            for multiset in itertools.combinations_with_replacement(exps, j):
-                divided = tuple(sorted(Counter(multiset).items()))
-                yield WeightedMonomial(subset, divided)
 
 
 def _bz_dim(p: int, i: int) -> int:
@@ -457,12 +405,6 @@ class WedgeClass:
             for m, c in zip(obj["monomials"], obj["coeffs"])
         ]
         return cls(terms, obj.get("mod"))
-
-
-def phi_star_class(x: WedgeClass, p: int) -> WedgeClass:
-    """Image of an integral wedge class under coefficient reduction mod p:
-    identity on monomial labels, coefficients reduced, zero terms dropped."""
-    return x.reduce_mod_p(p)
 
 
 def class_order_lower_bound(x, prime_bound: int = 7) -> int:

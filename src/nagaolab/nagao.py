@@ -1,45 +1,30 @@
-"""Concrete amalgam structures and constructive decompositions.
+"""Constructive decompositions in E2(R[t]) = SL2(R) *_{B(R)} B(R[t]).
 
-Two instances are configured here:
+Over R = F_p, matrices decompose into normal form by two independent
+algorithms (elementary factorization fed through the rewriter of
+``AmalgamStructure``, and direct degree reduction on columns);
+``nagao_normal_form`` runs both and insists they agree letter for letter.
 
-* SL2(F_p[t]) = SL2(F_p) *_{B(F_p)} B(F_p[t]).  Matrices decompose into
-  normal form by two independent algorithms (elementary factorization fed
-  through the generic rewriter, and direct degree reduction on columns);
-  ``nagao_normal_form`` runs both and insists they agree letter for letter.
-
-* E2(Z[t]) = SL2(Z) *_{B(Z)} B(Z[t]).  Elements enter as words in the two
-  factors, never as bare matrices: Z[t] is not Euclidean, so elementary
-  membership of a raw integer-polynomial matrix is not decidable by the
-  methods here.  That is a hard boundary of the API.
-
-Coset conventions, fixed once: every split is g = a * s with a in the base
-subgroup on the left.  For the constant SL2 factor the representative is the
-completion of the unit-normalized bottom row (over F_p scaled so c = 1,
-giving [[0, -1], [1, e]]; over Z sign-normalized to c > 0 with the top row
-reduced mod c).  For the upper-triangular polynomial factor it is the
-transvection E12(u^-1 * (f - f(0))), unipotent with zero constant term.
+Over R = Z, elements enter as words in the two factors, never as bare
+matrices: Z[t] is not Euclidean, so elementary membership of a raw
+integer-polynomial matrix is not decidable by the methods here.  That is a
+hard boundary of the API.  ``phi_p`` reduces such words mod p and checks the
+result against the matrix decomposition over F_p.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .amalgam import AmalgamStructure, Letter, NormalForm
-from .gl2 import Gen, Mat2, e12, e21, identity, w
-from .ring import Poly, is_prime
+from .gl2 import Gen, Mat2, e12, identity, w
+from .ring import Poly
 
 __all__ = [
     "CrossValidationError",
-    "NagaoStructureFp",
-    "E2ZtStructure",
-    "nagao_structure",
-    "e2zt_structure",
     "sl2z_factor",
     "sl2fpt_elementary_factor",
     "letters_from_gens",
     "nagao_normal_form",
     "e2zt_normal_form",
-    "e2zt_word_from_gens",
     "phi_p",
 ]
 
@@ -51,98 +36,6 @@ class CrossValidationError(RuntimeError):
 def _require_det_one(m: Mat2) -> None:
     if m.det() != Poly.one(m.mod):
         raise ValueError(f"determinant must be 1, got {m.det()}")
-
-
-class NagaoStructureFp(AmalgamStructure):
-    """SL2(F_p) and B(F_p[t]) glued over B(F_p)."""
-
-    def __init__(self, p: int):
-        if not is_prime(p):
-            raise ValueError(f"p must be prime, got {p!r}")
-        self.p = p
-
-    def identity(self) -> Mat2:
-        return identity(self.p)
-
-    def in_base(self, m: Mat2) -> bool:
-        return (
-            m.mod == self.p
-            and m.is_constant
-            and m.is_upper_triangular
-            and m.det() == Poly.one(self.p)
-        )
-
-    def in_factor(self, factor: int, m: Mat2) -> bool:
-        if m.mod != self.p or m.det() != Poly.one(self.p):
-            return False
-        return m.is_constant if factor == 1 else m.is_upper_triangular
-
-    def transversal(self, factor: int, m: Mat2) -> tuple[Mat2, Mat2 | None]:
-        p = self.p
-        if factor == 1:
-            if m.c.is_zero:
-                return m, None
-            c0, d0 = m.c.constant_term, m.d.constant_term
-            e = d0 * pow(c0, -1, p) % p
-            s = Mat2.of_ints(0, -1, 1, e, p)
-            return m * s.inv(), s
-        u0 = m.a.constant_term
-        f = m.b
-        rep = pow(u0, -1, p) * (f - Poly.constant(f.constant_term, p))
-        if rep.is_zero:
-            return m, None
-        s = e12(rep)
-        return m * s.inv(), s
-
-
-class E2ZtStructure(AmalgamStructure):
-    """SL2(Z) and B(Z[t]) glued over B(Z)."""
-
-    def identity(self) -> Mat2:
-        return identity(None)
-
-    def in_base(self, m: Mat2) -> bool:
-        return (
-            m.mod is None
-            and m.is_constant
-            and m.is_upper_triangular
-            and m.det() == Poly.one(None)
-        )
-
-    def in_factor(self, factor: int, m: Mat2) -> bool:
-        if m.mod is not None or m.det() != Poly.one(None):
-            return False
-        return m.is_constant if factor == 1 else m.is_upper_triangular
-
-    def transversal(self, factor: int, m: Mat2) -> tuple[Mat2, Mat2 | None]:
-        if factor == 1:
-            c0, d0 = m.c.constant_term, m.d.constant_term
-            if c0 == 0:
-                return m, None
-            # Canonical coset completion: bottom row sign-normalized to c > 0,
-            # top-left entry the inverse of d mod c in [0, c).
-            c1, d1 = (c0, d0) if c0 > 0 else (-c0, -d0)
-            x = pow(d1, -1, c1)
-            y = (x * d1 - 1) // c1
-            s = Mat2.of_ints(x, y, c1, d1)
-            return m * s.inv(), s
-        u0 = m.a.constant_term  # +1 or -1, its own inverse
-        f = m.b
-        rep = u0 * (f - Poly.constant(f.constant_term, None))
-        if rep.is_zero:
-            return m, None
-        s = e12(rep)
-        return m * s.inv(), s
-
-
-@lru_cache(maxsize=None)
-def nagao_structure(p: int) -> NagaoStructureFp:
-    return NagaoStructureFp(p)
-
-
-@lru_cache(maxsize=None)
-def e2zt_structure() -> E2ZtStructure:
-    return E2ZtStructure()
 
 
 # -- elementary factorizations ---------------------------------------
@@ -255,7 +148,7 @@ def letters_from_gens(gens, mod: int | None = None) -> list[Letter]:
 # -- normal forms ------------------------------------------------------
 
 
-def _nf_by_degree_reduction(struct: NagaoStructureFp, m: Mat2) -> NormalForm:
+def _nf_by_degree_reduction(struct: AmalgamStructure, m: Mat2) -> NormalForm:
     """Normal form by direct degree reduction, peeling letters off the right.
 
     The bottom row (c, d) decides everything.  In a reduced product the
@@ -267,7 +160,7 @@ def _nf_by_degree_reduction(struct: NagaoStructureFp, m: Mat2) -> NormalForm:
     Peeling terminates in a factor element, which the transversal splits
     into head and at most one more letter.
     """
-    p = struct.p
+    p = struct.mod
     rev: list[Letter] = []
     cur = m
     while True:
@@ -306,7 +199,7 @@ def nagao_normal_form(p: int, m: Mat2) -> NormalForm:
     must agree letter for letter; a mismatch means an implementation bug
     and raises CrossValidationError.
     """
-    struct = nagao_structure(p)
+    struct = AmalgamStructure(p)
     if m.mod != p:
         raise ValueError(f"matrix is not over coefficients mod {p}")
     _require_det_one(m)
@@ -323,12 +216,7 @@ def nagao_normal_form(p: int, m: Mat2) -> NormalForm:
 
 def e2zt_normal_form(word) -> NormalForm:
     """Normal form of a word in SL2(Z) and B(Z[t]) letters."""
-    return e2zt_structure().normalize(word)
-
-
-def e2zt_word_from_gens(gens) -> list[Letter]:
-    """Tag integer generator letters into the two factors of E2(Z[t])."""
-    return letters_from_gens(gens, None)
+    return AmalgamStructure().normalize(word)
 
 
 def phi_p(word, p: int):
@@ -339,9 +227,7 @@ def phi_p(word, p: int):
     decomposition.  Agreement is exactly the statement that reduction mod p
     is a homomorphism compatible with both amalgam decompositions.
     """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p!r}")
-    struct_z = e2zt_structure()
+    struct_z, struct_p = AmalgamStructure(), AmalgamStructure(p)
     word = list(word)
     for letter in word:
         if not struct_z.in_factor(letter.factor, letter.mat):
@@ -354,7 +240,7 @@ def phi_p(word, p: int):
     mat_p = mat.reduce_mod_p(p)
     via_matrix = nagao_normal_form(p, mat_p)
     reduced_word = [Letter(l.factor, l.mat.reduce_mod_p(p)) for l in word]
-    via_word = nagao_structure(p).normalize(reduced_word)
+    via_word = struct_p.normalize(reduced_word)
     if via_matrix != via_word:
         raise CrossValidationError(
             "reduction mod p along words and along matrices disagree"

@@ -1,6 +1,10 @@
-"""Seeded random builders shared across the test modules."""
+"""Seeded random builders and enumeration oracles shared across the test
+modules."""
 
+import itertools
 import random
+from collections import Counter
+from dataclasses import dataclass
 
 from nagaolab.amalgam import Letter
 from nagaolab.gl2 import Gen, Mat2, identity
@@ -81,3 +85,50 @@ def evaluate_word(letters, mod):
     for letter in letters:
         m = m * letter.mat
     return m
+
+
+@dataclass(frozen=True)
+class WeightedMonomial:
+    """One basis monomial of the mod-p homology of a truncated coefficient
+    group: a wedge subset of generator exponents and a divided power multiset
+    of (exponent, multiplicity) pairs.  Degree and weight are derived from
+    the parts, never stored."""
+
+    wedge: tuple[int, ...]
+    divided: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        if any(x >= y for x, y in zip(self.wedge, self.wedge[1:])):
+            raise ValueError("wedge exponents must strictly increase")
+        seen = [g for g, _ in self.divided]
+        if sorted(set(seen)) != seen:
+            raise ValueError("divided part must list distinct generators in order")
+        if any(m < 1 for _, m in self.divided):
+            raise ValueError("divided multiplicities must be >= 1")
+
+    @property
+    def degree(self) -> int:
+        return len(self.wedge) + 2 * sum(m for _, m in self.divided)
+
+    @property
+    def weight(self) -> int:
+        """Exponent of the diagonal unit-group action: every generator
+        scales by a square, divided powers raise it to the multiplicity."""
+        return 2 * len(self.wedge) + 2 * sum(m for _, m in self.divided)
+
+
+def weighted_monomials(exponents, i: int):
+    """Yield every homology basis monomial of homological degree i built on
+    the given generator exponents (wedge part degree 1, divided part degree
+    2 per multiplicity).  This is the enumeration the closed-form counters
+    summarize; the two are kept in agreement by tests."""
+    exps = tuple(exponents)
+    for wedge_size in range(min(i, len(exps)) + 1):
+        rest = i - wedge_size
+        if rest % 2:
+            continue
+        j = rest // 2
+        for subset in itertools.combinations(exps, wedge_size):
+            for multiset in itertools.combinations_with_replacement(exps, j):
+                divided = tuple(sorted(Counter(multiset).items()))
+                yield WeightedMonomial(subset, divided)

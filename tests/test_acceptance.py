@@ -8,7 +8,7 @@ import random
 import time
 from math import comb
 
-from nagaolab.amalgam import Letter
+from nagaolab.amalgam import AmalgamStructure, Letter
 from nagaolab.gl2 import Gen, e12, e21, identity
 from nagaolab.homology import (
     WedgeClass,
@@ -16,14 +16,8 @@ from nagaolab.homology import (
     coinvariant_dims,
     h_dims,
     mv_ledger_check,
-    phi_star_class,
 )
-from nagaolab.nagao import (
-    e2zt_structure,
-    nagao_normal_form,
-    nagao_structure,
-    phi_p,
-)
+from nagaolab.nagao import nagao_normal_form, phi_p
 from nagaolab.ring import Poly, sn_witness_search
 from nagaolab.witnesses import verify_witness_suite
 
@@ -39,7 +33,7 @@ def test_criterion_01_normal_form_soundness():
     start = time.monotonic()
     rng = random.Random(90001)
     for p in (2, 3, 5):
-        struct = nagao_structure(p)
+        struct = AmalgamStructure(p)
         for _ in range(1000):
             word = rand_word(rng, p, rng.randint(0, 8), 6)
             nf = struct.normalize(word)
@@ -53,7 +47,7 @@ def test_criterion_02_normal_form_uniqueness():
     seen = []
     for idx in range(500):
         p = (2, 3, 5)[idx % 3]
-        struct = nagao_structure(p)
+        struct = AmalgamStructure(p)
         word = rand_word(rng, p, rng.randint(0, 6), 5)
         nf = struct.normalize(word)
         g = rand_letter(rng, p, 5)
@@ -76,7 +70,7 @@ def test_criterion_03_dual_algorithm_cross_validation():
     start = time.monotonic()
     rng = random.Random(90003)
     for p in (2, 3, 5):
-        struct = nagao_structure(p)
+        struct = AmalgamStructure(p)
         for _ in range(1000):
             m = rand_fp_matrix(rng, p, 6, 6)
             nf = nagao_normal_form(p, m)
@@ -149,18 +143,18 @@ def test_criterion_09_phi_compatibility():
         exps = tuple(sorted(rng.sample(range(1, 12), rng.randint(1, 4))))
         x = WedgeClass.basis(exps)
         p = rng.choice([2, 3, 5])
-        image = phi_star_class(x, p)
+        image = x.reduce_mod_p(p)
         assert image == WedgeClass.basis(exps, mod=p)
         other = tuple(sorted(rng.sample(range(1, 12), len(exps))))
         if other != exps:
-            assert phi_star_class(WedgeClass.basis(other), p) != image
-    struct_z = e2zt_structure()
+            assert WedgeClass.basis(other).reduce_mod_p(p) != image
+    struct_z = AmalgamStructure()
     for _ in range(500):
         p = rng.choice([2, 3, 5])
         word = rand_word(rng, None, rng.randint(0, 6), 4)
         mat_p, nf = phi_p(word, p)  # raises if the two routes disagree
         assert mat_p == evaluate_word(word, None).reduce_mod_p(p)
-        assert nagao_structure(p).nf_evaluate(nf) == mat_p
+        assert AmalgamStructure(p).nf_evaluate(nf) == mat_p
     _report("9 phi compatibility", time.monotonic() - start, 30)
 
 

@@ -2,16 +2,15 @@ import random
 
 import pytest
 
-from nagaolab.amalgam import Letter, NormalForm
+from nagaolab.amalgam import AmalgamStructure, Letter, NormalForm
 from nagaolab.gl2 import Mat2, e12, e21, w
-from nagaolab.nagao import NagaoStructureFp, e2zt_structure, nagao_structure
 from nagaolab.ring import Poly
 
 from helpers import evaluate_word, rand_letter, rand_sl2_const, rand_word
 
 
 def test_same_factor_letters_merge():
-    s = nagao_structure(3)
+    s = AmalgamStructure(3)
     word = [
         Letter(2, e12(Poly.parse("t", 3))),
         Letter(2, e12(Poly.parse("t^2", 3))),
@@ -23,7 +22,7 @@ def test_same_factor_letters_merge():
 
 
 def test_canceling_pair_collapses():
-    s = nagao_structure(5)
+    s = AmalgamStructure(5)
     word = [Letter(1, w(5)), Letter(1, w(5).inv())]
     nf = s.normalize(word)
     assert nf == s.identity_nf()
@@ -31,7 +30,7 @@ def test_canceling_pair_collapses():
 
 def test_lower_transvection_three_letters():
     # E21(t) expressed through the factors: W^-1 E12(-t) W
-    s = nagao_structure(2)
+    s = AmalgamStructure(2)
     word = [
         Letter(1, w(2).inv()),
         Letter(2, e12(Poly.parse("-t", 2))),
@@ -44,7 +43,7 @@ def test_lower_transvection_three_letters():
 
 
 def test_empty_word_is_identity():
-    for struct in (nagao_structure(3), e2zt_structure()):
+    for struct in (AmalgamStructure(3), AmalgamStructure()):
         nf = struct.normalize([])
         assert nf.length == 0
         assert nf.head == struct.identity()
@@ -53,7 +52,7 @@ def test_empty_word_is_identity():
 def test_soundness_random_words():
     rng = random.Random(1001)
     for p in (2, 3, 5):
-        s = nagao_structure(p)
+        s = AmalgamStructure(p)
         for _ in range(100):
             word = rand_word(rng, p, rng.randint(0, 8), 6)
             nf = s.normalize(word)
@@ -62,7 +61,7 @@ def test_soundness_random_words():
 
 def test_soundness_e2zt_words():
     rng = random.Random(1002)
-    s = e2zt_structure()
+    s = AmalgamStructure()
     for _ in range(150):
         word = rand_word(rng, None, rng.randint(0, 6), 4)
         nf = s.normalize(word)
@@ -72,7 +71,7 @@ def test_soundness_e2zt_words():
 def test_normalize_idempotent():
     rng = random.Random(1003)
     for p in (2, 5):
-        s = nagao_structure(p)
+        s = AmalgamStructure(p)
         for _ in range(60):
             nf = s.normalize(rand_word(rng, p, 6, 5))
             assert s.normalize(s.word_of(nf)) == nf
@@ -80,7 +79,7 @@ def test_normalize_idempotent():
 
 def test_canceling_insertion_invariance():
     rng = random.Random(1004)
-    for mod, struct in ((3, nagao_structure(3)), (None, e2zt_structure())):
+    for mod, struct in ((3, AmalgamStructure(3)), (None, AmalgamStructure())):
         for _ in range(60):
             word = rand_word(rng, mod, 5, 4)
             g = rand_letter(rng, mod, 4)
@@ -91,7 +90,7 @@ def test_canceling_insertion_invariance():
 
 def test_nf_multiply_identity_and_inverse():
     rng = random.Random(1005)
-    s = nagao_structure(3)
+    s = AmalgamStructure(3)
     for _ in range(60):
         x = s.normalize(rand_word(rng, 3, 5, 4))
         assert s.nf_multiply(x, s.identity_nf()) == x
@@ -102,7 +101,7 @@ def test_nf_multiply_identity_and_inverse():
 
 def test_nf_multiply_associative():
     rng = random.Random(1006)
-    s = nagao_structure(2)
+    s = AmalgamStructure(2)
     for _ in range(40):
         x, y, z = (s.normalize(rand_word(rng, 2, 4, 4)) for _ in range(3))
         assert s.nf_multiply(s.nf_multiply(x, y), z) == s.nf_multiply(
@@ -112,7 +111,7 @@ def test_nf_multiply_associative():
 
 def test_nf_multiply_matches_concatenation():
     rng = random.Random(1007)
-    s = nagao_structure(5)
+    s = AmalgamStructure(5)
     for _ in range(60):
         wx = rand_word(rng, 5, 4, 4)
         wy = rand_word(rng, 5, 4, 4)
@@ -120,7 +119,7 @@ def test_nf_multiply_matches_concatenation():
 
 
 def test_invert_examples():
-    s = nagao_structure(3)
+    s = AmalgamStructure(3)
     assert s.nf_invert(s.identity_nf()) == s.identity_nf()
     one_letter = s.normalize([Letter(2, e12(Poly.parse("t", 3)))])
     assert s.nf_invert(one_letter) == s.normalize(
@@ -129,7 +128,7 @@ def test_invert_examples():
 
 
 def test_nf_length():
-    s = nagao_structure(2)
+    s = AmalgamStructure(2)
     assert s.identity_nf().length == 0
     assert s.normalize([Letter(2, e12(Poly.parse("t", 2)))]).length == 1
     word = [
@@ -142,7 +141,7 @@ def test_nf_length():
 
 def test_tail_letters_alternate_and_avoid_base():
     rng = random.Random(1008)
-    s = nagao_structure(3)
+    s = AmalgamStructure(3)
     for _ in range(80):
         nf = s.normalize(rand_word(rng, 3, 7, 5))
         assert s.in_base(nf.head)
@@ -153,7 +152,7 @@ def test_tail_letters_alternate_and_avoid_base():
 
 
 def test_invalid_letter_rejected():
-    s = nagao_structure(3)
+    s = AmalgamStructure(3)
     with pytest.raises(ValueError, match="membership"):
         s.normalize([Letter(1, e12(Poly.parse("t", 3)))])  # nonconstant in factor 1
     with pytest.raises(ValueError, match="membership"):
@@ -165,7 +164,7 @@ def test_invalid_letter_rejected():
 
 
 def test_broken_transversal_fails_loudly():
-    class Broken(NagaoStructureFp):
+    class Broken(AmalgamStructure):
         def transversal(self, factor, m):
             a, s = super().transversal(factor, m)
             if s is not None and factor == 1:
@@ -178,8 +177,10 @@ def test_broken_transversal_fails_loudly():
 
 
 def test_structure_mismatch_rejected():
-    s2, s3 = nagao_structure(2), nagao_structure(3)
+    s2, s3 = AmalgamStructure(2), AmalgamStructure(3)
     x = s2.normalize([Letter(2, e12(Poly.parse("t", 2)))])
     y = s3.normalize([Letter(2, e12(Poly.parse("t", 3)))])
     with pytest.raises(ValueError, match="structures"):
         s2.nf_multiply(x, y)
+    with pytest.raises(ValueError, match="prime"):
+        AmalgamStructure(4)

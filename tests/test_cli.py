@@ -3,6 +3,7 @@ import json
 import pytest
 
 from nagaolab.cli import main
+from nagaolab.homology import LedgerReport
 
 
 def run(capsys, *argv):
@@ -57,6 +58,14 @@ def test_nf_matrix_over_e2zt_is_out_of_scope(capsys):
     code, _, err = run(capsys, "nf", "--ring", "e2zt", "[[1,0],[t,1]]")
     assert code == 3
     assert "word" in err
+
+
+def test_nf_tags_tail_length_mismatch(capsys):
+    obj = json.loads(NF_F3)
+    obj["tags"], obj["tail"] = [1], obj["tail"][:2]
+    code, out, err = run(capsys, "nf", "--mod", "3", json.dumps(obj))
+    assert (code, out) == (2, "")
+    assert err == "error: normal form has 1 tags but 2 tail matrices\n"
 
 
 def test_nf_det_not_one(capsys):
@@ -115,13 +124,22 @@ def test_hdim_coinv(capsys):
     assert [r["dim"] for r in rows] == [1, 0, 6]
 
 
-def test_hdim_ledger(capsys):
+def test_hdim_ledger(capsys, monkeypatch):
     code, out, _ = run(
         capsys, "hdim", "--group", "e2zt", "--mod", "7", "--ledger",
         "--max-i", "4", "--max-deg", "5",
     )
     assert code == 0
     assert "MISMATCH" not in out
+    # a ledger row that fails the identity is printed and fails the exit code
+    monkeypatch.setattr(
+        "nagaolab.cli.mv_ledger_check", lambda p, i, d: LedgerReport(p, i, d, 2, 1, 1, 1)
+    )
+    code, out, _ = run(
+        capsys, "hdim", "--group", "e2zt", "--mod", "7", "--ledger", "--max-i", "0",
+    )
+    assert code == 1
+    assert "ledger i=0: e2zt=2 vs 1 + 1 - 1 ... MISMATCH" in out
 
 
 def test_hdim_out_of_scope(capsys):
@@ -138,6 +156,10 @@ def test_hdim_degree_cap(capsys, monkeypatch):
     monkeypatch.setenv("NAGAOLAB_MAX_DEG", "8")
     code, _, _ = run(capsys, "hdim", "--group", "bz", "--mod", "2", "--max-deg", "7")
     assert code == 0
+    monkeypatch.setenv("NAGAOLAB_MAX_DEG", "abc")
+    code, _, err = run(capsys, "hdim", "--group", "bz", "--mod", "2")
+    assert code == 2
+    assert "NAGAOLAB_MAX_DEG must be an integer, got 'abc'" in err
 
 
 def test_verify_witness(capsys):
@@ -179,6 +201,9 @@ def test_verify_bad_range(capsys):
 def test_usage_error(capsys):
     assert run(capsys, "hdim", "--group", "nope", "--mod", "2")[0] == 2
     assert run(capsys, "frobnicate")[0] == 2
+    code, out, err = run(capsys, "hdim", "--group", "bz", "--mod", "2", "--max-i", "-3")
+    assert (code, out) == (2, "")
+    assert "must be >= 0" in err
 
 
 def test_outputs_deterministic(capsys):
@@ -191,3 +216,221 @@ def test_outputs_deterministic(capsys):
     assert first == second
     nf_args = ["nf", "--mod", "5", "--format", "json", "[[1 + t^2, t],[t, 1]]"]
     assert run(capsys, *nf_args) == run(capsys, *nf_args)
+
+
+def _lines(*lines):
+    return "".join(line + "\n" for line in lines)
+
+
+def _pretty(compact):
+    return json.dumps(json.loads(compact), indent=2) + "\n"
+
+
+# Normal forms in compact JSON: the emitted form of [[1, t], [t, 1 + t^2]]
+# over F_3 and of the E2(Z[t]) word E12(2) W E12(t) E21(3).
+NF_F3 = (
+    '{"length": 4, "head": [[{"coeffs": ["2"], "mod": 3}, {"coeffs": [], "mod": 3}], '
+    '[{"coeffs": [], "mod": 3}, {"coeffs": ["2"], "mod": 3}]], "tail": ['
+    '[[{"coeffs": [], "mod": 3}, {"coeffs": ["2"], "mod": 3}], '
+    '[{"coeffs": ["1"], "mod": 3}, {"coeffs": [], "mod": 3}]], '
+    '[[{"coeffs": ["1"], "mod": 3}, {"coeffs": ["0", "2"], "mod": 3}], '
+    '[{"coeffs": [], "mod": 3}, {"coeffs": ["1"], "mod": 3}]], '
+    '[[{"coeffs": [], "mod": 3}, {"coeffs": ["2"], "mod": 3}], '
+    '[{"coeffs": ["1"], "mod": 3}, {"coeffs": [], "mod": 3}]], '
+    '[[{"coeffs": ["1"], "mod": 3}, {"coeffs": ["0", "1"], "mod": 3}], '
+    '[{"coeffs": [], "mod": 3}, {"coeffs": ["1"], "mod": 3}]]], "tags": [1, 2, 1, 2], '
+    '"matrix": [[{"coeffs": ["1"], "mod": 3}, {"coeffs": ["0", "1"], "mod": 3}], '
+    '[{"coeffs": ["0", "1"], "mod": 3}, {"coeffs": ["1", "0", "1"], "mod": 3}]]}'
+)
+NF_Z = (
+    '{"length": 3, "head": [[{"coeffs": ["1"]}, {"coeffs": ["2"]}], '
+    '[{"coeffs": []}, {"coeffs": ["1"]}]], "tail": ['
+    '[[{"coeffs": []}, {"coeffs": ["-1"]}], [{"coeffs": ["1"]}, {"coeffs": []}]], '
+    '[[{"coeffs": ["1"]}, {"coeffs": ["0", "1"]}], [{"coeffs": []}, {"coeffs": ["1"]}]], '
+    '[[{"coeffs": ["1"]}, {"coeffs": []}], [{"coeffs": ["3"]}, {"coeffs": ["1"]}]]], '
+    '"tags": [1, 2, 1], "matrix": [[{"coeffs": ["-1", "6"]}, {"coeffs": ["-1", "2"]}], '
+    '[{"coeffs": ["1", "3"]}, {"coeffs": ["0", "1"]}]]}'
+)
+HDIM_HEADER = "group           p   d   i     dim  flags"
+COINV_FLAGS = "wedge-part coinvariants of t*F_p[t]"
+BQUOT_FLAGS = "plus an opaque H_i(SL2(F_p)) summand (not computed)"
+
+GOLDEN = [
+    pytest.param(
+        ["nf", "--mod", "2", "[[1,0],[t,1]]"], 0,
+        _lines(
+            "length: 3",
+            "head:   [[1, 0], [0, 1]]",
+            "tail 1: factor 1  [[0, 1], [1, 0]]",
+            "tail 2: factor 2  [[1, t], [0, 1]]",
+            "tail 3: factor 1  [[0, 1], [1, 0]]",
+            "matrix: [[1, 0], [t, 1]]",
+        ),
+        id="nf-matrix-text",
+    ),
+    pytest.param(
+        ["nf", "--mod", "3",
+         '[[{"coeffs":["1"]},{"coeffs":["0","1"]}],[{"coeffs":[]},{"coeffs":["1"]}]]'], 0,
+        _lines(
+            "length: 1",
+            "head:   [[1, 0], [0, 1]]",
+            "tail 1: factor 2  [[1, t], [0, 1]]",
+            "matrix: [[1, t], [0, 1]]",
+        ),
+        id="nf-matrix-json",
+    ),
+    pytest.param(
+        ["nf", "--mod", "5", '["E21(t^2)", "D(2)"]'], 0,
+        _lines(
+            "length: 3",
+            "head:   [[3, 0], [0, 2]]",
+            "tail 1: factor 1  [[0, 4], [1, 0]]",
+            "tail 2: factor 2  [[1, t^2], [0, 1]]",
+            "tail 3: factor 1  [[0, 4], [1, 0]]",
+            "matrix: [[2, 0], [2*t^2, 3]]",
+        ),
+        id="nf-shorthand-word",
+    ),
+    pytest.param(
+        ["nf", "--ring", "e2zt", '["E12(3)", "W", "E12(t)", "E21(-2)", "E12(t^2)", "D(-1)"]'], 0,
+        _lines(
+            "length: 4",
+            "head:   [[1, 3], [0, 1]]",
+            "tail 1: factor 1  [[0, -1], [1, -1]]",
+            "tail 2: factor 2  [[1, t], [0, 1]]",
+            "tail 3: factor 1  [[1, -1], [2, -1]]",
+            "tail 4: factor 2  [[1, t^2], [0, 1]]",
+            "matrix: [[-5 + 6*t, 1 - 3*t - 5*t^2 + 6*t^3], [-1 + 2*t, -t - t^2 + 2*t^3]]",
+        ),
+        id="nf-e2zt-word",
+    ),
+    pytest.param(
+        ["nf", "--mod", "3", "--format", "json", "[[1, t], [t, 1 + t^2]]"], 0,
+        _pretty(NF_F3),
+        id="nf-json-output",
+    ),
+    pytest.param(
+        ["nf", "--mod", "3", NF_F3], 0,
+        _lines(
+            "length: 4",
+            "head:   [[2, 0], [0, 2]]",
+            "tail 1: factor 1  [[0, 2], [1, 0]]",
+            "tail 2: factor 2  [[1, 2*t], [0, 1]]",
+            "tail 3: factor 1  [[0, 2], [1, 0]]",
+            "tail 4: factor 2  [[1, t], [0, 1]]",
+            "matrix: [[1, t], [t, 1 + t^2]]",
+        ),
+        id="nf-json-normal-form-input",
+    ),
+    pytest.param(
+        ["nf", "--ring", "e2zt", "--format", "json", '["E12(2)", "W", "E12(t)", "E21(3)"]'], 0,
+        _pretty(NF_Z),
+        id="nf-e2zt-json-output",
+    ),
+    pytest.param(
+        ["nf", "--ring", "e2zt", NF_Z], 0,
+        _lines(
+            "length: 3",
+            "head:   [[1, 2], [0, 1]]",
+            "tail 1: factor 1  [[0, -1], [1, 0]]",
+            "tail 2: factor 2  [[1, t], [0, 1]]",
+            "tail 3: factor 1  [[1, 0], [3, 1]]",
+            "matrix: [[-1 + 6*t, -1 + 2*t], [1 + 3*t, t]]",
+        ),
+        id="nf-e2zt-json-normal-form-input",
+    ),
+    pytest.param(
+        ["nf", "--ring", "e2zt", "[[1,0],[t,1]]"], 3, "",
+        id="nf-e2zt-bare-matrix-refused",
+    ),
+    pytest.param(
+        ["hdim", "--group", "e2zt", "--mod", "3", "--max-i", "2", "--max-deg", "4"], 0,
+        _lines(
+            HDIM_HEADER,
+            "e2zt            3   4   0       1  ",
+            "e2zt            3   4   1       5  ",
+            "e2zt            3   4   2      11  ",
+        ),
+        id="hdim-text",
+    ),
+    pytest.param(
+        ["hdim", "--group", "e2zt", "--mod", "7", "--ledger", "--max-i", "3", "--max-deg", "4"], 0,
+        _lines(
+            HDIM_HEADER,
+            "e2zt            7   4   0       1  ",
+            "e2zt            7   4   1       4  ",
+            "e2zt            7   4   2      10  ",
+            "e2zt            7   4   3      10  ",
+            "ledger i=0: e2zt=1 vs 1 + 1 - 1 ... OK",
+            "ledger i=1: e2zt=4 vs 5 + 0 - 1 ... OK",
+            "ledger i=2: e2zt=10 vs 10 + 0 - 0 ... OK",
+            "ledger i=3: e2zt=10 vs 10 + 0 - 0 ... OK",
+        ),
+        id="hdim-ledger",
+    ),
+    pytest.param(
+        ["hdim", "--group", "bfpt", "--mod", "5", "--coinv", "--max-i", "2", "--max-deg", "4"], 0,
+        _lines(
+            HDIM_HEADER,
+            f"bfpt            5   4   0       1  {COINV_FLAGS}",
+            f"bfpt            5   4   1       0  {COINV_FLAGS}",
+            f"bfpt            5   4   2       6  {COINV_FLAGS}",
+        ),
+        id="hdim-coinv",
+    ),
+    pytest.param(
+        ["hdim", "--group", "sl2fpt_bquot", "--mod", "2", "--max-i", "2", "--max-deg", "3",
+         "--format", "csv"], 0,
+        _lines(
+            "group,p,d,i,dim,flags",
+            f"sl2fpt_bquot,2,3,0,0,{BQUOT_FLAGS}",
+            f"sl2fpt_bquot,2,3,1,3,{BQUOT_FLAGS}",
+            f"sl2fpt_bquot,2,3,2,9,{BQUOT_FLAGS}",
+        ),
+        id="hdim-csv",
+    ),
+    pytest.param(
+        ["hdim", "--group", "e2zt", "--mod", "7", "--ledger", "--max-i", "2", "--max-deg", "3",
+         "--format", "csv"], 0,
+        _lines(
+            "group,p,d,i,dim,flags",
+            "e2zt,7,3,0,1,",
+            "e2zt,7,3,1,3,",
+            "e2zt,7,3,2,6,",
+            "ledger: p,i,d,e2zt,bzt,sl2z,bz,ok",
+            "7,0,3,1,1,1,1,True",
+            "7,1,3,3,4,0,1,True",
+            "7,2,3,6,6,0,0,True",
+        ),
+        id="hdim-csv-ledger",
+    ),
+    pytest.param(
+        ["hdim", "--group", "e2zt", "--mod", "7", "--ledger", "--max-i", "1", "--max-deg", "3",
+         "--format", "json"], 0,
+        _pretty(
+            '{"rows": ['
+            '{"group": "e2zt", "p": 7, "d": 3, "i": 0, "dim": 1, "flags": ""}, '
+            '{"group": "e2zt", "p": 7, "d": 3, "i": 1, "dim": 3, "flags": ""}], '
+            '"ledger": ['
+            '{"p": 7, "i": 0, "d": 3, "e2zt": 1, "bzt": 1, "sl2z": 1, "bz": 1, "ok": true}, '
+            '{"p": 7, "i": 1, "d": 3, "e2zt": 3, "bzt": 4, "sl2z": 0, "bz": 1, "ok": true}]}'
+        ),
+        id="hdim-json-ledger",
+    ),
+    pytest.param(
+        ["hdim", "--group", "bfpt", "--mod", "5", "--coinv", "--max-i", "1", "--max-deg", "2",
+         "--format", "json"], 0,
+        _pretty(
+            '{"rows": ['
+            f'{{"group": "bfpt", "p": 5, "d": 2, "i": 0, "dim": 1, "flags": "{COINV_FLAGS}"}}, '
+            f'{{"group": "bfpt", "p": 5, "d": 2, "i": 1, "dim": 0, "flags": "{COINV_FLAGS}"}}]}}'
+        ),
+        id="hdim-json-coinv",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, code, stdout", GOLDEN)
+def test_golden_outputs(capsys, argv, code, stdout):
+    """Exact stdout and exit code of representative invocations."""
+    assert run(capsys, *argv)[:2] == (code, stdout)

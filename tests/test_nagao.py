@@ -2,15 +2,12 @@ import random
 
 import pytest
 
-from nagaolab.amalgam import Letter
+from nagaolab.amalgam import AmalgamStructure, Letter
 from nagaolab.gl2 import Gen, Mat2, diag, e12, e21, identity, parse_matrix, w
 from nagaolab.nagao import (
     e2zt_normal_form,
-    e2zt_structure,
-    e2zt_word_from_gens,
     letters_from_gens,
     nagao_normal_form,
-    nagao_structure,
     phi_p,
     sl2fpt_elementary_factor,
     sl2z_factor,
@@ -126,7 +123,7 @@ def test_nagao_nf_lower_transvection():
     nf = nagao_normal_form(2, m)
     assert nf.length == 3
     assert nf.tags == (1, 2, 1)
-    assert nagao_structure(2).nf_evaluate(nf) == m
+    assert AmalgamStructure(2).nf_evaluate(nf) == m
 
 
 def test_nagao_nf_cross_validation_random():
@@ -135,12 +132,12 @@ def test_nagao_nf_cross_validation_random():
         for _ in range(150):
             m = rand_fp_matrix(rng, p, 6, 6)
             nf = nagao_normal_form(p, m)
-            assert nagao_structure(p).nf_evaluate(nf) == m
+            assert AmalgamStructure(p).nf_evaluate(nf) == m
 
 
 def test_nagao_nf_decides_equality():
     rng = random.Random(2005)
-    s = nagao_structure(3)
+    s = AmalgamStructure(3)
     for _ in range(80):
         gens_a = [rand_fp_gen(rng, 3, 4) for _ in range(rng.randint(0, 5))]
         gens_b = [rand_fp_gen(rng, 3, 4) for _ in range(rng.randint(0, 5))]
@@ -188,7 +185,7 @@ def test_e2zt_w_squared_is_central():
 
 def test_e2zt_random_word_evaluation():
     rng = random.Random(2007)
-    s = e2zt_structure()
+    s = AmalgamStructure()
     for _ in range(100):
         word = rand_word(rng, None, 6, 4)
         nf = s.normalize(word)
@@ -213,7 +210,7 @@ def test_phi_p_on_witness_word():
     # g(p,k) = E21(-p) E12(-t^k), a two-factor word
     for p in (2, 3):
         for k in (1, 2):
-            word = e2zt_word_from_gens(
+            word = letters_from_gens(
                 [Gen("E21", Poly.constant(-p), None), Gen("E12", -Poly.monomial(k), None)]
             )
             assert evaluate_word(word, None) == make_witness("g", p, k)
@@ -243,7 +240,7 @@ def test_phi_p_is_homomorphism():
     rng = random.Random(2008)
     for _ in range(60):
         p = rng.choice([2, 3, 5])
-        s = nagao_structure(p)
+        s = AmalgamStructure(p)
         wx = rand_word(rng, None, 4, 3)
         wy = rand_word(rng, None, 4, 3)
         _, nfx = phi_p(wx, p)
@@ -259,9 +256,9 @@ def test_phi_p_hits_generators():
         for _ in range(20):
             f_p = Poly([rng.randrange(p) for _ in range(rng.randint(1, 5))], p)
             lift = Poly(f_p.coeffs)  # coefficients lifted to {0..p-1} in Z
-            mat, _ = phi_p(e2zt_word_from_gens([Gen("E12", lift, None)]), p)
+            mat, _ = phi_p(letters_from_gens([Gen("E12", lift, None)]), p)
             assert mat == e12(f_p)
-            mat, _ = phi_p(e2zt_word_from_gens([Gen("E21", lift, None)]), p)
+            mat, _ = phi_p(letters_from_gens([Gen("E21", lift, None)]), p)
             assert mat == e21(f_p)
 
 
