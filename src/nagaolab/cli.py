@@ -1,7 +1,7 @@
 """Batch command line: normal forms, dimension tables, identity verification.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 out-of-scope request.
+Exit codes: 0 success, 1 verification failure (or output cut short by a
+closed pipe), 2 usage or parse error, 3 out-of-scope request.
 """
 
 from __future__ import annotations
@@ -50,14 +50,29 @@ def _word_from_json(items, mod):
     return letters
 
 
+def _nf_matrix(obj, field: str, mod):
+    try:
+        return mat_from_json(obj, mod)
+    except ValueError as exc:
+        raise ValueError(f"normal form field {field!r}: {exc}") from None
+
+
 def _nf_from_json(obj, mod):
-    head = mat_from_json(obj["head"], mod)
-    tags = obj["tags"]
-    tail = [mat_from_json(m, mod) for m in obj["tail"]]
+    """The letters of a normal form given as JSON; errors name the bad field."""
+    missing = [field for field in ("head", "tags", "tail") if field not in obj]
+    if missing:
+        raise ValueError(f"normal form JSON lacks the field(s) {', '.join(map(repr, missing))}")
+    tags, tail = obj["tags"], obj["tail"]
+    if not isinstance(tags, list) or not all(type(t) is int for t in tags):
+        raise ValueError(f"normal form field 'tags' must be a list of integers, got {tags!r}")
+    if not isinstance(tail, list):
+        raise ValueError(f"normal form field 'tail' must be a list of matrices, got {tail!r}")
+    head = _nf_matrix(obj["head"], "head", mod)
+    tail = [_nf_matrix(m, "tail", mod) for m in tail]
     if len(tags) != len(tail):
         raise ValueError(f"normal form has {len(tags)} tags but {len(tail)} tail matrices")
     letters = [] if head.is_identity else [Letter(1, head)]
-    letters += [Letter(int(t), m) for t, m in zip(tags, tail)]
+    letters += [Letter(t, m) for t, m in zip(tags, tail)]
     return letters
 
 
@@ -102,7 +117,10 @@ def _cmd_nf(args) -> int:
     if args.ring is None and args.mod is None:
         print("nf needs --mod p (or --ring e2zt)", file=sys.stderr)
         return EXIT_USAGE
-    mod = None if args.ring == "e2zt" else args.mod
+    if args.ring == "e2zt" and args.mod is not None:
+        print("nf takes --mod p or --ring e2zt, not both (--ring e2zt works over Z)", file=sys.stderr)
+        return EXIT_USAGE
+    mod = args.mod  # None exactly for --ring e2zt
     if mod is None and not is_word:
         print(
             "out of scope: a bare matrix over Z[t] cannot be decomposed; "
@@ -300,7 +318,16 @@ def main(argv=None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (``| head``).  Point stdout at
+        # devnull so the flush at interpreter exit cannot raise again, and
+        # report that the output was not delivered in full.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_VERIFY_FAIL
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -259,7 +259,11 @@ def parse_matrix(text: str, mod: int | None = None) -> Mat2:
 
 def mat_from_json(obj, mod: int | None = None) -> Mat2:
     """Build a matrix from a 2x2 nested array of polynomial JSON objects."""
-    if not (isinstance(obj, list) and len(obj) == 2 and all(len(r) == 2 for r in obj)):
+    if not (
+        isinstance(obj, list)
+        and len(obj) == 2
+        and all(isinstance(r, list) and len(r) == 2 for r in obj)
+    ):
         raise ValueError("matrix JSON must be a 2x2 nested array")
     a = Poly.from_json(obj[0][0], mod)
     b = Poly.from_json(obj[0][1], mod)

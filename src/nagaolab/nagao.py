@@ -202,8 +202,7 @@ def nagao_normal_form(p: int, m: Mat2) -> NormalForm:
     struct = AmalgamStructure(p)
     if m.mod != p:
         raise ValueError(f"matrix is not over coefficients mod {p}")
-    _require_det_one(m)
-    gens = sl2fpt_elementary_factor(m)
+    gens = sl2fpt_elementary_factor(m)  # raises ValueError unless det m == 1
     by_rewriter = struct.normalize(letters_from_gens(gens, p))
     by_degrees = _nf_by_degree_reduction(struct, m)
     if by_rewriter != by_degrees:

@@ -9,12 +9,36 @@ accidental arithmetic on the degree of 0 raises instead of drifting.
 Division with remainder exists only over field coefficients.  Z[t] is not
 Euclidean; the algorithms that need division are exactly the ones restricted
 to F_p[t], and the API keeps that boundary visible.
+
+Multiplication has one kernel for both rings.  Below ``_KRONECKER_MIN_LEN``
+(16) coefficients in the shorter operand it is the schoolbook double loop.
+From there on it is Kronecker substitution: both operands are packed into
+one Python int each, in byte slots wide enough that no product coefficient
+overflows its slot (signed slots over Z), CPython's Karatsuba bigint
+multiply does the work, and the slots are read back.  Division over F_p is
+long division until both the divisor and the quotient reach
+``_NEWTON_MIN_LEN`` (40) coefficients; from there the quotient is
+rev(a) * rev(b)^-1 mod t^(deg q + 1), with the power-series inverse computed
+by Newton iteration on the same kernel, and the remainder is a - q*b.  Both
+crossovers come from timing operands of equal length, the shape least
+favourable to the fast path: from 16 coefficients Kronecker is at least as
+fast for every ring and slot width measured, and from 40 Newton division is
+at least as fast as long division.
+
+The public constructor validates the modulus and coerces and reduces every
+coefficient.  Results of arithmetic on valid polynomials are canonical by
+construction and are wrapped by ``Poly._canon`` without those checks; sums
+and differences are still reduced and stripped, while a product of nonzero
+polynomials over a domain has a nonzero leading coefficient and needs no
+strip.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,6 +90,12 @@ def _check_modulus(mod: int | None) -> None:
         raise ValueError(f"modulus must be a prime, got {mod!r}")
 
 
+def _strip(cs: list[int]) -> tuple[int, ...]:
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
 class Poly:
     """A dense polynomial in t over Z (``mod=None``) or F_p (``mod=p``)."""
 
@@ -76,10 +106,24 @@ class Poly:
         cs = [int(c) for c in coeffs]
         if mod is not None:
             cs = [c % mod for c in cs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[int, ...] = tuple(cs)
+        self.coeffs: tuple[int, ...] = _strip(cs)
         self.mod: int | None = mod
+
+    @classmethod
+    def _canon(cls, coeffs: tuple[int, ...], mod: int | None) -> "Poly":
+        """Trusted construction: ``coeffs`` must already be canonical (ints,
+        reduced mod p, no trailing zero) and ``mod`` prime or None.  Only
+        arithmetic on valid polynomials may call this; it checks nothing."""
+        self = object.__new__(cls)
+        self.coeffs = coeffs
+        self.mod = mod
+        return self
+
+    def _reduced(self, cs: list[int]) -> "Poly":
+        """A result over this ring from integer coefficients: reduce, strip."""
+        if self.mod is not None:
+            cs = [c % self.mod for c in cs]
+        return Poly._canon(_strip(cs), self.mod)
 
     # -- constructors -------------------------------------------------
 
@@ -130,7 +174,7 @@ class Poly:
 
     def _coerce(self, other):
         if isinstance(other, int):
-            return Poly((other,), self.mod)
+            return self._reduced([other])
         if isinstance(other, Poly):
             if other.mod != self.mod:
                 raise ValueError(
@@ -143,44 +187,42 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        cs = [0] * n
-        for i, c in enumerate(self.coeffs):
-            cs[i] += c
-        for i, c in enumerate(other.coeffs):
-            cs[i] += c
-        return Poly(cs, self.mod)
+        return self._reduced(
+            [x + y for x, y in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs], self.mod)
+        return self._reduced([-c for c in self.coeffs])
 
     def __sub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._reduced(
+            [x - y for x, y in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
+        )
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly((), self.mod)
-        cs = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, ci in enumerate(self.coeffs):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(other.coeffs):
-                cs[i + j] += ci * cj
-        return Poly(cs, self.mod)
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return Poly._canon((), self.mod)
+        if b == (1,):
+            return self
+        if a == (1,):
+            return other
+        # Over a domain lead(a) * lead(b) != 0: the product needs no strip.
+        return Poly._canon(tuple(_mul_coeffs(a, b, self.mod)), self.mod)
 
     __rmul__ = __mul__
 
@@ -197,19 +239,31 @@ class Poly:
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         p = self.mod
-        db = other.degree
-        if self.degree is None or self.degree < db:
-            return Poly((), p), self
-        rem = list(self.coeffs)
-        q = [0] * (self.degree - db + 1)
-        inv_lead = pow(other.coeffs[-1], -1, p)
-        for k in range(self.degree - db, -1, -1):
-            c = rem[k + db] * inv_lead % p
-            if c:
-                q[k] = c
-                for j, bj in enumerate(other.coeffs):
-                    rem[k + j] = (rem[k + j] - c * bj) % p
-        return Poly(q, p), Poly(rem[:db], p)
+        a, b = self.coeffs, other.coeffs
+        db = len(b) - 1
+        k = len(a) - db  # quotient length
+        if k <= 0:
+            return Poly._canon((), p), self
+        if min(k, len(b)) >= _NEWTON_MIN_LEN:
+            # rev(q) = rev(a) / rev(b) mod t^k; r = a - q*b, of which only
+            # the db low coefficients can be nonzero.
+            inv = _series_inverse(b[::-1][:k], k, p)
+            q = _mul_coeffs(a[::-1][:k], inv, p)[k - 1 :: -1]
+            low = _mul_coeffs(q[:db], b[:db], p)
+            rem = [(x - y) % p for x, y in zip(a[:db], low)]
+        else:
+            rem = list(a)
+            q = [0] * k
+            inv_lead = pow(b[-1], -1, p)
+            for i in range(k - 1, -1, -1):
+                c = rem[i + db] * inv_lead % p
+                if c:
+                    q[i] = c
+                    for j, bj in enumerate(b):
+                        rem[i + j] = (rem[i + j] - c * bj) % p
+            rem = rem[:db]
+        # lead(q) = lead(a) / lead(b) != 0, so only the remainder needs a strip.
+        return Poly._canon(tuple(q), p), Poly._canon(_strip(rem), p)
 
     def reduce_mod_p(self, p: int) -> "Poly":
         """Coefficientwise reduction Z[t] -> F_p[t]; a ring homomorphism."""
@@ -345,6 +399,105 @@ class Poly:
         else:
             coeffs = obj
         return cls([int(c) for c in coeffs], mod)
+
+
+# -- multiplication kernels -------------------------------------------
+
+# Poly.__mul__ uses the schoolbook loop while the shorter operand has fewer
+# coefficients than this, and Kronecker substitution from here on.
+_KRONECKER_MIN_LEN = 16
+# divmod over F_p uses long division while the divisor or the quotient has
+# fewer coefficients than this, and a Newton power-series inverse from here on.
+_NEWTON_MIN_LEN = 40
+
+# Unsigned array type code per slot width in bytes (the lower-case code is
+# the signed type), so that slots of these widths pack and unpack in C.
+# Array items are stored in native byte order, so they stand in for
+# int.to_bytes(..., "little") only on little-endian hosts; elsewhere every
+# width takes the to_bytes path.
+_SLOT_CODES = {array(code).itemsize: code for code in "QIHB"} if sys.byteorder == "little" else {}
+
+
+def _mul_coeffs(a, b, mod: int | None) -> list[int]:
+    """The len(a) + len(b) - 1 coefficients of a*b, reduced mod p over F_p.
+
+    ``a`` and ``b`` are nonempty coefficient sequences, in [0, p) over F_p."""
+    if min(len(a), len(b)) >= _KRONECKER_MIN_LEN:
+        cs = _kronecker(a, b, mod is None)
+    else:
+        cs = [0] * (len(a) + len(b) - 1)
+        for i, ci in enumerate(a):
+            if ci == 0:
+                continue
+            for j, cj in enumerate(b):
+                cs[i + j] += ci * cj
+    if mod is not None:
+        cs = [c % mod for c in cs]
+    return cs
+
+
+def _kronecker(a, b, signed: bool) -> list[int]:
+    """Unreduced coefficients of a*b by Kronecker substitution.
+
+    Each operand is evaluated at t = 2**(8*w) by writing its coefficients
+    into w-byte slots of one integer, the two integers are multiplied with
+    CPython's bigint (Karatsuba) multiply, and the slots of the product are
+    read back.  Every product coefficient is a sum of min(len) terms, so it
+    is at most bound = min(len(a), len(b)) * max|a| * max|b| in absolute
+    value, and w is chosen with bound < 2**(8*w) (2**(8*w - 1) if signed)
+    so that no slot spills into the next; big coefficients only widen w.
+
+    Signed (Z[t]) slots are two's complement.  A negative coefficient c
+    packs as c + 2**(8*w), with the top bit of its slot set, so the packed
+    value is corrected by one 2**(8*w) per set top bit.  In the product,
+    adding half a slot to every slot makes each slot a digit in
+    [0, 2**(8*w)) with no borrow across slots, and flipping the top bit of
+    every slot turns that digit back into c in two's complement.
+    """
+    n = len(a) + len(b) - 1
+    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
+    w = max(1, (bound.bit_length() + signed + 7) // 8)
+    if w <= 8:  # round up to a width with an array type
+        w = next(width for width in (1, 2, 4, 8) if width >= w)
+    # the top bit of each of the n slots, or 0 over F_p
+    tops = int.from_bytes((1 << (8 * w - 1)).to_bytes(w, "little") * n, "little") if signed else 0
+    x = _evaluate(a, w, tops) * _evaluate(b, w, tops)
+    return _slots((x + tops) ^ tops, n, w, signed)
+
+
+def _evaluate(cs, w: int, tops: int) -> int:
+    """sum(c * 2**(8*w*i)) for coefficients with |c| < 2**(8*w - 1) when
+    ``tops`` is the slot top-bit mask (signed), else 0 <= c < 2**(8*w)."""
+    code = _SLOT_CODES.get(w)
+    if code is not None:
+        data = array(code.lower() if tops else code, cs).tobytes()
+    else:
+        data = b"".join(c.to_bytes(w, "little", signed=bool(tops)) for c in cs)
+    x = int.from_bytes(data, "little")
+    return x - ((x & tops) << 1)
+
+
+def _slots(x: int, n: int, w: int, signed: bool) -> list[int]:
+    """The n w-byte slots of 0 <= x < 2**(8*w*n), least significant first,
+    read as two's complement if ``signed``."""
+    data = x.to_bytes(n * w, "little")
+    code = _SLOT_CODES.get(w)
+    if code is not None:
+        return array(code.lower() if signed else code, data).tolist()
+    return [int.from_bytes(data[i : i + w], "little", signed=signed) for i in range(0, n * w, w)]
+
+
+def _series_inverse(f, k: int, p: int) -> list[int]:
+    """g with f*g = 1 mod (p, t^k), by Newton iteration g <- g*(2 - f*g),
+    which doubles the number of correct coefficients per step; f[0] != 0."""
+    g = [pow(f[0], -1, p)]
+    prec = 1
+    while prec < k:
+        prec = min(2 * prec, k)
+        e = [-c % p for c in _mul_coeffs(f[:prec], g, p)[:prec]]
+        e[0] = (e[0] + 2) % p
+        g = _mul_coeffs(g, e, p)[:prec]
+    return g
 
 
 _TOKEN_RE = re.compile(r"(\d+)|([+\-*^t])|(\S)")

@@ -80,6 +80,35 @@ def rand_fp_matrix(rng, p, n_gens, max_deg):
     return m
 
 
+def schoolbook_mul(a, b):
+    """The product by the schoolbook double loop, built through the
+    validating constructor: the oracle for Poly.__mul__."""
+    if a.is_zero or b.is_zero:
+        return Poly((), a.mod)
+    cs = [0] * (len(a.coeffs) + len(b.coeffs) - 1)
+    for i, ci in enumerate(a.coeffs):
+        for j, cj in enumerate(b.coeffs):
+            cs[i + j] += ci * cj
+    return Poly(cs, a.mod)
+
+
+def schoolbook_divmod(a, b):
+    """Long division over F_p, one quotient coefficient per step: the oracle
+    for Poly.__divmod__."""
+    p, db = a.mod, b.degree
+    if a.degree is None or a.degree < db:
+        return Poly((), p), a
+    rem = list(a.coeffs)
+    q = [0] * (a.degree - db + 1)
+    inv_lead = pow(b.coeffs[-1], -1, p)
+    for k in range(a.degree - db, -1, -1):
+        c = rem[k + db] * inv_lead % p
+        q[k] = c
+        for j, bj in enumerate(b.coeffs):
+            rem[k + j] = (rem[k + j] - c * bj) % p
+    return Poly(q, p), Poly(rem[:db], p)
+
+
 def evaluate_word(letters, mod):
     m = identity(mod)
     for letter in letters:

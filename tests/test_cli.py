@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import nagaolab
 from nagaolab.cli import main
 from nagaolab.homology import LedgerReport
 
@@ -72,6 +76,33 @@ def test_nf_det_not_one(capsys):
     code, _, err = run(capsys, "nf", "--mod", "3", "[[1,0],[0,2]]")
     assert code == 2
     assert "determinant" in err
+    assert err == "error: determinant must be 1, got 2\n"
+    code, out, err = run(capsys, "nf", "--mod", "5", "[[1 + t, 0],[0, 1]]")
+    assert (code, out, err) == (2, "", "error: determinant must be 1, got 1 + t\n")
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["--mod", "3", "--ring", "e2zt", '["E12(5)"]'],
+         "nf takes --mod p or --ring e2zt, not both (--ring e2zt works over Z)"),
+        (["--mod", "3", "{}"], "error: normal form JSON lacks the field(s) 'head', 'tags', 'tail'"),
+        (["--mod", "3", '{"head": [[1, 0], [0, 1]], "tail": []}'],
+         "error: normal form JSON lacks the field(s) 'tags'"),
+        (["--mod", "3", '{"head": [[1, 0], [0, 1]], "tags": ["x"], "tail": [[[0, 2], [1, 0]]]}'],
+         "error: normal form field 'tags' must be a list of integers, got ['x']"),
+        (["--mod", "3", '{"head": [[1, 0], [0, 1]], "tags": [1], "tail": 5}'],
+         "error: normal form field 'tail' must be a list of matrices, got 5"),
+        (["--mod", "3", '{"head": [1, 2], "tags": [], "tail": []}'],
+         "error: normal form field 'head': matrix JSON must be a 2x2 nested array"),
+        (["--mod", "3", '{"head": [[1, 0], [0, 1]], "tags": [1], "tail": [[["y", 2], [1, 0]]]}'],
+         "error: normal form field 'tail': invalid literal for int() with base 10: 'y'"),
+    ],
+    ids=["mod-with-e2zt", "nf-json-empty", "nf-json-no-tags", "nf-json-bad-tag",
+         "nf-json-tail-not-list", "nf-json-bad-head", "nf-json-bad-tail-entry"],
+)
+def test_nf_usage_errors(capsys, argv, err):
+    assert run(capsys, "nf", *argv) == (2, "", err + "\n")
 
 
 def test_nf_parse_error(capsys):
@@ -344,6 +375,10 @@ GOLDEN = [
         id="nf-e2zt-bare-matrix-refused",
     ),
     pytest.param(
+        ["nf", "--mod", "3", "--ring", "e2zt", '["E12(5)"]'], 2, "",
+        id="nf-mod-with-e2zt-refused",
+    ),
+    pytest.param(
         ["hdim", "--group", "e2zt", "--mod", "3", "--max-i", "2", "--max-deg", "4"], 0,
         _lines(
             HDIM_HEADER,
@@ -434,3 +469,21 @@ GOLDEN = [
 def test_golden_outputs(capsys, argv, code, stdout):
     """Exact stdout and exit code of representative invocations."""
     assert run(capsys, *argv)[:2] == (code, stdout)
+
+
+def test_closed_output_pipe_exits_cleanly():
+    """A reader that stops early (``| head -1``) gets no traceback and a
+    documented exit code."""
+    src = os.path.dirname(os.path.dirname(nagaolab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "nagaolab.cli", "hdim", "--group", "tfpt", "--mod", "3",
+         "--max-i", "3000", "--max-deg", "4"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"group")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err

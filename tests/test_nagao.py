@@ -162,8 +162,10 @@ def test_nagao_nf_length_zero_iff_upper_constant():
 def test_nagao_nf_rejects_wrong_ring_or_det():
     with pytest.raises(ValueError):
         nagao_normal_form(3, identity(2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="determinant must be 1, got 2"):
         nagao_normal_form(3, Mat2.of_ints(1, 0, 0, 2, 3))
+    with pytest.raises(ValueError, match=r"determinant must be 1, got 1 \+ t"):
+        nagao_normal_form(5, parse_matrix("[[1 + t, 0], [0, 1]]", 5))
 
 
 # -- E2(Z[t]) words --------------------------------------------------------

@@ -1,7 +1,10 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from nagaolab import ring
 from nagaolab.ring import (
     Poly,
     PolyParseError,
@@ -10,7 +13,9 @@ from nagaolab.ring import (
     sn_witness_search,
 )
 
-from helpers import rand_poly
+from helpers import rand_poly, schoolbook_divmod, schoolbook_mul
+
+PRIMES = (2, 3, 7, 101, 2**31 - 1)
 
 
 def test_mul_difference_of_squares():
@@ -185,6 +190,133 @@ def test_big_coefficients_stay_exact():
     a = Poly([2**80, 1])
     b = Poly([2**80, -1])
     assert (a * b).coeffs[0] == 2**160
+
+
+# -- multiply and divide kernels against the schoolbook oracles ----------
+
+
+def _dense(rng, mod, n, big=4):
+    """A polynomial with exactly n coefficients (nonzero leading one)."""
+    if n == 0:
+        return Poly((), mod)
+    while True:
+        if mod is None:
+            cs = [rng.randint(-big, big) for _ in range(n)]
+        else:
+            cs = [rng.randrange(mod) for _ in range(n)]
+        if cs[-1] != 0:
+            return Poly(cs, mod)
+
+
+def test_mul_kernel_around_crossover():
+    rng = random.Random(606)
+    x = ring._KRONECKER_MIN_LEN
+    for mod in (None,) + PRIMES:
+        for n in (x - 1, x, x + 1):
+            for m in (n, n + 1, 3 * n + 5, 200):
+                for _ in range(3):
+                    a, b = _dense(rng, mod, n), _dense(rng, mod, m)
+                    assert a * b == schoolbook_mul(a, b)
+                    assert b * a == schoolbook_mul(a, b)
+                    assert len((a * b).coeffs) == n + m - 1
+
+
+def test_mul_kernel_zero_and_constant_operands():
+    rng = random.Random(707)
+    for mod in (None,) + PRIMES:
+        long = _dense(rng, mod, 3 * ring._KRONECKER_MIN_LEN)
+        for short in (Poly.zero(mod), Poly.one(mod), Poly.constant(-1, mod), _dense(rng, mod, 1)):
+            assert long * short == schoolbook_mul(long, short)
+            assert short * long == schoolbook_mul(short, long)
+        assert long * 0 == Poly.zero(mod)
+        assert 5 * long == schoolbook_mul(Poly.constant(5, mod), long)
+
+
+def test_mul_kernel_signed_and_huge_coefficients():
+    rng = random.Random(808)
+    n = 2 * ring._KRONECKER_MIN_LEN
+    for big in (1, 4, 2**31, 2**64, 2**100):
+        for _ in range(5):
+            a, b = _dense(rng, None, n, big), _dense(rng, None, n + 7, big)
+            assert a * b == schoolbook_mul(a, b)
+    # all-negative operands, and a sign change in the leading coefficient
+    a = Poly([-(2**100)] * n)
+    b = Poly([-(2**100)] * n + [2**100 - 1])
+    assert a * b == schoolbook_mul(a, b)
+    assert (a * a).coeffs[n - 1] == n * 2**200
+
+
+def test_mul_kernel_extreme_coefficients():
+    # The middle coefficients of a*a reach min(len) * max|a|**2, the bound the
+    # slot width is sized from.  Over Z that bound sits just below a power of
+    # 2**8, where the sign needs one more bit than the magnitude.
+    n = ring._KRONECKER_MIN_LEN
+    for p in PRIMES:
+        for length in (n, 2 * n + 1, 150):
+            a = Poly([p - 1] * length, p)
+            assert a * a == schoolbook_mul(a, a)
+    for bits in (16, 32, 64, 104):
+        c = math.isqrt((2**bits - 1) // n)
+        a = Poly([c] * n)
+        assert (n * c * c).bit_length() == bits
+        for b in (a, -a, Poly([c, -c] * (n // 2))):
+            assert a * b == schoolbook_mul(a, b)
+
+
+def test_divmod_kernel_both_sides_of_crossover():
+    rng = random.Random(909)
+    x = ring._NEWTON_MIN_LEN
+    for p in PRIMES:
+        # (divisor length, quotient length): long division below the
+        # crossover in either length, Newton inversion at and above it
+        for lb, lq in ((x - 1, x + 40), (x + 40, x - 1), (x, x), (x + 1, x + 1), (3 * x, 2 * x + 3), (x + 3, 4 * x)):
+            for _ in range(2):
+                b = _dense(rng, p, lb)
+                a = _dense(rng, p, lb + lq - 1)
+                if rng.random() < 0.5:
+                    a = a + _dense(rng, p, rng.randrange(1, lb))  # nonzero remainder
+                q, r = divmod(a, b)
+                assert (q, r) == schoolbook_divmod(a, b)
+                assert q * b + r == a
+                assert r.is_zero or r.degree < b.degree
+                assert q.degree == a.degree - b.degree
+
+
+def test_mul_and_divmod_agree_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    rng = random.Random(1010)
+
+    def as_sympy(f):
+        return sympy.Poly(list(reversed(f.coeffs)) or [0], t, modulus=f.mod)
+
+    def from_sympy(g, p):
+        return Poly([int(c) for c in reversed(g.all_coeffs())], p)
+
+    for p in (3, 7, 101, 2**31 - 1):
+        for la, lb in ((20, 20), (150, 90), (300, 70)):
+            a, b = _dense(rng, p, la), _dense(rng, p, lb)
+            assert a * b == from_sympy(as_sympy(a) * as_sympy(b), p)
+            q, r = divmod(a, b)
+            sq, sr = sympy.div(as_sympy(a), as_sympy(b))
+            assert (q, r) == (from_sympy(sq, p), from_sympy(sr, p))
+
+
+@st.composite
+def _poly_pairs(draw):
+    mod = draw(st.sampled_from((None,) + PRIMES))
+    if mod is None:
+        coeff = st.integers(-(2**100), 2**100) | st.integers(-4, 4)
+    else:
+        coeff = st.integers(0, mod - 1)
+    return tuple(Poly(draw(st.lists(coeff, max_size=300)), mod) for _ in range(2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_poly_pairs())
+def test_mul_kernel_equals_schoolbook_property(pair):
+    a, b = pair
+    assert a * b == schoolbook_mul(a, b)
 
 
 def test_sn_witness_examples():
