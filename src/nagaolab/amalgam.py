@@ -141,15 +141,20 @@ class AmalgamStructure:
         linear in word length."""
         nf = self.identity_nf()
         for letter in reversed(list(word)):
-            if letter.factor not in (1, 2):
-                raise ValueError(f"factor tag must be 1 or 2, got {letter.factor!r}")
-            if not self.in_factor(letter.factor, letter.mat):
-                raise ValueError(
-                    f"letter {letter.mat} fails membership in factor {letter.factor}"
-                )
+            self._check_letter(letter)
             nf = self._prepend(letter.factor, letter.mat, nf)
         self._check_normal_form(nf)
         return nf
+
+    def _check_letter(self, letter: Letter) -> None:
+        """Refuse a word letter whose tag is not 1 or 2 or whose matrix is
+        not in the factor the tag names."""
+        if letter.factor not in (1, 2):
+            raise ValueError(f"factor tag must be 1 or 2, got {letter.factor!r}")
+        if not self.in_factor(letter.factor, letter.mat):
+            raise ValueError(
+                f"letter {letter.mat} fails membership in factor {letter.factor}"
+            )
 
     def _prepend(self, factor: int, g: Mat2, nf: NormalForm) -> NormalForm:
         h = g * nf.head

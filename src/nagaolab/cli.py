@@ -12,7 +12,7 @@ import os
 import sys
 
 from .amalgam import AmalgamStructure, Letter, NormalForm
-from .gl2 import mat_from_json, parse_gen, parse_matrix
+from .gl2 import _is_matrix_json, mat_from_json, parse_gen, parse_matrix
 from .homology import (
     GROUP_IDS,
     UnsupportedGroupError,
@@ -38,13 +38,15 @@ def _read_input(arg: str) -> str:
 
 def _word_from_json(items, mod):
     letters = []
-    for item in items:
+    for idx, item in enumerate(items):
         if isinstance(item, str):
             letters.extend(letters_from_gens([parse_gen(item, mod)], mod))
         elif isinstance(item, dict) and "factor" in item and "matrix" in item:
+            if type(item["factor"]) is not int:
+                raise ValueError(f"word item {idx} field 'factor' must be an integer, got {item['factor']!r}")
             mat = item["matrix"]
             mat = parse_matrix(mat, mod) if isinstance(mat, str) else mat_from_json(mat, mod)
-            letters.append(Letter(int(item["factor"]), mat))
+            letters.append(Letter(item["factor"], mat))
         else:
             raise ValueError(f"word items must be shorthand strings or factor/matrix objects, got {item!r}")
     return letters
@@ -97,14 +99,6 @@ def _print_nf(struct, nf: NormalForm, fmt: str) -> None:
     print(f"matrix: {struct.nf_evaluate(nf)}")
 
 
-def _is_matrix_json(payload) -> bool:
-    return (
-        isinstance(payload, list)
-        and len(payload) == 2
-        and all(isinstance(row, list) and len(row) == 2 for row in payload)
-    )
-
-
 def _cmd_nf(args) -> int:
     text = _read_input(args.input).strip()
     try:
@@ -112,6 +106,8 @@ def _cmd_nf(args) -> int:
         is_json = isinstance(payload, (list, dict))
     except json.JSONDecodeError:
         payload, is_json = None, False
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
     is_word = is_json and not _is_matrix_json(payload)
 
     if args.ring is None and args.mod is None:

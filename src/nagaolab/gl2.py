@@ -257,16 +257,15 @@ def parse_matrix(text: str, mod: int | None = None) -> Mat2:
     return Mat2(a, b, c, d)
 
 
+def _is_matrix_json(obj) -> bool:
+    """True iff ``obj`` has the shape of matrix JSON: a 2x2 nested array."""
+    return isinstance(obj, list) and len(obj) == 2 and all(
+        isinstance(r, list) and len(r) == 2 for r in obj
+    )
+
+
 def mat_from_json(obj, mod: int | None = None) -> Mat2:
     """Build a matrix from a 2x2 nested array of polynomial JSON objects."""
-    if not (
-        isinstance(obj, list)
-        and len(obj) == 2
-        and all(isinstance(r, list) and len(r) == 2 for r in obj)
-    ):
+    if not _is_matrix_json(obj):
         raise ValueError("matrix JSON must be a 2x2 nested array")
-    a = Poly.from_json(obj[0][0], mod)
-    b = Poly.from_json(obj[0][1], mod)
-    c = Poly.from_json(obj[1][0], mod)
-    d = Poly.from_json(obj[1][1], mod)
-    return Mat2(a, b, c, d)
+    return Mat2(*(Poly.from_json(e, mod) for row in obj for e in row))

@@ -15,23 +15,14 @@ carries weight 2 and a divided power of multiplicity m carries weight 2m;
 coinvariants are counted by keeping the basis monomials whose total weight
 vanishes mod p - 1.
 
-Supported group identifiers:
-
-    tzt     t*Z[t]                  free abelian, rank d
-    tfpt    t*F_p[t]                p-torsion, rank d
-    bz      B(Z) = Z/2 x Z
-    bzt     B(Z[t]) = B(Z) x t*Z[t]
-    bfp     B(F_p)                  coinvariants of rank-1 mod-p homology
-    bfpt    B(F_p[t])               coinvariants of rank-(d+1) mod-p homology
-    sl2z    SL2(Z), through its degree-preserving Z/12 abelianization
-    e2zt    E2(Z[t])
-    sl2fpt_bquot   the B-quotient summand of SL2(F_p[t]) for p in {2, 3};
-                   the constant-subgroup summand is flagged, never computed
+The group table ``_DIMS`` is the registry of supported groups: one entry
+per group id, mapping it to its dimension function.  ``GROUP_IDS`` (and so
+the CLI's ``--group`` choices) and the unknown-group message read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from math import comb
 
 from .ring import is_prime
@@ -51,19 +42,6 @@ __all__ = [
     "h_dims",
     "mv_ledger_check",
 ]
-
-GROUP_IDS = (
-    "tzt",
-    "tfpt",
-    "bz",
-    "bzt",
-    "bfp",
-    "bfpt",
-    "sl2z",
-    "e2zt",
-    "sl2fpt_bquot",
-)
-
 
 class UnsupportedGroupError(ValueError):
     """A (group, p) combination outside the modeled scope; never a silent 0."""
@@ -143,36 +121,49 @@ def _e2zt_dim(p: int, i: int, d: int) -> int:
     return comb(d + 1, i) + _sl2z_dim(p, i)
 
 
+def _sl2fpt_bquot_dim(p: int, i: int, d: int) -> int:
+    if p not in (2, 3):
+        raise UnsupportedGroupError(
+            "the B-quotient summand of SL2(F_p[t]) is modeled only for "
+            f"p in {{2, 3}} (the unit-group action is nontrivial for p={p}, "
+            "and the full splitting is out of scope)"
+        )
+    return h_dims("bfpt", p, i, d) - h_dims("bfp", p, i, d)
+
+
+# group id -> (p, i, d) -> dim H_i(group, F_p) at truncation degree d
+_DIMS = {
+    # t*Z[t], free abelian of rank d
+    "tzt": lambda p, i, d: comb(d, i),
+    # t*F_p[t], p-torsion of rank d
+    "tfpt": lambda p, i, d: _abelian_mod_p_dim(d, i, p, weight_filter=False),
+    # B(Z) = Z/2 x Z
+    "bz": lambda p, i, d: _bz_dim(p, i),
+    # B(Z[t]) = B(Z) x t*Z[t]
+    "bzt": _bzt_dim,
+    # B(F_p): coinvariants of rank-1 mod-p homology
+    "bfp": lambda p, i, d: _abelian_mod_p_dim(1, i, p, weight_filter=True),
+    # B(F_p[t]): coinvariants of rank-(d+1) mod-p homology
+    "bfpt": lambda p, i, d: _abelian_mod_p_dim(d + 1, i, p, weight_filter=True),
+    # SL2(Z), through its degree-preserving Z/12 abelianization
+    "sl2z": lambda p, i, d: _sl2z_dim(p, i),
+    # E2(Z[t])
+    "e2zt": _e2zt_dim,
+    # the B-quotient summand of SL2(F_p[t]) for p in {2, 3}; the
+    # constant-subgroup summand is flagged, never computed
+    "sl2fpt_bquot": _sl2fpt_bquot_dim,
+}
+GROUP_IDS = tuple(_DIMS)
+
+
 def h_dims(group: str, p: int, i: int, d: int) -> int:
     """dim H_i(group, F_p) truncated at t-degree d."""
     _validate(p, i, d)
-    if group == "tzt":
-        return comb(d, i)
-    if group == "tfpt":
-        return _abelian_mod_p_dim(d, i, p, weight_filter=False)
-    if group == "bz":
-        return _bz_dim(p, i)
-    if group == "bzt":
-        return _bzt_dim(p, i, d)
-    if group == "bfp":
-        return _abelian_mod_p_dim(1, i, p, weight_filter=True)
-    if group == "bfpt":
-        return _abelian_mod_p_dim(d + 1, i, p, weight_filter=True)
-    if group == "sl2z":
-        return _sl2z_dim(p, i)
-    if group == "e2zt":
-        return _e2zt_dim(p, i, d)
-    if group == "sl2fpt_bquot":
-        if p not in (2, 3):
-            raise UnsupportedGroupError(
-                "the B-quotient summand of SL2(F_p[t]) is modeled only for "
-                f"p in {{2, 3}} (the unit-group action is nontrivial for p={p}, "
-                "and the full splitting is out of scope)"
-            )
-        return h_dims("bfpt", p, i, d) - h_dims("bfp", p, i, d)
-    raise UnsupportedGroupError(
-        f"unknown group id {group!r}; supported: {', '.join(GROUP_IDS)}"
-    )
+    if group not in _DIMS:
+        raise UnsupportedGroupError(
+            f"unknown group id {group!r}; supported: {', '.join(GROUP_IDS)}"
+        )
+    return _DIMS[group](p, i, d)
 
 
 def coinvariant_dims(
@@ -215,16 +206,7 @@ class LedgerReport:
         return self.e2zt == self.bzt + self.sl2z - self.bz
 
     def as_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "i": self.i,
-            "d": self.d,
-            "e2zt": self.e2zt,
-            "bzt": self.bzt,
-            "sl2z": self.sl2z,
-            "bz": self.bz,
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def mv_ledger_check(p: int, i: int, d: int) -> LedgerReport:

@@ -229,10 +229,7 @@ def phi_p(word, p: int):
     struct_z, struct_p = AmalgamStructure(), AmalgamStructure(p)
     word = list(word)
     for letter in word:
-        if not struct_z.in_factor(letter.factor, letter.mat):
-            raise ValueError(
-                f"letter {letter.mat} fails membership in factor {letter.factor}"
-            )
+        struct_z._check_letter(letter)
     mat = struct_z.identity()
     for letter in word:
         mat = mat * letter.mat

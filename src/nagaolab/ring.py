@@ -52,6 +52,15 @@ __all__ = [
 ]
 
 
+# Largest degree accepted from text or JSON input, checked before any dense
+# coefficient list is built.  The degrees the tests and the benchmark build
+# stay far below it (at most about 620).
+MAX_DEGREE = 10_000
+
+# sn_witness_search refuses primes above this: the search is exhaustive.
+SN_MAX_PRIME = 31
+
+
 class PolyParseError(ValueError):
     """Malformed polynomial text; carries the offending position."""
 
@@ -338,6 +347,10 @@ class Poly:
                 raise PolyParseError("negative exponent", tk[2])
             if tk[0] != "int":
                 raise PolyParseError("expected exponent", tk[2])
+            if tk[1] > MAX_DEGREE:
+                raise PolyParseError(
+                    f"exponent {tk[1]} exceeds the degree cap {MAX_DEGREE}", tk[2]
+                )
             pos += 1
             return tk[1]
 
@@ -391,13 +404,30 @@ class Poly:
 
     @classmethod
     def from_json(cls, obj, mod: int | None = None) -> "Poly":
+        """A polynomial from JSON: ``{"coeffs": [...], "mod": p}``, a bare
+        list of coefficients, or one coefficient as a constant.  Coefficients
+        are JSON integers or integer strings; a ``mod`` field must be an
+        integer and agree with ``mod`` when that is given."""
         if isinstance(obj, dict):
-            coeffs = obj.get("coeffs", ())
-            mod = obj.get("mod", mod)
-        elif isinstance(obj, (int, str)):
-            coeffs = (obj,)  # bare scalar as a constant
+            coeffs, given = obj.get("coeffs", []), obj.get("mod", mod)
+            if (given is not None and type(given) is not int) or mod not in (None, given):
+                raise ValueError(
+                    f"polynomial field 'mod' must be {mod or 'a prime'}, got {given!r}"
+                )
+            if not isinstance(coeffs, list):
+                raise ValueError(f"polynomial field 'coeffs' must be a list, got {coeffs!r}")
+            mod = given
         else:
-            coeffs = obj
+            coeffs = obj if isinstance(obj, list) else [obj]
+        if len(coeffs) > MAX_DEGREE + 1:
+            raise ValueError(
+                f"polynomial has {len(coeffs)} coefficients, above the degree cap {MAX_DEGREE}"
+            )
+        for c in coeffs:
+            if type(c) not in (int, str):
+                raise ValueError(
+                    f"polynomial coefficient {c!r} is not an integer or an integer string"
+                )
         return cls([int(c) for c in coeffs], mod)
 
 
@@ -531,7 +561,7 @@ class SnWitness:
         return self.residues is not None
 
 
-def sn_witness_search(p: int, n: int, *, max_prime: int = 31) -> SnWitness:
+def sn_witness_search(p: int, n: int) -> SnWitness:
     """Search for n nonzero residues mod p with every nonempty subset sum
     nonzero mod p.
 
@@ -543,16 +573,16 @@ def sn_witness_search(p: int, n: int, *, max_prime: int = 31) -> SnWitness:
     branch dies the moment sum 0 becomes reachable.  The enumeration is
     exhaustive: ``residues=None`` is a verified "none exists".
 
-    Refuses (SearchCapExceeded) when p > max_prime or n > p, rather than
+    Refuses (SearchCapExceeded) when p > SN_MAX_PRIME or n > p, rather than
     running an unbounded search.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p!r}")
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n!r}")
-    if p > max_prime or n > p:
+    if p > SN_MAX_PRIME or n > p:
         raise SearchCapExceeded(
-            f"search cap exceeded: p={p}, n={n} (caps: p <= {max_prime}, n <= p)"
+            f"search cap exceeded: p={p}, n={n} (caps: p <= {SN_MAX_PRIME}, n <= p)"
         )
 
     full = (1 << p) - 1

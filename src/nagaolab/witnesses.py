@@ -19,7 +19,7 @@ of x(k); the suite records which equality actually holds.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .gl2 import Mat2, e12, identity
 from .nagao import nagao_normal_form
@@ -92,15 +92,6 @@ class CheckResult:
     lhs: str
     rhs: str
 
-    def as_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "statement": self.statement,
-            "status": self.status,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-        }
-
 
 @dataclass(frozen=True)
 class WitnessReport:
@@ -114,11 +105,18 @@ class WitnessReport:
         return [c for c in self.checks if c.status == "fail"]
 
     def to_json(self) -> str:
-        return json.dumps([c.as_dict() for c in self.checks], indent=2)
+        return json.dumps([asdict(c) for c in self.checks], indent=2)
 
 
-def _status(ok: bool) -> str:
-    return "pass" if ok else "fail"
+def _report(rows) -> WitnessReport:
+    """The report of (id, statement, ok, lhs, rhs) rows.  ``ok`` is the
+    outcome of an asserted check, or None for a comparison that is only
+    reported; lhs and rhs are shown through ``str``."""
+    return WitnessReport(tuple(
+        CheckResult(cid, statement, "info" if ok is None else "pass" if ok else "fail",
+                    str(lhs), str(rhs))
+        for cid, statement, ok, lhs, rhs in rows
+    ))
 
 
 def _nf_equal(p: int, lhs: Mat2, rhs: Mat2) -> bool:
@@ -130,119 +128,56 @@ def _nf_equal(p: int, lhs: Mat2, rhs: Mat2) -> bool:
     return by_matrix
 
 
+def _identity_rows(p: int, k: int) -> list:
+    """The checks on h(p,k), g(p,k), x(k) and n(p,k) for one (p, k)."""
+    one = Poly.one()
+    h, g, n = (make_witness(kind, p, k) for kind in "hgn")
+    x = make_witness("x", None, k)
+    det_n = Poly.monomial(k, -p)
+    h_p, g_p, x_p = h.reduce_mod_p(p), g.reduce_mod_p(p), x.reduce_mod_p(p)
+    x3_p = make_witness("x", None, 3 * k).reduce_mod_p(p)
+    eq_xk, eq_x3k = _nf_equal(p, h_p, x_p), _nf_equal(p, h_p, x3_p)
+    return [
+        (f"det_h({p},{k})", "det h(p,k) == 1", h.det() == one, h.det(), "1"),
+        (f"det_g({p},{k})", "det g(p,k) == 1", g.det() == one, g.det(), "1"),
+        (f"det_x({k})", "det x(k) == 1", x.det() == one, x.det(), "1"),
+        (f"det_n({p},{k})", "det n(p,k) == -p*t^k, so n is not in SL2",
+         n.det() == det_n and n.det() != one, n.det(), det_n),
+        (f"nonunipotent_g({p},{k})", "g(p,k) is not unipotent",
+         not g.is_unipotent(), g.trace(), "trace != 2"),
+        (f"unipotent_x({k})", "x(k) is unipotent", x.is_unipotent(), x.trace(), "2"),
+        (f"reduce_g({p},{k})", "g(p,k) mod p == x(k)^-1",
+         _nf_equal(p, g_p, x_p.inv()), g_p, x_p.inv()),
+        (f"reduce_h({p},{k})", "h(p,k) mod p compared against x(k) and x(3k) mod p: "
+         f"equals x(k): {eq_xk}; equals x(3k): {eq_x3k}",
+         None, h_p, f"x(k) mod p = {x_p}, x(3k) mod p = {x3_p}"),
+    ]
+
+
+def _coset_rows(p: int, ks) -> list:
+    """The coset identity g(p,k)^-1 g(p,l) = E12(t^k - t^l) for k, l in ks."""
+    rows = []
+    for k in ks:
+        g_k_inv = make_witness("g", p, k).inv()
+        for l in ks:
+            prod = g_k_inv * make_witness("g", p, l)
+            expected = e12(Poly.monomial(k) - Poly.monomial(l))
+            rows.append((f"coset_lemma({p},{k},{l})",
+                         "g(p,k)^-1 * g(p,l) == E12(t^k - t^l)",
+                         prod == expected, prod, expected))
+    return rows
+
+
 def verify_witness_suite(ps=(2, 3, 5, 7), ks=(1, 2, 3, 4)) -> WitnessReport:
     """Run every identity check over the given prime and index ranges."""
-    checks: list[CheckResult] = []
-    one = Poly.one()
+    rows = []
     for p in ps:
         if not is_prime(p):
             raise ValueError(f"witness primes must be prime, got {p!r}")
         for k in ks:
-            h = make_witness("h", p, k)
-            g = make_witness("g", p, k)
-            x = make_witness("x", None, k)
-            n = make_witness("n", p, k)
-
-            checks.append(
-                CheckResult(
-                    f"det_h({p},{k})",
-                    "det h(p,k) == 1",
-                    _status(h.det() == one),
-                    str(h.det()),
-                    "1",
-                )
-            )
-            checks.append(
-                CheckResult(
-                    f"det_g({p},{k})",
-                    "det g(p,k) == 1",
-                    _status(g.det() == one),
-                    str(g.det()),
-                    "1",
-                )
-            )
-            checks.append(
-                CheckResult(
-                    f"det_x({k})",
-                    "det x(k) == 1",
-                    _status(x.det() == one),
-                    str(x.det()),
-                    "1",
-                )
-            )
-            expected_det_n = Poly.monomial(k, -p)
-            ok_n = n.det() == expected_det_n and n.det() != one
-            checks.append(
-                CheckResult(
-                    f"det_n({p},{k})",
-                    "det n(p,k) == -p*t^k, so n is not in SL2",
-                    _status(ok_n),
-                    str(n.det()),
-                    str(expected_det_n),
-                )
-            )
-            checks.append(
-                CheckResult(
-                    f"nonunipotent_g({p},{k})",
-                    "g(p,k) is not unipotent",
-                    _status(not g.is_unipotent()),
-                    str(g.trace()),
-                    "trace != 2",
-                )
-            )
-            checks.append(
-                CheckResult(
-                    f"unipotent_x({k})",
-                    "x(k) is unipotent",
-                    _status(x.is_unipotent()),
-                    str(x.trace()),
-                    "2",
-                )
-            )
-
-            g_p = g.reduce_mod_p(p)
-            x_p = x.reduce_mod_p(p)
-            checks.append(
-                CheckResult(
-                    f"reduce_g({p},{k})",
-                    "g(p,k) mod p == x(k)^-1",
-                    _status(_nf_equal(p, g_p, x_p.inv())),
-                    str(g_p),
-                    str(x_p.inv()),
-                )
-            )
-
-            h_p = h.reduce_mod_p(p)
-            x3_p = make_witness("x", None, 3 * k).reduce_mod_p(p)
-            eq_xk = _nf_equal(p, h_p, x_p)
-            eq_x3k = _nf_equal(p, h_p, x3_p)
-            checks.append(
-                CheckResult(
-                    f"reduce_h({p},{k})",
-                    "h(p,k) mod p compared against x(k) and x(3k) mod p: "
-                    f"equals x(k): {eq_xk}; equals x(3k): {eq_x3k}",
-                    "info",
-                    str(h_p),
-                    f"x(k) mod p = {x_p}, x(3k) mod p = {x3_p}",
-                )
-            )
-
-        for k in ks:
-            g_k_inv = make_witness("g", p, k).inv()
-            for l in ks:
-                g_l = make_witness("g", p, l)
-                prod = g_k_inv * g_l
-                expected = e12(Poly.monomial(k) - Poly.monomial(l))
-                checks.append(
-                    CheckResult(
-                        f"coset_lemma({p},{k},{l})",
-                        "g(p,k)^-1 * g(p,l) == E12(t^k - t^l)",
-                        _status(prod == expected),
-                        str(prod),
-                        str(expected),
-                    )
-                )
-    return WitnessReport(tuple(checks))
+            rows += _identity_rows(p, k)
+        rows += _coset_rows(p, ks)
+    return _report(rows)
 
 
 def kernel_combination_check(p: int, k: int) -> WitnessReport:
@@ -262,22 +197,11 @@ def kernel_combination_check(p: int, k: int) -> WitnessReport:
     x_p = make_witness("x", None, k).reduce_mod_p(p)
     h_p = make_witness("h", p, k).reduce_mod_p(p)
     ident = identity(p)
-
-    checks = [
-        CheckResult(
-            f"kernel_gx({p},{k})",
-            "g(p,k) mod p times x(k) mod p == I; the degree-one classes of "
-            "g and x sum into the kernel of reduction (bookkeeping)",
-            _status(_nf_equal(p, g_p * x_p, ident)),
-            str(g_p * x_p),
-            str(ident),
-        ),
-        CheckResult(
-            f"kernel_gh({p},{k})",
-            "g(p,k) mod p times h(p,k) mod p compared to I",
-            "info",
-            str(g_p * h_p),
-            str(ident),
-        ),
-    ]
-    return WitnessReport(tuple(checks))
+    return _report([
+        (f"kernel_gx({p},{k})",
+         "g(p,k) mod p times x(k) mod p == I; the degree-one classes of "
+         "g and x sum into the kernel of reduction (bookkeeping)",
+         _nf_equal(p, g_p * x_p, ident), g_p * x_p, ident),
+        (f"kernel_gh({p},{k})", "g(p,k) mod p times h(p,k) mod p compared to I",
+         None, g_p * h_p, ident),
+    ])

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nagaolab
 from nagaolab.cli import main
@@ -97,12 +100,79 @@ def test_nf_det_not_one(capsys):
          "error: normal form field 'head': matrix JSON must be a 2x2 nested array"),
         (["--mod", "3", '{"head": [[1, 0], [0, 1]], "tags": [1], "tail": [[["y", 2], [1, 0]]]}'],
          "error: normal form field 'tail': invalid literal for int() with base 10: 'y'"),
+        (["--mod", "3", '[[{"coeffs": 5}, {"coeffs": []}], [{"coeffs": []}, {"coeffs": ["1"]}]]'],
+         "error: polynomial field 'coeffs' must be a list, got 5"),
+        (["--mod", "3", '[[{"coeffs": "12"}, 0], [0, 1]]'],
+         "error: polynomial field 'coeffs' must be a list, got '12'"),
+        (["--mod", "3", "[[1.5, 0], [0, 1]]"],
+         "error: polynomial coefficient 1.5 is not an integer or an integer string"),
+        (["--mod", "3", "[[1, null], [0, 1]]"],
+         "error: polynomial coefficient None is not an integer or an integer string"),
+        (["--mod", "3", '[[{"coeffs": [1.7]}, 0], [0, 1]]'],
+         "error: polynomial coefficient 1.7 is not an integer or an integer string"),
+        (["--mod", "3", "[[true, 0], [0, 1]]"],
+         "error: polynomial coefficient True is not an integer or an integer string"),
+        (["--mod", "3", '[[{"coeffs": ["1"], "mod": "x"}, 0], [0, 1]]'],
+         "error: polynomial field 'mod' must be 3, got 'x'"),
+        (["--mod", "3", '[[{"coeffs": ["1"], "mod": 5}, 0], [0, 1]]'],
+         "error: polynomial field 'mod' must be 3, got 5"),
+        (["--mod", "3", '[{"factor": "x", "matrix": "W"}]'],
+         "error: word item 0 field 'factor' must be an integer, got 'x'"),
+        (["--mod", "3", '["W", {"factor": true, "matrix": "W"}]'],
+         "error: word item 1 field 'factor' must be an integer, got True"),
+        (["--mod", "3", "[[1, t^2000000], [0, 1]]"],
+         "error: exponent 2000000 exceeds the degree cap 10000 (at position 3)"),
+        (["--mod", "3", '[[{"coeffs": [%s]}, 0], [0, 1]]' % ", ".join(["0"] * 10002)],
+         "error: polynomial has 10002 coefficients, above the degree cap 10000"),
+        (["--mod", "3", "[" * 100_000 + "]" * 100_000],
+         "error: JSON input is nested too deeply"),
     ],
     ids=["mod-with-e2zt", "nf-json-empty", "nf-json-no-tags", "nf-json-bad-tag",
-         "nf-json-tail-not-list", "nf-json-bad-head", "nf-json-bad-tail-entry"],
+         "nf-json-tail-not-list", "nf-json-bad-head", "nf-json-bad-tail-entry",
+         "poly-coeffs-not-list", "poly-coeffs-string", "poly-float-entry", "poly-null-entry",
+         "poly-float-coeff", "poly-bool-entry", "poly-mod-not-int", "poly-mod-mismatch",
+         "word-factor-string", "word-factor-bool", "parse-degree-cap", "json-degree-cap",
+         "json-nested-too-deeply"],
 )
 def test_nf_usage_errors(capsys, argv, err):
     assert run(capsys, "nf", *argv) == (2, "", err + "\n")
+
+
+# JSON payloads for ``nf``: arbitrary JSON, and the shapes the CLI reads
+# (matrices of polynomial entries, words, normal-form objects) filled with
+# arbitrary JSON, so that random values reach every field.
+_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["t", "1 + t^2", "W", "D(2)", "E12(t)", "E21(-t)", "[[1, 0], [t, 1]]"])
+)
+_KEYS = st.sampled_from(["coeffs", "mod", "head", "tags", "tail", "factor", "matrix"])
+_JSON = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_KEYS | st.text(max_size=3), kids),
+    max_leaves=8,
+)
+_POLY = _JSON | st.fixed_dictionaries({"coeffs": _JSON}, optional={"mod": _JSON})
+_MATRIX = st.lists(st.lists(_POLY, min_size=2, max_size=2), min_size=2, max_size=2)
+_PAYLOAD = (
+    _JSON
+    | _MATRIX
+    | st.lists(_SCALARS | st.fixed_dictionaries({"factor": _JSON, "matrix": _MATRIX | _JSON}),
+               max_size=4)
+    | st.fixed_dictionaries({"head": _MATRIX | _JSON, "tags": _JSON,
+                             "tail": st.lists(_MATRIX, max_size=3) | _JSON})
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(payload=_PAYLOAD, p=st.sampled_from([2, 3, 5, 7]))
+def test_nf_any_json_payload_exits_cleanly(payload, p):
+    """Any JSON input to ``nf --mod p`` ends in a documented exit code, with
+    at most a one-line message and no exception escaping ``main``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["nf", "--mod", str(p), json.dumps(payload)])
+    assert code in (0, 1, 2, 3)
+    assert err.getvalue().count("\n") == (code != 0)
 
 
 def test_nf_parse_error(capsys):
@@ -116,8 +186,6 @@ def test_nf_missing_mode(capsys):
 
 
 def test_nf_reads_stdin(capsys, monkeypatch):
-    import io
-
     monkeypatch.setattr("sys.stdin", io.StringIO("[[1,0],[t,1]]"))
     code, out, _ = run(capsys, "nf", "--mod", "2", "-")
     assert code == 0
@@ -285,6 +353,68 @@ NF_Z = (
 HDIM_HEADER = "group           p   d   i     dim  flags"
 COINV_FLAGS = "wedge-part coinvariants of t*F_p[t]"
 BQUOT_FLAGS = "plus an opaque H_i(SL2(F_p)) summand (not computed)"
+
+# The statements of the witness checks, and the checks that
+# ``verify --witness 2..3 1..2`` reports, as (id, statement, status, lhs, rhs).
+W_DET_H, W_DET_G, W_DET_X = "det h(p,k) == 1", "det g(p,k) == 1", "det x(k) == 1"
+W_DET_N = "det n(p,k) == -p*t^k, so n is not in SL2"
+W_NONUNI_G, W_UNI_X = "g(p,k) is not unipotent", "x(k) is unipotent"
+W_RED_G = "g(p,k) mod p == x(k)^-1"
+W_RED_H = (
+    "h(p,k) mod p compared against x(k) and x(3k) mod p: "
+    "equals x(k): False; equals x(3k): True"
+)
+W_COSET = "g(p,k)^-1 * g(p,l) == E12(t^k - t^l)"
+WITNESS_2_3 = [
+    ("det_h(2,1)", W_DET_H, "pass", "1", "1"),
+    ("det_g(2,1)", W_DET_G, "pass", "1", "1"),
+    ("det_x(1)", W_DET_X, "pass", "1", "1"),
+    ("det_n(2,1)", W_DET_N, "pass", "-2*t", "-2*t"),
+    ("nonunipotent_g(2,1)", W_NONUNI_G, "pass", "2 + 2*t", "trace != 2"),
+    ("unipotent_x(1)", W_UNI_X, "pass", "2", "2"),
+    ("reduce_g(2,1)", W_RED_G, "pass", "[[1, t], [0, 1]]", "[[1, t], [0, 1]]"),
+    ("reduce_h(2,1)", W_RED_H, "info", "[[1, t^3], [0, 1]]",
+     "x(k) mod p = [[1, t], [0, 1]]"
+     ", x(3k) mod p = [[1, t^3], [0, 1]]"),
+    ("det_h(2,2)", W_DET_H, "pass", "1", "1"),
+    ("det_g(2,2)", W_DET_G, "pass", "1", "1"),
+    ("det_x(2)", W_DET_X, "pass", "1", "1"),
+    ("det_n(2,2)", W_DET_N, "pass", "-2*t^2", "-2*t^2"),
+    ("nonunipotent_g(2,2)", W_NONUNI_G, "pass", "2 + 2*t^2", "trace != 2"),
+    ("unipotent_x(2)", W_UNI_X, "pass", "2", "2"),
+    ("reduce_g(2,2)", W_RED_G, "pass", "[[1, t^2], [0, 1]]", "[[1, t^2], [0, 1]]"),
+    ("reduce_h(2,2)", W_RED_H, "info", "[[1, t^6], [0, 1]]",
+     "x(k) mod p = [[1, t^2], [0, 1]]"
+     ", x(3k) mod p = [[1, t^6], [0, 1]]"),
+    ("coset_lemma(2,1,1)", W_COSET, "pass", "[[1, 0], [0, 1]]", "[[1, 0], [0, 1]]"),
+    ("coset_lemma(2,1,2)", W_COSET, "pass", "[[1, t - t^2], [0, 1]]", "[[1, t - t^2], [0, 1]]"),
+    ("coset_lemma(2,2,1)", W_COSET, "pass", "[[1, -t + t^2], [0, 1]]", "[[1, -t + t^2], [0, 1]]"),
+    ("coset_lemma(2,2,2)", W_COSET, "pass", "[[1, 0], [0, 1]]", "[[1, 0], [0, 1]]"),
+    ("det_h(3,1)", W_DET_H, "pass", "1", "1"),
+    ("det_g(3,1)", W_DET_G, "pass", "1", "1"),
+    ("det_x(1)", W_DET_X, "pass", "1", "1"),
+    ("det_n(3,1)", W_DET_N, "pass", "-3*t", "-3*t"),
+    ("nonunipotent_g(3,1)", W_NONUNI_G, "pass", "2 + 3*t", "trace != 2"),
+    ("unipotent_x(1)", W_UNI_X, "pass", "2", "2"),
+    ("reduce_g(3,1)", W_RED_G, "pass", "[[1, 2*t], [0, 1]]", "[[1, 2*t], [0, 1]]"),
+    ("reduce_h(3,1)", W_RED_H, "info", "[[1, t^3], [0, 1]]",
+     "x(k) mod p = [[1, t], [0, 1]]"
+     ", x(3k) mod p = [[1, t^3], [0, 1]]"),
+    ("det_h(3,2)", W_DET_H, "pass", "1", "1"),
+    ("det_g(3,2)", W_DET_G, "pass", "1", "1"),
+    ("det_x(2)", W_DET_X, "pass", "1", "1"),
+    ("det_n(3,2)", W_DET_N, "pass", "-3*t^2", "-3*t^2"),
+    ("nonunipotent_g(3,2)", W_NONUNI_G, "pass", "2 + 3*t^2", "trace != 2"),
+    ("unipotent_x(2)", W_UNI_X, "pass", "2", "2"),
+    ("reduce_g(3,2)", W_RED_G, "pass", "[[1, 2*t^2], [0, 1]]", "[[1, 2*t^2], [0, 1]]"),
+    ("reduce_h(3,2)", W_RED_H, "info", "[[1, t^6], [0, 1]]",
+     "x(k) mod p = [[1, t^2], [0, 1]]"
+     ", x(3k) mod p = [[1, t^6], [0, 1]]"),
+    ("coset_lemma(3,1,1)", W_COSET, "pass", "[[1, 0], [0, 1]]", "[[1, 0], [0, 1]]"),
+    ("coset_lemma(3,1,2)", W_COSET, "pass", "[[1, t - t^2], [0, 1]]", "[[1, t - t^2], [0, 1]]"),
+    ("coset_lemma(3,2,1)", W_COSET, "pass", "[[1, -t + t^2], [0, 1]]", "[[1, -t + t^2], [0, 1]]"),
+    ("coset_lemma(3,2,2)", W_COSET, "pass", "[[1, 0], [0, 1]]", "[[1, 0], [0, 1]]"),
+]
 
 GOLDEN = [
     pytest.param(
@@ -461,6 +591,75 @@ GOLDEN = [
             f'{{"group": "bfpt", "p": 5, "d": 2, "i": 1, "dim": 0, "flags": "{COINV_FLAGS}"}}]}}'
         ),
         id="hdim-json-coinv",
+    ),
+    pytest.param(
+        ["verify", "--witness", "2..3", "1..2"], 0,
+        _lines(
+            f"PASS  det_h(2,1): {W_DET_H}",
+            f"PASS  det_g(2,1): {W_DET_G}",
+            f"PASS  det_x(1): {W_DET_X}",
+            f"PASS  det_n(2,1): {W_DET_N}",
+            f"PASS  nonunipotent_g(2,1): {W_NONUNI_G}",
+            f"PASS  unipotent_x(1): {W_UNI_X}",
+            f"PASS  reduce_g(2,1): {W_RED_G}",
+            f"INFO  reduce_h(2,1): {W_RED_H}",
+            f"PASS  det_h(2,2): {W_DET_H}",
+            f"PASS  det_g(2,2): {W_DET_G}",
+            f"PASS  det_x(2): {W_DET_X}",
+            f"PASS  det_n(2,2): {W_DET_N}",
+            f"PASS  nonunipotent_g(2,2): {W_NONUNI_G}",
+            f"PASS  unipotent_x(2): {W_UNI_X}",
+            f"PASS  reduce_g(2,2): {W_RED_G}",
+            f"INFO  reduce_h(2,2): {W_RED_H}",
+            f"PASS  coset_lemma(2,1,1): {W_COSET}",
+            f"PASS  coset_lemma(2,1,2): {W_COSET}",
+            f"PASS  coset_lemma(2,2,1): {W_COSET}",
+            f"PASS  coset_lemma(2,2,2): {W_COSET}",
+            f"PASS  det_h(3,1): {W_DET_H}",
+            f"PASS  det_g(3,1): {W_DET_G}",
+            f"PASS  det_x(1): {W_DET_X}",
+            f"PASS  det_n(3,1): {W_DET_N}",
+            f"PASS  nonunipotent_g(3,1): {W_NONUNI_G}",
+            f"PASS  unipotent_x(1): {W_UNI_X}",
+            f"PASS  reduce_g(3,1): {W_RED_G}",
+            f"INFO  reduce_h(3,1): {W_RED_H}",
+            f"PASS  det_h(3,2): {W_DET_H}",
+            f"PASS  det_g(3,2): {W_DET_G}",
+            f"PASS  det_x(2): {W_DET_X}",
+            f"PASS  det_n(3,2): {W_DET_N}",
+            f"PASS  nonunipotent_g(3,2): {W_NONUNI_G}",
+            f"PASS  unipotent_x(2): {W_UNI_X}",
+            f"PASS  reduce_g(3,2): {W_RED_G}",
+            f"INFO  reduce_h(3,2): {W_RED_H}",
+            f"PASS  coset_lemma(3,1,1): {W_COSET}",
+            f"PASS  coset_lemma(3,1,2): {W_COSET}",
+            f"PASS  coset_lemma(3,2,1): {W_COSET}",
+            f"PASS  coset_lemma(3,2,2): {W_COSET}",
+            "checks: 40, failures: 0",
+        ),
+        id="verify-witness-text",
+    ),
+    pytest.param(
+        ["verify", "--witness", "2..3", "1..2", "--format", "json"], 0,
+        json.dumps(
+            [dict(zip(("id", "statement", "status", "lhs", "rhs"), row)) for row in WITNESS_2_3],
+            indent=2,
+        ) + "\n",
+        id="verify-witness-json",
+    ),
+    pytest.param(
+        ["verify", "--sn", "3", "2"], 0, "witness for p=3, n=2: (1, 1)\n",
+        id="verify-sn-witness",
+    ),
+    pytest.param(
+        ["verify", "--sn", "3", "3"], 0,
+        "none exists: no 3 nonzero residues mod 3 avoid a zero subset sum\n",
+        id="verify-sn-none",
+    ),
+    pytest.param(
+        ["verify", "--sn", "5", "4", "--format", "json"], 0,
+        _pretty('{"p": 5, "n": 4, "witness": [1, 1, 1, 1]}'),
+        id="verify-sn-json",
     ),
 ]
 

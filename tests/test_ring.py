@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from nagaolab import ring
 from nagaolab.ring import (
+    MAX_DEGREE,
     Poly,
     PolyParseError,
     SearchCapExceeded,
@@ -175,6 +176,10 @@ def test_parse_errors_carry_position():
         Poly.parse("2t")
     with pytest.raises(PolyParseError):
         Poly.parse("1 + & + t")
+    assert Poly.parse(f"t^{MAX_DEGREE}").degree == MAX_DEGREE
+    with pytest.raises(PolyParseError, match=f"degree cap {MAX_DEGREE}") as exc:
+        Poly.parse(f"1 + t^{MAX_DEGREE + 1}")
+    assert exc.value.position == 6
 
 
 def test_json_roundtrip():
@@ -184,6 +189,13 @@ def test_json_roundtrip():
     assert Poly.from_json(b.to_json()) == b
     assert b.to_json()["mod"] == 3
     assert Poly.from_json(["1", "2"], 3) == b
+    # still accepted: integers, integer strings, lists of both, a matching mod
+    assert Poly.from_json([1, "2"], 3) == Poly.from_json({"coeffs": [1, 2], "mod": 3}, 3) == b
+    assert Poly.from_json(-4) == Poly.from_json("-4") == Poly.constant(-4)
+    top = Poly.monomial(MAX_DEGREE)
+    assert Poly.from_json(top.to_json()) == top
+    with pytest.raises(ValueError, match=f"degree cap {MAX_DEGREE}"):
+        Poly.from_json([0] * (MAX_DEGREE + 1) + [1])
 
 
 def test_big_coefficients_stay_exact():
