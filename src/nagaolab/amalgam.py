@@ -4,8 +4,9 @@ One ``AmalgamStructure`` covers both coefficient rings in use: R = Z
 (``mod=None``) and R = F_p (``mod=p``, where E2(F_p[t]) = SL2(F_p[t]) by
 Nagao's theorem).  Factor 1 is the constant group SL2(R), factor 2 the
 upper-triangular group B(R[t]), glued along the constant upper-triangular
-group A = B(R).  Every factor element splits as g = a * s with a in A and s
-the canonical representative of the coset A*g (s is None exactly when g
+group A = B(R).  ``factors`` is the one membership decision, read from shape
+and constant terms.  Every factor element splits as g = a * s with a in A and
+s the canonical representative of the coset A*g (s is None exactly when g
 itself lies in A).  Element arithmetic is delegated to Mat2.
 
 A ``NormalForm`` is head * s_1 * ... * s_n with head in A, every s_j a
@@ -67,18 +68,24 @@ class AmalgamStructure:
     def identity(self) -> Mat2:
         return identity(self.mod)
 
-    def in_base(self, m: Mat2) -> bool:
-        return (
-            m.mod == self.mod
-            and m.is_constant
-            and m.is_upper_triangular
-            and m.det() == Poly.one(self.mod)
-        )
+    def factors(self, m: Mat2) -> tuple[int, ...]:
+        """The factors that contain m: (1, 2) for the base A = B(R), (1,) or
+        (2,) for one factor only, () for neither or for another ring.
 
-    def in_factor(self, factor: int, m: Mat2) -> bool:
-        if m.mod != self.mod or m.det() != Poly.one(self.mod):
-            return False
-        return m.is_constant if factor == 1 else m.is_upper_triangular
+        Decided from shape and constant terms, with no polynomial product.
+        A member of either factor has constant a, c and d (over the domain
+        R[t], a*d = 1 forces this when c = 0), and b is constant too unless
+        c = 0, when b does not enter the determinant; so det m is
+        a0*d0 - b0*c0, reduced mod p over F_p."""
+        if m.mod != self.mod or not (m.a.is_constant and m.c.is_constant and m.d.is_constant):
+            return ()
+        a, b, c, d = (e.constant_term for e in m.entries())
+        if c and not m.b.is_constant:
+            return ()
+        det = a * d - b * c
+        if (det if self.mod is None else det % self.mod) != 1:
+            return ()
+        return (1,) if c else (1, 2) if m.b.is_constant else (2,)
 
     def transversal(self, factor: int, m: Mat2) -> tuple[Mat2, Mat2 | None]:
         """Split a factor element as (a, s) with m = a * s; s None iff m in A."""
@@ -106,17 +113,18 @@ class AmalgamStructure:
     def decompose(self, factor: int, m: Mat2) -> tuple[Mat2, Mat2 | None]:
         """Transversal split with the exactness re-check.
 
-        The check a * s == m (and a in A, s not in A) is the single trust
-        anchor of the rewriting engine, so it runs on every decomposition."""
+        The check a * s == m, with a in A and s in the given factor only, is
+        the single trust anchor of the rewriting engine, so it runs on every
+        decomposition."""
         a, s = self.transversal(factor, m)
         if s is None:
-            if not self.in_base(m):
+            if self.factors(m) != (1, 2):
                 raise RuntimeError(
                     "transversal returned no representative for an element "
                     "outside the base subgroup"
                 )
             return m, None
-        if a * s != m or not self.in_base(a) or self.in_base(s):
+        if a * s != m or self.factors(a) != (1, 2) or self.factors(s) != (factor,):
             raise RuntimeError("transversal decomposition failed the exactness check")
         return a, s
 
@@ -137,12 +145,20 @@ class AmalgamStructure:
             lies in A the tail is untouched and h becomes the head, otherwise
             s' becomes the new first tail letter and a' the head.
 
-        One transversal decomposition per input letter, so the rewrite is
+        One transversal decomposition per input letter, and the tail is kept
+        as a list in reverse order (its first letter last), so the rewrite is
         linear in word length."""
-        nf = self.identity_nf()
+        head, rtail = self.identity(), []
         for letter in reversed(list(word)):
             self._check_letter(letter)
-            nf = self._prepend(letter.factor, letter.mat, nf)
+            factor = letter.factor
+            h = letter.mat * head
+            if rtail and rtail[-1].factor == factor:
+                h = h * rtail.pop().mat
+            head, s = self.decompose(factor, h)
+            if s is not None:
+                rtail.append(Letter(factor, s))
+        nf = NormalForm(head, tuple(reversed(rtail)))
         self._check_normal_form(nf)
         return nf
 
@@ -151,21 +167,10 @@ class AmalgamStructure:
         not in the factor the tag names."""
         if letter.factor not in (1, 2):
             raise ValueError(f"factor tag must be 1 or 2, got {letter.factor!r}")
-        if not self.in_factor(letter.factor, letter.mat):
+        if letter.factor not in self.factors(letter.mat):
             raise ValueError(
                 f"letter {letter.mat} fails membership in factor {letter.factor}"
             )
-
-    def _prepend(self, factor: int, g: Mat2, nf: NormalForm) -> NormalForm:
-        h = g * nf.head
-        tail = nf.tail
-        if tail and tail[0].factor == factor:
-            h = h * tail[0].mat
-            tail = tail[1:]
-        a, s = self.decompose(factor, h)
-        if s is None:
-            return NormalForm(a, tail)
-        return NormalForm(a, (Letter(factor, s),) + tail)
 
     def nf_evaluate(self, nf: NormalForm) -> Mat2:
         """Multiply the normal form back out to the group element."""
@@ -191,14 +196,12 @@ class AmalgamStructure:
         return self.normalize(inv_word)
 
     def _check_normal_form(self, nf: NormalForm) -> None:
-        if not self.in_base(nf.head):
+        if self.factors(nf.head) != (1, 2):
             raise RuntimeError("normal form head left the base subgroup (engine bug)")
         prev = None
         for letter in nf.tail:
-            if self.in_base(letter.mat):
-                raise RuntimeError("normal form tail letter lies in A (engine bug)")
-            if not self.in_factor(letter.factor, letter.mat):
-                raise RuntimeError("normal form tail letter fails its factor (engine bug)")
-            if prev is not None and prev == letter.factor:
+            if self.factors(letter.mat) != (letter.factor,):
+                raise RuntimeError("normal form tail letter is not in its factor alone (engine bug)")
+            if prev == letter.factor:
                 raise RuntimeError("normal form tags fail to alternate (engine bug)")
             prev = letter.factor

@@ -21,7 +21,7 @@ from .homology import (
     mv_ledger_check,
 )
 from .nagao import CrossValidationError, letters_from_gens, nagao_normal_form
-from .ring import PolyParseError, SearchCapExceeded, is_prime, sn_witness_search
+from .ring import MAX_DEGREE, PolyParseError, SearchCapExceeded, is_prime, sn_witness_search
 from .witnesses import verify_witness_suite
 
 EXIT_OK = 0
@@ -30,6 +30,12 @@ EXIT_USAGE = 2
 EXIT_OUT_OF_SCOPE = 3
 
 DEFAULT_MAX_DEG_CAP = 16
+
+# Input caps, each checked before the work it bounds and refused with exit 2.
+MAX_I = 64  # hdim --max-i
+MAX_RANGE_VALUES = 8  # values in one verify --witness range
+MAX_WITNESS_K = MAX_DEGREE // 3  # h(p, k) and x(3k) have degree 3k
+MAX_WORD_LEN = 2_000  # letters of an nf word or normal form, after shorthand expansion
 
 
 def _read_input(arg: str) -> str:
@@ -49,7 +55,13 @@ def _word_from_json(items, mod):
             letters.append(Letter(item["factor"], mat))
         else:
             raise ValueError(f"word items must be shorthand strings or factor/matrix objects, got {item!r}")
+        _check_word_len(len(letters), "word")
     return letters
+
+
+def _check_word_len(n: int, what: str) -> None:
+    if n > MAX_WORD_LEN:
+        raise ValueError(f"{what} has more than {MAX_WORD_LEN} letters (the word length cap)")
 
 
 def _nf_matrix(obj, field: str, mod):
@@ -70,11 +82,11 @@ def _nf_from_json(obj, mod):
     if not isinstance(tail, list):
         raise ValueError(f"normal form field 'tail' must be a list of matrices, got {tail!r}")
     head = _nf_matrix(obj["head"], "head", mod)
-    tail = [_nf_matrix(m, "tail", mod) for m in tail]
     if len(tags) != len(tail):
         raise ValueError(f"normal form has {len(tags)} tags but {len(tail)} tail matrices")
     letters = [] if head.is_identity else [Letter(1, head)]
-    letters += [Letter(t, m) for t, m in zip(tags, tail)]
+    _check_word_len(len(letters) + len(tail), "normal form")
+    letters += [Letter(t, _nf_matrix(m, "tail", mod)) for t, m in zip(tags, tail)]
     return letters
 
 
@@ -179,8 +191,8 @@ def _cmd_hdim(args) -> int:
             file=sys.stderr,
         )
         return EXIT_USAGE
-    if args.max_i < 0:
-        print(f"--max-i must be >= 0, got {args.max_i}", file=sys.stderr)
+    if not 0 <= args.max_i <= MAX_I:
+        print(f"--max-i must be >= 0 and at most the cap {MAX_I}, got {args.max_i}", file=sys.stderr)
         return EXIT_USAGE
     if args.ledger and args.group != "e2zt":
         print("--ledger applies to --group e2zt", file=sys.stderr)
@@ -206,20 +218,23 @@ def _cmd_hdim(args) -> int:
     return EXIT_OK
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+def _parse_range(text: str) -> range:
+    lo, hi = text.split("..", 1) if ".." in text else (text, text)
+    lo, hi = int(lo), int(hi)
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    if hi - lo >= MAX_RANGE_VALUES:
+        raise ValueError(f"range {text!r} has {hi - lo + 1} values, above the cap {MAX_RANGE_VALUES}")
+    return range(lo, hi + 1)
 
 
 def _cmd_verify(args) -> int:
     if args.witness:
-        ps = [p for p in _parse_range(args.witness[0]) if is_prime(p)]
-        ks = [k for k in _parse_range(args.witness[1]) if k >= 1]
+        p_range, k_range = (_parse_range(text) for text in args.witness)
+        if k_range[-1] > MAX_WITNESS_K:
+            raise ValueError(f"witness index {k_range[-1]} is above the cap {MAX_WITNESS_K} (3k <= {MAX_DEGREE})")
+        ps = [p for p in p_range if is_prime(p)]
+        ks = [k for k in k_range if k >= 1]
         if not ps or not ks:
             print("witness ranges contain no usable values", file=sys.stderr)
             return EXIT_USAGE
@@ -256,8 +271,15 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line, without the usage block."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="nagaolab",
         description="exact SL2 amalgam normal forms, homology dimension "
         "tables, and witness identity verification",

@@ -157,21 +157,13 @@ def _nf_by_degree_reduction(struct: AmalgamStructure, m: Mat2) -> NormalForm:
     d by c, minus its constant term, is the unique canonical shear to peel.
     Otherwise the last letter is a constant [[0, -1], [1, e]], with e the
     ratio of leading coefficients when degrees tie and 0 when d is smaller.
-    Peeling terminates in a factor element, which the transversal splits
-    into head and at most one more letter.
+    Peeling stops at the first element the classifier places in a factor,
+    which the transversal splits into head and at most one more letter.
     """
     p = struct.mod
     rev: list[Letter] = []
     cur = m
-    while True:
-        if cur.c.is_zero:
-            head, s = struct.decompose(2, cur)
-            first = [Letter(2, s)] if s is not None else []
-            break
-        if cur.is_constant:
-            head, s = struct.decompose(1, cur)
-            first = [Letter(1, s)] if s is not None else []
-            break
+    while not (owners := struct.factors(cur)):
         c, d = cur.c, cur.d
         if not d.is_zero and d.degree > c.degree:
             q, _ = divmod(d, c)
@@ -186,7 +178,10 @@ def _nf_by_degree_reduction(struct: AmalgamStructure, m: Mat2) -> NormalForm:
             s = Mat2.of_ints(0, -1, 1, e, p)
             rev.append(Letter(1, s))
             cur = cur * s.inv()
-    nf = NormalForm(head, tuple(first) + tuple(reversed(rev)))
+    factor = owners[-1]  # an element of A splits as itself in either factor
+    head, s = struct.decompose(factor, cur)
+    first = () if s is None else (Letter(factor, s),)
+    nf = NormalForm(head, first + tuple(reversed(rev)))
     struct._check_normal_form(nf)
     return nf
 

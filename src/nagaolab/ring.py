@@ -77,20 +77,35 @@ class SearchCapExceeded(RuntimeError):
     """
 
 
+# Deterministic Miller-Rabin bases: no composite below 2**64 is a strong
+# pseudoprime to all of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 @lru_cache(maxsize=None)
 def is_prime(n: int) -> bool:
-    """Primality by trial division; every modulus in this library is small."""
+    """Primality by Miller-Rabin over the prime bases 2 to 37, exact for
+    every n < 2**64; raises ValueError for larger n."""
+    if n >= 2**64:
+        raise ValueError(f"primality is decided only below 2**64, got {n}")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 

@@ -109,6 +109,41 @@ def schoolbook_divmod(a, b):
     return Poly(q, p), Poly(rem[:db], p)
 
 
+def trial_division_is_prime(n):
+    """Primality by trial division: the oracle for ring.is_prime, usable
+    while n or its smallest factor stays below about 10**12."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0:
+        return False
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
+
+
+def det_in_base(mod, m):
+    """Membership in A = B(R) by a full determinant: the oracle for
+    AmalgamStructure.factors."""
+    return (
+        m.mod == mod
+        and m.is_constant
+        and m.is_upper_triangular
+        and m.det() == Poly.one(mod)
+    )
+
+
+def det_in_factor(mod, factor, m):
+    """Membership in factor 1 (SL2(R)) or 2 (B(R[t])) by a full determinant."""
+    if m.mod != mod or m.det() != Poly.one(mod):
+        return False
+    return m.is_constant if factor == 1 else m.is_upper_triangular
+
+
 def evaluate_word(letters, mod):
     m = identity(mod)
     for letter in letters:

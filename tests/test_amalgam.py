@@ -1,12 +1,21 @@
+import itertools
 import random
 
 import pytest
 
 from nagaolab.amalgam import AmalgamStructure, Letter, NormalForm
-from nagaolab.gl2 import Mat2, e12, e21, w
+from nagaolab.gl2 import Mat2, e12, e21, identity, w
 from nagaolab.ring import Poly
 
-from helpers import evaluate_word, rand_letter, rand_sl2_const, rand_word
+from helpers import (
+    det_in_base,
+    det_in_factor,
+    evaluate_word,
+    rand_b_letter,
+    rand_letter,
+    rand_sl2_const,
+    rand_word,
+)
 
 
 def test_same_factor_letters_merge():
@@ -144,11 +153,11 @@ def test_tail_letters_alternate_and_avoid_base():
     s = AmalgamStructure(3)
     for _ in range(80):
         nf = s.normalize(rand_word(rng, 3, 7, 5))
-        assert s.in_base(nf.head)
+        assert s.factors(nf.head) == (1, 2)
         for a, b in zip(nf.tags, nf.tags[1:]):
             assert a != b
         for letter in nf.tail:
-            assert not s.in_base(letter.mat)
+            assert s.factors(letter.mat) != (1, 2)
 
 
 def test_invalid_letter_rejected():
@@ -174,6 +183,90 @@ def test_broken_transversal_fails_loudly():
     s = Broken(3)
     with pytest.raises(RuntimeError, match="exactness"):
         s.normalize([Letter(1, w(3))])
+
+
+def test_broken_transversal_outside_factor_fails():
+    class Broken(AmalgamStructure):
+        def transversal(self, factor, m):
+            return self.identity(), m  # a * s == m, but s need not be in the factor
+
+    s = Broken(3)
+    with pytest.raises(RuntimeError, match="exactness"):
+        s.decompose(2, w(3))
+    with pytest.raises(RuntimeError, match="exactness"):
+        s.decompose(1, e12(Poly.parse("t", 3)))
+
+    class NoSplit(AmalgamStructure):
+        def transversal(self, factor, m):
+            return m, None  # claims every element lies in A
+
+    with pytest.raises(RuntimeError, match="outside the base subgroup"):
+        NoSplit(3).decompose(1, w(3))
+
+
+def test_normal_form_invariants_checked():
+    s = AmalgamStructure(3)
+    one, t_shear = s.identity(), e12(Poly.parse("t", 3))
+    s._check_normal_form(NormalForm(one, (Letter(1, w(3)), Letter(2, t_shear))))
+    bad = [
+        NormalForm(w(3), ()),  # head outside A
+        NormalForm(one, (Letter(1, one),)),  # tail letter in A
+        NormalForm(one, (Letter(2, w(3)),)),  # tail letter outside its factor
+        NormalForm(one, (Letter(2, t_shear), Letter(2, t_shear))),  # no alternation
+    ]
+    for nf in bad:
+        with pytest.raises(RuntimeError, match="engine bug"):
+            s._check_normal_form(nf)
+
+
+def _oracle_factors(mod, m):
+    return tuple(f for f in (1, 2) if det_in_factor(mod, f, m))
+
+
+def test_factors_matches_det_oracle():
+    rng = random.Random(1009)
+    for mod in (None, 2, 3, 101):
+        s = AmalgamStructure(mod)
+        t = Poly.parse("t", mod)
+
+        def mat(a, b, c, d):
+            return Mat2(*(x if isinstance(x, Poly) else Poly.constant(x, mod) for x in (a, b, c, d)))
+
+        def check(m, expected):
+            assert det_in_base(mod, m) == (expected == (1, 2))
+            assert _oracle_factors(mod, m) == expected
+            assert s.factors(m) == expected
+
+        for _ in range(40):
+            u = rand_b_letter(rng, mod, 0).mat  # constant: an element of A
+            check(u, (1, 2))
+            g = rand_sl2_const(rng, mod)
+            check(g, (1,) if g.c.constant_term else (1, 2))
+            b = rand_b_letter(rng, mod, 4).mat
+            check(b, (2,) if not b.b.is_constant else (1, 2))
+        check(mat(1 + t, 0, 0, 1), ())  # upper triangular, nonconstant diagonal
+        check(mat(1 + t, t, 0, 1), ())
+        check(mat(t, 0, 0, t), ())
+        check(mat(1, t, 0, 1 + t), ())
+        check(mat(1, 1, 1, 1), ())  # constant, det 0
+        check(mat(1, 0, 1, 1 + t), ())  # lower triangular, nonconstant
+        check(mat(1, 0, t, 1), ())
+        check(mat(1, t, 1, 1), ())  # nonconstant b with c != 0
+        check(mat(1, t, 1, 1 + t), ())  # det 1, but d is nonconstant
+        if mod is None:
+            check(mat(-1, 0, 0, 1), ())  # det -1
+            check(mat(2, 0, 0, 1), ())
+            check(mat(0, 1, 1, 0), ())
+        else:
+            check(mat(mod - 1, 0, 0, 1), () if mod != 2 else (1, 2))
+        for other in (None, 2, 5):  # the identity over another ring
+            if other != mod:
+                check(identity(other), ())
+        # every matrix with entries in a small set, checked against the oracle
+        entries = [Poly.constant(x, mod) for x in (0, 1, -1, 2)] + [t, 1 + t]
+        for a, b, c, d in itertools.product(entries, repeat=4):
+            m = Mat2(a, b, c, d)
+            assert s.factors(m) == _oracle_factors(mod, m)
 
 
 def test_structure_mismatch_rejected():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import nagaolab
 from nagaolab.cli import main
-from nagaolab.homology import LedgerReport
+from nagaolab.homology import GROUP_IDS, LedgerReport
 
 
 def run(capsys, *argv):
@@ -126,13 +126,24 @@ def test_nf_det_not_one(capsys):
          "error: polynomial has 10002 coefficients, above the degree cap 10000"),
         (["--mod", "3", "[" * 100_000 + "]" * 100_000],
          "error: JSON input is nested too deeply"),
+        (["--mod", "3", json.dumps(["W"] * 2001)],
+         "error: word has more than 2000 letters (the word length cap)"),
+        (["--mod", "3", json.dumps(["E21(1)"] * 667)],
+         "error: word has more than 2000 letters (the word length cap)"),
+        (["--ring", "e2zt", json.dumps(["E12(t)", "W"] * 1000 + ["W"])],
+         "error: word has more than 2000 letters (the word length cap)"),
+        (["--mod", "3", json.dumps({"head": [[1, 0], [0, 1]], "tags": [1, 2] * 1000 + [1],
+                                    "tail": [[[0, 2], [1, 0]], [[1, "t"], [0, 1]]] * 1000
+                                    + [[[0, 2], [1, 0]]]})],
+         "error: normal form has more than 2000 letters (the word length cap)"),
     ],
     ids=["mod-with-e2zt", "nf-json-empty", "nf-json-no-tags", "nf-json-bad-tag",
          "nf-json-tail-not-list", "nf-json-bad-head", "nf-json-bad-tail-entry",
          "poly-coeffs-not-list", "poly-coeffs-string", "poly-float-entry", "poly-null-entry",
          "poly-float-coeff", "poly-bool-entry", "poly-mod-not-int", "poly-mod-mismatch",
          "word-factor-string", "word-factor-bool", "parse-degree-cap", "json-degree-cap",
-         "json-nested-too-deeply"],
+         "json-nested-too-deeply", "word-length-cap", "word-length-cap-expanded",
+         "word-length-cap-e2zt", "nf-json-length-cap"],
 )
 def test_nf_usage_errors(capsys, argv, err):
     assert run(capsys, "nf", *argv) == (2, "", err + "\n")
@@ -171,6 +182,55 @@ def test_nf_any_json_payload_exits_cleanly(payload, p):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["nf", "--mod", str(p), json.dumps(payload)])
+    assert code in (0, 1, 2, 3)
+    assert err.getvalue().count("\n") == (code != 0)
+
+
+def test_nf_word_at_length_cap(capsys):
+    code, out, err = run(capsys, "nf", "--mod", "3", json.dumps(["W"] * 2000))  # W^4 = I
+    assert (code, err) == (0, "") and "length: 0" in out
+
+
+# argv for every subcommand, built from its flags.  Integer arguments come
+# from small values and from huge ones of either sign.
+_INT = (st.integers(-3, 8) | st.integers(10**6, 10**30) | st.integers(-10**30, -10**6)).map(str)
+_RANGE = _INT | st.tuples(_INT, _INT).map("..".join)
+_MOD = st.sampled_from(["2", "3", "5", "7", str(2**61 - 1)]) | _INT
+
+
+def _flag(name, values):
+    return st.just([]) | values.map(lambda v: [name, v])
+
+
+_NF_INPUTS = ['["E12({})", "W"]', '["E21({})", "W"]', '["D({})"]',
+              "[[1, t^{}], [0, 1]]", "[[{}, 0], [0, 1]]"]
+_ARGV = st.one_of(
+    st.tuples(
+        st.sampled_from(_NF_INPUTS), _INT, st.sampled_from([[], ["--ring", "e2zt"]]),
+        _flag("--mod", _MOD), _flag("--format", st.sampled_from(["text", "json"])),
+    ).map(lambda t: ["nf", t[0].format(t[1]), *t[2], *t[3], *t[4]]),
+    st.tuples(
+        st.sampled_from(GROUP_IDS), _MOD, _flag("--max-i", _INT), _flag("--max-deg", _INT),
+        st.sampled_from([[], ["--coinv"], ["--ledger"]]),
+        _flag("--format", st.sampled_from(["text", "json", "csv"])),
+    ).map(lambda t: ["hdim", "--group", t[0], "--mod", t[1], *t[2], *t[3], *t[4], *t[5]]),
+    st.tuples(
+        st.tuples(_RANGE, _RANGE).map(lambda r: ["--witness", *r])
+        | st.tuples(_MOD, _INT).map(lambda r: ["--sn", *r]),
+        _flag("--format", st.sampled_from(["text", "json"])),
+    ).map(lambda t: ["verify", *t[0], *t[1]]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_ARGV)
+def test_any_argv_exits_cleanly(argv):
+    """Any argv built from the flags of ``nf``, ``hdim`` and ``verify`` ends
+    in a documented exit code, with exactly one stderr line on failure and
+    no exception escaping ``main``."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
     assert code in (0, 1, 2, 3)
     assert err.getvalue().count("\n") == (code != 0)
 
@@ -303,6 +363,39 @@ def test_usage_error(capsys):
     code, out, err = run(capsys, "hdim", "--group", "bz", "--mod", "2", "--max-i", "-3")
     assert (code, out) == (2, "")
     assert "must be >= 0" in err
+    # input caps and argparse errors: exit 2 with one stderr line naming the
+    # cap or the bad argument, before any work starts
+    for argv, msg in [
+        (["hdim", "--group", "bz", "--mod", "2", "--max-i", "65"], "at most the cap 64, got 65"),
+        (["hdim", "--group", "bz", "--mod", "2", "--max-i", "100000000"], "at most the cap 64"),
+        (["verify", "--witness", "2..10", "1"], "'2..10' has 9 values, above the cap 8"),
+        (["verify", "--witness", "2..100000000000", "1"], "above the cap 8"),
+        (["verify", "--witness", "2", "1..100000000000"], "above the cap 8"),
+        (["verify", "--witness", "2", "3334"], "witness index 3334 is above the cap 3333"),
+        (["verify", "--witness", "-3..5", "1"], "argument --witness: expected 2 arguments"),
+        (["hdim", "--group", "bz", "--mod", "x"], "argument --mod: invalid int value: 'x'"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.count("\n")) == (2, "", 1), argv
+        assert msg in err, argv
+    # the largest accepted values still run
+    assert run(capsys, "hdim", "--group", "bz", "--mod", "2", "--max-i", "64")[0] == 0
+    assert run(capsys, "verify", "--witness", "2..9", "1..8")[0] == 0
+    assert run(capsys, "verify", "--witness", "2", "3333")[0] == 0
+
+
+def test_large_prime_modulus(capsys):
+    """Primality of a modulus up to 2**64 is decided at once; larger ones
+    are refused."""
+    p = str(2**61 - 1)
+    code, out, err = run(capsys, "nf", "--mod", p, "[[1,0],[0,1]]")
+    assert (code, err) == (0, "") and "length: 0" in out
+    assert run(capsys, "verify", "--sn", p, "2") == (
+        2, "", f"error: search cap exceeded: p={p}, n=2 (caps: p <= 31, n <= p)\n")
+    code, out, err = run(capsys, "hdim", "--group", "tzt", "--mod", p, "--max-i", "1")
+    assert (code, err, len(out.splitlines())) == (0, "", 3)
+    assert run(capsys, "nf", "--mod", str(2**64), "[[1,0],[0,1]]") == (
+        2, "", f"error: primality is decided only below 2**64, got {2**64}\n")
 
 
 def test_outputs_deterministic(capsys):
@@ -675,12 +768,14 @@ def test_closed_output_pipe_exits_cleanly():
     documented exit code."""
     src = os.path.dirname(os.path.dirname(nagaolab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
+    # a normal form of 1000 letters prints about 400 kB of JSON, far more
+    # than a pipe buffer holds
+    word = json.dumps(["E12(t)", "W"] * 500)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "nagaolab.cli", "hdim", "--group", "tfpt", "--mod", "3",
-         "--max-i", "3000", "--max-deg", "4"],
+        [sys.executable, "-m", "nagaolab.cli", "nf", "--mod", "3", "--format", "json", word],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
-    assert proc.stdout.readline().startswith(b"group")
+    assert proc.stdout.readline().startswith(b"{")
     proc.stdout.close()
     err = proc.stderr.read()
     proc.stderr.close()

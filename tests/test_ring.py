@@ -14,7 +14,7 @@ from nagaolab.ring import (
     sn_witness_search,
 )
 
-from helpers import rand_poly, schoolbook_divmod, schoolbook_mul
+from helpers import rand_poly, schoolbook_divmod, schoolbook_mul, trial_division_is_prime
 
 PRIMES = (2, 3, 7, 101, 2**31 - 1)
 
@@ -368,3 +368,23 @@ def test_is_prime():
     assert [n for n in range(2, 32) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31,
     ]
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == trial_division_is_prime(n) for n in range(-3, 10**5))
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to 2 .. 23
+    for n in (3215031751, 3825123056546413051, 2**31 - 1):
+        assert is_prime(n) == trial_division_is_prime(n)
+    assert not is_prime(3215031751) and not is_prime(3825123056546413051)
+
+
+def test_is_prime_large():
+    # 2**61 - 1 is a Mersenne prime (the Lucas-Lehmer test, as the oracle);
+    # 2**64 - 59 is the largest prime below the bound
+    m, s = 2**61 - 1, 4
+    for _ in range(61 - 2):
+        s = (s * s - 2) % m
+    assert s == 0 and is_prime(m)
+    assert is_prime(2**64 - 59) and not is_prime(2**64 - 1)
+    with pytest.raises(ValueError, match=r"only below 2\*\*64"):
+        is_prime(2**64)
