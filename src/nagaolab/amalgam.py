@@ -189,12 +189,6 @@ class AmalgamStructure:
             raise ValueError("normal forms come from different structures")
         return self.normalize(self.word_of(x) + self.word_of(y))
 
-    def nf_invert(self, x: NormalForm) -> NormalForm:
-        inv_word = tuple(
-            Letter(letter.factor, letter.mat.inv()) for letter in reversed(x.tail)
-        ) + (Letter(1, x.head.inv()),)
-        return self.normalize(inv_word)
-
     def _check_normal_form(self, nf: NormalForm) -> None:
         if self.factors(nf.head) != (1, 2):
             raise RuntimeError("normal form head left the base subgroup (engine bug)")

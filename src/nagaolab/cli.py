@@ -36,6 +36,11 @@ MAX_I = 64  # hdim --max-i
 MAX_RANGE_VALUES = 8  # values in one verify --witness range
 MAX_WITNESS_K = MAX_DEGREE // 3  # h(p, k) and x(3k) have degree 3k
 MAX_WORD_LEN = 2_000  # letters of an nf word or normal form, after shorthand expansion
+# Caps on the product of an nf word or normal form, checked on bounds taken
+# from its letters (see _capped): its degree, and over Z the bit length of
+# its coefficients.  The slowest accepted words measured ran in under 4 s.
+MAX_WORD_DEGREE = 1_000
+MAX_WORD_BITS = 4_000
 
 
 def _read_input(arg: str) -> str:
@@ -43,25 +48,47 @@ def _read_input(arg: str) -> str:
 
 
 def _word_from_json(items, mod):
-    letters = []
+    """The letters of a word given as JSON, one at a time, so that _capped
+    can refuse the word before the rest of it is parsed."""
     for idx, item in enumerate(items):
         if isinstance(item, str):
-            letters.extend(letters_from_gens([parse_gen(item, mod)], mod))
+            yield from letters_from_gens([parse_gen(item, mod)], mod)
         elif isinstance(item, dict) and "factor" in item and "matrix" in item:
             if type(item["factor"]) is not int:
                 raise ValueError(f"word item {idx} field 'factor' must be an integer, got {item['factor']!r}")
             mat = item["matrix"]
             mat = parse_matrix(mat, mod) if isinstance(mat, str) else mat_from_json(mat, mod)
-            letters.append(Letter(item["factor"], mat))
+            yield Letter(item["factor"], mat)
         else:
             raise ValueError(f"word items must be shorthand strings or factor/matrix objects, got {item!r}")
-        _check_word_len(len(letters), "word")
-    return letters
 
 
 def _check_word_len(n: int, what: str) -> None:
     if n > MAX_WORD_LEN:
         raise ValueError(f"{what} has more than {MAX_WORD_LEN} letters (the word length cap)")
+
+
+def _capped(letters, mod, what: str):
+    """The letters, refused as soon as they pass the word length cap or a
+    cap on the size of their product.
+
+    The degree of a product is at most the summed letter degree.  With |m|
+    the largest l1 norm of an entry of m, |m * n| <= 2 |m| |n|, so over Z
+    every coefficient of the product is below 2**bits, where bits sums one
+    plus the bit length of |m| over the letters."""
+    count = degree = bits = 0
+    for letter in letters:
+        entries = letter.mat.entries()
+        count += 1
+        degree += max(e.degree or 0 for e in entries)
+        if mod is None:
+            bits += 1 + max(sum(map(abs, e.coeffs)) for e in entries).bit_length()
+        _check_word_len(count, what)
+        if degree > MAX_WORD_DEGREE:
+            raise ValueError(f"{what} has summed letter degree above the product degree cap {MAX_WORD_DEGREE}")
+        if bits > MAX_WORD_BITS:
+            raise ValueError(f"{what} has summed coefficient bits above the product size cap {MAX_WORD_BITS}")
+        yield letter
 
 
 def _nf_matrix(obj, field: str, mod):
@@ -84,10 +111,11 @@ def _nf_from_json(obj, mod):
     head = _nf_matrix(obj["head"], "head", mod)
     if len(tags) != len(tail):
         raise ValueError(f"normal form has {len(tags)} tags but {len(tail)} tail matrices")
-    letters = [] if head.is_identity else [Letter(1, head)]
-    _check_word_len(len(letters) + len(tail), "normal form")
-    letters += [Letter(t, _nf_matrix(m, "tail", mod)) for t, m in zip(tags, tail)]
-    return letters
+    _check_word_len(len(tail) + (not head.is_identity), "normal form")
+    if not head.is_identity:
+        yield Letter(1, head)
+    for t, m in zip(tags, tail):
+        yield Letter(t, _nf_matrix(m, "tail", mod))
 
 
 def _nf_payload(struct, nf: NormalForm) -> dict:
@@ -100,15 +128,14 @@ def _nf_payload(struct, nf: NormalForm) -> dict:
     }
 
 
-def _print_nf(struct, nf: NormalForm, fmt: str) -> None:
+def _render_nf(struct, nf: NormalForm, fmt: str) -> str:
+    """The whole output, so that a failure while rendering prints nothing."""
     if fmt == "json":
-        print(json.dumps(_nf_payload(struct, nf), indent=2))
-        return
-    print(f"length: {nf.length}")
-    print(f"head:   {nf.head}")
-    for idx, letter in enumerate(nf.tail, 1):
-        print(f"tail {idx}: factor {letter.factor}  {letter.mat}")
-    print(f"matrix: {struct.nf_evaluate(nf)}")
+        return json.dumps(_nf_payload(struct, nf), indent=2)
+    lines = [f"length: {nf.length}", f"head:   {nf.head}"]
+    lines += [f"tail {idx}: factor {letter.factor}  {letter.mat}" for idx, letter in enumerate(nf.tail, 1)]
+    lines.append(f"matrix: {struct.nf_evaluate(nf)}")
+    return "\n".join(lines)
 
 
 def _cmd_nf(args) -> int:
@@ -139,13 +166,13 @@ def _cmd_nf(args) -> int:
         return EXIT_OUT_OF_SCOPE
     struct = AmalgamStructure(mod)
     if isinstance(payload, dict):
-        nf = struct.normalize(_nf_from_json(payload, mod))
+        nf = struct.normalize(list(_capped(_nf_from_json(payload, mod), mod, "normal form")))
     elif is_word:
-        nf = struct.normalize(_word_from_json(payload, mod))
+        nf = struct.normalize(list(_capped(_word_from_json(payload, mod), mod, "word")))
     else:
         m = mat_from_json(payload, mod) if is_json else parse_matrix(text, mod)
         nf = nagao_normal_form(mod, m)
-    _print_nf(struct, nf, args.format)
+    print(_render_nf(struct, nf, args.format))
     return EXIT_OK
 
 
@@ -220,7 +247,10 @@ def _cmd_hdim(args) -> int:
 
 def _parse_range(text: str) -> range:
     lo, hi = text.split("..", 1) if ".." in text else (text, text)
-    lo, hi = int(lo), int(hi)
+    try:
+        lo, hi = int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"--witness range {text!r} is not an integer or LO..HI") from None
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
     if hi - lo >= MAX_RANGE_VALUES:

@@ -6,6 +6,13 @@ mod p, and unipotence.  Standard generators (transvections, diagonal units,
 the order-4 rotation W) come both as plain matrices and as ``Gen`` records
 that remember how they were built, which is what factorization words and
 the CLI shorthand use.
+
+Entries are ``Poly`` values, but products and determinants do not go
+through the ``Poly`` operators: each entry of a product, and the
+determinant, is one call of ``ring._dot`` on the coefficient tuples.  The
+public constructor checks that the four entries share a ring; results of
+arithmetic on valid matrices are built by ``Mat2._canon`` without that
+check.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .ring import Poly, PolyParseError
+from .ring import Poly, PolyParseError, _dot
 
 __all__ = [
     "Mat2",
@@ -43,6 +50,16 @@ class Mat2:
         if len(mods) != 1:
             raise ValueError("matrix entries use mismatched coefficient rings")
 
+    @classmethod
+    def _canon(cls, a: Poly, b: Poly, c: Poly, d: Poly) -> "Mat2":
+        """Trusted construction: the entries must be polynomials over one
+        ring.  Only arithmetic on valid matrices may call this; it checks
+        nothing."""
+        self = object.__new__(cls)
+        fields = vars(self)
+        fields["a"], fields["b"], fields["c"], fields["d"] = a, b, c, d
+        return self
+
     @property
     def mod(self) -> int | None:
         return self.a.mod
@@ -59,25 +76,29 @@ class Mat2:
     def __mul__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
-        if other.mod != self.mod:
+        mod = self.mod
+        if other.mod != mod:
             raise ValueError("modulus mismatch between matrix factors")
-        return Mat2(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
+        a, b, c, d = self.a.coeffs, self.b.coeffs, self.c.coeffs, self.d.coeffs
+        e, f, g, h = other.a.coeffs, other.b.coeffs, other.c.coeffs, other.d.coeffs
+        return Mat2._canon(
+            Poly._canon(_dot(a, e, b, g, mod), mod),
+            Poly._canon(_dot(a, f, b, h, mod), mod),
+            Poly._canon(_dot(c, e, d, g, mod), mod),
+            Poly._canon(_dot(c, f, d, h, mod), mod),
         )
 
     def __sub__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
-        return Mat2(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
+        return Mat2._canon(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
 
     def __neg__(self):
-        return Mat2(-self.a, -self.b, -self.c, -self.d)
+        return Mat2._canon(-self.a, -self.b, -self.c, -self.d)
 
     def det(self) -> Poly:
-        return self.a * self.d - self.b * self.c
+        mod = self.mod
+        return Poly._canon(_dot(self.a.coeffs, self.d.coeffs, (-self.b).coeffs, self.c.coeffs, mod), mod)
 
     def trace(self) -> Poly:
         return self.a + self.d
@@ -86,9 +107,9 @@ class Mat2:
         """Inverse under the det == 1 contract: [[d, -b], [-c, a]].
 
         No general GL2 inverse is offered; that would drag in fractions."""
-        if self.det() != Poly.one(self.mod):
+        if self.det().coeffs != (1,):
             raise ValueError("inverse is defined only for determinant 1")
-        return Mat2(self.d, -self.b, -self.c, self.a)
+        return Mat2._canon(self.d, -self.b, -self.c, self.a)
 
     @property
     def is_identity(self) -> bool:
@@ -123,13 +144,6 @@ class Mat2:
         if by_trace != by_square:
             raise RuntimeError("unipotence criteria disagree (arithmetic bug)")
         return by_trace
-
-    def is_unipotent_up_to_sign(self) -> bool:
-        """True iff the matrix or its negative is unipotent (trace +-2).
-
-        The strict trace == 2 predicate is the one the library relies on;
-        this variant only accounts for the central twist by -I."""
-        return self.is_unipotent() or (-self).is_unipotent()
 
     def __str__(self):
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"

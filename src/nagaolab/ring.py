@@ -10,20 +10,26 @@ Division with remainder exists only over field coefficients.  Z[t] is not
 Euclidean; the algorithms that need division are exactly the ones restricted
 to F_p[t], and the API keeps that boundary visible.
 
-Multiplication has one kernel for both rings.  Below ``_KRONECKER_MIN_LEN``
-(16) coefficients in the shorter operand it is the schoolbook double loop.
-From there on it is Kronecker substitution: both operands are packed into
-one Python int each, in byte slots wide enough that no product coefficient
-overflows its slot (signed slots over Z), CPython's Karatsuba bigint
-multiply does the work, and the slots are read back.  Division over F_p is
-long division until both the divisor and the quotient reach
-``_NEWTON_MIN_LEN`` (40) coefficients; from there the quotient is
-rev(a) * rev(b)^-1 mod t^(deg q + 1), with the power-series inverse computed
-by Newton iteration on the same kernel, and the remainder is a - q*b.  Both
-crossovers come from timing operands of equal length, the shape least
-favourable to the fast path: from 16 coefficients Kronecker is at least as
-fast for every ring and slot width measured, and from 40 Newton division is
-at least as fast as long division.
+Multiplication has one raw kernel for both rings, ``_raw_mul``, which
+leaves coefficients unreduced.  A one-coefficient operand scales the other.
+Below ``_KRONECKER_MIN_LEN`` (16) coefficients in the shorter operand it is
+the schoolbook double loop.  From there on it is Kronecker substitution:
+both operands are packed into one Python int each, in byte slots wide
+enough that no product coefficient overflows its slot (signed slots over
+Z), CPython's Karatsuba bigint multiply does the work, and the slots are
+read back.  Division over F_p is long division until both the divisor and
+the quotient reach ``_NEWTON_MIN_LEN`` (40) coefficients; from there the
+quotient is rev(a) * rev(b)^-1 mod t^(deg q + 1), with the power-series
+inverse computed by Newton iteration on the same kernel, and the remainder
+is a - q*b.  Both crossovers come from timing operands of equal length, the
+shape least favourable to the fast path: from 16 coefficients Kronecker is
+at least as fast for every ring and slot width measured, and from 40 Newton
+division is at least as fast as long division.
+
+``_mul_coeffs`` reduces one raw product mod p.  ``_dot`` is the fused
+kernel of the 2x2 matrix layer: the canonical coefficients of x*y + u*v,
+with all-constant operands multiplied as plain ints, and otherwise both raw
+products summed into one buffer that gets one reduction pass and one strip.
 
 The public constructor validates the modulus and coerces and reduces every
 coefficient.  Results of arithmetic on valid polynomials are canonical by
@@ -467,17 +473,53 @@ def _mul_coeffs(a, b, mod: int | None) -> list[int]:
     """The len(a) + len(b) - 1 coefficients of a*b, reduced mod p over F_p.
 
     ``a`` and ``b`` are nonempty coefficient sequences, in [0, p) over F_p."""
-    if min(len(a), len(b)) >= _KRONECKER_MIN_LEN:
-        cs = _kronecker(a, b, mod is None)
-    else:
-        cs = [0] * (len(a) + len(b) - 1)
-        for i, ci in enumerate(a):
-            if ci == 0:
-                continue
-            for j, cj in enumerate(b):
-                cs[i + j] += ci * cj
+    cs = _raw_mul(a, b, mod is None)
     if mod is not None:
         cs = [c % mod for c in cs]
+    return cs
+
+
+def _dot(x, y, u, v, mod: int | None) -> tuple[int, ...]:
+    """The canonical coefficient tuple of x*y + u*v.
+
+    The operands are canonical coefficient tuples of the ring ``mod``,
+    possibly empty.  Constants are multiplied as plain ints; otherwise both
+    products are taken unreduced and summed into one buffer, which then
+    gets a single reduction pass and one strip."""
+    if len(x) < 2 and len(y) < 2 and len(u) < 2 and len(v) < 2:
+        s = (x[0] * y[0] if x and y else 0) + (u[0] * v[0] if u and v else 0)
+        if mod is not None:
+            s %= mod
+        return (s,) if s else ()
+    signed = mod is None
+    cs, other = _raw_mul(x, y, signed), _raw_mul(u, v, signed)
+    if len(cs) < len(other):
+        cs, other = other, cs
+    for i, c in enumerate(other):
+        cs[i] += c
+    if mod is not None:
+        cs = [c % mod for c in cs]
+    return _strip(cs)
+
+
+def _raw_mul(a, b, signed: bool) -> list[int]:
+    """Unreduced coefficients of a*b as a new list, empty if either operand
+    is; ``signed`` is False only for coefficients that are all >= 0."""
+    if not a or not b:
+        return []
+    if len(a) < len(b):
+        a, b = b, a
+    if len(b) == 1:
+        c = b[0]
+        return [c * e for e in a]
+    if len(b) >= _KRONECKER_MIN_LEN:
+        return _kronecker(a, b, signed)
+    # the shorter operand in the outer loop, so the inner loop runs longest
+    cs = [0] * (len(a) + len(b) - 1)
+    for j, cj in enumerate(b):
+        if cj:
+            for i, ci in enumerate(a, j):
+                cs[i] += cj * ci
     return cs
 
 

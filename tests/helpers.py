@@ -23,6 +23,19 @@ def rand_poly(rng, mod, max_deg, nonzero=False):
             return p
 
 
+def dense_poly(rng, mod, n, big=4):
+    """A polynomial with exactly n coefficients (nonzero leading one)."""
+    if n == 0:
+        return Poly((), mod)
+    while True:
+        if mod is None:
+            cs = [rng.randint(-big, big) for _ in range(n)]
+        else:
+            cs = [rng.randrange(mod) for _ in range(n)]
+        if cs[-1] != 0:
+            return Poly(cs, mod)
+
+
 def rand_unit(rng, mod):
     return rng.choice([1, -1]) if mod is None else rng.randrange(1, mod)
 
@@ -142,6 +155,38 @@ def det_in_factor(mod, factor, m):
     if m.mod != mod or m.det() != Poly.one(mod):
         return False
     return m.is_constant if factor == 1 else m.is_upper_triangular
+
+
+def entrywise_mat_mul(m, n):
+    """The product by the entrywise formula on the Poly operators: the
+    oracle for Mat2.__mul__."""
+    return Mat2(
+        m.a * n.a + m.b * n.c,
+        m.a * n.b + m.b * n.d,
+        m.c * n.a + m.d * n.c,
+        m.c * n.b + m.d * n.d,
+    )
+
+
+def entrywise_det(m):
+    """a*d - b*c on the Poly operators: the oracle for Mat2.det."""
+    return m.a * m.d - m.b * m.c
+
+
+def is_unipotent_up_to_sign(m):
+    """True iff the matrix or its negative is unipotent (trace +-2).
+
+    The strict trace == 2 predicate is the one the library relies on;
+    this variant only accounts for the central twist by -I."""
+    return m.is_unipotent() or (-m).is_unipotent()
+
+
+def nf_invert(struct, x):
+    """The normal form of the inverse, by normalizing the inverted word."""
+    inv_word = tuple(
+        Letter(letter.factor, letter.mat.inv()) for letter in reversed(x.tail)
+    ) + (Letter(1, x.head.inv()),)
+    return struct.normalize(inv_word)
 
 
 def evaluate_word(letters, mod):

@@ -136,6 +136,19 @@ def test_nf_det_not_one(capsys):
                                     "tail": [[[0, 2], [1, 0]], [[1, "t"], [0, 1]]] * 1000
                                     + [[[0, 2], [1, 0]]]})],
          "error: normal form has more than 2000 letters (the word length cap)"),
+        (["--mod", "3", json.dumps(["E12(t^600)", "W", "E12(t^401)"])],
+         "error: word has summed letter degree above the product degree cap 1000"),
+        (["--mod", "3", json.dumps(["E12(t^10000)", "W"] * 1000)],
+         "error: word has summed letter degree above the product degree cap 1000"),
+        (["--mod", "3", json.dumps({"head": [[1, 0], [0, 1]], "tags": [2, 1, 2],
+                                    "tail": [[[1, {"coeffs": [0] * 600 + [1]}], [0, 1]],
+                                             [[0, 2], [1, 0]],
+                                             [[1, {"coeffs": [0] * 401 + [1]}], [0, 1]]]})],
+         "error: normal form has summed letter degree above the product degree cap 1000"),
+        (["--ring", "e2zt", json.dumps(["E12(%d)" % 2**1998, "W", "E12(%d)" % 2**1998])],
+         "error: word has summed coefficient bits above the product size cap 4000"),
+        (["--ring", "e2zt", json.dumps(["E12(%s*t)" % ("9" * 2500), "W", "E12(%s*t)" % ("9" * 2500)])],
+         "error: word has summed coefficient bits above the product size cap 4000"),
     ],
     ids=["mod-with-e2zt", "nf-json-empty", "nf-json-no-tags", "nf-json-bad-tag",
          "nf-json-tail-not-list", "nf-json-bad-head", "nf-json-bad-tail-entry",
@@ -143,7 +156,8 @@ def test_nf_det_not_one(capsys):
          "poly-float-coeff", "poly-bool-entry", "poly-mod-not-int", "poly-mod-mismatch",
          "word-factor-string", "word-factor-bool", "parse-degree-cap", "json-degree-cap",
          "json-nested-too-deeply", "word-length-cap", "word-length-cap-expanded",
-         "word-length-cap-e2zt", "nf-json-length-cap"],
+         "word-length-cap-e2zt", "nf-json-length-cap", "word-degree-cap", "word-degree-cap-long",
+         "nf-json-degree-cap", "word-bits-cap-e2zt", "word-bits-cap-e2zt-nines"],
 )
 def test_nf_usage_errors(capsys, argv, err):
     assert run(capsys, "nf", *argv) == (2, "", err + "\n")
@@ -189,6 +203,32 @@ def test_nf_any_json_payload_exits_cleanly(payload, p):
 def test_nf_word_at_length_cap(capsys):
     code, out, err = run(capsys, "nf", "--mod", "3", json.dumps(["W"] * 2000))  # W^4 = I
     assert (code, err) == (0, "") and "length: 0" in out
+
+
+def test_nf_word_at_product_caps(capsys):
+    # the degree and, over Z, the coefficient bound reach their caps exactly:
+    # 2 * (1 + bit length of 2**1998 - 1) + (1 + 1) for W = 4000 bits
+    code, out, err = run(capsys, "nf", "--mod", "3", json.dumps(["E12(t^600)", "W", "E12(t^400)"]))
+    assert (code, err) == (0, "") and "length: 3" in out
+    big = 2**1998 - 1
+    code, out, err = run(capsys, "nf", "--ring", "e2zt", json.dumps([f"E12({big}*t)", "W", f"E12({big}*t)"]))
+    assert (code, err) == (0, "") and f"matrix: [[{big}*t, -1 + {big * big}*t^2], [1, {big}*t]]" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_nf_render_failure_prints_nothing(capsys, fmt):
+    """A failure while the output is rendered leaves stdout empty: here the
+    evaluated product has more digits than the interpreter converts."""
+    nines = "9" * 600
+    word = json.dumps([f"E12({nines}*t)", "W", f"E12({nines}*t)"])
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        code, out, err = run(capsys, "nf", "--ring", "e2zt", "--format", fmt, word)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert "integer string conversion" in err
 
 
 # argv for every subcommand, built from its flags.  Integer arguments come
@@ -374,6 +414,8 @@ def test_usage_error(capsys):
         (["verify", "--witness", "2", "3334"], "witness index 3334 is above the cap 3333"),
         (["verify", "--witness", "-3..5", "1"], "argument --witness: expected 2 arguments"),
         (["hdim", "--group", "bz", "--mod", "x"], "argument --mod: invalid int value: 'x'"),
+        (["verify", "--witness", "5..", "1"], "--witness range '5..' is not an integer or LO..HI"),
+        (["verify", "--witness", "2", "a..3"], "--witness range 'a..3' is not an integer or LO..HI"),
     ]:
         code, out, err = run(capsys, *argv)
         assert (code, out, err.count("\n")) == (2, "", 1), argv

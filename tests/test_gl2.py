@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nagaolab.gl2 import (
     Gen,
@@ -14,10 +15,20 @@ from nagaolab.gl2 import (
     parse_matrix,
     w,
 )
+from nagaolab import ring
 from nagaolab.ring import Poly, PolyParseError
 from nagaolab.witnesses import make_witness
 
-from helpers import rand_poly, rand_sl2_const
+from helpers import (
+    dense_poly,
+    entrywise_det,
+    entrywise_mat_mul,
+    is_unipotent_up_to_sign,
+    rand_poly,
+    rand_sl2_const,
+)
+
+RINGS = (None, 2, 3, 101, 2**31 - 1)
 
 
 def test_mul_example():
@@ -118,9 +129,9 @@ def test_unipotent_needs_det_one():
 def test_unipotent_up_to_sign():
     minus_i = Mat2.of_ints(-1, 0, 0, -1)
     assert not minus_i.is_unipotent()
-    assert minus_i.is_unipotent_up_to_sign()
-    assert (-e12(Poly.monomial(2))).is_unipotent_up_to_sign()
-    assert not make_witness("g", 3, 1).is_unipotent_up_to_sign()
+    assert is_unipotent_up_to_sign(minus_i)
+    assert is_unipotent_up_to_sign(-e12(Poly.monomial(2)))
+    assert not is_unipotent_up_to_sign(make_witness("g", 3, 1))
 
 
 def test_reduce_mod_p_examples():
@@ -218,3 +229,89 @@ def test_matrix_json_roundtrip():
     assert mat_from_json(m.to_json()) == m
     mp = m.reduce_mod_p(3)
     assert mat_from_json(mp.to_json()) == mp
+
+
+# -- the fused product kernel against the entrywise Poly formula ----------
+
+
+def _shaped(rng, mod, shape, n, big):
+    """A matrix of the given shape whose nonconstant entries have n
+    coefficients."""
+    const = [dense_poly(rng, mod, 1, big) for _ in range(4)]
+    if shape == "constant":
+        return Mat2(*const)
+    if shape == "upper":
+        return Mat2(const[0], dense_poly(rng, mod, n, big), Poly.zero(mod), const[3])
+    if shape == "lower":
+        return Mat2(const[0], Poly.zero(mod), dense_poly(rng, mod, n, big), const[3])
+    if shape == "zeros":
+        entries = [dense_poly(rng, mod, n, big), dense_poly(rng, mod, n, big), Poly.zero(mod), Poly.zero(mod)]
+        rng.shuffle(entries)
+        return Mat2(*entries)
+    if shape == "exact":
+        return Mat2(*(dense_poly(rng, mod, n, big) for _ in range(4)))
+    return Mat2(*(dense_poly(rng, mod, rng.randint(0, n), big) for _ in range(4)))
+
+
+SHAPES = ("constant", "upper", "lower", "zeros", "exact", "general")
+
+
+def test_mat_mul_and_det_match_entrywise_oracle():
+    rng = random.Random(88)
+    x = ring._KRONECKER_MIN_LEN
+    for mod in RINGS:
+        for big in ((4, 2**100) if mod is None else (0,)):
+            for n in (1, 2, x - 1, x, x + 1):
+                for s1 in SHAPES:
+                    for s2 in SHAPES:
+                        m, k = _shaped(rng, mod, s1, n, big), _shaped(rng, mod, s2, n, big)
+                        assert m * k == entrywise_mat_mul(m, k), (mod, big, n, s1, s2)
+                    assert m.det() == entrywise_det(m), (mod, big, n, s1)
+
+
+def test_kernel_results_are_plain_matrices():
+    rng = random.Random(99)
+    for mod in RINGS:
+        m, k = _shaped(rng, mod, "general", 20, 2**100), _shaped(rng, mod, "upper", 5, 4)
+        for got, want in ((m * k, entrywise_mat_mul(m, k)), (-m, Mat2(*(-e for e in m.entries()))),
+                          (m - k, Mat2(*(a - b for a, b in zip(m.entries(), k.entries()))))):
+            assert got == want and hash(got) == hash(want)
+            assert all(type(e) is Poly and e.mod == mod for e in got.entries())
+            assert got.to_json() == want.to_json() and str(got) == str(want)
+        assert m.det() == entrywise_det(m) and hash(m.det()) == hash(entrywise_det(m))
+    # the public constructor still checks the ring of kernel results
+    product = identity(3) * w(3)
+    with pytest.raises(ValueError, match="mismatched coefficient rings"):
+        Mat2(product.a, product.b, product.c, Poly.one(5))
+
+
+def test_inverse_refuses_every_det_other_than_one():
+    for m in (Mat2.of_ints(0, 1, 1, 0), Mat2.of_ints(1, 0, 0, 0), Mat2.of_ints(2, 1, 1, 2),
+              Mat2(Poly.one(), Poly.parse("t"), Poly.parse("-1"), Poly.one()),
+              Mat2.of_ints(1, 1, 0, 2, 3)):
+        assert m.det().coeffs != (1,)
+        with pytest.raises(ValueError, match="determinant"):
+            m.inv()
+    m = e12(Poly.parse("1 + 4*t^20", 5)) * e21(Poly.parse("3*t", 5))
+    assert m.inv() == Mat2(m.d, -m.b, -m.c, m.a)
+
+
+@st.composite
+def _mat_pairs(draw):
+    mod = draw(st.sampled_from(RINGS))
+    coeff = st.integers(-(2**100), 2**100) | st.integers(-4, 4) if mod is None else st.integers(0, mod - 1)
+    size = st.integers(0, 2) | st.integers(ring._KRONECKER_MIN_LEN - 1, ring._KRONECKER_MIN_LEN + 1) | st.integers(0, 40)
+
+    def entry():
+        n = draw(size)
+        return Poly(draw(st.lists(coeff, min_size=n, max_size=n)), mod)
+
+    return tuple(Mat2(entry(), entry(), entry(), entry()) for _ in range(2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_mat_pairs())
+def test_mat_mul_and_det_property(pair):
+    m, k = pair
+    assert m * k == entrywise_mat_mul(m, k)
+    assert m.det() == entrywise_det(m)

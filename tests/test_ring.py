@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -14,7 +15,7 @@ from nagaolab.ring import (
     sn_witness_search,
 )
 
-from helpers import rand_poly, schoolbook_divmod, schoolbook_mul, trial_division_is_prime
+from helpers import dense_poly, rand_poly, schoolbook_divmod, schoolbook_mul, trial_division_is_prime
 
 PRIMES = (2, 3, 7, 101, 2**31 - 1)
 
@@ -207,19 +208,6 @@ def test_big_coefficients_stay_exact():
 # -- multiply and divide kernels against the schoolbook oracles ----------
 
 
-def _dense(rng, mod, n, big=4):
-    """A polynomial with exactly n coefficients (nonzero leading one)."""
-    if n == 0:
-        return Poly((), mod)
-    while True:
-        if mod is None:
-            cs = [rng.randint(-big, big) for _ in range(n)]
-        else:
-            cs = [rng.randrange(mod) for _ in range(n)]
-        if cs[-1] != 0:
-            return Poly(cs, mod)
-
-
 def test_mul_kernel_around_crossover():
     rng = random.Random(606)
     x = ring._KRONECKER_MIN_LEN
@@ -227,7 +215,7 @@ def test_mul_kernel_around_crossover():
         for n in (x - 1, x, x + 1):
             for m in (n, n + 1, 3 * n + 5, 200):
                 for _ in range(3):
-                    a, b = _dense(rng, mod, n), _dense(rng, mod, m)
+                    a, b = dense_poly(rng, mod, n), dense_poly(rng, mod, m)
                     assert a * b == schoolbook_mul(a, b)
                     assert b * a == schoolbook_mul(a, b)
                     assert len((a * b).coeffs) == n + m - 1
@@ -236,8 +224,8 @@ def test_mul_kernel_around_crossover():
 def test_mul_kernel_zero_and_constant_operands():
     rng = random.Random(707)
     for mod in (None,) + PRIMES:
-        long = _dense(rng, mod, 3 * ring._KRONECKER_MIN_LEN)
-        for short in (Poly.zero(mod), Poly.one(mod), Poly.constant(-1, mod), _dense(rng, mod, 1)):
+        long = dense_poly(rng, mod, 3 * ring._KRONECKER_MIN_LEN)
+        for short in (Poly.zero(mod), Poly.one(mod), Poly.constant(-1, mod), dense_poly(rng, mod, 1)):
             assert long * short == schoolbook_mul(long, short)
             assert short * long == schoolbook_mul(short, long)
         assert long * 0 == Poly.zero(mod)
@@ -249,7 +237,7 @@ def test_mul_kernel_signed_and_huge_coefficients():
     n = 2 * ring._KRONECKER_MIN_LEN
     for big in (1, 4, 2**31, 2**64, 2**100):
         for _ in range(5):
-            a, b = _dense(rng, None, n, big), _dense(rng, None, n + 7, big)
+            a, b = dense_poly(rng, None, n, big), dense_poly(rng, None, n + 7, big)
             assert a * b == schoolbook_mul(a, b)
     # all-negative operands, and a sign change in the leading coefficient
     a = Poly([-(2**100)] * n)
@@ -275,6 +263,65 @@ def test_mul_kernel_extreme_coefficients():
             assert a * b == schoolbook_mul(a, b)
 
 
+def _dot_oracle(x, y, u, v):
+    return schoolbook_mul(x, y) + schoolbook_mul(u, v)
+
+
+def _dot(x, y, u, v):
+    return Poly._canon(ring._dot(x.coeffs, y.coeffs, u.coeffs, v.coeffs, x.mod), x.mod)
+
+
+def test_dot_kernel_matches_poly_operators():
+    rng = random.Random(1111)
+    x = ring._KRONECKER_MIN_LEN
+    for mod in (None,) + PRIMES:
+        for big in ((4, 2**100) if mod is None else (None,)):
+            # every operand zero, constant or linear: the integer fast path,
+            # the scalar path and the schoolbook loop
+            for lens in itertools.product((0, 1, 2), repeat=4):
+                ops = [dense_poly(rng, mod, n, big) for n in lens]
+                assert _dot(*ops) == _dot_oracle(*ops), (mod, lens)
+            # lengths at the Kronecker crossover and either side, mixed
+            # with constants, zeros and long operands
+            for _ in range(40):
+                lens = [rng.choice((0, 1, 3, x - 1, x, x + 1, 3 * x)) for _ in range(4)]
+                ops = [dense_poly(rng, mod, n, big) for n in lens]
+                assert _dot(*ops) == _dot_oracle(*ops), (mod, lens)
+
+
+def test_dot_kernel_cancellation():
+    # sums whose top coefficients cancel need the strip, and sums that
+    # vanish mod p but not over Z need the reduction
+    rng = random.Random(1212)
+    n = ring._KRONECKER_MIN_LEN
+    for mod in (None,) + PRIMES:
+        for la, lb in ((1, 1), (1, 5), (3, 4), (n, n), (n + 1, 2 * n), (n - 1, n + 1)):
+            a, b = dense_poly(rng, mod, la), dense_poly(rng, mod, lb)
+            assert _dot(a, b, -a, b).is_zero
+            low = dense_poly(rng, mod, lb - 1) if lb > 1 else Poly.zero(mod)
+            c = -b + low  # same leading coefficient as -b, lower terms differ
+            assert _dot(a, b, a, c) == _dot_oracle(a, b, a, c) == a * low
+    for p in PRIMES:
+        one = Poly.one(p)
+        assert _dot(one, Poly.constant(p - 1, p), one, one).is_zero
+        a = Poly([p - 1] * n, p)
+        assert _dot(a, a, a, a) == _dot_oracle(a, a, a, a)
+
+
+@st.composite
+def _dot_operands(draw):
+    mod = draw(st.sampled_from((None,) + PRIMES))
+    coeff = st.integers(-(2**100), 2**100) | st.integers(-4, 4) if mod is None else st.integers(0, mod - 1)
+    size = st.integers(0, 2) | st.integers(ring._KRONECKER_MIN_LEN - 1, ring._KRONECKER_MIN_LEN + 1) | st.integers(0, 60)
+    return [Poly(draw(st.lists(coeff, min_size=n, max_size=n)), mod) for n in draw(st.lists(size, min_size=4, max_size=4))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(_dot_operands())
+def test_dot_kernel_property(ops):
+    assert _dot(*ops) == _dot_oracle(*ops)
+
+
 def test_divmod_kernel_both_sides_of_crossover():
     rng = random.Random(909)
     x = ring._NEWTON_MIN_LEN
@@ -283,10 +330,10 @@ def test_divmod_kernel_both_sides_of_crossover():
         # crossover in either length, Newton inversion at and above it
         for lb, lq in ((x - 1, x + 40), (x + 40, x - 1), (x, x), (x + 1, x + 1), (3 * x, 2 * x + 3), (x + 3, 4 * x)):
             for _ in range(2):
-                b = _dense(rng, p, lb)
-                a = _dense(rng, p, lb + lq - 1)
+                b = dense_poly(rng, p, lb)
+                a = dense_poly(rng, p, lb + lq - 1)
                 if rng.random() < 0.5:
-                    a = a + _dense(rng, p, rng.randrange(1, lb))  # nonzero remainder
+                    a = a + dense_poly(rng, p, rng.randrange(1, lb))  # nonzero remainder
                 q, r = divmod(a, b)
                 assert (q, r) == schoolbook_divmod(a, b)
                 assert q * b + r == a
@@ -307,7 +354,7 @@ def test_mul_and_divmod_agree_with_sympy():
 
     for p in (3, 7, 101, 2**31 - 1):
         for la, lb in ((20, 20), (150, 90), (300, 70)):
-            a, b = _dense(rng, p, la), _dense(rng, p, lb)
+            a, b = dense_poly(rng, p, la), dense_poly(rng, p, lb)
             assert a * b == from_sympy(as_sympy(a) * as_sympy(b), p)
             q, r = divmod(a, b)
             sq, sr = sympy.div(as_sympy(a), as_sympy(b))
