@@ -2,6 +2,12 @@
 
 Exit codes: 0 success, 1 verification failure (or output cut short by a
 closed pipe), 2 usage or parse error, 3 out-of-scope request.
+
+Handlers return (exit code, whole stdout text) and write nothing; a refusal
+raises ``_Refusal(code, message)``.  ``main`` alone writes: the text to
+stdout, or one stderr line mapped from the exception: a refusal to its code,
+``UnsupportedGroupError`` to 3, ``CrossValidationError`` to 1, and
+``SearchCapExceeded`` or any other ``ValueError`` (parse errors, caps) to 2.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .homology import (
     mv_ledger_check,
 )
 from .nagao import CrossValidationError, letters_from_gens, nagao_normal_form
-from .ring import MAX_DEGREE, PolyParseError, SearchCapExceeded, is_prime, sn_witness_search
+from .ring import MAX_DEGREE, SearchCapExceeded, is_prime, sn_witness_search
 from .witnesses import verify_witness_suite
 
 EXIT_OK = 0
@@ -29,10 +35,8 @@ EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_OUT_OF_SCOPE = 3
 
-DEFAULT_MAX_DEG_CAP = 16
-
 # Input caps, each checked before the work it bounds and refused with exit 2.
-MAX_I = 64  # hdim --max-i
+MAX_I = 64  # hdim --max-i; hdim --max-deg is capped at MAX_DEGREE
 MAX_RANGE_VALUES = 8  # values in one verify --witness range
 MAX_WITNESS_K = MAX_DEGREE // 3  # h(p, k) and x(3k) have degree 3k
 MAX_WORD_LEN = 2_000  # letters of an nf word or normal form, after shorthand expansion
@@ -43,8 +47,8 @@ MAX_WORD_DEGREE = 1_000
 MAX_WORD_BITS = 4_000
 
 
-def _read_input(arg: str) -> str:
-    return sys.stdin.read() if arg == "-" else arg
+class _Refusal(Exception):
+    """A refused request; its args are the exit code and the message, printed as is."""
 
 
 def _word_from_json(items, mod):
@@ -138,8 +142,8 @@ def _render_nf(struct, nf: NormalForm, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _cmd_nf(args) -> int:
-    text = _read_input(args.input).strip()
+def _cmd_nf(args) -> tuple[int, str]:
+    text = (sys.stdin.read() if args.input == "-" else args.input).strip()
     try:
         payload = json.loads(text)
         is_json = isinstance(payload, (list, dict))
@@ -150,20 +154,17 @@ def _cmd_nf(args) -> int:
     is_word = is_json and not _is_matrix_json(payload)
 
     if args.ring is None and args.mod is None:
-        print("nf needs --mod p (or --ring e2zt)", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal(EXIT_USAGE, "nf needs --mod p (or --ring e2zt)")
     if args.ring == "e2zt" and args.mod is not None:
-        print("nf takes --mod p or --ring e2zt, not both (--ring e2zt works over Z)", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal(EXIT_USAGE, "nf takes --mod p or --ring e2zt, not both (--ring e2zt works over Z)")
     mod = args.mod  # None exactly for --ring e2zt
     if mod is None and not is_word:
-        print(
+        raise _Refusal(
+            EXIT_OUT_OF_SCOPE,
             "out of scope: a bare matrix over Z[t] cannot be decomposed; "
             "membership in the elementary subgroup is not decidable by "
             "these methods, so supply a word in SL2(Z) and B(Z[t]) letters",
-            file=sys.stderr,
         )
-        return EXIT_OUT_OF_SCOPE
     struct = AmalgamStructure(mod)
     if isinstance(payload, dict):
         nf = struct.normalize(list(_capped(_nf_from_json(payload, mod), mod, "normal form")))
@@ -172,8 +173,7 @@ def _cmd_nf(args) -> int:
     else:
         m = mat_from_json(payload, mod) if is_json else parse_matrix(text, mod)
         nf = nagao_normal_form(mod, m)
-    print(_render_nf(struct, nf, args.format))
-    return EXIT_OK
+    return EXIT_OK, _render_nf(struct, nf, args.format)
 
 
 def _table_rows(args):
@@ -190,7 +190,7 @@ def _table_rows(args):
 
 
 # Per text format: (header, item template) for the table rows, then for the
-# ledger rows; a None header prints no line.
+# ledger rows; a None header adds no line.
 _HDIM_LAYOUT = {
     "text": (
         (f"{'group':<14}{'p':>3}{'d':>4}{'i':>4}{'dim':>8}  flags",
@@ -204,26 +204,13 @@ _HDIM_LAYOUT = {
 }
 
 
-def _cmd_hdim(args) -> int:
-    cap_text = os.environ.get("NAGAOLAB_MAX_DEG", str(DEFAULT_MAX_DEG_CAP))
-    try:
-        cap = int(cap_text)
-    except ValueError:
-        print(f"NAGAOLAB_MAX_DEG must be an integer, got {cap_text!r}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.max_deg > cap:
-        print(
-            f"truncation degree {args.max_deg} exceeds the cap {cap} "
-            "(set NAGAOLAB_MAX_DEG to raise it)",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+def _cmd_hdim(args) -> tuple[int, str]:
+    if args.max_deg > MAX_DEGREE:
+        raise _Refusal(EXIT_USAGE, f"truncation degree {args.max_deg} exceeds the cap {MAX_DEGREE}")
     if not 0 <= args.max_i <= MAX_I:
-        print(f"--max-i must be >= 0 and at most the cap {MAX_I}, got {args.max_i}", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal(EXIT_USAGE, f"--max-i must be >= 0 and at most the cap {MAX_I}, got {args.max_i}")
     if args.ledger and args.group != "e2zt":
-        print("--ledger applies to --group e2zt", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Refusal(EXIT_USAGE, "--ledger applies to --group e2zt")
 
     sections = {"rows": list(_table_rows(args))}
     if args.ledger:
@@ -231,18 +218,17 @@ def _cmd_hdim(args) -> int:
             mv_ledger_check(args.mod, i, args.max_deg).as_dict()
             for i in range(args.max_i + 1)
         ]
+    code = EXIT_OK if all(rep["ok"] for rep in sections.get("ledger", ())) else EXIT_VERIFY_FAIL
     if args.format == "json":
-        print(json.dumps(sections, indent=2))
-    else:
-        for (header, template), items in zip(_HDIM_LAYOUT[args.format], sections.values()):
-            if header is not None:
-                print(header)
-            for item in items:
-                mark = "OK" if item.get("ok") else "MISMATCH"  # text ledger rows only
-                print(template.format(mark=mark, **item))
-    if not all(rep["ok"] for rep in sections.get("ledger", ())):
-        return EXIT_VERIFY_FAIL
-    return EXIT_OK
+        return code, json.dumps(sections, indent=2)
+    lines = []
+    for (header, template), items in zip(_HDIM_LAYOUT[args.format], sections.values()):
+        if header is not None:
+            lines.append(header)
+        for item in items:
+            mark = "OK" if item.get("ok") else "MISMATCH"  # text ledger rows only
+            lines.append(template.format(mark=mark, **item))
+    return code, "\n".join(lines)
 
 
 def _parse_range(text: str) -> range:
@@ -258,7 +244,7 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[int, str]:
     if args.witness:
         p_range, k_range = (_parse_range(text) for text in args.witness)
         if k_range[-1] > MAX_WITNESS_K:
@@ -266,46 +252,34 @@ def _cmd_verify(args) -> int:
         ps = [p for p in p_range if is_prime(p)]
         ks = [k for k in k_range if k >= 1]
         if not ps or not ks:
-            print("witness ranges contain no usable values", file=sys.stderr)
-            return EXIT_USAGE
+            raise _Refusal(EXIT_USAGE, "witness ranges contain no usable values")
         report = verify_witness_suite(ps, ks)
+        code = EXIT_OK if report.all_asserted_pass else EXIT_VERIFY_FAIL
         if args.format == "json":
-            print(report.to_json())
-        else:
-            for c in report.checks:
-                print(f"{c.status.upper():<5} {c.id}: {c.statement}")
-                if c.status == "fail":
-                    print(f"      lhs = {c.lhs}")
-                    print(f"      rhs = {c.rhs}")
-            n_fail = len(report.failures())
-            print(f"checks: {len(report.checks)}, failures: {n_fail}")
-        return EXIT_OK if report.all_asserted_pass else EXIT_VERIFY_FAIL
+            return code, report.to_json()
+        lines = []
+        for c in report.checks:
+            lines.append(f"{c.status.upper():<5} {c.id}: {c.statement}")
+            if c.status == "fail":
+                lines += [f"      lhs = {c.lhs}", f"      rhs = {c.rhs}"]
+        lines.append(f"checks: {len(report.checks)}, failures: {len(report.failures())}")
+        return code, "\n".join(lines)
 
     p, n = args.sn
     witness = sn_witness_search(p, n)
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "p": witness.p,
-                    "n": witness.n,
-                    "witness": list(witness.residues) if witness.exists else None,
-                },
-                indent=2,
-            )
-        )
-    elif witness.exists:
-        print(f"witness for p={p}, n={n}: {witness.residues}")
-    else:
-        print(f"none exists: no {n} nonzero residues mod {p} avoid a zero subset sum")
-    return EXIT_OK
+        residues = list(witness.residues) if witness.exists else None
+        return EXIT_OK, json.dumps({"p": witness.p, "n": witness.n, "witness": residues}, indent=2)
+    if witness.exists:
+        return EXIT_OK, f"witness for p={p}, n={n}: {witness.residues}"
+    return EXIT_OK, f"none exists: no {n} nonzero residues mod {p} avoid a zero subset sum"
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as one stderr line, without the usage block."""
+    """Refuses a usage error with one line, without the usage block."""
 
     def error(self, message):
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        raise _Refusal(EXIT_USAGE, f"{self.prog}: error: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -342,27 +316,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_HANDLERS = {"nf": _cmd_nf, "hdim": _cmd_hdim, "verify": _cmd_verify}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one request, write its stdout text or one stderr line, and return its exit code."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    handlers = {"nf": _cmd_nf, "hdim": _cmd_hdim, "verify": _cmd_verify}
-    try:
-        return handlers[args.command](args)
-    except UnsupportedGroupError as exc:
-        print(f"out of scope: {exc}", file=sys.stderr)
-        return EXIT_OUT_OF_SCOPE
+        args = build_parser().parse_args(argv)
+        code, out = _HANDLERS[args.command](args)
+    except SystemExit:  # --help, which argparse has written; errors raise _Refusal
+        return EXIT_OK
+    except _Refusal as exc:
+        code, err = exc.args
+    except UnsupportedGroupError as exc:  # a ValueError, so before that clause
+        code, err = EXIT_OUT_OF_SCOPE, f"out of scope: {exc}"
     except CrossValidationError as exc:
-        print(f"verification failure: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAIL
-    except SearchCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (PolyParseError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        code, err = EXIT_VERIFY_FAIL, f"verification failure: {exc}"
+    except (SearchCapExceeded, ValueError) as exc:
+        code, err = EXIT_USAGE, f"error: {exc}"
+    else:
+        print(out)
+        return code
+    print(err, file=sys.stderr)
+    return code
 
 
 def main_entry() -> None:

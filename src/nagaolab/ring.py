@@ -13,7 +13,8 @@ to F_p[t], and the API keeps that boundary visible.
 Multiplication has one raw kernel for both rings, ``_raw_mul``, which
 leaves coefficients unreduced.  A one-coefficient operand scales the other.
 Below ``_KRONECKER_MIN_LEN`` (16) coefficients in the shorter operand it is
-the schoolbook double loop.  From there on it is Kronecker substitution:
+the schoolbook double loop.  From there on it is Kronecker substitution
+unless ``_kronecker_pays`` estimates the loop cheaper (wide coefficients):
 both operands are packed into one Python int each, in byte slots wide
 enough that no product coefficient overflows its slot (signed slots over
 Z), CPython's Karatsuba bigint multiply does the work, and the slots are
@@ -21,10 +22,9 @@ read back.  Division over F_p is long division until both the divisor and
 the quotient reach ``_NEWTON_MIN_LEN`` (40) coefficients; from there the
 quotient is rev(a) * rev(b)^-1 mod t^(deg q + 1), with the power-series
 inverse computed by Newton iteration on the same kernel, and the remainder
-is a - q*b.  Both crossovers come from timing operands of equal length, the
-shape least favourable to the fast path: from 16 coefficients Kronecker is
-at least as fast for every ring and slot width measured, and from 40 Newton
-division is at least as fast as long division.
+is a - q*b.  Both length crossovers come from timing operands of equal
+length: from 16 coefficients Kronecker is at least as fast over every F_p
+measured, and from 40 Newton division is at least as fast as long division.
 
 ``_mul_coeffs`` reduces one raw product mod p.  ``_dot`` is the fused
 kernel of the 2x2 matrix layer: the canonical coefficients of x*y + u*v,
@@ -410,8 +410,6 @@ class Poly:
                 raise PolyParseError("expected '+' or '-'", tk[2])
             pos += 1
             term(-1 if tk[0] == "-" else 1, acc)
-        if not acc:
-            return cls((), mod)
         cs = [0] * (max(acc) + 1)
         for exp, c in acc.items():
             cs[exp] = c
@@ -455,7 +453,7 @@ class Poly:
 # -- multiplication kernels -------------------------------------------
 
 # Poly.__mul__ uses the schoolbook loop while the shorter operand has fewer
-# coefficients than this, and Kronecker substitution from here on.
+# coefficients than this, and from here on Kronecker where _kronecker_pays.
 _KRONECKER_MIN_LEN = 16
 # divmod over F_p uses long division while the divisor or the quotient has
 # fewer coefficients than this, and a Newton power-series inverse from here on.
@@ -513,7 +511,9 @@ def _raw_mul(a, b, signed: bool) -> list[int]:
         c = b[0]
         return [c * e for e in a]
     if len(b) >= _KRONECKER_MIN_LEN:
-        return _kronecker(a, b, signed)
+        ma, mb = max(map(abs, a)), max(map(abs, b))
+        if _kronecker_pays(len(a), len(b), ma.bit_length(), mb.bit_length()):
+            return _kronecker(a, b, len(b) * ma * mb, signed)
     # the shorter operand in the outer loop, so the inner loop runs longest
     cs = [0] * (len(a) + len(b) - 1)
     for j, cj in enumerate(b):
@@ -523,14 +523,27 @@ def _raw_mul(a, b, signed: bool) -> list[int]:
     return cs
 
 
-def _kronecker(a, b, signed: bool) -> list[int]:
+def _kronecker_pays(la: int, lb: int, wa: int, wb: int) -> bool:
+    """Whether Kronecker is estimated cheaper than the schoolbook loop for
+    la >= lb coefficients of at most wa and wb bits, in 30-bit bigint digits.
+    The loop makes la*lb products of about (wa/30 + 8)(wb/30 + 8) each, with
+    the interpreter's overhead.  Kronecker packs both operands into slots of
+    w ~ wa + wb bits, so a narrow operand pays the width of the other, and
+    multiplies la*w by lb*w digits in about 12 * la*w * (lb*w)**0.585
+    (Karatsuba).  The constants fit timings of lengths 16 to 1 000 and
+    widths 4 to 3 000 bits over Z."""
+    w = (wa + wb + lb.bit_length()) / 30
+    return 12 * w * (lb * w) ** 0.585 < lb * (wa / 30 + 8) * (wb / 30 + 8)
+
+
+def _kronecker(a, b, bound: int, signed: bool) -> list[int]:
     """Unreduced coefficients of a*b by Kronecker substitution.
 
     Each operand is evaluated at t = 2**(8*w) by writing its coefficients
     into w-byte slots of one integer, the two integers are multiplied with
     CPython's bigint (Karatsuba) multiply, and the slots of the product are
     read back.  Every product coefficient is a sum of min(len) terms, so it
-    is at most bound = min(len(a), len(b)) * max|a| * max|b| in absolute
+    is at most the caller's bound = min(len) * max|a| * max|b| in absolute
     value, and w is chosen with bound < 2**(8*w) (2**(8*w - 1) if signed)
     so that no slot spills into the next; big coefficients only widen w.
 
@@ -542,7 +555,6 @@ def _kronecker(a, b, signed: bool) -> list[int]:
     every slot turns that digit back into c in two's complement.
     """
     n = len(a) + len(b) - 1
-    bound = min(len(a), len(b)) * max(map(abs, a)) * max(map(abs, b))
     w = max(1, (bound.bit_length() + signed + 7) // 8)
     if w <= 8:  # round up to a width with an array type
         w = next(width for width in (1, 2, 4, 8) if width >= w)

@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 import nagaolab
 from nagaolab.cli import main
 from nagaolab.homology import GROUP_IDS, LedgerReport
+from nagaolab.nagao import CrossValidationError
+from nagaolab.witnesses import CheckResult, WitnessReport
 
 
 def run(capsys, *argv):
@@ -275,6 +277,17 @@ def test_any_argv_exits_cleanly(argv):
     assert err.getvalue().count("\n") == (code != 0)
 
 
+def test_nf_cross_validation_failure(capsys, monkeypatch):
+    """Normal forms that disagree exit 1 with one stderr line and no stdout."""
+    def disagree(mod, m):
+        raise CrossValidationError("rewriting and degree reduction disagree")
+
+    monkeypatch.setattr("nagaolab.cli.nagao_normal_form", disagree)
+    code, out, err = run(capsys, "nf", "--mod", "3", "[[1,0],[t,1]]")
+    assert (code, out, err.count("\n")) == (1, "", 1)
+    assert err.startswith("verification failure: ")
+
+
 def test_nf_parse_error(capsys):
     code, _, err = run(capsys, "nf", "--mod", "3", "[[1,0],[t)")
     assert code == 2
@@ -347,24 +360,39 @@ def test_hdim_out_of_scope(capsys):
     assert "out of scope" in err
 
 
-def test_hdim_degree_cap(capsys, monkeypatch):
-    monkeypatch.setenv("NAGAOLAB_MAX_DEG", "6")
-    code, _, err = run(capsys, "hdim", "--group", "bz", "--mod", "2", "--max-deg", "7")
-    assert code == 2
-    assert "cap" in err
-    monkeypatch.setenv("NAGAOLAB_MAX_DEG", "8")
-    code, _, _ = run(capsys, "hdim", "--group", "bz", "--mod", "2", "--max-deg", "7")
-    assert code == 0
-    monkeypatch.setenv("NAGAOLAB_MAX_DEG", "abc")
-    code, _, err = run(capsys, "hdim", "--group", "bz", "--mod", "2")
-    assert code == 2
-    assert "NAGAOLAB_MAX_DEG must be an integer, got 'abc'" in err
+def test_hdim_degree_cap(capsys):
+    """--max-deg is capped at the library-wide degree cap, MAX_DEGREE."""
+    code, out, err = run(capsys, "hdim", "--group", "tzt", "--mod", "2", "--max-deg", "10000",
+                         "--max-i", "1", "--format", "json")
+    assert (code, err) == (0, "")
+    assert [(r["d"], r["dim"]) for r in json.loads(out)["rows"]] == [(10000, 1), (10000, 10000)]
+    code, out, err = run(capsys, "hdim", "--group", "bz", "--mod", "2", "--max-deg", "10001")
+    assert (code, out) == (2, "")
+    assert err == "truncation degree 10001 exceeds the cap 10000\n"
 
 
 def test_verify_witness(capsys):
     code, out, _ = run(capsys, "verify", "--witness", "2..3", "1..2")
     assert code == 0
     assert "failures: 0" in out
+
+
+def test_verify_witness_failure(capsys, monkeypatch):
+    """A failing check prints its FAIL line with both sides and exits 1."""
+    checks = (
+        CheckResult("det_h(2,1)", "det h(p,k) == 1", "pass", "1", "1"),
+        CheckResult("det_g(2,1)", "det g(p,k) == 1", "fail", "1 + t", "1"),
+    )
+    monkeypatch.setattr("nagaolab.cli.verify_witness_suite", lambda ps, ks: WitnessReport(checks))
+    code, out, err = run(capsys, "verify", "--witness", "2", "1")
+    assert (code, err) == (1, "")
+    assert out == _lines(
+        "PASS  det_h(2,1): det h(p,k) == 1",
+        "FAIL  det_g(2,1): det g(p,k) == 1",
+        "      lhs = 1 + t",
+        "      rhs = 1",
+        "checks: 2, failures: 1",
+    )
 
 
 def test_verify_witness_json(capsys):
@@ -420,6 +448,8 @@ def test_usage_error(capsys):
         code, out, err = run(capsys, *argv)
         assert (code, out, err.count("\n")) == (2, "", 1), argv
         assert msg in err, argv
+    assert run(capsys, "hdim", "--group", "bz", "--mod", "x") == (
+        2, "", "nagaolab hdim: error: argument --mod: invalid int value: 'x'\n")
     # the largest accepted values still run
     assert run(capsys, "hdim", "--group", "bz", "--mod", "2", "--max-i", "64")[0] == 0
     assert run(capsys, "verify", "--witness", "2..9", "1..8")[0] == 0

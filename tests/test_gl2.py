@@ -209,6 +209,24 @@ def test_parse_gen_shorthand():
         parse_gen("Q(t)")
     with pytest.raises(ValueError):
         parse_gen("D(2)")
+    with pytest.raises(PolyParseError, match="W takes no argument") as exc:
+        parse_gen("W(1)")
+    assert exc.value.position == 1
+    with pytest.raises(PolyParseError, match="E12 needs an argument") as exc:
+        parse_gen("E12")
+    assert exc.value.position == 3
+    assert str(Gen("D", 2, 5)) == "D(2)"
+
+
+def test_gen_validation():
+    with pytest.raises(ValueError, match="E12 needs a Poly over the same ring"):
+        Gen("E12", Poly.parse("t", 3), 5)
+    with pytest.raises(ValueError, match="E21 needs a Poly"):
+        Gen("E21", 1, None)
+    with pytest.raises(ValueError, match="W takes no argument"):
+        Gen("W", Poly.one(), None)
+    with pytest.raises(ValueError, match="unknown generator kind 'E13'"):
+        Gen("E13", None, None)
 
 
 def test_parse_matrix_text():

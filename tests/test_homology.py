@@ -173,6 +173,12 @@ def test_bad_arguments_rejected():
         h_dims("bz", 4, 1, 4)
     with pytest.raises(ValueError):
         h_dims("bz", 3, -1, 4)
+    with pytest.raises(ValueError, match="truncation degree"):
+        h_dims("bz", 3, 1, -1)
+    for dim in (dim_exterior, dim_divided_power):
+        for n, i in ((-1, 2), (2, -1)):
+            with pytest.raises(ValueError, match="must be >= 0"):
+                dim(n, i)
     with pytest.raises(ValueError):
         coinvariant_dims(3, 1, 4, basis="middle")
 
@@ -306,11 +312,15 @@ def test_wedge_monomial_validation():
         WedgeMonomial((2, 2))
     with pytest.raises(ValueError):
         WedgeMonomial((3, 1))
+    assert str(WedgeMonomial(())) == "1"
+    assert str(WedgeMonomial((1, 4))) == "t1^t4"
 
 
 def test_phi_star_preserves_labels():
     x = WedgeClass.basis([1, 2])
     assert x.reduce_mod_p(5) == WedgeClass.basis([1, 2], mod=5)
+    with pytest.raises(ValueError, match="integer coefficients"):
+        x.reduce_mod_p(5).reduce_mod_p(5)
 
 
 def test_phi_star_kills_p_multiples():
@@ -346,6 +356,22 @@ def test_wedge_class_json_roundtrip():
 def test_wedge_ring_mismatch():
     with pytest.raises(ValueError):
         WedgeClass.basis([1]).wedge(WedgeClass.basis([2], mod=3))
+    with pytest.raises(TypeError, match="expects a WedgeClass"):
+        WedgeClass.basis([1]).wedge(WedgeMonomial((2,)))
+    with pytest.raises(ValueError, match="prime"):
+        WedgeClass.basis([1], mod=4)
+
+
+def test_wedge_class_accessors():
+    x = WedgeClass([((2, 5), -1), ((1, 3), 2), ((1, 3), 1)])
+    y = WedgeClass.basis([2, 5])
+    assert x.items() == ((WedgeMonomial((1, 3)), 3), (WedgeMonomial((2, 5)), -1))
+    assert (x.coeff(WedgeMonomial((1, 3))), x.coeff(WedgeMonomial((4,)))) == (3, 0)
+    assert str(x) == "3*t1^t3 + -1*t2^t5"
+    assert str(x - x) == "0" and (x - x).is_zero
+    assert x - (-y) == 3 * WedgeClass.basis([1, 3])
+    assert hash(x) == hash(WedgeClass({WedgeMonomial((1, 3)): 3, WedgeMonomial((2, 5)): -1}))
+    assert len({x, x.reduce_mod_p(3), WedgeClass(x.items())}) == 2
 
 
 # -- order bounds -------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +115,8 @@ def test_reduce_mod_p_examples():
     assert Poly.parse("8").reduce_mod_p(2) == Poly.zero(2)
     # the lower-right entry of h(2,1), reduced entrywise
     assert Poly.parse("1 - 2*t + 4*t^2").reduce_mod_p(2) == Poly.parse("1", 2)
+    with pytest.raises(ValueError, match="integer coefficients"):
+        Poly.parse("t", 3).reduce_mod_p(3)
 
 
 def test_reduce_mod_p_is_ring_hom():
@@ -147,6 +150,7 @@ def test_parse_examples():
     assert Poly.parse("1 - 2*t + t^2").coeffs == (1, -2, 1)
     assert Poly.parse("t^3").coeffs == (0, 0, 0, 1)
     assert Poly.parse("0").coeffs == ()
+    assert Poly.parse("-t + t", 5) == Poly.zero(5)
     assert Poly.parse("  -t  +  4 ") == Poly([4, -1])
     assert Poly.parse("3*t^2 + t^2") == Poly([0, 0, 4])
 
@@ -163,6 +167,10 @@ def test_format_canonicalizes():
     assert str(Poly.parse("t + t - t")) == "t"
     assert str(Poly.zero(3)) == "0"
     assert str(Poly([1, -2, 1])) == "1 - 2*t + t^2"
+    assert repr(Poly([1, -2, 1])) == "Poly([1, -2, 1], mod=None)"
+    assert repr(Poly.monomial(2, 4, 3)) == "Poly([0, 0, 1], mod=3)"
+    with pytest.raises(ValueError, match="negative exponent"):
+        Poly.monomial(-1)
 
 
 def test_parse_errors_carry_position():
@@ -177,6 +185,11 @@ def test_parse_errors_carry_position():
         Poly.parse("2t")
     with pytest.raises(PolyParseError):
         Poly.parse("1 + & + t")
+    for text, msg in [("3*+t", "expected 't', found '+'"), ("3*", "expected 't', found 'end'"),
+                      ("t^", "expected exponent")]:
+        with pytest.raises(PolyParseError, match=re.escape(msg)) as exc:
+            Poly.parse(text)
+        assert exc.value.position == 2, text
     assert Poly.parse(f"t^{MAX_DEGREE}").degree == MAX_DEGREE
     with pytest.raises(PolyParseError, match=f"degree cap {MAX_DEGREE}") as exc:
         Poly.parse(f"1 + t^{MAX_DEGREE + 1}")
@@ -287,6 +300,16 @@ def test_dot_kernel_matches_poly_operators():
                 lens = [rng.choice((0, 1, 3, x - 1, x, x + 1, 3 * x)) for _ in range(4)]
                 ops = [dense_poly(rng, mod, n, big) for n in lens]
                 assert _dot(*ops) == _dot_oracle(*ops), (mod, lens)
+    # wide coefficients over Z, where the kernel is chosen by coefficient
+    # width as well as length: the lopsided shape of a long E2(Z[t]) word
+    # (1 000 coefficients of 3 000 bits times 21 of 72 bits), and x by x
+    # coefficients on either side of the width where Kronecker stops paying
+    for la, wa, lb, wb, kronecker in ((1000, 3000, 21, 72, False), (x, 170, x, 170, True),
+                                      (x, 180, x, 180, False)):
+        assert ring._kronecker_pays(la, lb, wa, wb) is kronecker
+        a, b = (Poly([rng.randint(1 - 2**w, 2**w - 1) for _ in range(n - 1)] + [2**w - 1])
+                for n, w in ((la, wa), (lb, wb)))
+        assert _dot(a, b, b, b) == _dot_oracle(a, b, b, b), (la, wa, lb, wb)
 
 
 def test_dot_kernel_cancellation():
