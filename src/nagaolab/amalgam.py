@@ -7,7 +7,26 @@ upper-triangular group B(R[t]), glued along the constant upper-triangular
 group A = B(R).  ``factors`` is the one membership decision, read from shape
 and constant terms.  Every factor element splits as g = a * s with a in A and
 s the canonical representative of the coset A*g (s is None exactly when g
-itself lies in A).  Element arithmetic is delegated to Mat2.
+itself lies in A).
+
+The rewriting engine does not hold factor elements as ``Mat2``.  In both
+factors a, c and d are constants and only b can be a polynomial, so an
+element is held as its engine form, the tuple (a, b, c, d) with a, c, d
+canonical ints (reduced mod p over F_p) and b the canonical coefficient
+tuple of the upper-right entry.  ``_mul`` is the one product: int arithmetic
+when both b entries are constant, a scalar times coefficient-tuple sum when
+both lower-left entries are 0, and a RuntimeError (engine bug) for anything
+else.  ``transversal`` builds each representative and its inverse on forms,
+and ``decompose`` re-checks every split there: a * s reproduces the input,
+a lies in A and s in its factor only.  ``normalize`` checks each input
+letter's ``Mat2`` for membership, converts it, rewrites on forms, and builds
+``Mat2`` objects only for the returned ``NormalForm``, whose invariants
+``_check_normal_form`` then checks on those matrices.
+
+The oracles that check the engine keep ``Mat2`` arithmetic, so they share
+no product code with it: ``nf_evaluate``, and in ``nagao`` the degree
+reduction's peeling, ``_verify_roundtrip`` and the matrix route of
+``phi_p``.
 
 A ``NormalForm`` is head * s_1 * ... * s_n with head in A, every s_j a
 nontrivial canonical representative, and consecutive s_j from different
@@ -19,12 +38,34 @@ around as an independent oracle, never as the definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable
 
-from .gl2 import Mat2, _unit_inverse, e12, identity
-from .ring import Poly, is_prime
+from .gl2 import Mat2, _unit_inverse, identity
+from .ring import Poly, _strip, is_prime
 
 __all__ = ["Letter", "NormalForm", "AmalgamStructure"]
+
+# An engine form (a, b, c, d): ints a, c, d and the coefficient tuple b.
+Form = tuple[int, tuple[int, ...], int, int]
+
+# The identity as an engine form, canonical over every ring.
+_IDENTITY: Form = (1, (), 0, 1)
+
+
+def _form(m: Mat2) -> Form:
+    """The engine form of a matrix whose a, c and d entries are constant."""
+    return (m.a.constant_term, m.b.coeffs, m.c.constant_term, m.d.constant_term)
+
+
+def _mat(x: Form, mod: int | None) -> Mat2:
+    """The matrix of an engine form over the ring ``mod``."""
+    a, b, c, d = x
+
+    def const(v: int) -> Poly:
+        return Poly._canon((v,) if v else (), mod)
+
+    return Mat2._canon(const(a), Poly._canon(b, mod), const(c), const(d))
 
 
 @dataclass(frozen=True)
@@ -72,59 +113,99 @@ class AmalgamStructure:
         """The factors that contain m: (1, 2) for the base A = B(R), (1,) or
         (2,) for one factor only, () for neither or for another ring.
 
-        Decided from shape and constant terms, with no polynomial product.
         A member of either factor has constant a, c and d (over the domain
-        R[t], a*d = 1 forces this when c = 0), and b is constant too unless
-        c = 0, when b does not enter the determinant; so det m is
-        a0*d0 - b0*c0, reduced mod p over F_p."""
+        R[t], a*d = 1 forces this when c = 0), so anything else is refused
+        here and the rest is decided on the engine form."""
         if m.mod != self.mod or not (m.a.is_constant and m.c.is_constant and m.d.is_constant):
             return ()
-        a, b, c, d = (e.constant_term for e in m.entries())
-        if c and not m.b.is_constant:
+        return self._factors(_form(m))
+
+    # -- engine: factor elements as forms (a, b, c, d) --------------------
+
+    def _factors(self, x: Form) -> tuple[int, ...]:
+        """``factors`` of an engine form, decided with no polynomial product:
+        b is constant too unless c = 0, when b does not enter the
+        determinant; so det = a*d - b0*c, reduced mod p over F_p."""
+        a, b, c, d = x
+        if c and len(b) > 1:
             return ()
-        det = a * d - b * c
+        det = a * d - (b[0] * c if b else 0)
         if (det if self.mod is None else det % self.mod) != 1:
             return ()
-        return (1,) if c else (1, 2) if m.b.is_constant else (2,)
+        return (1,) if c else (1, 2) if len(b) < 2 else (2,)
 
-    def transversal(self, factor: int, m: Mat2) -> tuple[Mat2, Mat2 | None]:
-        """Split a factor element as (a, s) with m = a * s; s None iff m in A."""
+    def _mul(self, x: Form, y: Form) -> Form:
+        """The product of two engine forms from one factor: two constant
+        matrices, or two upper-triangular ones."""
         mod = self.mod
+        a, b, c, d = x
+        e, f, g, h = y
+        if len(b) < 2 and len(f) < 2:
+            b = b[0] if b else 0
+            f = f[0] if f else 0
+            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+            if mod is not None:
+                a, b, c, d = a % mod, b % mod, c % mod, d % mod
+            return (a, (b,) if b else (), c, d)
+        if c or g:
+            raise RuntimeError("engine product of elements outside one factor (engine bug)")
+        # [[a, b], [0, d]] * [[e, f], [0, h]] = [[a*e, a*f + b*h], [0, d*h]]
+        cs = [a * fi + h * bi for bi, fi in zip_longest(b, f, fillvalue=0)]
+        a, d = a * e, d * h
+        if mod is not None:
+            cs, a, d = [v % mod for v in cs], a % mod, d % mod
+        return (a, _strip(cs), 0, d)
+
+    def transversal(self, factor: int, x: Form) -> tuple[Form, Form | None]:
+        """Split a factor element as (a, s) with x = a * s; s None iff x in A."""
+        mod = self.mod
+        a, b, c, d = x
         if factor == 1:
-            c, d = m.c.constant_term, m.d.constant_term
             if c == 0:
-                return m, None
+                return x, None
             # Scale the bottom row by the unit u that makes c canonical:
             # u = sign(c) over Z, u = c^-1 over F_p (so c becomes 1).
-            u = (1 if c > 0 else -1) if mod is None else pow(c, -1, mod)
-            c, d = (c * u if mod is None else 1), d * u
-            x = pow(d, -1, c)
-            s = Mat2.of_ints(x, (x * d - 1) // c, c, d, mod)
+            if mod is None:
+                u = 1 if c > 0 else -1
+                c, d = c * u, d * u
+                r = pow(d, -1, c)
+                y = (r * d - 1) // c
+            else:
+                c, d = 1, d * pow(c, -1, mod) % mod
+                r, y = 0, mod - 1
+            s = (r, (y,) if y else (), c, d)
+            if self._factors(s) != (1,):
+                raise RuntimeError("coset representative has determinant other than 1 (engine bug)")
+            # under det 1, [[r, y], [c, d]]^-1 = [[d, -y], [-c, r]]
+            neg_y, neg_c = (-y, -c) if mod is None else (-y % mod, -c % mod)
+            s_inv = (d, (neg_y,) if neg_y else (), neg_c, r)
         else:
-            f = m.b
-            rep = _unit_inverse(m.a.constant_term, mod) * (f - Poly.constant(f.constant_term, mod))
-            if rep.is_zero:
-                return m, None
-            s = e12(rep)
-        return m * s.inv(), s
+            if len(b) < 2:
+                return x, None
+            # s = E12(r) with r = u^-1 * (f - f(0)), u = a; s^-1 = E12(-r)
+            u_inv = _unit_inverse(a, mod)
+            rep = [0] + [u_inv * v for v in b[1:]]
+            neg = [-v for v in rep]
+            if mod is not None:
+                rep, neg = [v % mod for v in rep], [v % mod for v in neg]
+            s, s_inv = (1, tuple(rep), 0, 1), (1, tuple(neg), 0, 1)
+        return self._mul(x, s_inv), s
 
-    # -- engine ---------------------------------------------------------
+    def decompose(self, factor: int, x: Form) -> tuple[Form, Form | None]:
+        """Transversal split of an engine form with the exactness re-check.
 
-    def decompose(self, factor: int, m: Mat2) -> tuple[Mat2, Mat2 | None]:
-        """Transversal split with the exactness re-check.
-
-        The check a * s == m, with a in A and s in the given factor only, is
+        The check a * s == x, with a in A and s in the given factor only, is
         the single trust anchor of the rewriting engine, so it runs on every
         decomposition."""
-        a, s = self.transversal(factor, m)
+        a, s = self.transversal(factor, x)
         if s is None:
-            if self.factors(m) != (1, 2):
+            if self._factors(x) != (1, 2):
                 raise RuntimeError(
                     "transversal returned no representative for an element "
                     "outside the base subgroup"
                 )
-            return m, None
-        if a * s != m or self.factors(a) != (1, 2) or self.factors(s) != (factor,):
+            return x, None
+        if self._mul(a, s) != x or self._factors(a) != (1, 2) or self._factors(s) != (factor,):
             raise RuntimeError("transversal decomposition failed the exactness check")
         return a, s
 
@@ -146,31 +227,32 @@ class AmalgamStructure:
             s' becomes the new first tail letter and a' the head.
 
         One transversal decomposition per input letter, and the tail is kept
-        as a list in reverse order (its first letter last), so the rewrite is
-        linear in word length."""
-        head, rtail = self.identity(), []
+        as a list of (factor, form) pairs in reverse order (its first letter
+        last), so the rewrite is linear in word length."""
+        head, rtail = _IDENTITY, []
         for letter in reversed(list(word)):
-            self._check_letter(letter)
             factor = letter.factor
-            h = letter.mat * head
-            if rtail and rtail[-1].factor == factor:
-                h = h * rtail.pop().mat
+            h = self._mul(self._check_letter(letter), head)
+            if rtail and rtail[-1][0] == factor:
+                h = self._mul(h, rtail.pop()[1])
             head, s = self.decompose(factor, h)
             if s is not None:
-                rtail.append(Letter(factor, s))
-        nf = NormalForm(head, tuple(reversed(rtail)))
+                rtail.append((factor, s))
+        mod = self.mod
+        nf = NormalForm(_mat(head, mod), tuple(Letter(f, _mat(s, mod)) for f, s in reversed(rtail)))
         self._check_normal_form(nf)
         return nf
 
-    def _check_letter(self, letter: Letter) -> None:
+    def _check_letter(self, letter: Letter) -> Form:
         """Refuse a word letter whose tag is not 1 or 2 or whose matrix is
-        not in the factor the tag names."""
+        not in the factor the tag names; returns the letter's engine form."""
         if letter.factor not in (1, 2):
             raise ValueError(f"factor tag must be 1 or 2, got {letter.factor!r}")
         if letter.factor not in self.factors(letter.mat):
             raise ValueError(
                 f"letter {letter.mat} fails membership in factor {letter.factor}"
             )
+        return _form(letter.mat)
 
     def nf_evaluate(self, nf: NormalForm) -> Mat2:
         """Multiply the normal form back out to the group element."""

@@ -193,8 +193,8 @@ def _table_rows(args):
 # ledger rows; a None header adds no line.
 _HDIM_LAYOUT = {
     "text": (
-        (f"{'group':<14}{'p':>3}{'d':>4}{'i':>4}{'dim':>8}  flags",
-         "{group:<14}{p:>3}{d:>4}{i:>4}{dim:>8}  {flags}"),
+        (f"{'group':<14}{'p':>3} {'d':>3} {'i':>3} {'dim':>7}  flags",
+         "{group:<14}{p:>3} {d:>3} {i:>3} {dim:>7}  {flags}"),
         (None, "ledger i={i}: e2zt={e2zt} vs {bzt} + {sl2z} - {bz} ... {mark}"),
     ),
     "csv": (

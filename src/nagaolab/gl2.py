@@ -12,7 +12,9 @@ through the ``Poly`` operators: each entry of a product, and the
 determinant, is one call of ``ring._dot`` on the coefficient tuples.  The
 public constructor checks that the four entries share a ring; results of
 arithmetic on valid matrices are built by ``Mat2._canon`` without that
-check.
+check, and so are ``identity``, ``e12``, ``e21``, ``Mat2.of_ints`` and
+``reduce_mod_p``, whose constant entries are built by ``Poly._canon`` after
+one check of the modulus.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .ring import Poly, PolyParseError, _dot
+from .ring import Poly, PolyParseError, _check_modulus, _dot, _reduce_coeffs
 
 __all__ = [
     "Mat2",
@@ -66,9 +68,13 @@ class Mat2:
 
     @classmethod
     def of_ints(cls, a: int, b: int, c: int, d: int, mod: int | None = None) -> "Mat2":
-        return cls(
-            Poly((a,), mod), Poly((b,), mod), Poly((c,), mod), Poly((d,), mod)
-        )
+        """The constant matrix [[a, b], [c, d]]; the entries are coerced to
+        int and reduced mod p over F_p."""
+        _check_modulus(mod)
+        vals = [int(v) for v in (a, b, c, d)]
+        if mod is not None:
+            vals = [v % mod for v in vals]
+        return cls._canon(*(Poly._canon((v,) if v else (), mod) for v in vals))
 
     def entries(self) -> tuple[Poly, Poly, Poly, Poly]:
         return (self.a, self.b, self.c, self.d)
@@ -127,7 +133,8 @@ class Mat2:
         """Entrywise reduction mod p; a group homomorphism on SL2(Z[t])."""
         if self.mod is not None:
             raise ValueError("reduce_mod_p expects integer coefficients")
-        return Mat2(*(e.reduce_mod_p(p) for e in self.entries()))
+        _check_modulus(p)
+        return Mat2._canon(*(Poly._canon(_reduce_coeffs(e.coeffs, p), p) for e in self.entries()))
 
     def is_unipotent(self) -> bool:
         """True iff the matrix is unipotent; requires det == 1.
@@ -159,6 +166,11 @@ def identity(mod: int | None = None) -> Mat2:
     return Mat2.of_ints(1, 0, 0, 1, mod)
 
 
+def _one_zero(mod: int | None) -> tuple[Poly, Poly]:
+    """The polynomials 1 and 0 over a ring whose modulus is already checked."""
+    return Poly._canon((1,), mod), Poly._canon((), mod)
+
+
 def _as_poly(f, mod: int | None) -> Poly:
     return f if isinstance(f, Poly) else Poly((f,), mod)
 
@@ -166,15 +178,15 @@ def _as_poly(f, mod: int | None) -> Poly:
 def e12(f, mod: int | None = None) -> Mat2:
     """Upper transvection [[1, f], [0, 1]]."""
     f = _as_poly(f, mod)
-    one, zero = Poly.one(f.mod), Poly.zero(f.mod)
-    return Mat2(one, f, zero, one)
+    one, zero = _one_zero(f.mod)
+    return Mat2._canon(one, f, zero, one)
 
 
 def e21(f, mod: int | None = None) -> Mat2:
     """Lower transvection [[1, 0], [f, 1]]."""
     f = _as_poly(f, mod)
-    one, zero = Poly.one(f.mod), Poly.zero(f.mod)
-    return Mat2(one, zero, f, one)
+    one, zero = _one_zero(f.mod)
+    return Mat2._canon(one, zero, f, one)
 
 
 def _unit_inverse(u: int, mod: int | None) -> int:

@@ -14,7 +14,7 @@ result against the matrix decomposition over F_p.
 
 from __future__ import annotations
 
-from .amalgam import AmalgamStructure, Letter, NormalForm
+from .amalgam import AmalgamStructure, Letter, NormalForm, _form, _mat
 from .gl2 import Gen, Mat2, e12, identity, w
 from .ring import Poly
 
@@ -159,6 +159,9 @@ def _nf_by_degree_reduction(struct: AmalgamStructure, m: Mat2) -> NormalForm:
     ratio of leading coefficients when degrees tie and 0 when d is smaller.
     Peeling stops at the first element the classifier places in a factor,
     which the transversal splits into head and at most one more letter.
+    The peeling multiplies ``Mat2``s; only that last split goes through the
+    engine form of ``AmalgamStructure``, so this route checks the rewriter
+    with arithmetic it does not share.
     """
     p = struct.mod
     rev: list[Letter] = []
@@ -179,9 +182,9 @@ def _nf_by_degree_reduction(struct: AmalgamStructure, m: Mat2) -> NormalForm:
             rev.append(Letter(1, s))
             cur = cur * s.inv()
     factor = owners[-1]  # an element of A splits as itself in either factor
-    head, s = struct.decompose(factor, cur)
-    first = () if s is None else (Letter(factor, s),)
-    nf = NormalForm(head, first + tuple(reversed(rev)))
+    head, s = struct.decompose(factor, _form(cur))
+    first = () if s is None else (Letter(factor, _mat(s, p)),)
+    nf = NormalForm(_mat(head, p), first + tuple(reversed(rev)))
     struct._check_normal_form(nf)
     return nf
 

@@ -36,7 +36,7 @@ coefficient.  Results of arithmetic on valid polynomials are canonical by
 construction and are wrapped by ``Poly._canon`` without those checks; sums
 and differences are still reduced and stripped, while a product of nonzero
 polynomials over a domain has a nonzero leading coefficient and needs no
-strip.
+strip.  ``reduce_mod_p`` checks p once, then reduces, strips and wraps.
 """
 
 from __future__ import annotations
@@ -124,6 +124,11 @@ def _strip(cs: list[int]) -> tuple[int, ...]:
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
+
+
+def _reduce_coeffs(coeffs, p: int) -> tuple[int, ...]:
+    """Canonical coefficients mod the prime p of integer coefficients."""
+    return _strip([c % p for c in coeffs])
 
 
 class Poly:
@@ -299,7 +304,8 @@ class Poly:
         """Coefficientwise reduction Z[t] -> F_p[t]; a ring homomorphism."""
         if self.mod is not None:
             raise ValueError("reduce_mod_p expects integer coefficients")
-        return Poly(self.coeffs, p)
+        _check_modulus(p)
+        return Poly._canon(_reduce_coeffs(self.coeffs, p), p)
 
     # -- comparison ---------------------------------------------------
 

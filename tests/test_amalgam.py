@@ -2,9 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nagaolab.amalgam import AmalgamStructure, Letter, NormalForm
-from nagaolab.gl2 import Mat2, e12, e21, identity, w
+from nagaolab.amalgam import AmalgamStructure, Letter, NormalForm, _form, _mat
+from nagaolab.gl2 import Mat2, diag, e12, e21, identity, w
 from nagaolab.ring import Poly
 
 from helpers import (
@@ -175,10 +176,10 @@ def test_invalid_letter_rejected():
 
 def test_broken_transversal_fails_loudly():
     class Broken(AmalgamStructure):
-        def transversal(self, factor, m):
-            a, s = super().transversal(factor, m)
+        def transversal(self, factor, x):
+            a, s = super().transversal(factor, x)
             if s is not None and factor == 1:
-                return a, s * s  # exactness violated
+                return a, self._mul(s, s)  # exactness violated
             return a, s
 
     s = Broken(3)
@@ -186,23 +187,35 @@ def test_broken_transversal_fails_loudly():
         s.normalize([Letter(1, w(3))])
 
 
+def test_broken_transversal_off_by_base_element_fails():
+    class Broken(AmalgamStructure):
+        def transversal(self, factor, x):
+            a, s = super().transversal(factor, x)
+            # a stays in A and s in its factor, but a * s != x
+            return self._mul(a, _form(Mat2.of_ints(2, 1, 0, 2, 3))), s
+
+    for factor, m in ((1, w(3)), (2, e12(Poly.parse("1 + t", 3)))):
+        with pytest.raises(RuntimeError, match="exactness"):
+            Broken(3).decompose(factor, _form(m))
+
+
 def test_broken_transversal_outside_factor_fails():
     class Broken(AmalgamStructure):
-        def transversal(self, factor, m):
-            return self.identity(), m  # a * s == m, but s need not be in the factor
+        def transversal(self, factor, x):
+            return _form(self.identity()), x  # a * s == x, but s need not be in the factor
 
     s = Broken(3)
     with pytest.raises(RuntimeError, match="exactness"):
-        s.decompose(2, w(3))
+        s.decompose(2, _form(w(3)))
     with pytest.raises(RuntimeError, match="exactness"):
-        s.decompose(1, e12(Poly.parse("t", 3)))
+        s.decompose(1, _form(e12(Poly.parse("t", 3))))
 
     class NoSplit(AmalgamStructure):
-        def transversal(self, factor, m):
-            return m, None  # claims every element lies in A
+        def transversal(self, factor, x):
+            return x, None  # claims every element lies in A
 
     with pytest.raises(RuntimeError, match="outside the base subgroup"):
-        NoSplit(3).decompose(1, w(3))
+        NoSplit(3).decompose(1, _form(w(3)))
 
 
 def test_normal_form_invariants_checked():
@@ -278,3 +291,116 @@ def test_structure_mismatch_rejected():
         s2.nf_multiply(x, y)
     with pytest.raises(ValueError, match="prime"):
         AmalgamStructure(4)
+
+
+# -- the engine on forms, against Mat2 arithmetic -------------------------
+
+_COEFF = st.one_of(st.integers(-9, 9), st.integers(-(2**40), 2**40))
+
+
+def _unit(mod, v):
+    return (-1 if v < 0 else 1) if mod is None else 1 + v % (mod - 1)
+
+
+@st.composite
+def _factor_element(draw, mod, factor, max_len=6):
+    """A Mat2 in factor 1 (a product of constant generators) or factor 2
+    (an upper-triangular [[u, f], [0, u^-1]] with f of at most max_len
+    coefficients), built with Mat2 arithmetic only."""
+    if factor == 1:
+        m = identity(mod)
+        for kind, v in draw(st.lists(st.tuples(st.sampled_from("E12 E21 W D".split()), _COEFF), max_size=5)):
+            if kind == "W":
+                g = w(mod)
+            elif kind == "D":
+                g = diag(_unit(mod, v), mod)
+            else:
+                g = (e12 if kind == "E12" else e21)(v, mod)
+            m = m * g
+        return m
+    u = _unit(mod, draw(_COEFF))
+    f = Poly(draw(st.lists(_COEFF, max_size=max_len)), mod)
+    return diag(u, mod) * e12(f)
+
+
+def _expected_rep(mod, factor, m):
+    """The coset representative by the conventions of the class docstring,
+    computed on Mat2 and Poly."""
+    if factor == 1:
+        c, d = m.c.constant_term, m.d.constant_term
+        if mod is None:
+            c, d = abs(c), d * (1 if c > 0 else -1)
+            x = pow(d, -1, c)
+            return Mat2.of_ints(x, (x * d - 1) // c, c, d)
+        return Mat2.of_ints(0, -1, 1, d * pow(c, -1, mod), mod)
+    u_inv = m.d  # det 1 and c = 0 make d the inverse of u = a
+    return e12(u_inv * (m.b - Poly.constant(m.b.constant_term, mod)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_engine_matches_mat2(data):
+    """_mul, _factors and decompose on forms agree with Mat2 products, with
+    factors on the Mat2 and the determinant oracle, and with the coset
+    conventions, for elements of each factor over Z and F_p."""
+    mod = data.draw(st.sampled_from([None, 2, 3, 101]), label="mod")
+    factor = data.draw(st.sampled_from([1, 2]), label="factor")
+    s = AmalgamStructure(mod)
+    x, y = (data.draw(_factor_element(mod, factor)) for _ in range(2))
+    base = data.draw(_factor_element(mod, 2, max_len=1), label="base")  # in A
+    for left, right in ((x, y), (base, x), (x, base)):
+        product = s._mul(_form(left), _form(right))
+        assert product == _form(left * right)
+        assert _mat(product, mod) == left * right
+    for m in (x, y, base, x * y):
+        assert s._factors(_form(m)) == s.factors(m) == _oracle_factors(mod, m)
+    a, rep = s.decompose(factor, _form(x))
+    assert s.factors(_mat(a, mod)) == (1, 2)
+    if rep is None:
+        assert s.factors(x) == (1, 2) and a == _form(x)
+    else:
+        assert _mat(a, mod) * _mat(rep, mod) == x
+        assert _mat(rep, mod) == _expected_rep(mod, factor, x)
+        assert s.factors(_mat(rep, mod)) == (factor,)
+
+
+def test_engine_product_outside_one_factor_is_a_bug():
+    s = AmalgamStructure(3)
+    with pytest.raises(RuntimeError, match="engine bug"):
+        s._mul(_form(w(3)), _form(e12(Poly.parse("t", 3))))
+    with pytest.raises(RuntimeError, match="engine bug"):
+        s._mul(_form(e12(Poly.parse("t", 3))), _form(w(3)))
+
+
+def test_normalize_decomposes_once_per_letter():
+    calls = []
+
+    class Counting(AmalgamStructure):
+        def decompose(self, factor, x):
+            calls.append(factor)
+            return super().decompose(factor, x)
+
+    rng = random.Random(1010)
+    for mod in (None, 3):
+        s = Counting(mod)
+        for n in (0, 1, 2, 7, 15):
+            word = rand_word(rng, mod, n, 4)
+            del calls[:]
+            nf = s.normalize(word)
+            assert calls == [letter.factor for letter in reversed(word)]
+            assert nf == AmalgamStructure(mod).normalize(word)
+
+
+def test_normalize_multiplies_no_mat2(monkeypatch):
+    """The rewriter works on forms only: Mat2 products, inverses and
+    determinants stay with the oracles."""
+    rng = random.Random(1011)
+    words = [(mod, rand_word(rng, mod, 10, 4)) for mod in (None, 2, 5) for _ in range(10)]
+    expected = [AmalgamStructure(mod).normalize(word) for mod, word in words]
+
+    def refuse(*args):
+        raise AssertionError("Mat2 arithmetic inside the engine")
+
+    for name in ("__mul__", "inv", "det"):
+        monkeypatch.setattr(Mat2, name, refuse)
+    assert [AmalgamStructure(mod).normalize(word) for mod, word in words] == expected

@@ -735,6 +735,37 @@ GOLDEN = [
         id="hdim-csv-ledger",
     ),
     pytest.param(
+        # a dimension of eight digits keeps the space before it
+        ["hdim", "--group", "tfpt", "--mod", "2", "--max-i", "12", "--max-deg", "16"], 0,
+        _lines(
+            HDIM_HEADER,
+            "tfpt            2  16   0       1  ",
+            "tfpt            2  16   1      16  ",
+            "tfpt            2  16   2     136  ",
+            "tfpt            2  16   3     816  ",
+            "tfpt            2  16   4    3876  ",
+            "tfpt            2  16   5   15504  ",
+            "tfpt            2  16   6   54264  ",
+            "tfpt            2  16   7  170544  ",
+            "tfpt            2  16   8  490314  ",
+            "tfpt            2  16   9 1307504  ",
+            "tfpt            2  16  10 3268760  ",
+            "tfpt            2  16  11 7726160  ",
+            "tfpt            2  16  12 17383860  ",
+        ),
+        id="hdim-text-wide-dim",
+    ),
+    pytest.param(
+        # a truncation degree of four digits stays apart from p
+        ["hdim", "--group", "tzt", "--mod", "3", "--max-i", "1", "--max-deg", "1000"], 0,
+        _lines(
+            HDIM_HEADER,
+            "tzt             3 1000   0       1  ",
+            "tzt             3 1000   1    1000  ",
+        ),
+        id="hdim-text-wide-degree",
+    ),
+    pytest.param(
         ["hdim", "--group", "e2zt", "--mod", "7", "--ledger", "--max-i", "1", "--max-deg", "3",
          "--format", "json"], 0,
         _pretty(

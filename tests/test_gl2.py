@@ -160,6 +160,52 @@ def test_reduce_mod_p_rejects_reduced_input():
         identity(2).reduce_mod_p(2)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.lists(st.integers(-(2**70), 2**70), max_size=6), min_size=4, max_size=4),
+       st.sampled_from([2, 3, 101]))
+def test_reduce_mod_p_matches_constructor(entries, p):
+    """Entrywise trusted reduction equals the validating constructor."""
+    m = Mat2(*(Poly(cs) for cs in entries)).reduce_mod_p(p)
+    assert m == Mat2(*(Poly(cs, p) for cs in entries))
+    assert all(e.mod == p and all(0 <= c < p for c in e.coeffs) for e in m.entries())
+    assert all(not e.coeffs or e.coeffs[-1] for e in m.entries())
+
+
+def test_reduce_mod_p_refuses_nonprime():
+    for bad in (0, 1, 4, 91):
+        with pytest.raises(ValueError, match="prime"):
+            w().reduce_mod_p(bad)
+
+
+@pytest.mark.parametrize("mod", RINGS)
+def test_constructors_match_validating_build(mod):
+    """identity, e12, e21 and of_ints build their entries without the
+    validating constructor; the results equal what it builds."""
+    def full(a, b, c, d):
+        return Mat2(*(x if isinstance(x, Poly) else Poly((x,), mod) for x in (a, b, c, d)))
+
+    f = Poly.parse("2 - t + 5*t^3", mod)
+    assert identity(mod) == full(1, 0, 0, 1)
+    assert e12(f) == full(1, f, 0, 1)
+    assert e21(f) == full(1, 0, f, 1)
+    assert e12(7, mod) == full(1, 7, 0, 1)
+    assert e21(-3, mod) == full(1, 0, -3, 1)
+    # of_ints still coerces and reduces what it is given
+    for ints in ((0, 0, 0, 0), (1, -1, 2**65, -(2**65)), (True, 7, -101, 202)):
+        m = Mat2.of_ints(*ints, mod)
+        assert m == full(*(int(v) for v in ints))
+        assert all(type(c) is int and c != 0 for e in m.entries() for c in e.coeffs)
+        if mod is not None:
+            assert all(0 <= c < mod for e in m.entries() for c in e.coeffs)
+
+
+def test_constructors_refuse_nonprime():
+    for make in (identity, w, lambda mod: e12(1, mod), lambda mod: e21(1, mod),
+                 lambda mod: Mat2.of_ints(1, 0, 0, 1, mod), lambda mod: diag(1, mod)):
+        with pytest.raises(ValueError, match="prime"):
+            make(4)
+
+
 def test_upper_triangular_closed_under_product():
     rng = random.Random(66)
     for _ in range(100):

@@ -135,6 +135,27 @@ def test_nagao_nf_cross_validation_random():
             assert AmalgamStructure(p).nf_evaluate(nf) == m
 
 
+def test_nagao_nf_rechecks_every_split(monkeypatch):
+    """Both routes split through the checked decompose: once per letter the
+    rewriter folds in, and once for the last split of the degree reduction."""
+    calls = []
+    decompose = AmalgamStructure.decompose
+
+    def counting(self, factor, x):
+        calls.append(factor)
+        return decompose(self, factor, x)
+
+    monkeypatch.setattr(AmalgamStructure, "decompose", counting)
+    rng = random.Random(2009)
+    for p in (2, 5):
+        for _ in range(20):
+            m = rand_fp_matrix(rng, p, 6, 4)
+            letters = letters_from_gens(sl2fpt_elementary_factor(m), p)
+            del calls[:]
+            nagao_normal_form(p, m)
+            assert len(calls) == len(letters) + 1
+
+
 def test_nagao_nf_decides_equality():
     rng = random.Random(2005)
     s = AmalgamStructure(3)

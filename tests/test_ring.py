@@ -129,6 +129,32 @@ def test_reduce_mod_p_is_ring_hom():
         assert (a * b).reduce_mod_p(p) == a.reduce_mod_p(p) * b.reduce_mod_p(p)
 
 
+_SIGNED_COEFFS = st.lists(
+    st.one_of(st.integers(-10, 10), st.integers(-(2**80), 2**80)), max_size=12
+)
+
+
+def _is_canonical(f: Poly, p: int) -> bool:
+    cs = f.coeffs
+    return f.mod == p and all(type(c) is int and 0 <= c < p for c in cs) and (not cs or cs[-1] != 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_SIGNED_COEFFS, st.sampled_from([2, 3, 101]))
+def test_reduce_mod_p_matches_constructor(coeffs, p):
+    """The trusted reduction builds exactly what the validating constructor
+    builds from the same coefficients."""
+    f = Poly(coeffs).reduce_mod_p(p)
+    assert f == Poly(coeffs, p)
+    assert _is_canonical(f, p)
+
+
+def test_reduce_mod_p_refuses_nonprime():
+    for bad in (0, 1, 4, 9, 91, -3):
+        with pytest.raises(ValueError, match="prime"):
+            Poly.parse("1 + t").reduce_mod_p(bad)
+
+
 def test_ring_axioms_random():
     rng = random.Random(404)
     for _ in range(150):
