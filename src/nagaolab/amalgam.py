@@ -23,10 +23,10 @@ letter's ``Mat2`` for membership, converts it, rewrites on forms, and builds
 ``Mat2`` objects only for the returned ``NormalForm``, whose invariants
 ``_check_normal_form`` then checks on those matrices.
 
-The oracles that check the engine keep ``Mat2`` arithmetic, so they share
-no product code with it: ``nf_evaluate``, and in ``nagao`` the degree
-reduction's peeling, ``_verify_roundtrip`` and the matrix route of
-``phi_p``.
+The oracles that check the engine share no arithmetic with it.
+``nf_evaluate``, and in ``nagao`` ``_verify_roundtrip`` and the matrix
+route of ``phi_p``, keep ``Mat2`` products; the degree reduction peels
+letters by column operations with ``Poly`` operators on the four entries.
 
 A ``NormalForm`` is head * s_1 * ... * s_n with head in A, every s_j a
 nontrivial canonical representative, and consecutive s_j from different
@@ -116,9 +116,15 @@ class AmalgamStructure:
         A member of either factor has constant a, c and d (over the domain
         R[t], a*d = 1 forces this when c = 0), so anything else is refused
         here and the rest is decided on the engine form."""
+        x = self._form_of(m)
+        return () if x is None else self._factors(x)
+
+    def _form_of(self, m: Mat2) -> Form | None:
+        """The engine form of m, or None when m is over another ring or has
+        a nonconstant a, c or d entry and so lies in neither factor."""
         if m.mod != self.mod or not (m.a.is_constant and m.c.is_constant and m.d.is_constant):
-            return ()
-        return self._factors(_form(m))
+            return None
+        return _form(m)
 
     # -- engine: factor elements as forms (a, b, c, d) --------------------
 
@@ -248,11 +254,12 @@ class AmalgamStructure:
         not in the factor the tag names; returns the letter's engine form."""
         if letter.factor not in (1, 2):
             raise ValueError(f"factor tag must be 1 or 2, got {letter.factor!r}")
-        if letter.factor not in self.factors(letter.mat):
+        x = self._form_of(letter.mat)
+        if x is None or letter.factor not in self._factors(x):
             raise ValueError(
                 f"letter {letter.mat} fails membership in factor {letter.factor}"
             )
-        return _form(letter.mat)
+        return x
 
     def nf_evaluate(self, nf: NormalForm) -> Mat2:
         """Multiply the normal form back out to the group element."""

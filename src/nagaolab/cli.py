@@ -45,6 +45,10 @@ MAX_WORD_LEN = 2_000  # letters of an nf word or normal form, after shorthand ex
 # its coefficients.  The slowest accepted words measured ran in under 4 s.
 MAX_WORD_DEGREE = 1_000
 MAX_WORD_BITS = 4_000
+# Cap on letters x summed degree of a normal form over F_p above the degree
+# cap (see _capped).  The slowest accepted one measured (p near 2**64, seven
+# letters, four of them of degree 10 000) ran in under 3 s.
+MAX_NF_WORK = 300_000
 
 
 class _Refusal(Exception):
@@ -79,7 +83,14 @@ def _capped(letters, mod, what: str):
     The degree of a product is at most the summed letter degree.  With |m|
     the largest l1 norm of an entry of m, |m * n| <= 2 |m| |n|, so over Z
     every coefficient of the product is below 2**bits, where bits sums one
-    plus the bit length of |m| over the letters."""
+    plus the bit length of |m| over the letters.
+
+    A normal form over F_p above the degree cap is refused only once its
+    letters x summed degree, the cost of evaluating it, passes MAX_NF_WORK
+    as well, so that the normal form of a matrix above the degree cap reads
+    back.  Over Z that cost grows with the coefficient width too, and normal
+    forms keep the caps of words."""
+    by_work = what == "normal form" and mod is not None
     count = degree = bits = 0
     for letter in letters:
         entries = letter.mat.entries()
@@ -89,7 +100,13 @@ def _capped(letters, mod, what: str):
             bits += 1 + max(sum(map(abs, e.coeffs)) for e in entries).bit_length()
         _check_word_len(count, what)
         if degree > MAX_WORD_DEGREE:
-            raise ValueError(f"{what} has summed letter degree above the product degree cap {MAX_WORD_DEGREE}")
+            if not by_work:
+                raise ValueError(f"{what} has summed letter degree above the product degree cap {MAX_WORD_DEGREE}")
+            if count * degree > MAX_NF_WORK:
+                raise ValueError(
+                    f"{what} has summed letter degree above the product degree cap {MAX_WORD_DEGREE} "
+                    f"and letters x summed degree above the evaluation cap {MAX_NF_WORK}"
+                )
         if bits > MAX_WORD_BITS:
             raise ValueError(f"{what} has summed coefficient bits above the product size cap {MAX_WORD_BITS}")
         yield letter

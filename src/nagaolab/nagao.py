@@ -128,14 +128,16 @@ def letters_from_gens(gens, mod: int | None = None) -> list[Letter]:
     expressible inside the two factors.
     """
     letters: list[Letter] = []
-    w_mat = w(mod)
+    w_mat, w_inv = w(mod), None
     for g in gens:
         if g.kind == "E12":
             letters.append(Letter(2, g.matrix()))
         elif g.kind == "E21":
+            if w_inv is None:  # once per call, and only for a word with an E21
+                w_inv = w_mat.inv()
             letters.extend(
                 [
-                    Letter(1, w_mat.inv()),
+                    Letter(1, w_inv),
                     Letter(2, e12(-g.arg)),
                     Letter(1, w_mat),
                 ]
@@ -159,28 +161,33 @@ def _nf_by_degree_reduction(struct: AmalgamStructure, m: Mat2) -> NormalForm:
     ratio of leading coefficients when degrees tie and 0 when d is smaller.
     Peeling stops at the first element the classifier places in a factor,
     which the transversal splits into head and at most one more letter.
-    The peeling multiplies ``Mat2``s; only that last split goes through the
-    engine form of ``AmalgamStructure``, so this route checks the rewriter
-    with arithmetic it does not share.
+    Each peel applies the letter's inverse to the entries as a column
+    operation, with ``Poly`` operators and no ``Mat2`` product: peeling
+    E12(f) subtracts f times the first column from the second, where
+    d - c*f is the remainder of d by c plus q(0)*c; peeling [[0, -1], [1, e]]
+    maps the columns (x, y) to (e*x - y, x).  Only the last split goes
+    through the engine form of ``AmalgamStructure``, so this route checks
+    the rewriter with arithmetic it does not share.
     """
     p = struct.mod
     rev: list[Letter] = []
+    a, b, c, d = m.entries()
     cur = m
     while not (owners := struct.factors(cur)):
-        c, d = cur.c, cur.d
         if not d.is_zero and d.degree > c.degree:
-            q, _ = divmod(d, c)
-            f = q - Poly.constant(q.constant_term, p)
+            q, r = divmod(d, c)
+            q0 = q.constant_term
+            f = q - q0
             rev.append(Letter(2, e12(f)))
-            cur = cur * e12(-f)
+            b, d = b - a * f, r + q0 * c
         else:
             if not d.is_zero and d.degree == c.degree:
                 e = d.leading_coeff * pow(c.leading_coeff, -1, p) % p
             else:
                 e = 0
-            s = Mat2.of_ints(0, -1, 1, e, p)
-            rev.append(Letter(1, s))
-            cur = cur * s.inv()
+            rev.append(Letter(1, Mat2.of_ints(0, -1, 1, e, p)))
+            a, b, c, d = e * a - b, a, e * c - d, c
+        cur = Mat2._canon(a, b, c, d)
     factor = owners[-1]  # an element of A splits as itself in either factor
     head, s = struct.decompose(factor, _form(cur))
     first = () if s is None else (Letter(factor, _mat(s, p)),)

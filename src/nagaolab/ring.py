@@ -28,8 +28,10 @@ measured, and from 40 Newton division is at least as fast as long division.
 
 ``_mul_coeffs`` reduces one raw product mod p.  ``_dot`` is the fused
 kernel of the 2x2 matrix layer: the canonical coefficients of x*y + u*v,
-with all-constant operands multiplied as plain ints, and otherwise both raw
-products summed into one buffer that gets one reduction pass and one strip.
+with all-constant operands multiplied as plain ints, one product alone
+when the other has a zero operand (a factor 1 costs nothing), and
+otherwise both raw products summed into one buffer that gets one
+reduction pass and one strip.
 
 The public constructor validates the modulus and coerces and reduces every
 coefficient.  Results of arithmetic on valid polynomials are canonical by
@@ -209,7 +211,9 @@ class Poly:
 
     def _coerce(self, other):
         if isinstance(other, int):
-            return self._reduced([other])
+            if self.mod is not None:
+                other %= self.mod
+            return Poly._canon((other,) if other else (), self.mod)
         if isinstance(other, Poly):
             if other.mod != self.mod:
                 raise ValueError(
@@ -487,14 +491,27 @@ def _dot(x, y, u, v, mod: int | None) -> tuple[int, ...]:
     """The canonical coefficient tuple of x*y + u*v.
 
     The operands are canonical coefficient tuples of the ring ``mod``,
-    possibly empty.  Constants are multiplied as plain ints; otherwise both
-    products are taken unreduced and summed into one buffer, which then
-    gets a single reduction pass and one strip."""
+    possibly empty.  Constants are multiplied as plain ints.  When one
+    product has an empty operand only the other is computed: a factor (1,)
+    gives the other factor as it is, and otherwise one raw product is
+    reduced mod p with no strip (over a domain lead(x) * lead(y) != 0).
+    Otherwise both products are taken unreduced and summed into one buffer,
+    which then gets a single reduction pass and one strip."""
     if len(x) < 2 and len(y) < 2 and len(u) < 2 and len(v) < 2:
         s = (x[0] * y[0] if x and y else 0) + (u[0] * v[0] if u and v else 0)
         if mod is not None:
             s %= mod
         return (s,) if s else ()
+    if not (x and y and u and v):
+        if not (x and y):
+            x, y = u, v
+        if not (x and y):
+            return ()
+        if x == (1,):
+            return y
+        if y == (1,):
+            return x
+        return tuple(_mul_coeffs(x, y, mod))
     signed = mod is None
     cs, other = _raw_mul(x, y, signed), _raw_mul(u, v, signed)
     if len(cs) < len(other):

@@ -142,10 +142,17 @@ def test_nf_det_not_one(capsys):
          "error: word has summed letter degree above the product degree cap 1000"),
         (["--mod", "3", json.dumps(["E12(t^10000)", "W"] * 1000)],
          "error: word has summed letter degree above the product degree cap 1000"),
-        (["--mod", "3", json.dumps({"head": [[1, 0], [0, 1]], "tags": [2, 1, 2],
-                                    "tail": [[[1, {"coeffs": [0] * 600 + [1]}], [0, 1]],
-                                             [[0, 2], [1, 0]],
-                                             [[1, {"coeffs": [0] * 401 + [1]}], [0, 1]]]})],
+        # over F_p a normal form above the degree cap is refused only past
+        # letters x summed degree 300 000: here 8 x 40 000
+        (["--mod", "3", json.dumps({"head": [[1, 0], [0, 1]], "tags": [2, 1] * 4,
+                                    "tail": [[[1, {"coeffs": [0] * 10000 + [1]}], [0, 1]],
+                                             [[0, 2], [1, 0]]] * 4})],
+         "error: normal form has summed letter degree above the product degree cap 1000 "
+         "and letters x summed degree above the evaluation cap 300000"),
+        (["--ring", "e2zt", json.dumps({"head": [[1, 0], [0, 1]], "tags": [2, 1, 2],
+                                        "tail": [[[1, {"coeffs": [0] * 600 + [1]}], [0, 1]],
+                                                 [[0, -1], [1, 0]],
+                                                 [[1, {"coeffs": [0] * 401 + [1]}], [0, 1]]]})],
          "error: normal form has summed letter degree above the product degree cap 1000"),
         (["--ring", "e2zt", json.dumps(["E12(%d)" % 2**1998, "W", "E12(%d)" % 2**1998])],
          "error: word has summed coefficient bits above the product size cap 4000"),
@@ -159,7 +166,7 @@ def test_nf_det_not_one(capsys):
          "word-factor-string", "word-factor-bool", "parse-degree-cap", "json-degree-cap",
          "json-nested-too-deeply", "word-length-cap", "word-length-cap-expanded",
          "word-length-cap-e2zt", "nf-json-length-cap", "word-degree-cap", "word-degree-cap-long",
-         "nf-json-degree-cap", "word-bits-cap-e2zt", "word-bits-cap-e2zt-nines"],
+         "nf-json-degree-cap", "nf-json-degree-cap-e2zt", "word-bits-cap-e2zt", "word-bits-cap-e2zt-nines"],
 )
 def test_nf_usage_errors(capsys, argv, err):
     assert run(capsys, "nf", *argv) == (2, "", err + "\n")
@@ -167,10 +174,14 @@ def test_nf_usage_errors(capsys, argv, err):
 
 # JSON payloads for ``nf``: arbitrary JSON, and the shapes the CLI reads
 # (matrices of polynomial entries, words, normal-form objects) filled with
-# arbitrary JSON, so that random values reach every field.
+# arbitrary JSON, so that random values reach every field.  Letters and
+# polynomials of high degree and with large coefficients reach the caps.
+_BIG = st.integers(10**20, 10**30) | st.integers(-(10**30), -(10**20))
 _SCALARS = (
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
-    | st.sampled_from(["t", "1 + t^2", "W", "D(2)", "E12(t)", "E21(-t)", "[[1, 0], [t, 1]]"])
+    st.none() | st.booleans() | st.integers() | _BIG | st.floats() | st.text(max_size=6)
+    | st.sampled_from(["t", "1 + t^2", "W", "D(2)", "E12(t)", "E21(-t)", "[[1, 0], [t, 1]]",
+                       "E12(t^999)", "E21(t^999)", "E12(t^4000)", "t^4000", "[[1, t^4000], [0, 1]]"])
+    | _BIG.map("E12({}*t)".format) | _BIG.map("E21({} + t^2)".format) | _BIG.map("D({})".format)
 )
 _KEYS = st.sampled_from(["coeffs", "mod", "head", "tags", "tail", "factor", "matrix"])
 _JSON = st.recursive(
@@ -178,7 +189,10 @@ _JSON = st.recursive(
     lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_KEYS | st.text(max_size=3), kids),
     max_leaves=8,
 )
-_POLY = _JSON | st.fixed_dictionaries({"coeffs": _JSON}, optional={"mod": _JSON})
+_HIGH = st.integers(0, 4000).map(lambda n: [0] * n + [1])  # coefficients of t^n
+_POLY = _JSON | _HIGH | st.fixed_dictionaries(
+    {"coeffs": _JSON | _HIGH | st.lists(_BIG, max_size=3)}, optional={"mod": _JSON}
+)
 _MATRIX = st.lists(st.lists(_POLY, min_size=2, max_size=2), min_size=2, max_size=2)
 _PAYLOAD = (
     _JSON
@@ -515,6 +529,13 @@ NF_Z = (
     '"tags": [1, 2, 1], "matrix": [[{"coeffs": ["-1", "6"]}, {"coeffs": ["-1", "2"]}], '
     '[{"coeffs": ["1", "3"]}, {"coeffs": ["0", "1"]}]]}'
 )
+# The emitted normal form of E12(t^2000) over F_3, whose degree is above the
+# product degree cap of words.
+_T2000 = [[{"coeffs": ["1"], "mod": 3}, {"coeffs": ["0"] * 2000 + ["1"], "mod": 3}],
+          [{"coeffs": [], "mod": 3}, {"coeffs": ["1"], "mod": 3}]]
+NF_F3_HIGH = json.dumps({"length": 1, "head": [[{"coeffs": ["1"], "mod": 3}, {"coeffs": [], "mod": 3}],
+                                               [{"coeffs": [], "mod": 3}, {"coeffs": ["1"], "mod": 3}]],
+                         "tail": [_T2000], "tags": [2], "matrix": _T2000})
 HDIM_HEADER = "group           p   d   i     dim  flags"
 COINV_FLAGS = "wedge-part coinvariants of t*F_p[t]"
 BQUOT_FLAGS = "plus an opaque H_i(SL2(F_p)) summand (not computed)"
@@ -647,6 +668,16 @@ GOLDEN = [
             "matrix: [[1, t], [t, 1 + t^2]]",
         ),
         id="nf-json-normal-form-input",
+    ),
+    pytest.param(
+        ["nf", "--mod", "3", "--format", "json", "[[1, t^2000], [0, 1]]"], 0,
+        _pretty(NF_F3_HIGH),
+        id="nf-json-output-above-degree-cap",
+    ),
+    pytest.param(
+        ["nf", "--mod", "3", "--format", "json", NF_F3_HIGH], 0,
+        _pretty(NF_F3_HIGH),
+        id="nf-json-round-trip-above-degree-cap",
     ),
     pytest.param(
         ["nf", "--ring", "e2zt", "--format", "json", '["E12(2)", "W", "E12(t)", "E21(3)"]'], 0,

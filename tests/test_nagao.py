@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nagaolab.amalgam import AmalgamStructure, Letter
 from nagaolab.gl2 import Gen, Mat2, diag, e12, e21, identity, parse_matrix, w
 from nagaolab.nagao import (
+    _nf_by_degree_reduction,
     e2zt_normal_form,
     letters_from_gens,
     nagao_normal_form,
@@ -154,6 +156,42 @@ def test_nagao_nf_rechecks_every_split(monkeypatch):
             del calls[:]
             nagao_normal_form(p, m)
             assert len(calls) == len(letters) + 1
+
+
+@st.composite
+def _fp_matrices(draw):
+    """p in {2, 3, 5, 101} and a product of elementary generators over F_p,
+    some of degree 40 or more, where division switches to Newton."""
+    p = draw(st.sampled_from((2, 3, 5, 101)))
+    coeffs = st.integers(0, p - 1)
+    polys = st.lists(coeffs, max_size=6) | st.lists(coeffs, min_size=40, max_size=50)
+    m = identity(p)
+    for kind, cs, u in draw(st.lists(st.tuples(st.sampled_from(("E12", "E21", "D", "W")), polys,
+                                               st.integers(1, p - 1)), max_size=10)):
+        arg = {"D": u, "W": None}.get(kind, Poly(cs, p))
+        m = m * Gen(kind, arg, p).matrix()
+    return p, m
+
+
+@settings(max_examples=100, deadline=None)
+@given(_fp_matrices())
+def test_degree_reduction_peels_without_mat2_products(pm):
+    """The degree reduction peels by column operations on the entries: it
+    multiplies, inverts and takes the determinant of no Mat2, evaluates
+    back to its input and equals the rewriter route letter for letter."""
+    p, m = pm
+    struct = AmalgamStructure(p)
+    by_rewriter = struct.normalize(letters_from_gens(sl2fpt_elementary_factor(m), p))
+
+    def refuse(*args):
+        raise AssertionError("Mat2 arithmetic inside the degree reduction")
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("__mul__", "inv", "det"):
+            patch.setattr(Mat2, name, refuse)
+        nf = _nf_by_degree_reduction(struct, m)
+    assert struct.nf_evaluate(nf) == m
+    assert nf == by_rewriter
 
 
 def test_nagao_nf_decides_equality():

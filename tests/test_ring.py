@@ -155,6 +155,18 @@ def test_reduce_mod_p_refuses_nonprime():
             Poly.parse("1 + t").reduce_mod_p(bad)
 
 
+def test_int_operands_act_as_constants():
+    """An int operand is the constant polynomial it reduces to, on either side."""
+    rng = random.Random(1414)
+    for mod in (None,) + PRIMES:
+        f = dense_poly(rng, mod, 5)
+        for n in (0, 1, -1, 7, -(2**70), 2**70 + 3, mod or 5):
+            c = Poly.constant(n, mod)
+            assert f + n == n + f == f + c
+            assert f - n == f - c and n - f == c - f
+            assert f * n == n * f == f * c
+
+
 def test_ring_axioms_random():
     rng = random.Random(404)
     for _ in range(150):
@@ -355,6 +367,29 @@ def test_dot_kernel_cancellation():
         assert _dot(one, Poly.constant(p - 1, p), one, one).is_zero
         a = Poly([p - 1] * n, p)
         assert _dot(a, a, a, a) == _dot_oracle(a, a, a, a)
+
+
+def test_dot_kernel_one_product():
+    """When one product has a zero operand only the other is taken: a factor
+    1 gives the other factor as it is, and any result is canonical."""
+    rng = random.Random(1313)
+    x = ring._KRONECKER_MIN_LEN
+    for mod in (None,) + PRIMES:
+        zero, one = Poly.zero(mod), Poly.one(mod)
+        for n in (1, 2, 5, x, 3 * x):
+            big = 2**100 if mod is None and n == 5 else 4
+            f, g = dense_poly(rng, mod, n, big), dense_poly(rng, mod, n + 1, big)
+            for ops, unchanged in (((one, f, zero, g), f), ((f, one, g, zero), f),
+                                   ((zero, g, one, g), g), ((g, zero, f, one), f),
+                                   ((f, g, zero, zero), None), ((zero, zero, g, f), None),
+                                   ((zero, f, g, zero), None)):
+                got = ring._dot(*(e.coeffs for e in ops), mod)
+                assert got == _dot_oracle(*ops).coeffs == Poly(got, mod).coeffs, (mod, n)
+                if unchanged is not None and n > 1:  # constants take the int path
+                    assert got is unchanged.coeffs
+        if mod is not None:  # residues whose product is p - 1, not reduced to 0
+            f = Poly([mod - 1] * 3, mod)
+            assert ring._dot(f.coeffs, f.coeffs, (), f.coeffs, mod) == _dot_oracle(f, f, zero, f).coeffs
 
 
 @st.composite
