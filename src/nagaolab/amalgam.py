@@ -23,10 +23,11 @@ letter's ``Mat2`` for membership, converts it, rewrites on forms, and builds
 ``Mat2`` objects only for the returned ``NormalForm``, whose invariants
 ``_check_normal_form`` then checks on those matrices.
 
-The oracles that check the engine share no arithmetic with it.
-``nf_evaluate``, and in ``nagao`` ``_verify_roundtrip`` and the matrix
-route of ``phi_p``, keep ``Mat2`` products; the degree reduction peels
-letters by column operations with ``Poly`` operators on the four entries.
+Engine forms stay inside this module, and the oracles that check the engine
+share no arithmetic with it.  ``nf_evaluate``, and in ``nagao``
+``_verify_roundtrip`` and the matrix route of ``phi_p``, keep ``Mat2``
+products; the degree reduction peels letters by column operations on the
+four ``Poly`` entries and shares only ``_check_normal_form`` on its output.
 
 A ``NormalForm`` is head * s_1 * ... * s_n with head in A, every s_j a
 nontrivial canonical representative, and consecutive s_j from different
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable
 
-from .gl2 import Mat2, _unit_inverse, identity
+from .gl2 import Mat2, _unit_inverse
 from .ring import Poly, _strip, is_prime
 
 __all__ = ["Letter", "NormalForm", "AmalgamStructure"]
@@ -51,11 +52,6 @@ Form = tuple[int, tuple[int, ...], int, int]
 
 # The identity as an engine form, canonical over every ring.
 _IDENTITY: Form = (1, (), 0, 1)
-
-
-def _form(m: Mat2) -> Form:
-    """The engine form of a matrix whose a, c and d entries are constant."""
-    return (m.a.constant_term, m.b.coeffs, m.c.constant_term, m.d.constant_term)
 
 
 def _mat(x: Form, mod: int | None) -> Mat2:
@@ -106,9 +102,6 @@ class AmalgamStructure:
             raise ValueError(f"p must be prime, got {mod!r}")
         self.mod = mod
 
-    def identity(self) -> Mat2:
-        return identity(self.mod)
-
     def factors(self, m: Mat2) -> tuple[int, ...]:
         """The factors that contain m: (1, 2) for the base A = B(R), (1,) or
         (2,) for one factor only, () for neither or for another ring.
@@ -124,7 +117,7 @@ class AmalgamStructure:
         a nonconstant a, c or d entry and so lies in neither factor."""
         if m.mod != self.mod or not (m.a.is_constant and m.c.is_constant and m.d.is_constant):
             return None
-        return _form(m)
+        return (m.a.constant_term, m.b.coeffs, m.c.constant_term, m.d.constant_term)
 
     # -- engine: factor elements as forms (a, b, c, d) --------------------
 
@@ -214,9 +207,6 @@ class AmalgamStructure:
         if self._mul(a, s) != x or self._factors(a) != (1, 2) or self._factors(s) != (factor,):
             raise RuntimeError("transversal decomposition failed the exactness check")
         return a, s
-
-    def identity_nf(self) -> NormalForm:
-        return NormalForm(self.identity(), ())
 
     def normalize(self, word: Iterable[Letter]) -> NormalForm:
         """Rewrite an arbitrary word into its unique reduced alternating form.

@@ -250,6 +250,7 @@ class Gen:
 
 
 _GEN_RE = re.compile(r"^\s*(E12|E21|D|W)\s*(?:\(\s*(.*?)\s*\))?\s*$")
+_INT_RE = re.compile(r"[+-]?[0-9]+")
 _MAT_RE = re.compile(
     r"^\s*\[\s*\[([^][,]+),([^][,]+)\]\s*,\s*\[([^][,]+),([^][,]+)\]\s*\]\s*$"
 )
@@ -268,6 +269,8 @@ def parse_gen(text: str, mod: int | None = None) -> Gen:
     if arg is None:
         raise PolyParseError(f"{kind} needs an argument", len(text))
     if kind == "D":
+        if not _INT_RE.fullmatch(arg):
+            raise PolyParseError(f"D needs a signed decimal integer, got {arg!r}", m.start(2))
         return Gen("D", int(arg), mod)
     return Gen(kind, Poly.parse(arg, mod), mod)
 

@@ -2,8 +2,9 @@
 
 Over R = F_p, matrices decompose into normal form by two independent
 algorithms (elementary factorization fed through the rewriter of
-``AmalgamStructure``, and direct degree reduction on columns);
-``nagao_normal_form`` runs both and insists they agree letter for letter.
+``AmalgamStructure``, and direct degree reduction on columns, which shares
+only the normal-form check with the rewriter); ``nagao_normal_form`` runs
+both and insists they agree letter for letter.
 
 Over R = Z, elements enter as words in the two factors, never as bare
 matrices: Z[t] is not Euclidean, so elementary membership of a raw
@@ -14,7 +15,7 @@ result against the matrix decomposition over F_p.
 
 from __future__ import annotations
 
-from .amalgam import AmalgamStructure, Letter, NormalForm, _form, _mat
+from .amalgam import AmalgamStructure, Letter, NormalForm
 from .gl2 import Gen, Mat2, e12, identity, w
 from .ring import Poly
 
@@ -27,6 +28,12 @@ __all__ = [
     "e2zt_normal_form",
     "phi_p",
 ]
+
+
+# Cap on Euclid steps x input degree in sl2fpt_elementary_factor, which
+# bounds the quadratic cost of a bare matrix through nagao_normal_form.  The
+# slowest accepted matrices measured (p near 2**64) ran in under 4 s.
+MAX_EUCLID_WORK = 1_000_000
 
 
 class CrossValidationError(RuntimeError):
@@ -95,8 +102,11 @@ def sl2fpt_elementary_factor(m: Mat2) -> list[Gen]:
         raise ValueError("sl2fpt_elementary_factor expects coefficients mod p")
     _require_det_one(m)
     a, b, c, d = m.entries()
+    degree = max(e.degree or 0 for e in m.entries())
     gens: list[Gen] = []
     while not c.is_zero:
+        if len(gens) * degree > MAX_EUCLID_WORK:
+            raise ValueError(f"matrix has Euclid steps x degree above the work cap {MAX_EUCLID_WORK}")
         if a.is_zero:
             # det = -bc = 1 here, so c is a nonzero constant
             q = Poly.constant(-pow(c.constant_term, -1, p), p)
@@ -128,13 +138,12 @@ def letters_from_gens(gens, mod: int | None = None) -> list[Letter]:
     expressible inside the two factors.
     """
     letters: list[Letter] = []
-    w_mat, w_inv = w(mod), None
+    w_mat = w(mod)
+    w_inv = -w_mat  # W^2 = -I
     for g in gens:
         if g.kind == "E12":
             letters.append(Letter(2, g.matrix()))
         elif g.kind == "E21":
-            if w_inv is None:  # once per call, and only for a word with an E21
-                w_inv = w_mat.inv()
             letters.extend(
                 [
                     Letter(1, w_inv),
@@ -151,35 +160,41 @@ def letters_from_gens(gens, mod: int | None = None) -> list[Letter]:
 
 
 def _nf_by_degree_reduction(struct: AmalgamStructure, m: Mat2) -> NormalForm:
-    """Normal form by direct degree reduction, peeling letters off the right.
+    """Normal form by direct degree reduction, peeling letters off the right
+    until the rest lies in A (c = 0 and b constant), which is the head.
 
-    The bottom row (c, d) decides everything.  In a reduced product the
-    degree of d exceeds the degree of c exactly when the last letter is a
-    transvection from the polynomial factor, in which case the quotient of
-    d by c, minus its constant term, is the unique canonical shear to peel.
-    Otherwise the last letter is a constant [[0, -1], [1, e]], with e the
-    ratio of leading coefficients when degrees tie and 0 when d is smaller.
-    Peeling stops at the first element the classifier places in a factor,
-    which the transversal splits into head and at most one more letter.
-    Each peel applies the letter's inverse to the entries as a column
-    operation, with ``Poly`` operators and no ``Mat2`` product: peeling
-    E12(f) subtracts f times the first column from the second, where
-    d - c*f is the remainder of d by c plus q(0)*c; peeling [[0, -1], [1, e]]
-    maps the columns (x, y) to (e*x - y, x).  Only the last split goes
-    through the engine form of ``AmalgamStructure``, so this route checks
-    the rewriter with arithmetic it does not share.
+    Each last letter is read off the bottom row (c, d): when c = 0 it is
+    E12(u^-1 * (b - b(0))) with u = a; when d has higher degree than c it is
+    E12(q - q(0)) with q the quotient of d by c; otherwise it is the constant
+    [[0, -1], [1, e]], with e the ratio of leading coefficients when the
+    degrees tie and 0 when d is smaller.  Each peel applies the letter's
+    inverse as a column operation with ``Poly`` operators: E12(f) subtracts
+    f times the first column from the second, [[0, -1], [1, e]] maps the
+    columns (x, y) to (e*x - y, x).  Only ``_check_normal_form`` on the
+    output is shared with the rewriter this route checks.
     """
     p = struct.mod
     rev: list[Letter] = []
     a, b, c, d = m.entries()
-    cur = m
-    while not (owners := struct.factors(cur)):
-        if not d.is_zero and d.degree > c.degree:
-            q, r = divmod(d, c)
-            q0 = q.constant_term
-            f = q - q0
+    # With L = len(c.coeffs) + len(d.coeffs), no peel raises L; an E12 peel
+    # with c != 0 and the tie case of the constant peel lower it, and the
+    # constant peel with deg d < deg c is followed by c = 0 or by an E12 peel.
+    # So every two peels with c != 0 lower L, which is at least 1 while
+    # c != 0, and c = 0 takes one peel more: at most 2 * L + 1 peels.
+    peels_left = 2 * (len(c.coeffs) + len(d.coeffs)) + 1
+    while not (c.is_zero and b.is_constant):
+        if not peels_left:
+            raise RuntimeError("degree reduction passed its step bound (implementation bug)")
+        peels_left -= 1
+        if c.is_zero or (not d.is_zero and d.degree > c.degree):
+            if c.is_zero:  # then a and d are constant
+                f = pow(a.constant_term, -1, p) * (b - b.constant_term)
+            else:  # d - c*f is the remainder of d by c plus q(0)*c
+                q, r = divmod(d, c)
+                f = q - q.constant_term
+                d = r + q.constant_term * c
             rev.append(Letter(2, e12(f)))
-            b, d = b - a * f, r + q0 * c
+            b = b - a * f
         else:
             if not d.is_zero and d.degree == c.degree:
                 e = d.leading_coeff * pow(c.leading_coeff, -1, p) % p
@@ -187,11 +202,7 @@ def _nf_by_degree_reduction(struct: AmalgamStructure, m: Mat2) -> NormalForm:
                 e = 0
             rev.append(Letter(1, Mat2.of_ints(0, -1, 1, e, p)))
             a, b, c, d = e * a - b, a, e * c - d, c
-        cur = Mat2._canon(a, b, c, d)
-    factor = owners[-1]  # an element of A splits as itself in either factor
-    head, s = struct.decompose(factor, _form(cur))
-    first = () if s is None else (Letter(factor, _mat(s, p)),)
-    nf = NormalForm(_mat(head, p), first + tuple(reversed(rev)))
+    nf = NormalForm(Mat2._canon(a, b, c, d), tuple(reversed(rev)))
     struct._check_normal_form(nf)
     return nf
 
@@ -235,7 +246,7 @@ def phi_p(word, p: int):
     word = list(word)
     for letter in word:
         struct_z._check_letter(letter)
-    mat = struct_z.identity()
+    mat = identity()
     for letter in word:
         mat = mat * letter.mat
     mat_p = mat.reduce_mod_p(p)

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nagaolab.amalgam import AmalgamStructure, Letter, NormalForm, _form, _mat
+from nagaolab.amalgam import AmalgamStructure, Letter, NormalForm, _mat
 from nagaolab.gl2 import Mat2, diag, e12, e21, identity, w
 from nagaolab.ring import Poly
 
@@ -27,7 +27,7 @@ def test_same_factor_letters_merge():
         Letter(2, e12(Poly.parse("t^2", 3))),
     ]
     nf = s.normalize(word)
-    assert nf.head == s.identity()
+    assert nf.head == identity(3)
     assert nf.tags == (2,)
     assert nf.tail[0].mat == e12(Poly.parse("t + t^2", 3))
 
@@ -36,7 +36,7 @@ def test_canceling_pair_collapses():
     s = AmalgamStructure(5)
     word = [Letter(1, w(5)), Letter(1, w(5).inv())]
     nf = s.normalize(word)
-    assert nf == s.identity_nf()
+    assert nf == NormalForm(identity(5), ())
 
 
 def test_lower_transvection_three_letters():
@@ -57,7 +57,7 @@ def test_empty_word_is_identity():
     for struct in (AmalgamStructure(3), AmalgamStructure()):
         nf = struct.normalize([])
         assert nf.length == 0
-        assert nf.head == struct.identity()
+        assert nf.head == identity(struct.mod)
 
 
 def test_soundness_random_words():
@@ -104,10 +104,11 @@ def test_nf_multiply_identity_and_inverse():
     s = AmalgamStructure(3)
     for _ in range(60):
         x = s.normalize(rand_word(rng, 3, 5, 4))
-        assert s.nf_multiply(x, s.identity_nf()) == x
-        assert s.nf_multiply(s.identity_nf(), x) == x
-        assert s.nf_multiply(x, nf_invert(s, x)) == s.identity_nf()
-        assert s.nf_multiply(nf_invert(s, x), x) == s.identity_nf()
+        one = NormalForm(identity(3), ())
+        assert s.nf_multiply(x, one) == x
+        assert s.nf_multiply(one, x) == x
+        assert s.nf_multiply(x, nf_invert(s, x)) == one
+        assert s.nf_multiply(nf_invert(s, x), x) == one
 
 
 def test_nf_multiply_associative():
@@ -131,7 +132,8 @@ def test_nf_multiply_matches_concatenation():
 
 def test_invert_examples():
     s = AmalgamStructure(3)
-    assert nf_invert(s, s.identity_nf()) == s.identity_nf()
+    one = NormalForm(identity(3), ())
+    assert nf_invert(s, one) == one
     one_letter = s.normalize([Letter(2, e12(Poly.parse("t", 3)))])
     assert nf_invert(s, one_letter) == s.normalize(
         [Letter(2, e12(Poly.parse("-t", 3)))]
@@ -140,7 +142,7 @@ def test_invert_examples():
 
 def test_nf_length():
     s = AmalgamStructure(2)
-    assert s.identity_nf().length == 0
+    assert NormalForm(identity(2), ()).length == 0
     assert s.normalize([Letter(2, e12(Poly.parse("t", 2)))]).length == 1
     word = [
         Letter(1, w(2).inv()),
@@ -169,7 +171,7 @@ def test_invalid_letter_rejected():
     with pytest.raises(ValueError, match="membership"):
         s.normalize([Letter(2, e21(Poly.parse("t", 3)))])  # lower triangular
     with pytest.raises(ValueError, match="factor tag"):
-        s.normalize([Letter(3, s.identity())])
+        s.normalize([Letter(3, identity(3))])
     with pytest.raises(ValueError, match="membership"):
         s.normalize([Letter(1, Mat2.of_ints(2, 0, 0, 1, 3))])  # det != 1
 
@@ -192,35 +194,37 @@ def test_broken_transversal_off_by_base_element_fails():
         def transversal(self, factor, x):
             a, s = super().transversal(factor, x)
             # a stays in A and s in its factor, but a * s != x
-            return self._mul(a, _form(Mat2.of_ints(2, 1, 0, 2, 3))), s
+            return self._mul(a, self._form_of(Mat2.of_ints(2, 1, 0, 2, 3))), s
 
+    s = Broken(3)
     for factor, m in ((1, w(3)), (2, e12(Poly.parse("1 + t", 3)))):
         with pytest.raises(RuntimeError, match="exactness"):
-            Broken(3).decompose(factor, _form(m))
+            s.decompose(factor, s._form_of(m))
 
 
 def test_broken_transversal_outside_factor_fails():
     class Broken(AmalgamStructure):
         def transversal(self, factor, x):
-            return _form(self.identity()), x  # a * s == x, but s need not be in the factor
+            return self._form_of(identity(3)), x  # a * s == x, but s need not be in the factor
 
     s = Broken(3)
     with pytest.raises(RuntimeError, match="exactness"):
-        s.decompose(2, _form(w(3)))
+        s.decompose(2, s._form_of(w(3)))
     with pytest.raises(RuntimeError, match="exactness"):
-        s.decompose(1, _form(e12(Poly.parse("t", 3))))
+        s.decompose(1, s._form_of(e12(Poly.parse("t", 3))))
 
     class NoSplit(AmalgamStructure):
         def transversal(self, factor, x):
             return x, None  # claims every element lies in A
 
+    s = NoSplit(3)
     with pytest.raises(RuntimeError, match="outside the base subgroup"):
-        NoSplit(3).decompose(1, _form(w(3)))
+        s.decompose(1, s._form_of(w(3)))
 
 
 def test_normal_form_invariants_checked():
     s = AmalgamStructure(3)
-    one, t_shear = s.identity(), e12(Poly.parse("t", 3))
+    one, t_shear = identity(3), e12(Poly.parse("t", 3))
     s._check_normal_form(NormalForm(one, (Letter(1, w(3)), Letter(2, t_shear))))
     bad = [
         NormalForm(w(3), ()),  # head outside A
@@ -349,15 +353,15 @@ def test_engine_matches_mat2(data):
     x, y = (data.draw(_factor_element(mod, factor)) for _ in range(2))
     base = data.draw(_factor_element(mod, 2, max_len=1), label="base")  # in A
     for left, right in ((x, y), (base, x), (x, base)):
-        product = s._mul(_form(left), _form(right))
-        assert product == _form(left * right)
+        product = s._mul(s._form_of(left), s._form_of(right))
+        assert product == s._form_of(left * right)
         assert _mat(product, mod) == left * right
     for m in (x, y, base, x * y):
-        assert s._factors(_form(m)) == s.factors(m) == _oracle_factors(mod, m)
-    a, rep = s.decompose(factor, _form(x))
+        assert s._factors(s._form_of(m)) == s.factors(m) == _oracle_factors(mod, m)
+    a, rep = s.decompose(factor, s._form_of(x))
     assert s.factors(_mat(a, mod)) == (1, 2)
     if rep is None:
-        assert s.factors(x) == (1, 2) and a == _form(x)
+        assert s.factors(x) == (1, 2) and a == s._form_of(x)
     else:
         assert _mat(a, mod) * _mat(rep, mod) == x
         assert _mat(rep, mod) == _expected_rep(mod, factor, x)
@@ -367,9 +371,9 @@ def test_engine_matches_mat2(data):
 def test_engine_product_outside_one_factor_is_a_bug():
     s = AmalgamStructure(3)
     with pytest.raises(RuntimeError, match="engine bug"):
-        s._mul(_form(w(3)), _form(e12(Poly.parse("t", 3))))
+        s._mul(s._form_of(w(3)), s._form_of(e12(Poly.parse("t", 3))))
     with pytest.raises(RuntimeError, match="engine bug"):
-        s._mul(_form(e12(Poly.parse("t", 3))), _form(w(3)))
+        s._mul(s._form_of(e12(Poly.parse("t", 3))), s._form_of(w(3)))
 
 
 def test_normalize_decomposes_once_per_letter():

@@ -10,9 +10,22 @@ from hypothesis import given, settings, strategies as st
 
 import nagaolab
 from nagaolab.cli import main
+from nagaolab.gl2 import e12, e21, identity
 from nagaolab.homology import GROUP_IDS, LedgerReport
 from nagaolab.nagao import CrossValidationError
+from nagaolab.ring import Poly
 from nagaolab.witnesses import CheckResult, WitnessReport
+
+
+def _alternating_json(p, pairs):
+    """Matrix JSON of (E12(t) E21(t))^pairs over F_p, by repeated squaring."""
+    t = Poly.monomial(1, 1, p)
+    m, base = identity(p), e12(t) * e21(t)
+    while pairs:
+        if pairs & 1:
+            m = m * base
+        base, pairs = base * base, pairs >> 1
+    return json.dumps(m.to_json())
 
 
 def run(capsys, *argv):
@@ -158,6 +171,12 @@ def test_nf_det_not_one(capsys):
          "error: word has summed coefficient bits above the product size cap 4000"),
         (["--ring", "e2zt", json.dumps(["E12(%s*t)" % ("9" * 2500), "W", "E12(%s*t)" % ("9" * 2500)])],
          "error: word has summed coefficient bits above the product size cap 4000"),
+        # the alternating product of degree 2 000 needs about 2 000 Euclid steps
+        (["--mod", "3", _alternating_json(3, 1000)],
+         "error: matrix has Euclid steps x degree above the work cap 1000000"),
+        (["--mod", "3", '["D(x)"]'], "error: D needs a signed decimal integer, got 'x' (at position 2)"),
+        (["--mod", "3", '["D()"]'], "error: D needs a signed decimal integer, got '' (at position 2)"),
+        (["--mod", "3", '["D(1_0)"]'], "error: D needs a signed decimal integer, got '1_0' (at position 2)"),
     ],
     ids=["mod-with-e2zt", "nf-json-empty", "nf-json-no-tags", "nf-json-bad-tag",
          "nf-json-tail-not-list", "nf-json-bad-head", "nf-json-bad-tail-entry",
@@ -166,7 +185,8 @@ def test_nf_det_not_one(capsys):
          "word-factor-string", "word-factor-bool", "parse-degree-cap", "json-degree-cap",
          "json-nested-too-deeply", "word-length-cap", "word-length-cap-expanded",
          "word-length-cap-e2zt", "nf-json-length-cap", "word-degree-cap", "word-degree-cap-long",
-         "nf-json-degree-cap", "nf-json-degree-cap-e2zt", "word-bits-cap-e2zt", "word-bits-cap-e2zt-nines"],
+         "nf-json-degree-cap", "nf-json-degree-cap-e2zt", "word-bits-cap-e2zt", "word-bits-cap-e2zt-nines",
+         "euclid-work-cap", "gen-d-not-int", "gen-d-empty", "gen-d-underscore"],
 )
 def test_nf_usage_errors(capsys, argv, err):
     assert run(capsys, "nf", *argv) == (2, "", err + "\n")

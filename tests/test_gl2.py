@@ -262,6 +262,11 @@ def test_parse_gen_shorthand():
         parse_gen("E12")
     assert exc.value.position == 3
     assert str(Gen("D", 2, 5)) == "D(2)"
+    assert parse_gen("D( +2 )", 5).arg == 2 and parse_gen("D(-12)", 5).arg == -12
+    for arg in ("x", "", "2.5", "1_0", "٣", "0x2"):
+        with pytest.raises(PolyParseError, match="D needs a signed decimal integer") as exc:
+            parse_gen(f"D({arg})", 5)
+        assert exc.value.position == 2
 
 
 def test_gen_validation():

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nagaolab import nagao
 from nagaolab.amalgam import AmalgamStructure, Letter
 from nagaolab.gl2 import Gen, Mat2, diag, e12, e21, identity, parse_matrix, w
 from nagaolab.nagao import (
@@ -97,6 +98,15 @@ def test_fpt_factor_roundtrip_random():
             assert _product(sl2fpt_elementary_factor(m), p) == m
 
 
+def test_fpt_factor_refuses_euclid_work_above_cap(monkeypatch):
+    m = _product([Gen(k, Poly.parse("t", 3), 3) for k in ("E12", "E21") * 3], 3)
+    assert len(sl2fpt_elementary_factor(m)) == 6
+    monkeypatch.setattr(nagao, "MAX_EUCLID_WORK", 29)  # 5 steps at degree 6 pass it
+    with pytest.raises(ValueError, match="work cap 29"):
+        sl2fpt_elementary_factor(m)
+    assert len(sl2fpt_elementary_factor(e12(Poly.parse("t^9", 3)))) == 1  # no Euclid step
+
+
 def test_fpt_factor_rejects_nonunimodular():
     with pytest.raises(ValueError):
         sl2fpt_elementary_factor(Mat2.of_ints(1, 0, 0, 2, 5))
@@ -138,8 +148,8 @@ def test_nagao_nf_cross_validation_random():
 
 
 def test_nagao_nf_rechecks_every_split(monkeypatch):
-    """Both routes split through the checked decompose: once per letter the
-    rewriter folds in, and once for the last split of the degree reduction."""
+    """The rewriter splits through the checked decompose once per letter it
+    folds in; the degree reduction makes no decompose call."""
     calls = []
     decompose = AmalgamStructure.decompose
 
@@ -155,7 +165,7 @@ def test_nagao_nf_rechecks_every_split(monkeypatch):
             letters = letters_from_gens(sl2fpt_elementary_factor(m), p)
             del calls[:]
             nagao_normal_form(p, m)
-            assert len(calls) == len(letters) + 1
+            assert len(calls) == len(letters)
 
 
 @st.composite
@@ -177,18 +187,21 @@ def _fp_matrices(draw):
 @given(_fp_matrices())
 def test_degree_reduction_peels_without_mat2_products(pm):
     """The degree reduction peels by column operations on the entries: it
-    multiplies, inverts and takes the determinant of no Mat2, evaluates
-    back to its input and equals the rewriter route letter for letter."""
+    multiplies, inverts and takes the determinant of no Mat2, calls no
+    engine split or product, evaluates back to its input and equals the
+    rewriter route letter for letter."""
     p, m = pm
     struct = AmalgamStructure(p)
     by_rewriter = struct.normalize(letters_from_gens(sl2fpt_elementary_factor(m), p))
 
     def refuse(*args):
-        raise AssertionError("Mat2 arithmetic inside the degree reduction")
+        raise AssertionError("Mat2 arithmetic or engine call inside the degree reduction")
 
     with pytest.MonkeyPatch.context() as patch:
         for name in ("__mul__", "inv", "det"):
             patch.setattr(Mat2, name, refuse)
+        for name in ("decompose", "transversal", "_mul"):
+            patch.setattr(AmalgamStructure, name, refuse)
         nf = _nf_by_degree_reduction(struct, m)
     assert struct.nf_evaluate(nf) == m
     assert nf == by_rewriter
