@@ -19,15 +19,19 @@ both lower-left entries are 0, and a RuntimeError (engine bug) for anything
 else.  ``transversal`` builds each representative and its inverse on forms,
 and ``decompose`` re-checks every split there: a * s reproduces the input,
 a lies in A and s in its factor only.  ``normalize`` checks each input
-letter's ``Mat2`` for membership, converts it, rewrites on forms, and builds
-``Mat2`` objects only for the returned ``NormalForm``, whose invariants
-``_check_normal_form`` then checks on those matrices.
+letter's ``Mat2`` for membership, converts it, rewrites on forms, checks
+the normal-form invariants on the resulting forms with ``_check_forms``,
+and only then builds the ``Mat2`` objects of the returned ``NormalForm``.
+``_check_normal_form`` runs the same checker on the forms of a given
+``NormalForm``'s matrices.
 
 Engine forms stay inside this module, and the oracles that check the engine
-share no arithmetic with it.  ``nf_evaluate``, and in ``nagao``
-``_verify_roundtrip`` and the matrix route of ``phi_p``, keep ``Mat2``
-products; the degree reduction peels letters by column operations on the
-four ``Poly`` entries and shares only ``_check_normal_form`` on its output.
+share no arithmetic with it.  ``nf_evaluate`` and, in ``nagao``, the matrix
+route of ``phi_p`` keep ``Mat2`` products.  The Euclid factorization, its
+round trip ``_verify_roundtrip`` and the degree reduction work by column
+operations on the coefficient tuples of the four entries with the ``ring``
+kernels; the degree reduction shares only ``_check_normal_form`` on its
+output with the engine.
 
 A ``NormalForm`` is head * s_1 * ... * s_n with head in A, every s_j a
 nontrivial canonical representative, and consecutive s_j from different
@@ -43,7 +47,7 @@ from itertools import zip_longest
 from typing import Iterable
 
 from .gl2 import Mat2, _unit_inverse
-from .ring import Poly, _strip, is_prime
+from .ring import Poly, _scale, _strip, is_prime
 
 __all__ = ["Letter", "NormalForm", "AmalgamStructure"]
 
@@ -182,12 +186,8 @@ class AmalgamStructure:
             if len(b) < 2:
                 return x, None
             # s = E12(r) with r = u^-1 * (f - f(0)), u = a; s^-1 = E12(-r)
-            u_inv = _unit_inverse(a, mod)
-            rep = [0] + [u_inv * v for v in b[1:]]
-            neg = [-v for v in rep]
-            if mod is not None:
-                rep, neg = [v % mod for v in rep], [v % mod for v in neg]
-            s, s_inv = (1, tuple(rep), 0, 1), (1, tuple(neg), 0, 1)
+            rep = (0,) + _scale(b[1:], _unit_inverse(a, mod), mod)
+            s, s_inv = (1, rep, 0, 1), (1, _scale(rep, -1, mod), 0, 1)
         return self._mul(x, s_inv), s
 
     def decompose(self, factor: int, x: Form) -> tuple[Form, Form | None]:
@@ -234,10 +234,10 @@ class AmalgamStructure:
             head, s = self.decompose(factor, h)
             if s is not None:
                 rtail.append((factor, s))
+        rtail.reverse()
+        self._check_forms(head, rtail)
         mod = self.mod
-        nf = NormalForm(_mat(head, mod), tuple(Letter(f, _mat(s, mod)) for f, s in reversed(rtail)))
-        self._check_normal_form(nf)
-        return nf
+        return NormalForm(_mat(head, mod), tuple(Letter(f, _mat(s, mod)) for f, s in rtail))
 
     def _check_letter(self, letter: Letter) -> Form:
         """Refuse a word letter whose tag is not 1 or 2 or whose matrix is
@@ -269,12 +269,22 @@ class AmalgamStructure:
         return self.normalize(self.word_of(x) + self.word_of(y))
 
     def _check_normal_form(self, nf: NormalForm) -> None:
-        if self.factors(nf.head) != (1, 2):
+        """Check the normal-form invariants of a ``NormalForm``, on the
+        engine forms of its matrices."""
+        self._check_forms(
+            self._form_of(nf.head), ((letter.factor, self._form_of(letter.mat)) for letter in nf.tail)
+        )
+
+    def _check_forms(self, head: Form | None, tail: Iterable[tuple[int, Form | None]]) -> None:
+        """The normal-form invariants on engine forms: head in A, each tail
+        letter in its tagged factor alone, tags alternating.  A None form
+        (a matrix in neither factor) fails as a head or a letter would."""
+        if head is None or self._factors(head) != (1, 2):
             raise RuntimeError("normal form head left the base subgroup (engine bug)")
         prev = None
-        for letter in nf.tail:
-            if self.factors(letter.mat) != (letter.factor,):
+        for factor, x in tail:
+            if x is None or self._factors(x) != (factor,):
                 raise RuntimeError("normal form tail letter is not in its factor alone (engine bug)")
-            if prev == letter.factor:
+            if prev == factor:
                 raise RuntimeError("normal form tags fail to alternate (engine bug)")
-            prev = letter.factor
+            prev = factor

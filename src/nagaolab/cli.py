@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .amalgam import AmalgamStructure, Letter, NormalForm
@@ -27,7 +28,7 @@ from .homology import (
     mv_ledger_check,
 )
 from .nagao import CrossValidationError, letters_from_gens, nagao_normal_form
-from .ring import MAX_DEGREE, SearchCapExceeded, is_prime, sn_witness_search
+from .ring import MAX_DEGREE, MAX_INT_DIGITS, SearchCapExceeded, is_prime, sn_witness_search
 from .witnesses import verify_witness_suite
 
 EXIT_OK = 0
@@ -49,6 +50,35 @@ MAX_WORD_BITS = 4_000
 # cap (see _capped).  The slowest accepted one measured (p near 2**64, seven
 # letters, four of them of degree 10 000) ran in under 3 s.
 MAX_NF_WORK = 300_000
+
+
+# A JSON string, or a JSON number as its integer part and the rest (fraction
+# and exponent), to locate an integer literal in the text; compiled only on
+# that error path, so that start-up does not pay for it.
+_JSON_TOKEN = r'"(?:[^"\\]|\\.)*"|(-?\d+)([.eE][-+.\deE]*)?'
+
+
+def _load_json(text: str):
+    """json.loads, except that JSON with an integer literal of more than
+    MAX_INT_DIGITS digits is refused with its position before int() sees
+    it; text that is not JSON still raises JSONDecodeError."""
+    too_long = []
+
+    def parse_int(literal: str) -> int:
+        if len(literal.lstrip("-")) > MAX_INT_DIGITS:
+            too_long.append(literal)
+            return 0
+        return int(literal)
+
+    payload = json.loads(text, parse_int=parse_int)
+    if too_long:
+        pos = next(
+            m.start() for m in re.finditer(_JSON_TOKEN, text)
+            if m.group(1) and not m.group(2) and len(m.group(1).lstrip("-")) > MAX_INT_DIGITS
+        )
+        digits = len(too_long[0].lstrip("-"))
+        raise ValueError(f"JSON integer at position {pos} has {digits} digits, above the digit cap {MAX_INT_DIGITS}")
+    return payload
 
 
 class _Refusal(Exception):
@@ -162,7 +192,7 @@ def _render_nf(struct, nf: NormalForm, fmt: str) -> str:
 def _cmd_nf(args) -> tuple[int, str]:
     text = (sys.stdin.read() if args.input == "-" else args.input).strip()
     try:
-        payload = json.loads(text)
+        payload = _load_json(text)
         is_json = isinstance(payload, (list, dict))
     except json.JSONDecodeError:
         payload, is_json = None, False

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .ring import Poly, PolyParseError, _check_modulus, _dot, _reduce_coeffs
+from .ring import MAX_INT_DIGITS, Poly, PolyParseError, _check_modulus, _dot, _reduce_coeffs, _scale
 
 __all__ = [
     "Mat2",
@@ -104,7 +104,7 @@ class Mat2:
 
     def det(self) -> Poly:
         mod = self.mod
-        return Poly._canon(_dot(self.a.coeffs, self.d.coeffs, (-self.b).coeffs, self.c.coeffs, mod), mod)
+        return Poly._canon(_dot(self.a.coeffs, self.d.coeffs, _scale(self.b.coeffs, -1, mod), self.c.coeffs, mod), mod)
 
     def trace(self) -> Poly:
         return self.a + self.d
@@ -271,6 +271,9 @@ def parse_gen(text: str, mod: int | None = None) -> Gen:
     if kind == "D":
         if not _INT_RE.fullmatch(arg):
             raise PolyParseError(f"D needs a signed decimal integer, got {arg!r}", m.start(2))
+        digits = len(arg.lstrip("+-"))
+        if digits > MAX_INT_DIGITS:
+            raise PolyParseError(f"D argument has {digits} digits, above the digit cap {MAX_INT_DIGITS}", m.start(2))
         return Gen("D", int(arg), mod)
     return Gen(kind, Poly.parse(arg, mod), mod)
 

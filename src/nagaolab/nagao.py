@@ -16,8 +16,8 @@ result against the matrix decomposition over F_p.
 from __future__ import annotations
 
 from .amalgam import AmalgamStructure, Letter, NormalForm
-from .gl2 import Gen, Mat2, e12, identity, w
-from .ring import Poly
+from .gl2 import Gen, Mat2, _unit_inverse, e12, identity, w
+from .ring import Poly, _divmod_coeffs, _dot, _scale
 
 __all__ = [
     "CrossValidationError",
@@ -36,6 +36,12 @@ __all__ = [
 MAX_EUCLID_WORK = 1_000_000
 
 
+# The oracles below work on the canonical coefficient tuples of the entries
+# with the ``ring`` kernels, where x + f*y is _dot(x, _ONE, f, y, mod), and
+# build their Gen, Letter and Mat2 objects once, at the end.
+_ONE = (1,)
+
+
 class CrossValidationError(RuntimeError):
     """Two supposedly equivalent computations disagreed; fails loudly."""
 
@@ -49,11 +55,27 @@ def _require_det_one(m: Mat2) -> None:
 
 
 def _verify_roundtrip(gens, m: Mat2) -> None:
-    # emitted words must multiply back to the input, always
-    prod = identity(m.mod)
+    """Refuse a word that does not multiply back to m exactly.
+
+    The word acts on the identity by column operations: E12(f) adds f times
+    the first column to the second, E21(f) f times the second to the first,
+    D(u) scales the columns by u and u^-1, and W maps (x, y) to (y, -x)."""
+    mod = m.mod
+    a, b, c, d = _ONE, (), (), _ONE
     for g in gens:
-        prod = prod * g.matrix()
-    if prod != m:
+        if g.kind == "E12":
+            f = g.arg.coeffs
+            b, d = _dot(b, _ONE, f, a, mod), _dot(d, _ONE, f, c, mod)
+        elif g.kind == "E21":
+            f = g.arg.coeffs
+            a, c = _dot(a, _ONE, f, b, mod), _dot(c, _ONE, f, d, mod)
+        elif g.kind == "D":
+            u = g.arg if mod is None else g.arg % mod
+            v = _unit_inverse(g.arg, mod)
+            a, b, c, d = _scale(a, u, mod), _scale(b, v, mod), _scale(c, u, mod), _scale(d, v, mod)
+        else:
+            a, b, c, d = b, _scale(a, -1, mod), d, _scale(c, -1, mod)
+    if (a, b, c, d) != tuple(e.coeffs for e in m.entries()):
         raise RuntimeError("factorization failed to multiply back to its input")
 
 
@@ -101,31 +123,33 @@ def sl2fpt_elementary_factor(m: Mat2) -> list[Gen]:
     if p is None:
         raise ValueError("sl2fpt_elementary_factor expects coefficients mod p")
     _require_det_one(m)
-    a, b, c, d = m.entries()
-    degree = max(e.degree or 0 for e in m.entries())
-    gens: list[Gen] = []
-    while not c.is_zero:
-        if len(gens) * degree > MAX_EUCLID_WORK:
+    a, b, c, d = (e.coeffs for e in m.entries())
+    degree = max(len(a), len(b), len(c), len(d)) - 1
+    steps: list[tuple[str, tuple[int, ...]]] = []
+    while c:
+        if len(steps) * degree > MAX_EUCLID_WORK:
             raise ValueError(f"matrix has Euclid steps x degree above the work cap {MAX_EUCLID_WORK}")
-        if a.is_zero:
-            # det = -bc = 1 here, so c is a nonzero constant
-            q = Poly.constant(-pow(c.constant_term, -1, p), p)
-            gens.append(Gen("E12", q, p))
-            a, b = a - q * c, b - q * d
-        elif c.degree < a.degree:
-            q, r = divmod(a, c)
-            gens.append(Gen("E12", q, p))
-            a, b = r, b - q * d
+        if not a:
+            # det = -bc = 1 here, so c is a nonzero constant: q = -c^-1
+            # makes a - q*c = 1
+            q = (-pow(c[0], -1, p) % p,)
+            steps.append(("E12", q))
+            a, b = _ONE, _dot(b, _ONE, _scale(q, -1, p), d, p)
+        elif len(c) < len(a):
+            q, a = _divmod_coeffs(a, c, p)
+            steps.append(("E12", q))
+            b = _dot(b, _ONE, _scale(q, -1, p), d, p)
         else:
-            q, r = divmod(c, a)
-            gens.append(Gen("E21", q, p))
-            c, d = r, d - q * b
-    u0 = a.constant_term
+            q, c = _divmod_coeffs(c, a, p)
+            steps.append(("E21", q))
+            d = _dot(d, _ONE, _scale(q, -1, p), b, p)
+    gens = [Gen(kind, Poly._canon(q, p), p) for kind, q in steps]
+    u0 = a[0]
     if u0 != 1:
         gens.append(Gen("D", u0, p))
-        b = pow(u0, -1, p) * b
-    if not b.is_zero:
-        gens.append(Gen("E12", b, p))
+        b = _scale(b, pow(u0, -1, p), p)
+    if b:
+        gens.append(Gen("E12", Poly._canon(b, p), p))
     _verify_roundtrip(gens, m)
     return gens
 
@@ -168,41 +192,46 @@ def _nf_by_degree_reduction(struct: AmalgamStructure, m: Mat2) -> NormalForm:
     E12(q - q(0)) with q the quotient of d by c; otherwise it is the constant
     [[0, -1], [1, e]], with e the ratio of leading coefficients when the
     degrees tie and 0 when d is smaller.  Each peel applies the letter's
-    inverse as a column operation with ``Poly`` operators: E12(f) subtracts
-    f times the first column from the second, [[0, -1], [1, e]] maps the
-    columns (x, y) to (e*x - y, x).  Only ``_check_normal_form`` on the
-    output is shared with the rewriter this route checks.
+    inverse as a column operation on the coefficient tuples of the entries:
+    E12(f) subtracts f times the first column from the second, [[0, -1],
+    [1, e]] maps the columns (x, y) to (e*x - y, x).  A peel is recorded as
+    its f or its e, and the letters are built after the loop.  Only
+    ``_check_normal_form`` on the output is shared with the rewriter this
+    route checks.
     """
     p = struct.mod
-    rev: list[Letter] = []
-    a, b, c, d = m.entries()
-    # With L = len(c.coeffs) + len(d.coeffs), no peel raises L; an E12 peel
-    # with c != 0 and the tie case of the constant peel lower it, and the
-    # constant peel with deg d < deg c is followed by c = 0 or by an E12 peel.
-    # So every two peels with c != 0 lower L, which is at least 1 while
-    # c != 0, and c = 0 takes one peel more: at most 2 * L + 1 peels.
-    peels_left = 2 * (len(c.coeffs) + len(d.coeffs)) + 1
-    while not (c.is_zero and b.is_constant):
+    minus_one = (p - 1,)
+    rev: list[tuple[int, ...] | int] = []
+    a, b, c, d = (e.coeffs for e in m.entries())
+    # With L = len(c) + len(d), no peel raises L; an E12 peel with c != 0 and
+    # the tie case of the constant peel lower it, and the constant peel with
+    # deg d < deg c is followed by c = 0 or by an E12 peel.  So every two
+    # peels with c != 0 lower L, which is at least 1 while c != 0, and c = 0
+    # takes one peel more: at most 2 * L + 1 peels.
+    peels_left = 2 * (len(c) + len(d)) + 1
+    while c or len(b) > 1:
         if not peels_left:
             raise RuntimeError("degree reduction passed its step bound (implementation bug)")
         peels_left -= 1
-        if c.is_zero or (not d.is_zero and d.degree > c.degree):
-            if c.is_zero:  # then a and d are constant
-                f = pow(a.constant_term, -1, p) * (b - b.constant_term)
+        if not c or len(d) > len(c):
+            if not c:  # then a and d are constant
+                f = (0,) + _scale(b[1:], pow(a[0], -1, p), p)
             else:  # d - c*f is the remainder of d by c plus q(0)*c
-                q, r = divmod(d, c)
-                f = q - q.constant_term
-                d = r + q.constant_term * c
-            rev.append(Letter(2, e12(f)))
-            b = b - a * f
+                q, r = _divmod_coeffs(d, c, p)
+                f = (0,) + q[1:]
+                d = _dot(r, _ONE, q[:1] if q[0] else (), c, p)
+            rev.append(f)
+            b = _dot(b, _ONE, _scale(a, -1, p), f, p)
         else:
-            if not d.is_zero and d.degree == c.degree:
-                e = d.leading_coeff * pow(c.leading_coeff, -1, p) % p
-            else:
-                e = 0
-            rev.append(Letter(1, Mat2.of_ints(0, -1, 1, e, p)))
-            a, b, c, d = e * a - b, a, e * c - d, c
-    nf = NormalForm(Mat2._canon(a, b, c, d), tuple(reversed(rev)))
+            e = d[-1] * pow(c[-1], -1, p) % p if len(d) == len(c) else 0
+            rev.append(e)
+            e_poly = (e,) if e else ()
+            a, b, c, d = _dot(e_poly, a, minus_one, b, p), a, _dot(e_poly, c, minus_one, d, p), c
+    tail = tuple(
+        Letter(1, Mat2.of_ints(0, -1, 1, x, p)) if type(x) is int else Letter(2, e12(Poly._canon(x, p)))
+        for x in reversed(rev)
+    )
+    nf = NormalForm(Mat2._canon(*(Poly._canon(x, p) for x in (a, b, c, d))), tail)
     struct._check_normal_form(nf)
     return nf
 

@@ -11,14 +11,16 @@ Euclidean; the algorithms that need division are exactly the ones restricted
 to F_p[t], and the API keeps that boundary visible.
 
 Multiplication has one raw kernel for both rings, ``_raw_mul``, which
-leaves coefficients unreduced.  A one-coefficient operand scales the other.
+leaves coefficients unreduced.  A one-coefficient operand scales the other,
+and the factor 1 copies it.
 Below ``_KRONECKER_MIN_LEN`` (16) coefficients in the shorter operand it is
 the schoolbook double loop.  From there on it is Kronecker substitution
 unless ``_kronecker_pays`` estimates the loop cheaper (wide coefficients):
 both operands are packed into one Python int each, in byte slots wide
 enough that no product coefficient overflows its slot (signed slots over
 Z), CPython's Karatsuba bigint multiply does the work, and the slots are
-read back.  Division over F_p is long division until both the divisor and
+read back.  Division over F_p is ``_divmod_coeffs`` on coefficient tuples,
+which ``Poly.__divmod__`` wraps: long division until both the divisor and
 the quotient reach ``_NEWTON_MIN_LEN`` (40) coefficients; from there the
 quotient is rev(a) * rev(b)^-1 mod t^(deg q + 1), with the power-series
 inverse computed by Newton iteration on the same kernel, and the remainder
@@ -31,7 +33,10 @@ kernel of the 2x2 matrix layer: the canonical coefficients of x*y + u*v,
 with all-constant operands multiplied as plain ints, one product alone
 when the other has a zero operand (a factor 1 costs nothing), and
 otherwise both raw products summed into one buffer that gets one
-reduction pass and one strip.
+reduction pass and one strip (a factor 1 costs one copy).  So x + f*y is
+``_dot(x, (1,), f, y, mod)``, the column update of the Euclid and
+degree-reduction oracles, which run on coefficient tuples with these
+kernels, ``_divmod_coeffs`` and ``_scale`` (a unit times a polynomial).
 
 The public constructor validates the modulus and coerces and reduces every
 coefficient.  Results of arithmetic on valid polynomials are canonical by
@@ -64,6 +69,11 @@ __all__ = [
 # coefficient list is built.  The degrees the tests and the benchmark build
 # stay far below it (at most about 620).
 MAX_DEGREE = 10_000
+
+# Most decimal digits accepted in one integer of text or JSON input, checked
+# before int() sees it: CPython's own limit on str -> int conversion (see
+# sys.set_int_max_str_digits), refused here with a message naming the input.
+MAX_INT_DIGITS = 4_300
 
 # sn_witness_search refuses primes above this: the search is exhaustive.
 SN_MAX_PRIME = 31
@@ -233,7 +243,7 @@ class Poly:
     __radd__ = __add__
 
     def __neg__(self):
-        return self._reduced([-c for c in self.coeffs])
+        return Poly._canon(_scale(self.coeffs, -1, self.mod), self.mod)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -277,32 +287,8 @@ class Poly:
             )
         if other.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        p = self.mod
-        a, b = self.coeffs, other.coeffs
-        db = len(b) - 1
-        k = len(a) - db  # quotient length
-        if k <= 0:
-            return Poly._canon((), p), self
-        if min(k, len(b)) >= _NEWTON_MIN_LEN:
-            # rev(q) = rev(a) / rev(b) mod t^k; r = a - q*b, of which only
-            # the db low coefficients can be nonzero.
-            inv = _series_inverse(b[::-1][:k], k, p)
-            q = _mul_coeffs(a[::-1][:k], inv, p)[k - 1 :: -1]
-            low = _mul_coeffs(q[:db], b[:db], p)
-            rem = [(x - y) % p for x, y in zip(a[:db], low)]
-        else:
-            rem = list(a)
-            q = [0] * k
-            inv_lead = pow(b[-1], -1, p)
-            for i in range(k - 1, -1, -1):
-                c = rem[i + db] * inv_lead % p
-                if c:
-                    q[i] = c
-                    for j, bj in enumerate(b):
-                        rem[i + j] = (rem[i + j] - c * bj) % p
-            rem = rem[:db]
-        # lead(q) = lead(a) / lead(b) != 0, so only the remainder needs a strip.
-        return Poly._canon(tuple(q), p), Poly._canon(_strip(rem), p)
+        q, r = _divmod_coeffs(self.coeffs, other.coeffs, self.mod)
+        return Poly._canon(q, self.mod), Poly._canon(r, self.mod)
 
     def reduce_mod_p(self, p: int) -> "Poly":
         """Coefficientwise reduction Z[t] -> F_p[t]; a ring homomorphism."""
@@ -452,10 +438,15 @@ class Poly:
             raise ValueError(
                 f"polynomial has {len(coeffs)} coefficients, above the degree cap {MAX_DEGREE}"
             )
-        for c in coeffs:
+        for idx, c in enumerate(coeffs):
             if type(c) not in (int, str):
                 raise ValueError(
                     f"polynomial coefficient {c!r} is not an integer or an integer string"
+                )
+            digits = sum(map(str.isdigit, c)) if type(c) is str and len(c) > MAX_INT_DIGITS else 0
+            if digits > MAX_INT_DIGITS:
+                raise ValueError(
+                    f"polynomial coefficient {idx} has {digits} digits, above the digit cap {MAX_INT_DIGITS}"
                 )
         return cls([int(c) for c in coeffs], mod)
 
@@ -495,8 +486,9 @@ def _dot(x, y, u, v, mod: int | None) -> tuple[int, ...]:
     product has an empty operand only the other is computed: a factor (1,)
     gives the other factor as it is, and otherwise one raw product is
     reduced mod p with no strip (over a domain lead(x) * lead(y) != 0).
-    Otherwise both products are taken unreduced and summed into one buffer,
-    which then gets a single reduction pass and one strip."""
+    Otherwise both products are taken unreduced (a factor (1,) copies its
+    partner) and summed into one buffer, which then gets a single reduction
+    pass and one strip."""
     if len(x) < 2 and len(y) < 2 and len(u) < 2 and len(v) < 2:
         s = (x[0] * y[0] if x and y else 0) + (u[0] * v[0] if u and v else 0)
         if mod is not None:
@@ -523,16 +515,55 @@ def _dot(x, y, u, v, mod: int | None) -> tuple[int, ...]:
     return _strip(cs)
 
 
+def _scale(x, u: int, mod: int | None) -> tuple[int, ...]:
+    """The canonical coefficient tuple of u*x for a unit u of the ring
+    ``mod`` (+-1 over Z, nonzero mod p): reduced mod p, and no strip is
+    needed."""
+    if mod is None:
+        return tuple([u * c for c in x])
+    return tuple([u * c % mod for c in x])
+
+
+def _divmod_coeffs(a, b, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Quotient and remainder of a by b over F_p, as canonical coefficient
+    tuples; a and b are canonical and b is nonempty."""
+    db = len(b) - 1
+    k = len(a) - db  # quotient length
+    if k <= 0:
+        return (), a
+    if min(k, len(b)) >= _NEWTON_MIN_LEN:
+        # rev(q) = rev(a) / rev(b) mod t^k; r = a - q*b, of which only
+        # the db low coefficients can be nonzero.
+        inv = _series_inverse(b[::-1][:k], k, p)
+        q = _mul_coeffs(a[::-1][:k], inv, p)[k - 1 :: -1]
+        low = _mul_coeffs(q[:db], b[:db], p)
+        rem = [(x - y) % p for x, y in zip(a[:db], low)]
+    else:
+        rem = list(a)
+        q = [0] * k
+        inv_lead = pow(b[-1], -1, p)
+        for i in range(k - 1, -1, -1):
+            c = rem[i + db] * inv_lead % p
+            if c:
+                q[i] = c
+                for j, bj in enumerate(b):
+                    rem[i + j] = (rem[i + j] - c * bj) % p
+        rem = rem[:db]
+    # lead(q) = lead(a) / lead(b) != 0, so only the remainder needs a strip.
+    return tuple(q), _strip(rem)
+
+
 def _raw_mul(a, b, signed: bool) -> list[int]:
     """Unreduced coefficients of a*b as a new list, empty if either operand
-    is; ``signed`` is False only for coefficients that are all >= 0."""
+    is; ``signed`` is False only for coefficients that are all >= 0.  A
+    factor (1,) gives a copy of the other operand."""
     if not a or not b:
         return []
     if len(a) < len(b):
         a, b = b, a
     if len(b) == 1:
         c = b[0]
-        return [c * e for e in a]
+        return list(a) if c == 1 else [c * e for e in a]
     if len(b) >= _KRONECKER_MIN_LEN:
         ma, mb = max(map(abs, a)), max(map(abs, b))
         if _kronecker_pays(len(a), len(b), ma.bit_length(), mb.bit_length()):
@@ -629,6 +660,10 @@ def _tokenize(text: str):
     toks = []
     for m in _TOKEN_RE.finditer(text):
         if m.group(1) is not None:
+            if len(m.group(1)) > MAX_INT_DIGITS:
+                raise PolyParseError(
+                    f"integer has {len(m.group(1))} digits, above the digit cap {MAX_INT_DIGITS}", m.start()
+                )
             toks.append(("int", int(m.group(1)), m.start()))
         elif m.group(2) is not None:
             toks.append((m.group(2), None, m.start()))

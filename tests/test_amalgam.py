@@ -237,6 +237,28 @@ def test_normal_form_invariants_checked():
             s._check_normal_form(nf)
 
 
+def test_normalize_checks_its_output(monkeypatch):
+    """normalize checks the normal-form invariants of its result: a split
+    that emits a tail letter lying in A, or leaves a head outside A, is
+    refused as an engine bug."""
+    decompose = AmalgamStructure.decompose
+    s = AmalgamStructure(3)
+    one = s._form_of(identity(3))
+
+    def spurious_letter(self, factor, x):
+        a, rep = decompose(self, factor, x)
+        return a, one if rep is None else rep
+
+    monkeypatch.setattr(AmalgamStructure, "decompose", spurious_letter)
+    for word in ([Letter(1, diag(2, 3))], [Letter(2, e12(Poly.parse("t", 3))), Letter(1, diag(2, 3))]):
+        with pytest.raises(RuntimeError, match=r"tail letter is not in its factor alone \(engine bug\)"):
+            s.normalize(word)
+
+    monkeypatch.setattr(AmalgamStructure, "decompose", lambda self, factor, x: (x, None))
+    with pytest.raises(RuntimeError, match=r"head left the base subgroup \(engine bug\)"):
+        s.normalize([Letter(1, w(3))])
+
+
 def _oracle_factors(mod, m):
     return tuple(f for f in (1, 2) if det_in_factor(mod, f, m))
 

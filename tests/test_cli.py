@@ -177,6 +177,19 @@ def test_nf_det_not_one(capsys):
         (["--mod", "3", '["D(x)"]'], "error: D needs a signed decimal integer, got 'x' (at position 2)"),
         (["--mod", "3", '["D()"]'], "error: D needs a signed decimal integer, got '' (at position 2)"),
         (["--mod", "3", '["D(1_0)"]'], "error: D needs a signed decimal integer, got '1_0' (at position 2)"),
+        # integers above CPython's str -> int limit of 4 300 digits
+        (["--mod", "3", '["D(-%s)"]' % ("1" * 5000)],
+         "error: D argument has 5000 digits, above the digit cap 4300 (at position 2)"),
+        (["--mod", "3", '["E12(%s)"]' % ("1" * 5000)],
+         "error: integer has 5000 digits, above the digit cap 4300 (at position 0)"),
+        (["--mod", "3", "[[1, 2*t + %s*t^2], [0, 1]]" % ("1" * 5000)],
+         "error: integer has 5000 digits, above the digit cap 4300 (at position 7)"),
+        (["--mod", "3", '[[1, %s], [0, 1]]' % ("1" * 5000)],
+         "error: JSON integer at position 5 has 5000 digits, above the digit cap 4300"),
+        (["--mod", "3", '["E12(%s)", {"factor": 2, "matrix": [[1, -%s], [0, 1]]}]' % ("1" * 5000, "1" * 5000)],
+         "error: JSON integer at position 5039 has 5000 digits, above the digit cap 4300"),
+        (["--mod", "3", '[[1, {"coeffs": ["0", "%s"]}], [0, 1]]' % ("1" * 5000)],
+         "error: polynomial coefficient 1 has 5000 digits, above the digit cap 4300"),
     ],
     ids=["mod-with-e2zt", "nf-json-empty", "nf-json-no-tags", "nf-json-bad-tag",
          "nf-json-tail-not-list", "nf-json-bad-head", "nf-json-bad-tail-entry",
@@ -186,10 +199,19 @@ def test_nf_det_not_one(capsys):
          "json-nested-too-deeply", "word-length-cap", "word-length-cap-expanded",
          "word-length-cap-e2zt", "nf-json-length-cap", "word-degree-cap", "word-degree-cap-long",
          "nf-json-degree-cap", "nf-json-degree-cap-e2zt", "word-bits-cap-e2zt", "word-bits-cap-e2zt-nines",
-         "euclid-work-cap", "gen-d-not-int", "gen-d-empty", "gen-d-underscore"],
+         "euclid-work-cap", "gen-d-not-int", "gen-d-empty", "gen-d-underscore",
+         "digit-cap-gen-d", "digit-cap-gen-e12", "digit-cap-matrix-text", "digit-cap-json-int",
+         "digit-cap-json-int-after-string", "digit-cap-coeff-string"],
 )
 def test_nf_usage_errors(capsys, argv, err):
     assert run(capsys, "nf", *argv) == (2, "", err + "\n")
+
+
+def test_nf_accepts_integers_at_the_digit_cap(capsys):
+    ones = "1" * 4300
+    for text in ('["D(-%s)"]' % ones, '[[1, %s], [0, 1]]' % ones, "[[1, %s*t], [0, 1]]" % ones,
+                 '[[1, {"coeffs": ["%s"]}], [0, 1]]' % ones):
+        assert run(capsys, "nf", "--mod", "3", text)[0] == 0, text
 
 
 # JSON payloads for ``nf``: arbitrary JSON, and the shapes the CLI reads

@@ -114,6 +114,37 @@ def test_fpt_factor_rejects_nonunimodular():
         sl2fpt_elementary_factor(identity())
 
 
+def _one_off(g):
+    """The generator g altered: another argument, or a dropped W."""
+    if g.kind in ("E12", "E21"):
+        return [Gen(g.kind, g.arg + 1, g.mod)]
+    if g.kind == "D":
+        return [Gen("D", -g.arg, g.mod)]
+    return []
+
+
+def test_roundtrip_refuses_a_word_one_generator_off():
+    """_verify_roundtrip is an exact equality: a word one generator off
+    (E12(f + 1), E21(f + 1), D(-u) or a dropped W) never passes."""
+    rng = random.Random(2010)
+    words = [(sl2z_factor(rand_sl2_const(rng, None)), None) for _ in range(30)]
+    for p in (3, 5):
+        words += [(sl2fpt_elementary_factor(rand_fp_matrix(rng, p, 6, 4)), p) for _ in range(20)]
+    for mod in (None, 5):
+        t = Poly.parse("t", mod)
+        words.append(([Gen("E21", t, mod), Gen("D", -1, mod), Gen("E12", t * t + 1, mod),
+                       Gen("W", None, mod)], mod))
+    altered = set()
+    for gens, mod in words:
+        m = _product(gens, mod)
+        nagao._verify_roundtrip(gens, m)
+        for i, g in enumerate(gens):
+            with pytest.raises(RuntimeError, match="multiply back"):
+                nagao._verify_roundtrip(gens[:i] + _one_off(g) + gens[i + 1 :], m)
+            altered.add((g.kind, mod is None))
+    assert altered == {(kind, over_z) for kind in ("E12", "E21", "D", "W") for over_z in (True, False)}
+
+
 # -- Nagao normal form -----------------------------------------------------
 
 
@@ -186,25 +217,32 @@ def _fp_matrices(draw):
 @settings(max_examples=100, deadline=None)
 @given(_fp_matrices())
 def test_degree_reduction_peels_without_mat2_products(pm):
-    """The degree reduction peels by column operations on the entries: it
-    multiplies, inverts and takes the determinant of no Mat2, calls no
-    engine split or product, evaluates back to its input and equals the
-    rewriter route letter for letter."""
+    """Both oracles run on coefficient tuples.  The Euclid factorization
+    with its round trip and the degree reduction call no Poly operator, no
+    Mat2 product or inverse and no engine split or product; the degree
+    reduction takes no Mat2 determinant either.  The results evaluate back
+    to the input, and the degree reduction equals the rewriter route letter
+    for letter."""
     p, m = pm
     struct = AmalgamStructure(p)
-    by_rewriter = struct.normalize(letters_from_gens(sl2fpt_elementary_factor(m), p))
 
     def refuse(*args):
-        raise AssertionError("Mat2 arithmetic or engine call inside the degree reduction")
+        raise AssertionError("Poly or Mat2 arithmetic or an engine call inside an oracle")
 
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("__mul__", "inv", "det"):
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
+                     "__divmod__"):
+            patch.setattr(Poly, name, refuse)
+        for name in ("__mul__", "inv"):
             patch.setattr(Mat2, name, refuse)
         for name in ("decompose", "transversal", "_mul"):
             patch.setattr(AmalgamStructure, name, refuse)
+        gens = sl2fpt_elementary_factor(m)
+        patch.setattr(Mat2, "det", refuse)
         nf = _nf_by_degree_reduction(struct, m)
+    assert _product(gens, p) == m
     assert struct.nf_evaluate(nf) == m
-    assert nf == by_rewriter
+    assert nf == struct.normalize(letters_from_gens(gens, p))
 
 
 def test_nagao_nf_decides_equality():
