@@ -18,20 +18,22 @@ when both b entries are constant, a scalar times coefficient-tuple sum when
 both lower-left entries are 0, and a RuntimeError (engine bug) for anything
 else.  ``transversal`` builds each representative and its inverse on forms,
 and ``decompose`` re-checks every split there: a * s reproduces the input,
-a lies in A and s in its factor only.  ``normalize`` checks each input
-letter's ``Mat2`` for membership, converts it, rewrites on forms, checks
-the normal-form invariants on the resulting forms with ``_check_forms``,
-and only then builds the ``Mat2`` objects of the returned ``NormalForm``.
-``_check_normal_form`` runs the same checker on the forms of a given
-``NormalForm``'s matrices.
+a lies in A and s in its factor only.  ``normalize`` is three steps:
+``_check_letter`` checks each input letter into its form (tag 1 or 2,
+membership on ``_factors``); ``_rewrite`` folds the (factor, form) pairs
+with one ``decompose`` per letter and checks the normal-form invariants of
+its result with ``_check_forms``; ``_build`` makes the ``Mat2`` objects of
+the returned ``NormalForm``.
 
-Engine forms stay inside this module, and the oracles that check the engine
-share no arithmetic with it.  ``nf_evaluate`` and, in ``nagao``, the matrix
-route of ``phi_p`` keep ``Mat2`` products.  The Euclid factorization, its
-round trip ``_verify_roundtrip`` and the degree reduction work by column
-operations on the coefficient tuples of the four entries with the ``ring``
-kernels; the degree reduction shares only ``_check_normal_form`` on its
-output with the engine.
+Engine forms stay inside the package.  In ``nagao`` the Euclid word of
+``nagao_normal_form`` and the reduced word of ``phi_p`` enter ``_rewrite``
+as forms, each checked by ``_check_letter``, and both routes are compared
+on forms.  The oracles that check the engine share no arithmetic with it.
+``nf_evaluate`` keeps ``Mat2`` products.  The Euclid factorization, its
+round trip ``_verify_roundtrip``, the degree reduction and ``phi_p``'s
+product over Z work by column operations on the coefficient tuples of the
+four entries with the ``ring`` kernels; the degree reduction shares only
+``_check_forms`` on its output with the engine.
 
 A ``NormalForm`` is head * s_1 * ... * s_n with head in A, every s_j a
 nontrivial canonical representative, and consecutive s_j from different
@@ -119,9 +121,10 @@ class AmalgamStructure:
     def _form_of(self, m: Mat2) -> Form | None:
         """The engine form of m, or None when m is over another ring or has
         a nonconstant a, c or d entry and so lies in neither factor."""
-        if m.mod != self.mod or not (m.a.is_constant and m.c.is_constant and m.d.is_constant):
+        a, c, d = m.a.coeffs, m.c.coeffs, m.d.coeffs
+        if m.a.mod != self.mod or len(a) > 1 or len(c) > 1 or len(d) > 1:
             return None
-        return (m.a.constant_term, m.b.coeffs, m.c.constant_term, m.d.constant_term)
+        return (a[0] if a else 0, m.b.coeffs, c[0] if c else 0, d[0] if d else 0)
 
     # -- engine: factor elements as forms (a, b, c, d) --------------------
 
@@ -211,6 +214,15 @@ class AmalgamStructure:
     def normalize(self, word: Iterable[Letter]) -> NormalForm:
         """Rewrite an arbitrary word into its unique reduced alternating form.
 
+        Each letter is checked into its engine form, the forms go through
+        the checked rewrite ``_rewrite``, and the result is built once."""
+        checked = [(l.factor, self._check_letter(l.factor, self._form_of(l.mat), l.mat)) for l in word]
+        return self._build(*self._rewrite(checked))
+
+    def _rewrite(self, word: list[tuple[int, Form]]) -> tuple[Form, tuple[tuple[int, Form], ...]]:
+        """The normal form (head, tail) of a word of (factor, form) pairs
+        whose forms have passed ``_check_letter``, as engine forms.
+
         Letters are folded in from the right, so base-subgroup parts
         accumulate leftward into the head.  To prepend a letter g (factor f)
         onto an already normal suffix a * s_1 ... s_n:
@@ -222,33 +234,37 @@ class AmalgamStructure:
             lies in A the tail is untouched and h becomes the head, otherwise
             s' becomes the new first tail letter and a' the head.
 
-        One transversal decomposition per input letter, and the tail is kept
-        as a list of (factor, form) pairs in reverse order (its first letter
-        last), so the rewrite is linear in word length."""
+        One checked ``decompose`` per input letter, and the tail is kept as
+        a list of (factor, form) pairs in reverse order (its first letter
+        last), so the rewrite is linear in word length.  The result passes
+        ``_check_forms`` before it is returned."""
         head, rtail = _IDENTITY, []
-        for letter in reversed(list(word)):
-            factor = letter.factor
-            h = self._mul(self._check_letter(letter), head)
+        for factor, x in reversed(word):
+            h = self._mul(x, head)
             if rtail and rtail[-1][0] == factor:
                 h = self._mul(h, rtail.pop()[1])
             head, s = self.decompose(factor, h)
             if s is not None:
                 rtail.append((factor, s))
-        rtail.reverse()
-        self._check_forms(head, rtail)
-        mod = self.mod
-        return NormalForm(_mat(head, mod), tuple(Letter(f, _mat(s, mod)) for f, s in rtail))
+        tail = tuple(reversed(rtail))
+        self._check_forms(head, tail)
+        return head, tail
 
-    def _check_letter(self, letter: Letter) -> Form:
-        """Refuse a word letter whose tag is not 1 or 2 or whose matrix is
-        not in the factor the tag names; returns the letter's engine form."""
-        if letter.factor not in (1, 2):
-            raise ValueError(f"factor tag must be 1 or 2, got {letter.factor!r}")
-        x = self._form_of(letter.mat)
-        if x is None or letter.factor not in self._factors(x):
-            raise ValueError(
-                f"letter {letter.mat} fails membership in factor {letter.factor}"
-            )
+    def _build(self, head: Form, tail: Iterable[tuple[int, Form]]) -> NormalForm:
+        """The ``NormalForm`` of a checked (head, tail) of engine forms."""
+        mod = self.mod
+        return NormalForm(_mat(head, mod), tuple(Letter(f, _mat(s, mod)) for f, s in tail))
+
+    def _check_letter(self, factor: int, x: Form | None, mat: Mat2 | None = None) -> Form:
+        """Refuse a word letter whose tag is not 1 or 2 or whose engine form
+        x is not in the factor the tag names (None stands for a matrix in
+        neither factor); returns x.  The message shows the letter's matrix
+        ``mat``, built from x when not given."""
+        if factor not in (1, 2):
+            raise ValueError(f"factor tag must be 1 or 2, got {factor!r}")
+        if x is None or factor not in self._factors(x):
+            shown = mat if mat is not None else _mat(x, self.mod)
+            raise ValueError(f"letter {shown} fails membership in factor {factor}")
         return x
 
     def nf_evaluate(self, nf: NormalForm) -> Mat2:
@@ -267,13 +283,6 @@ class AmalgamStructure:
         if x.head.mod != y.head.mod or x.head.mod != self.mod:
             raise ValueError("normal forms come from different structures")
         return self.normalize(self.word_of(x) + self.word_of(y))
-
-    def _check_normal_form(self, nf: NormalForm) -> None:
-        """Check the normal-form invariants of a ``NormalForm``, on the
-        engine forms of its matrices."""
-        self._check_forms(
-            self._form_of(nf.head), ((letter.factor, self._form_of(letter.mat)) for letter in nf.tail)
-        )
 
     def _check_forms(self, head: Form | None, tail: Iterable[tuple[int, Form | None]]) -> None:
         """The normal-form invariants on engine forms: head in A, each tail

@@ -1,23 +1,27 @@
 """Constructive decompositions in E2(R[t]) = SL2(R) *_{B(R)} B(R[t]).
 
 Over R = F_p, matrices decompose into normal form by two independent
-algorithms (elementary factorization fed through the rewriter of
-``AmalgamStructure``, and direct degree reduction on columns, which shares
-only the normal-form check with the rewriter); ``nagao_normal_form`` runs
-both and insists they agree letter for letter.
+algorithms (elementary factorization fed as engine forms through the
+checked rewrite of ``AmalgamStructure``, and direct degree reduction on
+columns, which shares only the normal-form check with the rewriter);
+``nagao_normal_form`` runs both, insists they agree letter for letter on
+engine forms, and builds the ``NormalForm`` once, for its answer.  Normal
+forms are unique (Serre, *Trees*, I.1.2), so equal forms are a complete
+check.
 
 Over R = Z, elements enter as words in the two factors, never as bare
 matrices: Z[t] is not Euclidean, so elementary membership of a raw
 integer-polynomial matrix is not decidable by the methods here.  That is a
 hard boundary of the API.  ``phi_p`` reduces such words mod p and checks the
-result against the matrix decomposition over F_p.
+result against the matrix decomposition over F_p, comparing engine forms;
+it builds a ``Mat2`` only for the reduced product it returns.
 """
 
 from __future__ import annotations
 
-from .amalgam import AmalgamStructure, Letter, NormalForm
-from .gl2 import Gen, Mat2, _unit_inverse, e12, identity, w
-from .ring import Poly, _divmod_coeffs, _dot, _scale
+from .amalgam import AmalgamStructure, Form, Letter, NormalForm, _mat
+from .gl2 import Gen, Mat2, _unit_inverse
+from .ring import Poly, _divmod_coeffs, _dot, _reduce_coeffs, _scale
 
 __all__ = [
     "CrossValidationError",
@@ -154,38 +158,45 @@ def sl2fpt_elementary_factor(m: Mat2) -> list[Gen]:
     return gens
 
 
-def letters_from_gens(gens, mod: int | None = None) -> list[Letter]:
-    """Tag generator letters into the amalgam factors.
+def _gen_forms(gens, mod: int | None) -> list[tuple[int, Form]]:
+    """Generator letters tagged into the amalgam factors, as (factor,
+    engine form) pairs over the ring ``mod``.
 
     E12 goes to the polynomial factor; D and W are constants in factor 1;
     E21(f) is rewritten as W^-1 E12(-f) W so that nonconstant shears stay
     expressible inside the two factors.
     """
-    letters: list[Letter] = []
-    w_mat = w(mod)
-    w_inv = -w_mat  # W^2 = -I
+    minus_one = -1 if mod is None else mod - 1
+    w_form = (0, (minus_one,), 1, 0)
+    w_inv = (0, (1,), minus_one, 0)  # -W, since W^2 = -I
+    forms: list[tuple[int, Form]] = []
     for g in gens:
+        if g.mod != mod:
+            raise ValueError(f"generator {g} is not over coefficients mod {mod}")
         if g.kind == "E12":
-            letters.append(Letter(2, g.matrix()))
+            forms.append((2, (1, g.arg.coeffs, 0, 1)))
         elif g.kind == "E21":
-            letters.extend(
-                [
-                    Letter(1, w_inv),
-                    Letter(2, e12(-g.arg)),
-                    Letter(1, w_mat),
-                ]
-            )
+            forms += [(1, w_inv), (2, (1, _scale(g.arg.coeffs, -1, mod), 0, 1)), (1, w_form)]
+        elif g.kind == "D":
+            forms.append((1, (g.arg if mod is None else g.arg % mod, (), 0, _unit_inverse(g.arg, mod))))
         else:
-            letters.append(Letter(1, g.matrix()))
-    return letters
+            forms.append((1, w_form))
+    return forms
+
+
+def letters_from_gens(gens, mod: int | None = None) -> list[Letter]:
+    """Tag generator letters into the amalgam factors, as ``_gen_forms``
+    does, with each letter's matrix built from its form."""
+    return [Letter(factor, _mat(x, mod)) for factor, x in _gen_forms(gens, mod)]
 
 
 # -- normal forms ------------------------------------------------------
 
 
-def _nf_by_degree_reduction(struct: AmalgamStructure, m: Mat2) -> NormalForm:
-    """Normal form by direct degree reduction, peeling letters off the right
-    until the rest lies in A (c = 0 and b constant), which is the head.
+def _nf_by_degree_reduction(struct: AmalgamStructure, m: Mat2) -> tuple[Form, tuple[tuple[int, Form], ...]]:
+    """Normal form by direct degree reduction, as engine forms (head, tail),
+    peeling letters off the right until the rest lies in A (c = 0 and b
+    constant), which is the head.
 
     Each last letter is read off the bottom row (c, d): when c = 0 it is
     E12(u^-1 * (b - b(0))) with u = a; when d has higher degree than c it is
@@ -195,9 +206,9 @@ def _nf_by_degree_reduction(struct: AmalgamStructure, m: Mat2) -> NormalForm:
     inverse as a column operation on the coefficient tuples of the entries:
     E12(f) subtracts f times the first column from the second, [[0, -1],
     [1, e]] maps the columns (x, y) to (e*x - y, x).  A peel is recorded as
-    its f or its e, and the letters are built after the loop.  Only
-    ``_check_normal_form`` on the output is shared with the rewriter this
-    route checks.
+    its f or its e, and the forms are built after the loop.  No ``Poly`` or
+    ``Mat2`` is built, and only ``_check_forms`` on the output is shared
+    with the rewriter this route checks.
     """
     p = struct.mod
     minus_one = (p - 1,)
@@ -227,35 +238,34 @@ def _nf_by_degree_reduction(struct: AmalgamStructure, m: Mat2) -> NormalForm:
             rev.append(e)
             e_poly = (e,) if e else ()
             a, b, c, d = _dot(e_poly, a, minus_one, b, p), a, _dot(e_poly, c, minus_one, d, p), c
-    tail = tuple(
-        Letter(1, Mat2.of_ints(0, -1, 1, x, p)) if type(x) is int else Letter(2, e12(Poly._canon(x, p)))
-        for x in reversed(rev)
-    )
-    nf = NormalForm(Mat2._canon(*(Poly._canon(x, p) for x in (a, b, c, d))), tail)
-    struct._check_normal_form(nf)
-    return nf
+    # c = () here; a head with a nonconstant diagonal is no form (None)
+    head = (a[0], b, 0, d[0]) if len(a) == 1 and len(d) == 1 else None
+    tail = tuple((1, (0, minus_one, 1, x)) if type(x) is int else (2, (1, x, 0, 1)) for x in reversed(rev))
+    struct._check_forms(head, tail)
+    return head, tail
 
 
 def nagao_normal_form(p: int, m: Mat2) -> NormalForm:
     """Normal form of an SL2(F_p[t]) matrix, computed two independent ways.
 
     Route one factors the matrix into elementary letters and runs the
-    generic rewriter; route two is the direct degree reduction.  The two
-    must agree letter for letter; a mismatch means an implementation bug
-    and raises CrossValidationError.
+    checked rewrite of the engine on their forms; route two is the direct
+    degree reduction.  The two must agree letter for letter on engine
+    forms; a mismatch means an implementation bug and raises
+    CrossValidationError.  The ``NormalForm`` is built once, for the answer.
     """
     struct = AmalgamStructure(p)
     if m.mod != p:
         raise ValueError(f"matrix is not over coefficients mod {p}")
     gens = sl2fpt_elementary_factor(m)  # raises ValueError unless det m == 1
-    by_rewriter = struct.normalize(letters_from_gens(gens, p))
+    by_rewriter = struct._rewrite([(f, struct._check_letter(f, x)) for f, x in _gen_forms(gens, p)])
     by_degrees = _nf_by_degree_reduction(struct, m)
     if by_rewriter != by_degrees:
         raise CrossValidationError(
             "normal form algorithms disagree (implementation bug): "
-            f"{by_rewriter} vs {by_degrees}"
+            f"{struct._build(*by_rewriter)} vs {struct._build(*by_degrees)}"
         )
-    return by_rewriter
+    return struct._build(*by_rewriter)
 
 
 def e2zt_normal_form(word) -> NormalForm:
@@ -266,24 +276,37 @@ def e2zt_normal_form(word) -> NormalForm:
 def phi_p(word, p: int):
     """Reduce a word over E2(Z[t]) mod p; returns (matrix, normal form).
 
-    Computed two ways that must agree: letterwise reduction followed by the
-    rewriter, and reduction of the evaluated matrix followed by the matrix
-    decomposition.  Agreement is exactly the statement that reduction mod p
-    is a homomorphism compatible with both amalgam decompositions.
+    Computed two ways that must agree: reduction of the evaluated matrix
+    followed by ``nagao_normal_form``, and letterwise reduction followed by
+    the checked rewrite.  Agreement is exactly the statement that reduction
+    mod p is a homomorphism compatible with both amalgam decompositions.
+
+    Each letter is checked into its engine form over Z once.  The word is
+    multiplied out by column operations on the coefficient tuples of the
+    entries, and only the reduced product is built as a ``Mat2``.  The
+    forms reduced mod p are checked for membership again before the
+    rewrite, and the two routes are compared on engine forms.
     """
     struct_z, struct_p = AmalgamStructure(), AmalgamStructure(p)
-    word = list(word)
-    for letter in word:
-        struct_z._check_letter(letter)
-    mat = identity()
-    for letter in word:
-        mat = mat * letter.mat
-    mat_p = mat.reduce_mod_p(p)
+    word = [(l.factor, struct_z._check_letter(l.factor, struct_z._form_of(l.mat), l.mat)) for l in word]
+    a, b, c, d = _ONE, (), (), _ONE
+    for _, (e, f, g, h) in word:
+        # [[a, b], [c, d]] * [[e, f], [g, h]]: the new columns are the old
+        # ones combined with the constants e, g and with f, h
+        e, g, h = (e,) if e else (), (g,) if g else (), (h,) if h else ()
+        a, b, c, d = _dot(a, e, b, g, None), _dot(a, f, b, h, None), _dot(c, e, d, g, None), _dot(c, f, d, h, None)
+    mat_p = Mat2._canon(*(Poly._canon(_reduce_coeffs(x, p), p) for x in (a, b, c, d)))
     via_matrix = nagao_normal_form(p, mat_p)
-    reduced_word = [Letter(l.factor, l.mat.reduce_mod_p(p)) for l in word]
-    via_word = struct_p.normalize(reduced_word)
-    if via_matrix != via_word:
+    via_word = struct_p._rewrite(
+        [(f, struct_p._check_letter(f, (x[0] % p, _reduce_coeffs(x[1], p), x[2] % p, x[3] % p))) for f, x in word]
+    )
+    matrix_forms = (
+        struct_p._form_of(via_matrix.head),
+        tuple((l.factor, struct_p._form_of(l.mat)) for l in via_matrix.tail),
+    )
+    if matrix_forms != via_word:
         raise CrossValidationError(
-            "reduction mod p along words and along matrices disagree"
+            "reduction mod p along words and along matrices disagree: "
+            f"{via_matrix} vs {struct_p._build(*via_word)}"
         )
     return mat_p, via_matrix

@@ -20,8 +20,10 @@ both operands are packed into one Python int each, in byte slots wide
 enough that no product coefficient overflows its slot (signed slots over
 Z), CPython's Karatsuba bigint multiply does the work, and the slots are
 read back.  Division over F_p is ``_divmod_coeffs`` on coefficient tuples,
-which ``Poly.__divmod__`` wraps: long division until both the divisor and
-the quotient reach ``_NEWTON_MIN_LEN`` (40) coefficients; from there the
+which ``Poly.__divmod__`` wraps: long division, which reduces only the
+coefficient it reads next and the remainder once at the end, until both
+the divisor and the quotient reach ``_NEWTON_MIN_LEN`` (40) coefficients;
+from there the
 quotient is rev(a) * rev(b)^-1 mod t^(deg q + 1), with the power-series
 inverse computed by Newton iteration on the same kernel, and the remainder
 is a - q*b.  Both length crossovers come from timing operands of equal
@@ -31,12 +33,15 @@ measured, and from 40 Newton division is at least as fast as long division.
 ``_mul_coeffs`` reduces one raw product mod p.  ``_dot`` is the fused
 kernel of the 2x2 matrix layer: the canonical coefficients of x*y + u*v,
 with all-constant operands multiplied as plain ints, one product alone
-when the other has a zero operand (a factor 1 costs nothing), and
-otherwise both raw products summed into one buffer that gets one
-reduction pass and one strip (a factor 1 costs one copy).  So x + f*y is
+when the other has a zero operand (a factor 1 costs nothing), a scalar
+times a polynomial plus a scalar times a polynomial in one pass (the
+product by a constant letter and most column updates), and otherwise
+both raw products summed into one buffer that gets one reduction pass
+and one strip (a factor 1 costs one copy).  So x + f*y is
 ``_dot(x, (1,), f, y, mod)``, the column update of the Euclid and
-degree-reduction oracles, which run on coefficient tuples with these
-kernels, ``_divmod_coeffs`` and ``_scale`` (a unit times a polynomial).
+degree-reduction oracles and of ``phi_p``'s product, which run on
+coefficient tuples with these kernels, ``_divmod_coeffs`` and ``_scale``
+(a unit times a polynomial).
 
 The public constructor validates the modulus and coerces and reduces every
 coefficient.  Results of arithmetic on valid polynomials are canonical by
@@ -421,8 +426,8 @@ class Poly:
     def from_json(cls, obj, mod: int | None = None) -> "Poly":
         """A polynomial from JSON: ``{"coeffs": [...], "mod": p}``, a bare
         list of coefficients, or one coefficient as a constant.  Coefficients
-        are JSON integers or integer strings; a ``mod`` field must be an
-        integer and agree with ``mod`` when that is given."""
+        are JSON integers or ASCII integer strings; a ``mod`` field must be
+        an integer and agree with ``mod`` when that is given."""
         if isinstance(obj, dict):
             coeffs, given = obj.get("coeffs", []), obj.get("mod", mod)
             if (given is not None and type(given) is not int) or mod not in (None, given):
@@ -439,7 +444,8 @@ class Poly:
                 f"polynomial has {len(coeffs)} coefficients, above the degree cap {MAX_DEGREE}"
             )
         for idx, c in enumerate(coeffs):
-            if type(c) not in (int, str):
+            # int() reads any Unicode decimal digit; integer text is ASCII
+            if type(c) is not int and (type(c) is not str or not c.isascii()):
                 raise ValueError(
                     f"polynomial coefficient {c!r} is not an integer or an integer string"
                 )
@@ -486,9 +492,11 @@ def _dot(x, y, u, v, mod: int | None) -> tuple[int, ...]:
     product has an empty operand only the other is computed: a factor (1,)
     gives the other factor as it is, and otherwise one raw product is
     reduced mod p with no strip (over a domain lead(x) * lead(y) != 0).
-    Otherwise both products are taken unreduced (a factor (1,) copies its
-    partner) and summed into one buffer, which then gets a single reduction
-    pass and one strip."""
+    When each product has a one-coefficient operand, in either position,
+    the sum is taken coefficient by coefficient in one pass.  Otherwise
+    both products are taken unreduced (a factor (1,) copies its partner)
+    and summed into one buffer.  The last two get a single reduction pass
+    and one strip."""
     if len(x) < 2 and len(y) < 2 and len(u) < 2 and len(v) < 2:
         s = (x[0] * y[0] if x and y else 0) + (u[0] * v[0] if u and v else 0)
         if mod is not None:
@@ -504,6 +512,14 @@ def _dot(x, y, u, v, mod: int | None) -> tuple[int, ...]:
         if y == (1,):
             return x
         return tuple(_mul_coeffs(x, y, mod))
+    if (len(x) == 1 or len(y) == 1) and (len(u) == 1 or len(v) == 1):
+        # s*f + r*g for scalars s and r, in one pass
+        s, f = (x[0], y) if len(x) == 1 else (y[0], x)
+        r, g = (u[0], v) if len(u) == 1 else (v[0], u)
+        pairs = itertools.zip_longest(f, g, fillvalue=0)
+        if mod is None:
+            return _strip([s * a + r * b for a, b in pairs])
+        return _strip([(s * a + r * b) % mod for a, b in pairs])
     signed = mod is None
     cs, other = _raw_mul(x, y, signed), _raw_mul(u, v, signed)
     if len(cs) < len(other):
@@ -539,16 +555,20 @@ def _divmod_coeffs(a, b, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         low = _mul_coeffs(q[:db], b[:db], p)
         rem = [(x - y) % p for x, y in zip(a[:db], low)]
     else:
+        # Only the coefficient read next is reduced; the top coefficient a
+        # step cancels is never read again, so b[:db] is subtracted, and the
+        # remainder is reduced once at the end.
         rem = list(a)
         q = [0] * k
         inv_lead = pow(b[-1], -1, p)
+        low = b[:db]
         for i in range(k - 1, -1, -1):
-            c = rem[i + db] * inv_lead % p
+            c = rem[i + db] % p * inv_lead % p
             if c:
                 q[i] = c
-                for j, bj in enumerate(b):
-                    rem[i + j] = (rem[i + j] - c * bj) % p
-        rem = rem[:db]
+                for j, bj in enumerate(low, i):
+                    rem[j] -= c * bj
+        rem = [r % p for r in rem[:db]]
     # lead(q) = lead(a) / lead(b) != 0, so only the remainder needs a strip.
     return tuple(q), _strip(rem)
 
@@ -653,7 +673,8 @@ def _series_inverse(f, k: int, p: int) -> list[int]:
     return g
 
 
-_TOKEN_RE = re.compile(r"(\d+)|([+\-*^t])|(\S)")
+# ASCII digits only: \d would take any Unicode decimal digit, which int() reads.
+_TOKEN_RE = re.compile(r"([0-9]+)|([+\-*^t])|(\S)")
 
 
 def _tokenize(text: str):

@@ -225,16 +225,20 @@ def test_broken_transversal_outside_factor_fails():
 def test_normal_form_invariants_checked():
     s = AmalgamStructure(3)
     one, t_shear = identity(3), e12(Poly.parse("t", 3))
-    s._check_normal_form(NormalForm(one, (Letter(1, w(3)), Letter(2, t_shear))))
+
+    def check(head, tail):
+        s._check_forms(s._form_of(head), [(letter.factor, s._form_of(letter.mat)) for letter in tail])
+
+    check(one, (Letter(1, w(3)), Letter(2, t_shear)))
     bad = [
-        NormalForm(w(3), ()),  # head outside A
-        NormalForm(one, (Letter(1, one),)),  # tail letter in A
-        NormalForm(one, (Letter(2, w(3)),)),  # tail letter outside its factor
-        NormalForm(one, (Letter(2, t_shear), Letter(2, t_shear))),  # no alternation
+        (w(3), ()),  # head outside A
+        (one, (Letter(1, one),)),  # tail letter in A
+        (one, (Letter(2, w(3)),)),  # tail letter outside its factor
+        (one, (Letter(2, t_shear), Letter(2, t_shear))),  # no alternation
     ]
-    for nf in bad:
+    for head, tail in bad:
         with pytest.raises(RuntimeError, match="engine bug"):
-            s._check_normal_form(nf)
+            check(head, tail)
 
 
 def test_normalize_checks_its_output(monkeypatch):

@@ -190,6 +190,12 @@ def test_nf_det_not_one(capsys):
          "error: JSON integer at position 5039 has 5000 digits, above the digit cap 4300"),
         (["--mod", "3", '[[1, {"coeffs": ["0", "%s"]}], [0, 1]]' % ("1" * 5000)],
          "error: polynomial coefficient 1 has 5000 digits, above the digit cap 4300"),
+        # integer text is ASCII: int() would read the Arabic-Indic three as 3
+        (["--mod", "5", '["E12(\u0663*t)"]'], "error: unexpected character '\u0663' (at position 0)"),
+        (["--mod", "5", "[[1, \u0663*t], [0, 1]]"], "error: unexpected character '\u0663' (at position 1)"),
+        (["--mod", "5", '{"head": [[1, 0], [0, 1]], "tags": [2], '
+                        '"tail": [[[1, {"coeffs": ["0", "\u0663"]}], [0, 1]]]}'],
+         "error: normal form field 'tail': polynomial coefficient '\u0663' is not an integer or an integer string"),
     ],
     ids=["mod-with-e2zt", "nf-json-empty", "nf-json-no-tags", "nf-json-bad-tag",
          "nf-json-tail-not-list", "nf-json-bad-head", "nf-json-bad-tail-entry",
@@ -201,7 +207,8 @@ def test_nf_det_not_one(capsys):
          "nf-json-degree-cap", "nf-json-degree-cap-e2zt", "word-bits-cap-e2zt", "word-bits-cap-e2zt-nines",
          "euclid-work-cap", "gen-d-not-int", "gen-d-empty", "gen-d-underscore",
          "digit-cap-gen-d", "digit-cap-gen-e12", "digit-cap-matrix-text", "digit-cap-json-int",
-         "digit-cap-json-int-after-string", "digit-cap-coeff-string"],
+         "digit-cap-json-int-after-string", "digit-cap-coeff-string", "unicode-digit-gen",
+         "unicode-digit-matrix-text", "unicode-digit-coeff-string"],
 )
 def test_nf_usage_errors(capsys, argv, err):
     assert run(capsys, "nf", *argv) == (2, "", err + "\n")

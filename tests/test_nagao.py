@@ -3,10 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nagaolab import nagao
+from nagaolab import gl2, nagao
 from nagaolab.amalgam import AmalgamStructure, Letter
 from nagaolab.gl2 import Gen, Mat2, diag, e12, e21, identity, parse_matrix, w
 from nagaolab.nagao import (
+    CrossValidationError,
     _nf_by_degree_reduction,
     e2zt_normal_form,
     letters_from_gens,
@@ -15,7 +16,7 @@ from nagaolab.nagao import (
     sl2fpt_elementary_factor,
     sl2z_factor,
 )
-from nagaolab.ring import Poly
+from nagaolab.ring import Poly, _scale
 from nagaolab.witnesses import make_witness
 
 from helpers import (
@@ -220,9 +221,10 @@ def test_degree_reduction_peels_without_mat2_products(pm):
     """Both oracles run on coefficient tuples.  The Euclid factorization
     with its round trip and the degree reduction call no Poly operator, no
     Mat2 product or inverse and no engine split or product; the degree
-    reduction takes no Mat2 determinant either.  The results evaluate back
-    to the input, and the degree reduction equals the rewriter route letter
-    for letter."""
+    reduction takes no Mat2 determinant and builds no Poly or Mat2 at all.
+    ``nagao_normal_form`` builds a Mat2 only for the matrices it returns.
+    The results evaluate back to the input, and the degree reduction equals
+    the rewriter route letter for letter."""
     p, m = pm
     struct = AmalgamStructure(p)
 
@@ -238,11 +240,75 @@ def test_degree_reduction_peels_without_mat2_products(pm):
         for name in ("decompose", "transversal", "_mul"):
             patch.setattr(AmalgamStructure, name, refuse)
         gens = sl2fpt_elementary_factor(m)
-        patch.setattr(Mat2, "det", refuse)
-        nf = _nf_by_degree_reduction(struct, m)
+        for name in ("det", "_canon", "of_ints"):
+            patch.setattr(Mat2, name, refuse)
+        patch.setattr(Poly, "_canon", refuse)
+        patch.setattr(gl2, "e12", refuse)
+        head, tail = _nf_by_degree_reduction(struct, m)
+    nf = struct._build(head, tail)
     assert _product(gens, p) == m
     assert struct.nf_evaluate(nf) == m
     assert nf == struct.normalize(letters_from_gens(gens, p))
+
+    built = []
+    canon = Mat2._canon
+
+    def counting(*entries):
+        built.append(entries)
+        return canon(*entries)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Mat2, "_canon", counting)
+        assert nagao_normal_form(p, m) == nf
+    assert len(built) == 1 + nf.length
+
+
+def _head_times_minus_one(p, forms):
+    """The normal form (head, tail) with its head multiplied by -I: another
+    valid normal form, of another element when p > 2."""
+    (a, b, c, d), tail = forms
+    return (-a % p, _scale(b, -1, p), c, -d % p), tail
+
+
+def test_nagao_nf_refuses_disagreeing_routes(monkeypatch):
+    """A degree route that returns another valid normal form makes
+    nagao_normal_form raise CrossValidationError naming both forms."""
+    p, degree_route = 5, nagao._nf_by_degree_reduction
+    struct = AmalgamStructure(p)
+    m = parse_matrix("[[1 + t^2, t], [t, 1]]", p)
+    right = degree_route(struct, m)
+    wrong = _head_times_minus_one(p, right)
+    struct._check_forms(*wrong)
+    monkeypatch.setattr(nagao, "_nf_by_degree_reduction", lambda s, x: _head_times_minus_one(p, degree_route(s, x)))
+    with pytest.raises(CrossValidationError, match="normal form algorithms disagree") as info:
+        nagao_normal_form(p, m)
+    assert f"{struct._build(*right)} vs {struct._build(*wrong)}" in str(info.value)
+
+
+def test_phi_p_refuses_disagreeing_routes(monkeypatch):
+    """A word route that returns another valid normal form makes phi_p
+    raise CrossValidationError naming both forms.  phi_p rewrites twice,
+    inside nagao_normal_form and then along the word; only the second is
+    altered."""
+    p = 5
+    struct = AmalgamStructure(p)
+    word = rand_word(random.Random(2011), None, 6, 3)
+    _, right = phi_p(word, p)
+    rewrite, calls = AmalgamStructure._rewrite, []
+
+    def word_route_off(self, letters):
+        calls.append(letters)
+        forms = rewrite(self, letters)
+        return _head_times_minus_one(p, forms) if len(calls) == 2 else forms
+
+    monkeypatch.setattr(AmalgamStructure, "_rewrite", word_route_off)
+    with pytest.raises(CrossValidationError, match="along words and along matrices disagree") as info:
+        phi_p(word, p)
+    assert len(calls) == 2
+    wrong = struct._build(*_head_times_minus_one(p, (struct._form_of(right.head),
+                                                     tuple((l.factor, struct._form_of(l.mat)) for l in right.tail))))
+    assert wrong != right
+    assert f"{right} vs {wrong}" in str(info.value)
 
 
 def test_nagao_nf_decides_equality():
@@ -313,6 +379,8 @@ def test_letters_from_gens_expands_e21():
     letters = letters_from_gens([Gen("E21", Poly.parse("t"), None)], None)
     assert [l.factor for l in letters] == [1, 2, 1]
     assert evaluate_word(letters, None) == e21(Poly.parse("t"))
+    with pytest.raises(ValueError, match="not over coefficients mod None"):
+        letters_from_gens([Gen("E12", Poly.parse("t", 5), 5)])
 
 
 # -- reduction mod p -------------------------------------------------------

@@ -18,7 +18,9 @@ from nagaolab.ring import (
 
 from helpers import dense_poly, rand_poly, schoolbook_divmod, schoolbook_mul, trial_division_is_prime
 
-PRIMES = (2, 3, 7, 101, 2**31 - 1)
+# 2**64 - 59 is the largest prime below 2**64, where products of residues
+# are wider than a machine word.
+PRIMES = (2, 3, 7, 101, 2**31 - 1, 2**64 - 59)
 
 
 def test_mul_difference_of_squares():
@@ -392,6 +394,32 @@ def test_dot_kernel_one_product():
             assert ring._dot(f.coeffs, f.coeffs, (), f.coeffs, mod) == _dot_oracle(f, f, zero, f).coeffs
 
 
+def test_dot_kernel_scalar_pairs():
+    """scalar * f + scalar * g, with the scalar in any of the four operand
+    positions, against the schoolbook oracle: negative and wide
+    coefficients over Z, residues near 2**64, a zero scalar or an empty
+    polynomial next to the one-pass branch, and sums whose top
+    coefficients cancel."""
+    rng = random.Random(1515)
+    n = ring._KRONECKER_MIN_LEN
+    for mod in (None,) + PRIMES:
+        zero = Poly.zero(mod)
+        minus_one = Poly.constant(-1, mod)
+        for lf, lg in ((1, 1), (2, 1), (1, 5), (5, 5), (7, 3), (0, 4), (4, 0), (n + 1, 2 * n)):
+            f, g = dense_poly(rng, mod, lf, 2**70), dense_poly(rng, mod, lg, 2**70)
+            scalars = [dense_poly(rng, mod, 1, 2**70), dense_poly(rng, mod, 1), minus_one, zero]
+            for s, r in itertools.product(scalars, repeat=2):
+                for ops in ((s, f, r, g), (s, f, g, r), (f, s, r, g), (f, s, g, r)):
+                    assert _dot(*ops) == _dot_oracle(*ops), (mod, lf, lg)
+        for lf in (1, 2, 5, n + 1):
+            f = dense_poly(rng, mod, lf, 2**70)
+            low = dense_poly(rng, mod, lf - 1, 2**70)
+            g = f + low  # f - g = -low: the top coefficients cancel
+            one = Poly.one(mod)
+            for ops in ((one, f, minus_one, g), (f, one, g, minus_one)):
+                assert _dot(*ops) == _dot_oracle(*ops) == -low, (mod, lf)
+
+
 @st.composite
 def _dot_operands(draw):
     mod = draw(st.sampled_from((None,) + PRIMES))
@@ -423,6 +451,26 @@ def test_divmod_kernel_both_sides_of_crossover():
                 assert q * b + r == a
                 assert r.is_zero or r.degree < b.degree
                 assert q.degree == a.degree - b.degree
+
+
+@st.composite
+def _divmod_operands(draw):
+    """A dividend and a nonzero divisor over F_p, with divisor and quotient
+    lengths on both sides of the Newton crossover."""
+    p = draw(st.sampled_from(PRIMES))
+    coeff = st.integers(0, p - 1)
+    x = ring._NEWTON_MIN_LEN
+    lb = draw(st.integers(1, 8) | st.integers(x - 2, x + 2))
+    la = lb - 1 + draw(st.integers(0, 8) | st.integers(x - 2, x + 2))
+    b = draw(st.lists(coeff, min_size=lb - 1, max_size=lb - 1)) + [draw(st.integers(1, p - 1))]
+    return Poly(draw(st.lists(coeff, min_size=la, max_size=la)), p), Poly(b, p)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_divmod_operands())
+def test_divmod_kernel_property(pair):
+    a, b = pair
+    assert divmod(a, b) == schoolbook_divmod(a, b)
 
 
 def test_mul_and_divmod_agree_with_sympy():
