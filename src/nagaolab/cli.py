@@ -278,10 +278,20 @@ def _cmd_hdim(args) -> tuple[int, str]:
     return code, "\n".join(lines)
 
 
+def _int(text: str) -> int:
+    """int() of ASCII text only: int() also reads any Unicode decimal digit."""
+    if not text.isascii():
+        raise ValueError(f"not ASCII: {text!r}")
+    return int(text)
+
+
+_int.__name__ = "int"  # argparse names the type in "invalid int value"
+
+
 def _parse_range(text: str) -> range:
     lo, hi = text.split("..", 1) if ".." in text else (text, text)
     try:
-        lo, hi = int(lo), int(hi)
+        lo, hi = _int(lo), _int(hi)
     except ValueError:
         raise ValueError(f"--witness range {text!r} is not an integer or LO..HI") from None
     if hi < lo:
@@ -339,15 +349,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_nf = sub.add_parser("nf", help="normal form of a matrix or word")
     p_nf.add_argument("input", help="matrix text, word JSON, or - for stdin")
-    p_nf.add_argument("--mod", type=int, help="prime p for the F_p[t] side")
+    p_nf.add_argument("--mod", type=_int, help="prime p for the F_p[t] side")
     p_nf.add_argument("--ring", choices=["e2zt"], help="decompose a word over E2(Z[t])")
     p_nf.add_argument("--format", choices=["text", "json"], default="text")
 
     p_hd = sub.add_parser("hdim", help="homology dimension table")
     p_hd.add_argument("--group", required=True, choices=list(GROUP_IDS))
-    p_hd.add_argument("--mod", type=int, required=True, help="coefficient prime p")
-    p_hd.add_argument("--max-i", type=int, default=4, dest="max_i")
-    p_hd.add_argument("--max-deg", type=int, default=4, dest="max_deg")
+    p_hd.add_argument("--mod", type=_int, required=True, help="coefficient prime p")
+    p_hd.add_argument("--max-i", type=_int, default=4, dest="max_i")
+    p_hd.add_argument("--max-deg", type=_int, default=4, dest="max_deg")
     p_hd.add_argument("--coinv", action="store_true", help="wedge-part coinvariant dims")
     p_hd.add_argument("--ledger", action="store_true", help="check the amalgam dimension identity per degree")
     p_hd.add_argument("--format", choices=["text", "json", "csv"], default="text")
@@ -356,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_vf.add_mutually_exclusive_group(required=True)
     group.add_argument("--witness", nargs=2, metavar=("P_RANGE", "K_RANGE"),
                        help="e.g. --witness 2..3 1..2")
-    group.add_argument("--sn", nargs=2, type=int, metavar=("P", "N"),
+    group.add_argument("--sn", nargs=2, type=_int, metavar=("P", "N"),
                        help="unit subset-sum witness search")
     p_vf.add_argument("--format", choices=["text", "json"], default="text")
 

@@ -507,6 +507,11 @@ def test_usage_error(capsys):
         (["hdim", "--group", "bz", "--mod", "x"], "argument --mod: invalid int value: 'x'"),
         (["verify", "--witness", "5..", "1"], "--witness range '5..' is not an integer or LO..HI"),
         (["verify", "--witness", "2", "a..3"], "--witness range 'a..3' is not an integer or LO..HI"),
+        # integer text is ASCII: int() would read the Arabic-Indic digits
+        (["nf", "--mod", "\u0665", "[[1, t], [0, 1]]"], "argument --mod: invalid int value: '\u0665'"),
+        (["hdim", "--group", "bz", "--mod", "2", "--max-deg", "\u0663"], "argument --max-deg: invalid int value: '\u0663'"),
+        (["verify", "--sn", "\u0665", "2"], "argument --sn: invalid int value: '\u0665'"),
+        (["verify", "--witness", "\u0662..\u0663", "1"], "--witness range '\u0662..\u0663' is not an integer or LO..HI"),
     ]:
         code, out, err = run(capsys, *argv)
         assert (code, out, err.count("\n")) == (2, "", 1), argv
