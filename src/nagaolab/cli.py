@@ -8,6 +8,9 @@ raises ``_Refusal(code, message)``.  ``main`` alone writes: the text to
 stdout, or one stderr line mapped from the exception: a refusal to its code,
 ``UnsupportedGroupError`` to 3, ``CrossValidationError`` to 1, and
 ``SearchCapExceeded`` or any other ``ValueError`` (parse errors, caps) to 2.
+
+The work of an ``nf`` request is bounded by the one budget ``ring.MAX_WORK``
+(see ``_capped`` and the Euclid loop of ``nagao``).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .homology import (
     mv_ledger_check,
 )
 from .nagao import CrossValidationError, letters_from_gens, nagao_normal_form
-from .ring import MAX_DEGREE, MAX_INT_DIGITS, SearchCapExceeded, is_prime, sn_witness_search
+from .ring import MAX_DEGREE, MAX_INT_DIGITS, SearchCapExceeded, _charge, _mul_cost, is_prime, sn_witness_search
 from .witnesses import verify_witness_suite
 
 EXIT_OK = 0
@@ -41,15 +44,9 @@ MAX_I = 64  # hdim --max-i; hdim --max-deg is capped at MAX_DEGREE
 MAX_RANGE_VALUES = 8  # values in one verify --witness range
 MAX_WITNESS_K = MAX_DEGREE // 3  # h(p, k) and x(3k) have degree 3k
 MAX_WORD_LEN = 2_000  # letters of an nf word or normal form, after shorthand expansion
-# Caps on the product of an nf word or normal form, checked on bounds taken
-# from its letters (see _capped): its degree, and over Z the bit length of
-# its coefficients.  The slowest accepted words measured ran in under 4 s.
-MAX_WORD_DEGREE = 1_000
+# Over Z, a cap on the coefficient bits of an nf product (see _capped), which
+# keeps it below CPython's 4 300-digit limit on printing an integer.
 MAX_WORD_BITS = 4_000
-# Cap on letters x summed degree of a normal form over F_p above the degree
-# cap (see _capped).  The slowest accepted one measured (p near 2**64, seven
-# letters, four of them of degree 10 000) ran in under 3 s.
-MAX_NF_WORK = 300_000
 
 
 # A JSON string, or a JSON number as its integer part and the rest (fraction
@@ -107,38 +104,34 @@ def _check_word_len(n: int, what: str) -> None:
 
 
 def _capped(letters, mod, what: str):
-    """The letters, refused as soon as they pass the word length cap or a
-    cap on the size of their product.
+    """The letters, refused as soon as they pass MAX_WORD_LEN, the work
+    budget, or over Z MAX_WORD_BITS.
 
-    The degree of a product is at most the summed letter degree.  With |m|
-    the largest l1 norm of an entry of m, |m * n| <= 2 |m| |n|, so over Z
-    every coefficient of the product is below 2**bits, where bits sums one
-    plus the bit length of |m| over the letters.
-
-    A normal form over F_p above the degree cap is refused only once its
-    letters x summed degree, the cost of evaluating it, passes MAX_NF_WORK
-    as well, so that the normal form of a matrix above the degree cap reads
-    back.  Over Z that cost grows with the coefficient width too, and normal
-    forms keep the caps of words."""
-    by_work = what == "normal form" and mod is not None
+    The work is the ``_mul_cost`` of multiplying the letters out from the
+    left: each nonzero letter entry multiplies a column of the running
+    product, of degree at most the summed letter degree and coefficients of
+    at most ``width`` bits: below p over F_p; over Z each letter adds
+    ceil(log2) of its larger column l1 norm.  The size cap takes, per
+    letter, one plus the bit length of its largest entry l1 norm |m|, since
+    |m * n| <= 2 |m| |n|."""
     count = degree = bits = 0
+    width = 0 if mod is None else (mod - 1).bit_length()
+    work = 0.0
     for letter in letters:
-        entries = letter.mat.entries()
         count += 1
-        degree += max(e.degree or 0 for e in entries)
-        if mod is None:
-            bits += 1 + max(sum(map(abs, e.coeffs)) for e in entries).bit_length()
         _check_word_len(count, what)
-        if degree > MAX_WORD_DEGREE:
-            if not by_work:
-                raise ValueError(f"{what} has summed letter degree above the product degree cap {MAX_WORD_DEGREE}")
-            if count * degree > MAX_NF_WORK:
-                raise ValueError(
-                    f"{what} has summed letter degree above the product degree cap {MAX_WORD_DEGREE} "
-                    f"and letters x summed degree above the evaluation cap {MAX_NF_WORK}"
-                )
-        if bits > MAX_WORD_BITS:
-            raise ValueError(f"{what} has summed coefficient bits above the product size cap {MAX_WORD_BITS}")
+        entries = [e.coeffs for e in letter.mat.entries()]
+        for cs in entries:
+            if cs:
+                work += 2 * _mul_cost(degree + 1, len(cs), width, max(map(abs, cs)).bit_length())[0]
+        _charge(work, what)
+        degree += max(1, *map(len, entries)) - 1
+        if mod is None:
+            a, b, c, d = (sum(map(abs, cs)) for cs in entries)
+            width += (max(a + c, b + d) - 1).bit_length()
+            bits += 1 + max(a, b, c, d).bit_length()
+            if bits > MAX_WORD_BITS:
+                raise ValueError(f"{what} has summed coefficient bits above the product size cap {MAX_WORD_BITS}")
         yield letter
 
 

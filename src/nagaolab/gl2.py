@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .ring import MAX_INT_DIGITS, Poly, PolyParseError, _check_modulus, _dot, _reduce_coeffs, _scale
+from .ring import _INT_RE, MAX_INT_DIGITS, Poly, PolyParseError, _check_modulus, _dot, _reduce_coeffs, _scale
 
 __all__ = [
     "Mat2",
@@ -194,8 +194,7 @@ def _unit_inverse(u: int, mod: int | None) -> int:
         if u not in (1, -1):
             raise ValueError(f"{u!r} is not a unit of Z")
         return u
-    u %= mod
-    if u == 0:
+    if u % mod == 0:
         raise ValueError(f"{u!r} is not a unit mod {mod}")
     return pow(u, -1, mod)
 
@@ -250,7 +249,6 @@ class Gen:
 
 
 _GEN_RE = re.compile(r"^\s*(E12|E21|D|W)\s*(?:\(\s*(.*?)\s*\))?\s*$")
-_INT_RE = re.compile(r"[+-]?[0-9]+")
 _MAT_RE = re.compile(
     r"^\s*\[\s*\[([^][,]+),([^][,]+)\]\s*,\s*\[([^][,]+),([^][,]+)\]\s*\]\s*$"
 )

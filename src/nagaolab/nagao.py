@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from .amalgam import AmalgamStructure, Form, Letter, NormalForm, _mat
 from .gl2 import Gen, Mat2, _unit_inverse
-from .ring import Poly, _divmod_coeffs, _dot, _reduce_coeffs, _scale
+from .ring import _KRONECKER_MIN_LEN, _NEWTON_MIN_LEN, Poly, _charge, _divmod_coeffs, _dot, _mul_cost
+from .ring import _reduce_coeffs, _scale
 
 __all__ = [
     "CrossValidationError",
@@ -34,10 +35,13 @@ __all__ = [
 ]
 
 
-# Cap on Euclid steps x input degree in sl2fpt_elementary_factor, which
-# bounds the quadratic cost of a bare matrix through nagao_normal_form.  The
-# slowest accepted matrices measured (p near 2**64) ran in under 4 s.
-MAX_EUCLID_WORK = 1_000_000
+# Each Euclid step of sl2fpt_elementary_factor is charged its products, plus
+# _PASS_COST per coefficient for the linear passes around them, times
+# _EUCLID_PASSES for the round trip, degree reduction and evaluation that
+# repeat its sizes: whole requests took 1.5 to 6 times the loop's own
+# estimate, and 2.5 keeps the k = 50 alternating product of degree 7 050 in.
+_EUCLID_PASSES = 2.5
+_PASS_COST = 200
 
 
 # The oracles below work on the canonical coefficient tuples of the entries
@@ -128,25 +132,41 @@ def sl2fpt_elementary_factor(m: Mat2) -> list[Gen]:
         raise ValueError("sl2fpt_elementary_factor expects coefficients mod p")
     _require_det_one(m)
     a, b, c, d = (e.coeffs for e in m.entries())
-    degree = max(len(a), len(b), len(c), len(d)) - 1
+    width = (p - 1).bit_length()
+    unit = _mul_cost(1, 1, width, width)[0]  # one coefficient product in the loop
+    work = 0.0
     steps: list[tuple[str, tuple[int, ...]]] = []
     while c:
-        if len(steps) * degree > MAX_EUCLID_WORK:
-            raise ValueError(f"matrix has Euclid steps x degree above the work cap {MAX_EUCLID_WORK}")
         if not a:
             # det = -bc = 1 here, so c is a nonzero constant: q = -c^-1
             # makes a - q*c = 1
             q = (-pow(c[0], -1, p) % p,)
             steps.append(("E12", q))
             a, b = _ONE, _dot(b, _ONE, _scale(q, -1, p), d, p)
-        elif len(c) < len(a):
+            continue
+        if len(c) < len(a):
             q, a = _divmod_coeffs(a, c, p)
             steps.append(("E12", q))
             b = _dot(b, _ONE, _scale(q, -1, p), d, p)
+            divisor, other = c, d
         else:
             q, c = _divmod_coeffs(c, a, p)
             steps.append(("E21", q))
             d = _dot(d, _ONE, _scale(q, -1, p), b, p)
+            divisor, other = a, b
+        # the division and the column update as ring._mul_cost prices them;
+        # long division and the schoolbook loop skip zero coefficients of q
+        nq = len(q) - q.count(0)
+        if len(q) < _KRONECKER_MIN_LEN:  # both loops
+            cost = nq * (len(divisor) + len(other)) * unit
+        else:  # long or Newton division, and a Kronecker update
+            wq = max(q).bit_length()
+            cost = _mul_cost(len(q), len(other), wq, width)[0] + (
+                nq * len(divisor) * unit if len(q) < _NEWTON_MIN_LEN
+                else _mul_cost(len(q), len(divisor), wq, width)[0]
+            )
+        work += _EUCLID_PASSES * (cost + _PASS_COST * (len(divisor) + len(other)))
+        _charge(work, "matrix")
     gens = [Gen(kind, Poly._canon(q, p), p) for kind, q in steps]
     u0 = a[0]
     if u0 != 1:

@@ -15,7 +15,7 @@ leaves coefficients unreduced.  A one-coefficient operand scales the other,
 and the factor 1 copies it.
 Below ``_KRONECKER_MIN_LEN`` (16) coefficients in the shorter operand it is
 the schoolbook double loop.  From there on it is Kronecker substitution
-unless ``_kronecker_pays`` estimates the loop cheaper (wide coefficients):
+unless ``_mul_cost`` estimates the loop cheaper (wide coefficients):
 both operands are packed into one Python int each, in byte slots wide
 enough that no product coefficient overflows its slot (signed slots over
 Z), CPython's Karatsuba bigint multiply does the work, and the slots are
@@ -42,6 +42,10 @@ and one strip (a factor 1 costs one copy).  So x + f*y is
 degree-reduction oracles and of ``phi_p``'s product, which run on
 coefficient tuples with these kernels, ``_divmod_coeffs`` and ``_scale``
 (a unit times a polynomial).
+
+``_mul_cost`` prices a product, for the kernel it picks, in 30-bit digit
+products; ``_charge`` refuses an ``nf`` request whose priced work passes
+the one budget ``MAX_WORK`` (``cli._capped``, ``nagao`` Euclid loop).
 
 The public constructor validates the modulus and coerces and reduces every
 coefficient.  Results of arithmetic on valid polynomials are canonical by
@@ -444,12 +448,12 @@ class Poly:
                 f"polynomial has {len(coeffs)} coefficients, above the degree cap {MAX_DEGREE}"
             )
         for idx, c in enumerate(coeffs):
-            # int() reads any Unicode decimal digit; integer text is ASCII
-            if type(c) is not int and (type(c) is not str or not c.isascii()):
+            # int() also reads "1_0", " 2 " and non-ASCII digits
+            if type(c) is not int and (type(c) is not str or not _INT_RE.fullmatch(c)):
                 raise ValueError(
                     f"polynomial coefficient {c!r} is not an integer or an integer string"
                 )
-            digits = sum(map(str.isdigit, c)) if type(c) is str and len(c) > MAX_INT_DIGITS else 0
+            digits = len(c.lstrip("+-")) if type(c) is str else 0
             if digits > MAX_INT_DIGITS:
                 raise ValueError(
                     f"polynomial coefficient {idx} has {digits} digits, above the digit cap {MAX_INT_DIGITS}"
@@ -460,7 +464,7 @@ class Poly:
 # -- multiplication kernels -------------------------------------------
 
 # Poly.__mul__ uses the schoolbook loop while the shorter operand has fewer
-# coefficients than this, and from here on Kronecker where _kronecker_pays.
+# coefficients than this, and from here on Kronecker where _mul_cost picks it.
 _KRONECKER_MIN_LEN = 16
 # divmod over F_p uses long division while the divisor or the quotient has
 # fewer coefficients than this, and a Newton power-series inverse from here on.
@@ -586,7 +590,7 @@ def _raw_mul(a, b, signed: bool) -> list[int]:
         return list(a) if c == 1 else [c * e for e in a]
     if len(b) >= _KRONECKER_MIN_LEN:
         ma, mb = max(map(abs, a)), max(map(abs, b))
-        if _kronecker_pays(len(a), len(b), ma.bit_length(), mb.bit_length()):
+        if _mul_cost(len(a), len(b), ma.bit_length(), mb.bit_length())[1]:
             return _kronecker(a, b, len(b) * ma * mb, signed)
     # the shorter operand in the outer loop, so the inner loop runs longest
     cs = [0] * (len(a) + len(b) - 1)
@@ -597,17 +601,46 @@ def _raw_mul(a, b, signed: bool) -> list[int]:
     return cs
 
 
-def _kronecker_pays(la: int, lb: int, wa: int, wb: int) -> bool:
-    """Whether Kronecker is estimated cheaper than the schoolbook loop for
-    la >= lb coefficients of at most wa and wb bits, in 30-bit bigint digits.
-    The loop makes la*lb products of about (wa/30 + 8)(wb/30 + 8) each, with
-    the interpreter's overhead.  Kronecker packs both operands into slots of
-    w ~ wa + wb bits, so a narrow operand pays the width of the other, and
-    multiplies la*w by lb*w digits in about 12 * la*w * (lb*w)**0.585
-    (Karatsuba).  The constants fit timings of lengths 16 to 1 000 and
-    widths 4 to 3 000 bits over Z."""
-    w = (wa + wb + lb.bit_length()) / 30
-    return 12 * w * (lb * w) ** 0.585 < lb * (wa / 30 + 8) * (wb / 30 + 8)
+# The work budget of one nf request, in the digit products of _mul_cost: the
+# cost of multiplying out a word or normal form, or of factoring a matrix.
+MAX_WORK = 4_500_000_000
+
+
+def _mul_cost(la: int, lb: int, wa: int, wb: int) -> tuple[float, bool]:
+    """The estimated cost of a product of la by lb coefficients of at most
+    wa and wb bits, in 30-bit digit products (about a nanosecond each with
+    CPython 3.11 on a 2-vCPU x86 container), and whether ``_raw_mul`` takes
+    Kronecker for it.  From _KRONECKER_MIN_LEN
+    coefficients in the shorter operand the cheaper of two fitted estimates
+    picks the kernel: the loop makes la*lb products of about (wa/30 + 8)
+    (wb/30 + 8) each, with the interpreter's overhead; Kronecker packs both
+    operands into slots of w ~ wa + wb bits and multiplies la*w by lb*w
+    digits in about 12 * la*w * (lb*w)**0.585 (Karatsuba), fitted on lengths
+    16 to 1 000 and widths 4 to 3 000 bits over Z.  Against whole products
+    at p = 3 to 2**64 - 59, the loop costs about 2.5 times its estimate and
+    Kronecker its estimate plus, per coefficient packed and unpacked, about
+    120 through ``array`` or 1 000 through ``int.to_bytes`` (slots above 64
+    bits)."""
+    if la < lb:
+        la, lb, wa, wb = lb, la, wb, wa
+    # per coefficient of the longer operand, so that the choice does not
+    # depend on rounding a product by la
+    loop = lb * (wa / 30 + 8) * (wb / 30 + 8)
+    if lb >= _KRONECKER_MIN_LEN:
+        slot = wa + wb + lb.bit_length()
+        w = slot / 30
+        kronecker = 12 * w * (lb * w) ** 0.585
+        if kronecker < loop:
+            return la * kronecker + (la + lb) * (120 if slot <= 64 else 1_000), True
+    return 2.5 * la * loop, False
+
+
+def _charge(work: float, what: str) -> None:
+    """Refuse a request whose estimated work has passed MAX_WORK."""
+    if work > MAX_WORK:
+        raise ValueError(
+            f"{what} has an estimated work of at least {work:.0f} digit products, above the work budget {MAX_WORK}"
+        )
 
 
 def _kronecker(a, b, bound: int, signed: bool) -> list[int]:
@@ -674,6 +707,7 @@ def _series_inverse(f, k: int, p: int) -> list[int]:
 
 
 # ASCII digits only: \d would take any Unicode decimal digit, which int() reads.
+_INT_RE = re.compile(r"[+-]?[0-9]+")  # integer text: coefficient strings, D(...)
 _TOKEN_RE = re.compile(r"([0-9]+)|([+\-*^t])|(\S)")
 
 

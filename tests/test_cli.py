@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 
@@ -9,8 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nagaolab
+from nagaolab import cli
+from nagaolab.amalgam import Letter
 from nagaolab.cli import main
-from nagaolab.gl2 import e12, e21, identity
+from nagaolab.gl2 import diag, e12, e21, identity, w
 from nagaolab.homology import GROUP_IDS, LedgerReport
 from nagaolab.nagao import CrossValidationError
 from nagaolab.ring import Poly
@@ -26,6 +29,27 @@ def _alternating_json(p, pairs):
             m = m * base
         base, pairs = base * base, pairs >> 1
     return json.dumps(m.to_json())
+
+
+P64 = 2**64 - 59  # the largest prime below 2**64
+
+# Inputs above the work budget, with their exact refusals: over F_p with p
+# near 2**64, five letters E12(f) with f dense of degree 10 000 alternating
+# with a constant, as a word and as a normal form, and the
+# (E12(t) E21(t))^1200 matrix over F_3.
+_DENSE_E12 = [[1, [P64 - 1 - i for i in range(10001)]], [0, 1]]
+WORD_WORK_CASE = (
+    ["--mod", str(P64), json.dumps([{"factor": 2, "matrix": _DENSE_E12}, "W"] * 4 + [{"factor": 2, "matrix": _DENSE_E12}])],
+    "error: word has an estimated work of at least 6630151740 digit products, above the work budget 4500000000",
+)
+NF_WORK_CASE = (
+    ["--mod", str(P64), json.dumps({"head": [[1, 0], [0, 1]], "tags": [2, 1] * 5,
+                                    "tail": [_DENSE_E12, [[0, P64 - 1], [1, 0]]] * 5})],
+    "error: normal form has an estimated work of at least 6630151740 digit products, above the work budget 4500000000",
+)
+EUCLID_WORK_ERROR = (
+    "error: matrix has an estimated work of at least 4501135872 digit products, above the work budget 4500000000"
+)
 
 
 def run(capsys, *argv):
@@ -114,7 +138,7 @@ def test_nf_det_not_one(capsys):
         (["--mod", "3", '{"head": [1, 2], "tags": [], "tail": []}'],
          "error: normal form field 'head': matrix JSON must be a 2x2 nested array"),
         (["--mod", "3", '{"head": [[1, 0], [0, 1]], "tags": [1], "tail": [[["y", 2], [1, 0]]]}'],
-         "error: normal form field 'tail': invalid literal for int() with base 10: 'y'"),
+         "error: normal form field 'tail': polynomial coefficient 'y' is not an integer or an integer string"),
         (["--mod", "3", '[[{"coeffs": 5}, {"coeffs": []}], [{"coeffs": []}, {"coeffs": ["1"]}]]'],
          "error: polynomial field 'coeffs' must be a list, got 5"),
         (["--mod", "3", '[[{"coeffs": "12"}, 0], [0, 1]]'],
@@ -127,6 +151,15 @@ def test_nf_det_not_one(capsys):
          "error: polynomial coefficient 1.7 is not an integer or an integer string"),
         (["--mod", "3", "[[true, 0], [0, 1]]"],
          "error: polynomial coefficient True is not an integer or an integer string"),
+        # integer strings are [+-]?[0-9]+: int() would also take "1_0" and " 2 "
+        (["--mod", "7", '[[1, {"coeffs": ["1_0", "2"]}], [0, 1]]'],
+         "error: polynomial coefficient '1_0' is not an integer or an integer string"),
+        (["--mod", "7", '[[1, {"coeffs": ["1", " 2 "]}], [0, 1]]'],
+         "error: polynomial coefficient ' 2 ' is not an integer or an integer string"),
+        (["--mod", "3", '[[1, "t"], [0, 1]]'],
+         "error: polynomial coefficient 't' is not an integer or an integer string"),
+        (["--mod", "3", '[[1, "-"], [0, 1]]'],
+         "error: polynomial coefficient '-' is not an integer or an integer string"),
         (["--mod", "3", '[[{"coeffs": ["1"], "mod": "x"}, 0], [0, 1]]'],
          "error: polynomial field 'mod' must be 3, got 'x'"),
         (["--mod", "3", '[[{"coeffs": ["1"], "mod": 5}, 0], [0, 1]]'],
@@ -151,32 +184,22 @@ def test_nf_det_not_one(capsys):
                                     "tail": [[[0, 2], [1, 0]], [[1, "t"], [0, 1]]] * 1000
                                     + [[[0, 2], [1, 0]]]})],
          "error: normal form has more than 2000 letters (the word length cap)"),
-        (["--mod", "3", json.dumps(["E12(t^600)", "W", "E12(t^401)"])],
-         "error: word has summed letter degree above the product degree cap 1000"),
+        # the work budget, and over F_3 a word whose product would reach
+        # degree 10 000 000
+        WORD_WORK_CASE,
         (["--mod", "3", json.dumps(["E12(t^10000)", "W"] * 1000)],
-         "error: word has summed letter degree above the product degree cap 1000"),
-        # over F_p a normal form above the degree cap is refused only past
-        # letters x summed degree 300 000: here 8 x 40 000
-        (["--mod", "3", json.dumps({"head": [[1, 0], [0, 1]], "tags": [2, 1] * 4,
-                                    "tail": [[[1, {"coeffs": [0] * 10000 + [1]}], [0, 1]],
-                                             [[0, 2], [1, 0]]] * 4})],
-         "error: normal form has summed letter degree above the product degree cap 1000 "
-         "and letters x summed degree above the evaluation cap 300000"),
-        (["--ring", "e2zt", json.dumps({"head": [[1, 0], [0, 1]], "tags": [2, 1, 2],
-                                        "tail": [[[1, {"coeffs": [0] * 600 + [1]}], [0, 1]],
-                                                 [[0, -1], [1, 0]],
-                                                 [[1, {"coeffs": [0] * 401 + [1]}], [0, 1]]]})],
-         "error: normal form has summed letter degree above the product degree cap 1000"),
+         "error: word has an estimated work of at least 4549258377 digit products, above the work budget 4500000000"),
+        NF_WORK_CASE,
         (["--ring", "e2zt", json.dumps(["E12(%d)" % 2**1998, "W", "E12(%d)" % 2**1998])],
          "error: word has summed coefficient bits above the product size cap 4000"),
         (["--ring", "e2zt", json.dumps(["E12(%s*t)" % ("9" * 2500), "W", "E12(%s*t)" % ("9" * 2500)])],
          "error: word has summed coefficient bits above the product size cap 4000"),
-        # the alternating product of degree 2 000 needs about 2 000 Euclid steps
-        (["--mod", "3", _alternating_json(3, 1000)],
-         "error: matrix has Euclid steps x degree above the work cap 1000000"),
+        # the alternating product of degree 2 400 needs about 2 400 Euclid steps
+        (["--mod", "3", _alternating_json(3, 1200)], EUCLID_WORK_ERROR),
         (["--mod", "3", '["D(x)"]'], "error: D needs a signed decimal integer, got 'x' (at position 2)"),
         (["--mod", "3", '["D()"]'], "error: D needs a signed decimal integer, got '' (at position 2)"),
         (["--mod", "3", '["D(1_0)"]'], "error: D needs a signed decimal integer, got '1_0' (at position 2)"),
+        (["--mod", "2", '["D(2)"]'], "error: 2 is not a unit mod 2"),
         # integers above CPython's str -> int limit of 4 300 digits
         (["--mod", "3", '["D(-%s)"]' % ("1" * 5000)],
          "error: D argument has 5000 digits, above the digit cap 4300 (at position 2)"),
@@ -200,12 +223,14 @@ def test_nf_det_not_one(capsys):
     ids=["mod-with-e2zt", "nf-json-empty", "nf-json-no-tags", "nf-json-bad-tag",
          "nf-json-tail-not-list", "nf-json-bad-head", "nf-json-bad-tail-entry",
          "poly-coeffs-not-list", "poly-coeffs-string", "poly-float-entry", "poly-null-entry",
-         "poly-float-coeff", "poly-bool-entry", "poly-mod-not-int", "poly-mod-mismatch",
+         "poly-float-coeff", "poly-bool-entry",
+         "poly-coeff-underscore", "poly-coeff-spaces", "poly-coeff-letter", "poly-coeff-sign-only",
+         "poly-mod-not-int", "poly-mod-mismatch",
          "word-factor-string", "word-factor-bool", "parse-degree-cap", "json-degree-cap",
          "json-nested-too-deeply", "word-length-cap", "word-length-cap-expanded",
-         "word-length-cap-e2zt", "nf-json-length-cap", "word-degree-cap", "word-degree-cap-long",
-         "nf-json-degree-cap", "nf-json-degree-cap-e2zt", "word-bits-cap-e2zt", "word-bits-cap-e2zt-nines",
-         "euclid-work-cap", "gen-d-not-int", "gen-d-empty", "gen-d-underscore",
+         "word-length-cap-e2zt", "nf-json-length-cap", "word-work-budget", "word-degree-cap-long",
+         "nf-json-work-budget", "word-bits-cap-e2zt", "word-bits-cap-e2zt-nines",
+         "euclid-work-cap", "gen-d-not-int", "gen-d-empty", "gen-d-underscore", "gen-d-not-unit",
          "digit-cap-gen-d", "digit-cap-gen-e12", "digit-cap-matrix-text", "digit-cap-json-int",
          "digit-cap-json-int-after-string", "digit-cap-coeff-string", "unicode-digit-gen",
          "unicode-digit-matrix-text", "unicode-digit-coeff-string"],
@@ -265,13 +290,36 @@ def test_nf_any_json_payload_exits_cleanly(payload, p):
     assert err.getvalue().count("\n") == (code != 0)
 
 
+def test_capped_width_bounds_the_running_product(monkeypatch):
+    """Over Z the work meter prices each letter against a coefficient width
+    that bounds the product of the letters before it."""
+    rng = random.Random(4242)
+    calls = []
+    monkeypatch.setattr(cli, "_mul_cost", lambda la, lb, wa, wb: calls.append(wa) or (0.0, False))
+    for _ in range(40):
+        letters = []
+        for _ in range(rng.randint(1, 12)):
+            kind = rng.choice("EWD")
+            if kind == "E":
+                f = Poly([rng.randint(-(2**rng.randint(0, 40)), 2**rng.randint(0, 40)) for _ in range(rng.randint(1, 5))])
+                letters.append(Letter(2, e12(f)))
+            else:
+                letters.append(Letter(1, w() if kind == "W" else diag(-1)))
+        capped, prod = cli._capped(iter(letters), None, "word"), identity()
+        for letter in letters:
+            calls.clear()
+            assert next(capped) is letter
+            assert max(abs(c) for e in prod.entries() for c in e.coeffs) <= 2 ** max(calls)
+            prod = prod * letter.mat
+
+
 def test_nf_word_at_length_cap(capsys):
     code, out, err = run(capsys, "nf", "--mod", "3", json.dumps(["W"] * 2000))  # W^4 = I
     assert (code, err) == (0, "") and "length: 0" in out
 
 
 def test_nf_word_at_product_caps(capsys):
-    # the degree and, over Z, the coefficient bound reach their caps exactly:
+    # over Z the coefficient bound reaches its cap exactly:
     # 2 * (1 + bit length of 2**1998 - 1) + (1 + 1) for W = 4000 bits
     code, out, err = run(capsys, "nf", "--mod", "3", json.dumps(["E12(t^600)", "W", "E12(t^400)"]))
     assert (code, err) == (0, "") and "length: 3" in out
@@ -583,13 +631,18 @@ NF_Z = (
     '"tags": [1, 2, 1], "matrix": [[{"coeffs": ["-1", "6"]}, {"coeffs": ["-1", "2"]}], '
     '[{"coeffs": ["1", "3"]}, {"coeffs": ["0", "1"]}]]}'
 )
-# The emitted normal form of E12(t^2000) over F_3, whose degree is above the
-# product degree cap of words.
+# The emitted normal form of E12(t^2000) over F_3.
 _T2000 = [[{"coeffs": ["1"], "mod": 3}, {"coeffs": ["0"] * 2000 + ["1"], "mod": 3}],
           [{"coeffs": [], "mod": 3}, {"coeffs": ["1"], "mod": 3}]]
 NF_F3_HIGH = json.dumps({"length": 1, "head": [[{"coeffs": ["1"], "mod": 3}, {"coeffs": [], "mod": 3}],
                                                [{"coeffs": [], "mod": 3}, {"coeffs": ["1"], "mod": 3}]],
                          "tail": [_T2000], "tags": [2], "matrix": _T2000})
+# Normal forms of summed letter degree 40 000 over F_3 and 1 001 over Z.
+NF_F3_DEGREE_40000 = json.dumps({"head": [[1, 0], [0, 1]], "tags": [2, 1] * 4,
+                                 "tail": [[[1, {"coeffs": [0] * 10000 + [1]}], [0, 1]], [[0, 2], [1, 0]]] * 4})
+NF_Z_DEGREE_1001 = json.dumps({"head": [[1, 0], [0, 1]], "tags": [2, 1, 2],
+                               "tail": [[[1, {"coeffs": [0] * 600 + [1]}], [0, 1]], [[0, -1], [1, 0]],
+                                        [[1, {"coeffs": [0] * 401 + [1]}], [0, 1]]]})
 HDIM_HEADER = "group           p   d   i     dim  flags"
 COINV_FLAGS = "wedge-part coinvariants of t*F_p[t]"
 BQUOT_FLAGS = "plus an opaque H_i(SL2(F_p)) summand (not computed)"
@@ -732,6 +785,53 @@ GOLDEN = [
         ["nf", "--mod", "3", "--format", "json", NF_F3_HIGH], 0,
         _pretty(NF_F3_HIGH),
         id="nf-json-round-trip-above-degree-cap",
+    ),
+    pytest.param(
+        ["nf", "--mod", "3", '["E12(t^600)", "W", "E12(t^401)"]'], 0,
+        _lines(
+            "length: 3",
+            "head:   [[1, 0], [0, 1]]",
+            "tail 1: factor 2  [[1, t^600], [0, 1]]",
+            "tail 2: factor 1  [[0, 2], [1, 0]]",
+            "tail 3: factor 2  [[1, t^401], [0, 1]]",
+            "matrix: [[t^600, 2 + t^1001], [1, t^401]]",
+        ),
+        id="nf-word-degree-1001",
+    ),
+    pytest.param(
+        ["nf", "--mod", "3", '["E12(t^5000)", "W", "E12(t^5000)"]'], 0,
+        _lines(
+            "length: 3",
+            "head:   [[1, 0], [0, 1]]",
+            "tail 1: factor 2  [[1, t^5000], [0, 1]]",
+            "tail 2: factor 1  [[0, 2], [1, 0]]",
+            "tail 3: factor 2  [[1, t^5000], [0, 1]]",
+            "matrix: [[t^5000, 2 + t^10000], [1, t^5000]]",
+        ),
+        id="nf-word-degree-10000",
+    ),
+    pytest.param(
+        ["nf", "--mod", "3", NF_F3_DEGREE_40000], 0,
+        _lines(
+            "length: 8",
+            "head:   [[1, 0], [0, 1]]",
+            *(f"tail {i}: factor 2  [[1, t^10000], [0, 1]]\ntail {i + 1}: factor 1  [[0, 2], [1, 0]]"
+              for i in (1, 3, 5, 7)),
+            "matrix: [[1 + t^40000, 2*t^10000 + 2*t^30000], [t^10000 + t^30000, 1 + 2*t^20000]]",
+        ),
+        id="nf-json-normal-form-degree-40000",
+    ),
+    pytest.param(
+        ["nf", "--ring", "e2zt", NF_Z_DEGREE_1001], 0,
+        _lines(
+            "length: 3",
+            "head:   [[1, 0], [0, 1]]",
+            "tail 1: factor 2  [[1, t^600], [0, 1]]",
+            "tail 2: factor 1  [[0, -1], [1, 0]]",
+            "tail 3: factor 2  [[1, t^401], [0, 1]]",
+            "matrix: [[t^600, -1 + t^1001], [1, t^401]]",
+        ),
+        id="nf-e2zt-json-normal-form-degree-1001",
     ),
     pytest.param(
         ["nf", "--ring", "e2zt", "--format", "json", '["E12(2)", "W", "E12(t)", "E21(3)"]'], 0,

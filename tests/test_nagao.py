@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nagaolab import gl2, nagao
+from nagaolab import gl2, nagao, ring
 from nagaolab.amalgam import AmalgamStructure, Letter
 from nagaolab.gl2 import Gen, Mat2, diag, e12, e21, identity, parse_matrix, w
 from nagaolab.nagao import (
@@ -101,10 +101,21 @@ def test_fpt_factor_roundtrip_random():
 
 def test_fpt_factor_refuses_euclid_work_above_cap(monkeypatch):
     m = _product([Gen(k, Poly.parse("t", 3), 3) for k in ("E12", "E21") * 3], 3)
+    charged = []  # the running work after each Euclid step
+    monkeypatch.setattr(nagao, "_charge", lambda work, what: charged.append(work))
     assert len(sl2fpt_elementary_factor(m)) == 6
-    monkeypatch.setattr(nagao, "MAX_EUCLID_WORK", 29)  # 5 steps at degree 6 pass it
-    with pytest.raises(ValueError, match="work cap 29"):
+    monkeypatch.undo()
+    assert len(charged) == 6 and charged == sorted(charged) and charged[0] > 0
+    monkeypatch.setattr(ring, "MAX_WORK", int(charged[-1]) + 1)  # the whole loop fits
+    assert len(sl2fpt_elementary_factor(m)) == 6
+    monkeypatch.setattr(ring, "MAX_WORK", int(charged[-1]) - 1)  # the last step passes it
+    with pytest.raises(ValueError) as exc:
         sl2fpt_elementary_factor(m)
+    assert str(exc.value) == (
+        f"matrix has an estimated work of at least {charged[-1]:.0f} digit products, "
+        f"above the work budget {int(charged[-1]) - 1}"
+    )
+    monkeypatch.setattr(ring, "MAX_WORK", 0)
     assert len(sl2fpt_elementary_factor(e12(Poly.parse("t^9", 3)))) == 1  # no Euclid step
 
 

@@ -346,10 +346,46 @@ def test_dot_kernel_matches_poly_operators():
     # coefficients on either side of the width where Kronecker stops paying
     for la, wa, lb, wb, kronecker in ((1000, 3000, 21, 72, False), (x, 170, x, 170, True),
                                       (x, 180, x, 180, False)):
-        assert ring._kronecker_pays(la, lb, wa, wb) is kronecker
+        assert ring._mul_cost(la, lb, wa, wb)[1] is kronecker
         a, b = (Poly([rng.randint(1 - 2**w, 2**w - 1) for _ in range(n - 1)] + [2**w - 1])
                 for n, w in ((la, wa), (lb, wb)))
         assert _dot(a, b, b, b) == _dot_oracle(a, b, b, b), (la, wa, lb, wb)
+
+
+def test_raw_mul_picks_the_kernel_of_the_fitted_estimates(monkeypatch):
+    """_raw_mul takes Kronecker exactly where 12 w (lb w)**0.585 is below
+    lb (wa/30 + 8)(wb/30 + 8), with w = (wa + wb + bit length of lb) / 30,
+    the estimates the kernel choice was fitted with; over the grid of
+    lengths 16 to 1 000 and widths 1 to 3 000 bits, in both operand orders."""
+
+    class Picked(Exception):
+        pass
+
+    def kronecker(*args):
+        raise Picked
+
+    monkeypatch.setattr(ring, "_kronecker", kronecker)
+    lengths = (16, 17, 40, 100, 333, 1000)
+    widths = (1, 2, 8, 30, 64, 100, 170, 180, 500, 1000, 3000)
+    grid = itertools.product(lengths, lengths, widths, widths)
+    # and every equal width up to 400 bits, across the crossover
+    sweep = ((la, lb, w, w) for la, lb in itertools.product(lengths, lengths) for w in range(1, 401))
+    for la, lb, wa, wb in itertools.chain(grid, sweep):
+        if la < lb:
+            continue
+        w = (wa + wb + lb.bit_length()) / 30
+        expected = 12 * w * (lb * w) ** 0.585 < lb * (wa / 30 + 8) * (wb / 30 + 8)
+        # one nonzero coefficient each, so that the schoolbook loop is cheap
+        a = [0] * (la - 1) + [2**wa - 1]
+        b = [0] * (lb - 1) + [2**wb - 1]
+        for x, y in ((a, b), (b, a)):
+            try:
+                ring._raw_mul(x, y, False)
+                picked = False
+            except Picked:
+                picked = True
+            assert picked is expected, (la, lb, wa, wb)
+        assert ring._mul_cost(la, lb, wa, wb)[1] is expected
 
 
 def test_dot_kernel_cancellation():
