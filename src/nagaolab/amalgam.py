@@ -29,11 +29,11 @@ Engine forms stay inside the package.  In ``nagao`` the Euclid word of
 ``nagao_normal_form`` and the reduced word of ``phi_p`` enter ``_rewrite``
 as forms, each checked by ``_check_letter``, and both routes are compared
 on forms.  The oracles that check the engine share no arithmetic with it.
-``nf_evaluate`` keeps ``Mat2`` products.  The Euclid factorization, its
-round trip ``_verify_roundtrip``, the degree reduction and ``phi_p``'s
-product over Z work by column operations on the coefficient tuples of the
-four entries with the ``ring`` kernels; the degree reduction shares only
-``_check_forms`` on its output with the engine.
+``nf_evaluate``, the Euclid factorization's round trip and ``phi_p``'s
+product over Z multiply the entries' coefficient tuples with
+``gl2._mat_mul``; the factorization and the degree reduction work by column
+operations on them with the ``ring`` kernels, and the degree reduction
+shares only ``_check_forms`` on its output with the engine.
 
 A ``NormalForm`` is head * s_1 * ... * s_n with head in A, every s_j a
 nontrivial canonical representative, and consecutive s_j from different
@@ -48,8 +48,8 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable
 
-from .gl2 import Mat2, _unit_inverse
-from .ring import Poly, _scale, _strip, is_prime
+from .gl2 import Mat2, _mat_mul, _unit_inverse
+from .ring import _scale, _strip, is_prime
 
 __all__ = ["Letter", "NormalForm", "AmalgamStructure"]
 
@@ -63,11 +63,7 @@ _IDENTITY: Form = (1, (), 0, 1)
 def _mat(x: Form, mod: int | None) -> Mat2:
     """The matrix of an engine form over the ring ``mod``."""
     a, b, c, d = x
-
-    def const(v: int) -> Poly:
-        return Poly._canon((v,) if v else (), mod)
-
-    return Mat2._canon(const(a), Poly._canon(b, mod), const(c), const(d))
+    return Mat2._of_coeffs(((a,) if a else (), b, (c,) if c else (), (d,) if d else ()), mod)
 
 
 @dataclass(frozen=True)
@@ -268,11 +264,14 @@ class AmalgamStructure:
         return x
 
     def nf_evaluate(self, nf: NormalForm) -> Mat2:
-        """Multiply the normal form back out to the group element."""
-        m = nf.head
+        """Multiply the normal form back out to the group element, on coefficient tuples."""
+        mod = nf.head.mod
+        x = nf.head._coeffs()
         for letter in nf.tail:
-            m = m * letter.mat
-        return m
+            if letter.mat.mod != mod:
+                raise ValueError("modulus mismatch between matrix factors")
+            x = _mat_mul(x, letter.mat._coeffs(), mod)
+        return Mat2._of_coeffs(x, mod)
 
     def word_of(self, nf: NormalForm) -> tuple[Letter, ...]:
         """The normal form as a plain word (head tagged into factor 1)."""

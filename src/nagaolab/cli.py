@@ -31,7 +31,8 @@ from .homology import (
     mv_ledger_check,
 )
 from .nagao import CrossValidationError, letters_from_gens, nagao_normal_form
-from .ring import MAX_DEGREE, MAX_INT_DIGITS, SearchCapExceeded, _charge, _mul_cost, is_prime, sn_witness_search
+from .ring import _INT_RE, MAX_DEGREE, MAX_INT_DIGITS, SearchCapExceeded, _charge, _mul_cost, is_prime
+from .ring import sn_witness_search
 from .witnesses import verify_witness_suite
 
 EXIT_OK = 0
@@ -120,7 +121,7 @@ def _capped(letters, mod, what: str):
     for letter in letters:
         count += 1
         _check_word_len(count, what)
-        entries = [e.coeffs for e in letter.mat.entries()]
+        entries = letter.mat._coeffs()
         for cs in entries:
             if cs:
                 work += 2 * _mul_cost(degree + 1, len(cs), width, max(map(abs, cs)).bit_length())[0]
@@ -272,9 +273,9 @@ def _cmd_hdim(args) -> tuple[int, str]:
 
 
 def _int(text: str) -> int:
-    """int() of ASCII text only: int() also reads any Unicode decimal digit."""
-    if not text.isascii():
-        raise ValueError(f"not ASCII: {text!r}")
+    """int() of ``[+-]?[0-9]+`` text only; int() also reads "1_1", " 7 " and non-ASCII digits."""
+    if not _INT_RE.fullmatch(text):
+        raise ValueError(f"not integer text: {text!r}")
     return int(text)
 
 

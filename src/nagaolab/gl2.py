@@ -3,18 +3,19 @@
 Covers what the group algorithms need: products, determinants, the closed
 form inverse for determinant 1, upper-triangularity, entrywise reduction
 mod p, and unipotence.  Standard generators (transvections, diagonal units,
-the order-4 rotation W) come both as plain matrices and as ``Gen`` records
-that remember how they were built, which is what factorization words and
-the CLI shorthand use.
+the order-4 rotation W) come as ``Gen`` records, which factorization words
+and the CLI shorthand use; ``Gen._coeffs`` alone spells out their matrices,
+and ``e12``, ``e21``, ``diag`` and ``w`` return ``Gen(...).matrix()``.
 
-Entries are ``Poly`` values, but products and determinants do not go
-through the ``Poly`` operators: each entry of a product, and the
-determinant, is one call of ``ring._dot`` on the coefficient tuples.  The
-public constructor checks that the four entries share a ring; results of
-arithmetic on valid matrices are built by ``Mat2._canon`` without that
-check, and so are ``identity``, ``e12``, ``e21``, ``Mat2.of_ints`` and
-``reduce_mod_p``, whose constant entries are built by ``Poly._canon`` after
-one check of the modulus.
+Products and determinants do not go through the ``Poly`` operators.  A
+matrix crosses to the coefficient tuples (a, b, c, d) of its entries by
+``Mat2._coeffs`` and back by the trusted ``Mat2._of_coeffs``; ``_mat_mul``
+is the one 2x2 product on such quadruples, for ``Mat2.__mul__``,
+``nf_evaluate``, and the round trip and ``phi_p`` of ``nagao``.  The public
+constructor checks that the four entries share a ring; ``_canon`` and
+``_of_coeffs`` build results of arithmetic on valid matrices, and
+``Gen.matrix``, ``of_ints`` and ``reduce_mod_p`` after one check of the
+modulus.
 """
 
 from __future__ import annotations
@@ -36,6 +37,17 @@ __all__ = [
     "parse_matrix",
     "mat_from_json",
 ]
+
+_Quad = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]  # [[a, b], [c, d]]
+
+_ONE = (1,)
+
+
+def _mat_mul(x: _Quad, y: _Quad, mod: int | None) -> _Quad:
+    """The product of two coefficient quadruples, one ``ring._dot`` per entry."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (_dot(a, e, b, g, mod), _dot(a, f, b, h, mod), _dot(c, e, d, g, mod), _dot(c, f, d, h, mod))
 
 
 @dataclass(frozen=True)
@@ -62,6 +74,15 @@ class Mat2:
         fields["a"], fields["b"], fields["c"], fields["d"] = a, b, c, d
         return self
 
+    @classmethod
+    def _of_coeffs(cls, x: _Quad, mod: int | None) -> "Mat2":
+        """Trusted construction from canonical coefficient tuples; it checks nothing."""
+        a, b, c, d = x
+        return cls._canon(Poly._canon(a, mod), Poly._canon(b, mod), Poly._canon(c, mod), Poly._canon(d, mod))
+
+    def _coeffs(self) -> _Quad:
+        return (self.a.coeffs, self.b.coeffs, self.c.coeffs, self.d.coeffs)
+
     @property
     def mod(self) -> int | None:
         return self.a.mod
@@ -74,7 +95,7 @@ class Mat2:
         vals = [int(v) for v in (a, b, c, d)]
         if mod is not None:
             vals = [v % mod for v in vals]
-        return cls._canon(*(Poly._canon((v,) if v else (), mod) for v in vals))
+        return cls._of_coeffs([(v,) if v else () for v in vals], mod)
 
     def entries(self) -> tuple[Poly, Poly, Poly, Poly]:
         return (self.a, self.b, self.c, self.d)
@@ -85,14 +106,7 @@ class Mat2:
         mod = self.mod
         if other.mod != mod:
             raise ValueError("modulus mismatch between matrix factors")
-        a, b, c, d = self.a.coeffs, self.b.coeffs, self.c.coeffs, self.d.coeffs
-        e, f, g, h = other.a.coeffs, other.b.coeffs, other.c.coeffs, other.d.coeffs
-        return Mat2._canon(
-            Poly._canon(_dot(a, e, b, g, mod), mod),
-            Poly._canon(_dot(a, f, b, h, mod), mod),
-            Poly._canon(_dot(c, e, d, g, mod), mod),
-            Poly._canon(_dot(c, f, d, h, mod), mod),
-        )
+        return Mat2._of_coeffs(_mat_mul(self._coeffs(), other._coeffs(), mod), mod)
 
     def __sub__(self, other):
         if not isinstance(other, Mat2):
@@ -134,7 +148,7 @@ class Mat2:
         if self.mod is not None:
             raise ValueError("reduce_mod_p expects integer coefficients")
         _check_modulus(p)
-        return Mat2._canon(*(Poly._canon(_reduce_coeffs(e.coeffs, p), p) for e in self.entries()))
+        return Mat2._of_coeffs([_reduce_coeffs(e, p) for e in self._coeffs()], p)
 
     def is_unipotent(self) -> bool:
         """True iff the matrix is unipotent; requires det == 1.
@@ -166,11 +180,6 @@ def identity(mod: int | None = None) -> Mat2:
     return Mat2.of_ints(1, 0, 0, 1, mod)
 
 
-def _one_zero(mod: int | None) -> tuple[Poly, Poly]:
-    """The polynomials 1 and 0 over a ring whose modulus is already checked."""
-    return Poly._canon((1,), mod), Poly._canon((), mod)
-
-
 def _as_poly(f, mod: int | None) -> Poly:
     return f if isinstance(f, Poly) else Poly((f,), mod)
 
@@ -178,15 +187,13 @@ def _as_poly(f, mod: int | None) -> Poly:
 def e12(f, mod: int | None = None) -> Mat2:
     """Upper transvection [[1, f], [0, 1]]."""
     f = _as_poly(f, mod)
-    one, zero = _one_zero(f.mod)
-    return Mat2._canon(one, f, zero, one)
+    return Gen("E12", f, f.mod).matrix()
 
 
 def e21(f, mod: int | None = None) -> Mat2:
     """Lower transvection [[1, 0], [f, 1]]."""
     f = _as_poly(f, mod)
-    one, zero = _one_zero(f.mod)
-    return Mat2._canon(one, zero, f, one)
+    return Gen("E21", f, f.mod).matrix()
 
 
 def _unit_inverse(u: int, mod: int | None) -> int:
@@ -201,12 +208,12 @@ def _unit_inverse(u: int, mod: int | None) -> int:
 
 def diag(u: int, mod: int | None = None) -> Mat2:
     """Diagonal [[u, 0], [0, u^-1]] for a unit u of the coefficient ring."""
-    return Mat2.of_ints(u, 0, 0, _unit_inverse(u, mod), mod)
+    return Gen("D", int(u), mod).matrix()
 
 
 def w(mod: int | None = None) -> Mat2:
     """The rotation [[0, -1], [1, 0]]; W^2 = -I."""
-    return Mat2.of_ints(0, -1, 1, 0, mod)
+    return Gen("W", None, mod).matrix()
 
 
 @dataclass(frozen=True)
@@ -231,21 +238,23 @@ class Gen:
         else:
             raise ValueError(f"unknown generator kind {self.kind!r}")
 
-    def matrix(self) -> Mat2:
+    def _coeffs(self) -> _Quad:
+        """The letter's matrix as a coefficient quadruple, written out here only."""
+        mod = self.mod
         if self.kind == "E12":
-            return e12(self.arg)
+            return (_ONE, self.arg.coeffs, (), _ONE)
         if self.kind == "E21":
-            return e21(self.arg)
+            return (_ONE, (), self.arg.coeffs, _ONE)
         if self.kind == "D":
-            return diag(self.arg, self.mod)
-        return w(self.mod)
+            return ((self.arg if mod is None else self.arg % mod,), (), (), (_unit_inverse(self.arg, mod),))
+        return ((), (-1 if mod is None else mod - 1,), _ONE, ())
+
+    def matrix(self) -> Mat2:
+        _check_modulus(self.mod)
+        return Mat2._of_coeffs(self._coeffs(), self.mod)
 
     def __str__(self):
-        if self.kind == "W":
-            return "W"
-        if self.kind == "D":
-            return f"D({self.arg})"
-        return f"{self.kind}({self.arg})"
+        return "W" if self.kind == "W" else f"{self.kind}({self.arg})"
 
 
 _GEN_RE = re.compile(r"^\s*(E12|E21|D|W)\s*(?:\(\s*(.*?)\s*\))?\s*$")

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from math import comb
 
-from .ring import is_prime
+from .ring import _INT_RE, _check_modulus, is_prime
 
 __all__ = [
     "GROUP_IDS",
@@ -280,8 +280,7 @@ class WedgeClass:
     __slots__ = ("_items", "mod")
 
     def __init__(self, terms=(), mod: int | None = None):
-        if mod is not None and not is_prime(mod):
-            raise ValueError(f"modulus must be a prime, got {mod!r}")
+        _check_modulus(mod)
         acc: dict[WedgeMonomial, int] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for mono, coeff in items:
@@ -382,11 +381,20 @@ class WedgeClass:
 
     @classmethod
     def from_json(cls, obj) -> "WedgeClass":
-        terms = [
-            (WedgeMonomial(tuple(m)), int(c))
-            for m, c in zip(obj["monomials"], obj["coeffs"])
-        ]
-        return cls(terms, obj.get("mod"))
+        """The class that ``to_json`` wrote: equally long lists ``monomials``
+        and ``coeffs`` (integers or integer strings), and optionally ``mod``."""
+        for key in ("monomials", "coeffs"):
+            if key not in obj:
+                raise ValueError(f"wedge class JSON lacks the field {key!r}")
+            if not isinstance(obj[key], list):
+                raise ValueError(f"wedge class field {key!r} must be a list, got {obj[key]!r}")
+        monos, coeffs = obj["monomials"], obj["coeffs"]
+        if len(monos) != len(coeffs):
+            raise ValueError(f"wedge class has {len(monos)} 'monomials' but {len(coeffs)} 'coeffs'")
+        for c in coeffs:
+            if type(c) is not int and (type(c) is not str or not _INT_RE.fullmatch(c)):
+                raise ValueError(f"wedge class field 'coeffs' has {c!r}, not an integer or an integer string")
+        return cls([(WedgeMonomial(tuple(m)), int(c)) for m, c in zip(monos, coeffs)], obj.get("mod"))
 
 
 def class_order_lower_bound(x, prime_bound: int = 7) -> int:

@@ -14,13 +14,14 @@ matrices: Z[t] is not Euclidean, so elementary membership of a raw
 integer-polynomial matrix is not decidable by the methods here.  That is a
 hard boundary of the API.  ``phi_p`` reduces such words mod p and checks the
 result against the matrix decomposition over F_p, comparing engine forms;
-it builds a ``Mat2`` only for the reduced product it returns.
+it builds a ``Mat2`` only for the reduced product it returns.  Every
+factorization must multiply back (``gl2._mat_mul`` over ``Gen._coeffs``).
 """
 
 from __future__ import annotations
 
 from .amalgam import AmalgamStructure, Form, Letter, NormalForm, _mat
-from .gl2 import Gen, Mat2, _unit_inverse
+from .gl2 import _ONE, Gen, Mat2, _mat_mul
 from .ring import _KRONECKER_MIN_LEN, _NEWTON_MIN_LEN, Poly, _charge, _divmod_coeffs, _dot, _mul_cost
 from .ring import _reduce_coeffs, _scale
 
@@ -47,7 +48,6 @@ _PASS_COST = 200
 # The oracles below work on the canonical coefficient tuples of the entries
 # with the ``ring`` kernels, where x + f*y is _dot(x, _ONE, f, y, mod), and
 # build their Gen, Letter and Mat2 objects once, at the end.
-_ONE = (1,)
 
 
 class CrossValidationError(RuntimeError):
@@ -63,27 +63,12 @@ def _require_det_one(m: Mat2) -> None:
 
 
 def _verify_roundtrip(gens, m: Mat2) -> None:
-    """Refuse a word that does not multiply back to m exactly.
-
-    The word acts on the identity by column operations: E12(f) adds f times
-    the first column to the second, E21(f) f times the second to the first,
-    D(u) scales the columns by u and u^-1, and W maps (x, y) to (y, -x)."""
+    """Refuse a word that does not multiply back to m exactly, on coefficient tuples."""
     mod = m.mod
-    a, b, c, d = _ONE, (), (), _ONE
+    x = (_ONE, (), (), _ONE)
     for g in gens:
-        if g.kind == "E12":
-            f = g.arg.coeffs
-            b, d = _dot(b, _ONE, f, a, mod), _dot(d, _ONE, f, c, mod)
-        elif g.kind == "E21":
-            f = g.arg.coeffs
-            a, c = _dot(a, _ONE, f, b, mod), _dot(c, _ONE, f, d, mod)
-        elif g.kind == "D":
-            u = g.arg if mod is None else g.arg % mod
-            v = _unit_inverse(g.arg, mod)
-            a, b, c, d = _scale(a, u, mod), _scale(b, v, mod), _scale(c, u, mod), _scale(d, v, mod)
-        else:
-            a, b, c, d = b, _scale(a, -1, mod), d, _scale(c, -1, mod)
-    if (a, b, c, d) != tuple(e.coeffs for e in m.entries()):
+        x = _mat_mul(x, g._coeffs(), mod)
+    if x != m._coeffs():
         raise RuntimeError("factorization failed to multiply back to its input")
 
 
@@ -131,7 +116,7 @@ def sl2fpt_elementary_factor(m: Mat2) -> list[Gen]:
     if p is None:
         raise ValueError("sl2fpt_elementary_factor expects coefficients mod p")
     _require_det_one(m)
-    a, b, c, d = (e.coeffs for e in m.entries())
+    a, b, c, d = m._coeffs()
     width = (p - 1).bit_length()
     unit = _mul_cost(1, 1, width, width)[0]  # one coefficient product in the loop
     work = 0.0
@@ -193,14 +178,11 @@ def _gen_forms(gens, mod: int | None) -> list[tuple[int, Form]]:
     for g in gens:
         if g.mod != mod:
             raise ValueError(f"generator {g} is not over coefficients mod {mod}")
-        if g.kind == "E12":
-            forms.append((2, (1, g.arg.coeffs, 0, 1)))
-        elif g.kind == "E21":
+        if g.kind == "E21":
             forms += [(1, w_inv), (2, (1, _scale(g.arg.coeffs, -1, mod), 0, 1)), (1, w_form)]
-        elif g.kind == "D":
-            forms.append((1, (g.arg if mod is None else g.arg % mod, (), 0, _unit_inverse(g.arg, mod))))
         else:
-            forms.append((1, w_form))
+            a, b, c, d = g._coeffs()
+            forms.append((2 if g.kind == "E12" else 1, (a[0] if a else 0, b, c[0] if c else 0, d[0] if d else 0)))
     return forms
 
 
@@ -233,7 +215,7 @@ def _nf_by_degree_reduction(struct: AmalgamStructure, m: Mat2) -> tuple[Form, tu
     p = struct.mod
     minus_one = (p - 1,)
     rev: list[tuple[int, ...] | int] = []
-    a, b, c, d = (e.coeffs for e in m.entries())
+    a, b, c, d = m._coeffs()
     # With L = len(c) + len(d), no peel raises L; an E12 peel with c != 0 and
     # the tie case of the constant peel lower it, and the constant peel with
     # deg d < deg c is followed by c = 0 or by an E12 peel.  So every two
@@ -302,24 +284,20 @@ def phi_p(word, p: int):
     mod p is a homomorphism compatible with both amalgam decompositions.
 
     Each letter is checked into its engine form over Z once.  The word is
-    multiplied out by column operations on the coefficient tuples of the
-    entries, and only the reduced product is built as a ``Mat2``.  The
+    multiplied out on coefficient quadruples by ``gl2._mat_mul``, and only
+    the reduced product is built as a ``Mat2``.  The
     forms reduced mod p are checked for membership again before the
     rewrite, and the two routes are compared on engine forms.
     """
     struct_z, struct_p = AmalgamStructure(), AmalgamStructure(p)
-    word = [(l.factor, struct_z._check_letter(l.factor, struct_z._form_of(l.mat), l.mat)) for l in word]
-    a, b, c, d = _ONE, (), (), _ONE
-    for _, (e, f, g, h) in word:
-        # [[a, b], [c, d]] * [[e, f], [g, h]]: the new columns are the old
-        # ones combined with the constants e, g and with f, h
-        e, g, h = (e,) if e else (), (g,) if g else (), (h,) if h else ()
-        a, b, c, d = _dot(a, e, b, g, None), _dot(a, f, b, h, None), _dot(c, e, d, g, None), _dot(c, f, d, h, None)
-    mat_p = Mat2._canon(*(Poly._canon(_reduce_coeffs(x, p), p) for x in (a, b, c, d)))
+    word = [(l, struct_z._check_letter(l.factor, struct_z._form_of(l.mat), l.mat)) for l in word]
+    x = (_ONE, (), (), _ONE)
+    for l, _ in word:
+        x = _mat_mul(x, l.mat._coeffs(), None)
+    mat_p = Mat2._of_coeffs([_reduce_coeffs(e, p) for e in x], p)
     via_matrix = nagao_normal_form(p, mat_p)
-    via_word = struct_p._rewrite(
-        [(f, struct_p._check_letter(f, (x[0] % p, _reduce_coeffs(x[1], p), x[2] % p, x[3] % p))) for f, x in word]
-    )
+    reduced = [(l.factor, (a % p, _reduce_coeffs(b, p), c % p, d % p)) for l, (a, b, c, d) in word]
+    via_word = struct_p._rewrite([(f, struct_p._check_letter(f, x)) for f, x in reduced])
     matrix_forms = (
         struct_p._form_of(via_matrix.head),
         tuple((l.factor, struct_p._form_of(l.mat)) for l in via_matrix.tail),

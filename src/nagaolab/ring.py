@@ -428,12 +428,17 @@ class Poly:
 
     @classmethod
     def from_json(cls, obj, mod: int | None = None) -> "Poly":
-        """A polynomial from JSON: ``{"coeffs": [...], "mod": p}``, a bare
+        """A polynomial from JSON: ``{"coeffs": [...]}`` with an optional
+        integer ``mod`` that agrees with ``mod`` when that is given, a bare
         list of coefficients, or one coefficient as a constant.  Coefficients
-        are JSON integers or ASCII integer strings; a ``mod`` field must be
-        an integer and agree with ``mod`` when that is given."""
+        are JSON integers or ASCII integer strings."""
         if isinstance(obj, dict):
-            coeffs, given = obj.get("coeffs", []), obj.get("mod", mod)
+            unknown = [key for key in obj if key not in ("coeffs", "mod")]
+            if unknown:
+                raise ValueError(f"polynomial JSON has the unknown field {unknown[0]!r}")
+            if "coeffs" not in obj:
+                raise ValueError("polynomial JSON lacks the field 'coeffs'")
+            coeffs, given = obj["coeffs"], obj.get("mod", mod)
             if (given is not None and type(given) is not int) or mod not in (None, given):
                 raise ValueError(
                     f"polynomial field 'mod' must be {mod or 'a prime'}, got {given!r}"
@@ -493,8 +498,8 @@ def _dot(x, y, u, v, mod: int | None) -> tuple[int, ...]:
 
     The operands are canonical coefficient tuples of the ring ``mod``,
     possibly empty.  Constants are multiplied as plain ints.  When one
-    product has an empty operand only the other is computed: a factor (1,)
-    gives the other factor as it is, and otherwise one raw product is
+    product has an empty operand only the other is computed: a constant
+    factor scales the other by ``_scale``, and otherwise one raw product is
     reduced mod p with no strip (over a domain lead(x) * lead(y) != 0).
     When each product has a one-coefficient operand, in either position,
     the sum is taken coefficient by coefficient in one pass.  Otherwise
@@ -511,10 +516,10 @@ def _dot(x, y, u, v, mod: int | None) -> tuple[int, ...]:
             x, y = u, v
         if not (x and y):
             return ()
-        if x == (1,):
-            return y
-        if y == (1,):
-            return x
+        if len(x) == 1:
+            x, y = y, x
+        if len(y) == 1:
+            return x if y[0] == 1 else _scale(x, y[0], mod)
         return tuple(_mul_coeffs(x, y, mod))
     if (len(x) == 1 or len(y) == 1) and (len(u) == 1 or len(v) == 1):
         # s*f + r*g for scalars s and r, in one pass
@@ -536,9 +541,9 @@ def _dot(x, y, u, v, mod: int | None) -> tuple[int, ...]:
 
 
 def _scale(x, u: int, mod: int | None) -> tuple[int, ...]:
-    """The canonical coefficient tuple of u*x for a unit u of the ring
-    ``mod`` (+-1 over Z, nonzero mod p): reduced mod p, and no strip is
-    needed."""
+    """The canonical coefficient tuple of u*x for a nonzero scalar u of the
+    ring ``mod`` (reduced mod p): reduced mod p, and over a domain no strip
+    is needed."""
     if mod is None:
         return tuple([u * c for c in x])
     return tuple([u * c % mod for c in x])

@@ -69,9 +69,8 @@ def make_witness(wid, p: int | None = None, k: int | None = None) -> Mat2:
     p, k = wid.p, wid.k
     t_k = Poly.monomial(k)
     one = Poly.one()
-    zero = Poly.zero()
     if wid.kind == "x":
-        return Mat2(one, t_k, zero, one)
+        return e12(t_k)
     if wid.kind == "h":
         return Mat2(
             one + p * t_k,
@@ -81,7 +80,7 @@ def make_witness(wid, p: int | None = None, k: int | None = None) -> Mat2:
         )
     if wid.kind == "g":
         return Mat2(one, -t_k, Poly.constant(-p), one + p * t_k)
-    return Mat2(zero, -t_k, Poly.constant(-p), p * t_k)
+    return Mat2(Poly.zero(), -t_k, Poly.constant(-p), p * t_k)
 
 
 @dataclass(frozen=True)

@@ -160,6 +160,12 @@ def test_nf_det_not_one(capsys):
          "error: polynomial coefficient 't' is not an integer or an integer string"),
         (["--mod", "3", '[[1, "-"], [0, 1]]'],
          "error: polynomial coefficient '-' is not an integer or an integer string"),
+        # a polynomial object has "coeffs" and at most "mod" besides: a
+        # misspelt or missing field would read as the zero polynomial
+        (["--mod", "3", '[[1, {"coef": [1]}], [0, 1]]'],
+         "error: polynomial JSON has the unknown field 'coef'"),
+        (["--mod", "3", '[[1, {}], [0, 1]]'],
+         "error: polynomial JSON lacks the field 'coeffs'"),
         (["--mod", "3", '[[{"coeffs": ["1"], "mod": "x"}, 0], [0, 1]]'],
          "error: polynomial field 'mod' must be 3, got 'x'"),
         (["--mod", "3", '[[{"coeffs": ["1"], "mod": 5}, 0], [0, 1]]'],
@@ -225,7 +231,7 @@ def test_nf_det_not_one(capsys):
          "poly-coeffs-not-list", "poly-coeffs-string", "poly-float-entry", "poly-null-entry",
          "poly-float-coeff", "poly-bool-entry",
          "poly-coeff-underscore", "poly-coeff-spaces", "poly-coeff-letter", "poly-coeff-sign-only",
-         "poly-mod-not-int", "poly-mod-mismatch",
+         "poly-unknown-field", "poly-no-coeffs", "poly-mod-not-int", "poly-mod-mismatch",
          "word-factor-string", "word-factor-bool", "parse-degree-cap", "json-degree-cap",
          "json-nested-too-deeply", "word-length-cap", "word-length-cap-expanded",
          "word-length-cap-e2zt", "nf-json-length-cap", "word-work-budget", "word-degree-cap-long",
@@ -560,6 +566,11 @@ def test_usage_error(capsys):
         (["hdim", "--group", "bz", "--mod", "2", "--max-deg", "\u0663"], "argument --max-deg: invalid int value: '\u0663'"),
         (["verify", "--sn", "\u0665", "2"], "argument --sn: invalid int value: '\u0665'"),
         (["verify", "--witness", "\u0662..\u0663", "1"], "--witness range '\u0662..\u0663' is not an integer or LO..HI"),
+        # integer text is [+-]?[0-9]+: int() would read "1_1" as 11 and " 7 " as 7
+        (["nf", "--mod", "1_1", "W"], "argument --mod: invalid int value: '1_1'"),
+        (["nf", "--mod", " 7 ", "W"], "argument --mod: invalid int value: ' 7 '"),
+        (["hdim", "--group", "bz", "--mod", "2", "--max-deg", "0_4"], "argument --max-deg: invalid int value: '0_4'"),
+        (["verify", "--witness", "2..1_1", "1"], "--witness range '2..1_1' is not an integer or LO..HI"),
     ]:
         code, out, err = run(capsys, *argv)
         assert (code, out, err.count("\n")) == (2, "", 1), argv

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from nagaolab.gl2 import (
     Gen,
     Mat2,
+    _mat_mul,
     diag,
     e12,
     e21,
@@ -336,6 +337,39 @@ def test_mat_mul_and_det_match_entrywise_oracle():
                         m, k = _shaped(rng, mod, s1, n, big), _shaped(rng, mod, s2, n, big)
                         assert m * k == entrywise_mat_mul(m, k), (mod, big, n, s1, s2)
                     assert m.det() == entrywise_det(m), (mod, big, n, s1)
+
+
+def test_quadruple_kernel_matches_entrywise_oracle():
+    """gl2._mat_mul on coefficient quadruples returns the canonical tuples of
+    the entrywise Poly product, over Z and at small and 64-bit primes, with
+    entries on both sides of the Kronecker threshold."""
+    rng = random.Random(89)
+    x = ring._KRONECKER_MIN_LEN
+    for mod in (None, 3, 101, 2**64 - 59):
+        for big in ((4, 2**100) if mod is None else (0,)):
+            for n in (1, 2, x - 1, x, x + 1, 3 * x):
+                for s1 in SHAPES:
+                    for s2 in SHAPES:
+                        m, k = _shaped(rng, mod, s1, n, big), _shaped(rng, mod, s2, n, big)
+                        got = _mat_mul(m._coeffs(), k._coeffs(), mod)
+                        assert got == entrywise_mat_mul(m, k)._coeffs(), (mod, big, n, s1, s2)
+
+
+@pytest.mark.parametrize("mod", (None, 5))
+def test_gen_matrices_are_the_literal_matrices(mod):
+    """Gen._coeffs spells out each generator's matrix; Gen.matrix() and the
+    builders equal the literal matrix, read by the validating parser."""
+    f = "2 - t + 3*t^4"
+    u, literal_d = (-1, "[[-1, 0], [0, -1]]") if mod is None else (7, "[[2, 0], [0, 3]]")
+    for gen, built, literal in [
+        (Gen("E12", Poly.parse(f, mod), mod), e12(Poly.parse(f, mod)), f"[[1, {f}], [0, 1]]"),
+        (Gen("E21", Poly.parse(f, mod), mod), e21(Poly.parse(f, mod)), f"[[1, 0], [{f}, 1]]"),
+        (Gen("D", u, mod), diag(u, mod), literal_d),
+        (Gen("W", None, mod), w(mod), "[[0, -1], [1, 0]]"),
+    ]:
+        want = parse_matrix(literal, mod)
+        assert gen.matrix() == built == want, (gen, mod)
+        assert gen._coeffs() == want._coeffs(), (gen, mod)
 
 
 def test_kernel_results_are_plain_matrices():

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from math import comb
 
 import pytest
@@ -351,6 +352,25 @@ def test_wedge_class_json_roundtrip():
     assert WedgeClass.from_json(x.to_json()) == x
     y = x.reduce_mod_p(3)
     assert WedgeClass.from_json(y.to_json()) == y
+
+
+def test_wedge_class_json_refuses_malformed_input():
+    """Each malformed field is refused by name: zip would drop a monomial,
+    int() would read "1_0" as 10, and a missing key was a bare KeyError."""
+    for obj, msg in [
+        ({"monomials": [[1], [2]], "coeffs": ["1"]}, "has 2 'monomials' but 1 'coeffs'"),
+        ({"monomials": [[1]], "coeffs": ["1", "2"]}, "has 1 'monomials' but 2 'coeffs'"),
+        ({"monomials": [[1]], "coeffs": ["1_0"]}, "field 'coeffs' has '1_0', not an integer"),
+        ({"monomials": [[1]], "coeffs": [" 2 "]}, "field 'coeffs' has ' 2 ', not an integer"),
+        ({"monomials": [[1]], "coeffs": [1.5]}, "field 'coeffs' has 1.5, not an integer"),
+        ({"coeffs": ["1"]}, "lacks the field 'monomials'"),
+        ({"monomials": [[1]]}, "lacks the field 'coeffs'"),
+        ({"monomials": [[1]], "coeffs": "1"}, "field 'coeffs' must be a list, got '1'"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            WedgeClass.from_json(obj)
+    assert WedgeClass.from_json({"monomials": [[1], [2, 3]], "coeffs": [-2, "+3"], "mod": 5}) == WedgeClass(
+        [((1,), 3), ((2, 3), 3)], 5)
 
 
 def test_wedge_ring_mismatch():
