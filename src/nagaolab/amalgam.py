@@ -117,10 +117,10 @@ class AmalgamStructure:
     def _form_of(self, m: Mat2) -> Form | None:
         """The engine form of m, or None when m is over another ring or has
         a nonconstant a, c or d entry and so lies in neither factor."""
-        a, c, d = m.a.coeffs, m.c.coeffs, m.d.coeffs
-        if m.a.mod != self.mod or len(a) > 1 or len(c) > 1 or len(d) > 1:
+        a, b, c, d = m.coeffs
+        if m.mod != self.mod or len(a) > 1 or len(c) > 1 or len(d) > 1:
             return None
-        return (a[0] if a else 0, m.b.coeffs, c[0] if c else 0, d[0] if d else 0)
+        return (a[0] if a else 0, b, c[0] if c else 0, d[0] if d else 0)
 
     # -- engine: factor elements as forms (a, b, c, d) --------------------
 
@@ -266,11 +266,11 @@ class AmalgamStructure:
     def nf_evaluate(self, nf: NormalForm) -> Mat2:
         """Multiply the normal form back out to the group element, on coefficient tuples."""
         mod = nf.head.mod
-        x = nf.head._coeffs()
+        x = nf.head.coeffs
         for letter in nf.tail:
             if letter.mat.mod != mod:
                 raise ValueError("modulus mismatch between matrix factors")
-            x = _mat_mul(x, letter.mat._coeffs(), mod)
+            x = _mat_mul(x, letter.mat.coeffs, mod)
         return Mat2._of_coeffs(x, mod)
 
     def word_of(self, nf: NormalForm) -> tuple[Letter, ...]:

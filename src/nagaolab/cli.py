@@ -90,6 +90,9 @@ def _word_from_json(items, mod):
         if isinstance(item, str):
             yield from letters_from_gens([parse_gen(item, mod)], mod)
         elif isinstance(item, dict) and "factor" in item and "matrix" in item:
+            unknown = [key for key in item if key not in ("factor", "matrix")]
+            if unknown:
+                raise ValueError(f"word item {idx} has the unknown field {unknown[0]!r}")
             if type(item["factor"]) is not int:
                 raise ValueError(f"word item {idx} field 'factor' must be an integer, got {item['factor']!r}")
             mat = item["matrix"]
@@ -121,7 +124,7 @@ def _capped(letters, mod, what: str):
     for letter in letters:
         count += 1
         _check_word_len(count, what)
-        entries = letter.mat._coeffs()
+        entries = letter.mat.coeffs
         for cs in entries:
             if cs:
                 work += 2 * _mul_cost(degree + 1, len(cs), width, max(map(abs, cs)).bit_length())[0]
@@ -144,7 +147,12 @@ def _nf_matrix(obj, field: str, mod):
 
 
 def _nf_from_json(obj, mod):
-    """The letters of a normal form given as JSON; errors name the bad field."""
+    """The letters of a normal form given as JSON; errors name the bad field.
+    The ``length`` and ``matrix`` fields that ``--format json`` writes are
+    allowed and not read."""
+    unknown = [key for key in obj if key not in ("head", "tags", "tail", "length", "matrix")]
+    if unknown:
+        raise ValueError(f"normal form JSON has the unknown field {unknown[0]!r}")
     missing = [field for field in ("head", "tags", "tail") if field not in obj]
     if missing:
         raise ValueError(f"normal form JSON lacks the field(s) {', '.join(map(repr, missing))}")
@@ -163,23 +171,20 @@ def _nf_from_json(obj, mod):
         yield Letter(t, _nf_matrix(m, "tail", mod))
 
 
-def _nf_payload(struct, nf: NormalForm) -> dict:
-    return {
-        "length": nf.length,
-        "head": nf.head.to_json(),
-        "tail": [letter.mat.to_json() for letter in nf.tail],
-        "tags": list(nf.tags),
-        "matrix": struct.nf_evaluate(nf).to_json(),
-    }
-
-
 def _render_nf(struct, nf: NormalForm, fmt: str) -> str:
     """The whole output, so that a failure while rendering prints nothing."""
+    matrix = struct.nf_evaluate(nf)
     if fmt == "json":
-        return json.dumps(_nf_payload(struct, nf), indent=2)
+        return json.dumps({
+            "length": nf.length,
+            "head": nf.head.to_json(),
+            "tail": [letter.mat.to_json() for letter in nf.tail],
+            "tags": list(nf.tags),
+            "matrix": matrix.to_json(),
+        }, indent=2)
     lines = [f"length: {nf.length}", f"head:   {nf.head}"]
     lines += [f"tail {idx}: factor {letter.factor}  {letter.mat}" for idx, letter in enumerate(nf.tail, 1)]
-    lines.append(f"matrix: {struct.nf_evaluate(nf)}")
+    lines.append(f"matrix: {matrix}")
     return "\n".join(lines)
 
 

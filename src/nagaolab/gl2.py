@@ -8,12 +8,13 @@ and the CLI shorthand use; ``Gen._coeffs`` alone spells out their matrices,
 and ``e12``, ``e21``, ``diag`` and ``w`` return ``Gen(...).matrix()``.
 
 Products and determinants do not go through the ``Poly`` operators.  A
-matrix crosses to the coefficient tuples (a, b, c, d) of its entries by
-``Mat2._coeffs`` and back by the trusted ``Mat2._of_coeffs``; ``_mat_mul``
-is the one 2x2 product on such quadruples, for ``Mat2.__mul__``,
-``nf_evaluate``, and the round trip and ``phi_p`` of ``nagao``.  The public
-constructor checks that the four entries share a ring; ``_canon`` and
-``_of_coeffs`` build results of arithmetic on valid matrices, and
+``Mat2`` holds the canonical coefficient tuples (a, b, c, d) of its entries
+as ``coeffs``, as a ``Poly`` holds its own, and its entries ``a``, ``b``,
+``c`` and ``d`` are ``Poly`` views built on each read.  ``_mat_mul`` is the
+one 2x2 product on such quadruples, for ``Mat2.__mul__``, ``nf_evaluate``,
+and the round trip and ``phi_p`` of ``nagao``.  The public constructor
+checks that the four entries share a ring; the trusted ``_of_coeffs``
+stores the results of arithmetic on valid matrices, and those of
 ``Gen.matrix``, ``of_ints`` and ``reduce_mod_p`` after one check of the
 modulus.
 """
@@ -41,6 +42,7 @@ __all__ = [
 _Quad = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]  # [[a, b], [c, d]]
 
 _ONE = (1,)
+_IDENTITY_QUAD: _Quad = (_ONE, (), (), _ONE)  # the identity over every ring
 
 
 def _mat_mul(x: _Quad, y: _Quad, mod: int | None) -> _Quad:
@@ -52,40 +54,30 @@ def _mat_mul(x: _Quad, y: _Quad, mod: int | None) -> _Quad:
 
 @dataclass(frozen=True)
 class Mat2:
-    """Row-major 2x2 matrix [[a, b], [c, d]] with a shared coefficient ring."""
+    """Row-major 2x2 matrix [[a, b], [c, d]], held as its entries' coefficient tuples."""
 
-    a: Poly
-    b: Poly
-    c: Poly
-    d: Poly
+    coeffs: _Quad
+    mod: int | None
 
-    def __post_init__(self):
-        mods = {e.mod for e in (self.a, self.b, self.c, self.d)}
-        if len(mods) != 1:
+    def __init__(self, a: Poly, b: Poly, c: Poly, d: Poly):
+        if not a.mod == b.mod == c.mod == d.mod:
             raise ValueError("matrix entries use mismatched coefficient rings")
+        object.__setattr__(self, "coeffs", (a.coeffs, b.coeffs, c.coeffs, d.coeffs))
+        object.__setattr__(self, "mod", a.mod)
 
     @classmethod
-    def _canon(cls, a: Poly, b: Poly, c: Poly, d: Poly) -> "Mat2":
-        """Trusted construction: the entries must be polynomials over one
-        ring.  Only arithmetic on valid matrices may call this; it checks
-        nothing."""
+    def _of_coeffs(cls, x, mod: int | None) -> "Mat2":
+        """Trusted construction from canonical coefficient tuples; it checks nothing."""
         self = object.__new__(cls)
-        fields = vars(self)
-        fields["a"], fields["b"], fields["c"], fields["d"] = a, b, c, d
+        object.__setattr__(self, "coeffs", tuple(x))
+        object.__setattr__(self, "mod", mod)
         return self
 
-    @classmethod
-    def _of_coeffs(cls, x: _Quad, mod: int | None) -> "Mat2":
-        """Trusted construction from canonical coefficient tuples; it checks nothing."""
-        a, b, c, d = x
-        return cls._canon(Poly._canon(a, mod), Poly._canon(b, mod), Poly._canon(c, mod), Poly._canon(d, mod))
-
-    def _coeffs(self) -> _Quad:
-        return (self.a.coeffs, self.b.coeffs, self.c.coeffs, self.d.coeffs)
-
-    @property
-    def mod(self) -> int | None:
-        return self.a.mod
+    # the entries, as Poly views built on each read
+    a = property(lambda self: Poly._canon(self.coeffs[0], self.mod))
+    b = property(lambda self: Poly._canon(self.coeffs[1], self.mod))
+    c = property(lambda self: Poly._canon(self.coeffs[2], self.mod))
+    d = property(lambda self: Poly._canon(self.coeffs[3], self.mod))
 
     @classmethod
     def of_ints(cls, a: int, b: int, c: int, d: int, mod: int | None = None) -> "Mat2":
@@ -106,19 +98,19 @@ class Mat2:
         mod = self.mod
         if other.mod != mod:
             raise ValueError("modulus mismatch between matrix factors")
-        return Mat2._of_coeffs(_mat_mul(self._coeffs(), other._coeffs(), mod), mod)
+        return Mat2._of_coeffs(_mat_mul(self.coeffs, other.coeffs, mod), mod)
 
     def __sub__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
-        return Mat2._canon(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
+        return Mat2(self.a - other.a, self.b - other.b, self.c - other.c, self.d - other.d)
 
     def __neg__(self):
-        return Mat2._canon(-self.a, -self.b, -self.c, -self.d)
+        return Mat2._of_coeffs([_scale(e, -1, self.mod) for e in self.coeffs], self.mod)
 
     def det(self) -> Poly:
-        mod = self.mod
-        return Poly._canon(_dot(self.a.coeffs, self.d.coeffs, _scale(self.b.coeffs, -1, mod), self.c.coeffs, mod), mod)
+        a, b, c, d = self.coeffs
+        return Poly._canon(_dot(a, d, _scale(b, -1, self.mod), c, self.mod), self.mod)
 
     def trace(self) -> Poly:
         return self.a + self.d
@@ -129,26 +121,27 @@ class Mat2:
         No general GL2 inverse is offered; that would drag in fractions."""
         if self.det().coeffs != (1,):
             raise ValueError("inverse is defined only for determinant 1")
-        return Mat2._canon(self.d, -self.b, -self.c, self.a)
+        a, b, c, d = self.coeffs
+        return Mat2._of_coeffs((d, _scale(b, -1, self.mod), _scale(c, -1, self.mod), a), self.mod)
 
     @property
     def is_identity(self) -> bool:
-        return self == identity(self.mod)
+        return self.coeffs == _IDENTITY_QUAD
 
     @property
     def is_upper_triangular(self) -> bool:
-        return self.c.is_zero
+        return not self.coeffs[2]
 
     @property
     def is_constant(self) -> bool:
-        return all(e.is_constant for e in self.entries())
+        return all(len(e) <= 1 for e in self.coeffs)
 
     def reduce_mod_p(self, p: int) -> "Mat2":
         """Entrywise reduction mod p; a group homomorphism on SL2(Z[t])."""
         if self.mod is not None:
             raise ValueError("reduce_mod_p expects integer coefficients")
         _check_modulus(p)
-        return Mat2._of_coeffs([_reduce_coeffs(e, p) for e in self._coeffs()], p)
+        return Mat2._of_coeffs([_reduce_coeffs(e, p) for e in self.coeffs], p)
 
     def is_unipotent(self) -> bool:
         """True iff the matrix is unipotent; requires det == 1.

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from math import comb
 
-from .ring import _INT_RE, _check_modulus, is_prime
+from .ring import _INT_RE, MAX_INT_DIGITS, _check_modulus, is_prime
 
 __all__ = [
     "GROUP_IDS",
@@ -381,20 +381,34 @@ class WedgeClass:
 
     @classmethod
     def from_json(cls, obj) -> "WedgeClass":
-        """The class that ``to_json`` wrote: equally long lists ``monomials``
-        and ``coeffs`` (integers or integer strings), and optionally ``mod``."""
+        """The class that ``to_json`` wrote: an object with equally long lists
+        ``monomials`` (lists of integer exponents) and ``coeffs`` (integers,
+        or integer strings of at most MAX_INT_DIGITS digits), and optionally
+        an integer ``mod``."""
+        if not isinstance(obj, dict):
+            raise ValueError(f"wedge class JSON must be an object, got {obj!r}")
         for key in ("monomials", "coeffs"):
             if key not in obj:
                 raise ValueError(f"wedge class JSON lacks the field {key!r}")
             if not isinstance(obj[key], list):
                 raise ValueError(f"wedge class field {key!r} must be a list, got {obj[key]!r}")
-        monos, coeffs = obj["monomials"], obj["coeffs"]
+        monos, coeffs, mod = obj["monomials"], obj["coeffs"], obj.get("mod")
+        if mod is not None and type(mod) is not int:
+            raise ValueError(f"wedge class field 'mod' must be an integer, got {mod!r}")
         if len(monos) != len(coeffs):
             raise ValueError(f"wedge class has {len(monos)} 'monomials' but {len(coeffs)} 'coeffs'")
-        for c in coeffs:
+        for m in monos:
+            if not isinstance(m, list) or not all(type(e) is int for e in m):
+                raise ValueError(f"wedge class field 'monomials' has {m!r}, not a list of integers")
+        for idx, c in enumerate(coeffs):
             if type(c) is not int and (type(c) is not str or not _INT_RE.fullmatch(c)):
                 raise ValueError(f"wedge class field 'coeffs' has {c!r}, not an integer or an integer string")
-        return cls([(WedgeMonomial(tuple(m)), int(c)) for m, c in zip(monos, coeffs)], obj.get("mod"))
+            digits = len(c.lstrip("+-")) if type(c) is str else 0
+            if digits > MAX_INT_DIGITS:
+                raise ValueError(
+                    f"wedge class field 'coeffs' entry {idx} has {digits} digits, above the digit cap {MAX_INT_DIGITS}"
+                )
+        return cls([(WedgeMonomial(tuple(m)), int(c)) for m, c in zip(monos, coeffs)], mod)
 
 
 def class_order_lower_bound(x, prime_bound: int = 7) -> int:

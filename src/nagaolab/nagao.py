@@ -21,7 +21,7 @@ factorization must multiply back (``gl2._mat_mul`` over ``Gen._coeffs``).
 from __future__ import annotations
 
 from .amalgam import AmalgamStructure, Form, Letter, NormalForm, _mat
-from .gl2 import _ONE, Gen, Mat2, _mat_mul
+from .gl2 import _IDENTITY_QUAD, _ONE, Gen, Mat2, _mat_mul
 from .ring import _KRONECKER_MIN_LEN, _NEWTON_MIN_LEN, Poly, _charge, _divmod_coeffs, _dot, _mul_cost
 from .ring import _reduce_coeffs, _scale
 
@@ -65,10 +65,10 @@ def _require_det_one(m: Mat2) -> None:
 def _verify_roundtrip(gens, m: Mat2) -> None:
     """Refuse a word that does not multiply back to m exactly, on coefficient tuples."""
     mod = m.mod
-    x = (_ONE, (), (), _ONE)
+    x = _IDENTITY_QUAD
     for g in gens:
         x = _mat_mul(x, g._coeffs(), mod)
-    if x != m._coeffs():
+    if x != m.coeffs:
         raise RuntimeError("factorization failed to multiply back to its input")
 
 
@@ -116,7 +116,7 @@ def sl2fpt_elementary_factor(m: Mat2) -> list[Gen]:
     if p is None:
         raise ValueError("sl2fpt_elementary_factor expects coefficients mod p")
     _require_det_one(m)
-    a, b, c, d = m._coeffs()
+    a, b, c, d = m.coeffs
     width = (p - 1).bit_length()
     unit = _mul_cost(1, 1, width, width)[0]  # one coefficient product in the loop
     work = 0.0
@@ -215,7 +215,7 @@ def _nf_by_degree_reduction(struct: AmalgamStructure, m: Mat2) -> tuple[Form, tu
     p = struct.mod
     minus_one = (p - 1,)
     rev: list[tuple[int, ...] | int] = []
-    a, b, c, d = m._coeffs()
+    a, b, c, d = m.coeffs
     # With L = len(c) + len(d), no peel raises L; an E12 peel with c != 0 and
     # the tie case of the constant peel lower it, and the constant peel with
     # deg d < deg c is followed by c = 0 or by an E12 peel.  So every two
@@ -291,9 +291,9 @@ def phi_p(word, p: int):
     """
     struct_z, struct_p = AmalgamStructure(), AmalgamStructure(p)
     word = [(l, struct_z._check_letter(l.factor, struct_z._form_of(l.mat), l.mat)) for l in word]
-    x = (_ONE, (), (), _ONE)
+    x = _IDENTITY_QUAD
     for l, _ in word:
-        x = _mat_mul(x, l.mat._coeffs(), None)
+        x = _mat_mul(x, l.mat.coeffs, None)
     mat_p = Mat2._of_coeffs([_reduce_coeffs(e, p) for e in x], p)
     via_matrix = nagao_normal_form(p, mat_p)
     reduced = [(l.factor, (a % p, _reduce_coeffs(b, p), c % p, d % p)) for l, (a, b, c, d) in word]

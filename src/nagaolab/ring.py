@@ -218,10 +218,6 @@ class Poly:
         return len(self.coeffs) <= 1
 
     @property
-    def leading_coeff(self) -> int:
-        return self.coeffs[-1] if self.coeffs else 0
-
-    @property
     def constant_term(self) -> int:
         """The value at t = 0."""
         return self.coeffs[0] if self.coeffs else 0

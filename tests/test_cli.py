@@ -174,6 +174,12 @@ def test_nf_det_not_one(capsys):
          "error: word item 0 field 'factor' must be an integer, got 'x'"),
         (["--mod", "3", '["W", {"factor": true, "matrix": "W"}]'],
          "error: word item 1 field 'factor' must be an integer, got True"),
+        # word items and normal forms have only their own fields (a normal
+        # form may carry the "length" and "matrix" that --format json writes)
+        (["--mod", "3", '[{"factor": 1, "matrix": "W", "extra": 1}]'],
+         "error: word item 0 has the unknown field 'extra'"),
+        (["--mod", "3", '{"head": [[1,0],[0,1]], "tags": [], "tail": [], "junk": 1}'],
+         "error: normal form JSON has the unknown field 'junk'"),
         (["--mod", "3", "[[1, t^2000000], [0, 1]]"],
          "error: exponent 2000000 exceeds the degree cap 10000 (at position 3)"),
         (["--mod", "3", '[[{"coeffs": [%s]}, 0], [0, 1]]' % ", ".join(["0"] * 10002)],
@@ -232,7 +238,7 @@ def test_nf_det_not_one(capsys):
          "poly-float-coeff", "poly-bool-entry",
          "poly-coeff-underscore", "poly-coeff-spaces", "poly-coeff-letter", "poly-coeff-sign-only",
          "poly-unknown-field", "poly-no-coeffs", "poly-mod-not-int", "poly-mod-mismatch",
-         "word-factor-string", "word-factor-bool", "parse-degree-cap", "json-degree-cap",
+         "word-factor-string", "word-factor-bool", "word-item-unknown-field", "nf-json-unknown-field", "parse-degree-cap", "json-degree-cap",
          "json-nested-too-deeply", "word-length-cap", "word-length-cap-expanded",
          "word-length-cap-e2zt", "nf-json-length-cap", "word-work-budget", "word-degree-cap-long",
          "nf-json-work-budget", "word-bits-cap-e2zt", "word-bits-cap-e2zt-nines",

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -351,8 +352,8 @@ def test_quadruple_kernel_matches_entrywise_oracle():
                 for s1 in SHAPES:
                     for s2 in SHAPES:
                         m, k = _shaped(rng, mod, s1, n, big), _shaped(rng, mod, s2, n, big)
-                        got = _mat_mul(m._coeffs(), k._coeffs(), mod)
-                        assert got == entrywise_mat_mul(m, k)._coeffs(), (mod, big, n, s1, s2)
+                        got = _mat_mul(m.coeffs, k.coeffs, mod)
+                        assert got == entrywise_mat_mul(m, k).coeffs, (mod, big, n, s1, s2)
 
 
 @pytest.mark.parametrize("mod", (None, 5))
@@ -369,7 +370,7 @@ def test_gen_matrices_are_the_literal_matrices(mod):
     ]:
         want = parse_matrix(literal, mod)
         assert gen.matrix() == built == want, (gen, mod)
-        assert gen._coeffs() == want._coeffs(), (gen, mod)
+        assert gen._coeffs() == want.coeffs, (gen, mod)
 
 
 def test_kernel_results_are_plain_matrices():
@@ -386,6 +387,31 @@ def test_kernel_results_are_plain_matrices():
     product = identity(3) * w(3)
     with pytest.raises(ValueError, match="mismatched coefficient rings"):
         Mat2(product.a, product.b, product.c, Poly.one(5))
+
+
+@pytest.mark.parametrize("mod", (None, 2, 5))
+def test_mat2_is_its_coefficient_quadruple(mod):
+    """A Mat2 holds the coefficient tuples of its entries: the entry views
+    give back the polynomials it was built from, == and hash agree with
+    entrywise equality, _of_coeffs of a list builds what the tuple builds,
+    and the fields cannot be assigned."""
+    rng = random.Random(17)
+    for _ in range(200):
+        entries = [rand_poly(rng, mod, 1) for _ in range(4)]
+        m = Mat2(*entries)
+        assert m.coeffs == tuple(e.coeffs for e in entries) and m.mod == mod
+        assert (m.a, m.b, m.c, m.d) == m.entries() == tuple(entries)
+        other = list(entries)
+        other[rng.randrange(4)] = rand_poly(rng, mod, 1)
+        k = Mat2(*other)
+        assert (m == k) == (m.entries() == k.entries())
+        assert m != Mat2(*(Poly(e.coeffs, 3 if mod is None else None) for e in entries))
+        if m == k:
+            assert hash(m) == hash(k)
+        listed, tupled = Mat2._of_coeffs(list(m.coeffs), mod), Mat2._of_coeffs(m.coeffs, mod)
+        assert listed == tupled == m and hash(listed) == hash(tupled) == hash(m)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.coeffs = k.coeffs
 
 
 def test_inverse_refuses_every_det_other_than_one():

@@ -366,11 +366,21 @@ def test_wedge_class_json_refuses_malformed_input():
         ({"coeffs": ["1"]}, "lacks the field 'monomials'"),
         ({"monomials": [[1]]}, "lacks the field 'coeffs'"),
         ({"monomials": [[1]], "coeffs": "1"}, "field 'coeffs' must be a list, got '1'"),
+        ({"monomials": [1], "coeffs": ["1"]}, "field 'monomials' has 1, not a list of integers"),
+        ({"monomials": [["a"]], "coeffs": ["1"]}, "field 'monomials' has ['a'], not a list of integers"),
+        ({"monomials": [[True]], "coeffs": ["1"]}, "field 'monomials' has [True], not a list of integers"),
+        ({"monomials": [[1.0]], "coeffs": ["1"]}, "field 'monomials' has [1.0], not a list of integers"),
+        ({"monomials": [[1]], "coeffs": ["1"], "mod": "x"}, "field 'mod' must be an integer, got 'x'"),
+        ({"monomials": [[1]], "coeffs": ["1"], "mod": True}, "field 'mod' must be an integer, got True"),
+        ({"monomials": [[1]], "coeffs": ["1" * 5000]},
+         "field 'coeffs' entry 0 has 5000 digits, above the digit cap 4300"),
+        ('{"monomials": [[1]], "coeffs": ["1"]}', "JSON must be an object, got '{"),
     ]:
         with pytest.raises(ValueError, match=re.escape(msg)):
             WedgeClass.from_json(obj)
     assert WedgeClass.from_json({"monomials": [[1], [2, 3]], "coeffs": [-2, "+3"], "mod": 5}) == WedgeClass(
         [((1,), 3), ((2, 3), 3)], 5)
+    assert WedgeClass.from_json({"monomials": [[1]], "coeffs": ["1" * 4300]}).coeff(WedgeMonomial((1,))) == int("1" * 4300)
 
 
 def test_wedge_ring_mismatch():

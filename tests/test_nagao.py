@@ -251,7 +251,7 @@ def test_degree_reduction_peels_without_mat2_products(pm):
         for name in ("decompose", "transversal", "_mul"):
             patch.setattr(AmalgamStructure, name, refuse)
         gens = sl2fpt_elementary_factor(m)
-        for name in ("det", "_canon", "of_ints"):
+        for name in ("det", "_of_coeffs", "of_ints", "__init__"):
             patch.setattr(Mat2, name, refuse)
         patch.setattr(Poly, "_canon", refuse)
         patch.setattr(gl2, "e12", refuse)
@@ -262,14 +262,14 @@ def test_degree_reduction_peels_without_mat2_products(pm):
     assert nf == struct.normalize(letters_from_gens(gens, p))
 
     built = []
-    canon = Mat2._canon
+    of_coeffs = Mat2._of_coeffs
 
-    def counting(*entries):
-        built.append(entries)
-        return canon(*entries)
+    def counting(x, mod):
+        built.append(x)
+        return of_coeffs(x, mod)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(Mat2, "_canon", counting)
+        patch.setattr(Mat2, "_of_coeffs", counting)
         assert nagao_normal_form(p, m) == nf
     assert len(built) == 1 + nf.length
 
