@@ -5,10 +5,7 @@ tables, and verification of explicit matrix identities."""
 from .amalgam import AmalgamStructure, Letter, NormalForm
 from .gl2 import Gen, Mat2, diag, e12, e21, identity, parse_gen, parse_matrix, w
 from .homology import (
-    GradedDimTable,
     UnsupportedGroupError,
-    WedgeClass,
-    WedgeMonomial,
     class_order_lower_bound,
     coinvariant_dims,
     dim_divided_power,
@@ -24,20 +21,13 @@ from .nagao import (
     nagao_normal_form,
     phi_p,
     sl2fpt_elementary_factor,
-    sl2z_factor,
 )
-from .ring import (
-    Poly,
-    PolyParseError,
+from .ring import Poly, PolyParseError, is_prime
+from .witnesses import (
     SearchCapExceeded,
     SnWitness,
-    is_prime,
-    sn_witness_search,
-)
-from .witnesses import (
-    WitnessId,
-    kernel_combination_check,
     make_witness,
+    sn_witness_search,
     verify_witness_suite,
 )
 

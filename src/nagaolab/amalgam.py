@@ -273,16 +273,6 @@ class AmalgamStructure:
             x = _mat_mul(x, letter.mat.coeffs, mod)
         return Mat2._of_coeffs(x, mod)
 
-    def word_of(self, nf: NormalForm) -> tuple[Letter, ...]:
-        """The normal form as a plain word (head tagged into factor 1)."""
-        head = () if nf.head.is_identity else (Letter(1, nf.head),)
-        return head + nf.tail
-
-    def nf_multiply(self, x: NormalForm, y: NormalForm) -> NormalForm:
-        if x.head.mod != y.head.mod or x.head.mod != self.mod:
-            raise ValueError("normal forms come from different structures")
-        return self.normalize(self.word_of(x) + self.word_of(y))
-
     def _check_forms(self, head: Form | None, tail: Iterable[tuple[int, Form | None]]) -> None:
         """The normal-form invariants on engine forms: head in A, each tail
         letter in its tagged factor alone, tags alternating.  A None form

@@ -31,9 +31,8 @@ from .homology import (
     mv_ledger_check,
 )
 from .nagao import CrossValidationError, letters_from_gens, nagao_normal_form
-from .ring import _INT_RE, MAX_DEGREE, MAX_INT_DIGITS, SearchCapExceeded, _charge, _mul_cost, is_prime
-from .ring import sn_witness_search
-from .witnesses import verify_witness_suite
+from .ring import _INT_RE, MAX_DEGREE, MAX_INT_DIGITS, _charge, _mul_cost, is_prime
+from .witnesses import SearchCapExceeded, sn_witness_search, verify_witness_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -232,7 +231,7 @@ def _table_rows(args):
             dim = coinvariant_dims(p, i, d, basis="tpart", wedge_only=True)
             yield {"group": args.group, "p": p, "d": d, "i": i, "dim": dim, "flags": flags}
     else:
-        yield from dim_table(args.group, p, args.max_i, d).rows()
+        yield from dim_table(args.group, p, args.max_i, d)
 
 
 # Per text format: (header, item template) for the table rows, then for the

@@ -25,15 +25,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from math import comb
 
-from .ring import _INT_RE, MAX_INT_DIGITS, _check_modulus, is_prime
+from .ring import is_prime
 
 __all__ = [
     "GROUP_IDS",
-    "GradedDimTable",
     "LedgerReport",
     "UnsupportedGroupError",
-    "WedgeClass",
-    "WedgeMonomial",
     "class_order_lower_bound",
     "coinvariant_dims",
     "dim_divided_power",
@@ -166,6 +163,17 @@ def h_dims(group: str, p: int, i: int, d: int) -> int:
     return _DIMS[group](p, i, d)
 
 
+def dim_table(group: str, p: int, max_i: int, d: int) -> list[dict]:
+    """The rows (group, p, d, i, dim, flags) of dim H_i(group, F_p) for
+    i = 0..max_i at truncation degree d; the flags of ``sl2fpt_bquot`` name
+    the summand it leaves out."""
+    flags = "plus an opaque H_i(SL2(F_p)) summand (not computed)" if group == "sl2fpt_bquot" else ""
+    return [
+        {"group": group, "p": p, "d": d, "i": i, "dim": h_dims(group, p, i, d), "flags": flags}
+        for i in range(max_i + 1)
+    ]
+
+
 def coinvariant_dims(
     p: int, i: int, d: int, *, basis: str = "full", wedge_only: bool = False
 ) -> int:
@@ -226,197 +234,13 @@ def mv_ledger_check(p: int, i: int, d: int) -> LedgerReport:
     )
 
 
-# -- symbolic wedge classes --------------------------------------------
-
-
-@dataclass(frozen=True, order=True)
-class WedgeMonomial:
-    """t^{l_1} ^ ... ^ t^{l_i} with strictly increasing exponents l_j >= 1."""
-
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        exps = tuple(self.exponents)
-        object.__setattr__(self, "exponents", exps)
-        if any(e < 1 for e in exps):
-            raise ValueError("wedge exponents must be >= 1")
-        if any(x >= y for x, y in zip(exps, exps[1:])):
-            raise ValueError("wedge exponents must strictly increase")
-
-    @property
-    def degree(self) -> int:
-        return len(self.exponents)
-
-    def __str__(self):
-        if not self.exponents:
-            return "1"
-        return "^".join(f"t{e}" for e in self.exponents)
-
-
-def _merge_exponents(x: tuple[int, ...], y: tuple[int, ...]):
-    """Merge two increasing tuples; returns (merged, sign) or (None, 0) on a
-    repeated exponent.  The sign is that of the sorting permutation."""
-    out: list[int] = []
-    i = j = 0
-    inversions = 0
-    while i < len(x) and j < len(y):
-        if x[i] == y[j]:
-            return None, 0
-        if x[i] < y[j]:
-            out.append(x[i])
-            i += 1
-        else:
-            out.append(y[j])
-            j += 1
-            inversions += len(x) - i
-    out.extend(x[i:])
-    out.extend(y[j:])
-    return tuple(out), (-1 if inversions % 2 else 1)
-
-
-class WedgeClass:
-    """Formal linear combination of wedge monomials over Z or F_p."""
-
-    __slots__ = ("_items", "mod")
-
-    def __init__(self, terms=(), mod: int | None = None):
-        _check_modulus(mod)
-        acc: dict[WedgeMonomial, int] = {}
-        items = terms.items() if isinstance(terms, dict) else terms
-        for mono, coeff in items:
-            if not isinstance(mono, WedgeMonomial):
-                mono = WedgeMonomial(tuple(mono))
-            acc[mono] = acc.get(mono, 0) + int(coeff)
-        cleaned = []
-        for mono, coeff in acc.items():
-            if mod is not None:
-                coeff %= mod
-            if coeff:
-                cleaned.append((mono, coeff))
-        cleaned.sort(key=lambda mc: mc[0])
-        self._items: tuple[tuple[WedgeMonomial, int], ...] = tuple(cleaned)
-        self.mod = mod
-
-    @classmethod
-    def basis(cls, exponents, mod: int | None = None) -> "WedgeClass":
-        """The class of a single monomial with coefficient 1."""
-        return cls([(WedgeMonomial(tuple(exponents)), 1)], mod)
-
-    def items(self):
-        return self._items
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._items
-
-    def coeff(self, mono: WedgeMonomial) -> int:
-        for m, c in self._items:
-            if m == mono:
-                return c
-        return 0
-
-    def _require_same_ring(self, other: "WedgeClass") -> None:
-        if self.mod != other.mod:
-            raise ValueError(f"modulus mismatch: {self.mod!r} vs {other.mod!r}")
-
-    def __add__(self, other):
-        if not isinstance(other, WedgeClass):
-            return NotImplemented
-        self._require_same_ring(other)
-        return WedgeClass(self._items + other._items, self.mod)
-
-    def __neg__(self):
-        return WedgeClass([(m, -c) for m, c in self._items], self.mod)
-
-    def __sub__(self, other):
-        if not isinstance(other, WedgeClass):
-            return NotImplemented
-        return self + (-other)
-
-    def __rmul__(self, scalar):
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return WedgeClass([(m, scalar * c) for m, c in self._items], self.mod)
-
-    def wedge(self, other: "WedgeClass") -> "WedgeClass":
-        """Bilinear wedge; repeated exponents annihilate, order brings signs."""
-        if not isinstance(other, WedgeClass):
-            raise TypeError("wedge expects a WedgeClass")
-        self._require_same_ring(other)
-        terms = []
-        for mx, cx in self._items:
-            for my, cy in other._items:
-                merged, sign = _merge_exponents(mx.exponents, my.exponents)
-                if merged is None:
-                    continue
-                terms.append((WedgeMonomial(merged), sign * cx * cy))
-        return WedgeClass(terms, self.mod)
-
-    def reduce_mod_p(self, p: int) -> "WedgeClass":
-        if self.mod is not None:
-            raise ValueError("reduce_mod_p expects integer coefficients")
-        return WedgeClass(self._items, p)
-
-    def __eq__(self, other):
-        if not isinstance(other, WedgeClass):
-            return NotImplemented
-        return self._items == other._items and self.mod == other.mod
-
-    def __hash__(self):
-        return hash((self._items, self.mod))
-
-    def __str__(self):
-        if not self._items:
-            return "0"
-        return " + ".join(f"{c}*{m}" for m, c in self._items)
-
-    def to_json(self):
-        obj = {
-            "monomials": [list(m.exponents) for m, _ in self._items],
-            "coeffs": [str(c) for _, c in self._items],
-        }
-        if self.mod is not None:
-            obj["mod"] = self.mod
-        return obj
-
-    @classmethod
-    def from_json(cls, obj) -> "WedgeClass":
-        """The class that ``to_json`` wrote: an object with equally long lists
-        ``monomials`` (lists of integer exponents) and ``coeffs`` (integers,
-        or integer strings of at most MAX_INT_DIGITS digits), and optionally
-        an integer ``mod``."""
-        if not isinstance(obj, dict):
-            raise ValueError(f"wedge class JSON must be an object, got {obj!r}")
-        for key in ("monomials", "coeffs"):
-            if key not in obj:
-                raise ValueError(f"wedge class JSON lacks the field {key!r}")
-            if not isinstance(obj[key], list):
-                raise ValueError(f"wedge class field {key!r} must be a list, got {obj[key]!r}")
-        monos, coeffs, mod = obj["monomials"], obj["coeffs"], obj.get("mod")
-        if mod is not None and type(mod) is not int:
-            raise ValueError(f"wedge class field 'mod' must be an integer, got {mod!r}")
-        if len(monos) != len(coeffs):
-            raise ValueError(f"wedge class has {len(monos)} 'monomials' but {len(coeffs)} 'coeffs'")
-        for m in monos:
-            if not isinstance(m, list) or not all(type(e) is int for e in m):
-                raise ValueError(f"wedge class field 'monomials' has {m!r}, not a list of integers")
-        for idx, c in enumerate(coeffs):
-            if type(c) is not int and (type(c) is not str or not _INT_RE.fullmatch(c)):
-                raise ValueError(f"wedge class field 'coeffs' has {c!r}, not an integer or an integer string")
-            digits = len(c.lstrip("+-")) if type(c) is str else 0
-            if digits > MAX_INT_DIGITS:
-                raise ValueError(
-                    f"wedge class field 'coeffs' entry {idx} has {digits} digits, above the digit cap {MAX_INT_DIGITS}"
-                )
-        return cls([(WedgeMonomial(tuple(m)), int(c)) for m, c in zip(monos, coeffs)], mod)
-
-
-def class_order_lower_bound(x, prime_bound: int = 7) -> int:
+def class_order_lower_bound(i: int, prime_bound: int = 7) -> int:
     """Divisibility lower bound on the order of a degree-i wedge class in the
     integral homology it maps into: always 2 * 3, times every prime
     5 <= q <= prime_bound with (q - 1)/2 dividing i.  This is only the bound
     the reduction argument yields, never a claim of the exact order."""
-    i = x.degree if isinstance(x, WedgeMonomial) else int(x)
+    if type(i) is not int:
+        raise ValueError(f"the degree must be an integer, got {i!r}")
     if i < 1:
         raise ValueError("the bound applies to classes of degree >= 1")
     bound = 6
@@ -424,36 +248,3 @@ def class_order_lower_bound(x, prime_bound: int = 7) -> int:
         if is_prime(q) and i % ((q - 1) // 2) == 0:
             bound *= q
     return bound
-
-
-# -- tables -------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GradedDimTable:
-    """Dimensions by homological degree for one group at one (p, d)."""
-
-    group: str
-    p: int
-    d: int
-    dims: tuple[int, ...]
-    flags: str = ""
-
-    def rows(self):
-        for i, dim in enumerate(self.dims):
-            yield {
-                "group": self.group,
-                "p": self.p,
-                "d": self.d,
-                "i": i,
-                "dim": dim,
-                "flags": self.flags,
-            }
-
-
-def dim_table(group: str, p: int, max_i: int, d: int) -> GradedDimTable:
-    dims = tuple(h_dims(group, p, i, d) for i in range(max_i + 1))
-    flags = ""
-    if group == "sl2fpt_bquot":
-        flags = "plus an opaque H_i(SL2(F_p)) summand (not computed)"
-    return GradedDimTable(group, p, d, dims, flags)

@@ -27,7 +27,6 @@ from .ring import _reduce_coeffs, _scale
 
 __all__ = [
     "CrossValidationError",
-    "sl2z_factor",
     "sl2fpt_elementary_factor",
     "letters_from_gens",
     "nagao_normal_form",
@@ -70,36 +69,6 @@ def _verify_roundtrip(gens, m: Mat2) -> None:
         x = _mat_mul(x, g._coeffs(), mod)
     if x != m.coeffs:
         raise RuntimeError("factorization failed to multiply back to its input")
-
-
-def sl2z_factor(m: Mat2) -> list[Gen]:
-    """Factor an SL2(Z) matrix into E12(n), E21(n), W letters.
-
-    Euclidean algorithm on the first column: while the lower-left entry is
-    nonzero, peel E12(q) with the integer quotient, then a W swap; finish
-    with the upper-triangular cleanup (W W for the sign, one E12 for the
-    shear).  The word multiplies back to the input exactly.
-    """
-    if m.mod is not None or not m.is_constant:
-        raise ValueError("sl2z_factor expects a constant integer matrix")
-    _require_det_one(m)
-    a, b, c, d = (e.constant_term for e in m.entries())
-    gens: list[Gen] = []
-    while c != 0:
-        if abs(a) >= abs(c):
-            q, r = divmod(a, c)
-            if q:
-                gens.append(Gen("E12", Poly.constant(q), None))
-                a, b = r, b - q * d
-        gens.append(Gen("W", None, None))
-        a, b, c, d = c, d, -a, -b
-    if a == -1:
-        gens.extend([Gen("W", None, None), Gen("W", None, None)])
-        a, b, c, d = -a, -b, -c, -d
-    if b:
-        gens.append(Gen("E12", Poly.constant(b), None))
-    _verify_roundtrip(gens, m)
-    return gens
 
 
 def sl2fpt_elementary_factor(m: Mat2) -> list[Gen]:

@@ -61,16 +61,12 @@ import itertools
 import re
 import sys
 from array import array
-from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
     "Poly",
     "PolyParseError",
-    "SearchCapExceeded",
-    "SnWitness",
     "is_prime",
-    "sn_witness_search",
 ]
 
 
@@ -84,9 +80,6 @@ MAX_DEGREE = 10_000
 # sys.set_int_max_str_digits), refused here with a message naming the input.
 MAX_INT_DIGITS = 4_300
 
-# sn_witness_search refuses primes above this: the search is exhaustive.
-SN_MAX_PRIME = 31
-
 
 class PolyParseError(ValueError):
     """Malformed polynomial text; carries the offending position."""
@@ -94,14 +87,6 @@ class PolyParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-class SearchCapExceeded(RuntimeError):
-    """A brute-force search was refused because it would exceed its cap.
-
-    Distinct from a verified "no witness exists" answer, which is a normal
-    result, not an error.
-    """
 
 
 # Deterministic Miller-Rabin bases: no composite below 2**64 is a strong
@@ -726,74 +711,3 @@ def _tokenize(text: str):
         else:
             raise PolyParseError(f"unexpected character {m.group(3)!r}", m.start())
     return toks
-
-
-# -- unit-subset-sum witnesses ----------------------------------------
-
-
-@dataclass(frozen=True)
-class SnWitness:
-    """Outcome of a witness search: residues is None iff none exists."""
-
-    p: int
-    n: int
-    residues: tuple[int, ...] | None
-
-    @property
-    def exists(self) -> bool:
-        return self.residues is not None
-
-
-def sn_witness_search(p: int, n: int) -> SnWitness:
-    """Search for n nonzero residues mod p with every nonempty subset sum
-    nonzero mod p.
-
-    Units of the localization of Z away from p reduce to nonzero residues,
-    and a subset sum is again a unit exactly when its residue is nonzero,
-    so the search runs entirely over {1..p-1}.  The property is invariant
-    under permutation, so candidates are enumerated as non-decreasing
-    tuples; reachable subset sums are tracked as a bitmask over Z/p and a
-    branch dies the moment sum 0 becomes reachable.  The enumeration is
-    exhaustive: ``residues=None`` is a verified "none exists".
-
-    Refuses (SearchCapExceeded) when p > SN_MAX_PRIME or n > p, rather than
-    running an unbounded search.
-    """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p!r}")
-    if n < 1:
-        raise ValueError(f"arity must be >= 1, got {n!r}")
-    if p > SN_MAX_PRIME or n > p:
-        raise SearchCapExceeded(
-            f"search cap exceeded: p={p}, n={n} (caps: p <= {SN_MAX_PRIME}, n <= p)"
-        )
-
-    full = (1 << p) - 1
-
-    def rotate(mask: int, a: int) -> int:
-        return ((mask << a) | (mask >> (p - a))) & full
-
-    def dfs(depth: int, start: int, sums: int):
-        if depth == n:
-            return ()
-        for a in range(start, p):
-            new = sums | rotate(sums, a) | (1 << a)
-            if new & 1:
-                continue
-            rest = dfs(depth + 1, a, new)
-            if rest is not None:
-                return (a,) + rest
-        return None
-
-    found = dfs(0, 1, 0)
-    if found is not None and n <= 20:
-        assert _all_subset_sums_nonzero(p, found)
-    return SnWitness(p, n, found)
-
-
-def _all_subset_sums_nonzero(p: int, residues) -> bool:
-    for r in range(1, len(residues) + 1):
-        for combo in itertools.combinations(residues, r):
-            if sum(combo) % p == 0:
-                return False
-    return True

@@ -14,6 +14,10 @@ non-unipotence of g against unipotence of x, and the reductions mod p.
 One comparison is reported instead of asserted: reducing h(p,k) mod p
 gives [[1, t^3k], [0, 1]], which matches the reduction of x(3k) and not
 of x(k); the suite records which equality actually holds.
+
+``sn_witness_search`` is the exhaustive search behind the "many units"
+hypothesis: n nonzero residues mod p whose nonempty subset sums are all
+nonzero, so that sums of the corresponding units stay units.
 """
 
 from __future__ import annotations
@@ -21,64 +25,49 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from .gl2 import Mat2, e12, identity
+from .gl2 import Mat2, e12
 from .nagao import nagao_normal_form
 from .ring import Poly, is_prime
 
 __all__ = [
     "CheckResult",
-    "WitnessId",
+    "SearchCapExceeded",
+    "SnWitness",
     "WitnessReport",
-    "kernel_combination_check",
     "make_witness",
+    "sn_witness_search",
     "verify_witness_suite",
 ]
 
 _KINDS = ("h", "g", "x", "n")
 
 
-@dataclass(frozen=True)
-class WitnessId:
-    """kind in {h, g, x, n}; p is required except for kind x; k >= 1."""
-
-    kind: str
-    p: int | None
-    k: int
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")
-        if self.kind == "x":
-            if self.p is not None:
-                raise ValueError("kind x takes no prime")
-        elif self.p is None or not is_prime(self.p):
-            raise ValueError(f"kind {self.kind} needs a prime, got {self.p!r}")
-        if self.k < 1:
-            raise ValueError(f"index k must be >= 1, got {self.k!r}")
-
-    def __str__(self):
-        if self.kind == "x":
-            return f"x({self.k})"
-        return f"{self.kind}({self.p},{self.k})"
-
-
-def make_witness(wid, p: int | None = None, k: int | None = None) -> Mat2:
-    """The witness matrix for an id (or for ``make_witness(kind, p, k)``)."""
-    if not isinstance(wid, WitnessId):
-        wid = WitnessId(wid, p, k)
-    p, k = wid.p, wid.k
+def make_witness(kind: str, p: int | None = None, k: int | None = None) -> Mat2:
+    """The witness matrix of a kind in {h, g, x, n}, a prime p (None for
+    kind x) and an index k >= 1."""
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+    if kind == "x":
+        if p is not None:
+            raise ValueError("kind x takes no prime")
+    elif type(p) is not int or not is_prime(p):
+        raise ValueError(f"kind {kind} needs a prime, got {p!r}")
+    if type(k) is not int:
+        raise ValueError(f"index k must be an integer, got {k!r}")
+    if k < 1:
+        raise ValueError(f"index k must be >= 1, got {k!r}")
     t_k = Poly.monomial(k)
     one = Poly.one()
-    if wid.kind == "x":
+    if kind == "x":
         return e12(t_k)
-    if wid.kind == "h":
+    if kind == "h":
         return Mat2(
             one + p * t_k,
             Poly.monomial(3 * k),
             Poly.constant(p**3),
             one - p * t_k + p * p * Poly.monomial(2 * k),
         )
-    if wid.kind == "g":
+    if kind == "g":
         return Mat2(one, -t_k, Poly.constant(-p), one + p * t_k)
     return Mat2(Poly.zero(), -t_k, Poly.constant(-p), p * t_k)
 
@@ -179,28 +168,86 @@ def verify_witness_suite(ps=(2, 3, 5, 7), ks=(1, 2, 3, 4)) -> WitnessReport:
     return _report(rows)
 
 
-def kernel_combination_check(p: int, k: int) -> WitnessReport:
-    """Matrix-level identities behind the degree-one kernel combinations.
+# -- unit-subset-sum witnesses ----------------------------------------
 
-    Asserts that g(p,k) and x(k) reduce to mutually inverse matrices mod p
-    (so their degree-one classes cancel after reduction); the analogous
-    product with h(p,k) is compared to the identity and reported, since it
-    works out to E12(t^3k - t^k) instead.  The homology-level conclusion is
-    recorded as bookkeeping, not recomputed.
+# sn_witness_search refuses primes above this: the search is exhaustive.
+SN_MAX_PRIME = 31
+
+
+class SearchCapExceeded(RuntimeError):
+    """A brute-force search was refused because it would exceed its cap.
+
+    Distinct from a verified "no witness exists" answer, which is a normal
+    result, not an error.
     """
-    if p not in (2, 3):
-        raise ValueError(f"kernel combinations are stated for p in {{2, 3}}, got {p!r}")
-    if k < 1:
-        raise ValueError(f"index k must be >= 1, got {k!r}")
-    g_p = make_witness("g", p, k).reduce_mod_p(p)
-    x_p = make_witness("x", None, k).reduce_mod_p(p)
-    h_p = make_witness("h", p, k).reduce_mod_p(p)
-    ident = identity(p)
-    return _report([
-        (f"kernel_gx({p},{k})",
-         "g(p,k) mod p times x(k) mod p == I; the degree-one classes of "
-         "g and x sum into the kernel of reduction (bookkeeping)",
-         _nf_equal(p, g_p * x_p, ident), g_p * x_p, ident),
-        (f"kernel_gh({p},{k})", "g(p,k) mod p times h(p,k) mod p compared to I",
-         None, g_p * h_p, ident),
-    ])
+
+
+@dataclass(frozen=True)
+class SnWitness:
+    """Outcome of a witness search: residues is None iff none exists."""
+
+    p: int
+    n: int
+    residues: tuple[int, ...] | None
+
+    @property
+    def exists(self) -> bool:
+        return self.residues is not None
+
+
+def sn_witness_search(p: int, n: int) -> SnWitness:
+    """Search for n nonzero residues mod p with every nonempty subset sum
+    nonzero mod p.
+
+    Units of the localization of Z away from p reduce to nonzero residues,
+    and a subset sum is again a unit exactly when its residue is nonzero,
+    so the search runs entirely over {1..p-1}.  The property is invariant
+    under permutation, so candidates are enumerated as non-decreasing
+    tuples; reachable subset sums are tracked as a bitmask over Z/p and a
+    branch dies the moment sum 0 becomes reachable.  The enumeration is
+    exhaustive: ``residues=None`` is a verified "none exists".  A witness
+    found is checked again by ``_subset_sums_nonzero``.
+
+    Refuses (SearchCapExceeded) when p > SN_MAX_PRIME or n > p, rather than
+    running an unbounded search.
+    """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p!r}")
+    if n < 1:
+        raise ValueError(f"arity must be >= 1, got {n!r}")
+    if p > SN_MAX_PRIME or n > p:
+        raise SearchCapExceeded(
+            f"search cap exceeded: p={p}, n={n} (caps: p <= {SN_MAX_PRIME}, n <= p)"
+        )
+
+    full = (1 << p) - 1
+
+    def rotate(mask: int, a: int) -> int:
+        return ((mask << a) | (mask >> (p - a))) & full
+
+    def dfs(depth: int, start: int, sums: int):
+        if depth == n:
+            return ()
+        for a in range(start, p):
+            new = sums | rotate(sums, a) | (1 << a)
+            if new & 1:
+                continue
+            rest = dfs(depth + 1, a, new)
+            if rest is not None:
+                return (a,) + rest
+        return None
+
+    found = dfs(0, 1, 0)
+    if found is not None and (len(found) != n or not _subset_sums_nonzero(p, found)):
+        raise RuntimeError(f"sn witness {found} for p={p}, n={n} fails the subset-sum check (search bug)")
+    return SnWitness(p, n, found)
+
+
+def _subset_sums_nonzero(p: int, residues) -> bool:
+    """Whether no nonempty subset of the residues sums to 0 mod p, from the
+    set of residues that nonempty subsets reach: O(len(residues) * p)."""
+    reached: set[int] = set()
+    for r in residues:
+        reached |= {(s + r) % p for s in reached}
+        reached.add(r % p)
+    return 0 not in reached

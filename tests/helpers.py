@@ -189,6 +189,11 @@ def nf_invert(struct, x):
     return struct.normalize(inv_word)
 
 
+def word_of(nf):
+    """The normal form as a plain word (head tagged into factor 1)."""
+    return ([] if nf.head.is_identity else [Letter(1, nf.head)]) + list(nf.tail)
+
+
 def evaluate_word(letters, mod):
     m = identity(mod)
     for letter in letters:

@@ -529,6 +529,8 @@ def test_verify_sn_witness(capsys):
     code, out, _ = run(capsys, "verify", "--sn", "3", "2")
     assert code == 0
     assert "(1, 1)" in out
+    # the largest request, whose witness is checked like every other one
+    assert run(capsys, "verify", "--sn", "31", "30")[:2] == (0, f"witness for p=31, n=30: {(1,) * 30}\n")
 
 
 def test_verify_sn_none_exists(capsys):

@@ -14,17 +14,17 @@ from nagaolab.nagao import (
     nagao_normal_form,
     phi_p,
     sl2fpt_elementary_factor,
-    sl2z_factor,
 )
 from nagaolab.ring import Poly, _scale
 from nagaolab.witnesses import make_witness
 
 from helpers import (
     evaluate_word,
+    rand_const_gen,
     rand_fp_gen,
     rand_fp_matrix,
-    rand_sl2_const,
     rand_word,
+    word_of,
 )
 
 
@@ -33,40 +33,6 @@ def _product(gens, mod=None):
     for g in gens:
         m = m * g.matrix()
     return m
-
-
-# -- SL2(Z) factorization ------------------------------------------------
-
-
-def test_sl2z_factor_transvection():
-    gens = sl2z_factor(Mat2.of_ints(1, 5, 0, 1))
-    assert [str(g) for g in gens] == ["E12(5)"]
-
-
-def test_sl2z_factor_w():
-    gens = sl2z_factor(Mat2.of_ints(0, -1, 1, 0))
-    assert [str(g) for g in gens] == ["W"]
-
-
-def test_sl2z_factor_small_example():
-    m = Mat2.of_ints(2, 1, 1, 1)
-    assert _product(sl2z_factor(m)) == m
-
-
-def test_sl2z_factor_roundtrip_random():
-    rng = random.Random(2001)
-    for _ in range(200):
-        m = rand_sl2_const(rng, None)
-        assert _product(sl2z_factor(m)) == m
-
-
-def test_sl2z_factor_rejects_bad_input():
-    with pytest.raises(ValueError):
-        sl2z_factor(Mat2.of_ints(2, 0, 0, 1))
-    with pytest.raises(ValueError):
-        sl2z_factor(e12(Poly.parse("t")))
-    with pytest.raises(ValueError):
-        sl2z_factor(identity(5))
 
 
 # -- SL2(F_p[t]) factorization -------------------------------------------
@@ -139,7 +105,7 @@ def test_roundtrip_refuses_a_word_one_generator_off():
     """_verify_roundtrip is an exact equality: a word one generator off
     (E12(f + 1), E21(f + 1), D(-u) or a dropped W) never passes."""
     rng = random.Random(2010)
-    words = [(sl2z_factor(rand_sl2_const(rng, None)), None) for _ in range(30)]
+    words = [([rand_const_gen(rng, None) for _ in range(rng.randint(1, 4))], None) for _ in range(30)]
     for p in (3, 5):
         words += [(sl2fpt_elementary_factor(rand_fp_matrix(rng, p, 6, 4)), p) for _ in range(20)]
     for mod in (None, 5):
@@ -437,7 +403,7 @@ def test_phi_p_is_homomorphism():
         _, nfx = phi_p(wx, p)
         _, nfy = phi_p(wy, p)
         _, nfxy = phi_p(wx + wy, p)
-        assert s.nf_multiply(nfx, nfy) == nfxy
+        assert s.normalize(word_of(nfx) + word_of(nfy)) == nfxy
 
 
 def test_phi_p_hits_generators():

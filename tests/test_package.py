@@ -1,0 +1,79 @@
+"""The package as a whole: no check that ``python -O`` strips, and a public
+surface that matches what the modules define."""
+
+import ast
+import importlib
+import pathlib
+import types
+
+import nagaolab
+
+SRC = pathlib.Path(nagaolab.__file__).resolve().parent
+MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+
+# The names that ``import nagaolab`` offers besides its submodules.
+PUBLIC = [
+    "AmalgamStructure",
+    "CrossValidationError",
+    "Gen",
+    "Letter",
+    "Mat2",
+    "NormalForm",
+    "Poly",
+    "PolyParseError",
+    "SearchCapExceeded",
+    "SnWitness",
+    "UnsupportedGroupError",
+    "class_order_lower_bound",
+    "coinvariant_dims",
+    "diag",
+    "dim_divided_power",
+    "dim_exterior",
+    "dim_table",
+    "e12",
+    "e21",
+    "e2zt_normal_form",
+    "h_dims",
+    "identity",
+    "is_prime",
+    "letters_from_gens",
+    "make_witness",
+    "mv_ledger_check",
+    "nagao_normal_form",
+    "parse_gen",
+    "parse_matrix",
+    "phi_p",
+    "sl2fpt_elementary_factor",
+    "sn_witness_search",
+    "verify_witness_suite",
+    "w",
+]
+
+
+def test_no_assert_in_the_library():
+    """A correctness check in the library must raise: ``python -O`` drops
+    every assert statement."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
+def test_every_name_in_all_exists():
+    assert MODULES == ["amalgam", "cli", "gl2", "homology", "nagao", "ring", "witnesses"]
+    missing = []
+    for name in MODULES:
+        mod = importlib.import_module(f"nagaolab.{name}")
+        missing += [f"{name}.{attr}" for attr in getattr(mod, "__all__", ()) if not hasattr(mod, attr)]
+    assert missing == []
+
+
+def test_package_reexports_are_pinned():
+    names = sorted(
+        name for name, value in vars(nagaolab).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    )
+    assert names == PUBLIC

@@ -11,9 +11,7 @@ from nagaolab.ring import (
     MAX_DEGREE,
     Poly,
     PolyParseError,
-    SearchCapExceeded,
     is_prime,
-    sn_witness_search,
 )
 
 from helpers import dense_poly, rand_poly, schoolbook_divmod, schoolbook_mul, trial_division_is_prime
@@ -544,39 +542,6 @@ def _poly_pairs(draw):
 def test_mul_kernel_equals_schoolbook_property(pair):
     a, b = pair
     assert a * b == schoolbook_mul(a, b)
-
-
-def test_sn_witness_examples():
-    assert sn_witness_search(3, 2).residues == (1, 1)
-    assert sn_witness_search(3, 3).residues is None
-    assert sn_witness_search(2, 1).residues == (1,)
-
-
-def test_sn_witness_claim_small_primes():
-    # a witness exists at arity p - 1 and never at arity p
-    for p in (2, 3, 5, 7, 11):
-        if p > 2:
-            assert sn_witness_search(p, p - 1).exists
-        assert not sn_witness_search(p, p).exists
-
-
-def test_sn_witness_subset_sums_verified():
-    w = sn_witness_search(7, 6)
-    assert w.exists
-    import itertools
-
-    for r in range(1, 7):
-        for combo in itertools.combinations(w.residues, r):
-            assert sum(combo) % 7 != 0
-
-
-def test_sn_search_cap():
-    with pytest.raises(SearchCapExceeded):
-        sn_witness_search(37, 2)
-    with pytest.raises(SearchCapExceeded):
-        sn_witness_search(5, 6)
-    with pytest.raises(ValueError):
-        sn_witness_search(4, 2)
 
 
 def test_is_prime():

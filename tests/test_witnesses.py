@@ -1,13 +1,16 @@
+import itertools
 import json
+import re
 
 import pytest
 
-from nagaolab.gl2 import Mat2, e12, identity, parse_matrix
+from nagaolab import witnesses
+from nagaolab.gl2 import e12, parse_matrix
 from nagaolab.ring import Poly
 from nagaolab.witnesses import (
-    WitnessId,
-    kernel_combination_check,
+    SearchCapExceeded,
     make_witness,
+    sn_witness_search,
     verify_witness_suite,
 )
 
@@ -20,21 +23,23 @@ def test_make_witness_displays():
 
 
 def test_witness_id_validation():
-    assert str(WitnessId("h", 5, 2)) == "h(5,2)"
-    assert str(WitnessId("x", None, 1)) == "x(1)"
-    with pytest.raises(ValueError):
-        WitnessId("y", 2, 1)
-    with pytest.raises(ValueError):
-        WitnessId("x", 2, 1)
-    with pytest.raises(ValueError):
-        WitnessId("g", 4, 1)
-    with pytest.raises(ValueError):
-        WitnessId("g", 2, 0)
-
-
-def test_make_witness_accepts_id_object():
-    wid = WitnessId("g", 2, 1)
-    assert make_witness(wid) == make_witness("g", 2, 1)
+    """Each bad (kind, p, k) is refused by name.  Integers are not read from
+    int-like values: k = 2.0 passed the old checks and then failed with a
+    bare TypeError, and is_prime(2.0) holds."""
+    for args, msg in [
+        (("y", 2, 1), "kind must be one of ('h', 'g', 'x', 'n'), got 'y'"),
+        (("x", 2, 1), "kind x takes no prime"),
+        (("g", 4, 1), "kind g needs a prime, got 4"),
+        (("h", None, 1), "kind h needs a prime, got None"),
+        (("g", 2.0, 1), "kind g needs a prime, got 2.0"),
+        (("h", True, 1), "kind h needs a prime, got True"),
+        (("g", 2, 0), "index k must be >= 1, got 0"),
+        (("x", None, 2.0), "index k must be an integer, got 2.0"),
+        (("x", None, True), "index k must be an integer, got True"),
+        (("n", 2, "1"), "index k must be an integer, got '1'"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            make_witness(*args)
 
 
 def test_suite_all_asserted_checks_pass():
@@ -81,34 +86,62 @@ def test_report_json_shape():
         assert item["status"] in ("pass", "fail", "info")
 
 
-def test_kernel_combination_identity():
-    for p in (2, 3):
-        for k in (1, 2, 3):
-            report = kernel_combination_check(p, k)
-            assert report.all_asserted_pass
-            gx = next(c for c in report.checks if c.id.startswith("kernel_gx"))
-            assert gx.status == "pass"
-            assert gx.lhs == str(identity(p))
-
-
-def test_kernel_gh_reported_not_asserted():
-    report = kernel_combination_check(2, 1)
-    gh = next(c for c in report.checks if c.id.startswith("kernel_gh"))
-    assert gh.status == "info"
-    # g(2,1) h(2,1) reduces to E12(t^3 - t), not to the identity
-    expected = e12(Poly.parse("t^3 - t").reduce_mod_p(2))
-    assert gh.lhs == str(expected)
-    assert gh.lhs != str(identity(2))
-
-
-def test_kernel_combination_scope():
-    with pytest.raises(ValueError):
-        kernel_combination_check(5, 1)
-    with pytest.raises(ValueError):
-        kernel_combination_check(2, 0)
-
-
 def test_equality_decisions_match_both_ways():
     # the suite itself raises if matrix and normal form equality ever split;
     # run a couple of blocks to exercise the path
     assert verify_witness_suite((2, 3), (1, 3)).all_asserted_pass
+
+
+# -- unit-subset-sum witnesses --------------------------------------------
+
+
+def test_sn_witness_examples():
+    assert sn_witness_search(3, 2).residues == (1, 1)
+    assert sn_witness_search(3, 3).residues is None
+    assert sn_witness_search(2, 1).residues == (1,)
+
+
+def test_sn_witness_claim_small_primes():
+    # a witness exists at arity p - 1 and never at arity p
+    for p in (2, 3, 5, 7, 11):
+        if p > 2:
+            assert sn_witness_search(p, p - 1).exists
+        assert not sn_witness_search(p, p).exists
+
+
+def test_sn_witness_subset_sums_verified():
+    w = sn_witness_search(7, 6)
+    assert w.exists
+    for r in range(1, 7):
+        for combo in itertools.combinations(w.residues, r):
+            assert sum(combo) % 7 != 0
+
+
+def test_sn_search_cap():
+    with pytest.raises(SearchCapExceeded):
+        sn_witness_search(37, 2)
+    with pytest.raises(SearchCapExceeded):
+        sn_witness_search(5, 6)
+    with pytest.raises(ValueError):
+        sn_witness_search(4, 2)
+
+
+def test_subset_sum_check_matches_enumeration():
+    check = witnesses._subset_sums_nonzero
+    assert check(31, (1,) * 30)
+    assert not check(7, (1, 6))
+    assert not check(5, (5,))  # a zero residue is a zero subset sum
+    for p in (2, 3, 5):
+        for n in range(1, 5):
+            for residues in itertools.product(range(p), repeat=n):
+                expected = all(
+                    sum(combo) % p for r in range(1, n + 1) for combo in itertools.combinations(residues, r)
+                )
+                assert check(p, residues) == expected, (p, residues)
+
+
+def test_sn_search_raises_when_the_check_refuses(monkeypatch):
+    monkeypatch.setattr(witnesses, "_subset_sums_nonzero", lambda p, residues: False)
+    with pytest.raises(RuntimeError, match="fails the subset-sum check"):
+        sn_witness_search(5, 4)
+    assert sn_witness_search(3, 3).residues is None  # "none exists" has nothing to check
