@@ -25,7 +25,6 @@ from .nagao import (
 from .ring import Poly, PolyParseError, is_prime
 from .witnesses import (
     SearchCapExceeded,
-    SnWitness,
     make_witness,
     sn_witness_search,
     verify_witness_suite,

@@ -31,9 +31,10 @@ as forms, each checked by ``_check_letter``, and both routes are compared
 on forms.  The oracles that check the engine share no arithmetic with it.
 ``nf_evaluate``, the Euclid factorization's round trip and ``phi_p``'s
 product over Z multiply the entries' coefficient tuples with
-``gl2._mat_mul``; the factorization and the degree reduction work by column
-operations on them with the ``ring`` kernels, and the degree reduction
-shares only ``_check_forms`` on its output with the engine.
+``gl2._mat_prod``, the left fold of ``gl2._mat_mul``; the factorization
+and the degree reduction work by column operations on them with the
+``ring`` kernels, and the degree reduction shares only ``_check_forms`` on
+its output with the engine.
 
 A ``NormalForm`` is head * s_1 * ... * s_n with head in A, every s_j a
 nontrivial canonical representative, and consecutive s_j from different
@@ -48,7 +49,7 @@ from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable
 
-from .gl2 import Mat2, _mat_mul, _unit_inverse
+from .gl2 import Mat2, _mat_prod, _unit_inverse
 from .ring import _scale, _strip, is_prime
 
 __all__ = ["Letter", "NormalForm", "AmalgamStructure"]
@@ -266,12 +267,10 @@ class AmalgamStructure:
     def nf_evaluate(self, nf: NormalForm) -> Mat2:
         """Multiply the normal form back out to the group element, on coefficient tuples."""
         mod = nf.head.mod
-        x = nf.head.coeffs
-        for letter in nf.tail:
-            if letter.mat.mod != mod:
-                raise ValueError("modulus mismatch between matrix factors")
-            x = _mat_mul(x, letter.mat.coeffs, mod)
-        return Mat2._of_coeffs(x, mod)
+        if any(letter.mat.mod != mod for letter in nf.tail):
+            raise ValueError("modulus mismatch between matrix factors")
+        quads = [nf.head.coeffs] + [letter.mat.coeffs for letter in nf.tail]
+        return Mat2._of_coeffs(_mat_prod(quads, mod), mod)
 
     def _check_forms(self, head: Form | None, tail: Iterable[tuple[int, Form | None]]) -> None:
         """The normal-form invariants on engine forms: head in A, each tail

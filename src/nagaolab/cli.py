@@ -228,7 +228,7 @@ def _table_rows(args):
             raise ValueError("--coinv applies to --group bfpt")
         flags = "wedge-part coinvariants of t*F_p[t]"
         for i in range(args.max_i + 1):
-            dim = coinvariant_dims(p, i, d, basis="tpart", wedge_only=True)
+            dim = coinvariant_dims(p, i, d)
             yield {"group": args.group, "p": p, "d": d, "i": i, "dim": dim, "flags": flags}
     else:
         yield from dim_table(args.group, p, args.max_i, d)
@@ -259,10 +259,7 @@ def _cmd_hdim(args) -> tuple[int, str]:
 
     sections = {"rows": list(_table_rows(args))}
     if args.ledger:
-        sections["ledger"] = [
-            mv_ledger_check(args.mod, i, args.max_deg).as_dict()
-            for i in range(args.max_i + 1)
-        ]
+        sections["ledger"] = [mv_ledger_check(args.mod, i, args.max_deg) for i in range(args.max_i + 1)]
     code = EXIT_OK if all(rep["ok"] for rep in sections.get("ledger", ())) else EXIT_VERIFY_FAIL
     if args.format == "json":
         return code, json.dumps(sections, indent=2)
@@ -321,12 +318,11 @@ def _cmd_verify(args) -> tuple[int, str]:
         return code, "\n".join(lines)
 
     p, n = args.sn
-    witness = sn_witness_search(p, n)
+    residues = sn_witness_search(p, n)
     if args.format == "json":
-        residues = list(witness.residues) if witness.exists else None
-        return EXIT_OK, json.dumps({"p": witness.p, "n": witness.n, "witness": residues}, indent=2)
-    if witness.exists:
-        return EXIT_OK, f"witness for p={p}, n={n}: {witness.residues}"
+        return EXIT_OK, json.dumps({"p": p, "n": n, "witness": residues}, indent=2)
+    if residues is not None:
+        return EXIT_OK, f"witness for p={p}, n={n}: {residues}"
     return EXIT_OK, f"none exists: no {n} nonzero residues mod {p} avoid a zero subset sum"
 
 

@@ -1,22 +1,22 @@
 """2x2 matrices over Z[t] and F_p[t].
 
 Covers what the group algorithms need: products, determinants, the closed
-form inverse for determinant 1, upper-triangularity, entrywise reduction
-mod p, and unipotence.  Standard generators (transvections, diagonal units,
-the order-4 rotation W) come as ``Gen`` records, which factorization words
-and the CLI shorthand use; ``Gen._coeffs`` alone spells out their matrices,
-and ``e12``, ``e21``, ``diag`` and ``w`` return ``Gen(...).matrix()``.
+form inverse for determinant 1, entrywise reduction mod p, and unipotence.
+Standard generators (transvections, diagonal units, the order-4 rotation W)
+come as ``Gen`` records, which factorization words and the CLI shorthand
+use; ``Gen._coeffs`` alone spells out their matrices, and ``e12``, ``e21``,
+``diag`` and ``w`` return ``Gen(...).matrix()``.
 
 Products and determinants do not go through the ``Poly`` operators.  A
 ``Mat2`` holds the canonical coefficient tuples (a, b, c, d) of its entries
 as ``coeffs``, as a ``Poly`` holds its own, and its entries ``a``, ``b``,
 ``c`` and ``d`` are ``Poly`` views built on each read.  ``_mat_mul`` is the
-one 2x2 product on such quadruples, for ``Mat2.__mul__``, ``nf_evaluate``,
-and the round trip and ``phi_p`` of ``nagao``.  The public constructor
-checks that the four entries share a ring; the trusted ``_of_coeffs``
-stores the results of arithmetic on valid matrices, and those of
-``Gen.matrix``, ``of_ints`` and ``reduce_mod_p`` after one check of the
-modulus.
+one 2x2 product on such quadruples, for ``Mat2.__mul__``; its left fold
+``_mat_prod`` is the one word product, for ``nf_evaluate`` and the round
+trip and ``phi_p`` of ``nagao``.  The public constructor checks that the
+four entries share a ring; the trusted ``_of_coeffs`` stores the results of
+arithmetic on valid matrices, and those of ``Gen.matrix``, ``of_ints`` and
+``reduce_mod_p`` after one check of the modulus.
 """
 
 from __future__ import annotations
@@ -50,6 +50,15 @@ def _mat_mul(x: _Quad, y: _Quad, mod: int | None) -> _Quad:
     a, b, c, d = x
     e, f, g, h = y
     return (_dot(a, e, b, g, mod), _dot(a, f, b, h, mod), _dot(c, e, d, g, mod), _dot(c, f, d, h, mod))
+
+
+def _mat_prod(quads, mod: int | None) -> _Quad:
+    """The product of a word of coefficient quadruples, folded from the left
+    with ``_mat_mul``; the identity for the empty word."""
+    x = _IDENTITY_QUAD
+    for y in quads:
+        x = _mat_mul(x, y, mod)
+    return x
 
 
 @dataclass(frozen=True)
@@ -127,14 +136,6 @@ class Mat2:
     @property
     def is_identity(self) -> bool:
         return self.coeffs == _IDENTITY_QUAD
-
-    @property
-    def is_upper_triangular(self) -> bool:
-        return not self.coeffs[2]
-
-    @property
-    def is_constant(self) -> bool:
-        return all(len(e) <= 1 for e in self.coeffs)
 
     def reduce_mod_p(self, p: int) -> "Mat2":
         """Entrywise reduction mod p; a group homomorphism on SL2(Z[t])."""

@@ -22,14 +22,12 @@ the CLI's ``--group`` choices) and the unknown-group message read it.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from math import comb
 
 from .ring import is_prime
 
 __all__ = [
     "GROUP_IDS",
-    "LedgerReport",
     "UnsupportedGroupError",
     "class_order_lower_bound",
     "coinvariant_dims",
@@ -174,64 +172,30 @@ def dim_table(group: str, p: int, max_i: int, d: int) -> list[dict]:
     ]
 
 
-def coinvariant_dims(
-    p: int, i: int, d: int, *, basis: str = "full", wedge_only: bool = False
-) -> int:
-    """Unit-group coinvariants of H_i of the truncated polynomial ring mod p.
+def coinvariant_dims(p: int, i: int, d: int) -> int:
+    """Unit-group coinvariants of the wedge part of H_i of t*F_p[t] at
+    truncation degree d.
 
-    The action is diagonal on the monomial basis (each generator scales by
-    a square), so coinvariants are counted by the fixed monomials: those of
-    weight 0 mod p - 1.  ``basis`` selects t^0..t^d ("full") or t^1..t^d
-    ("tpart"); ``wedge_only`` drops the divided power part and counts only
-    exterior monomials.
+    The action is diagonal on the exterior monomials of t^1..t^d, and each
+    wedge factor scales by a square, so a degree-i monomial has weight 2i:
+    all C(d, i) of them are fixed when p - 1 divides 2i, and none otherwise.
     """
     _validate(p, i, d)
-    if basis == "full":
-        n = d + 1
-    elif basis == "tpart":
-        n = d
-    else:
-        raise ValueError(f"basis must be 'full' or 'tpart', got {basis!r}")
-    if wedge_only:
-        return dim_exterior(n, i) if (2 * i) % (p - 1) == 0 else 0
-    return _abelian_mod_p_dim(n, i, p, weight_filter=True)
+    return dim_exterior(d, i) if (2 * i) % (p - 1) == 0 else 0
 
 
-@dataclass(frozen=True)
-class LedgerReport:
-    """One row of the amalgam dimension ledger at (p, i, d)."""
-
-    p: int
-    i: int
-    d: int
-    e2zt: int
-    bzt: int
-    sl2z: int
-    bz: int
-
-    @property
-    def ok(self) -> bool:
-        return self.e2zt == self.bzt + self.sl2z - self.bz
-
-    def as_dict(self) -> dict:
-        return {**asdict(self), "ok": self.ok}
-
-
-def mv_ledger_check(p: int, i: int, d: int) -> LedgerReport:
+def mv_ledger_check(p: int, i: int, d: int) -> dict:
     """Check dim H_i(E2(Z[t])) = dim H_i(B(Z[t])) + dim H_i(SL2(Z)) - dim H_i(B(Z)),
-    the dimension identity forced by the amalgam decomposition."""
+    the dimension identity forced by the amalgam decomposition; returns the
+    ledger row (p, i, d, the four dimensions, and ok)."""
     if p not in (2, 3, 5, 7):
         raise ValueError(f"ledger is configured for p in {{2, 3, 5, 7}}, got {p!r}")
     _validate(p, i, d)
-    return LedgerReport(
-        p=p,
-        i=i,
-        d=d,
-        e2zt=h_dims("e2zt", p, i, d),
-        bzt=h_dims("bzt", p, i, d),
-        sl2z=h_dims("sl2z", p, i, d),
-        bz=h_dims("bz", p, i, d),
-    )
+    row = {"p": p, "i": i, "d": d}
+    for group in ("e2zt", "bzt", "sl2z", "bz"):
+        row[group] = h_dims(group, p, i, d)
+    row["ok"] = row["e2zt"] == row["bzt"] + row["sl2z"] - row["bz"]
+    return row
 
 
 def class_order_lower_bound(i: int, prime_bound: int = 7) -> int:
@@ -241,10 +205,13 @@ def class_order_lower_bound(i: int, prime_bound: int = 7) -> int:
     the reduction argument yields, never a claim of the exact order."""
     if type(i) is not int:
         raise ValueError(f"the degree must be an integer, got {i!r}")
+    if type(prime_bound) is not int:
+        raise ValueError(f"prime_bound must be an integer, got {prime_bound!r}")
     if i < 1:
         raise ValueError("the bound applies to classes of degree >= 1")
     bound = 6
-    for q in range(5, prime_bound + 1):
+    # a prime q > 2i + 1 has (q - 1)/2 > i, which cannot divide i
+    for q in range(5, min(prime_bound, 2 * i + 1) + 1):
         if is_prime(q) and i % ((q - 1) // 2) == 0:
             bound *= q
     return bound

@@ -15,13 +15,13 @@ integer-polynomial matrix is not decidable by the methods here.  That is a
 hard boundary of the API.  ``phi_p`` reduces such words mod p and checks the
 result against the matrix decomposition over F_p, comparing engine forms;
 it builds a ``Mat2`` only for the reduced product it returns.  Every
-factorization must multiply back (``gl2._mat_mul`` over ``Gen._coeffs``).
+factorization must multiply back (``gl2._mat_prod`` over ``Gen._coeffs``).
 """
 
 from __future__ import annotations
 
 from .amalgam import AmalgamStructure, Form, Letter, NormalForm, _mat
-from .gl2 import _IDENTITY_QUAD, _ONE, Gen, Mat2, _mat_mul
+from .gl2 import _ONE, Gen, Mat2, _mat_prod
 from .ring import _KRONECKER_MIN_LEN, _NEWTON_MIN_LEN, Poly, _charge, _divmod_coeffs, _dot, _mul_cost
 from .ring import _reduce_coeffs, _scale
 
@@ -63,11 +63,7 @@ def _require_det_one(m: Mat2) -> None:
 
 def _verify_roundtrip(gens, m: Mat2) -> None:
     """Refuse a word that does not multiply back to m exactly, on coefficient tuples."""
-    mod = m.mod
-    x = _IDENTITY_QUAD
-    for g in gens:
-        x = _mat_mul(x, g._coeffs(), mod)
-    if x != m.coeffs:
+    if _mat_prod([g._coeffs() for g in gens], m.mod) != m.coeffs:
         raise RuntimeError("factorization failed to multiply back to its input")
 
 
@@ -253,16 +249,14 @@ def phi_p(word, p: int):
     mod p is a homomorphism compatible with both amalgam decompositions.
 
     Each letter is checked into its engine form over Z once.  The word is
-    multiplied out on coefficient quadruples by ``gl2._mat_mul``, and only
+    multiplied out on coefficient quadruples by ``gl2._mat_prod``, and only
     the reduced product is built as a ``Mat2``.  The
     forms reduced mod p are checked for membership again before the
     rewrite, and the two routes are compared on engine forms.
     """
     struct_z, struct_p = AmalgamStructure(), AmalgamStructure(p)
     word = [(l, struct_z._check_letter(l.factor, struct_z._form_of(l.mat), l.mat)) for l in word]
-    x = _IDENTITY_QUAD
-    for l, _ in word:
-        x = _mat_mul(x, l.mat.coeffs, None)
+    x = _mat_prod([l.mat.coeffs for l, _ in word], None)
     mat_p = Mat2._of_coeffs([_reduce_coeffs(e, p) for e in x], p)
     via_matrix = nagao_normal_form(p, mat_p)
     reduced = [(l.factor, (a % p, _reduce_coeffs(b, p), c % p, d % p)) for l, (a, b, c, d) in word]

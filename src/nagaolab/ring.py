@@ -185,6 +185,8 @@ class Poly:
         """coeff * t**exp."""
         if exp < 0:
             raise ValueError("negative exponent")
+        if exp > MAX_DEGREE:
+            raise ValueError(f"exponent {exp} exceeds the degree cap {MAX_DEGREE}")
         return cls((0,) * exp + (coeff,), mod)
 
     # -- structure ----------------------------------------------------
@@ -197,15 +199,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
-
-    @property
-    def constant_term(self) -> int:
-        """The value at t = 0."""
-        return self.coeffs[0] if self.coeffs else 0
 
     # -- arithmetic ---------------------------------------------------
 

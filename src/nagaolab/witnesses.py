@@ -32,7 +32,6 @@ from .ring import Poly, is_prime
 __all__ = [
     "CheckResult",
     "SearchCapExceeded",
-    "SnWitness",
     "WitnessReport",
     "make_witness",
     "sn_witness_search",
@@ -182,22 +181,9 @@ class SearchCapExceeded(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class SnWitness:
-    """Outcome of a witness search: residues is None iff none exists."""
-
-    p: int
-    n: int
-    residues: tuple[int, ...] | None
-
-    @property
-    def exists(self) -> bool:
-        return self.residues is not None
-
-
-def sn_witness_search(p: int, n: int) -> SnWitness:
-    """Search for n nonzero residues mod p with every nonempty subset sum
-    nonzero mod p.
+def sn_witness_search(p: int, n: int) -> tuple[int, ...] | None:
+    """n nonzero residues mod p with every nonempty subset sum nonzero mod
+    p, or None when none exist.
 
     Units of the localization of Z away from p reduce to nonzero residues,
     and a subset sum is again a unit exactly when its residue is nonzero,
@@ -205,8 +191,8 @@ def sn_witness_search(p: int, n: int) -> SnWitness:
     under permutation, so candidates are enumerated as non-decreasing
     tuples; reachable subset sums are tracked as a bitmask over Z/p and a
     branch dies the moment sum 0 becomes reachable.  The enumeration is
-    exhaustive: ``residues=None`` is a verified "none exists".  A witness
-    found is checked again by ``_subset_sums_nonzero``.
+    exhaustive: None is a verified "none exists".  A witness found is
+    checked again by ``_subset_sums_nonzero``.
 
     Refuses (SearchCapExceeded) when p > SN_MAX_PRIME or n > p, rather than
     running an unbounded search.
@@ -240,7 +226,7 @@ def sn_witness_search(p: int, n: int) -> SnWitness:
     found = dfs(0, 1, 0)
     if found is not None and (len(found) != n or not _subset_sums_nonzero(p, found)):
         raise RuntimeError(f"sn witness {found} for p={p}, n={n} fails the subset-sum check (search bug)")
-    return SnWitness(p, n, found)
+    return found
 
 
 def _subset_sums_nonzero(p: int, residues) -> bool:

@@ -144,8 +144,8 @@ def det_in_base(mod, m):
     AmalgamStructure.factors."""
     return (
         m.mod == mod
-        and m.is_constant
-        and m.is_upper_triangular
+        and all(len(e) <= 1 for e in m.coeffs)  # constant
+        and not m.coeffs[2]  # upper triangular
         and m.det() == Poly.one(mod)
     )
 
@@ -154,7 +154,7 @@ def det_in_factor(mod, factor, m):
     """Membership in factor 1 (SL2(R)) or 2 (B(R[t])) by a full determinant."""
     if m.mod != mod or m.det() != Poly.one(mod):
         return False
-    return m.is_constant if factor == 1 else m.is_upper_triangular
+    return all(len(e) <= 1 for e in m.coeffs) if factor == 1 else not m.coeffs[2]
 
 
 def entrywise_mat_mul(m, n):

@@ -14,7 +14,7 @@ from nagaolab import cli
 from nagaolab.amalgam import Letter
 from nagaolab.cli import main
 from nagaolab.gl2 import diag, e12, e21, identity, w
-from nagaolab.homology import GROUP_IDS, LedgerReport
+from nagaolab.homology import GROUP_IDS
 from nagaolab.nagao import CrossValidationError
 from nagaolab.ring import Poly
 from nagaolab.witnesses import CheckResult, WitnessReport
@@ -468,7 +468,8 @@ def test_hdim_ledger(capsys, monkeypatch):
     assert "MISMATCH" not in out
     # a ledger row that fails the identity is printed and fails the exit code
     monkeypatch.setattr(
-        "nagaolab.cli.mv_ledger_check", lambda p, i, d: LedgerReport(p, i, d, 2, 1, 1, 1)
+        "nagaolab.cli.mv_ledger_check",
+        lambda p, i, d: {"p": p, "i": i, "d": d, "e2zt": 2, "bzt": 1, "sl2z": 1, "bz": 1, "ok": False},
     )
     code, out, _ = run(
         capsys, "hdim", "--group", "e2zt", "--mod", "7", "--ledger", "--max-i", "0",
@@ -548,6 +549,14 @@ def test_verify_sn_cap(capsys):
 def test_verify_bad_range(capsys):
     code, _, err = run(capsys, "verify", "--witness", "9..10", "1..2")
     assert code == 2
+    assert run(capsys, "verify", "--witness", "3..2", "1..1") == (2, "", "error: empty range '3..2'\n")
+
+
+def test_help_exits_zero(capsys):
+    for argv, usage in ((["--help"], "usage: nagaolab "), (["nf", "--help"], "usage: nagaolab nf ")):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(usage)
 
 
 def test_usage_error(capsys):

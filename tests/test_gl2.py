@@ -224,7 +224,7 @@ def test_upper_triangular_closed_under_product():
                     Poly.constant(uinv, mod),
                 )
             )
-        assert (ms[0] * ms[1]).is_upper_triangular
+        assert not (ms[0] * ms[1]).coeffs[2]
 
 
 def test_diag_requires_unit():

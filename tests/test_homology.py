@@ -80,7 +80,7 @@ def test_mod_p_homology_matches_enumeration():
                 )
         for d in range(4):
             for i in range(7):
-                assert coinvariant_dims(p, i, d) == _enumerate_mod_p_basis(
+                assert h_dims("bfpt", p, i, d) == _enumerate_mod_p_basis(
                     d + 1, i, p, True
                 )
 
@@ -176,8 +176,6 @@ def test_bad_arguments_rejected():
         for n, i in ((-1, 2), (2, -1)):
             with pytest.raises(ValueError, match="must be >= 0"):
                 dim(n, i)
-    with pytest.raises(ValueError):
-        coinvariant_dims(3, 1, 4, basis="middle")
 
 
 def test_weighted_monomial_parts():
@@ -201,6 +199,12 @@ def test_weighted_enumeration_matches_counters():
                 assert all(m.degree == i for m in monos)
                 assert len(monos) == h_dims("tfpt", p, i, d + 1)
                 fixed = sum(1 for m in monos if m.weight % (p - 1) == 0)
+                assert fixed == h_dims("bfpt", p, i, d)
+                # the wedge part of the t-part t^1..t^d
+                fixed = sum(
+                    1 for m in weighted_monomials(range(1, d + 1), i)
+                    if not m.divided and m.weight % (p - 1) == 0
+                )
                 assert fixed == coinvariant_dims(p, i, d)
 
 
@@ -214,7 +218,7 @@ def test_coinvariants_trivial_action_p23():
         for i in range(8):
             for d in range(6):
                 full = h_dims("tfpt", p, i, d + 1)
-                assert coinvariant_dims(p, i, d) == full
+                assert h_dims("bfpt", p, i, d) == full
 
 
 def test_wedge_part_coinvariants_divisibility():
@@ -222,7 +226,7 @@ def test_wedge_part_coinvariants_divisibility():
         half = (p - 1) // 2
         for i in range(9):
             for d in range(9):
-                dim = coinvariant_dims(p, i, d, basis="tpart", wedge_only=True)
+                dim = coinvariant_dims(p, i, d)
                 expect_nonzero = (i % half == 0) and i <= d
                 assert (dim > 0) == expect_nonzero
                 if expect_nonzero:
@@ -230,8 +234,8 @@ def test_wedge_part_coinvariants_divisibility():
 
 
 def test_wedge_part_pinned_values():
-    assert coinvariant_dims(5, 1, 4, basis="tpart", wedge_only=True) == 0
-    assert coinvariant_dims(5, 2, 4, basis="tpart", wedge_only=True) == 6
+    assert coinvariant_dims(5, 1, 4) == 0
+    assert coinvariant_dims(5, 2, 4) == 6
 
 
 # -- dimension ledger --------------------------------------------------------
@@ -241,23 +245,26 @@ def test_ledger_holds_on_grid():
     for p in (2, 3, 5, 7):
         for i in range(9):
             for d in range(9):
-                assert mv_ledger_check(p, i, d).ok
+                assert mv_ledger_check(p, i, d)["ok"]
 
 
 def test_ledger_examples():
     for d in range(1, 8):
-        rep = mv_ledger_check(3, 1, d)
-        assert (rep.bzt, rep.sl2z, rep.bz) == (d + 1, 1, 1)
-        assert rep.e2zt == d + 1
-        rep = mv_ledger_check(5, 2, d)
-        assert rep.e2zt == comb(d + 1, 2)
-        assert (rep.sl2z, rep.bz) == (0, 0)
-    rep = mv_ledger_check(2, 0, 5)
-    assert (rep.e2zt, rep.bzt, rep.sl2z, rep.bz) == (1, 1, 1, 1)
+        row = mv_ledger_check(3, 1, d)
+        assert (row["bzt"], row["sl2z"], row["bz"]) == (d + 1, 1, 1)
+        assert row["e2zt"] == d + 1
+        row = mv_ledger_check(5, 2, d)
+        assert row["e2zt"] == comb(d + 1, 2)
+        assert (row["sl2z"], row["bz"]) == (0, 0)
+    assert mv_ledger_check(2, 0, 5) == {
+        "p": 2, "i": 0, "d": 5, "e2zt": 1, "bzt": 1, "sl2z": 1, "bz": 1, "ok": True,
+    }
+    # the key order that the CSV and JSON ledger print
+    assert list(mv_ledger_check(2, 0, 5)) == ["p", "i", "d", "e2zt", "bzt", "sl2z", "bz", "ok"]
 
 
 def test_ledger_rejects_other_primes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"ledger is configured for p in \{2, 3, 5, 7\}, got 11"):
         mv_ledger_check(11, 1, 4)
 
 
@@ -275,6 +282,13 @@ def test_class_order_lower_bounds():
     for degree in ("3", 2.9, True):
         with pytest.raises(ValueError, match="must be an integer"):
             class_order_lower_bound(degree)
+    for bound in (13.0, "13", True):
+        with pytest.raises(ValueError, match="prime_bound must be an integer"):
+            class_order_lower_bound(6, prime_bound=bound)
+    # primes q > 2i + 1 are never tried, so a huge bound returns at once
+    assert class_order_lower_bound(6, prime_bound=10**9) == 6 * 5 * 7 * 13
+    assert class_order_lower_bound(1, prime_bound=10**9) == 6
+    assert class_order_lower_bound(2, prime_bound=4) == 6
 
 
 # -- tables --------------------------------------------------------------------

@@ -22,7 +22,6 @@ PUBLIC = [
     "Poly",
     "PolyParseError",
     "SearchCapExceeded",
-    "SnWitness",
     "UnsupportedGroupError",
     "class_order_lower_bound",
     "coinvariant_dims",

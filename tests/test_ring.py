@@ -58,6 +58,8 @@ def test_zero_degree_is_marker():
     assert Poly.parse("7").degree == 0
     with pytest.raises(TypeError):
         Poly.zero().degree + 1
+    assert not Poly.zero(3) and not Poly.parse("3", 3)
+    assert Poly.parse("t") and Poly.constant(-1)
 
 
 def test_nonprime_modulus_rejected():
@@ -209,6 +211,10 @@ def test_format_canonicalizes():
     assert repr(Poly.monomial(2, 4, 3)) == "Poly([0, 0, 1], mod=3)"
     with pytest.raises(ValueError, match="negative exponent"):
         Poly.monomial(-1)
+    # the parser's degree cap, checked before the dense tuple is allocated
+    assert Poly.monomial(MAX_DEGREE).degree == MAX_DEGREE
+    with pytest.raises(ValueError, match=re.escape(f"exponent {MAX_DEGREE + 1} exceeds the degree cap {MAX_DEGREE}")):
+        Poly.monomial(MAX_DEGREE + 1)
 
 
 def test_parse_errors_carry_position():

@@ -37,6 +37,7 @@ def test_witness_id_validation():
         (("x", None, 2.0), "index k must be an integer, got 2.0"),
         (("x", None, True), "index k must be an integer, got True"),
         (("n", 2, "1"), "index k must be an integer, got '1'"),
+        (("h", 2, 3334), "exponent 10002 exceeds the degree cap 10000"),  # t^3k
     ]:
         with pytest.raises(ValueError, match=re.escape(msg)):
             make_witness(*args)
@@ -96,24 +97,24 @@ def test_equality_decisions_match_both_ways():
 
 
 def test_sn_witness_examples():
-    assert sn_witness_search(3, 2).residues == (1, 1)
-    assert sn_witness_search(3, 3).residues is None
-    assert sn_witness_search(2, 1).residues == (1,)
+    assert sn_witness_search(3, 2) == (1, 1)
+    assert sn_witness_search(3, 3) is None
+    assert sn_witness_search(2, 1) == (1,)
 
 
 def test_sn_witness_claim_small_primes():
     # a witness exists at arity p - 1 and never at arity p
     for p in (2, 3, 5, 7, 11):
         if p > 2:
-            assert sn_witness_search(p, p - 1).exists
-        assert not sn_witness_search(p, p).exists
+            assert sn_witness_search(p, p - 1) is not None
+        assert sn_witness_search(p, p) is None
 
 
 def test_sn_witness_subset_sums_verified():
     w = sn_witness_search(7, 6)
-    assert w.exists
+    assert w is not None
     for r in range(1, 7):
-        for combo in itertools.combinations(w.residues, r):
+        for combo in itertools.combinations(w, r):
             assert sum(combo) % 7 != 0
 
 
@@ -144,4 +145,4 @@ def test_sn_search_raises_when_the_check_refuses(monkeypatch):
     monkeypatch.setattr(witnesses, "_subset_sums_nonzero", lambda p, residues: False)
     with pytest.raises(RuntimeError, match="fails the subset-sum check"):
         sn_witness_search(5, 4)
-    assert sn_witness_search(3, 3).residues is None  # "none exists" has nothing to check
+    assert sn_witness_search(3, 3) is None  # "none exists" has nothing to check
