@@ -36,18 +36,19 @@ and the degree reduction work by column operations on them with the
 ``ring`` kernels, and the degree reduction shares only ``_check_forms`` on
 its output with the engine.
 
-A ``NormalForm`` is head * s_1 * ... * s_n with head in A, every s_j a
-nontrivial canonical representative, and consecutive s_j from different
-factors.  Such expressions are unique, so structural equality of normal
-forms decides equality in the group; evaluation back to a matrix is kept
-around as an independent oracle, never as the definition.
+A ``NormalForm``, the named tuple (head, tail) of a matrix and ``Letter``
+named tuples (factor, mat), is head * s_1 * ... * s_n with head in A, every
+s_j a nontrivial canonical representative, and consecutive s_j from
+different factors.  Such expressions are unique, so structural equality of
+normal forms decides equality in the group; evaluation back to a matrix is
+kept around as an independent oracle, never as the definition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterable
 from itertools import zip_longest
-from typing import Iterable
 
 from .gl2 import Mat2, _mat_prod, _unit_inverse
 from .ring import _scale, _strip, is_prime
@@ -67,18 +68,14 @@ def _mat(x: Form, mod: int | None) -> Mat2:
     return Mat2._of_coeffs(((a,) if a else (), b, (c,) if c else (), (d,) if d else ()), mod)
 
 
-@dataclass(frozen=True)
-class Letter:
+class Letter(namedtuple("Letter", "factor mat")):
     """A word letter: a matrix together with the factor (1 or 2) it came from."""
 
-    factor: int
-    mat: Mat2
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NormalForm:
-    head: Mat2
-    tail: tuple[Letter, ...]
+class NormalForm(namedtuple("NormalForm", "head tail")):
+    __slots__ = ()
 
     @property
     def length(self) -> int:

@@ -3,18 +3,18 @@
 Covers what the group algorithms need: products, determinants, the closed
 form inverse for determinant 1, entrywise reduction mod p, and unipotence.
 Standard generators (transvections, diagonal units, the order-4 rotation W)
-come as ``Gen`` records, which factorization words and the CLI shorthand
-use; ``Gen._coeffs`` alone spells out their matrices, and ``e12``, ``e21``,
-``diag`` and ``w`` return ``Gen(...).matrix()``.
+come as ``Gen`` named tuples, which factorization words and the CLI
+shorthand use; ``Gen._coeffs`` alone spells out their matrices, and ``e12``,
+``e21``, ``diag`` and ``w`` return ``Gen(...).matrix()``.
 
 Products and determinants do not go through the ``Poly`` operators.  A
-``Mat2`` holds the canonical coefficient tuples (a, b, c, d) of its entries
-as ``coeffs``, as a ``Poly`` holds its own, and its entries ``a``, ``b``,
-``c`` and ``d`` are ``Poly`` views built on each read.  ``_mat_mul`` is the
-one 2x2 product on such quadruples, for ``Mat2.__mul__``; its left fold
-``_mat_prod`` is the one word product, for ``nf_evaluate`` and the round
-trip and ``phi_p`` of ``nagao``.  The public constructor checks that the
-four entries share a ring; the trusted ``_of_coeffs`` stores the results of
+``Mat2``, like a ``Poly``, is a ``ring._Value``: its ``coeffs`` are its
+entries' canonical coefficient tuples (a, b, c, d), and ``a``, ``b``, ``c``
+and ``d`` are ``Poly`` views built on each read.  ``_mat_mul`` is the one
+2x2 product on such quadruples, for ``Mat2.__mul__``; its left fold
+``_mat_prod`` is the one word product, for ``nf_evaluate`` and ``nagao``'s
+round trip and ``phi_p``.  The public constructor checks that the four
+entries share a ring; the trusted ``_of_coeffs`` stores the results of
 arithmetic on valid matrices, and those of ``Gen.matrix``, ``of_ints`` and
 ``reduce_mod_p`` after one check of the modulus.
 """
@@ -22,9 +22,9 @@ arithmetic on valid matrices, and those of ``Gen.matrix``, ``of_ints`` and
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .ring import _INT_RE, MAX_INT_DIGITS, Poly, PolyParseError, _check_modulus, _dot, _reduce_coeffs, _scale
+from .ring import _INT_RE, MAX_INT_DIGITS, Poly, PolyParseError, _Value, _check_modulus, _dot, _reduce_coeffs, _scale
 
 __all__ = [
     "Mat2",
@@ -61,12 +61,10 @@ def _mat_prod(quads, mod: int | None) -> _Quad:
     return x
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(_Value):
     """Row-major 2x2 matrix [[a, b], [c, d]], held as its entries' coefficient tuples."""
 
-    coeffs: _Quad
-    mod: int | None
+    __slots__ = ()
 
     def __init__(self, a: Poly, b: Poly, c: Poly, d: Poly):
         if not a.mod == b.mod == c.mod == d.mod:
@@ -77,10 +75,7 @@ class Mat2:
     @classmethod
     def _of_coeffs(cls, x, mod: int | None) -> "Mat2":
         """Trusted construction from canonical coefficient tuples; it checks nothing."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "coeffs", tuple(x))
-        object.__setattr__(self, "mod", mod)
-        return self
+        return cls._canon(tuple(x), mod)
 
     # the entries, as Poly views built on each read
     a = property(lambda self: Poly._canon(self.coeffs[0], self.mod))
@@ -160,6 +155,9 @@ class Mat2:
             raise RuntimeError("unipotence criteria disagree (arithmetic bug)")
         return by_trace
 
+    def __repr__(self):
+        return f"Mat2(coeffs={self.coeffs!r}, mod={self.mod!r})"
+
     def __str__(self):
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 
@@ -210,27 +208,24 @@ def w(mod: int | None = None) -> Mat2:
     return Gen("W", None, mod).matrix()
 
 
-@dataclass(frozen=True)
-class Gen:
-    """A generator letter: E12(f), E21(f), D(u) or W, over a fixed ring.
+class Gen(namedtuple("Gen", "kind arg mod")):
+    """A generator letter E12(f), E21(f), D(u) or W over a fixed ring, of
+    determinant 1 as ``__new__`` checks; ``_make`` and ``_replace`` skip it."""
 
-    All four have determinant 1 by construction."""
+    __slots__ = ()
 
-    kind: str
-    arg: Poly | int | None
-    mod: int | None
-
-    def __post_init__(self):
-        if self.kind in ("E12", "E21"):
-            if not isinstance(self.arg, Poly) or self.arg.mod != self.mod:
-                raise ValueError(f"{self.kind} needs a Poly over the same ring")
-        elif self.kind == "D":
-            _unit_inverse(self.arg, self.mod)
-        elif self.kind == "W":
-            if self.arg is not None:
+    def __new__(cls, kind: str, arg: Poly | int | None, mod: int | None):
+        if kind in ("E12", "E21"):
+            if not isinstance(arg, Poly) or arg.mod != mod:
+                raise ValueError(f"{kind} needs a Poly over the same ring")
+        elif kind == "D":
+            _unit_inverse(arg, mod)
+        elif kind == "W":
+            if arg is not None:
                 raise ValueError("W takes no argument")
         else:
-            raise ValueError(f"unknown generator kind {self.kind!r}")
+            raise ValueError(f"unknown generator kind {kind!r}")
+        return super().__new__(cls, kind, arg, mod)
 
     def _coeffs(self) -> _Quad:
         """The letter's matrix as a coefficient quadruple, written out here only."""

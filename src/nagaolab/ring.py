@@ -10,25 +10,24 @@ Division with remainder exists only over field coefficients.  Z[t] is not
 Euclidean; the algorithms that need division are exactly the ones restricted
 to F_p[t], and the API keeps that boundary visible.
 
-Multiplication has one raw kernel for both rings, ``_raw_mul``, which
-leaves coefficients unreduced.  A one-coefficient operand scales the other,
-and the factor 1 copies it.
-Below ``_KRONECKER_MIN_LEN`` (16) coefficients in the shorter operand it is
-the schoolbook double loop.  From there on it is Kronecker substitution
-unless ``_mul_cost`` estimates the loop cheaper (wide coefficients):
-both operands are packed into one Python int each, in byte slots wide
-enough that no product coefficient overflows its slot (signed slots over
-Z), CPython's Karatsuba bigint multiply does the work, and the slots are
-read back.  Division over F_p is ``_divmod_coeffs`` on coefficient tuples,
-which ``Poly.__divmod__`` wraps: long division, which reduces only the
-coefficient it reads next and the remainder once at the end, until both
+Multiplication has one raw kernel for both rings, ``_raw_mul``, which leaves
+coefficients unreduced.  A one-coefficient operand scales the other, and the
+factor 1 copies it.  Below ``_KRONECKER_MIN_LEN`` (16) coefficients in the
+shorter operand it is the schoolbook double loop.  From there on it is
+Kronecker substitution unless ``_mul_cost`` estimates the loop cheaper (wide
+coefficients): both operands are packed into one Python int each, in byte
+slots wide enough that no product coefficient overflows its slot (signed
+slots over Z), CPython's Karatsuba bigint multiply does the work, and the
+slots are read back.  Division over F_p is ``_divmod_coeffs`` on coefficient
+tuples, which ``Poly.__divmod__`` wraps: long division, which reduces only
+the coefficient it reads next and the remainder once at the end, until both
 the divisor and the quotient reach ``_NEWTON_MIN_LEN`` (40) coefficients;
-from there the
-quotient is rev(a) * rev(b)^-1 mod t^(deg q + 1), with the power-series
-inverse computed by Newton iteration on the same kernel, and the remainder
-is a - q*b.  Both length crossovers come from timing operands of equal
-length: from 16 coefficients Kronecker is at least as fast over every F_p
-measured, and from 40 Newton division is at least as fast as long division.
+from there the quotient is rev(a) * rev(b)^-1 mod t^(deg q + 1), with the
+power-series inverse computed by Newton iteration on the same kernel, and
+the remainder is a - q*b.  Both length crossovers come from timing operands
+of equal length: from 16 coefficients Kronecker is at least as fast over
+every F_p measured, and from 40 Newton division is at least as fast as long
+division.
 
 ``_mul_coeffs`` reduces one raw product mod p.  ``_dot`` is the fused
 kernel of the 2x2 matrix layer: the canonical coefficients of x*y + u*v,
@@ -47,12 +46,14 @@ coefficient tuples with these kernels, ``_divmod_coeffs`` and ``_scale``
 products; ``_charge`` refuses an ``nf`` request whose priced work passes
 the one budget ``MAX_WORK`` (``cli._capped``, ``nagao`` Euclid loop).
 
-The public constructor validates the modulus and coerces and reduces every
-coefficient.  Results of arithmetic on valid polynomials are canonical by
-construction and are wrapped by ``Poly._canon`` without those checks; sums
-and differences are still reduced and stripped, while a product of nonzero
-polynomials over a domain has a nonzero leading coefficient and needs no
-strip.  ``reduce_mod_p`` checks p once, then reduces, strips and wraps.
+``Poly`` and ``gl2.Mat2`` share the base ``_Value``: equality and hash on
+``(coeffs, mod)``, no assignment, and the trusted constructor ``_canon``,
+which copy and pickle use.  The public constructor validates the modulus and
+coerces and reduces every coefficient.  Arithmetic on valid polynomials
+gives canonical results, which ``_canon`` wraps unchecked; sums and
+differences are still reduced and stripped, while a product of nonzero
+polynomials over a domain needs no strip, its leading coefficient being
+nonzero.  ``reduce_mod_p`` checks p once, then reduces, strips and wraps.
 """
 
 from __future__ import annotations
@@ -137,28 +138,49 @@ def _reduce_coeffs(coeffs, p: int) -> tuple[int, ...]:
     return _strip([c % p for c in coeffs])
 
 
-class Poly:
-    """A dense polynomial in t over Z (``mod=None``) or F_p (``mod=p``)."""
+class _Value:
+    """An immutable ``(coeffs, mod)`` pair: the one base of ``Poly`` and ``gl2.Mat2``."""
 
     __slots__ = ("coeffs", "mod")
+
+    @classmethod
+    def _canon(cls, coeffs, mod: int | None):
+        """Trusted construction from canonical fields (``mod`` prime or None); it checks nothing."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "mod", mod)
+        return self
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.coeffs == other.coeffs and self.mod == other.mod
+
+    def __hash__(self):
+        return hash((self.coeffs, self.mod))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self)._canon, (self.coeffs, self.mod)
+
+
+class Poly(_Value):
+    """A dense polynomial in t over Z (``mod=None``) or F_p (``mod=p``)."""
+
+    __slots__ = ()
 
     def __init__(self, coeffs=(), mod: int | None = None):
         _check_modulus(mod)
         cs = [int(c) for c in coeffs]
         if mod is not None:
             cs = [c % mod for c in cs]
-        self.coeffs: tuple[int, ...] = _strip(cs)
-        self.mod: int | None = mod
-
-    @classmethod
-    def _canon(cls, coeffs: tuple[int, ...], mod: int | None) -> "Poly":
-        """Trusted construction: ``coeffs`` must already be canonical (ints,
-        reduced mod p, no trailing zero) and ``mod`` prime or None.  Only
-        arithmetic on valid polynomials may call this; it checks nothing."""
-        self = object.__new__(cls)
-        self.coeffs = coeffs
-        self.mod = mod
-        return self
+        object.__setattr__(self, "coeffs", _strip(cs))
+        object.__setattr__(self, "mod", mod)
 
     def _reduced(self, cs: list[int]) -> "Poly":
         """A result over this ring from integer coefficients: reduce, strip."""
@@ -199,6 +221,9 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self):
+        return bool(self.coeffs)
 
     # -- arithmetic ---------------------------------------------------
 
@@ -279,19 +304,6 @@ class Poly:
             raise ValueError("reduce_mod_p expects integer coefficients")
         _check_modulus(p)
         return Poly._canon(_reduce_coeffs(self.coeffs, p), p)
-
-    # -- comparison ---------------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self.coeffs == other.coeffs and self.mod == other.mod
-
-    def __hash__(self):
-        return hash((self.coeffs, self.mod))
-
-    def __bool__(self):
-        return bool(self.coeffs)
 
     # -- text and JSON ------------------------------------------------
 

@@ -23,7 +23,7 @@ nonzero, so that sums of the corresponding units stay units.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 
 from .gl2 import Mat2, e12
 from .nagao import nagao_normal_form
@@ -71,18 +71,14 @@ def make_witness(kind: str, p: int | None = None, k: int | None = None) -> Mat2:
     return Mat2(Poly.zero(), -t_k, Poly.constant(-p), p * t_k)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    id: str
-    statement: str
-    status: str  # "pass" | "fail" | "info"
-    lhs: str
-    rhs: str
+class CheckResult(namedtuple("CheckResult", "id statement status lhs rhs")):
+    """One check: its id and statement, status "pass", "fail" or "info", and both sides as text."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    checks: tuple[CheckResult, ...]
+class WitnessReport(namedtuple("WitnessReport", "checks")):
+    __slots__ = ()
 
     @property
     def all_asserted_pass(self) -> bool:
@@ -92,7 +88,7 @@ class WitnessReport:
         return [c for c in self.checks if c.status == "fail"]
 
     def to_json(self) -> str:
-        return json.dumps([asdict(c) for c in self.checks], indent=2)
+        return json.dumps([c._asdict() for c in self.checks], indent=2)
 
 
 def _report(rows) -> WitnessReport:

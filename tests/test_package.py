@@ -1,9 +1,12 @@
-"""The package as a whole: no check that ``python -O`` strips, and a public
-surface that matches what the modules define."""
+"""The package as a whole: no check that ``python -O`` strips, a public
+surface that matches what the modules define, and an import that stays
+cheap for a CLI request."""
 
 import ast
 import importlib
 import pathlib
+import subprocess
+import sys
 import types
 
 import nagaolab
@@ -76,3 +79,35 @@ def test_package_reexports_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     )
     assert names == PUBLIC
+
+
+# The modules that ``dataclasses`` pulls in; a CLI process pays for every
+# module that ``import nagaolab.cli`` loads.
+HEAVY = {"dataclasses", "inspect", "ast", "dis", "tokenize"}
+
+
+def test_no_code_generator_in_the_library():
+    """No module of the package imports ``dataclasses`` or ``typing``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = [node.module or ""] if isinstance(node, ast.ImportFrom) else []
+            found += [f"{path.name}:{name}" for name in names if name.split(".")[0] in ("dataclasses", "typing")]
+    assert found == []
+
+
+def test_cli_import_loads_no_heavy_module():
+    """In a bare interpreter (``python -S``), importing the CLI adds none of
+    the modules behind ``dataclasses`` to ``sys.modules``."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        "import nagaolab.cli; print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SRC.parent)], capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert "nagaolab.cli" in out
+    assert HEAVY.isdisjoint(out), sorted(HEAVY.intersection(out))

@@ -62,6 +62,22 @@ def test_zero_degree_is_marker():
     assert Poly.parse("t") and Poly.constant(-1)
 
 
+def test_poly_in_a_set_cannot_be_changed():
+    """A Poly refuses assignment and deletion of its fields, so a set that
+    holds it keeps finding it."""
+    f = Poly([1, 2], 5)
+    s = {f}
+    with pytest.raises(AttributeError, match="cannot assign to field 'coeffs'"):
+        f.coeffs = (3,)
+    with pytest.raises(AttributeError, match="cannot assign to field 'mod'"):
+        f.mod = 7
+    with pytest.raises(AttributeError, match="cannot delete field 'coeffs'"):
+        del f.coeffs
+    with pytest.raises(AttributeError):
+        f.degree_cache = 1
+    assert f in s and f == Poly([1, 2], 5) and f.coeffs == (1, 2) and f.mod == 5
+
+
 def test_nonprime_modulus_rejected():
     with pytest.raises(ValueError, match="prime"):
         Poly((1,), 6)
