@@ -219,6 +219,8 @@ class Gen(namedtuple("Gen", "kind arg mod")):
             if not isinstance(arg, Poly) or arg.mod != mod:
                 raise ValueError(f"{kind} needs a Poly over the same ring")
         elif kind == "D":
+            if type(arg) is not int:
+                raise ValueError(f"D needs an int, got {arg!r}")
             _unit_inverse(arg, mod)
         elif kind == "W":
             if arg is not None:
@@ -271,7 +273,7 @@ def parse_gen(text: str, mod: int | None = None) -> Gen:
         if digits > MAX_INT_DIGITS:
             raise PolyParseError(f"D argument has {digits} digits, above the digit cap {MAX_INT_DIGITS}", m.start(2))
         return Gen("D", int(arg), mod)
-    return Gen(kind, Poly.parse(arg, mod), mod)
+    return Gen(kind, _parse_group(m, 2, mod), mod)
 
 
 def parse_matrix(text: str, mod: int | None = None) -> Mat2:
@@ -281,8 +283,15 @@ def parse_matrix(text: str, mod: int | None = None) -> Mat2:
     m = _MAT_RE.match(text)
     if not m:
         raise PolyParseError("not a 2x2 matrix literal", 0)
-    a, b, c, d = (Poly.parse(g, mod) for g in m.groups())
-    return Mat2(a, b, c, d)
+    return Mat2(*(_parse_group(m, i, mod) for i in range(1, 5)))
+
+
+def _parse_group(m, i: int, mod: int | None) -> Poly:
+    """``Poly.parse`` of group i of the match m, with error positions in m's text."""
+    try:
+        return Poly.parse(m.group(i), mod)
+    except PolyParseError as e:
+        raise PolyParseError(e.message, e.position + m.start(i)) from None
 
 
 def _is_matrix_json(obj) -> bool:

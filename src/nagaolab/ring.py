@@ -30,13 +30,14 @@ every F_p measured, and from 40 Newton division is at least as fast as long
 division.
 
 ``_mul_coeffs`` reduces one raw product mod p.  ``_dot`` is the fused
-kernel of the 2x2 matrix layer: the canonical coefficients of x*y + u*v,
-with all-constant operands multiplied as plain ints, one product alone
-when the other has a zero operand (a factor 1 costs nothing), a scalar
-times a polynomial plus a scalar times a polynomial in one pass (the
-product by a constant letter and most column updates), and otherwise
-both raw products summed into one buffer that gets one reduction pass
-and one strip (a factor 1 costs one copy).  So x + f*y is
+kernel of the ``Poly`` operators and the 2x2 matrix layer: the canonical
+coefficients of x*y + u*v, with all-constant operands multiplied as plain
+ints, one product alone when the other has a zero operand (a factor 1
+costs nothing), a scalar times a polynomial plus a scalar times a
+polynomial in one pass (sums, differences, the product by a constant
+letter and most column updates), and otherwise both raw products summed
+into one buffer that gets one reduction pass and one strip (a factor 1
+costs one copy).  So x + f*y is
 ``_dot(x, (1,), f, y, mod)``, the column update of the Euclid and
 degree-reduction oracles and of ``phi_p``'s product, which run on
 coefficient tuples with these kernels, ``_divmod_coeffs`` and ``_scale``
@@ -49,11 +50,10 @@ the one budget ``MAX_WORK`` (``cli._capped``, ``nagao`` Euclid loop).
 ``Poly`` and ``gl2.Mat2`` share the base ``_Value``: equality and hash on
 ``(coeffs, mod)``, no assignment, and the trusted constructor ``_canon``,
 which copy and pickle use.  The public constructor validates the modulus and
-coerces and reduces every coefficient.  Arithmetic on valid polynomials
-gives canonical results, which ``_canon`` wraps unchecked; sums and
-differences are still reduced and stripped, while a product of nonzero
-polynomials over a domain needs no strip, its leading coefficient being
-nonzero.  ``reduce_mod_p`` checks p once, then reduces, strips and wraps.
+coerces and reduces every coefficient.  Each operator is one ``_dot`` call
+(x - y takes the ring's -1 as the second scalar), whose canonical result
+``_canon`` wraps unchecked.  ``reduce_mod_p`` checks p once, then reduces,
+strips and wraps.  ``parse`` is one pass over the tokens of ``_tokenize``.
 """
 
 from __future__ import annotations
@@ -83,11 +83,11 @@ MAX_INT_DIGITS = 4_300
 
 
 class PolyParseError(ValueError):
-    """Malformed polynomial text; carries the offending position."""
+    """Malformed polynomial text; carries the bare message and the offending position."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
-        self.position = position
+        self.message, self.position = message, position
 
 
 # Deterministic Miller-Rabin bases: no composite below 2**64 is a strong
@@ -182,12 +182,6 @@ class Poly(_Value):
         object.__setattr__(self, "coeffs", _strip(cs))
         object.__setattr__(self, "mod", mod)
 
-    def _reduced(self, cs: list[int]) -> "Poly":
-        """A result over this ring from integer coefficients: reduce, strip."""
-        if self.mod is not None:
-            cs = [c % self.mod for c in cs]
-        return Poly._canon(_strip(cs), self.mod)
-
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -244,9 +238,7 @@ class Poly(_Value):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._reduced(
-            [x + y for x, y in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
-        )
+        return Poly._canon(_dot(self.coeffs, (1,), other.coeffs, (1,), self.mod), self.mod)
 
     __radd__ = __add__
 
@@ -257,9 +249,7 @@ class Poly(_Value):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self._reduced(
-            [x - y for x, y in itertools.zip_longest(self.coeffs, other.coeffs, fillvalue=0)]
-        )
+        return Poly._canon(_dot(self.coeffs, (1,), other.coeffs, self._coerce(-1).coeffs, self.mod), self.mod)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -271,15 +261,7 @@ class Poly(_Value):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return Poly._canon((), self.mod)
-        if b == (1,):
-            return self
-        if a == (1,):
-            return other
-        # Over a domain lead(a) * lead(b) != 0: the product needs no strip.
-        return Poly._canon(tuple(_mul_coeffs(a, b, self.mod)), self.mod)
+        return Poly._canon(_dot(self.coeffs, other.coeffs, (), (), self.mod), self.mod)
 
     __rmul__ = __mul__
 
@@ -333,74 +315,44 @@ class Poly(_Value):
     @classmethod
     def parse(cls, text: str, mod: int | None = None) -> "Poly":
         """Parse ``term (('+'|'-') term)*`` where a term is an integer, ``t``,
-        ``t^k``, ``n*t`` or ``n*t^k``.  Whitespace is insignificant."""
-        toks = _tokenize(text)
-        pos = 0
-
-        def peek():
-            return toks[pos] if pos < len(toks) else ("end", None, len(text))
-
-        def take(kind):
-            nonlocal pos
-            tk = peek()
-            if tk[0] != kind:
-                raise PolyParseError(f"expected {kind!r}, found {tk[0]!r}", tk[2])
-            pos += 1
-            return tk
-
-        def t_power() -> int:
-            # consumes optional '^' uint after a 't'
-            nonlocal pos
-            if peek()[0] != "^":
-                return 1
-            pos += 1
-            tk = peek()
-            if tk[0] == "-":
-                raise PolyParseError("negative exponent", tk[2])
-            if tk[0] != "int":
-                raise PolyParseError("expected exponent", tk[2])
-            if tk[1] > MAX_DEGREE:
-                raise PolyParseError(
-                    f"exponent {tk[1]} exceeds the degree cap {MAX_DEGREE}", tk[2]
-                )
-            pos += 1
-            return tk[1]
-
-        def term(sign: int, acc: dict):
-            nonlocal pos
-            tk = peek()
-            if tk[0] == "int":
-                pos += 1
-                coeff = sign * tk[1]
-                if peek()[0] == "*":
-                    pos += 1
-                    take("t")
-                    exp = t_power()
-                else:
-                    exp = 0
-            elif tk[0] == "t":
-                pos += 1
-                coeff = sign
-                exp = t_power()
-            else:
-                raise PolyParseError("expected a term", tk[2])
-            acc[exp] = acc.get(exp, 0) + coeff
-
+        ``t^k``, ``n*t`` or ``n*t^k``, in one pass over the tokens, one signed
+        term per step.  Whitespace is insignificant."""
+        toks = _tokenize(text) + [("end", None, len(text))]
         acc: dict[int, int] = {}
-        sign = 1
-        tk = peek()
-        if tk[0] in ("+", "-"):
-            sign = -1 if tk[0] == "-" else 1
-            pos += 1
-        if peek()[0] == "end":
-            raise PolyParseError("empty polynomial", peek()[2])
-        term(sign, acc)
-        while peek()[0] != "end":
-            tk = peek()
-            if tk[0] not in ("+", "-"):
-                raise PolyParseError("expected '+' or '-'", tk[2])
-            pos += 1
-            term(-1 if tk[0] == "-" else 1, acc)
+        i = 0
+        while not acc or toks[i][0] != "end":  # at least one term
+            kind, _, at = toks[i]
+            if kind in ("+", "-"):
+                i += 1
+            elif acc:  # only the first term may go unsigned
+                raise PolyParseError("expected '+' or '-'", at)
+            sign = -1 if kind == "-" else 1
+            kind, coeff, at = toks[i]
+            if kind == "end" and not acc:
+                raise PolyParseError("empty polynomial", at)
+            if kind == "int":
+                i += 1
+                if toks[i][0] == "*":
+                    i += 1
+                    kind, _, at = toks[i]
+                    if kind != "t":
+                        raise PolyParseError(f"expected 't', found {kind!r}", at)
+            elif kind == "t":
+                coeff = 1
+            else:
+                raise PolyParseError("expected a term", at)
+            exp = 0
+            if kind == "t":
+                i += 1
+                exp = 1
+                if toks[i][0] == "^":
+                    kind, exp, at = toks[i + 1]
+                    if kind != "int":
+                        raise PolyParseError("negative exponent" if kind == "-" else "expected exponent", at)
+                    if exp > MAX_DEGREE:
+                        raise PolyParseError(f"exponent {exp} exceeds the degree cap {MAX_DEGREE}", at)
+                    i += 2
+            acc[exp] = acc.get(exp, 0) + sign * coeff
         cs = [0] * (max(acc) + 1)
         for exp, c in acc.items():
             cs[exp] = c

@@ -105,6 +105,13 @@ def schoolbook_mul(a, b):
     return Poly(cs, a.mod)
 
 
+def schoolbook_add(a, b, sign=1):
+    """a + sign * b coefficient by coefficient, built through the validating
+    constructor: the oracle for Poly.__add__ and Poly.__sub__."""
+    pairs = itertools.zip_longest(a.coeffs, b.coeffs, fillvalue=0)
+    return Poly([x + sign * y for x, y in pairs], a.mod)
+
+
 def schoolbook_divmod(a, b):
     """Long division over F_p, one quotient coefficient per step: the oracle
     for Poly.__divmod__."""
@@ -158,19 +165,19 @@ def det_in_factor(mod, factor, m):
 
 
 def entrywise_mat_mul(m, n):
-    """The product by the entrywise formula on the Poly operators: the
-    oracle for Mat2.__mul__."""
-    return Mat2(
-        m.a * n.a + m.b * n.c,
-        m.a * n.b + m.b * n.d,
-        m.c * n.a + m.d * n.c,
-        m.c * n.b + m.d * n.d,
-    )
+    """The product by the entrywise formula on the schoolbook sums and
+    products, which share no kernel with the library: the oracle for
+    Mat2.__mul__."""
+
+    def dot(x, y, u, v):
+        return schoolbook_add(schoolbook_mul(x, y), schoolbook_mul(u, v))
+
+    return Mat2(dot(m.a, n.a, m.b, n.c), dot(m.a, n.b, m.b, n.d), dot(m.c, n.a, m.d, n.c), dot(m.c, n.b, m.d, n.d))
 
 
 def entrywise_det(m):
-    """a*d - b*c on the Poly operators: the oracle for Mat2.det."""
-    return m.a * m.d - m.b * m.c
+    """a*d - b*c on the schoolbook sums and products: the oracle for Mat2.det."""
+    return schoolbook_add(schoolbook_mul(m.a, m.d), schoolbook_mul(m.b, m.c), -1)
 
 
 def is_unipotent_up_to_sign(m):

@@ -181,7 +181,7 @@ def test_nf_det_not_one(capsys):
         (["--mod", "3", '{"head": [[1,0],[0,1]], "tags": [], "tail": [], "junk": 1}'],
          "error: normal form JSON has the unknown field 'junk'"),
         (["--mod", "3", "[[1, t^2000000], [0, 1]]"],
-         "error: exponent 2000000 exceeds the degree cap 10000 (at position 3)"),
+         "error: exponent 2000000 exceeds the degree cap 10000 (at position 7)"),
         (["--mod", "3", '[[{"coeffs": [%s]}, 0], [0, 1]]' % ", ".join(["0"] * 10002)],
          "error: polynomial has 10002 coefficients, above the degree cap 10000"),
         (["--mod", "3", "[" * 100_000 + "]" * 100_000],
@@ -216,9 +216,9 @@ def test_nf_det_not_one(capsys):
         (["--mod", "3", '["D(-%s)"]' % ("1" * 5000)],
          "error: D argument has 5000 digits, above the digit cap 4300 (at position 2)"),
         (["--mod", "3", '["E12(%s)"]' % ("1" * 5000)],
-         "error: integer has 5000 digits, above the digit cap 4300 (at position 0)"),
+         "error: integer has 5000 digits, above the digit cap 4300 (at position 4)"),
         (["--mod", "3", "[[1, 2*t + %s*t^2], [0, 1]]" % ("1" * 5000)],
-         "error: integer has 5000 digits, above the digit cap 4300 (at position 7)"),
+         "error: integer has 5000 digits, above the digit cap 4300 (at position 11)"),
         (["--mod", "3", '[[1, %s], [0, 1]]' % ("1" * 5000)],
          "error: JSON integer at position 5 has 5000 digits, above the digit cap 4300"),
         (["--mod", "3", '["E12(%s)", {"factor": 2, "matrix": [[1, -%s], [0, 1]]}]' % ("1" * 5000, "1" * 5000)],
@@ -226,8 +226,8 @@ def test_nf_det_not_one(capsys):
         (["--mod", "3", '[[1, {"coeffs": ["0", "%s"]}], [0, 1]]' % ("1" * 5000)],
          "error: polynomial coefficient 1 has 5000 digits, above the digit cap 4300"),
         # integer text is ASCII: int() would read the Arabic-Indic three as 3
-        (["--mod", "5", '["E12(\u0663*t)"]'], "error: unexpected character '\u0663' (at position 0)"),
-        (["--mod", "5", "[[1, \u0663*t], [0, 1]]"], "error: unexpected character '\u0663' (at position 1)"),
+        (["--mod", "5", '["E12(\u0663*t)"]'], "error: unexpected character '\u0663' (at position 4)"),
+        (["--mod", "5", "[[1, \u0663*t], [0, 1]]"], "error: unexpected character '\u0663' (at position 5)"),
         (["--mod", "5", '{"head": [[1, 0], [0, 1]], "tags": [2], '
                         '"tail": [[[1, {"coeffs": ["0", "\u0663"]}], [0, 1]]]}'],
          "error: normal form field 'tail': polynomial coefficient '\u0663' is not an integer or an integer string"),

@@ -270,6 +270,20 @@ def test_parse_gen_shorthand():
         assert exc.value.position == 2
 
 
+def test_parse_errors_count_from_the_start_of_the_text():
+    """A polynomial entry's error position counts in the whole matrix
+    literal or shorthand item, not in the entry."""
+    for text, message, position in (("  [[1, t], [0, 1 +]]", "expected a term", 18),
+                                    ("[[1, 2*t + \u0663], [0, 1]]", "unexpected character '\u0663'", 11),
+                                    ("[[1, t^], [0, 1]]", "expected exponent", 7),
+                                    ("E12(t + x)", "unexpected character 'x'", 8),
+                                    (" E21( 3*)", "expected 't', found 'end'", 8)):
+        with pytest.raises(PolyParseError) as exc:
+            parse_matrix(text, 5)
+        assert str(exc.value) == f"{message} (at position {position})", text
+        assert exc.value.position == position
+
+
 def test_gen_validation():
     with pytest.raises(ValueError, match="E12 needs a Poly over the same ring"):
         Gen("E12", Poly.parse("t", 3), 5)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import re
 
@@ -14,7 +15,7 @@ from nagaolab.ring import (
     is_prime,
 )
 
-from helpers import dense_poly, rand_poly, schoolbook_divmod, schoolbook_mul, trial_division_is_prime
+from helpers import dense_poly, rand_poly, schoolbook_add, schoolbook_divmod, schoolbook_mul, trial_division_is_prime
 
 # 2**64 - 59 is the largest prime below 2**64, where products of residues
 # are wider than a machine word.
@@ -185,6 +186,47 @@ def test_int_operands_act_as_constants():
             assert f * n == n * f == f * c
 
 
+@st.composite
+def _operator_operands(draw):
+    """Two operands of one ring, at least one a Poly: each is empty, (1,),
+    one coefficient, a few, or from _KRONECKER_MIN_LEN coefficients up (the
+    Kronecker path), or an int on either side."""
+    mod = draw(st.sampled_from((None,) + PRIMES))
+    coeff = st.integers(-(2**100), 2**100) | st.integers(-4, 4) if mod is None else st.integers(0, mod - 1)
+    size = st.sampled_from((0, 1, 2, 3)) | st.integers(ring._KRONECKER_MIN_LEN, 3 * ring._KRONECKER_MIN_LEN)
+    a, b = (Poly(draw(st.lists(coeff, min_size=n, max_size=n)), mod) for n in (draw(size), draw(size)))
+    if draw(st.booleans()):
+        a = Poly.one(mod)
+    shape = draw(st.sampled_from(("polys", "int right", "int left")))
+    n = draw(st.integers(-(2**70), 2**70) | st.integers(-2, 2))
+    return (a, b) if shape == "polys" else (a, n) if shape == "int right" else (n, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_operator_operands())
+def test_operators_equal_schoolbook(case):
+    a, b = case
+    mod = (a if isinstance(a, Poly) else b).mod
+    pa, pb = (x if isinstance(x, Poly) else Poly((x,), mod) for x in case)
+    assert a + b == schoolbook_add(pa, pb)
+    assert a - b == schoolbook_add(pa, pb, -1)
+    assert a * b == schoolbook_mul(pa, pb)
+
+
+def test_operators_make_one_dot_call(monkeypatch):
+    """+, - and * are one ring._dot call each, on Poly or int operands."""
+    calls = []
+    dot = ring._dot
+    monkeypatch.setattr(ring, "_dot", lambda *args: calls.append(args) or dot(*args))
+    for mod in (None, 5):
+        f, g = Poly([1, 2, 3], mod), Poly([4, 5], mod)
+        for op in (operator.add, operator.sub, operator.mul):
+            for x, y in ((f, g), (f, 7), (7, f), (f, Poly.zero(mod)), (Poly.one(mod), f), (3, Poly.one(mod))):
+                calls.clear()
+                op(x, y)
+                assert len(calls) == 1, (op, x, y)
+
+
 def test_ring_axioms_random():
     rng = random.Random(404)
     for _ in range(150):
@@ -209,6 +251,7 @@ def test_parse_examples():
     assert Poly.parse("-t + t", 5) == Poly.zero(5)
     assert Poly.parse("  -t  +  4 ") == Poly([4, -1])
     assert Poly.parse("3*t^2 + t^2") == Poly([0, 0, 4])
+    assert Poly.parse(f"t^{MAX_DEGREE}").degree == MAX_DEGREE
 
 
 def test_parse_format_roundtrip():
@@ -233,27 +276,63 @@ def test_format_canonicalizes():
         Poly.monomial(MAX_DEGREE + 1)
 
 
+# every error branch of the parser, with its exact message and position
+PARSE_ERRORS = [
+    ("1 + & + t", "unexpected character '&'", 4),
+    ("t\u0663", "unexpected character '\u0663'", 1),
+    ("t + " + "1" * 4301, "integer has 4301 digits, above the digit cap 4300", 4),
+    # the whole text is tokenized first, so a bad character wins over a
+    # grammar error to its left
+    ("2t + &", "unexpected character '&'", 5),
+    ("", "empty polynomial", 0),
+    ("-", "empty polynomial", 1),
+    ("  + ", "empty polynomial", 4),
+    ("1 + ", "expected a term", 4),
+    ("+ + 1", "expected a term", 2),
+    ("1 - *t", "expected a term", 4),
+    ("^2", "expected a term", 0),
+    ("3*+t", "expected 't', found '+'", 2),
+    ("3*", "expected 't', found 'end'", 2),
+    ("t + 3 * 4", "expected 't', found 'int'", 8),
+    ("t^-1", "negative exponent", 2),
+    ("t^", "expected exponent", 2),
+    ("1 + 2*t^ t", "expected exponent", 9),
+    (f"1 + t^{MAX_DEGREE + 1}", f"exponent {MAX_DEGREE + 1} exceeds the degree cap {MAX_DEGREE}", 6),
+    (f"2*t^{10**30}", f"exponent {10**30} exceeds the degree cap {MAX_DEGREE}", 4),
+    ("2t", "expected '+' or '-'", 1),
+    ("3^2", "expected '+' or '-'", 1),
+    ("1 2", "expected '+' or '-'", 2),
+    ("t^2^3", "expected '+' or '-'", 3),
+    ("1 + t t", "expected '+' or '-'", 6),
+]
+
+
 def test_parse_errors_carry_position():
-    with pytest.raises(PolyParseError) as exc:
-        Poly.parse("1 + ")
-    assert exc.value.position == 4
-    with pytest.raises(PolyParseError, match="negative exponent"):
-        Poly.parse("t^-1")
-    with pytest.raises(PolyParseError):
-        Poly.parse("")
-    with pytest.raises(PolyParseError):
-        Poly.parse("2t")
-    with pytest.raises(PolyParseError):
-        Poly.parse("1 + & + t")
-    for text, msg in [("3*+t", "expected 't', found '+'"), ("3*", "expected 't', found 'end'"),
-                      ("t^", "expected exponent")]:
-        with pytest.raises(PolyParseError, match=re.escape(msg)) as exc:
-            Poly.parse(text)
-        assert exc.value.position == 2, text
-    assert Poly.parse(f"t^{MAX_DEGREE}").degree == MAX_DEGREE
-    with pytest.raises(PolyParseError, match=f"degree cap {MAX_DEGREE}") as exc:
-        Poly.parse(f"1 + t^{MAX_DEGREE + 1}")
-    assert exc.value.position == 6
+    for text, message, position in PARSE_ERRORS:
+        for mod in (None, 5):
+            with pytest.raises(PolyParseError) as exc:
+                Poly.parse(text, mod)
+            assert str(exc.value) == f"{message} (at position {position})", text
+            assert (exc.value.message, exc.value.position) == (message, position), text
+
+
+@st.composite
+def _spaced_text(draw):
+    """A polynomial over Z or F_p and its text with random whitespace
+    between the tokens."""
+    mod = draw(st.sampled_from((None,) + PRIMES))
+    coeff = st.integers(-(2**70), 2**70) | st.integers(-3, 3) if mod is None else st.integers(0, mod - 1)
+    f = Poly(draw(st.lists(coeff, max_size=12)), mod)
+    tokens = re.findall(r"[0-9]+|\S", str(f))
+    gaps = draw(st.lists(st.text(" \t\n", max_size=3), min_size=len(tokens) + 1, max_size=len(tokens) + 1))
+    return f, "".join(gap + tok for gap, tok in zip(gaps, tokens + [""]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spaced_text())
+def test_parse_reads_spaced_format(case):
+    f, text = case
+    assert Poly.parse(text, f.mod) == f
 
 
 def test_json_roundtrip():
@@ -337,7 +416,7 @@ def test_mul_kernel_extreme_coefficients():
 
 
 def _dot_oracle(x, y, u, v):
-    return schoolbook_mul(x, y) + schoolbook_mul(u, v)
+    return schoolbook_add(schoolbook_mul(x, y), schoolbook_mul(u, v))
 
 
 def _dot(x, y, u, v):

@@ -5,6 +5,7 @@ assignment to its fields, and keeps its repr."""
 
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -84,6 +85,10 @@ def test_gen_checks_every_construction():
         Gen("D", 10, 5)
     with pytest.raises(ValueError, match="not a unit of Z"):
         Gen("D", 2, None)
+    # only an int is a D argument: not a float, even an integral one, nor a bool
+    for arg, mod in ((1.0, None), (True, None), (2.0, 5)):
+        with pytest.raises(ValueError, match=re.escape(f"D needs an int, got {arg!r}")):
+            Gen("D", arg, mod)
     with pytest.raises(ValueError, match="W takes no argument"):
         Gen("W", 1, 5)
     # a valid letter passes the checks again when pickle rebuilds it
