@@ -56,9 +56,10 @@ _JSON_TOKEN = r'"(?:[^"\\]|\\.)*"|(-?\d+)([.eE][-+.\deE]*)?'
 
 
 def _load_json(text: str):
-    """json.loads, except that JSON with an integer literal of more than
-    MAX_INT_DIGITS digits is refused with its position before int() sees
-    it; text that is not JSON still raises JSONDecodeError."""
+    """json.loads of the text without surrounding whitespace, which the
+    matrix parsers ignore too, except that JSON with an integer literal of
+    more than MAX_INT_DIGITS digits is refused with its position in ``text``
+    before int() sees it; text that is not JSON still raises JSONDecodeError."""
     too_long = []
 
     def parse_int(literal: str) -> int:
@@ -67,7 +68,7 @@ def _load_json(text: str):
             return 0
         return int(literal)
 
-    payload = json.loads(text, parse_int=parse_int)
+    payload = json.loads(text.strip(), parse_int=parse_int)
     if too_long:
         pos = next(
             m.start() for m in re.finditer(_JSON_TOKEN, text)
@@ -188,7 +189,7 @@ def _render_nf(struct, nf: NormalForm, fmt: str) -> str:
 
 
 def _cmd_nf(args) -> tuple[int, str]:
-    text = (sys.stdin.read() if args.input == "-" else args.input).strip()
+    text = sys.stdin.read() if args.input == "-" else args.input
     try:
         payload = _load_json(text)
         is_json = isinstance(payload, (list, dict))
@@ -274,9 +275,13 @@ def _cmd_hdim(args) -> tuple[int, str]:
 
 
 def _int(text: str) -> int:
-    """int() of ``[+-]?[0-9]+`` text only; int() also reads "1_1", " 7 " and non-ASCII digits."""
+    """int() of ``[+-]?[0-9]+`` text only; int() also reads "1_1", " 7 " and non-ASCII digits.
+    Over MAX_INT_DIGITS digits it raises ArgumentTypeError, which argparse prints without the text."""
     if not _INT_RE.fullmatch(text):
         raise ValueError(f"not integer text: {text!r}")
+    digits = len(text.lstrip("+-"))
+    if digits > MAX_INT_DIGITS:
+        raise argparse.ArgumentTypeError(f"value has {digits} digits, above the digit cap {MAX_INT_DIGITS}")
     return int(text)
 
 
@@ -287,6 +292,8 @@ def _parse_range(text: str) -> range:
     lo, hi = text.split("..", 1) if ".." in text else (text, text)
     try:
         lo, hi = _int(lo), _int(hi)
+    except argparse.ArgumentTypeError as exc:
+        raise ValueError(f"--witness range {exc}") from None
     except ValueError:
         raise ValueError(f"--witness range {text!r} is not an integer or LO..HI") from None
     if hi < lo:

@@ -4,8 +4,8 @@ Covers what the group algorithms need: products, determinants, the closed
 form inverse for determinant 1, entrywise reduction mod p, and unipotence.
 Standard generators (transvections, diagonal units, the order-4 rotation W)
 come as ``Gen`` named tuples, which factorization words and the CLI
-shorthand use; ``Gen._coeffs`` alone spells out their matrices, and ``e12``,
-``e21``, ``diag`` and ``w`` return ``Gen(...).matrix()``.
+shorthand use; ``Gen._coeffs`` alone spells out their matrices, and
+``identity``, ``e12``, ``e21``, ``diag`` and ``w`` return ``Gen(...).matrix()``.
 
 Products and determinants do not go through the ``Poly`` operators.  A
 ``Mat2``, like a ``Poly``, is a ``ring._Value``: its ``coeffs`` are its
@@ -15,7 +15,7 @@ and ``d`` are ``Poly`` views built on each read.  ``_mat_mul`` is the one
 ``_mat_prod`` is the one word product, for ``nf_evaluate`` and ``nagao``'s
 round trip and ``phi_p``.  The public constructor checks that the four
 entries share a ring; the trusted ``_of_coeffs`` stores the results of
-arithmetic on valid matrices, and those of ``Gen.matrix``, ``of_ints`` and
+arithmetic on valid matrices, and those of ``Gen.matrix`` and
 ``reduce_mod_p`` after one check of the modulus.
 """
 
@@ -82,16 +82,6 @@ class Mat2(_Value):
     b = property(lambda self: Poly._canon(self.coeffs[1], self.mod))
     c = property(lambda self: Poly._canon(self.coeffs[2], self.mod))
     d = property(lambda self: Poly._canon(self.coeffs[3], self.mod))
-
-    @classmethod
-    def of_ints(cls, a: int, b: int, c: int, d: int, mod: int | None = None) -> "Mat2":
-        """The constant matrix [[a, b], [c, d]]; the entries are coerced to
-        int and reduced mod p over F_p."""
-        _check_modulus(mod)
-        vals = [int(v) for v in (a, b, c, d)]
-        if mod is not None:
-            vals = [v % mod for v in vals]
-        return cls._of_coeffs([(v,) if v else () for v in vals], mod)
 
     def entries(self) -> tuple[Poly, Poly, Poly, Poly]:
         return (self.a, self.b, self.c, self.d)
@@ -169,7 +159,7 @@ class Mat2(_Value):
 
 
 def identity(mod: int | None = None) -> Mat2:
-    return Mat2.of_ints(1, 0, 0, 1, mod)
+    return Gen("D", 1, mod).matrix()
 
 
 def _as_poly(f, mod: int | None) -> Poly:
@@ -200,7 +190,7 @@ def _unit_inverse(u: int, mod: int | None) -> int:
 
 def diag(u: int, mod: int | None = None) -> Mat2:
     """Diagonal [[u, 0], [0, u^-1]] for a unit u of the coefficient ring."""
-    return Gen("D", int(u), mod).matrix()
+    return Gen("D", u, mod).matrix()
 
 
 def w(mod: int | None = None) -> Mat2:
@@ -209,12 +199,13 @@ def w(mod: int | None = None) -> Mat2:
 
 
 class Gen(namedtuple("Gen", "kind arg mod")):
-    """A generator letter E12(f), E21(f), D(u) or W over a fixed ring, of
-    determinant 1 as ``__new__`` checks; ``_make`` and ``_replace`` skip it."""
+    """A generator letter E12(f), E21(f), D(u) or W over Z or F_p, of
+    determinant 1, as ``__new__`` checks; ``_make`` and ``_replace`` skip them."""
 
     __slots__ = ()
 
     def __new__(cls, kind: str, arg: Poly | int | None, mod: int | None):
+        _check_modulus(mod)
         if kind in ("E12", "E21"):
             if not isinstance(arg, Poly) or arg.mod != mod:
                 raise ValueError(f"{kind} needs a Poly over the same ring")
@@ -241,7 +232,6 @@ class Gen(namedtuple("Gen", "kind arg mod")):
         return ((), (-1 if mod is None else mod - 1,), _ONE, ())
 
     def matrix(self) -> Mat2:
-        _check_modulus(self.mod)
         return Mat2._of_coeffs(self._coeffs(), self.mod)
 
     def __str__(self):

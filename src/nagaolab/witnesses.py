@@ -193,8 +193,10 @@ def sn_witness_search(p: int, n: int) -> tuple[int, ...] | None:
     Refuses (SearchCapExceeded) when p > SN_MAX_PRIME or n > p, rather than
     running an unbounded search.
     """
-    if not is_prime(p):
+    if type(p) is not int or not is_prime(p):
         raise ValueError(f"p must be prime, got {p!r}")
+    if type(n) is not int:
+        raise ValueError(f"arity must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n!r}")
     if p > SN_MAX_PRIME or n > p:

@@ -11,6 +11,12 @@ from nagaolab.gl2 import Gen, Mat2, identity
 from nagaolab.ring import Poly
 
 
+def const_mat(a, b, c, d, mod=None):
+    """The constant matrix [[a, b], [c, d]], built through the validating
+    constructor."""
+    return Mat2(*(Poly((v,), mod) for v in (a, b, c, d)))
+
+
 def rand_poly(rng, mod, max_deg, nonzero=False):
     while True:
         deg = rng.randint(0, max_deg)

@@ -9,6 +9,7 @@ from nagaolab.gl2 import Mat2, diag, e12, e21, identity, w
 from nagaolab.ring import Poly
 
 from helpers import (
+    const_mat,
     det_in_base,
     det_in_factor,
     evaluate_word,
@@ -184,7 +185,7 @@ def test_invalid_letter_rejected():
     with pytest.raises(ValueError, match="factor tag"):
         s.normalize([Letter(3, identity(3))])
     with pytest.raises(ValueError, match="membership"):
-        s.normalize([Letter(1, Mat2.of_ints(2, 0, 0, 1, 3))])  # det != 1
+        s.normalize([Letter(1, const_mat(2, 0, 0, 1, 3))])  # det != 1
 
 
 def test_broken_transversal_fails_loudly():
@@ -205,7 +206,7 @@ def test_broken_transversal_off_by_base_element_fails():
         def transversal(self, factor, x):
             a, s = super().transversal(factor, x)
             # a stays in A and s in its factor, but a * s != x
-            return self._mul(a, self._form_of(Mat2.of_ints(2, 1, 0, 2, 3))), s
+            return self._mul(a, self._form_of(const_mat(2, 1, 0, 2, 3))), s
 
     s = Broken(3)
     for factor, m in ((1, w(3)), (2, e12(Poly.parse("1 + t", 3)))):
@@ -231,6 +232,15 @@ def test_broken_transversal_outside_factor_fails():
     s = NoSplit(3)
     with pytest.raises(RuntimeError, match="outside the base subgroup"):
         s.decompose(1, s._form_of(w(3)))
+
+
+def test_coset_representative_of_wrong_determinant_fails(monkeypatch):
+    """The factor-1 transversal re-checks that its representative has
+    determinant 1; a membership test that says otherwise raises."""
+    s = AmalgamStructure(3)
+    monkeypatch.setattr(AmalgamStructure, "_factors", lambda self, x: ())
+    with pytest.raises(RuntimeError, match="^coset representative has determinant other than 1"):
+        s.transversal(1, s._form_of(w(3)))
 
 
 def test_normal_form_invariants_checked():
@@ -371,8 +381,8 @@ def _expected_rep(mod, factor, m):
         if mod is None:
             c, d = abs(c), d * (1 if c > 0 else -1)
             x = pow(d, -1, c)
-            return Mat2.of_ints(x, (x * d - 1) // c, c, d)
-        return Mat2.of_ints(0, -1, 1, d * pow(c, -1, mod), mod)
+            return const_mat(x, (x * d - 1) // c, c, d)
+        return const_mat(0, -1, 1, d * pow(c, -1, mod), mod)
     u_inv = m.d  # det 1 and c = 0 make d the inverse of u = a
     return e12(u_inv * Poly((0,) + m.coeffs[1][1:], mod))  # b less its constant term
 

@@ -426,6 +426,18 @@ def test_nf_reads_stdin(capsys, monkeypatch):
     code, out, _ = run(capsys, "nf", "--mod", "2", "-")
     assert code == 0
     assert "length: 3" in out
+    monkeypatch.setattr("sys.stdin", io.StringIO("[[1,t],[0,1]]\n"))
+    assert run(capsys, "nf", "--mod", "2", "-")[:2] == (0, run(capsys, "nf", "--mod", "2", "[[1,t],[0,1]]")[1])
+
+
+def test_nf_error_positions_count_from_the_start_of_the_argument(capsys):
+    """Leading whitespace is part of the input that a position counts in."""
+    assert run(capsys, "nf", "--mod", "5", "  [[1, t^], [0, 1]]") == (
+        2, "", "error: expected exponent (at position 9)\n")
+    assert run(capsys, "nf", "--mod", "5", "   [[1, %s], [0, 1]]" % ("7" * 4301)) == (
+        2, "", "error: JSON integer at position 8 has 4301 digits, above the digit cap 4300\n")
+    # whitespace around JSON that JSON itself does not allow is still ignored
+    assert run(capsys, "nf", "--mod", "3", '\f["W"]\xa0')[:2] == run(capsys, "nf", "--mod", "3", '["W"]')[:2]
 
 
 def test_hdim_table_values(capsys):
@@ -574,6 +586,7 @@ def test_usage_error(capsys):
         (["verify", "--witness", "2..100000000000", "1"], "above the cap 8"),
         (["verify", "--witness", "2", "1..100000000000"], "above the cap 8"),
         (["verify", "--witness", "2", "3334"], "witness index 3334 is above the cap 3333"),
+        (["verify", "--sn", "5", "0"], "error: arity must be >= 1, got 0"),
         (["verify", "--witness", "-3..5", "1"], "argument --witness: expected 2 arguments"),
         (["hdim", "--group", "bz", "--mod", "x"], "argument --mod: invalid int value: 'x'"),
         (["verify", "--witness", "5..", "1"], "--witness range '5..' is not an integer or LO..HI"),
@@ -598,6 +611,27 @@ def test_usage_error(capsys):
     assert run(capsys, "hdim", "--group", "bz", "--mod", "2", "--max-i", "64")[0] == 0
     assert run(capsys, "verify", "--witness", "2..9", "1..8")[0] == 0
     assert run(capsys, "verify", "--witness", "2", "3333")[0] == 0
+
+
+def test_integer_options_over_the_digit_cap(capsys):
+    """An integer option of more than 4 300 digits is refused with one short
+    line that names the option and the cap, without echoing the digits."""
+    big = "7" * 4301
+    for argv, option in [
+        (["nf", "--mod", big, "W"], "argument --mod"),
+        (["hdim", "--group", "bz", "--mod", big], "argument --mod"),
+        (["hdim", "--group", "bz", "--mod", "2", "--max-i", big], "argument --max-i"),
+        (["hdim", "--group", "bz", "--mod", "2", "--max-deg", "-" + big], "argument --max-deg"),
+        (["verify", "--sn", big, "2"], "argument --sn"),
+        (["verify", "--sn", "5", big], "argument --sn"),
+        (["verify", "--witness", big, "1"], "--witness range"),
+        (["verify", "--witness", "2", "1.." + big], "--witness range"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.count("\n")) == (2, "", 1), argv
+        assert len(err) < 200 and option in err and "4301 digits" in err and "4300" in err, argv
+    # 4 300 digits pass the digit cap and meet the option's own cap
+    assert "at most the cap 64" in run(capsys, "hdim", "--group", "bz", "--mod", "2", "--max-i", big[1:])[2]
 
 
 def test_large_prime_modulus(capsys):

@@ -21,6 +21,7 @@ from nagaolab.ring import Poly, PolyParseError
 from nagaolab.witnesses import make_witness
 
 from helpers import (
+    const_mat,
     dense_poly,
     entrywise_det,
     entrywise_mat_mul,
@@ -33,11 +34,11 @@ RINGS = (None, 2, 3, 101, 2**31 - 1)
 
 
 def test_mul_example():
-    assert e12(1) * e21(1) == Mat2.of_ints(2, 1, 1, 1)
+    assert e12(1) * e21(1) == const_mat(2, 1, 1, 1)
 
 
 def test_w_squared():
-    assert w() * w() == Mat2.of_ints(-1, 0, 0, -1)
+    assert w() * w() == const_mat(-1, 0, 0, -1)
 
 
 def test_identity_neutral():
@@ -62,12 +63,12 @@ def test_inverse_of_transvection():
 
 
 def test_inverse_of_w():
-    assert w().inv() == Mat2.of_ints(0, 1, -1, 0)
+    assert w().inv() == const_mat(0, 1, -1, 0)
 
 
 def test_inverse_needs_det_one():
     with pytest.raises(ValueError, match="determinant"):
-        Mat2.of_ints(2, 0, 0, 2).inv()
+        const_mat(2, 0, 0, 2).inv()
 
 
 def test_inverse_two_sided_random():
@@ -106,7 +107,7 @@ def test_det_of_witnesses():
 def test_unipotent_examples():
     assert e12(Poly.monomial(3)).is_unipotent()
     assert not make_witness("g", 2, 1).is_unipotent()
-    assert not Mat2.of_ints(-1, 0, 0, -1).is_unipotent()
+    assert not const_mat(-1, 0, 0, -1).is_unipotent()
 
 
 def test_unipotent_criteria_agree_random():
@@ -122,13 +123,20 @@ def test_unipotent_criteria_agree_random():
             assert make_witness("x", None, k).is_unipotent()
 
 
+def test_unipotent_criteria_disagreement_raises(monkeypatch):
+    """A trace that disagrees with (m - I)^2 == 0 raises rather than guessing."""
+    monkeypatch.setattr(Mat2, "trace", lambda self: Poly.zero(self.mod))
+    with pytest.raises(RuntimeError, match="^unipotence criteria disagree"):
+        e12(Poly.monomial(3)).is_unipotent()
+
+
 def test_unipotent_needs_det_one():
     with pytest.raises(ValueError):
         make_witness("n", 2, 1).is_unipotent()
 
 
 def test_unipotent_up_to_sign():
-    minus_i = Mat2.of_ints(-1, 0, 0, -1)
+    minus_i = const_mat(-1, 0, 0, -1)
     assert not minus_i.is_unipotent()
     assert is_unipotent_up_to_sign(minus_i)
     assert is_unipotent_up_to_sign(-e12(Poly.monomial(2)))
@@ -180,7 +188,7 @@ def test_reduce_mod_p_refuses_nonprime():
 
 @pytest.mark.parametrize("mod", RINGS)
 def test_constructors_match_validating_build(mod):
-    """identity, e12, e21 and of_ints build their entries without the
+    """identity, e12, e21, diag and w build their entries without the
     validating constructor; the results equal what it builds."""
     def full(a, b, c, d):
         return Mat2(*(x if isinstance(x, Poly) else Poly((x,), mod) for x in (a, b, c, d)))
@@ -191,20 +199,22 @@ def test_constructors_match_validating_build(mod):
     assert e21(f) == full(1, 0, f, 1)
     assert e12(7, mod) == full(1, 7, 0, 1)
     assert e21(-3, mod) == full(1, 0, -3, 1)
-    # of_ints still coerces and reduces what it is given
-    for ints in ((0, 0, 0, 0), (1, -1, 2**65, -(2**65)), (True, 7, -101, 202)):
-        m = Mat2.of_ints(*ints, mod)
-        assert m == full(*(int(v) for v in ints))
-        assert all(type(c) is int and c != 0 for e in m.entries() for c in e.coeffs)
-        if mod is not None:
-            assert all(0 <= c < mod for e in m.entries() for c in e.coeffs)
+    assert diag(-1, mod) == full(-1, 0, 0, -1)
+    assert w(mod) == full(0, -1, 1, 0)
+    if mod is not None and mod > 2:
+        assert diag(2, mod) == full(2, 0, 0, pow(2, -1, mod))
 
 
 def test_constructors_refuse_nonprime():
-    for make in (identity, w, lambda mod: e12(1, mod), lambda mod: e21(1, mod),
-                 lambda mod: Mat2.of_ints(1, 0, 0, 1, mod), lambda mod: diag(1, mod)):
-        with pytest.raises(ValueError, match="prime"):
-            make(4)
+    """Every standard matrix and every generator refuses a modulus that is
+    not a prime with the same ValueError, before any arithmetic mod it."""
+    for bad in (4, 0):
+        for make in (identity, w, lambda mod: e12(1, mod), lambda mod: e21(1, mod),
+                     lambda mod: diag(1, mod), lambda mod: diag(2, mod),
+                     lambda mod: Gen("D", 1, mod), lambda mod: Gen("W", None, mod),
+                     lambda mod: parse_gen("D(2)", mod)):
+            with pytest.raises(ValueError, match=f"^modulus must be a prime, got {bad}$"):
+                make(bad)
 
 
 def test_upper_triangular_closed_under_product():
@@ -227,12 +237,16 @@ def test_upper_triangular_closed_under_product():
 
 
 def test_diag_requires_unit():
-    assert diag(-1) == Mat2.of_ints(-1, 0, 0, -1)
-    assert diag(3, 7) == Mat2.of_ints(3, 0, 0, 5, 7)
+    assert diag(-1) == const_mat(-1, 0, 0, -1)
+    assert diag(3, 7) == const_mat(3, 0, 0, 5, 7)
     with pytest.raises(ValueError):
         diag(2)
     with pytest.raises(ValueError):
         diag(0, 5)
+    # a unit is an int: not a float, even an integral one, nor a bool
+    for u in (2.5, True, 2.0):
+        with pytest.raises(ValueError, match=f"^D needs an int, got {u!r}$"):
+            diag(u, 5)
 
 
 def test_generators_have_det_one():
@@ -428,9 +442,9 @@ def test_mat2_is_its_coefficient_quadruple(mod):
 
 
 def test_inverse_refuses_every_det_other_than_one():
-    for m in (Mat2.of_ints(0, 1, 1, 0), Mat2.of_ints(1, 0, 0, 0), Mat2.of_ints(2, 1, 1, 2),
+    for m in (const_mat(0, 1, 1, 0), const_mat(1, 0, 0, 0), const_mat(2, 1, 1, 2),
               Mat2(Poly.one(), Poly.parse("t"), Poly.parse("-1"), Poly.one()),
-              Mat2.of_ints(1, 1, 0, 2, 3)):
+              const_mat(1, 1, 0, 2, 3)):
         assert m.det().coeffs != (1,)
         with pytest.raises(ValueError, match="determinant"):
             m.inv()

@@ -19,6 +19,7 @@ from nagaolab.ring import Poly, _scale
 from nagaolab.witnesses import make_witness
 
 from helpers import (
+    const_mat,
     evaluate_word,
     rand_const_gen,
     rand_fp_gen,
@@ -87,7 +88,7 @@ def test_fpt_factor_refuses_euclid_work_above_cap(monkeypatch):
 
 def test_fpt_factor_rejects_nonunimodular():
     with pytest.raises(ValueError):
-        sl2fpt_elementary_factor(Mat2.of_ints(1, 0, 0, 2, 5))
+        sl2fpt_elementary_factor(const_mat(1, 0, 0, 2, 5))
     with pytest.raises(ValueError):
         sl2fpt_elementary_factor(identity())
 
@@ -217,7 +218,7 @@ def test_degree_reduction_peels_without_mat2_products(pm):
         for name in ("decompose", "transversal", "_mul"):
             patch.setattr(AmalgamStructure, name, refuse)
         gens = sl2fpt_elementary_factor(m)
-        for name in ("det", "_of_coeffs", "of_ints", "__init__"):
+        for name in ("det", "_of_coeffs", "__init__"):
             patch.setattr(Mat2, name, refuse)
         patch.setattr(Poly, "_canon", refuse)
         patch.setattr(gl2, "e12", refuse)
@@ -304,7 +305,7 @@ def test_nagao_nf_length_zero_iff_upper_constant():
     for p in (2, 5):
         for u in range(1, p):
             for x in range(p):
-                b = Mat2.of_ints(u, x, 0, pow(u, -1, p), p)
+                b = const_mat(u, x, 0, pow(u, -1, p), p)
                 assert nagao_normal_form(p, b).length == 0
         for _ in range(50):
             m = rand_fp_matrix(rng, p, 5, 4)
@@ -312,11 +313,20 @@ def test_nagao_nf_length_zero_iff_upper_constant():
             assert (nf.length == 0) == (not m.coeffs[2] and all(len(e) <= 1 for e in m.coeffs))
 
 
+def test_degree_reduction_stops_at_its_step_bound(monkeypatch):
+    """A division that makes no progress cannot loop: the degree reduction
+    raises once it has taken more peels than its bound allows."""
+    monkeypatch.setattr(nagao, "_divmod_coeffs", lambda d, c, p: ((0,), d))
+    m = parse_matrix("[[1, 0], [t, 1]]", 3) * parse_matrix("[[1, t^2], [0, 1]]", 3)
+    with pytest.raises(RuntimeError, match="^degree reduction passed its step bound"):
+        _nf_by_degree_reduction(AmalgamStructure(3), m)
+
+
 def test_nagao_nf_rejects_wrong_ring_or_det():
     with pytest.raises(ValueError):
         nagao_normal_form(3, identity(2))
     with pytest.raises(ValueError, match="determinant must be 1, got 2"):
-        nagao_normal_form(3, Mat2.of_ints(1, 0, 0, 2, 3))
+        nagao_normal_form(3, const_mat(1, 0, 0, 2, 3))
     with pytest.raises(ValueError, match=r"determinant must be 1, got 1 \+ t"):
         nagao_normal_form(5, parse_matrix("[[1 + t, 0], [0, 1]]", 5))
 
@@ -335,7 +345,7 @@ def test_e2zt_single_transvection():
 def test_e2zt_w_squared_is_central():
     nf = e2zt_normal_form([Letter(1, w()), Letter(1, w())])
     assert nf.length == 0
-    assert nf.head == Mat2.of_ints(-1, 0, 0, -1)
+    assert nf.head == const_mat(-1, 0, 0, -1)
 
 
 def test_e2zt_random_word_evaluation():

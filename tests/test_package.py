@@ -1,6 +1,7 @@
 """The package as a whole: no check that ``python -O`` strips, a public
-surface that matches what the modules define, and an import that stays
-cheap for a CLI request."""
+surface that matches what the modules define, one import path for each
+name, modules that load only the layers below them, and an import that
+stays cheap for a CLI request."""
 
 import ast
 import importlib
@@ -9,47 +10,23 @@ import subprocess
 import sys
 import types
 
+import pytest
+
 import nagaolab
 
 SRC = pathlib.Path(nagaolab.__file__).resolve().parent
 MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
 
-# The names that ``import nagaolab`` offers besides its submodules.
-PUBLIC = [
-    "AmalgamStructure",
-    "CrossValidationError",
-    "Gen",
-    "Letter",
-    "Mat2",
-    "NormalForm",
-    "Poly",
-    "PolyParseError",
-    "SearchCapExceeded",
-    "UnsupportedGroupError",
-    "class_order_lower_bound",
-    "coinvariant_dims",
-    "diag",
-    "dim_divided_power",
-    "dim_exterior",
-    "dim_table",
-    "e12",
-    "e21",
-    "e2zt_normal_form",
-    "h_dims",
-    "identity",
-    "is_prime",
-    "letters_from_gens",
-    "make_witness",
-    "mv_ledger_check",
-    "nagao_normal_form",
-    "parse_gen",
-    "parse_matrix",
-    "phi_p",
-    "sl2fpt_elementary_factor",
-    "sn_witness_search",
-    "verify_witness_suite",
-    "w",
-]
+# The package modules that importing each module loads besides itself.
+LAYERS = {
+    "ring": [],
+    "gl2": ["ring"],
+    "amalgam": ["gl2", "ring"],
+    "homology": ["ring"],
+    "nagao": ["amalgam", "gl2", "ring"],
+    "witnesses": ["amalgam", "gl2", "nagao", "ring"],
+    "cli": ["amalgam", "gl2", "homology", "nagao", "ring", "witnesses"],
+}
 
 
 def test_no_assert_in_the_library():
@@ -65,7 +42,7 @@ def test_no_assert_in_the_library():
 
 
 def test_every_name_in_all_exists():
-    assert MODULES == ["amalgam", "cli", "gl2", "homology", "nagao", "ring", "witnesses"]
+    assert MODULES == sorted(LAYERS)
     missing = []
     for name in MODULES:
         mod = importlib.import_module(f"nagaolab.{name}")
@@ -74,11 +51,32 @@ def test_every_name_in_all_exists():
 
 
 def test_package_reexports_are_pinned():
+    """Each public name has one import path, its module: ``import nagaolab``
+    offers nothing besides its submodules, ``__version__`` and dunders."""
     names = sorted(
         name for name, value in vars(nagaolab).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+        if not name.startswith("__") and not isinstance(value, types.ModuleType)
     )
-    assert names == PUBLIC
+    assert names == []
+    assert isinstance(nagaolab.__version__, str)
+
+
+def _loaded_by(module: str) -> list[str]:
+    """The modules that importing ``nagaolab.<module>`` adds to
+    ``sys.modules`` of a bare interpreter (``python -S``)."""
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+        f"import nagaolab.{module}; print(' '.join(sorted(set(sys.modules) - before)))"
+    )
+    return subprocess.run(
+        [sys.executable, "-S", "-c", code, str(SRC.parent)], capture_output=True, text=True, check=True
+    ).stdout.split()
+
+
+@pytest.mark.parametrize("module", sorted(LAYERS))
+def test_each_module_loads_only_the_layers_below_it(module):
+    loaded = [name for name in _loaded_by(module) if name.startswith("nagaolab")]
+    assert loaded == ["nagaolab", *(f"nagaolab.{name}" for name in sorted([module, *LAYERS[module]]))]
 
 
 # The modules that ``dataclasses`` pulls in; a CLI process pays for every
@@ -102,12 +100,6 @@ def test_no_code_generator_in_the_library():
 def test_cli_import_loads_no_heavy_module():
     """In a bare interpreter (``python -S``), importing the CLI adds none of
     the modules behind ``dataclasses`` to ``sys.modules``."""
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
-        "import nagaolab.cli; print(' '.join(sorted(set(sys.modules) - before)))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", code, str(SRC.parent)], capture_output=True, text=True, check=True
-    ).stdout.split()
+    out = _loaded_by("cli")
     assert "nagaolab.cli" in out
     assert HEAVY.isdisjoint(out), sorted(HEAVY.intersection(out))

@@ -15,6 +15,8 @@ from nagaolab.nagao import nagao_normal_form
 from nagaolab.ring import Poly
 from nagaolab.witnesses import CheckResult, WitnessReport, verify_witness_suite
 
+from helpers import const_mat
+
 
 def _values():
     """(value, one of its fields, its repr) for an instance of each type."""
@@ -93,4 +95,4 @@ def test_gen_checks_every_construction():
         Gen("W", 1, 5)
     # a valid letter passes the checks again when pickle rebuilds it
     gen = Gen("D", 2, 5)
-    assert pickle.loads(pickle.dumps(gen)) == gen and gen.matrix() == Mat2.of_ints(2, 0, 0, 3, 5)
+    assert pickle.loads(pickle.dumps(gen)) == gen and gen.matrix() == const_mat(2, 0, 0, 3, 5)

@@ -93,6 +93,13 @@ def test_equality_decisions_match_both_ways():
     assert verify_witness_suite((2, 3), (1, 3)).all_asserted_pass
 
 
+def test_equality_decisions_that_split_raise(monkeypatch):
+    monkeypatch.setattr(witnesses, "nagao_normal_form", lambda p, m: object())
+    m = e12(Poly.monomial(2, 1, 3))
+    with pytest.raises(RuntimeError, match="^matrix and normal form equality disagree"):
+        witnesses._nf_equal(3, m, m)
+
+
 # -- unit-subset-sum witnesses --------------------------------------------
 
 
@@ -125,6 +132,20 @@ def test_sn_search_cap():
         sn_witness_search(5, 6)
     with pytest.raises(ValueError):
         sn_witness_search(4, 2)
+
+
+def test_sn_search_refuses_bad_arguments():
+    for p, n, msg in [
+        (5, 0, "arity must be >= 1, got 0"),
+        (5, -2, "arity must be >= 1, got -2"),
+        (5, True, "arity must be an integer, got True"),
+        (5, 2.0, "arity must be an integer, got 2.0"),
+        (5.0, 2, "p must be prime, got 5.0"),
+        ("5", 2, "p must be prime, got '5'"),
+        (True, 1, "p must be prime, got True"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            sn_witness_search(p, n)
 
 
 def test_subset_sum_check_matches_enumeration():
