@@ -274,32 +274,37 @@ def _cmd_hdim(args) -> tuple[int, str]:
     return code, "\n".join(lines)
 
 
+def _shown(text: str) -> str:
+    """The repr of user text for a message, cut to its first 40 characters
+    and its length when it is longer."""
+    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
+
+
 def _int(text: str) -> int:
     """int() of ``[+-]?[0-9]+`` text only; int() also reads "1_1", " 7 " and non-ASCII digits.
-    Over MAX_INT_DIGITS digits it raises ArgumentTypeError, which argparse prints without the text."""
+    Other text, and text over MAX_INT_DIGITS digits, raise ArgumentTypeError,
+    whose message argparse prints as it is, with the text cut by ``_shown``."""
     if not _INT_RE.fullmatch(text):
-        raise ValueError(f"not integer text: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}")
     digits = len(text.lstrip("+-"))
     if digits > MAX_INT_DIGITS:
         raise argparse.ArgumentTypeError(f"value has {digits} digits, above the digit cap {MAX_INT_DIGITS}")
     return int(text)
 
 
-_int.__name__ = "int"  # argparse names the type in "invalid int value"
-
-
 def _parse_range(text: str) -> range:
     lo, hi = text.split("..", 1) if ".." in text else (text, text)
+    if not (_INT_RE.fullmatch(lo) and _INT_RE.fullmatch(hi)):
+        raise ValueError(f"--witness range {_shown(text)} is not an integer or LO..HI")
     try:
         lo, hi = _int(lo), _int(hi)
     except argparse.ArgumentTypeError as exc:
         raise ValueError(f"--witness range {exc}") from None
-    except ValueError:
-        raise ValueError(f"--witness range {text!r} is not an integer or LO..HI") from None
     if hi < lo:
-        raise ValueError(f"empty range {text!r}")
+        raise ValueError(f"empty range {_shown(text)}")
     if hi - lo >= MAX_RANGE_VALUES:
-        raise ValueError(f"range {text!r} has {hi - lo + 1} values, above the cap {MAX_RANGE_VALUES}")
+        count = hi - lo + 1 if hi - lo < 10**40 else "over 10**40"
+        raise ValueError(f"range {_shown(text)} has {count} values, above the cap {MAX_RANGE_VALUES}")
     return range(lo, hi + 1)
 
 

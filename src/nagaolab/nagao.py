@@ -97,12 +97,17 @@ def sl2fpt_elementary_factor(m: Mat2) -> list[Gen]:
         if len(c) < len(a):
             q, a = _divmod_coeffs(a, c, p)
             steps.append(("E12", q))
-            b = _dot(b, _ONE, _scale(q, -1, p), d, p)
+            # det = 1 after the update, so b*c = a*d - 1: b has len(a) +
+            # len(d) - len(c) coefficients unless a*d is a constant, and at
+            # most 1 then; only that many of b - q*d are computed
+            b = _dot(b, _ONE, _scale(q, -1, p), d, p, max(len(a) + len(d) - len(c), 1))
             divisor, other = c, d
         else:
             q, c = _divmod_coeffs(c, a, p)
             steps.append(("E21", q))
-            d = _dot(d, _ONE, _scale(q, -1, p), b, p)
+            # likewise a*d = 1 + b*c: d has at most max(len(b) + len(c) -
+            # len(a), 1) coefficients
+            d = _dot(d, _ONE, _scale(q, -1, p), b, p, max(len(b) + len(c) - len(a), 1))
             divisor, other = a, b
         # the division and the column update as ring._mul_cost prices them;
         # long division and the schoolbook loop skip zero coefficients of q
@@ -199,7 +204,10 @@ def _nf_by_degree_reduction(struct: AmalgamStructure, m: Mat2) -> tuple[Form, tu
                 f = (0,) + q[1:]
                 d = _dot(r, _ONE, q[:1] if q[0] else (), c, p)
             rev.append(f)
-            b = _dot(b, _ONE, _scale(a, -1, p), f, p)
+            # det = 1 after the peel, so b*c = a*d - 1 bounds b by max(len(a)
+            # + len(d) - len(c), 1) coefficients when c != 0; when c = 0 the
+            # peel leaves b(0)
+            b = _dot(b, _ONE, _scale(a, -1, p), f, p, max(len(a) + len(d) - len(c), 1) if c else 1)
         else:
             e = d[-1] * pow(c[-1], -1, p) % p if len(d) == len(c) else 0
             rev.append(e)

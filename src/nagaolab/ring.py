@@ -23,25 +23,34 @@ tuples, which ``Poly.__divmod__`` wraps: long division, which reduces only
 the coefficient it reads next and the remainder once at the end, until both
 the divisor and the quotient reach ``_NEWTON_MIN_LEN`` (40) coefficients;
 from there the quotient is rev(a) * rev(b)^-1 mod t^(deg q + 1), with the
-power-series inverse computed by Newton iteration on the same kernel, and
-the remainder is a - q*b.  Both length crossovers come from timing operands
-of equal length: from 16 coefficients Kronecker is at least as fast over
-every F_p measured, and from 40 Newton division is at least as fast as long
-division.
+power-series inverse computed by Newton iteration, and the remainder is the
+deg b low coefficients of a - q*b.  Both length crossovers come from timing
+operands of equal length: from 16 coefficients Kronecker is at least as fast
+over every F_p measured, and from 40 Newton division is at least as fast as
+long division.
 
-``_mul_coeffs`` reduces one raw product mod p.  ``_dot`` is the fused
-kernel of the ``Poly`` operators and the 2x2 matrix layer: the canonical
-coefficients of x*y + u*v, with all-constant operands multiplied as plain
-ints, one product alone when the other has a zero operand (a factor 1
-costs nothing), a scalar times a polynomial plus a scalar times a
-polynomial in one pass (sums, differences, the product by a constant
-letter and most column updates), and otherwise both raw products summed
-into one buffer that gets one reduction pass and one strip (a factor 1
-costs one copy).  So x + f*y is
-``_dot(x, (1,), f, y, mod)``, the column update of the Euclid and
-degree-reduction oracles and of ``phi_p``'s product, which run on
-coefficient tuples with these kernels, ``_divmod_coeffs`` and ``_scale``
-(a unit times a polynomial).
+Those products are truncated.  ``_mul_low(a, b, n, p)`` is the n low
+coefficients of a*b over F_p, reduced: ``_raw_mul`` multiplies only a[:n]
+and b[:n], stops each schoolbook row at coefficient n, and masks a Kronecker
+product to n slots before it reads them back.  Each Newton step computes
+only the correction: with g correct to h coefficients, f*g = 1 + t^h*e mod
+t^2h, and g - t^h*(g*e mod t^h) is correct to 2h (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, 9.1).
+
+``_dot`` is the fused kernel of the ``Poly`` operators and the 2x2 matrix
+layer: the canonical coefficients of x*y + u*v, with all-constant operands
+multiplied as plain ints, one product alone when the other has a zero
+operand (a factor 1 costs nothing), a scalar times a polynomial plus a
+scalar times a polynomial in one pass (sums, differences, the product by a
+constant letter and most column updates), and otherwise both raw products
+summed into one buffer that gets one reduction pass and one strip (a factor
+1 costs one copy).  So x + f*y is ``_dot(x, (1,), f, y, mod)``, the column
+update of the Euclid and degree-reduction oracles and of ``phi_p``'s
+product, which run on coefficient tuples with these kernels,
+``_divmod_coeffs`` and ``_scale`` (a unit times a polynomial).  Given a
+bound n on the length of the result, as det = 1 gives the column updates of
+``nagao``, ``_dot`` cuts both products of that last branch to their n low
+coefficients.
 
 ``_mul_cost`` prices a product, for the kernel it picks, in 30-bit digit
 products; ``_charge`` refuses an ``nf`` request whose priced work passes
@@ -421,18 +430,9 @@ _NEWTON_MIN_LEN = 40
 _SLOT_CODES = {array(code).itemsize: code for code in "QIHB"} if sys.byteorder == "little" else {}
 
 
-def _mul_coeffs(a, b, mod: int | None) -> list[int]:
-    """The len(a) + len(b) - 1 coefficients of a*b, reduced mod p over F_p.
-
-    ``a`` and ``b`` are nonempty coefficient sequences, in [0, p) over F_p."""
-    cs = _raw_mul(a, b, mod is None)
-    if mod is not None:
-        cs = [c % mod for c in cs]
-    return cs
-
-
-def _dot(x, y, u, v, mod: int | None) -> tuple[int, ...]:
-    """The canonical coefficient tuple of x*y + u*v.
+def _dot(x, y, u, v, mod: int | None, n: int | None = None) -> tuple[int, ...]:
+    """The canonical coefficient tuple of x*y + u*v, which has at most n
+    coefficients if n is given.
 
     The operands are canonical coefficient tuples of the ring ``mod``,
     possibly empty.  Constants are multiplied as plain ints.  When one
@@ -442,8 +442,9 @@ def _dot(x, y, u, v, mod: int | None) -> tuple[int, ...]:
     When each product has a one-coefficient operand, in either position,
     the sum is taken coefficient by coefficient in one pass.  Otherwise
     both products are taken unreduced (a factor (1,) copies its partner)
-    and summed into one buffer.  The last two get a single reduction pass
-    and one strip."""
+    and summed into one buffer, each cut to its n low coefficients when n
+    bounds the result.  The last two get a single reduction pass and one
+    strip."""
     if len(x) < 2 and len(y) < 2 and len(u) < 2 and len(v) < 2:
         s = (x[0] * y[0] if x and y else 0) + (u[0] * v[0] if u and v else 0)
         if mod is not None:
@@ -458,7 +459,8 @@ def _dot(x, y, u, v, mod: int | None) -> tuple[int, ...]:
             x, y = y, x
         if len(y) == 1:
             return x if y[0] == 1 else _scale(x, y[0], mod)
-        return tuple(_mul_coeffs(x, y, mod))
+        cs = _raw_mul(x, y, mod is None)
+        return tuple(cs) if mod is None else tuple([c % mod for c in cs])
     if (len(x) == 1 or len(y) == 1) and (len(u) == 1 or len(v) == 1):
         # s*f + r*g for scalars s and r, in one pass
         s, f = (x[0], y) if len(x) == 1 else (y[0], x)
@@ -468,7 +470,7 @@ def _dot(x, y, u, v, mod: int | None) -> tuple[int, ...]:
             return _strip([s * a + r * b for a, b in pairs])
         return _strip([(s * a + r * b) % mod for a, b in pairs])
     signed = mod is None
-    cs, other = _raw_mul(x, y, signed), _raw_mul(u, v, signed)
+    cs, other = _raw_mul(x, y, signed, n), _raw_mul(u, v, signed, n)
     if len(cs) < len(other):
         cs, other = other, cs
     for i, c in enumerate(other):
@@ -498,8 +500,8 @@ def _divmod_coeffs(a, b, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         # rev(q) = rev(a) / rev(b) mod t^k; r = a - q*b, of which only
         # the db low coefficients can be nonzero.
         inv = _series_inverse(b[::-1][:k], k, p)
-        q = _mul_coeffs(a[::-1][:k], inv, p)[k - 1 :: -1]
-        low = _mul_coeffs(q[:db], b[:db], p)
+        q = _mul_low(a[::-1], inv, k, p)[::-1]
+        low = _mul_low(q, b, db, p)
         rem = [(x - y) % p for x, y in zip(a[:db], low)]
     else:
         # Only the coefficient read next is reduced; the top coefficient a
@@ -520,28 +522,41 @@ def _divmod_coeffs(a, b, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(q), _strip(rem)
 
 
-def _raw_mul(a, b, signed: bool) -> list[int]:
-    """Unreduced coefficients of a*b as a new list, empty if either operand
-    is; ``signed`` is False only for coefficients that are all >= 0.  A
-    factor (1,) gives a copy of the other operand."""
+def _raw_mul(a, b, signed: bool, n: int | None = None) -> list[int]:
+    """Unreduced coefficients of a*b as a new list, only its n low ones if n
+    is given, empty if either operand is; ``signed`` is False only for
+    coefficients that are all >= 0.  A factor (1,) gives a copy of the other
+    operand."""
     if not a or not b:
         return []
     if len(a) < len(b):
         a, b = b, a
+    m = len(a) + len(b) - 1
+    if n is not None and n < m:
+        a, b, m = a[:n], b[:n], n
     if len(b) == 1:
         c = b[0]
         return list(a) if c == 1 else [c * e for e in a]
+    la = len(a)
     if len(b) >= _KRONECKER_MIN_LEN:
-        ma, mb = max(map(abs, a)), max(map(abs, b))
-        if _mul_cost(len(a), len(b), ma.bit_length(), mb.bit_length())[1]:
-            return _kronecker(a, b, len(b) * ma * mb, signed)
-    # the shorter operand in the outer loop, so the inner loop runs longest
-    cs = [0] * (len(a) + len(b) - 1)
+        ma, mb = (max(map(abs, a)), max(map(abs, b))) if signed else (max(a), max(b))
+        if _mul_cost(la, len(b), ma.bit_length(), mb.bit_length())[1]:
+            return _kronecker(a, b, len(b) * ma * mb, signed, m)
+    # the shorter operand in the outer loop, so the inner loop runs longest;
+    # a row stops at coefficient m
+    cs = [0] * m
     for j, cj in enumerate(b):
         if cj:
-            for i, ci in enumerate(a, j):
+            for i, ci in enumerate(a if j + la <= m else a[: m - j], j):
                 cs[i] += cj * ci
     return cs
+
+
+def _mul_low(a, b, n: int, p: int) -> list[int]:
+    """The min(n, len(a) + len(b) - 1) low coefficients of a*b over F_p,
+    reduced and not stripped (empty if either operand is): only a[:n] and
+    b[:n] are multiplied, and only n coefficients are read back."""
+    return [c % p for c in _raw_mul(a, b, False, n)]
 
 
 # The work budget of one nf request, in the digit products of _mul_cost: the
@@ -586,8 +601,8 @@ def _charge(work: float, what: str) -> None:
         )
 
 
-def _kronecker(a, b, bound: int, signed: bool) -> list[int]:
-    """Unreduced coefficients of a*b by Kronecker substitution.
+def _kronecker(a, b, bound: int, signed: bool, n: int) -> list[int]:
+    """The n low unreduced coefficients of a*b by Kronecker substitution.
 
     Each operand is evaluated at t = 2**(8*w) by writing its coefficients
     into w-byte slots of one integer, the two integers are multiplied with
@@ -602,16 +617,18 @@ def _kronecker(a, b, bound: int, signed: bool) -> list[int]:
     value is corrected by one 2**(8*w) per set top bit.  In the product,
     adding half a slot to every slot makes each slot a digit in
     [0, 2**(8*w)) with no borrow across slots, and flipping the top bit of
-    every slot turns that digit back into c in two's complement.
+    every slot turns that digit back into c in two's complement.  A product
+    cut to n < len(a) + len(b) - 1 slots is masked to them before the read.
     """
-    n = len(a) + len(b) - 1
     w = max(1, (bound.bit_length() + signed + 7) // 8)
     if w <= 8:  # round up to a width with an array type
         w = next(width for width in (1, 2, 4, 8) if width >= w)
     # the top bit of each of the n slots, or 0 over F_p
     tops = int.from_bytes((1 << (8 * w - 1)).to_bytes(w, "little") * n, "little") if signed else 0
-    x = _evaluate(a, w, tops) * _evaluate(b, w, tops)
-    return _slots((x + tops) ^ tops, n, w, signed)
+    x = (_evaluate(a, w, tops) * _evaluate(b, w, tops) + tops) ^ tops
+    if n < len(a) + len(b) - 1:
+        x &= (1 << (8 * w * n)) - 1
+    return _slots(x, n, w, signed)
 
 
 def _evaluate(cs, w: int, tops: int) -> int:
@@ -637,15 +654,17 @@ def _slots(x: int, n: int, w: int, signed: bool) -> list[int]:
 
 
 def _series_inverse(f, k: int, p: int) -> list[int]:
-    """g with f*g = 1 mod (p, t^k), by Newton iteration g <- g*(2 - f*g),
-    which doubles the number of correct coefficients per step; f[0] != 0."""
+    """The k coefficients of g with f*g = 1 mod (p, t^k), f[0] != 0, by
+    Newton iteration, which doubles the number h of correct coefficients per
+    step and computes only the correction: with f*g = 1 + t^h*e mod t^2h,
+    g <- g - t^h*(g*e mod t^h)."""
     g = [pow(f[0], -1, p)]
-    prec = 1
-    while prec < k:
-        prec = min(2 * prec, k)
-        e = [-c % p for c in _mul_coeffs(f[:prec], g, p)[:prec]]
-        e[0] = (e[0] + 2) % p
-        g = _mul_coeffs(g, e, p)[:prec]
+    while len(g) < k:
+        h = len(g)
+        prec = min(2 * h, k)
+        e = _mul_low(f, g, prec, p)[h:]
+        g += [-c % p for c in _mul_low(g, e, prec - h, p)]
+        g += [0] * (prec - len(g))
     return g
 
 

@@ -632,6 +632,21 @@ def test_integer_options_over_the_digit_cap(capsys):
         assert len(err) < 200 and option in err and "4301 digits" in err and "4300" in err, argv
     # 4 300 digits pass the digit cap and meet the option's own cap
     assert "at most the cap 64" in run(capsys, "hdim", "--group", "bz", "--mod", "2", "--max-i", big[1:])[2]
+    # long text that is not an integer, or a range too wide to print, is
+    # echoed as its first 40 characters and its length
+    bad = "7" * 5000 + "x"
+    for argv, message in [
+        (["nf", "--mod", bad, "W"], "argument --mod: invalid int value: '" + "7" * 40 + "'... (5001 characters)"),
+        (["hdim", "--group", "bz", "--mod", "2", "--max-i", bad], "argument --max-i: invalid int value"),
+        (["verify", "--sn", "5", bad], "argument --sn: invalid int value"),
+        (["verify", "--witness", bad, "1"], "--witness range '" + "7" * 40 + "'... (5001 characters) is not an integer"),
+        (["verify", "--witness", "2", "1.." + bad], "--witness range '1..7"),
+        (["verify", "--witness", "5.." + big[1:], "1"], "has over 10**40 values, above the cap 8"),
+        (["verify", "--witness", big[1:] + "..5", "1"], "empty range '7"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err.count("\n")) == (2, "", 1), argv
+        assert len(err) < 200 and message in err and "characters)" in err, argv
 
 
 def test_large_prime_modulus(capsys):

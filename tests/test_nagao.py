@@ -1,4 +1,7 @@
+import inspect
+import linecache
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -261,6 +264,58 @@ def test_nagao_nf_refuses_disagreeing_routes(monkeypatch):
     with pytest.raises(CrossValidationError, match="normal form algorithms disagree") as info:
         nagao_normal_form(p, m)
     assert f"{struct._build(*right)} vs {struct._build(*wrong)}" in str(info.value)
+
+
+def _seeded_matrices():
+    """21 low-degree and 21 high-degree SL2(F_p[t]) matrices, each a product
+    of alternating E12/E21 letters with nonconstant arguments."""
+    rng = random.Random(2012)
+    mats = []
+    for max_deg in (4, 60):
+        for i in range(21):
+            p = (3, 7, 101)[i % 3]
+            m = identity(p)
+            for j in range(rng.randint(3, 7)):
+                f = Poly([rng.randrange(p) for _ in range(rng.randint(1, max_deg))] + [rng.randrange(1, p)], p)
+                m = m * Gen(("E12", "E21")[j % 2], f, p).matrix()
+            mats.append((p, m))
+    return mats
+
+
+# The three column updates that compute only as many coefficients as det = 1
+# leaves room for, each known by the start of its source line.
+_DET_BOUNDED_UPDATES = (
+    "b = _dot(b, _ONE, _scale(q, -1, p), d, p, ",  # Euclid, E12 step
+    "d = _dot(d, _ONE, _scale(q, -1, p), b, p, ",  # Euclid, E21 step
+    "b = _dot(b, _ONE, _scale(a, -1, p), f, p, ",  # degree reduction, E12 peel
+)
+
+
+@pytest.mark.parametrize("site", _DET_BOUNDED_UPDATES)
+def test_a_det_bound_one_short_is_caught(monkeypatch, site):
+    """With the length bound of one det-bounded update one short, the
+    round trip, the form checks or the cross-validation refuse some of the
+    seeded matrices, and no wrong normal form gets out."""
+    source = inspect.getsource(nagao)
+    assert source.count(site) == 1
+    dot = nagao._dot
+
+    def one_short(x, y, u, v, mod, n=None):
+        frame = sys._getframe(1)
+        if linecache.getline(frame.f_code.co_filename, frame.f_lineno).strip().startswith(site):
+            n -= 1
+        return dot(x, y, u, v, mod, n)
+
+    monkeypatch.setattr(nagao, "_dot", one_short)
+    caught = 0
+    for p, m in _seeded_matrices():
+        try:
+            nf = nagao_normal_form(p, m)
+        except RuntimeError:  # CrossValidationError is one
+            caught += 1
+        else:
+            assert AmalgamStructure(p).nf_evaluate(nf) == m
+    assert caught >= 1
 
 
 def test_phi_p_refuses_disagreeing_routes(monkeypatch):

@@ -419,8 +419,8 @@ def _dot_oracle(x, y, u, v):
     return schoolbook_add(schoolbook_mul(x, y), schoolbook_mul(u, v))
 
 
-def _dot(x, y, u, v):
-    return Poly._canon(ring._dot(x.coeffs, y.coeffs, u.coeffs, v.coeffs, x.mod), x.mod)
+def _dot(x, y, u, v, n=None):
+    return Poly._canon(ring._dot(x.coeffs, y.coeffs, u.coeffs, v.coeffs, x.mod, n), x.mod)
 
 
 def test_dot_kernel_matches_poly_operators():
@@ -499,6 +499,8 @@ def test_dot_kernel_cancellation():
             low = dense_poly(rng, mod, lb - 1) if lb > 1 else Poly.zero(mod)
             c = -b + low  # same leading coefficient as -b, lower terms differ
             assert _dot(a, b, a, c) == _dot_oracle(a, b, a, c) == a * low
+            # a bound on the result's length cuts both products to it
+            assert _dot(a, b, a, c, max(la + lb - 2, 1)) == a * low
     for p in PRIMES:
         one = Poly.one(p)
         assert _dot(one, Poly.constant(p - 1, p), one, one).is_zero
@@ -566,7 +568,9 @@ def _dot_operands(draw):
 @settings(max_examples=80, deadline=None)
 @given(_dot_operands())
 def test_dot_kernel_property(ops):
-    assert _dot(*ops) == _dot_oracle(*ops)
+    full = _dot(*ops)
+    assert full == _dot_oracle(*ops)
+    assert _dot(*ops, max(len(full.coeffs), 1)) == full
 
 
 def test_divmod_kernel_both_sides_of_crossover():
@@ -643,6 +647,60 @@ def _poly_pairs(draw):
 def test_mul_kernel_equals_schoolbook_property(pair):
     a, b = pair
     assert a * b == schoolbook_mul(a, b)
+
+
+@st.composite
+def _truncated_products(draw):
+    """Two nonzero canonical operands of one ring, with lengths on both sides
+    of _KRONECKER_MIN_LEN, optionally every coefficient at its largest (the
+    slot bound), and a cut n from 0 to past the product's length."""
+    mod = draw(st.sampled_from((None,) + PRIMES))
+    coeff = st.integers(-(2**100), 2**100) | st.integers(-4, 4) if mod is None else st.integers(0, mod - 1)
+    x = ring._KRONECKER_MIN_LEN
+    size = st.integers(1, 4) | st.integers(x - 2, x + 2) | st.integers(1, 5 * x)
+    ops = []
+    for length in (draw(size), draw(size)):
+        if mod is not None and draw(st.booleans()):
+            cs = [mod - 1] * length
+        else:
+            cs = draw(st.lists(coeff, min_size=length - 1, max_size=length - 1))
+            cs.append(draw(coeff.filter(bool)))
+        ops.append(Poly(cs, mod))
+    a, b = ops
+    n = draw(st.integers(0, len(a.coeffs) + len(b.coeffs) + 2))
+    return a, b, n
+
+
+@settings(max_examples=200, deadline=None)
+@given(_truncated_products())
+def test_truncated_product_equals_schoolbook_slice(case):
+    """_mul_low, and the truncated raw product over Z, are the low n
+    coefficients of the schoolbook product."""
+    a, b, n = case
+    low = list(schoolbook_mul(a, b).coeffs[:n])
+    if a.mod is None:
+        assert ring._raw_mul(a.coeffs, b.coeffs, True, n) == low
+    else:
+        assert ring._mul_low(a.coeffs, b.coeffs, n, a.mod) == low
+        assert ring._mul_low(list(b.coeffs), list(a.coeffs), n, a.mod) == low
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(PRIMES),
+    st.sampled_from((1, 2, 3, 5, 17, ring._NEWTON_MIN_LEN - 1, ring._NEWTON_MIN_LEN, ring._NEWTON_MIN_LEN + 1))
+    | st.integers(1, 4 * ring._NEWTON_MIN_LEN),
+    st.integers(1, 4 * ring._NEWTON_MIN_LEN),
+    st.randoms(use_true_random=False),
+)
+def test_series_inverse_property(p, k, length, rnd):
+    """_series_inverse(f, k, p) has k coefficients and times f is 1 mod t^k,
+    also for f shorter than k, as when a divisor is shorter than its quotient."""
+    f = [rnd.randrange(1, p)] + [rnd.randrange(p) for _ in range(length - 1)]
+    g = ring._series_inverse(f, k, p)
+    assert len(g) == k
+    product = schoolbook_mul(Poly(f, p), Poly(g, p)).coeffs
+    assert list(product[:k]) + [0] * (k - len(product)) == [1] + [0] * (k - 1)
 
 
 def test_is_prime():
