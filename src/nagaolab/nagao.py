@@ -54,8 +54,9 @@ class CrossValidationError(RuntimeError):
 
 
 def _require_det_one(m: Mat2) -> None:
-    if m.det() != Poly.one(m.mod):
-        raise ValueError(f"determinant must be 1, got {m.det()}")
+    det = m.det()
+    if det != Poly.one(m.mod):
+        raise ValueError(f"determinant must be 1, got {det}")
 
 
 # -- elementary factorizations ---------------------------------------

@@ -29,28 +29,36 @@ operands of equal length: from 16 coefficients Kronecker is at least as fast
 over every F_p measured, and from 40 Newton division is at least as fast as
 long division.
 
-Those products are truncated.  ``_mul_low(a, b, n, p)`` is the n low
-coefficients of a*b over F_p, reduced: ``_raw_mul`` multiplies only a[:n]
-and b[:n], stops each schoolbook row at coefficient n, and masks a Kronecker
-product to n slots before it reads them back.  Each Newton step computes
-only the correction: with g correct to h coefficients, f*g = 1 + t^h*e mod
-t^2h, and g - t^h*(g*e mod t^h) is correct to 2h (von zur Gathen and
-Gerhard, *Modern Computer Algebra*, 9.1).
+The Newton branch never leaves the packed ints (von zur Gathen and Gerhard,
+*Modern Computer Algebra*, 8.4 and 9.1).  One slot width, from max(deg q +
+1, deg b) * (p - 1)**2, serves every product of the division, since no slot
+it reads sums more residue products than that; rev(b) is packed once, a
+mask truncates a product, and a right shift by h slots reads slots h..2h-1
+(the middle product).  Each Newton step computes only the correction: with
+g correct to h coefficients, f*g = 1 + t^h*e mod t^2h, and g - t^h*(g*e mod
+t^h) is correct to 2h; only the h coefficients of e and of the correction
+are unpacked, reduced and packed again.  The quotient and the remainder's
+q*b mod t^(deg b) each take one packed multiply and one masked read.
 
 ``_dot`` is the fused kernel of the ``Poly`` operators and the 2x2 matrix
 layer: the canonical coefficients of x*y + u*v, with all-constant operands
 multiplied as plain ints, one product alone when the other has a zero
 operand (a factor 1 costs nothing), a scalar times a polynomial plus a
 scalar times a polynomial in one pass (sums, differences, the product by a
-constant letter and most column updates), and otherwise both raw products
-summed into one buffer that gets one reduction pass and one strip (a factor
-1 costs one copy).  So x + f*y is ``_dot(x, (1,), f, y, mod)``, the column
-update of the Euclid and degree-reduction oracles and of ``phi_p``'s
-product, which run on coefficient tuples with these kernels,
-``_divmod_coeffs`` and ``_scale`` (a unit times a polynomial).  Given a
-bound n on the length of the result, as det = 1 gives the column updates of
-``nagao``, ``_dot`` cuts both products of that last branch to their n low
-coefficients.
+constant letter and most column updates), and otherwise both products
+summed and read back with one reduction pass and one strip.  Over F_p, when
+each product is long enough for Kronecker or has the factor (1,), the sum is
+taken on the packed ints, in slots wide enough for both products' bounds,
+and read back once (``_packed_dot``); otherwise the raw products are summed
+into one buffer (a factor 1 costs one copy).  So x + f*y is ``_dot(x, (1,),
+f, y, mod)``, the column update of the Euclid and degree-reduction oracles
+and of ``phi_p``'s product, which run on coefficient tuples with these
+kernels, ``_divmod_coeffs`` and ``_scale`` (a unit times a polynomial).
+Given a bound n on the length of the result, as det = 1 gives the column
+updates of ``nagao``, ``_dot`` cuts both products of that last branch to
+their n low coefficients: ``_raw_mul`` multiplies only a[:n] and b[:n] and
+stops each schoolbook row at coefficient n, and a packed product or sum is
+masked to n slots before it is read back.
 
 ``_mul_cost`` prices a product, for the kernel it picks, in 30-bit digit
 products; ``_charge`` refuses an ``nf`` request whose priced work passes
@@ -440,10 +448,12 @@ def _dot(x, y, u, v, mod: int | None, n: int | None = None) -> tuple[int, ...]:
     factor scales the other by ``_scale``, and otherwise one raw product is
     reduced mod p with no strip (over a domain lead(x) * lead(y) != 0).
     When each product has a one-coefficient operand, in either position,
-    the sum is taken coefficient by coefficient in one pass.  Otherwise
-    both products are taken unreduced (a factor (1,) copies its partner)
-    and summed into one buffer, each cut to its n low coefficients when n
-    bounds the result.  The last two get a single reduction pass and one
+    the sum is taken coefficient by coefficient in one pass.  Otherwise,
+    over F_p with each product long enough for Kronecker or with a factor
+    (1,), ``_packed_dot`` sums them on packed ints; else both products are
+    taken unreduced (a factor (1,) copies its partner) and summed into one
+    buffer.  Either cuts both products to their n low coefficients when n
+    bounds the result.  The last three get a single reduction pass and one
     strip."""
     if len(x) < 2 and len(y) < 2 and len(u) < 2 and len(v) < 2:
         s = (x[0] * y[0] if x and y else 0) + (u[0] * v[0] if u and v else 0)
@@ -469,6 +479,14 @@ def _dot(x, y, u, v, mod: int | None, n: int | None = None) -> tuple[int, ...]:
         if mod is None:
             return _strip([s * a + r * b for a, b in pairs])
         return _strip([(s * a + r * b) % mod for a, b in pairs])
+    # each product long enough for Kronecker (which _mul_cost always picks
+    # there over F_p) or with the factor (1,): one packed sum
+    if (
+        mod is not None
+        and (len(x) >= _KRONECKER_MIN_LEN <= len(y) or x == (1,) or y == (1,))
+        and (len(u) >= _KRONECKER_MIN_LEN <= len(v) or u == (1,) or v == (1,))
+    ):
+        return _packed_dot(x, y, u, v, mod, n)
     signed = mod is None
     cs, other = _raw_mul(x, y, signed, n), _raw_mul(u, v, signed, n)
     if len(cs) < len(other):
@@ -498,10 +516,12 @@ def _divmod_coeffs(a, b, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (), a
     if min(k, len(b)) >= _NEWTON_MIN_LEN:
         # rev(q) = rev(a) / rev(b) mod t^k; r = a - q*b, of which only
-        # the db low coefficients can be nonzero.
-        inv = _series_inverse(b[::-1][:k], k, p)
-        q = _mul_low(a[::-1], inv, k, p)[::-1]
-        low = _mul_low(q, b, db, p)
+        # the db low coefficients can be nonzero.  Each slot read below sums
+        # at most max(k, db) products of residues, so one width serves all.
+        w = _slot_width(max(k, db) * (p - 1) ** 2)
+        inv = _series_inverse(b[::-1], k, p, w)
+        q = _reduced(_evaluate(a[db:][::-1], w, 0) * inv, k, w, p)[::-1]
+        low = _slots(_evaluate(q[:db], w, 0) * _evaluate(b[:db], w, 0), db, w, False)
         rem = [(x - y) % p for x, y in zip(a[:db], low)]
     else:
         # Only the coefficient read next is reduced; the top coefficient a
@@ -550,13 +570,6 @@ def _raw_mul(a, b, signed: bool, n: int | None = None) -> list[int]:
             for i, ci in enumerate(a if j + la <= m else a[: m - j], j):
                 cs[i] += cj * ci
     return cs
-
-
-def _mul_low(a, b, n: int, p: int) -> list[int]:
-    """The min(n, len(a) + len(b) - 1) low coefficients of a*b over F_p,
-    reduced and not stripped (empty if either operand is): only a[:n] and
-    b[:n] are multiplied, and only n coefficients are read back."""
-    return [c % p for c in _raw_mul(a, b, False, n)]
 
 
 # The work budget of one nf request, in the digit products of _mul_cost: the
@@ -620,15 +633,33 @@ def _kronecker(a, b, bound: int, signed: bool, n: int) -> list[int]:
     every slot turns that digit back into c in two's complement.  A product
     cut to n < len(a) + len(b) - 1 slots is masked to them before the read.
     """
-    w = max(1, (bound.bit_length() + signed + 7) // 8)
-    if w <= 8:  # round up to a width with an array type
-        w = next(width for width in (1, 2, 4, 8) if width >= w)
+    w = _slot_width(bound, signed)
     # the top bit of each of the n slots, or 0 over F_p
     tops = int.from_bytes((1 << (8 * w - 1)).to_bytes(w, "little") * n, "little") if signed else 0
-    x = (_evaluate(a, w, tops) * _evaluate(b, w, tops) + tops) ^ tops
-    if n < len(a) + len(b) - 1:
-        x &= (1 << (8 * w * n)) - 1
-    return _slots(x, n, w, signed)
+    return _slots((_evaluate(a, w, tops) * _evaluate(b, w, tops) + tops) ^ tops, n, w, signed)
+
+
+def _slot_width(bound: int, signed: bool = False) -> int:
+    """The least slot width w in bytes with bound < 2**(8*w) (2**(8*w - 1)
+    if signed), rounded up to 1, 2, 4 or 8 bytes, the widths with an array
+    type, while it is at most 8."""
+    w = max(1, (bound.bit_length() + signed + 7) // 8)
+    return w if w > 8 else next(width for width in (1, 2, 4, 8) if width >= w)
+
+
+def _packed_dot(x, y, u, v, p: int, n: int | None) -> tuple[int, ...]:
+    """The canonical coefficient tuple of x*y + u*v over F_p, with at most
+    n coefficients if n is given, for products whose operands are each
+    long enough for Kronecker or a factor (1,): the packed products are
+    summed as ints in slots wide enough for the sum of both products'
+    bounds, and the sum is read back once, cut to its n low slots."""
+    m = max(len(x) + len(y), len(u) + len(v)) - 1
+    if n is not None and n < m:
+        x, y, u, v, m = x[:n], y[:n], u[:n], v[:n], n
+    pairs = [(g, f) if f == (1,) else (f, g) for f, g in ((x, y), (u, v))]  # a factor (1,) second
+    w = _slot_width(sum(p - 1 if g == (1,) else min(len(f), len(g)) * (p - 1) ** 2 for f, g in pairs))
+    total = sum(_evaluate(f, w, 0) if g == (1,) else _evaluate(f, w, 0) * _evaluate(g, w, 0) for f, g in pairs)
+    return _strip(_reduced(total, m, w, p))
 
 
 def _evaluate(cs, w: int, tops: int) -> int:
@@ -644,27 +675,38 @@ def _evaluate(cs, w: int, tops: int) -> int:
 
 
 def _slots(x: int, n: int, w: int, signed: bool) -> list[int]:
-    """The n w-byte slots of 0 <= x < 2**(8*w*n), least significant first,
-    read as two's complement if ``signed``."""
-    data = x.to_bytes(n * w, "little")
+    """The n low w-byte slots of x >= 0, least significant first, read as
+    two's complement if ``signed``."""
+    data = (x & ((1 << (8 * w * n)) - 1)).to_bytes(n * w, "little")
     code = _SLOT_CODES.get(w)
     if code is not None:
         return array(code.lower() if signed else code, data).tolist()
     return [int.from_bytes(data[i : i + w], "little", signed=signed) for i in range(0, n * w, w)]
 
 
-def _series_inverse(f, k: int, p: int) -> list[int]:
-    """The k coefficients of g with f*g = 1 mod (p, t^k), f[0] != 0, by
-    Newton iteration, which doubles the number h of correct coefficients per
-    step and computes only the correction: with f*g = 1 + t^h*e mod t^2h,
-    g <- g - t^h*(g*e mod t^h)."""
-    g = [pow(f[0], -1, p)]
-    while len(g) < k:
-        h = len(g)
+def _reduced(x: int, n: int, w: int, p: int) -> list[int]:
+    """The n low w-byte slots of x >= 0, reduced mod p."""
+    return [c % p for c in _slots(x, n, w, False)]
+
+
+def _series_inverse(f, k: int, p: int, w: int) -> int:
+    """The k reduced coefficients of g with f*g = 1 mod (p, t^k), f[0] != 0,
+    packed in w-byte slots that hold k*(p - 1)**2, by Newton iteration on
+    the packed ints.  Each step doubles the number h of correct
+    coefficients and computes only the correction: with f*g = 1 + t^h*e mod
+    t^2h, g <- g - t^h*(g*e mod t^h).  A mask truncates, e is slots h..2h-1
+    of f*g read by a right shift (the middle product), and only the h
+    coefficients of e and of the correction are unpacked, reduced and
+    packed again."""
+    bits = 8 * w
+    packed_f = _evaluate(f[:k], w, 0)
+    g, h = pow(f[0], -1, p), 1
+    while h < k:
         prec = min(2 * h, k)
-        e = _mul_low(f, g, prec, p)[h:]
-        g += [-c % p for c in _mul_low(g, e, prec - h, p)]
-        g += [0] * (prec - len(g))
+        e = _reduced((packed_f & ((1 << (bits * prec)) - 1)) * g >> (bits * h), prec - h, w, p)
+        correction = _slots((g & ((1 << (bits * (prec - h))) - 1)) * _evaluate(e, w, 0), prec - h, w, False)
+        g |= _evaluate([-c % p for c in correction], w, 0) << (bits * h)
+        h = prec
     return g
 
 

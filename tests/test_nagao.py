@@ -377,13 +377,17 @@ def test_degree_reduction_stops_at_its_step_bound(monkeypatch):
         _nf_by_degree_reduction(AmalgamStructure(3), m)
 
 
-def test_nagao_nf_rejects_wrong_ring_or_det():
+def test_nagao_nf_rejects_wrong_ring_or_det(monkeypatch):
     with pytest.raises(ValueError):
         nagao_normal_form(3, identity(2))
     with pytest.raises(ValueError, match="determinant must be 1, got 2"):
         nagao_normal_form(3, const_mat(1, 0, 0, 2, 3))
+    # the full determinant is taken once, for the test and the message
+    det, calls = Mat2.det, []
+    monkeypatch.setattr(Mat2, "det", lambda m: calls.append(m) or det(m))
     with pytest.raises(ValueError, match=r"determinant must be 1, got 1 \+ t"):
         nagao_normal_form(5, parse_matrix("[[1 + t, 0], [0, 1]]", 5))
+    assert len(calls) == 1
 
 
 # -- E2(Z[t]) words --------------------------------------------------------

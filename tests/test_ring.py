@@ -557,6 +557,58 @@ def test_dot_kernel_scalar_pairs():
                 assert _dot(*ops) == _dot_oracle(*ops) == -low, (mod, lf)
 
 
+def test_packed_dot_tight_width():
+    """Over F_p, where each product alone fits a narrower slot than the sum
+    of the two, the packed sum takes its width from both bounds: every
+    coefficient p - 1, with and without a length bound n."""
+    for p in (2, 3, 7, 2**31 - 1, 2**64 - 59):
+        bound = (p - 1) ** 2
+        length = next(n for n in itertools.count(ring._KRONECKER_MIN_LEN)
+                      if ring._slot_width(2 * n * bound) > ring._slot_width(n * bound))
+        assert length < 1000, p
+        f, g = Poly([p - 1] * length, p), Poly([p - 1] * (length + 3), p)
+        for ops in ((f, f, f, f), (f, g, g, f), (g, f, f, g)):
+            full = _dot_oracle(*ops)
+            assert _dot(*ops) == full, (p, length)
+            for n in (len(full.coeffs), length, length - 1):
+                assert _dot(*ops, n) == Poly(full.coeffs[:n], p), (p, length, n)
+
+
+def test_packed_dot_factor_one_in_each_position():
+    """x + u*v over F_p with the factor (1,) in each of the four operand
+    positions, every coefficient p - 1, with and without a length bound n;
+    at p = 2 and 255 coefficients the product alone fits one-byte slots and
+    the sum does not.  The factor is recognized by value, not identity."""
+    for p in PRIMES:
+        x = ring._KRONECKER_MIN_LEN
+        for lf, lg in ((x, x), (3 * x, x + 1), (x + 2, 5 * x)) + (((255, 255), (300, 255)) if p == 2 else ()):
+            one = Poly([1], p)  # its (1,) is built anew, not ring's constant
+            f, g, h = Poly([p - 1] * lf, p), Poly([p - 1] * lg, p), Poly([p - 1] * (lg + 1), p)
+            for ops in ((one, f, g, h), (f, one, g, h), (g, h, one, f), (g, h, f, one)):
+                full = _dot_oracle(*ops)
+                assert _dot(*ops) == full, (p, lf, lg)
+                for n in (len(full.coeffs), lg):
+                    assert _dot(*ops, n) == Poly(full.coeffs[:n], p), (p, lf, lg, n)
+
+
+def test_dot_takes_the_packed_sum_where_both_products_qualify(monkeypatch):
+    """Over F_p, _dot sums packed exactly when each product has a shorter
+    operand of at least _KRONECKER_MIN_LEN coefficients or the factor (1,),
+    recognized by value; over Z, and with a short product, it does not."""
+    calls = []
+    packed = ring._packed_dot
+    monkeypatch.setattr(ring, "_packed_dot", lambda *args: calls.append(args) or packed(*args))
+    x, p = ring._KRONECKER_MIN_LEN, 101
+    long, short, one = (1,) * x, (1,) * (x - 1), tuple([1])
+    for ops, expected in (((long, long, long, long), True), ((one, long, long, long), True),
+                          ((long, long, long, one), True), ((short, long, long, long), False),
+                          ((long, long, long, short), False), ((one, short, long, short), False)):
+        for mod in (p, None):
+            calls.clear()
+            ring._dot(*ops, mod)
+            assert bool(calls) is (expected and mod is not None), (ops, mod)
+
+
 @st.composite
 def _dot_operands(draw):
     mod = draw(st.sampled_from((None,) + PRIMES))
@@ -608,6 +660,67 @@ def _divmod_operands(draw):
 @settings(max_examples=80, deadline=None)
 @given(_divmod_operands())
 def test_divmod_kernel_property(pair):
+    a, b = pair
+    assert divmod(a, b) == schoolbook_divmod(a, b)
+
+
+# One prime per slot width of the packed Newton division, whose width comes
+# from max(k, db) * (p - 1)**2: 1-byte slots (p = 2, and p = 3 below 64
+# coefficients), 2-byte (p = 3 from 64, p = 7), 4-byte (p = 101), 8-byte
+# (p = 65537), and the to_bytes slots of 9 and 17 bytes (2**31 - 1, 2**64 - 59).
+NEWTON_PRIMES = PRIMES + (65537,)
+
+
+def _tight_divisor(p, lb):
+    """A divisor of lb coefficients with rev(b) = -1 + t, so that rev(b)^-1
+    = -(1 + t + t^2 + ...) has every coefficient p - 1: the quotient's
+    packed product then sums k products (p - 1)**2 in its top slot."""
+    return Poly([0] * (lb - 2) + [1, p - 1], p)
+
+
+def test_newton_division_every_slot_width():
+    """The packed Newton division against long division in every slot
+    width, with every coefficient p - 1 or the quotient's product at its
+    bound, and the divisor longer, as long as, or shorter than the quotient."""
+    rng = random.Random(919)
+    x = ring._NEWTON_MIN_LEN
+    widths = set()
+    for p in NEWTON_PRIMES:
+        for lb, lq in ((x, x), (x, 2 * x + 5), (2 * x + 5, x), (x + 1, 70), (70, x + 1)):
+            k, db = lq, lb - 1
+            widths.add(ring._slot_width(max(k, db) * (p - 1) ** 2))
+            la = lb + lq - 1
+            top = Poly([p - 1] * la, p)
+            for a, b in ((top, Poly([p - 1] * lb, p)), (top, _tight_divisor(p, lb)),
+                         (dense_poly(rng, p, la), dense_poly(rng, p, lb))):
+                q, r = divmod(a, b)
+                assert (q, r) == schoolbook_divmod(a, b), (p, lb, lq)
+    assert widths == {1, 2, 4, 8, 9, 17}
+
+
+@st.composite
+def _newton_operands(draw):
+    """A dividend and divisor over F_p of every slot width, with divisor and
+    quotient lengths on both sides of _NEWTON_MIN_LEN and either one the
+    longer, and optionally every coefficient p - 1 or the tight divisor."""
+    p = draw(st.sampled_from(NEWTON_PRIMES))
+    x = ring._NEWTON_MIN_LEN
+    size = st.integers(x - 2, x + 2) | st.integers(1, 3 * x)
+    lb, lq = draw(size.filter(lambda n: n >= 2)), draw(size)
+    shape = draw(st.sampled_from(("random", "top", "tight")))
+    if shape == "random":
+        coeff = st.integers(0, p - 1)
+        b = Poly(draw(st.lists(coeff, min_size=lb - 1, max_size=lb - 1)) + [draw(st.integers(1, p - 1))], p)
+        a = Poly(draw(st.lists(coeff, min_size=lb + lq - 1, max_size=lb + lq - 1)), p)
+    else:
+        b = Poly([p - 1] * lb, p) if shape == "top" else _tight_divisor(p, lb)
+        a = Poly([p - 1] * (lb + lq - 1), p)
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(_newton_operands())
+def test_newton_division_property(pair):
     a, b = pair
     assert divmod(a, b) == schoolbook_divmod(a, b)
 
@@ -674,33 +787,60 @@ def _truncated_products(draw):
 @settings(max_examples=200, deadline=None)
 @given(_truncated_products())
 def test_truncated_product_equals_schoolbook_slice(case):
-    """_mul_low, and the truncated raw product over Z, are the low n
+    """The truncated raw product, reduced mod p over F_p, and over F_p the
+    packed product of _packed_dot cut to n slots, are the low n
     coefficients of the schoolbook product."""
     a, b, n = case
     low = list(schoolbook_mul(a, b).coeffs[:n])
     if a.mod is None:
         assert ring._raw_mul(a.coeffs, b.coeffs, True, n) == low
     else:
-        assert ring._mul_low(a.coeffs, b.coeffs, n, a.mod) == low
-        assert ring._mul_low(list(b.coeffs), list(a.coeffs), n, a.mod) == low
+        p = a.mod
+        assert [c % p for c in ring._raw_mul(a.coeffs, b.coeffs, False, n)] == low
+        assert [c % p for c in ring._raw_mul(list(b.coeffs), list(a.coeffs), False, n)] == low
+        assert ring._packed_dot(a.coeffs, b.coeffs, (), (), p, n) == Poly(low, p).coeffs
 
 
 @settings(max_examples=150, deadline=None)
 @given(
-    st.sampled_from(PRIMES),
+    st.sampled_from(NEWTON_PRIMES),
     st.sampled_from((1, 2, 3, 5, 17, ring._NEWTON_MIN_LEN - 1, ring._NEWTON_MIN_LEN, ring._NEWTON_MIN_LEN + 1))
     | st.integers(1, 4 * ring._NEWTON_MIN_LEN),
     st.integers(1, 4 * ring._NEWTON_MIN_LEN),
     st.randoms(use_true_random=False),
 )
 def test_series_inverse_property(p, k, length, rnd):
-    """_series_inverse(f, k, p) has k coefficients and times f is 1 mod t^k,
-    also for f shorter than k, as when a divisor is shorter than its quotient."""
+    """_series_inverse(f, k, p, w) is k reduced coefficients in w-byte slots
+    and times f is 1 mod t^k, also for f shorter than k, as when a divisor
+    is shorter than its quotient."""
     f = [rnd.randrange(1, p)] + [rnd.randrange(p) for _ in range(length - 1)]
-    g = ring._series_inverse(f, k, p)
-    assert len(g) == k
+    w = ring._slot_width(k * (p - 1) ** 2)
+    packed = ring._series_inverse(f, k, p, w)
+    assert 0 <= packed < 2 ** (8 * w * k)
+    g = ring._slots(packed, k, w, False)
+    assert all(0 <= c < p for c in g)
     product = schoolbook_mul(Poly(f, p), Poly(g, p)).coeffs
     assert list(product[:k]) + [0] * (k - len(product)) == [1] + [0] * (k - 1)
+
+
+@pytest.mark.parametrize("oracle", [
+    test_mul_kernel_around_crossover,
+    test_mul_kernel_extreme_coefficients,
+    test_divmod_kernel_both_sides_of_crossover,
+    test_newton_division_every_slot_width,
+    test_newton_division_property,
+    test_dot_kernel_matches_poly_operators,
+    test_dot_kernel_cancellation,
+    test_packed_dot_tight_width,
+    test_packed_dot_factor_one_in_each_position,
+    test_dot_kernel_property,
+], ids=lambda f: f.__name__)
+def test_kernels_without_array_slots(monkeypatch, oracle):
+    """With no array type codes, as on a big-endian host, every slot width
+    packs and unpacks through int.to_bytes; the multiply, divide and _dot
+    oracles hold there too."""
+    monkeypatch.setattr(ring, "_SLOT_CODES", {})
+    oracle()
 
 
 def test_is_prime():
