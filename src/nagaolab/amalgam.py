@@ -15,15 +15,17 @@ element is held as its engine form, the tuple (a, b, c, d) with a, c, d
 canonical ints (reduced mod p over F_p) and b the canonical coefficient
 tuple of the upper-right entry.  ``_mul`` is the one product: int arithmetic
 when both b entries are constant, a scalar times coefficient-tuple sum when
-both lower-left entries are 0, and a RuntimeError (engine bug) for anything
-else.  ``transversal`` builds each representative and its inverse on forms,
-and ``decompose`` re-checks every split there: a * s reproduces the input,
-a lies in A and s in its factor only.  ``normalize`` is three steps:
-``_check_letter`` checks each input letter into its form (tag 1 or 2,
-membership on ``_factors``); ``_rewrite`` folds the (factor, form) pairs
-with one ``decompose`` per letter and checks the normal-form invariants of
-its result with ``_check_forms``; ``_build`` makes the ``Mat2`` objects of
-the returned ``NormalForm``.
+both lower-left entries are 0 (reduced mod p in the same pass), and a
+RuntimeError (engine bug) for anything else.  ``transversal`` builds each
+representative on forms and the A-part a = x * s^-1 in closed form, with no
+product: [[a, b(0)], [0, d]] in factor 2, and from the ints in factor 1.  So
+the one product of a split is the re-check in ``decompose``: a * s
+reproduces the input, a lies in A and s in its factor only.  ``normalize``
+is three steps: ``_check_letter`` checks each input letter into its form
+(tag 1 or 2, membership on ``_factors``); ``_rewrite`` folds the (factor,
+form) pairs with one ``decompose`` per letter and checks the normal-form
+invariants of its result with ``_check_forms``; ``_build`` makes the
+``Mat2`` objects of the returned ``NormalForm``.
 
 Engine forms stay inside the package.  In ``nagao`` the Euclid word of
 ``nagao_normal_form`` and the reduced word of ``phi_p`` enter ``_rewrite``
@@ -150,11 +152,10 @@ class AmalgamStructure:
         if c or g:
             raise RuntimeError("engine product of elements outside one factor (engine bug)")
         # [[a, b], [0, d]] * [[e, f], [0, h]] = [[a*e, a*f + b*h], [0, d*h]]
-        cs = [a * fi + h * bi for bi, fi in zip_longest(b, f, fillvalue=0)]
-        a, d = a * e, d * h
-        if mod is not None:
-            cs, a, d = [v % mod for v in cs], a % mod, d % mod
-        return (a, _strip(cs), 0, d)
+        pairs = zip_longest(b, f, fillvalue=0)
+        if mod is None:
+            return (a * e, _strip([a * fi + h * bi for bi, fi in pairs]), 0, d * h)
+        return (a * e % mod, _strip([(a * fi + h * bi) % mod for bi, fi in pairs]), 0, d * h % mod)
 
     def transversal(self, factor: int, x: Form) -> tuple[Form, Form | None]:
         """Split a factor element as (a, s) with x = a * s; s None iff x in A."""
@@ -164,28 +165,30 @@ class AmalgamStructure:
             if c == 0:
                 return x, None
             # Scale the bottom row by the unit u that makes c canonical:
-            # u = sign(c) over Z, u = c^-1 over F_p (so c becomes 1).
+            # u = sign(c) over Z, u = c^-1 over F_p (so c becomes 1).  Under
+            # det 1, s^-1 = [[d, -y], [-c, r]] for s = [[r, y], [c, d]], and
+            # x * s^-1 = [[a*d - b*c, b*r - a*y], [0, u^-1]] in the scaled c
+            # and d, since x's bottom row is u^-1 times s's.
+            b = b[0] if b else 0
             if mod is None:
-                u = 1 if c > 0 else -1
-                c, d = c * u, d * u
+                u_inv = 1 if c > 0 else -1  # u = u^-1
+                c, d = c * u_inv, d * u_inv
                 r = pow(d, -1, c)
                 y = (r * d - 1) // c
-            else:
-                c, d = 1, d * pow(c, -1, mod) % mod
+                head, top = a * d - b * c, b * r - a * y
+            else:  # u^-1 = c, r = 0 and y = -1
+                u_inv, c, d = c, 1, d * pow(c, -1, mod) % mod
                 r, y = 0, mod - 1
+                head, top = (a * d - b) % mod, a
             s = (r, (y,) if y else (), c, d)
             if self._factors(s) != (1,):
                 raise RuntimeError("coset representative has determinant other than 1 (engine bug)")
-            # under det 1, [[r, y], [c, d]]^-1 = [[d, -y], [-c, r]]
-            neg_y, neg_c = (-y, -c) if mod is None else (-y % mod, -c % mod)
-            s_inv = (d, (neg_y,) if neg_y else (), neg_c, r)
-        else:
-            if len(b) < 2:
-                return x, None
-            # s = E12(r) with r = u^-1 * (f - f(0)), u = a; s^-1 = E12(-r)
-            rep = (0,) + _scale(b[1:], _unit_inverse(a, mod), mod)
-            s, s_inv = (1, rep, 0, 1), (1, _scale(rep, -1, mod), 0, 1)
-        return self._mul(x, s_inv), s
+            return (head, (top,) if top else (), 0, u_inv), s
+        if len(b) < 2:
+            return x, None
+        # s = E12(r) with r = u^-1 * (f - f(0)), u = a, and x * s^-1 =
+        # [[a, f - a*r], [0, d]] = [[a, f(0)], [0, d]]
+        return (a, b[:1] if b[0] else (), 0, d), (1, (0,) + _scale(b[1:], _unit_inverse(a, mod), mod), 0, 1)
 
     def decompose(self, factor: int, x: Form) -> tuple[Form, Form | None]:
         """Transversal split of an engine form with the exactness re-check.

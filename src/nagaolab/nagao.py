@@ -3,19 +3,20 @@
 Over R = F_p, matrices decompose into normal form by two independent
 algorithms (elementary factorization fed as engine forms through the
 checked rewrite of ``AmalgamStructure``, and direct degree reduction on
-columns, which shares only the normal-form check with the rewriter);
-``nagao_normal_form`` runs both, insists they agree letter for letter on
-engine forms, and builds the ``NormalForm`` once, for its answer.  Normal
-forms are unique (Serre, *Trees*, I.1.2), so equal forms are a complete
-check.
+columns, which shares only the normal-form check with the rewriter).  Their
+core ``_nagao_forms`` runs both and insists they agree letter for letter on
+engine forms; ``nagao_normal_form`` builds the ``NormalForm`` once, for its
+answer.  Normal forms are unique (Serre, *Trees*, I.1.2), so equal forms
+are a complete check.
 
 Over R = Z, elements enter as words in the two factors, never as bare
 matrices: Z[t] is not Euclidean, so elementary membership of a raw
 integer-polynomial matrix is not decidable by the methods here.  That is a
 hard boundary of the API.  ``phi_p`` reduces such words mod p and checks the
-result against the matrix decomposition over F_p, comparing engine forms;
-it builds a ``Mat2`` only for the reduced product it returns.  Every
-factorization must multiply back (``gl2._mat_prod`` over ``Gen._coeffs``).
+result against the matrix decomposition over F_p, comparing engine forms
+with those of ``_nagao_forms``; it builds the reduced product it returns
+and, once, the ``NormalForm`` of the matrix route.  Every factorization
+must multiply back (``gl2._mat_prod`` over ``Gen._coeffs``).
 """
 
 from __future__ import annotations
@@ -231,6 +232,13 @@ def nagao_normal_form(p: int, m: Mat2) -> NormalForm:
     CrossValidationError.  The ``NormalForm`` is built once, for the answer.
     """
     struct = AmalgamStructure(p)
+    return struct._build(*_nagao_forms(struct, m))
+
+
+def _nagao_forms(struct: AmalgamStructure, m: Mat2) -> tuple[Form, tuple[tuple[int, Form], ...]]:
+    """The cross-validated normal form of ``nagao_normal_form`` as engine
+    forms (head, tail) over the ring of ``struct``."""
+    p = struct.mod
     if m.mod != p:
         raise ValueError(f"matrix is not over coefficients mod {p}")
     gens = sl2fpt_elementary_factor(m)  # raises ValueError unless det m == 1
@@ -241,7 +249,7 @@ def nagao_normal_form(p: int, m: Mat2) -> NormalForm:
             "normal form algorithms disagree (implementation bug): "
             f"{struct._build(*by_rewriter)} vs {struct._build(*by_degrees)}"
         )
-    return struct._build(*by_rewriter)
+    return by_rewriter
 
 
 def e2zt_normal_form(word) -> NormalForm:
@@ -259,24 +267,22 @@ def phi_p(word, p: int):
 
     Each letter is checked into its engine form over Z once.  The word is
     multiplied out on coefficient quadruples by ``gl2._mat_prod``, and only
-    the reduced product is built as a ``Mat2``.  The
-    forms reduced mod p are checked for membership again before the
-    rewrite, and the two routes are compared on engine forms.
+    the reduced product is built as a ``Mat2``; its cross-validated normal
+    form comes as engine forms from ``_nagao_forms``, the core it shares
+    with ``nagao_normal_form``.  The forms reduced mod p are checked for
+    membership again before the rewrite, the two routes are compared on
+    engine forms, and the ``NormalForm`` is built once, for the answer.
     """
     struct_z, struct_p = AmalgamStructure(), AmalgamStructure(p)
     word = [(l, struct_z._check_letter(l.factor, struct_z._form_of(l.mat), l.mat)) for l in word]
     x = _mat_prod([l.mat.coeffs for l, _ in word], None)
     mat_p = Mat2._of_coeffs([_reduce_coeffs(e, p) for e in x], p)
-    via_matrix = nagao_normal_form(p, mat_p)
+    via_matrix = _nagao_forms(struct_p, mat_p)
     reduced = [(l.factor, (a % p, _reduce_coeffs(b, p), c % p, d % p)) for l, (a, b, c, d) in word]
     via_word = struct_p._rewrite([(f, struct_p._check_letter(f, x)) for f, x in reduced])
-    matrix_forms = (
-        struct_p._form_of(via_matrix.head),
-        tuple((l.factor, struct_p._form_of(l.mat)) for l in via_matrix.tail),
-    )
-    if matrix_forms != via_word:
+    if via_matrix != via_word:
         raise CrossValidationError(
             "reduction mod p along words and along matrices disagree: "
-            f"{via_matrix} vs {struct_p._build(*via_word)}"
+            f"{struct_p._build(*via_matrix)} vs {struct_p._build(*via_word)}"
         )
-    return mat_p, via_matrix
+    return mat_p, struct_p._build(*via_matrix)

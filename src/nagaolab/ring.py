@@ -49,16 +49,18 @@ constant letter and most column updates), and otherwise both products
 summed and read back with one reduction pass and one strip.  Over F_p, when
 each product is long enough for Kronecker or has the factor (1,), the sum is
 taken on the packed ints, in slots wide enough for both products' bounds,
-and read back once (``_packed_dot``); otherwise the raw products are summed
-into one buffer (a factor 1 costs one copy).  So x + f*y is ``_dot(x, (1,),
-f, y, mod)``, the column update of the Euclid and degree-reduction oracles
-and of ``phi_p``'s product, which run on coefficient tuples with these
-kernels, ``_divmod_coeffs`` and ``_scale`` (a unit times a polynomial).
-Given a bound n on the length of the result, as det = 1 gives the column
-updates of ``nagao``, ``_dot`` cuts both products of that last branch to
-their n low coefficients: ``_raw_mul`` multiplies only a[:n] and b[:n] and
-stops each schoolbook row at coefficient n, and a packed product or sum is
-masked to n slots before it is read back.
+and read back once (``_packed_dot``); otherwise the second raw product is
+accumulated into the first one's list: the product with a one-coefficient
+operand goes first (a factor 1 costs one copy), and ``_raw_mul`` adds the
+other's schoolbook rows, or its Kronecker slots, into that list.  So x +
+f*y is ``_dot(x, (1,), f, y, mod)``, the column update of the Euclid and
+degree-reduction oracles and of ``phi_p``'s product, which run on
+coefficient tuples with these kernels, ``_divmod_coeffs`` and ``_scale`` (a
+unit times a polynomial).  Given a bound n on the length of the result, as
+det = 1 gives the column updates of ``nagao``, ``_dot`` cuts both products
+of that last branch to their n low coefficients: ``_raw_mul`` multiplies
+only a[:n] and b[:n] and stops each schoolbook row at coefficient n, and a
+packed product or sum is masked to n slots before it is read back.
 
 ``_mul_cost`` prices a product, for the kernel it picks, in 30-bit digit
 products; ``_charge`` refuses an ``nf`` request whose priced work passes
@@ -451,8 +453,9 @@ def _dot(x, y, u, v, mod: int | None, n: int | None = None) -> tuple[int, ...]:
     the sum is taken coefficient by coefficient in one pass.  Otherwise,
     over F_p with each product long enough for Kronecker or with a factor
     (1,), ``_packed_dot`` sums them on packed ints; else both products are
-    taken unreduced (a factor (1,) copies its partner) and summed into one
-    buffer.  Either cuts both products to their n low coefficients when n
+    taken unreduced, the one with a one-coefficient operand first (a factor
+    (1,) copies its partner), and the second is added into the first one's
+    list.  Either cuts both products to their n low coefficients when n
     bounds the result.  The last three get a single reduction pass and one
     strip."""
     if len(x) < 2 and len(y) < 2 and len(u) < 2 and len(v) < 2:
@@ -487,12 +490,12 @@ def _dot(x, y, u, v, mod: int | None, n: int | None = None) -> tuple[int, ...]:
         and (len(u) >= _KRONECKER_MIN_LEN <= len(v) or u == (1,) or v == (1,))
     ):
         return _packed_dot(x, y, u, v, mod, n)
+    # the product with a one-coefficient operand, if either has one, starts
+    # the sum as a (scaled) copy, and the other is added into its list
+    if len(u) == 1 or len(v) == 1:
+        x, y, u, v = u, v, x, y
     signed = mod is None
-    cs, other = _raw_mul(x, y, signed, n), _raw_mul(u, v, signed, n)
-    if len(cs) < len(other):
-        cs, other = other, cs
-    for i, c in enumerate(other):
-        cs[i] += c
+    cs = _raw_mul(u, v, signed, n, _raw_mul(x, y, signed, n))
     if mod is not None:
         cs = [c % mod for c in cs]
     return _strip(cs)
@@ -542,34 +545,44 @@ def _divmod_coeffs(a, b, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(q), _strip(rem)
 
 
-def _raw_mul(a, b, signed: bool, n: int | None = None) -> list[int]:
-    """Unreduced coefficients of a*b as a new list, only its n low ones if n
-    is given, empty if either operand is; ``signed`` is False only for
-    coefficients that are all >= 0.  A factor (1,) gives a copy of the other
-    operand."""
+def _raw_mul(a, b, signed: bool, n: int | None = None, acc: list[int] | None = None) -> list[int]:
+    """acc plus the unreduced coefficients of a*b, only the n low ones of
+    a*b if n is given, as one list: the schoolbook rows are added into acc,
+    grown with zeros to their length, and of acc and the Kronecker slots the
+    shorter is added into the longer.  Without acc, or with acc empty, the
+    product is a new list, and a factor (1,) gives a copy of the other
+    operand.  ``signed`` is False only for coefficients that are all >= 0."""
+    if acc is None:
+        acc = []
     if not a or not b:
-        return []
+        return acc
     if len(a) < len(b):
         a, b = b, a
     m = len(a) + len(b) - 1
     if n is not None and n < m:
         a, b, m = a[:n], b[:n], n
-    if len(b) == 1:
+    if len(b) == 1 and not acc:
         c = b[0]
         return list(a) if c == 1 else [c * e for e in a]
     la = len(a)
     if len(b) >= _KRONECKER_MIN_LEN:
         ma, mb = (max(map(abs, a)), max(map(abs, b))) if signed else (max(a), max(b))
         if _mul_cost(la, len(b), ma.bit_length(), mb.bit_length())[1]:
-            return _kronecker(a, b, len(b) * ma * mb, signed, m)
+            cs = _kronecker(a, b, len(b) * ma * mb, signed, m)
+            if len(cs) < len(acc):
+                cs, acc = acc, cs
+            for i, c in enumerate(acc):
+                cs[i] += c
+            return cs
+    if len(acc) < m:
+        acc += [0] * (m - len(acc))
     # the shorter operand in the outer loop, so the inner loop runs longest;
     # a row stops at coefficient m
-    cs = [0] * m
     for j, cj in enumerate(b):
         if cj:
             for i, ci in enumerate(a if j + la <= m else a[: m - j], j):
-                cs[i] += cj * ci
-    return cs
+                acc[i] += cj * ci
+    return acc
 
 
 # The work budget of one nf request, in the digit products of _mul_cost: the

@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nagaolab.amalgam import AmalgamStructure, Letter, NormalForm, _mat
-from nagaolab.gl2 import Mat2, diag, e12, e21, identity, w
+from nagaolab.gl2 import Mat2, _mat_mul, diag, e12, e21, identity, w
 from nagaolab.ring import Poly
 
 from helpers import (
@@ -412,6 +413,54 @@ def test_engine_matches_mat2(data):
         assert _mat(a, mod) * _mat(rep, mod) == x
         assert _mat(rep, mod) == _expected_rep(mod, factor, x)
         assert s.factors(_mat(rep, mod)) == (factor,)
+
+
+@st.composite
+def _split_inputs(draw):
+    """(mod, factor, x): an engine form outside A in factor 1, or in factor
+    2 over Z with a = d = +-1 and over F_p with a unit a != 1 and b(0) = 0
+    or b(0) != 0."""
+    mod = draw(st.sampled_from([None, 3, 7, 101, 2**64 - 59]))
+    factor = draw(st.sampled_from([1, 2]))
+    coeff = st.integers(-(2**70), 2**70) | st.integers(-9, 9) if mod is None else st.integers(0, mod - 1)
+    nonzero = coeff.filter(bool)
+    if factor == 2:
+        a = draw(st.sampled_from([1, -1]) if mod is None else st.integers(2, mod - 1))
+        d = a if mod is None else pow(a, -1, mod)
+        b0 = draw(st.sampled_from([0]) | nonzero)
+        b = Poly([b0] + draw(st.lists(coeff, max_size=6)) + [draw(nonzero)], mod).coeffs
+        return mod, factor, (a, b, 0, d)
+    c = draw(nonzero)
+    if mod is None:  # a*d - b*c = 1 needs gcd(c, d) = 1
+        d = draw(coeff.filter(lambda v: math.gcd(v, c) == 1))
+        a = pow(d, -1, abs(c)) + draw(st.integers(-3, 3)) * c
+        b = (a * d - 1) // c
+    else:
+        a, d = draw(coeff), draw(coeff)
+        b = (a * d - 1) * pow(c, -1, mod) % mod
+    return mod, factor, (a, (b,) if b else (), c, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_split_inputs())
+def test_closed_form_split_is_the_product_by_the_inverse(case):
+    """The A-part that transversal builds in closed form equals x * s^-1,
+    taken by gl2._mat_mul on x's quadruple and on s^-1's, both written out
+    here without the engine: [[r, y], [c, d]]^-1 = [[d, -y], [-c, r]]
+    under det 1.  decompose's re-check accepts the split."""
+    mod, factor, x = case
+
+    def quad(form):
+        a, b, c, d = form
+        return tuple(Poly(e, mod).coeffs for e in ((a,), b, (c,), (d,)))
+
+    s = AmalgamStructure(mod)
+    head, rep = s.transversal(factor, x)
+    r, y, c, d = quad(rep)
+    inverse = (d, (-Poly(y, mod)).coeffs, (-Poly(c, mod)).coeffs, r)
+    a, b, c, d = _mat_mul(quad(x), inverse, mod)
+    assert head == (a[0] if a else 0, b, c[0] if c else 0, d[0] if d else 0)
+    assert s.decompose(factor, x) == (head, rep)
 
 
 def test_engine_product_outside_one_factor_is_a_bug():

@@ -344,6 +344,34 @@ def test_phi_p_refuses_disagreeing_routes(monkeypatch):
     assert f"{right} vs {wrong}" in str(info.value)
 
 
+def test_phi_p_builds_the_matrix_route_once():
+    """phi_p compares the two routes on engine forms: it builds one
+    NormalForm (one Mat2 per head and tail letter) and one Mat2 for the
+    reduced product, and reads forms only off the word's own letters,
+    never back off the NormalForm it returns."""
+    rng = random.Random(2013)
+    build, of_coeffs, form_of = AmalgamStructure._build, Mat2._of_coeffs, AmalgamStructure._form_of
+    for p in (2, 3, 5, 7):
+        for length in (0, 1, 6, 12):
+            word = rand_word(rng, None, length, 3)
+            counts = {"build": 0, "mat2": 0, "form_of": 0}
+
+            def counting(name, fn):
+                def wrapped(*args):
+                    counts[name] += 1
+                    return fn(*args)
+                return wrapped
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(AmalgamStructure, "_build", counting("build", build))
+                patch.setattr(Mat2, "_of_coeffs", counting("mat2", of_coeffs))
+                patch.setattr(AmalgamStructure, "_form_of", counting("form_of", form_of))
+                mat, nf = phi_p(word, p)
+            assert counts == {"build": 1, "mat2": 2 + nf.length, "form_of": length}, (p, length)
+            assert mat == evaluate_word(word, None).reduce_mod_p(p)
+            assert AmalgamStructure(p).nf_evaluate(nf) == mat
+
+
 def test_nagao_nf_decides_equality():
     rng = random.Random(2005)
     s = AmalgamStructure(3)

@@ -625,6 +625,69 @@ def test_dot_kernel_property(ops):
     assert _dot(*ops, max(len(full.coeffs), 1)) == full
 
 
+@st.composite
+def _accumulated_dots(draw):
+    """Operands of _dot's last branch, where the second product is added
+    into the first one's list: a factor (1,) in any of the four positions,
+    a product on Kronecker beside one on the schoolbook loop, or two on the
+    loop; either product the longer; and a bound n below, between or above
+    the two product lengths, or none.  Over F_p a product beside a factor
+    (1,) or a Kronecker product has a short operand, or the sum would be
+    packed."""
+    mod = draw(st.sampled_from((None,) + PRIMES))
+    coeff = st.integers(-(2**100), 2**100) | st.integers(-4, 4) if mod is None else st.integers(0, mod - 1)
+
+    def poly(lo, hi):
+        length = draw(st.integers(lo, hi))
+        cs = draw(st.lists(coeff, min_size=length - 1, max_size=length - 1))
+        return Poly(cs + [draw(coeff.filter(bool))], mod).coeffs
+
+    x = ring._KRONECKER_MIN_LEN
+    shape = draw(st.sampled_from(("factor one", "kronecker", "schoolbook")))
+    short = (poly(2, x - 1), poly(2, 3 * x))
+    if shape == "factor one":
+        first = ((1,), poly(1, 3 * x))
+    elif shape == "kronecker":
+        first = (poly(x, 3 * x), poly(x, 3 * x))
+    else:
+        first = (poly(2, x - 1), poly(2, x - 1))
+    first, second = (pair[::-1] if draw(st.booleans()) else pair for pair in (first, short))
+    ops = first + second if draw(st.booleans()) else second + first
+    lengths = sorted(len(f) + len(g) - 1 for f, g in (ops[:2], ops[2:]))
+    n = draw(st.none() | st.integers(1, lengths[0]) | st.integers(*lengths) | st.integers(lengths[1], lengths[1] + 3))
+    return shape, [Poly._canon(e, mod) for e in ops], n
+
+
+@settings(max_examples=200, deadline=None)
+@given(_accumulated_dots())
+def test_dot_accumulates_the_second_product_into_the_first(case):
+    """x*y + u*v from one raw product added into the other's list, cut to
+    n coefficients when n is given, equals the schoolbook oracle's low n
+    coefficients, over Z and over F_p; the product with a factor (1,) is
+    the copy that starts the sum.  _raw_mul itself accumulates in either
+    order, also the one _dot does not use."""
+    shape, ops, n = case
+    calls = []
+    raw_mul, kronecker = ring._raw_mul, ring._kronecker
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ring, "_raw_mul", lambda *args: calls.append(args) or raw_mul(*args))
+        patch.setattr(ring, "_kronecker", lambda *args: calls.append("kronecker") or kronecker(*args))
+        got = _dot(*ops, n)
+    full = _dot_oracle(*ops)
+    low = full if n is None else Poly(full.coeffs[:n], full.mod)
+    assert got == low
+    first, second = (args for args in calls if args != "kronecker")
+    assert len(first) == 4 and len(second) == 5  # the second gets an accumulator
+    assert ((1,) in first[:2]) is (shape == "factor one")
+    # a cut below _KRONECKER_MIN_LEN leaves the long product to the loop
+    assert ("kronecker" in calls) is (shape == "kronecker" and (n is None or n >= ring._KRONECKER_MIN_LEN))
+    x, y, u, v = (e.coeffs for e in ops)
+    mod, signed = full.mod, full.mod is None
+    for f, g, h, k in ((x, y, u, v), (u, v, x, y)):
+        cs = raw_mul(h, k, signed, n, raw_mul(f, g, signed, n))
+        assert Poly(cs, mod) == low
+
+
 def test_divmod_kernel_both_sides_of_crossover():
     rng = random.Random(909)
     x = ring._NEWTON_MIN_LEN
