@@ -53,7 +53,8 @@ from collections.abc import Iterable
 from itertools import zip_longest
 
 from .gl2 import Mat2, _mat_prod, _unit_inverse
-from .ring import _scale, _strip, is_prime
+from .limits import is_prime
+from .ring import _scale, _strip
 
 __all__ = ["Letter", "NormalForm", "AmalgamStructure"]
 

@@ -6,8 +6,18 @@ closed pipe), 2 usage or parse error, 3 out-of-scope request.
 Handlers return (exit code, whole stdout text) and write nothing; a refusal
 raises ``_Refusal(code, message)``.  ``main`` alone writes: the text to
 stdout, or one stderr line mapped from the exception: a refusal to its code,
-``UnsupportedGroupError`` to 3, ``CrossValidationError`` to 1, and
-``SearchCapExceeded`` or any other ``ValueError`` (parse errors, caps) to 2.
+``UnsupportedGroupError`` to 3, and any other ``ValueError`` (parse errors,
+caps) to 2.
+
+At the top ``cli`` imports only ``limits`` and ``homology``, which the parser
+needs (the integer checks, the ``--group`` choices); each handler imports
+the modules it runs, so that a process compiles only those: ``nf`` loads
+``amalgam``, ``gl2``, ``nagao`` and ``ring``, and ``verify`` loads
+``witnesses`` and with it all of them.  So ``main`` cannot name the
+exceptions of those modules, and each is mapped where its module is
+imported: ``_cross_validated`` refuses a ``CrossValidationError`` (of
+``nf`` or the witness suite) with 1, and ``_cmd_verify`` a
+``SearchCapExceeded`` with 2.
 
 The work of an ``nf`` request is bounded by the one budget ``ring.MAX_WORK``
 (see ``_capped`` and the Euclid loop of ``nagao``).
@@ -21,18 +31,8 @@ import os
 import re
 import sys
 
-from .amalgam import AmalgamStructure, Letter, NormalForm
-from .gl2 import _is_matrix_json, mat_from_json, parse_gen, parse_matrix
-from .homology import (
-    GROUP_IDS,
-    UnsupportedGroupError,
-    coinvariant_dims,
-    dim_table,
-    mv_ledger_check,
-)
-from .nagao import CrossValidationError, letters_from_gens, nagao_normal_form
-from .ring import _INT_RE, MAX_DEGREE, MAX_INT_DIGITS, _charge, _mul_cost, is_prime
-from .witnesses import SearchCapExceeded, sn_witness_search, verify_witness_suite
+from .homology import GROUP_IDS, UnsupportedGroupError, coinvariant_dims, dim_table, mv_ledger_check
+from .limits import _INT_RE, MAX_DEGREE, MAX_INT_DIGITS, is_prime
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -83,9 +83,23 @@ class _Refusal(Exception):
     """A refused request; its args are the exit code and the message, printed as is."""
 
 
+def _cross_validated(run, *args):
+    """run(*args), with a CrossValidationError refused as a verification failure."""
+    from .nagao import CrossValidationError
+
+    try:
+        return run(*args)
+    except CrossValidationError as exc:
+        raise _Refusal(EXIT_VERIFY_FAIL, f"verification failure: {exc}") from None
+
+
 def _word_from_json(items, mod):
     """The letters of a word given as JSON, one at a time, so that _capped
     can refuse the word before the rest of it is parsed."""
+    from .amalgam import Letter
+    from .gl2 import mat_from_json, parse_gen, parse_matrix
+    from .nagao import letters_from_gens
+
     for idx, item in enumerate(items):
         if isinstance(item, str):
             yield from letters_from_gens([parse_gen(item, mod)], mod)
@@ -118,6 +132,8 @@ def _capped(letters, mod, what: str):
     ceil(log2) of its larger column l1 norm.  The size cap takes, per
     letter, one plus the bit length of its largest entry l1 norm |m|, since
     |m * n| <= 2 |m| |n|."""
+    from .ring import _charge, _mul_cost
+
     count = degree = bits = 0
     width = 0 if mod is None else (mod - 1).bit_length()
     work = 0.0
@@ -140,6 +156,8 @@ def _capped(letters, mod, what: str):
 
 
 def _nf_matrix(obj, field: str, mod):
+    from .gl2 import mat_from_json
+
     try:
         return mat_from_json(obj, mod)
     except ValueError as exc:
@@ -150,6 +168,8 @@ def _nf_from_json(obj, mod):
     """The letters of a normal form given as JSON; errors name the bad field.
     The ``length`` and ``matrix`` fields that ``--format json`` writes are
     allowed and not read."""
+    from .amalgam import Letter
+
     unknown = [key for key in obj if key not in ("head", "tags", "tail", "length", "matrix")]
     if unknown:
         raise ValueError(f"normal form JSON has the unknown field {unknown[0]!r}")
@@ -171,7 +191,7 @@ def _nf_from_json(obj, mod):
         yield Letter(t, _nf_matrix(m, "tail", mod))
 
 
-def _render_nf(struct, nf: NormalForm, fmt: str) -> str:
+def _render_nf(struct, nf, fmt: str) -> str:
     """The whole output, so that a failure while rendering prints nothing."""
     matrix = struct.nf_evaluate(nf)
     if fmt == "json":
@@ -189,6 +209,10 @@ def _render_nf(struct, nf: NormalForm, fmt: str) -> str:
 
 
 def _cmd_nf(args) -> tuple[int, str]:
+    from .amalgam import AmalgamStructure
+    from .gl2 import _is_matrix_json, mat_from_json, parse_matrix
+    from .nagao import nagao_normal_form
+
     text = sys.stdin.read() if args.input == "-" else args.input
     try:
         payload = _load_json(text)
@@ -218,7 +242,7 @@ def _cmd_nf(args) -> tuple[int, str]:
         nf = struct.normalize(list(_capped(_word_from_json(payload, mod), mod, "word")))
     else:
         m = mat_from_json(payload, mod) if is_json else parse_matrix(text, mod)
-        nf = nagao_normal_form(mod, m)
+        nf = _cross_validated(nagao_normal_form, mod, m)
     return EXIT_OK, _render_nf(struct, nf, args.format)
 
 
@@ -309,6 +333,8 @@ def _parse_range(text: str) -> range:
 
 
 def _cmd_verify(args) -> tuple[int, str]:
+    from .witnesses import SearchCapExceeded, sn_witness_search, verify_witness_suite
+
     if args.witness:
         p_range, k_range = (_parse_range(text) for text in args.witness)
         if k_range[-1] > MAX_WITNESS_K:
@@ -317,7 +343,7 @@ def _cmd_verify(args) -> tuple[int, str]:
         ks = [k for k in k_range if k >= 1]
         if not ps or not ks:
             raise _Refusal(EXIT_USAGE, "witness ranges contain no usable values")
-        report = verify_witness_suite(ps, ks)
+        report = _cross_validated(verify_witness_suite, ps, ks)
         code = EXIT_OK if report.all_asserted_pass else EXIT_VERIFY_FAIL
         if args.format == "json":
             return code, report.to_json()
@@ -330,7 +356,10 @@ def _cmd_verify(args) -> tuple[int, str]:
         return code, "\n".join(lines)
 
     p, n = args.sn
-    residues = sn_witness_search(p, n)
+    try:
+        residues = sn_witness_search(p, n)
+    except SearchCapExceeded as exc:
+        raise _Refusal(EXIT_USAGE, f"error: {exc}") from None
     if args.format == "json":
         return EXIT_OK, json.dumps({"p": p, "n": n, "witness": residues}, indent=2)
     if residues is not None:
@@ -393,9 +422,7 @@ def main(argv=None) -> int:
         code, err = exc.args
     except UnsupportedGroupError as exc:  # a ValueError, so before that clause
         code, err = EXIT_OUT_OF_SCOPE, f"out of scope: {exc}"
-    except CrossValidationError as exc:
-        code, err = EXIT_VERIFY_FAIL, f"verification failure: {exc}"
-    except (SearchCapExceeded, ValueError) as exc:
+    except ValueError as exc:
         code, err = EXIT_USAGE, f"error: {exc}"
     else:
         print(out)

@@ -24,7 +24,8 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-from .ring import _INT_RE, MAX_INT_DIGITS, Poly, PolyParseError, _Value, _check_modulus, _dot, _reduce_coeffs, _scale
+from .limits import _INT_RE, MAX_INT_DIGITS
+from .ring import Poly, PolyParseError, _Value, _check_modulus, _dot, _reduce_coeffs, _scale
 
 __all__ = [
     "Mat2",

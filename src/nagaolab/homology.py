@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .ring import is_prime
+from .limits import is_prime
 
 __all__ = [
     "GROUP_IDS",

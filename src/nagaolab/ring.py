@@ -73,6 +73,11 @@ coerces and reduces every coefficient.  Each operator is one ``_dot`` call
 (x - y takes the ring's -1 as the second scalar), whose canonical result
 ``_canon`` wraps unchecked.  ``reduce_mod_p`` checks p once, then reduces,
 strips and wraps.  ``parse`` is one pass over the tokens of ``_tokenize``.
+
+The input caps ``MAX_DEGREE`` and ``MAX_INT_DIGITS``, the integer text
+pattern and ``is_prime``, which validate the modulus and every input here,
+are imported from ``limits``, the leaf module that ``homology`` and the CLI
+use without loading this one.
 """
 
 from __future__ import annotations
@@ -81,24 +86,13 @@ import itertools
 import re
 import sys
 from array import array
-from functools import lru_cache
+
+from .limits import _INT_RE, MAX_DEGREE, MAX_INT_DIGITS, is_prime
 
 __all__ = [
     "Poly",
     "PolyParseError",
-    "is_prime",
 ]
-
-
-# Largest degree accepted from text or JSON input, checked before any dense
-# coefficient list is built.  The degrees the tests and the benchmark build
-# stay far below it (at most about 620).
-MAX_DEGREE = 10_000
-
-# Most decimal digits accepted in one integer of text or JSON input, checked
-# before int() sees it: CPython's own limit on str -> int conversion (see
-# sys.set_int_max_str_digits), refused here with a message naming the input.
-MAX_INT_DIGITS = 4_300
 
 
 class PolyParseError(ValueError):
@@ -107,38 +101,6 @@ class PolyParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.message, self.position = message, position
-
-
-# Deterministic Miller-Rabin bases: no composite below 2**64 is a strong
-# pseudoprime to all of them.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-@lru_cache(maxsize=None)
-def is_prime(n: int) -> bool:
-    """Primality by Miller-Rabin over the prime bases 2 to 37, exact for
-    every n < 2**64; raises ValueError for larger n."""
-    if n >= 2**64:
-        raise ValueError(f"primality is decided only below 2**64, got {n}")
-    if n < 2:
-        return False
-    for q in _MR_BASES:
-        if n % q == 0:
-            return n == q
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _check_modulus(mod: int | None) -> None:
@@ -723,8 +685,6 @@ def _series_inverse(f, k: int, p: int, w: int) -> int:
     return g
 
 
-# ASCII digits only: \d would take any Unicode decimal digit, which int() reads.
-_INT_RE = re.compile(r"[+-]?[0-9]+")  # integer text: coefficient strings, D(...)
 _TOKEN_RE = re.compile(r"([0-9]+)|([+\-*^t])|(\S)")
 
 

@@ -26,8 +26,9 @@ import json
 from collections import namedtuple
 
 from .gl2 import Mat2, e12
+from .limits import is_prime
 from .nagao import nagao_normal_form
-from .ring import Poly, is_prime
+from .ring import Poly
 
 __all__ = [
     "CheckResult",

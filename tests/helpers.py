@@ -136,7 +136,7 @@ def schoolbook_divmod(a, b):
 
 
 def trial_division_is_prime(n):
-    """Primality by trial division: the oracle for ring.is_prime, usable
+    """Primality by trial division: the oracle for limits.is_prime, usable
     while n or its smallest factor stays below about 10**12."""
     if n < 2:
         return False

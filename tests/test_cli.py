@@ -307,7 +307,7 @@ def test_capped_width_bounds_the_running_product(monkeypatch):
     that bounds the product of the letters before it."""
     rng = random.Random(4242)
     calls = []
-    monkeypatch.setattr(cli, "_mul_cost", lambda la, lb, wa, wb: calls.append(wa) or (0.0, False))
+    monkeypatch.setattr("nagaolab.ring._mul_cost", lambda la, lb, wa, wb: calls.append(wa) or (0.0, False))
     for _ in range(40):
         letters = []
         for _ in range(rng.randint(1, 12)):
@@ -405,7 +405,7 @@ def test_nf_cross_validation_failure(capsys, monkeypatch):
     def disagree(mod, m):
         raise CrossValidationError("rewriting and degree reduction disagree")
 
-    monkeypatch.setattr("nagaolab.cli.nagao_normal_form", disagree)
+    monkeypatch.setattr("nagaolab.nagao.nagao_normal_form", disagree)
     code, out, err = run(capsys, "nf", "--mod", "3", "[[1,0],[t,1]]")
     assert (code, out, err.count("\n")) == (1, "", 1)
     assert err.startswith("verification failure: ")
@@ -519,7 +519,7 @@ def test_verify_witness_failure(capsys, monkeypatch):
         CheckResult("det_h(2,1)", "det h(p,k) == 1", "pass", "1", "1"),
         CheckResult("det_g(2,1)", "det g(p,k) == 1", "fail", "1 + t", "1"),
     )
-    monkeypatch.setattr("nagaolab.cli.verify_witness_suite", lambda ps, ks: WitnessReport(checks))
+    monkeypatch.setattr("nagaolab.witnesses.verify_witness_suite", lambda ps, ks: WitnessReport(checks))
     code, out, err = run(capsys, "verify", "--witness", "2", "1")
     assert (code, err) == (1, "")
     assert out == _lines(
@@ -529,6 +529,18 @@ def test_verify_witness_failure(capsys, monkeypatch):
         "      rhs = 1",
         "checks: 2, failures: 1",
     )
+
+
+def test_verify_cross_validation_failure(capsys, monkeypatch):
+    """Normal forms that disagree inside the witness suite exit 1 with one
+    stderr line and no stdout, as they do for ``nf``."""
+    def disagree(mod, m):
+        raise CrossValidationError("rewriting and degree reduction disagree")
+
+    monkeypatch.setattr("nagaolab.witnesses.nagao_normal_form", disagree)
+    code, out, err = run(capsys, "verify", "--witness", "2", "1")
+    assert (code, out) == (1, "")
+    assert err == "verification failure: rewriting and degree reduction disagree\n"
 
 
 def test_verify_witness_json(capsys):

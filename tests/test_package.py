@@ -19,13 +19,14 @@ MODULES = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init_
 
 # The package modules that importing each module loads besides itself.
 LAYERS = {
-    "ring": [],
-    "gl2": ["ring"],
-    "amalgam": ["gl2", "ring"],
-    "homology": ["ring"],
-    "nagao": ["amalgam", "gl2", "ring"],
-    "witnesses": ["amalgam", "gl2", "nagao", "ring"],
-    "cli": ["amalgam", "gl2", "homology", "nagao", "ring", "witnesses"],
+    "limits": [],
+    "ring": ["limits"],
+    "gl2": ["limits", "ring"],
+    "amalgam": ["gl2", "limits", "ring"],
+    "homology": ["limits"],
+    "nagao": ["amalgam", "gl2", "limits", "ring"],
+    "witnesses": ["amalgam", "gl2", "limits", "nagao", "ring"],
+    "cli": ["homology", "limits"],
 }
 
 
@@ -61,22 +62,56 @@ def test_package_reexports_are_pinned():
     assert isinstance(nagaolab.__version__, str)
 
 
-def _loaded_by(module: str) -> list[str]:
-    """The modules that importing ``nagaolab.<module>`` adds to
-    ``sys.modules`` of a bare interpreter (``python -S``)."""
-    code = (
-        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
-        f"import nagaolab.{module}; print(' '.join(sorted(set(sys.modules) - before)))"
+def _loaded_by(statement: str, *argv: str) -> tuple[int, list[str]]:
+    """Run ``statement`` in a bare interpreter (``python -S``), with ``argv``
+    as ``sys.argv[2:]``: its exit code, which the statement sets as
+    ``code``, and the modules that it adds to ``sys.modules``."""
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); code = 0; "
+        f"{statement}; print(*sorted(set(sys.modules) - before)); sys.exit(code)"
     )
-    return subprocess.run(
-        [sys.executable, "-S", "-c", code, str(SRC.parent)], capture_output=True, text=True, check=True
-    ).stdout.split()
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", script, str(SRC.parent), *argv], capture_output=True, text=True
+    )
+    assert run.stdout.endswith("\n"), run.stderr
+    return run.returncode, run.stdout.splitlines()[-1].split()
+
+
+def _package_modules(loaded: list[str]) -> list[str]:
+    return [name for name in loaded if name.startswith("nagaolab")]
+
+
+def _with_package(*modules: str) -> list[str]:
+    return ["nagaolab", *(f"nagaolab.{name}" for name in sorted(modules))]
 
 
 @pytest.mark.parametrize("module", sorted(LAYERS))
 def test_each_module_loads_only_the_layers_below_it(module):
-    loaded = [name for name in _loaded_by(module) if name.startswith("nagaolab")]
-    assert loaded == ["nagaolab", *(f"nagaolab.{name}" for name in sorted([module, *LAYERS[module]]))]
+    _, loaded = _loaded_by(f"import nagaolab.{module}")
+    assert _package_modules(loaded) == _with_package(module, *LAYERS[module])
+
+
+# The CLI run of one request per subcommand and one refusal of each: the
+# argv, its exit code, and the package modules it loads besides ``cli``.
+# Each handler imports what it runs, so ``hdim`` never compiles ``ring``.
+RUN_MAIN = "from nagaolab.cli import main; code = main(sys.argv[2:])"
+_NF_LAYERS = ["amalgam", "gl2", "homology", "limits", "nagao", "ring"]
+_HDIM_LAYERS = ["homology", "limits"]
+_ALL_LAYERS = [name for name in sorted(LAYERS) if name != "cli"]
+REQUESTS = [
+    (["nf", "--mod", "3", "[[1,t],[0,1]]"], 0, _NF_LAYERS),
+    (["nf", "--ring", "e2zt", "[[1,t],[0,1]]"], 3, _NF_LAYERS),
+    (["hdim", "--group", "e2zt", "--mod", "3"], 0, _HDIM_LAYERS),
+    (["hdim", "--group", "e2zt", "--mod", "3", "--max-deg", "10001"], 2, _HDIM_LAYERS),
+    (["verify", "--sn", "3", "2"], 0, _ALL_LAYERS),
+    (["verify", "--sn", "7", "9"], 2, _ALL_LAYERS),
+]
+
+
+@pytest.mark.parametrize("argv, code, layers", REQUESTS, ids=[f"{argv[0]}-exit{code}" for argv, code, _ in REQUESTS])
+def test_each_request_loads_only_what_its_handler_runs(argv, code, layers):
+    got, loaded = _loaded_by(RUN_MAIN, *argv)
+    assert (got, _package_modules(loaded)) == (code, _with_package("cli", *layers))
 
 
 # The modules that ``dataclasses`` pulls in; a CLI process pays for every
@@ -98,8 +133,11 @@ def test_no_code_generator_in_the_library():
 
 
 def test_cli_import_loads_no_heavy_module():
-    """In a bare interpreter (``python -S``), importing the CLI adds none of
-    the modules behind ``dataclasses`` to ``sys.modules``."""
-    out = _loaded_by("cli")
-    assert "nagaolab.cli" in out
-    assert HEAVY.isdisjoint(out), sorted(HEAVY.intersection(out))
+    """In a bare interpreter (``python -S``), importing the CLI, or running
+    any of ``REQUESTS`` through it, adds none of the modules behind
+    ``dataclasses`` to ``sys.modules``."""
+    runs = [("import nagaolab.cli",)] + [(RUN_MAIN, *argv) for argv, _, _ in REQUESTS]
+    for run in runs:
+        _, loaded = _loaded_by(*run)
+        assert "nagaolab.cli" in loaded
+        assert HEAVY.isdisjoint(loaded), (run, sorted(HEAVY.intersection(loaded)))

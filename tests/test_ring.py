@@ -8,12 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nagaolab import ring
-from nagaolab.ring import (
-    MAX_DEGREE,
-    Poly,
-    PolyParseError,
-    is_prime,
-)
+from nagaolab.limits import MAX_DEGREE, is_prime
+from nagaolab.ring import Poly, PolyParseError
 
 from helpers import dense_poly, rand_poly, schoolbook_add, schoolbook_divmod, schoolbook_mul, trial_division_is_prime
 
