@@ -6,18 +6,14 @@ closed pipe), 2 usage or parse error, 3 out-of-scope request.
 Handlers return (exit code, whole stdout text) and write nothing; a refusal
 raises ``_Refusal(code, message)``.  ``main`` alone writes: the text to
 stdout, or one stderr line mapped from the exception: a refusal to its code,
-``UnsupportedGroupError`` to 3, and any other ``ValueError`` (parse errors,
-caps) to 2.
+``UnsupportedGroupError`` to 3, ``CrossValidationError`` to 1, and
+``SearchCapExceeded`` or any other ``ValueError`` (parse errors, caps) to 2.
 
-At the top ``cli`` imports only ``limits`` and ``homology``, which the parser
-needs (the integer checks, the ``--group`` choices); each handler imports
-the modules it runs, so that a process compiles only those: ``nf`` loads
-``amalgam``, ``gl2``, ``nagao`` and ``ring``, and ``verify`` loads
-``witnesses`` and with it all of them.  So ``main`` cannot name the
-exceptions of those modules, and each is mapped where its module is
-imported: ``_cross_validated`` refuses a ``CrossValidationError`` (of
-``nf`` or the witness suite) with 1, and ``_cmd_verify`` a
-``SearchCapExceeded`` with 2.
+At the top ``cli`` imports only ``limits`` (the integer checks, and the
+errors ``main`` maps) and ``homology`` (the ``--group`` choices); each
+handler imports the modules it runs, so that a process compiles only those:
+``nf`` loads ``amalgam``, ``gl2``, ``nagao`` and ``ring``, and ``verify``
+loads ``witnesses`` and with it all of them.
 
 The work of an ``nf`` request is bounded by the one budget ``ring.MAX_WORK``
 (see ``_capped`` and the Euclid loop of ``nagao``).
@@ -32,7 +28,7 @@ import re
 import sys
 
 from .homology import GROUP_IDS, UnsupportedGroupError, coinvariant_dims, dim_table, mv_ledger_check
-from .limits import _INT_RE, MAX_DEGREE, MAX_INT_DIGITS, is_prime
+from .limits import _INT_RE, MAX_DEGREE, MAX_INT_DIGITS, CrossValidationError, SearchCapExceeded, is_prime
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -81,16 +77,6 @@ def _load_json(text: str):
 
 class _Refusal(Exception):
     """A refused request; its args are the exit code and the message, printed as is."""
-
-
-def _cross_validated(run, *args):
-    """run(*args), with a CrossValidationError refused as a verification failure."""
-    from .nagao import CrossValidationError
-
-    try:
-        return run(*args)
-    except CrossValidationError as exc:
-        raise _Refusal(EXIT_VERIFY_FAIL, f"verification failure: {exc}") from None
 
 
 def _word_from_json(items, mod):
@@ -242,7 +228,7 @@ def _cmd_nf(args) -> tuple[int, str]:
         nf = struct.normalize(list(_capped(_word_from_json(payload, mod), mod, "word")))
     else:
         m = mat_from_json(payload, mod) if is_json else parse_matrix(text, mod)
-        nf = _cross_validated(nagao_normal_form, mod, m)
+        nf = nagao_normal_form(mod, m)
     return EXIT_OK, _render_nf(struct, nf, args.format)
 
 
@@ -333,7 +319,7 @@ def _parse_range(text: str) -> range:
 
 
 def _cmd_verify(args) -> tuple[int, str]:
-    from .witnesses import SearchCapExceeded, sn_witness_search, verify_witness_suite
+    from .witnesses import sn_witness_search, verify_witness_suite
 
     if args.witness:
         p_range, k_range = (_parse_range(text) for text in args.witness)
@@ -343,7 +329,7 @@ def _cmd_verify(args) -> tuple[int, str]:
         ks = [k for k in k_range if k >= 1]
         if not ps or not ks:
             raise _Refusal(EXIT_USAGE, "witness ranges contain no usable values")
-        report = _cross_validated(verify_witness_suite, ps, ks)
+        report = verify_witness_suite(ps, ks)
         code = EXIT_OK if report.all_asserted_pass else EXIT_VERIFY_FAIL
         if args.format == "json":
             return code, report.to_json()
@@ -356,10 +342,7 @@ def _cmd_verify(args) -> tuple[int, str]:
         return code, "\n".join(lines)
 
     p, n = args.sn
-    try:
-        residues = sn_witness_search(p, n)
-    except SearchCapExceeded as exc:
-        raise _Refusal(EXIT_USAGE, f"error: {exc}") from None
+    residues = sn_witness_search(p, n)
     if args.format == "json":
         return EXIT_OK, json.dumps({"p": p, "n": n, "witness": residues}, indent=2)
     if residues is not None:
@@ -422,7 +405,9 @@ def main(argv=None) -> int:
         code, err = exc.args
     except UnsupportedGroupError as exc:  # a ValueError, so before that clause
         code, err = EXIT_OUT_OF_SCOPE, f"out of scope: {exc}"
-    except ValueError as exc:
+    except CrossValidationError as exc:
+        code, err = EXIT_VERIFY_FAIL, f"verification failure: {exc}"
+    except (SearchCapExceeded, ValueError) as exc:
         code, err = EXIT_USAGE, f"error: {exc}"
     else:
         print(out)

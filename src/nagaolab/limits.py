@@ -1,9 +1,12 @@
 """What every layer validates its input with: the input caps, the integer
-text pattern, and primality.
+text pattern and primality; and the two errors a request can end in
+besides ``ValueError``: ``CrossValidationError`` (raised by ``nagao``) and
+``SearchCapExceeded`` (raised by ``witnesses``).
 
 A leaf: it imports nothing from the package, so that a module needing only
-these names (``homology``, and ``cli`` for its argument types) does not load
-the polynomial arithmetic of ``ring``.
+these names (``homology``, and ``cli`` for its argument types and its
+mapping of errors to exit codes) does not load the polynomial arithmetic of
+``ring`` or the modules that raise those errors.
 """
 
 from __future__ import annotations
@@ -11,7 +14,19 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-__all__ = ["is_prime"]
+__all__ = ["CrossValidationError", "SearchCapExceeded", "is_prime"]
+
+
+class CrossValidationError(RuntimeError):
+    """Two supposedly equivalent computations disagreed; fails loudly."""
+
+
+class SearchCapExceeded(RuntimeError):
+    """A brute-force search was refused because it would exceed its cap.
+
+    Distinct from a verified "no witness exists" answer, which is a normal
+    result, not an error.
+    """
 
 
 # Largest degree accepted from text or JSON input, checked before any dense

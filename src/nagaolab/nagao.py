@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from .amalgam import AmalgamStructure, Form, Letter, NormalForm, _mat
 from .gl2 import _ONE, Gen, Mat2, _mat_prod
+from .limits import CrossValidationError
 from .ring import _KRONECKER_MIN_LEN, _NEWTON_MIN_LEN, Poly, _charge, _divmod_coeffs, _dot, _mul_cost
 from .ring import _reduce_coeffs, _scale
 
 __all__ = [
-    "CrossValidationError",
     "sl2fpt_elementary_factor",
     "letters_from_gens",
     "nagao_normal_form",
@@ -48,10 +48,6 @@ _PASS_COST = 200
 # The oracles below work on the canonical coefficient tuples of the entries
 # with the ``ring`` kernels, where x + f*y is _dot(x, _ONE, f, y, mod), and
 # build their Gen, Letter and Mat2 objects once, at the end.
-
-
-class CrossValidationError(RuntimeError):
-    """Two supposedly equivalent computations disagreed; fails loudly."""
 
 
 def _require_det_one(m: Mat2) -> None:

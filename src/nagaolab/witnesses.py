@@ -26,13 +26,12 @@ import json
 from collections import namedtuple
 
 from .gl2 import Mat2, e12
-from .limits import is_prime
+from .limits import SearchCapExceeded, is_prime
 from .nagao import nagao_normal_form
 from .ring import Poly
 
 __all__ = [
     "CheckResult",
-    "SearchCapExceeded",
     "WitnessReport",
     "make_witness",
     "sn_witness_search",
@@ -168,14 +167,6 @@ def verify_witness_suite(ps=(2, 3, 5, 7), ks=(1, 2, 3, 4)) -> WitnessReport:
 
 # sn_witness_search refuses primes above this: the search is exhaustive.
 SN_MAX_PRIME = 31
-
-
-class SearchCapExceeded(RuntimeError):
-    """A brute-force search was refused because it would exceed its cap.
-
-    Distinct from a verified "no witness exists" answer, which is a normal
-    result, not an error.
-    """
 
 
 def sn_witness_search(p: int, n: int) -> tuple[int, ...] | None:

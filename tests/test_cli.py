@@ -15,7 +15,7 @@ from nagaolab.amalgam import Letter
 from nagaolab.cli import main
 from nagaolab.gl2 import diag, e12, e21, identity, w
 from nagaolab.homology import GROUP_IDS
-from nagaolab.nagao import CrossValidationError
+from nagaolab.limits import CrossValidationError
 from nagaolab.ring import Poly
 from nagaolab.witnesses import CheckResult, WitnessReport
 

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from nagaolab import gl2, nagao, ring
 from nagaolab.amalgam import AmalgamStructure, Letter
 from nagaolab.gl2 import Gen, Mat2, diag, e12, e21, identity, parse_matrix, w
+from nagaolab.limits import CrossValidationError
 from nagaolab.nagao import (
-    CrossValidationError,
     _nf_by_degree_reduction,
     e2zt_normal_form,
     letters_from_gens,

@@ -6,9 +6,9 @@ import pytest
 
 from nagaolab import witnesses
 from nagaolab.gl2 import e12, parse_matrix
+from nagaolab.limits import SearchCapExceeded
 from nagaolab.ring import Poly
 from nagaolab.witnesses import (
-    SearchCapExceeded,
     make_witness,
     sn_witness_search,
     verify_witness_suite,
