@@ -53,7 +53,7 @@ from collections.abc import Iterable
 from itertools import zip_longest
 
 from .gl2 import Mat2, _mat_prod, _unit_inverse
-from .limits import is_prime
+from .limits import _shown, is_prime
 from .ring import _scale, _strip
 
 __all__ = ["Letter", "NormalForm", "AmalgamStructure"]
@@ -102,7 +102,7 @@ class AmalgamStructure:
 
     def __init__(self, mod: int | None = None):
         if mod is not None and not is_prime(mod):
-            raise ValueError(f"p must be prime, got {mod!r}")
+            raise ValueError(f"p must be prime, got {_shown(mod)}")
         self.mod = mod
 
     def factors(self, m: Mat2) -> tuple[int, ...]:
@@ -259,7 +259,7 @@ class AmalgamStructure:
         neither factor); returns x.  The message shows the letter's matrix
         ``mat``, built from x when not given."""
         if factor not in (1, 2):
-            raise ValueError(f"factor tag must be 1 or 2, got {factor!r}")
+            raise ValueError(f"factor tag must be 1 or 2, got {_shown(factor)}")
         if x is None or factor not in self._factors(x):
             shown = mat if mat is not None else _mat(x, self.mod)
             raise ValueError(f"letter {shown} fails membership in factor {factor}")

@@ -9,9 +9,9 @@ stdout, or one stderr line mapped from the exception: a refusal to its code,
 ``UnsupportedGroupError`` to 3, ``CrossValidationError`` to 1, and
 ``SearchCapExceeded`` or any other ``ValueError`` (parse errors, caps) to 2.
 
-At the top ``cli`` imports only ``limits`` (the integer checks, and the
-errors ``main`` maps) and ``homology`` (the ``--group`` choices); each
-handler imports the modules it runs, so that a process compiles only those:
+At the top ``cli`` imports only ``limits`` (the integer and quoting rules,
+the caps, the errors ``main`` maps) and ``homology`` (the ``--group``
+choices); each handler imports the modules it runs, so that a process compiles only those:
 ``nf`` loads ``amalgam``, ``gl2``, ``nagao`` and ``ring``, and ``verify``
 loads ``witnesses`` and with it all of them.
 
@@ -28,7 +28,7 @@ import re
 import sys
 
 from .homology import GROUP_IDS, UnsupportedGroupError, coinvariant_dims, dim_table, mv_ledger_check
-from .limits import _INT_RE, MAX_DEGREE, MAX_INT_DIGITS, CrossValidationError, SearchCapExceeded, is_prime
+from .limits import MAX_DEGREE, CrossValidationError, SearchCapExceeded, _int_of, _shown, is_prime
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -53,25 +53,23 @@ _JSON_TOKEN = r'"(?:[^"\\]|\\.)*"|(-?\d+)([.eE][-+.\deE]*)?'
 
 def _load_json(text: str):
     """json.loads of the text without surrounding whitespace, which the
-    matrix parsers ignore too, except that JSON with an integer literal of
-    more than MAX_INT_DIGITS digits is refused with its position in ``text``
-    before int() sees it; text that is not JSON still raises JSONDecodeError."""
+    matrix parsers ignore too, except that JSON with an integer literal over
+    the digit cap is refused with its position in ``text`` before int() sees
+    it; text that is not JSON still raises JSONDecodeError."""
     too_long = []
 
     def parse_int(literal: str) -> int:
-        if len(literal.lstrip("-")) > MAX_INT_DIGITS:
+        try:
+            return _int_of(literal, "JSON integer", None)
+        except ValueError:
             too_long.append(literal)
             return 0
-        return int(literal)
 
     payload = json.loads(text.strip(), parse_int=parse_int)
-    if too_long:
-        pos = next(
-            m.start() for m in re.finditer(_JSON_TOKEN, text)
-            if m.group(1) and not m.group(2) and len(m.group(1).lstrip("-")) > MAX_INT_DIGITS
-        )
-        digits = len(too_long[0].lstrip("-"))
-        raise ValueError(f"JSON integer at position {pos} has {digits} digits, above the digit cap {MAX_INT_DIGITS}")
+    if too_long:  # refuse the first literal over the cap, with its position
+        for m in re.finditer(_JSON_TOKEN, text):
+            if m.group(1) and not m.group(2):
+                _int_of(m.group(1), f"JSON integer at position {m.start()}", None)
     return payload
 
 
@@ -92,14 +90,14 @@ def _word_from_json(items, mod):
         elif isinstance(item, dict) and "factor" in item and "matrix" in item:
             unknown = [key for key in item if key not in ("factor", "matrix")]
             if unknown:
-                raise ValueError(f"word item {idx} has the unknown field {unknown[0]!r}")
+                raise ValueError(f"word item {idx} has the unknown field {_shown(unknown[0])}")
             if type(item["factor"]) is not int:
-                raise ValueError(f"word item {idx} field 'factor' must be an integer, got {item['factor']!r}")
+                raise ValueError(f"word item {idx} field 'factor' must be an integer, got {_shown(item['factor'])}")
             mat = item["matrix"]
             mat = parse_matrix(mat, mod) if isinstance(mat, str) else mat_from_json(mat, mod)
             yield Letter(item["factor"], mat)
         else:
-            raise ValueError(f"word items must be shorthand strings or factor/matrix objects, got {item!r}")
+            raise ValueError(f"word items must be shorthand strings or factor/matrix objects, got {_shown(item)}")
 
 
 def _check_word_len(n: int, what: str) -> None:
@@ -158,15 +156,15 @@ def _nf_from_json(obj, mod):
 
     unknown = [key for key in obj if key not in ("head", "tags", "tail", "length", "matrix")]
     if unknown:
-        raise ValueError(f"normal form JSON has the unknown field {unknown[0]!r}")
+        raise ValueError(f"normal form JSON has the unknown field {_shown(unknown[0])}")
     missing = [field for field in ("head", "tags", "tail") if field not in obj]
     if missing:
         raise ValueError(f"normal form JSON lacks the field(s) {', '.join(map(repr, missing))}")
     tags, tail = obj["tags"], obj["tail"]
     if not isinstance(tags, list) or not all(type(t) is int for t in tags):
-        raise ValueError(f"normal form field 'tags' must be a list of integers, got {tags!r}")
+        raise ValueError(f"normal form field 'tags' must be a list of integers, got {_shown(tags)}")
     if not isinstance(tail, list):
-        raise ValueError(f"normal form field 'tail' must be a list of matrices, got {tail!r}")
+        raise ValueError(f"normal form field 'tail' must be a list of matrices, got {_shown(tail)}")
     head = _nf_matrix(obj["head"], "head", mod)
     if len(tags) != len(tail):
         raise ValueError(f"normal form has {len(tags)} tags but {len(tail)} tail matrices")
@@ -262,9 +260,9 @@ _HDIM_LAYOUT = {
 
 def _cmd_hdim(args) -> tuple[int, str]:
     if args.max_deg > MAX_DEGREE:
-        raise _Refusal(EXIT_USAGE, f"truncation degree {args.max_deg} exceeds the cap {MAX_DEGREE}")
+        raise _Refusal(EXIT_USAGE, f"truncation degree {_shown(args.max_deg)} exceeds the cap {MAX_DEGREE}")
     if not 0 <= args.max_i <= MAX_I:
-        raise _Refusal(EXIT_USAGE, f"--max-i must be >= 0 and at most the cap {MAX_I}, got {args.max_i}")
+        raise _Refusal(EXIT_USAGE, f"--max-i must be >= 0 and at most the cap {MAX_I}, got {_shown(args.max_i)}")
     if args.ledger and args.group != "e2zt":
         raise _Refusal(EXIT_USAGE, "--ledger applies to --group e2zt")
 
@@ -284,32 +282,19 @@ def _cmd_hdim(args) -> tuple[int, str]:
     return code, "\n".join(lines)
 
 
-def _shown(text: str) -> str:
-    """The repr of user text for a message, cut to its first 40 characters
-    and its length when it is longer."""
-    return repr(text) if len(text) <= 40 else f"{text[:40]!r}... ({len(text)} characters)"
-
-
 def _int(text: str) -> int:
-    """int() of ``[+-]?[0-9]+`` text only; int() also reads "1_1", " 7 " and non-ASCII digits.
-    Other text, and text over MAX_INT_DIGITS digits, raise ArgumentTypeError,
-    whose message argparse prints as it is, with the text cut by ``_shown``."""
-    if not _INT_RE.fullmatch(text):
-        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}")
-    digits = len(text.lstrip("+-"))
-    if digits > MAX_INT_DIGITS:
-        raise argparse.ArgumentTypeError(f"value has {digits} digits, above the digit cap {MAX_INT_DIGITS}")
-    return int(text)
+    """``_int_of`` for an integer option; argparse prints an
+    ArgumentTypeError's message as it is, and the text whole after any other."""
+    return _int_of(text, "value", "invalid int value: {}", argparse.ArgumentTypeError)
 
 
 def _parse_range(text: str) -> range:
     lo, hi = text.split("..", 1) if ".." in text else (text, text)
-    if not (_INT_RE.fullmatch(lo) and _INT_RE.fullmatch(hi)):
-        raise ValueError(f"--witness range {_shown(text)} is not an integer or LO..HI")
-    try:
-        lo, hi = _int(lo), _int(hi)
-    except argparse.ArgumentTypeError as exc:
-        raise ValueError(f"--witness range {exc}") from None
+    try:  # "" for an end that is not integer text, so that the message quotes the whole range
+        lo, hi = (_int_of(end, "--witness range value", "") for end in (lo, hi))
+    except ValueError as exc:
+        bad = f"--witness range {_shown(text)} is not an integer or LO..HI"
+        raise ValueError(str(exc) or bad) from None
     if hi < lo:
         raise ValueError(f"empty range {_shown(text)}")
     if hi - lo >= MAX_RANGE_VALUES:
@@ -324,7 +309,8 @@ def _cmd_verify(args) -> tuple[int, str]:
     if args.witness:
         p_range, k_range = (_parse_range(text) for text in args.witness)
         if k_range[-1] > MAX_WITNESS_K:
-            raise ValueError(f"witness index {k_range[-1]} is above the cap {MAX_WITNESS_K} (3k <= {MAX_DEGREE})")
+            index = _shown(k_range[-1])
+            raise ValueError(f"witness index {index} is above the cap {MAX_WITNESS_K} (3k <= {MAX_DEGREE})")
         ps = [p for p in p_range if is_prime(p)]
         ks = [k for k in k_range if k >= 1]
         if not ps or not ks:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-from .limits import _INT_RE, MAX_INT_DIGITS
+from .limits import _int_of, _shown
 from .ring import Poly, PolyParseError, _Value, _check_modulus, _dot, _reduce_coeffs, _scale
 
 __all__ = [
@@ -182,10 +182,10 @@ def e21(f, mod: int | None = None) -> Mat2:
 def _unit_inverse(u: int, mod: int | None) -> int:
     if mod is None:
         if u not in (1, -1):
-            raise ValueError(f"{u!r} is not a unit of Z")
+            raise ValueError(f"{_shown(u)} is not a unit of Z")
         return u
     if u % mod == 0:
-        raise ValueError(f"{u!r} is not a unit mod {mod}")
+        raise ValueError(f"{_shown(u)} is not a unit mod {mod}")
     return pow(u, -1, mod)
 
 
@@ -212,13 +212,13 @@ class Gen(namedtuple("Gen", "kind arg mod")):
                 raise ValueError(f"{kind} needs a Poly over the same ring")
         elif kind == "D":
             if type(arg) is not int:
-                raise ValueError(f"D needs an int, got {arg!r}")
+                raise ValueError(f"D needs an int, got {_shown(arg)}")
             _unit_inverse(arg, mod)
         elif kind == "W":
             if arg is not None:
                 raise ValueError("W takes no argument")
         else:
-            raise ValueError(f"unknown generator kind {kind!r}")
+            raise ValueError(f"unknown generator kind {_shown(kind)}")
         return super().__new__(cls, kind, arg, mod)
 
     def _coeffs(self) -> _Quad:
@@ -249,7 +249,7 @@ def parse_gen(text: str, mod: int | None = None) -> Gen:
     """Parse generator shorthand: E12(<poly>), E21(<poly>), D(<int>), W."""
     m = _GEN_RE.match(text)
     if not m:
-        raise PolyParseError(f"not a generator shorthand: {text!r}", 0)
+        raise PolyParseError(f"not a generator shorthand: {_shown(text)}", 0)
     kind, arg = m.group(1), m.group(2)
     if kind == "W":
         if arg:
@@ -258,12 +258,8 @@ def parse_gen(text: str, mod: int | None = None) -> Gen:
     if arg is None:
         raise PolyParseError(f"{kind} needs an argument", len(text))
     if kind == "D":
-        if not _INT_RE.fullmatch(arg):
-            raise PolyParseError(f"D needs a signed decimal integer, got {arg!r}", m.start(2))
-        digits = len(arg.lstrip("+-"))
-        if digits > MAX_INT_DIGITS:
-            raise PolyParseError(f"D argument has {digits} digits, above the digit cap {MAX_INT_DIGITS}", m.start(2))
-        return Gen("D", int(arg), mod)
+        u = _int_of(arg, "D argument", "D needs a signed decimal integer, got {}", PolyParseError, m.start(2))
+        return Gen("D", u, mod)
     return Gen(kind, _parse_group(m, 2, mod), mod)
 
 

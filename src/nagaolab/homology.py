@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .limits import is_prime
+from .limits import _shown, is_prime
 
 __all__ = [
     "GROUP_IDS",
@@ -44,7 +44,7 @@ class UnsupportedGroupError(ValueError):
 
 def _validate(p: int, i: int, d: int) -> None:
     if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p!r}")
+        raise ValueError(f"p must be prime, got {_shown(p)}")
     if i < 0:
         raise ValueError("homological degree must be >= 0")
     if d < 0:
@@ -156,7 +156,7 @@ def h_dims(group: str, p: int, i: int, d: int) -> int:
     _validate(p, i, d)
     if group not in _DIMS:
         raise UnsupportedGroupError(
-            f"unknown group id {group!r}; supported: {', '.join(GROUP_IDS)}"
+            f"unknown group id {_shown(group)}; supported: {', '.join(GROUP_IDS)}"
         )
     return _DIMS[group](p, i, d)
 
@@ -189,7 +189,7 @@ def mv_ledger_check(p: int, i: int, d: int) -> dict:
     the dimension identity forced by the amalgam decomposition; returns the
     ledger row (p, i, d, the four dimensions, and ok)."""
     if p not in (2, 3, 5, 7):
-        raise ValueError(f"ledger is configured for p in {{2, 3, 5, 7}}, got {p!r}")
+        raise ValueError(f"ledger is configured for p in {{2, 3, 5, 7}}, got {_shown(p)}")
     _validate(p, i, d)
     row = {"p": p, "i": i, "d": d}
     for group in ("e2zt", "bzt", "sl2z", "bz"):
@@ -204,9 +204,9 @@ def class_order_lower_bound(i: int, prime_bound: int = 7) -> int:
     5 <= q <= prime_bound with (q - 1)/2 dividing i.  This is only the bound
     the reduction argument yields, never a claim of the exact order."""
     if type(i) is not int:
-        raise ValueError(f"the degree must be an integer, got {i!r}")
+        raise ValueError(f"the degree must be an integer, got {_shown(i)}")
     if type(prime_bound) is not int:
-        raise ValueError(f"prime_bound must be an integer, got {prime_bound!r}")
+        raise ValueError(f"prime_bound must be an integer, got {_shown(prime_bound)}")
     if i < 1:
         raise ValueError("the bound applies to classes of degree >= 1")
     bound = 6

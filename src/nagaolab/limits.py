@@ -1,6 +1,7 @@
-"""What every layer validates its input with: the input caps, the integer
-text pattern and primality; and the two errors a request can end in
-besides ``ValueError``: ``CrossValidationError`` (raised by ``nagao``) and
+"""What every layer validates its input with: the input caps, primality,
+and the two rules for outside input, the integer rule ``_int_of`` and the
+quoting rule ``_shown``; and the two errors a request can end in besides
+``ValueError``: ``CrossValidationError`` (raised by ``nagao``) and
 ``SearchCapExceeded`` (raised by ``witnesses``).
 
 A leaf: it imports nothing from the package, so that a module needing only
@@ -40,7 +41,31 @@ MAX_DEGREE = 10_000
 MAX_INT_DIGITS = 4_300
 
 # ASCII digits only: \d would take any Unicode decimal digit, which int() reads.
-_INT_RE = re.compile(r"[+-]?[0-9]+")  # integer text: coefficient strings, D(...), CLI integers
+_INT_RE = re.compile(r"[+-]?[0-9]+")
+
+
+def _shown(value) -> str:
+    """How a message quotes an outside value: its repr, or past 40 characters
+    (of a str, else of its repr) the first 40 and the length."""
+    if isinstance(value, str):
+        return repr(value) if len(value) <= 40 else f"{value[:40]!r}... ({len(value)} characters)"
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
+def _int_of(text, what: str, bad: str | None, error=ValueError, *args, index: int | None = None) -> int:
+    """The int of integer text, a str of ASCII ``[+-]?[0-9]+`` (int() also reads
+    "1_0", " 2 " and other Unicode digits) of at most MAX_INT_DIGITS digits;
+    anything else raises ``error(message, *args)``, the message built only
+    then: ``bad`` (None where the caller has matched the pattern) with ``{}``
+    as ``_shown(text)``, or "<what>[ <index>] has N digits, above the digit cap"."""
+    if bad is not None and (type(text) is not str or not _INT_RE.fullmatch(text)):
+        raise error(bad.format(_shown(text)), *args)
+    digits = len(text.lstrip("+-"))
+    if digits > MAX_INT_DIGITS:
+        what = what if index is None else f"{what} {index}"
+        raise error(f"{what} has {digits} digits, above the digit cap {MAX_INT_DIGITS}", *args)
+    return int(text)
 
 
 # Deterministic Miller-Rabin bases: no composite below 2**64 is a strong
@@ -53,7 +78,7 @@ def is_prime(n: int) -> bool:
     """Primality by Miller-Rabin over the prime bases 2 to 37, exact for
     every n < 2**64; raises ValueError for larger n."""
     if n >= 2**64:
-        raise ValueError(f"primality is decided only below 2**64, got {n}")
+        raise ValueError(f"primality is decided only below 2**64, got {_shown(n)}")
     if n < 2:
         return False
     for q in _MR_BASES:

@@ -74,10 +74,10 @@ coerces and reduces every coefficient.  Each operator is one ``_dot`` call
 ``_canon`` wraps unchecked.  ``reduce_mod_p`` checks p once, then reduces,
 strips and wraps.  ``parse`` is one pass over the tokens of ``_tokenize``.
 
-The input caps ``MAX_DEGREE`` and ``MAX_INT_DIGITS``, the integer text
-pattern and ``is_prime``, which validate the modulus and every input here,
-are imported from ``limits``, the leaf module that ``homology`` and the CLI
-use without loading this one.
+The degree cap ``MAX_DEGREE``, ``is_prime`` and the rules for integer text
+(``_int_of``) and for quoting input in a message (``_shown``), which validate
+the modulus and every input here, come from ``limits``, the leaf module that
+``homology`` and the CLI use without loading this one.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ import re
 import sys
 from array import array
 
-from .limits import _INT_RE, MAX_DEGREE, MAX_INT_DIGITS, is_prime
+from .limits import MAX_DEGREE, _int_of, _shown, is_prime
 
 __all__ = [
     "Poly",
@@ -105,7 +105,7 @@ class PolyParseError(ValueError):
 
 def _check_modulus(mod: int | None) -> None:
     if mod is not None and not is_prime(mod):
-        raise ValueError(f"modulus must be a prime, got {mod!r}")
+        raise ValueError(f"modulus must be a prime, got {_shown(mod)}")
 
 
 def _strip(cs: list[int]) -> tuple[int, ...]:
@@ -141,10 +141,10 @@ class _Value:
         return hash((self.coeffs, self.mod))
 
     def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {_shown(name)}")
 
     def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {_shown(name)}")
 
     def __reduce__(self):
         return type(self)._canon, (self.coeffs, self.mod)
@@ -183,7 +183,7 @@ class Poly(_Value):
         if exp < 0:
             raise ValueError("negative exponent")
         if exp > MAX_DEGREE:
-            raise ValueError(f"exponent {exp} exceeds the degree cap {MAX_DEGREE}")
+            raise ValueError(f"exponent {_shown(exp)} exceeds the degree cap {MAX_DEGREE}")
         return cls((0,) * exp + (coeff,), mod)
 
     # -- structure ----------------------------------------------------
@@ -331,7 +331,7 @@ class Poly(_Value):
                     if kind != "int":
                         raise PolyParseError("negative exponent" if kind == "-" else "expected exponent", at)
                     if exp > MAX_DEGREE:
-                        raise PolyParseError(f"exponent {exp} exceeds the degree cap {MAX_DEGREE}", at)
+                        raise PolyParseError(f"exponent {_shown(exp)} exceeds the degree cap {MAX_DEGREE}", at)
                     i += 2
             acc[exp] = acc.get(exp, 0) + sign * coeff
         cs = [0] * (max(acc) + 1)
@@ -354,16 +354,16 @@ class Poly(_Value):
         if isinstance(obj, dict):
             unknown = [key for key in obj if key not in ("coeffs", "mod")]
             if unknown:
-                raise ValueError(f"polynomial JSON has the unknown field {unknown[0]!r}")
+                raise ValueError(f"polynomial JSON has the unknown field {_shown(unknown[0])}")
             if "coeffs" not in obj:
                 raise ValueError("polynomial JSON lacks the field 'coeffs'")
             coeffs, given = obj["coeffs"], obj.get("mod", mod)
             if (given is not None and type(given) is not int) or mod not in (None, given):
                 raise ValueError(
-                    f"polynomial field 'mod' must be {mod or 'a prime'}, got {given!r}"
+                    f"polynomial field 'mod' must be {mod or 'a prime'}, got {_shown(given)}"
                 )
             if not isinstance(coeffs, list):
-                raise ValueError(f"polynomial field 'coeffs' must be a list, got {coeffs!r}")
+                raise ValueError(f"polynomial field 'coeffs' must be a list, got {_shown(coeffs)}")
             mod = given
         else:
             coeffs = obj if isinstance(obj, list) else [obj]
@@ -371,18 +371,9 @@ class Poly(_Value):
             raise ValueError(
                 f"polynomial has {len(coeffs)} coefficients, above the degree cap {MAX_DEGREE}"
             )
-        for idx, c in enumerate(coeffs):
-            # int() also reads "1_0", " 2 " and non-ASCII digits
-            if type(c) is not int and (type(c) is not str or not _INT_RE.fullmatch(c)):
-                raise ValueError(
-                    f"polynomial coefficient {c!r} is not an integer or an integer string"
-                )
-            digits = len(c.lstrip("+-")) if type(c) is str else 0
-            if digits > MAX_INT_DIGITS:
-                raise ValueError(
-                    f"polynomial coefficient {idx} has {digits} digits, above the digit cap {MAX_INT_DIGITS}"
-                )
-        return cls([int(c) for c in coeffs], mod)
+        bad = "polynomial coefficient {} is not an integer or an integer string"
+        return cls([c if type(c) is int else _int_of(c, "polynomial coefficient", bad, index=idx)
+                    for idx, c in enumerate(coeffs)], mod)
 
 
 # -- multiplication kernels -------------------------------------------
@@ -692,13 +683,9 @@ def _tokenize(text: str):
     toks = []
     for m in _TOKEN_RE.finditer(text):
         if m.group(1) is not None:
-            if len(m.group(1)) > MAX_INT_DIGITS:
-                raise PolyParseError(
-                    f"integer has {len(m.group(1))} digits, above the digit cap {MAX_INT_DIGITS}", m.start()
-                )
-            toks.append(("int", int(m.group(1)), m.start()))
+            toks.append(("int", _int_of(m.group(1), "integer", None, PolyParseError, m.start()), m.start()))
         elif m.group(2) is not None:
             toks.append((m.group(2), None, m.start()))
         else:
-            raise PolyParseError(f"unexpected character {m.group(3)!r}", m.start())
+            raise PolyParseError(f"unexpected character {_shown(m.group(3))}", m.start())
     return toks

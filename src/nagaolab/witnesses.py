@@ -26,7 +26,7 @@ import json
 from collections import namedtuple
 
 from .gl2 import Mat2, e12
-from .limits import SearchCapExceeded, is_prime
+from .limits import SearchCapExceeded, _shown, is_prime
 from .nagao import nagao_normal_form
 from .ring import Poly
 
@@ -45,16 +45,16 @@ def make_witness(kind: str, p: int | None = None, k: int | None = None) -> Mat2:
     """The witness matrix of a kind in {h, g, x, n}, a prime p (None for
     kind x) and an index k >= 1."""
     if kind not in _KINDS:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
+        raise ValueError(f"kind must be one of {_KINDS}, got {_shown(kind)}")
     if kind == "x":
         if p is not None:
             raise ValueError("kind x takes no prime")
     elif type(p) is not int or not is_prime(p):
-        raise ValueError(f"kind {kind} needs a prime, got {p!r}")
+        raise ValueError(f"kind {kind} needs a prime, got {_shown(p)}")
     if type(k) is not int:
-        raise ValueError(f"index k must be an integer, got {k!r}")
+        raise ValueError(f"index k must be an integer, got {_shown(k)}")
     if k < 1:
-        raise ValueError(f"index k must be >= 1, got {k!r}")
+        raise ValueError(f"index k must be >= 1, got {_shown(k)}")
     t_k = Poly.monomial(k)
     one = Poly.one()
     if kind == "x":
@@ -116,21 +116,23 @@ def _identity_rows(p: int, k: int) -> list:
     one = Poly.one()
     h, g, n = (make_witness(kind, p, k) for kind in "hgn")
     x = make_witness("x", None, k)
-    det_n = Poly.monomial(k, -p)
+    det_h, det_g, det_x, det_n = h.det(), g.det(), x.det(), n.det()
+    minus_p_t_k = Poly.monomial(k, -p)
     h_p, g_p, x_p = h.reduce_mod_p(p), g.reduce_mod_p(p), x.reduce_mod_p(p)
+    x_p_inv = x_p.inv()
     x3_p = make_witness("x", None, 3 * k).reduce_mod_p(p)
     eq_xk, eq_x3k = _nf_equal(p, h_p, x_p), _nf_equal(p, h_p, x3_p)
     return [
-        (f"det_h({p},{k})", "det h(p,k) == 1", h.det() == one, h.det(), "1"),
-        (f"det_g({p},{k})", "det g(p,k) == 1", g.det() == one, g.det(), "1"),
-        (f"det_x({k})", "det x(k) == 1", x.det() == one, x.det(), "1"),
+        (f"det_h({p},{k})", "det h(p,k) == 1", det_h == one, det_h, "1"),
+        (f"det_g({p},{k})", "det g(p,k) == 1", det_g == one, det_g, "1"),
+        (f"det_x({k})", "det x(k) == 1", det_x == one, det_x, "1"),
         (f"det_n({p},{k})", "det n(p,k) == -p*t^k, so n is not in SL2",
-         n.det() == det_n and n.det() != one, n.det(), det_n),
+         det_n == minus_p_t_k and det_n != one, det_n, minus_p_t_k),
         (f"nonunipotent_g({p},{k})", "g(p,k) is not unipotent",
          not g.is_unipotent(), g.trace(), "trace != 2"),
         (f"unipotent_x({k})", "x(k) is unipotent", x.is_unipotent(), x.trace(), "2"),
         (f"reduce_g({p},{k})", "g(p,k) mod p == x(k)^-1",
-         _nf_equal(p, g_p, x_p.inv()), g_p, x_p.inv()),
+         _nf_equal(p, g_p, x_p_inv), g_p, x_p_inv),
         (f"reduce_h({p},{k})", "h(p,k) mod p compared against x(k) and x(3k) mod p: "
          f"equals x(k): {eq_xk}; equals x(3k): {eq_x3k}",
          None, h_p, f"x(k) mod p = {x_p}, x(3k) mod p = {x3_p}"),
@@ -139,11 +141,12 @@ def _identity_rows(p: int, k: int) -> list:
 
 def _coset_rows(p: int, ks) -> list:
     """The coset identity g(p,k)^-1 g(p,l) = E12(t^k - t^l) for k, l in ks."""
+    gs = [make_witness("g", p, k) for k in ks]
     rows = []
-    for k in ks:
-        g_k_inv = make_witness("g", p, k).inv()
-        for l in ks:
-            prod = g_k_inv * make_witness("g", p, l)
+    for k, g_k in zip(ks, gs):
+        g_k_inv = g_k.inv()
+        for l, g_l in zip(ks, gs):
+            prod = g_k_inv * g_l
             expected = e12(Poly.monomial(k) - Poly.monomial(l))
             rows.append((f"coset_lemma({p},{k},{l})",
                          "g(p,k)^-1 * g(p,l) == E12(t^k - t^l)",
@@ -156,7 +159,7 @@ def verify_witness_suite(ps=(2, 3, 5, 7), ks=(1, 2, 3, 4)) -> WitnessReport:
     rows = []
     for p in ps:
         if not is_prime(p):
-            raise ValueError(f"witness primes must be prime, got {p!r}")
+            raise ValueError(f"witness primes must be prime, got {_shown(p)}")
         for k in ks:
             rows += _identity_rows(p, k)
         rows += _coset_rows(p, ks)
@@ -186,14 +189,14 @@ def sn_witness_search(p: int, n: int) -> tuple[int, ...] | None:
     running an unbounded search.
     """
     if type(p) is not int or not is_prime(p):
-        raise ValueError(f"p must be prime, got {p!r}")
+        raise ValueError(f"p must be prime, got {_shown(p)}")
     if type(n) is not int:
-        raise ValueError(f"arity must be an integer, got {n!r}")
+        raise ValueError(f"arity must be an integer, got {_shown(n)}")
     if n < 1:
-        raise ValueError(f"arity must be >= 1, got {n!r}")
+        raise ValueError(f"arity must be >= 1, got {_shown(n)}")
     if p > SN_MAX_PRIME or n > p:
         raise SearchCapExceeded(
-            f"search cap exceeded: p={p}, n={n} (caps: p <= {SN_MAX_PRIME}, n <= p)"
+            f"search cap exceeded: p={_shown(p)}, n={_shown(n)} (caps: p <= {SN_MAX_PRIME}, n <= p)"
         )
 
     full = (1 << p) - 1

@@ -661,6 +661,48 @@ def test_integer_options_over_the_digit_cap(capsys):
         assert len(err) < 200 and message in err and "characters)" in err, argv
 
 
+_LONG = "x" * 5000  # a bad value of 5 000 characters
+_DIGITS = "7" * 4300  # an integer at the digit cap
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["nf", "--mod", "3", json.dumps(["Q(" + _LONG + ")"])], "not a generator shorthand"),
+        (["nf", "--mod", "3", json.dumps(["D(" + _LONG + ")"])], "D needs a signed decimal integer"),
+        (["nf", "--ring", "e2zt", json.dumps(["D(" + _DIGITS + ")"])], "is not a unit of Z"),
+        (["nf", "--mod", "3", '[[{"coeffs": ["%s"]}, 0], [0, 1]]' % _LONG], "polynomial coefficient"),
+        (["nf", "--mod", "3", '[[{"coeffs": "%s"}, 0], [0, 1]]' % _LONG], "polynomial field 'coeffs'"),
+        (["nf", "--mod", "3", '[[{"coeffs": [1], "mod": "%s"}, 0], [0, 1]]' % _LONG], "polynomial field 'mod'"),
+        (["nf", "--mod", "3", '[[{"%s": 1}, 0], [0, 1]]' % _LONG], "polynomial JSON has the unknown field"),
+        (["nf", "--mod", "3", json.dumps([{"factor": _LONG, "matrix": "W"}])], "word item 0 field 'factor'"),
+        (["nf", "--mod", "3", json.dumps([{"factor": 1, "matrix": "W", _LONG: 0}])], "word item 0 has the unknown field"),
+        (["nf", "--mod", "3", json.dumps([[_LONG]])], "word items must be"),
+        (["nf", "--mod", "3", json.dumps({"head": 0, "tags": _LONG, "tail": []})], "normal form field 'tags'"),
+        (["nf", "--mod", "3", json.dumps({"head": 0, "tags": [], "tail": _LONG})], "normal form field 'tail'"),
+        (["nf", "--mod", "3", json.dumps({_LONG: 0})], "normal form JSON has the unknown field"),
+        (["hdim", "--group", "bz", "--mod", "2", "--max-i", "-" + _DIGITS], "--max-i"),
+        (["hdim", "--group", "bz", "--mod", "2", "--max-deg", _DIGITS], "truncation degree"),
+        (["verify", "--witness", "2", _DIGITS], "witness index"),
+        (["nf", "--mod", _DIGITS, "W"], "primality"),
+        (["nf", "--mod", "3", '[{"factor": %s, "matrix": "W"}]' % _DIGITS], "factor tag"),
+        (["verify", "--sn", "5", _DIGITS], "search cap exceeded: p=5, n="),
+        (["verify", "--sn", "5", "-" + _DIGITS], "arity must be >= 1"),
+        (["nf", "--mod", "3", "[[1, t^%s], [0, 1]]" % _DIGITS], "exponent"),
+    ],
+    ids=["gen-shorthand", "gen-d-pattern", "gen-d-unit", "coeff-pattern", "coeffs-not-list",
+         "poly-mod", "poly-unknown-field", "word-factor", "word-unknown-field", "word-item",
+         "nf-tags", "nf-tail", "nf-unknown-field", "max-i", "max-deg", "witness-index",
+         "primality", "factor-tag", "sn-search-cap", "sn-arity", "exponent"],
+)
+def test_long_values_are_quoted_short(capsys, argv, names):
+    """A message quotes a long outside value by its first 40 characters and
+    its length: one stderr line under 200 bytes that names what is wrong."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert len(err.encode()) < 200 and names in err and "characters)" in err
+
+
 def test_large_prime_modulus(capsys):
     """Primality of a modulus up to 2**64 is decided at once; larger ones
     are refused."""

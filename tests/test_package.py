@@ -42,6 +42,22 @@ def test_no_assert_in_the_library():
     assert found == []
 
 
+def test_input_rules_live_in_limits():
+    """The integer rule and the quoting rule are written out once, in
+    ``limits``: no other module names the integer pattern or the digit cap
+    (it converts integer text with ``limits._int_of``), and none defines a
+    quoting function of its own besides ``limits._shown``."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "limits":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if name in ("_INT_RE", "MAX_INT_DIGITS") or (isinstance(node, ast.FunctionDef) and name == "_shown"):
+                found.append(f"{path.name}:{node.lineno}:{name}")
+    assert found == []
+
+
 def test_every_name_in_all_exists():
     assert MODULES == sorted(LAYERS)
     missing = []
