@@ -256,13 +256,13 @@ class AmalgamStructure:
     def _check_letter(self, factor: int, x: Form | None, mat: Mat2 | None = None) -> Form:
         """Refuse a word letter whose tag is not 1 or 2 or whose engine form
         x is not in the factor the tag names (None stands for a matrix in
-        neither factor); returns x.  The message shows the letter's matrix
-        ``mat``, built from x when not given."""
+        neither factor); returns x.  The message quotes the letter's matrix
+        ``mat``, built from x when not given, by ``_shown``."""
         if factor not in (1, 2):
             raise ValueError(f"factor tag must be 1 or 2, got {_shown(factor)}")
         if x is None or factor not in self._factors(x):
             shown = mat if mat is not None else _mat(x, self.mod)
-            raise ValueError(f"letter {shown} fails membership in factor {factor}")
+            raise ValueError(f"letter {_shown(shown, str)} fails membership in factor {factor}")
         return x
 
     def nf_evaluate(self, nf: NormalForm) -> Mat2:

@@ -15,8 +15,8 @@ choices); each handler imports the modules it runs, so that a process compiles o
 ``nf`` loads ``amalgam``, ``gl2``, ``nagao`` and ``ring``, and ``verify``
 loads ``witnesses`` and with it all of them.
 
-The work of an ``nf`` request is bounded by the one budget ``ring.MAX_WORK``
-(see ``_capped`` and the Euclid loop of ``nagao``).
+``_cmd_nf`` runs a request in ``ring._metered``: the kernels charge its work
+meter as they run, and the charge past ``ring.MAX_WORK`` refuses it (exit 2).
 """
 
 from __future__ import annotations
@@ -106,34 +106,15 @@ def _check_word_len(n: int, what: str) -> None:
 
 
 def _capped(letters, mod, what: str):
-    """The letters, refused as soon as they pass MAX_WORD_LEN, the work
-    budget, or over Z MAX_WORD_BITS.
-
-    The work is the ``_mul_cost`` of multiplying the letters out from the
-    left: each nonzero letter entry multiplies a column of the running
-    product, of degree at most the summed letter degree and coefficients of
-    at most ``width`` bits: below p over F_p; over Z each letter adds
-    ceil(log2) of its larger column l1 norm.  The size cap takes, per
-    letter, one plus the bit length of its largest entry l1 norm |m|, since
-    |m * n| <= 2 |m| |n|."""
-    from .ring import _charge, _mul_cost
-
-    count = degree = bits = 0
-    width = 0 if mod is None else (mod - 1).bit_length()
-    work = 0.0
+    """The letters, refused as soon as they pass MAX_WORD_LEN or, over Z,
+    MAX_WORD_BITS: per letter one plus the bit length of its largest entry
+    l1 norm |m|, since |m * n| <= 2 |m| |n|."""
+    count = bits = 0
     for letter in letters:
         count += 1
         _check_word_len(count, what)
-        entries = letter.mat.coeffs
-        for cs in entries:
-            if cs:
-                work += 2 * _mul_cost(degree + 1, len(cs), width, max(map(abs, cs)).bit_length())[0]
-        _charge(work, what)
-        degree += max(1, *map(len, entries)) - 1
         if mod is None:
-            a, b, c, d = (sum(map(abs, cs)) for cs in entries)
-            width += (max(a + c, b + d) - 1).bit_length()
-            bits += 1 + max(a, b, c, d).bit_length()
+            bits += 1 + max(sum(map(abs, cs)) for cs in letter.mat.coeffs).bit_length()
             if bits > MAX_WORD_BITS:
                 raise ValueError(f"{what} has summed coefficient bits above the product size cap {MAX_WORD_BITS}")
         yield letter
@@ -196,6 +177,7 @@ def _cmd_nf(args) -> tuple[int, str]:
     from .amalgam import AmalgamStructure
     from .gl2 import _is_matrix_json, mat_from_json, parse_matrix
     from .nagao import nagao_normal_form
+    from .ring import _metered
 
     text = sys.stdin.read() if args.input == "-" else args.input
     try:
@@ -220,14 +202,17 @@ def _cmd_nf(args) -> tuple[int, str]:
             "these methods, so supply a word in SL2(Z) and B(Z[t]) letters",
         )
     struct = AmalgamStructure(mod)
-    if isinstance(payload, dict):
-        nf = struct.normalize(list(_capped(_nf_from_json(payload, mod), mod, "normal form")))
-    elif is_word:
-        nf = struct.normalize(list(_capped(_word_from_json(payload, mod), mod, "word")))
-    else:
-        m = mat_from_json(payload, mod) if is_json else parse_matrix(text, mod)
-        nf = nagao_normal_form(mod, m)
-    return EXIT_OK, _render_nf(struct, nf, args.format)
+    what = "normal form" if isinstance(payload, dict) else "word" if is_word else "matrix"
+
+    def request() -> str:
+        if what == "matrix":
+            nf = nagao_normal_form(mod, mat_from_json(payload, mod) if is_json else parse_matrix(text, mod))
+        else:
+            letters = _nf_from_json(payload, mod) if what == "normal form" else _word_from_json(payload, mod)
+            nf = struct.normalize(list(_capped(letters, mod, what)))
+        return _render_nf(struct, nf, args.format)
+
+    return EXIT_OK, _metered(what, request)
 
 
 def _table_rows(args):

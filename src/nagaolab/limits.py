@@ -44,12 +44,16 @@ MAX_INT_DIGITS = 4_300
 _INT_RE = re.compile(r"[+-]?[0-9]+")
 
 
-def _shown(value) -> str:
-    """How a message quotes an outside value: its repr, or past 40 characters
-    (of a str, else of its repr) the first 40 and the length."""
+def _shown(value, show=repr) -> str:
+    """How a message quotes a value: a str by its repr, another by ``show``,
+    past 40 characters by the first 40 and the length; an int of more than
+    MAX_INT_DIGITS digits, which CPython does not convert to text, by its
+    bit length."""
     if isinstance(value, str):
         return repr(value) if len(value) <= 40 else f"{value[:40]!r}... ({len(value)} characters)"
-    text = repr(value)
+    if isinstance(value, int) and abs(value) >= 10**MAX_INT_DIGITS:
+        return f"<an integer of {value.bit_length()} bits>"
+    text = show(value)
     return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 

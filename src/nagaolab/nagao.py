@@ -23,9 +23,8 @@ from __future__ import annotations
 
 from .amalgam import AmalgamStructure, Form, Letter, NormalForm, _mat
 from .gl2 import _ONE, Gen, Mat2, _mat_prod
-from .limits import CrossValidationError
-from .ring import _KRONECKER_MIN_LEN, _NEWTON_MIN_LEN, Poly, _charge, _divmod_coeffs, _dot, _mul_cost
-from .ring import _reduce_coeffs, _scale
+from .limits import CrossValidationError, _shown
+from .ring import Poly, _divmod_coeffs, _dot, _reduce_coeffs, _scale
 
 __all__ = [
     "sl2fpt_elementary_factor",
@@ -36,24 +35,9 @@ __all__ = [
 ]
 
 
-# Each Euclid step of sl2fpt_elementary_factor is charged its products, plus
-# _PASS_COST per coefficient for the linear passes around them, times
-# _EUCLID_PASSES for the round trip, degree reduction and evaluation that
-# repeat its sizes: whole requests took 1.5 to 6 times the loop's own
-# estimate, and 2.5 keeps the k = 50 alternating product of degree 7 050 in.
-_EUCLID_PASSES = 2.5
-_PASS_COST = 200
-
-
 # The oracles below work on the canonical coefficient tuples of the entries
 # with the ``ring`` kernels, where x + f*y is _dot(x, _ONE, f, y, mod), and
 # build their Gen, Letter and Mat2 objects once, at the end.
-
-
-def _require_det_one(m: Mat2) -> None:
-    det = m.det()
-    if det != Poly.one(m.mod):
-        raise ValueError(f"determinant must be 1, got {det}")
 
 
 # -- elementary factorizations ---------------------------------------
@@ -78,11 +62,10 @@ def sl2fpt_elementary_factor(m: Mat2) -> list[Gen]:
     p = m.mod
     if p is None:
         raise ValueError("sl2fpt_elementary_factor expects coefficients mod p")
-    _require_det_one(m)
+    det = m.det()
+    if det != Poly.one(p):
+        raise ValueError(f"determinant must be 1, got {_shown(det, str)}")
     a, b, c, d = m.coeffs
-    width = (p - 1).bit_length()
-    unit = _mul_cost(1, 1, width, width)[0]  # one coefficient product in the loop
-    work = 0.0
     steps: list[tuple[str, tuple[int, ...]]] = []
     while c:
         if not a:
@@ -99,27 +82,12 @@ def sl2fpt_elementary_factor(m: Mat2) -> list[Gen]:
             # len(d) - len(c) coefficients unless a*d is a constant, and at
             # most 1 then; only that many of b - q*d are computed
             b = _dot(b, _ONE, _scale(q, -1, p), d, p, max(len(a) + len(d) - len(c), 1))
-            divisor, other = c, d
         else:
             q, c = _divmod_coeffs(c, a, p)
             steps.append(("E21", q))
             # likewise a*d = 1 + b*c: d has at most max(len(b) + len(c) -
             # len(a), 1) coefficients
             d = _dot(d, _ONE, _scale(q, -1, p), b, p, max(len(b) + len(c) - len(a), 1))
-            divisor, other = a, b
-        # the division and the column update as ring._mul_cost prices them;
-        # long division and the schoolbook loop skip zero coefficients of q
-        nq = len(q) - q.count(0)
-        if len(q) < _KRONECKER_MIN_LEN:  # both loops
-            cost = nq * (len(divisor) + len(other)) * unit
-        else:  # long or Newton division, and a Kronecker update
-            wq = max(q).bit_length()
-            cost = _mul_cost(len(q), len(other), wq, width)[0] + (
-                nq * len(divisor) * unit if len(q) < _NEWTON_MIN_LEN
-                else _mul_cost(len(q), len(divisor), wq, width)[0]
-            )
-        work += _EUCLID_PASSES * (cost + _PASS_COST * (len(divisor) + len(other)))
-        _charge(work, "matrix")
     gens = [Gen(kind, Poly._canon(q, p), p) for kind, q in steps]
     u0 = a[0]
     if u0 != 1:
@@ -145,7 +113,7 @@ def _gen_forms(gens, mod: int | None) -> list[tuple[int, Form]]:
     forms: list[tuple[int, Form]] = []
     for g in gens:
         if g.mod != mod:
-            raise ValueError(f"generator {g} is not over coefficients mod {mod}")
+            raise ValueError(f"generator {_shown(g, str)} is not over coefficients mod {mod}")
         if g.kind == "E21":
             forms += [(1, w_inv), (2, (1, _scale(g.arg.coeffs, -1, mod), 0, 1)), (1, w_form)]
         else:

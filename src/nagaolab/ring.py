@@ -62,9 +62,13 @@ of that last branch to their n low coefficients: ``_raw_mul`` multiplies
 only a[:n] and b[:n] and stops each schoolbook row at coefficient n, and a
 packed product or sum is masked to n slots before it is read back.
 
-``_mul_cost`` prices a product, for the kernel it picks, in 30-bit digit
-products; ``_charge`` refuses an ``nf`` request whose priced work passes
-the one budget ``MAX_WORK`` (``cli._capped``, ``nagao`` Euclid loop).
+``_metered`` runs an ``nf`` request with a work meter of its own
+(``_METER``).  ``_raw_mul``, ``_packed_dot``, ``_scale``, ``_divmod_coeffs``
+and ``_dot``'s one-pass sums charge it, as they run, the ``_mul_cost`` of
+their work, from the lengths and widths they have: p's width over F_p;
+over Z the widths ``_raw_mul`` reads to pick its kernel, else none.
+``_charge`` refuses the charge that takes the total past ``MAX_WORK``; with
+no meter open, as in library calls, a kernel pays one ``ContextVar.get``.
 
 ``Poly`` and ``gl2.Mat2`` share the base ``_Value``: equality and hash on
 ``(coeffs, mod)``, no assignment, and the trusted constructor ``_canon``,
@@ -82,6 +86,7 @@ the modulus and every input here, come from ``limits``, the leaf module that
 
 from __future__ import annotations
 
+import contextvars
 import itertools
 import re
 import sys
@@ -425,12 +430,15 @@ def _dot(x, y, u, v, mod: int | None, n: int | None = None) -> tuple[int, ...]:
             x, y = y, x
         if len(y) == 1:
             return x if y[0] == 1 else _scale(x, y[0], mod)
-        cs = _raw_mul(x, y, mod is None)
+        cs = _raw_mul(x, y, mod)
         return tuple(cs) if mod is None else tuple([c % mod for c in cs])
     if (len(x) == 1 or len(y) == 1) and (len(u) == 1 or len(v) == 1):
         # s*f + r*g for scalars s and r, in one pass
         s, f = (x[0], y) if len(x) == 1 else (y[0], x)
         r, g = (u[0], v) if len(u) == 1 else (v[0], u)
+        if _METER.get() is not None:
+            w = (mod - 1).bit_length() if mod else 0  # over Z the widths of f and g are not known
+            _charge(_mul_cost(1, len(f), s.bit_length(), w)[0] + _mul_cost(1, len(g), r.bit_length(), w)[0])
         pairs = itertools.zip_longest(f, g, fillvalue=0)
         if mod is None:
             return _strip([s * a + r * b for a, b in pairs])
@@ -447,8 +455,7 @@ def _dot(x, y, u, v, mod: int | None, n: int | None = None) -> tuple[int, ...]:
     # the sum as a (scaled) copy, and the other is added into its list
     if len(u) == 1 or len(v) == 1:
         x, y, u, v = u, v, x, y
-    signed = mod is None
-    cs = _raw_mul(u, v, signed, n, _raw_mul(x, y, signed, n))
+    cs = _raw_mul(u, v, mod, n, _raw_mul(x, y, mod, n))
     if mod is not None:
         cs = [c % mod for c in cs]
     return _strip(cs)
@@ -458,6 +465,8 @@ def _scale(x, u: int, mod: int | None) -> tuple[int, ...]:
     """The canonical coefficient tuple of u*x for a nonzero scalar u of the
     ring ``mod`` (reduced mod p): reduced mod p, and over a domain no strip
     is needed."""
+    if _METER.get() is not None:
+        _charge(_mul_cost(1, len(x), u.bit_length(), (mod - 1).bit_length() if mod else 0)[0])
     if mod is None:
         return tuple([u * c for c in x])
     return tuple([u * c % mod for c in x])
@@ -470,7 +479,14 @@ def _divmod_coeffs(a, b, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     k = len(a) - db  # quotient length
     if k <= 0:
         return (), a
-    if min(k, len(b)) >= _NEWTON_MIN_LEN:
+    newton = min(k, len(b)) >= _NEWTON_MIN_LEN
+    if _METER.get() is not None:
+        # Newton: about 3 products k by k and one k by db; long division:
+        # k*db products in the loop, priced as one row of that length
+        bits = (p - 1).bit_length()
+        _charge(3 * _mul_cost(k, k, bits, bits)[0] + _mul_cost(k, db, bits, bits)[0] if newton
+                else _mul_cost(k * max(db, 1), 1, bits, bits)[0])
+    if newton:
         # rev(q) = rev(a) / rev(b) mod t^k; r = a - q*b, of which only
         # the db low coefficients can be nonzero.  Each slot read below sums
         # at most max(k, db) products of residues, so one width serves all.
@@ -498,13 +514,16 @@ def _divmod_coeffs(a, b, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(q), _strip(rem)
 
 
-def _raw_mul(a, b, signed: bool, n: int | None = None, acc: list[int] | None = None) -> list[int]:
+def _raw_mul(a, b, mod: int | None, n: int | None = None, acc: list[int] | None = None) -> list[int]:
     """acc plus the unreduced coefficients of a*b, only the n low ones of
     a*b if n is given, as one list: the schoolbook rows are added into acc,
     grown with zeros to their length, and of acc and the Kronecker slots the
     shorter is added into the longer.  Without acc, or with acc empty, the
     product is a new list, and a factor (1,) gives a copy of the other
-    operand.  ``signed`` is False only for coefficients that are all >= 0."""
+    operand.  The coefficients are those of the ring ``mod``: of either sign
+    over Z (None), else residues.  It charges the open meter the cost of its
+    kernel, at the widths it reads to pick it from _KRONECKER_MIN_LEN
+    coefficients, below at p's width (over Z, none); a copy costs nothing."""
     if acc is None:
         acc = []
     if not a or not b:
@@ -514,13 +533,20 @@ def _raw_mul(a, b, signed: bool, n: int | None = None, acc: list[int] | None = N
     m = len(a) + len(b) - 1
     if n is not None and n < m:
         a, b, m = a[:n], b[:n], n
+    signed, la = mod is None, len(a)
+    metered = _METER.get() is not None
+    if metered and len(b) < _KRONECKER_MIN_LEN and (len(b) != 1 or b[0] != 1):
+        w = 0 if signed else (mod - 1).bit_length()
+        _charge(_mul_cost(la, len(b), w, w)[0])
     if len(b) == 1 and not acc:
         c = b[0]
         return list(a) if c == 1 else [c * e for e in a]
-    la = len(a)
     if len(b) >= _KRONECKER_MIN_LEN:
         ma, mb = (max(map(abs, a)), max(map(abs, b))) if signed else (max(a), max(b))
-        if _mul_cost(la, len(b), ma.bit_length(), mb.bit_length())[1]:
+        cost, kronecker = _mul_cost(la, len(b), ma.bit_length(), mb.bit_length())
+        if metered:
+            _charge(cost)
+        if kronecker:
             cs = _kronecker(a, b, len(b) * ma * mb, signed, m)
             if len(cs) < len(acc):
                 cs, acc = acc, cs
@@ -538,9 +564,28 @@ def _raw_mul(a, b, signed: bool, n: int | None = None, acc: list[int] | None = N
     return acc
 
 
-# The work budget of one nf request, in the digit products of _mul_cost: the
-# cost of multiplying out a word or normal form, or of factoring a matrix.
+# The work budget of one nf request, in the digit products of _mul_cost
+# that the kernels charge to the request's meter as they run.
 MAX_WORK = 4_500_000_000
+# [work charged so far, request kind] of the open request, or None
+_METER = contextvars.ContextVar("nagaolab_work_meter", default=None)
+
+
+def _metered(what: str, fn):
+    """fn() as one request of kind ``what``, with a meter of its own."""
+    token = _METER.set([0.0, what])
+    try:
+        return fn()
+    finally:
+        _METER.reset(token)
+
+
+def _charge(work: float) -> None:
+    """Add work to the open meter; refuse the charge that takes it past MAX_WORK."""
+    meter = _METER.get()
+    meter[0] += work
+    if meter[0] > MAX_WORK:
+        raise ValueError(f"{meter[1]} passed the work budget of {MAX_WORK} digit products")
 
 
 def _mul_cost(la: int, lb: int, wa: int, wb: int) -> tuple[float, bool]:
@@ -570,14 +615,6 @@ def _mul_cost(la: int, lb: int, wa: int, wb: int) -> tuple[float, bool]:
         if kronecker < loop:
             return la * kronecker + (la + lb) * (120 if slot <= 64 else 1_000), True
     return 2.5 * la * loop, False
-
-
-def _charge(work: float, what: str) -> None:
-    """Refuse a request whose estimated work has passed MAX_WORK."""
-    if work > MAX_WORK:
-        raise ValueError(
-            f"{what} has an estimated work of at least {work:.0f} digit products, above the work budget {MAX_WORK}"
-        )
 
 
 def _kronecker(a, b, bound: int, signed: bool, n: int) -> list[int]:
@@ -623,6 +660,9 @@ def _packed_dot(x, y, u, v, p: int, n: int | None) -> tuple[int, ...]:
     if n is not None and n < m:
         x, y, u, v, m = x[:n], y[:n], u[:n], v[:n], n
     pairs = [(g, f) if f == (1,) else (f, g) for f, g in ((x, y), (u, v))]  # a factor (1,) second
+    if _METER.get() is not None:  # a factor (1,) is packed, not multiplied
+        bits = (p - 1).bit_length()
+        _charge(sum(_mul_cost(len(f), len(g), bits, bits)[0] for f, g in pairs if g != (1,)))
     w = _slot_width(sum(p - 1 if g == (1,) else min(len(f), len(g)) * (p - 1) ** 2 for f, g in pairs))
     total = sum(_evaluate(f, w, 0) if g == (1,) else _evaluate(f, w, 0) * _evaluate(g, w, 0) for f, g in pairs)
     return _strip(_reduced(total, m, w, p))

@@ -1,8 +1,9 @@
 import contextlib
 import io
+import itertools
 import json
+import math
 import os
-import random
 import subprocess
 import sys
 
@@ -10,10 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nagaolab
-from nagaolab import cli
-from nagaolab.amalgam import Letter
+from nagaolab import ring
 from nagaolab.cli import main
-from nagaolab.gl2 import diag, e12, e21, identity, w
+from nagaolab.gl2 import e12, e21, identity
 from nagaolab.homology import GROUP_IDS
 from nagaolab.limits import CrossValidationError
 from nagaolab.ring import Poly
@@ -31,25 +31,23 @@ def _alternating_json(p, pairs):
     return json.dumps(m.to_json())
 
 
-P64 = 2**64 - 59  # the largest prime below 2**64
-
-# Inputs above the work budget, with their exact refusals: over F_p with p
-# near 2**64, five letters E12(f) with f dense of degree 10 000 alternating
-# with a constant, as a word and as a normal form, and the
-# (E12(t) E21(t))^1200 matrix over F_3.
-_DENSE_E12 = [[1, [P64 - 1 - i for i in range(10001)]], [0, 1]]
+# Inputs above the work budget, with their exact refusals: over Z, two
+# letters E12(f) with f of 3 000 coefficients of 1 960 bits around W (within
+# the 4 000-bit size cap), as a word and as a normal form, whose evaluation
+# multiplies f by f, a product priced at about 8.9e9 (it runs about 6 s), and
+# the (E12(t) E21(t))^1200 matrix over F_3 (about 9.8e9 in all).  Each is
+# refused at the first charge past the budget.
+_WIDE_E12 = [[1, [0] + [2**1959 + k for k in range(1, 3000)]], [0, 1]]
 WORD_WORK_CASE = (
-    ["--mod", str(P64), json.dumps([{"factor": 2, "matrix": _DENSE_E12}, "W"] * 4 + [{"factor": 2, "matrix": _DENSE_E12}])],
-    "error: word has an estimated work of at least 6630151740 digit products, above the work budget 4500000000",
+    ["--ring", "e2zt", json.dumps([{"factor": 2, "matrix": _WIDE_E12}, "W", {"factor": 2, "matrix": _WIDE_E12}])],
+    "error: word passed the work budget of 4500000000 digit products",
 )
 NF_WORK_CASE = (
-    ["--mod", str(P64), json.dumps({"head": [[1, 0], [0, 1]], "tags": [2, 1] * 5,
-                                    "tail": [_DENSE_E12, [[0, P64 - 1], [1, 0]]] * 5})],
-    "error: normal form has an estimated work of at least 6630151740 digit products, above the work budget 4500000000",
+    ["--ring", "e2zt", json.dumps({"head": [[1, 0], [0, 1]], "tags": [2, 1, 2],
+                                   "tail": [_WIDE_E12, [[0, -1], [1, 0]], _WIDE_E12]})],
+    "error: normal form passed the work budget of 4500000000 digit products",
 )
-EUCLID_WORK_ERROR = (
-    "error: matrix has an estimated work of at least 4501135872 digit products, above the work budget 4500000000"
-)
+EUCLID_WORK_ERROR = "error: matrix passed the work budget of 4500000000 digit products"
 
 
 def run(capsys, *argv):
@@ -200,7 +198,7 @@ def test_nf_det_not_one(capsys):
         # degree 10 000 000
         WORD_WORK_CASE,
         (["--mod", "3", json.dumps(["E12(t^10000)", "W"] * 1000)],
-         "error: word has an estimated work of at least 4549258377 digit products, above the work budget 4500000000"),
+         "error: word passed the work budget of 4500000000 digit products"),
         NF_WORK_CASE,
         (["--ring", "e2zt", json.dumps(["E12(%d)" % 2**1998, "W", "E12(%d)" % 2**1998])],
          "error: word has summed coefficient bits above the product size cap 4000"),
@@ -280,9 +278,18 @@ _POLY = _JSON | _HIGH | st.fixed_dictionaries(
     {"coeffs": _JSON | _HIGH | st.lists(_BIG, max_size=3)}, optional={"mod": _JSON}
 )
 _MATRIX = st.lists(st.lists(_POLY, min_size=2, max_size=2), min_size=2, max_size=2)
+# entries of many terms, as polynomial text and as coefficient lists, in
+# matrices of determinant 1 or not, and in letters of either factor
+_TERMS = st.integers(100, 3000).map(lambda n: " + ".join(f"{k % 5 + 1}*t^{k}" for k in range(n)))
+_LONG_ENTRY = _TERMS | st.integers(100, 3000).map(lambda n: [k % 7 + 1 for k in range(n)])
+_LONG_MATRIX = st.tuples(_LONG_ENTRY, st.sampled_from([0, 1, 2])).map(lambda t: [[t[0], t[1]], [0, 1]]) | st.tuples(
+    _LONG_ENTRY, st.sampled_from([0, 1])).map(lambda t: [[1, 0], [t[1], t[0]]])
 _PAYLOAD = (
     _JSON
     | _MATRIX
+    | _LONG_MATRIX
+    | st.lists(st.fixed_dictionaries({"factor": st.sampled_from([1, 2]), "matrix": _LONG_MATRIX})
+               | _TERMS.map("E12({})".format) | _TERMS.map("E21({})".format), min_size=1, max_size=3)
     | st.lists(_SCALARS | st.fixed_dictionaries({"factor": _JSON, "matrix": _MATRIX | _JSON}),
                max_size=4)
     | st.fixed_dictionaries({"head": _MATRIX | _JSON, "tags": _JSON,
@@ -294,35 +301,84 @@ _PAYLOAD = (
 @given(payload=_PAYLOAD, p=st.sampled_from([2, 3, 5, 7]))
 def test_nf_any_json_payload_exits_cleanly(payload, p):
     """Any JSON input to ``nf --mod p`` ends in a documented exit code, with
-    at most a one-line message and no exception escaping ``main``."""
+    at most a one-line message under 200 bytes and no exception escaping
+    ``main``."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(["nf", "--mod", str(p), json.dumps(payload)])
     assert code in (0, 1, 2, 3)
     assert err.getvalue().count("\n") == (code != 0)
+    assert len(err.getvalue().encode()) < 200
 
 
-def test_capped_width_bounds_the_running_product(monkeypatch):
-    """Over Z the work meter prices each letter against a coefficient width
-    that bounds the product of the letters before it."""
-    rng = random.Random(4242)
-    calls = []
-    monkeypatch.setattr("nagaolab.ring._mul_cost", lambda la, lb, wa, wb: calls.append(wa) or (0.0, False))
-    for _ in range(40):
-        letters = []
-        for _ in range(rng.randint(1, 12)):
-            kind = rng.choice("EWD")
-            if kind == "E":
-                f = Poly([rng.randint(-(2**rng.randint(0, 40)), 2**rng.randint(0, 40)) for _ in range(rng.randint(1, 5))])
-                letters.append(Letter(2, e12(f)))
-            else:
-                letters.append(Letter(1, w() if kind == "W" else diag(-1)))
-        capped, prod = cli._capped(iter(letters), None, "word"), identity()
-        for letter in letters:
-            calls.clear()
-            assert next(capped) is letter
-            assert max(abs(c) for e in prod.entries() for c in e.coeffs) <= 2 ** max(calls)
-            prod = prod * letter.mat
+def _record_charges(monkeypatch) -> list[float]:
+    """Every charge the kernels make, in order, each still charged."""
+    charges, charge = [], ring._charge
+    monkeypatch.setattr(ring, "_charge", lambda work: charges.append(work) or charge(work))
+    return charges
+
+
+# One request of each kind, small enough to run in well under a second.
+_METERED = [
+    (["--mod", "101", json.dumps(["E12(t^40 + 3*t + 1)", "W", "E21(2*t^30 + t)", "W"] * 5)], "word"),
+    (["--mod", "101", json.dumps({"head": [[1, 0], [0, 1]], "tags": [2, 1] * 10,
+                                  "tail": [[[1, [0, 4] + [0] * 48 + [1]], [0, 1]], [[0, 100], [1, 7]]] * 10})],
+     "normal form"),
+    (["--mod", "101", _alternating_json(101, 40)], "matrix"),
+]
+
+
+@pytest.mark.parametrize("argv, what", _METERED, ids=[what for _, what in _METERED])
+def test_meter_refuses_the_first_charge_past_the_budget(capsys, monkeypatch, argv, what):
+    """The request runs within a budget equal to its total, and with a lower
+    one it is refused at the first charge that takes the total past the
+    budget: exit 2, one stderr line naming the request kind and the budget,
+    and nothing on stdout."""
+    charges = _record_charges(monkeypatch)
+    code, out, err = run(capsys, "nf", *argv)
+    total = sum(charges)
+    assert (code, err) == (0, "") and total > 0 and len(charges) > 10
+    monkeypatch.setattr(ring, "MAX_WORK", math.ceil(total))
+    assert run(capsys, "nf", *argv) == (0, out, "")
+    budget = math.floor(total / 3)
+    monkeypatch.setattr(ring, "MAX_WORK", budget)
+    charges.clear()
+    assert run(capsys, "nf", *argv) == (2, "", f"error: {what} passed the work budget of {budget} digit products\n")
+    *before, last = itertools.accumulate(charges)
+    assert all(running <= budget for running in before) and last > budget
+
+
+@pytest.mark.parametrize("argv, what", [
+    *_METERED,
+    # the first charge is made while the word is parsed, by the E21 letter
+    (["--mod", "5", json.dumps(["W", "E21(t^3 + 2*t)"])], "word"),
+    (["--mod", "5", json.dumps([{"factor": 2, "matrix": [[1, [0, 1, 2]], [0, 1]]}, "W"])], "word"),
+    (["--mod", "5", "[[1 + t, t], [t, 1 + t + t^2]]"], "matrix"),
+], ids=["word", "normal-form", "matrix", "word-parse", "word-objects", "matrix-text"])
+def test_meter_refusal_reaches_main_unchanged(capsys, monkeypatch, argv, what):
+    """With a budget of 0 the first charge refuses, wherever it is made
+    (parsing, normalizing, factoring, evaluating): the refusal reaches
+    ``main`` as the meter raised it, rewrapped by no ``except ValueError``."""
+    monkeypatch.setattr(ring, "MAX_WORK", 0)
+    assert run(capsys, "nf", *argv) == (2, "", f"error: {what} passed the work budget of 0 digit products\n")
+    assert ring._METER.get() is None
+
+
+def test_requests_do_not_share_a_total(capsys, monkeypatch):
+    """Each request opens its own meter: with a budget that one request
+    just fits, it runs twice in a row, and again after a refused request."""
+    small, _ = _METERED[0]
+    charges = _record_charges(monkeypatch)
+    code, out, _ = run(capsys, "nf", *small)
+    assert code == 0
+    monkeypatch.setattr(ring, "MAX_WORK", math.ceil(sum(charges)))
+    for argv in (small, small, ["--mod", "101", _alternating_json(101, 200)], small):
+        code, got, err = run(capsys, "nf", *argv)
+        if argv is small:
+            assert (code, got, err) == (0, out, "")
+        else:  # the matrix needs more than the budget
+            assert (code, got, err.count("\n")) == (2, "", 1)
+        assert ring._METER.get() is None
 
 
 def test_nf_word_at_length_cap(capsys):
@@ -370,6 +426,11 @@ def _flag(name, values):
 _NF_INPUTS = ['["E12({})", "W"]', '["E21({})", "W"]', '["D({})"]',
               "[[1, t^{}], [0, 1]]", "[[{}, 0], [0, 1]]"]
 _ARGV = st.one_of(
+    # matrices and letters with entries of many terms, of determinant 1 or not
+    st.tuples(
+        st.sampled_from(["[[{}, 0], [0, 1]]", "[[1, 0], [t, {}]]", "[[1, {}], [0, 1]]", '["E21({})", "W"]']),
+        _TERMS, _flag("--mod", _MOD),
+    ).map(lambda t: ["nf", t[0].format(t[1]), *t[2]]),
     st.tuples(
         st.sampled_from(_NF_INPUTS), _INT, st.sampled_from([[], ["--ring", "e2zt"]]),
         _flag("--mod", _MOD), _flag("--format", st.sampled_from(["text", "json"])),
@@ -392,12 +453,13 @@ _ARGV = st.one_of(
 def test_any_argv_exits_cleanly(argv):
     """Any argv built from the flags of ``nf``, ``hdim`` and ``verify`` ends
     in a documented exit code, with exactly one stderr line on failure and
-    no exception escaping ``main``."""
+    no exception escaping ``main``; a message is under 200 bytes."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3)
     assert err.getvalue().count("\n") == (code != 0)
+    assert len(err.getvalue().encode()) < 200
 
 
 def test_nf_cross_validation_failure(capsys, monkeypatch):
@@ -701,6 +763,31 @@ def test_long_values_are_quoted_short(capsys, argv, names):
     code, out, err = run(capsys, *argv)
     assert (code, out, err.count("\n")) == (2, "", 1)
     assert len(err.encode()) < 200 and names in err and "characters)" in err
+
+
+# 2 000 terms with coefficients 1 and 2, for F_3
+_TERMS_2000 = " + ".join(f"{k % 2 + 1}*t^{k}" for k in range(1, 2001))
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["nf", "--mod", "3", f"[[1 + {_TERMS_2000}, 0], [0, 1]]"], "error: determinant must be 1, got 1 + 2*t + t^2"),
+        (["nf", "--mod", "3", json.dumps([{"factor": 1, "matrix": f"E12({_TERMS_2000})"}])],
+         "error: letter [[1, 2*t + t^2"),
+        (["nf", "--mod", "3", json.dumps({"head": [[1, 0], [0, 1]], "tags": [1],
+                                          "tail": [[[1, [k % 2 + 1 for k in range(2001)]], [0, 1]]]})],
+         "error: letter [[1, 1 + 2*t + t^2"),
+    ],
+    ids=["det", "letter", "normal-form-letter"],
+)
+def test_built_values_are_quoted_short(capsys, argv, names):
+    """A value the program built from a long input (a determinant, a
+    letter's matrix) is quoted as its first 40 characters and its length,
+    in one stderr line under 200 bytes."""
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert len(err.encode()) < 200 and err.startswith(names) and "characters)" in err
 
 
 def test_large_prime_modulus(capsys):

@@ -471,3 +471,20 @@ def test_mat_mul_and_det_property(pair):
     m, k = pair
     assert m * k == entrywise_mat_mul(m, k)
     assert m.det() == entrywise_det(m)
+
+
+_HUGE = 10**5000  # 5 001 digits, more than CPython converts to text by default
+
+
+@pytest.mark.parametrize("build, check", [
+    (lambda: diag(_HUGE), "<an integer of 16610 bits> is not a unit of Z"),
+    (lambda: diag(-3 * _HUGE, 3), "<an integer of 16612 bits> is not a unit mod 3"),
+    (lambda: Gen("D", _HUGE, None), "<an integer of 16610 bits> is not a unit of Z"),
+    (lambda: Poly.monomial(_HUGE), "exponent <an integer of 16610 bits> exceeds the degree cap 10000"),
+], ids=["diag-z", "diag-mod-3", "gen-d", "monomial"])
+def test_huge_ints_are_quoted_by_size(build, check):
+    """An int with more digits than CPython converts to text is quoted by
+    its bit length, with no conversion, so the message names the check."""
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == check

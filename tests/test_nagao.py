@@ -6,7 +6,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nagaolab import gl2, nagao, ring
+from nagaolab import gl2, nagao
 from nagaolab.amalgam import AmalgamStructure, Letter
 from nagaolab.gl2 import Gen, Mat2, diag, e12, e21, identity, parse_matrix, w
 from nagaolab.limits import CrossValidationError
@@ -67,26 +67,6 @@ def test_fpt_factor_roundtrip_random():
         for _ in range(150):
             m = rand_fp_matrix(rng, p, 6, 6)
             assert _product(sl2fpt_elementary_factor(m), p) == m
-
-
-def test_fpt_factor_refuses_euclid_work_above_cap(monkeypatch):
-    m = _product([Gen(k, Poly.parse("t", 3), 3) for k in ("E12", "E21") * 3], 3)
-    charged = []  # the running work after each Euclid step
-    monkeypatch.setattr(nagao, "_charge", lambda work, what: charged.append(work))
-    assert len(sl2fpt_elementary_factor(m)) == 6
-    monkeypatch.undo()
-    assert len(charged) == 6 and charged == sorted(charged) and charged[0] > 0
-    monkeypatch.setattr(ring, "MAX_WORK", int(charged[-1]) + 1)  # the whole loop fits
-    assert len(sl2fpt_elementary_factor(m)) == 6
-    monkeypatch.setattr(ring, "MAX_WORK", int(charged[-1]) - 1)  # the last step passes it
-    with pytest.raises(ValueError) as exc:
-        sl2fpt_elementary_factor(m)
-    assert str(exc.value) == (
-        f"matrix has an estimated work of at least {charged[-1]:.0f} digit products, "
-        f"above the work budget {int(charged[-1]) - 1}"
-    )
-    monkeypatch.setattr(ring, "MAX_WORK", 0)
-    assert len(sl2fpt_elementary_factor(e12(Poly.parse("t^9", 3)))) == 1  # no Euclid step
 
 
 def test_fpt_factor_rejects_nonunimodular():
@@ -455,6 +435,11 @@ def test_letters_from_gens_expands_e21():
     assert evaluate_word(letters, None) == e21(Poly.parse("t"))
     with pytest.raises(ValueError, match="not over coefficients mod None"):
         letters_from_gens([Gen("E12", Poly.parse("t", 5), 5)])
+    # a long generator is quoted as its first 40 characters and its length
+    with pytest.raises(ValueError) as exc:
+        letters_from_gens([Gen("E12", Poly(range(1, 2001), 5), 5)], 3)
+    assert str(exc.value).startswith("generator E12(1 + 2*t + 3*t^2") and len(str(exc.value)) < 200
+    assert str(exc.value).endswith("characters) is not over coefficients mod 3")
 
 
 # -- reduction mod p -------------------------------------------------------

@@ -474,8 +474,8 @@ def test_raw_mul_picks_the_kernel_of_the_fitted_estimates(monkeypatch):
         a = [0] * (la - 1) + [2**wa - 1]
         b = [0] * (lb - 1) + [2**wb - 1]
         for x, y in ((a, b), (b, a)):
-            try:
-                ring._raw_mul(x, y, False)
+            try:  # residues of a modulus above them, so unsigned
+                ring._raw_mul(x, y, 2**3001)
                 picked = False
             except Picked:
                 picked = True
@@ -678,9 +678,9 @@ def test_dot_accumulates_the_second_product_into_the_first(case):
     # a cut below _KRONECKER_MIN_LEN leaves the long product to the loop
     assert ("kronecker" in calls) is (shape == "kronecker" and (n is None or n >= ring._KRONECKER_MIN_LEN))
     x, y, u, v = (e.coeffs for e in ops)
-    mod, signed = full.mod, full.mod is None
+    mod = full.mod
     for f, g, h, k in ((x, y, u, v), (u, v, x, y)):
-        cs = raw_mul(h, k, signed, n, raw_mul(f, g, signed, n))
+        cs = raw_mul(h, k, mod, n, raw_mul(f, g, mod, n))
         assert Poly(cs, mod) == low
 
 
@@ -852,11 +852,11 @@ def test_truncated_product_equals_schoolbook_slice(case):
     a, b, n = case
     low = list(schoolbook_mul(a, b).coeffs[:n])
     if a.mod is None:
-        assert ring._raw_mul(a.coeffs, b.coeffs, True, n) == low
+        assert ring._raw_mul(a.coeffs, b.coeffs, None, n) == low
     else:
         p = a.mod
-        assert [c % p for c in ring._raw_mul(a.coeffs, b.coeffs, False, n)] == low
-        assert [c % p for c in ring._raw_mul(list(b.coeffs), list(a.coeffs), False, n)] == low
+        assert [c % p for c in ring._raw_mul(a.coeffs, b.coeffs, p, n)] == low
+        assert [c % p for c in ring._raw_mul(list(b.coeffs), list(a.coeffs), p, n)] == low
         assert ring._packed_dot(a.coeffs, b.coeffs, (), (), p, n) == Poly(low, p).coeffs
 
 
@@ -926,3 +926,67 @@ def test_is_prime_large():
     assert is_prime(2**64 - 59) and not is_prime(2**64 - 1)
     with pytest.raises(ValueError, match=r"only below 2\*\*64"):
         is_prime(2**64)
+
+
+# -- the work meter ------------------------------------------------------
+
+
+def test_meter_total_is_the_sum_of_the_kernel_charges(monkeypatch):
+    """Inside ``_metered`` each kernel charges its ``_mul_cost`` units: a
+    loop product, a Kronecker product at the widths it reads, a long
+    division, a scale and a one-pass sum; the meter's total is their sum."""
+    p, bits = 101, 7  # (p - 1).bit_length()
+    rng = random.Random(26)
+    f, g = dense_poly(rng, p, 30), dense_poly(rng, p, 5)
+    wf = max(f.coeffs).bit_length()
+    charges, charge = [], ring._charge
+    monkeypatch.setattr(ring, "_charge", lambda work: charges.append(work) or charge(work))
+
+    def work():
+        f * g, f * f, divmod(f, g), -f, f + g
+        return ring._METER.get()[0]
+
+    total = ring._metered("test", work)
+    assert charges == [
+        ring._mul_cost(30, 5, bits, bits)[0],
+        ring._mul_cost(30, 30, wf, wf)[0],
+        ring._mul_cost(26 * 4, 1, bits, bits)[0],
+        ring._mul_cost(1, 30, 1, bits)[0],
+        ring._mul_cost(1, 30, 1, bits)[0] + ring._mul_cost(1, 5, 1, bits)[0],
+    ]
+    assert total == sum(charges) > 0
+    assert ring._METER.get() is None
+
+
+def test_library_calls_are_not_metered(monkeypatch):
+    """With no meter open a kernel charges nothing, so a library call never
+    refuses, whatever the budget."""
+    monkeypatch.setattr(ring, "MAX_WORK", 0)
+    monkeypatch.setattr(ring, "_charge", lambda work: pytest.fail("charged with no meter open"))
+    rng = random.Random(27)
+    for p in (None, 3, 2**64 - 59):
+        f, g = rand_poly(rng, p, 300), rand_poly(rng, p, 40)
+        assert f * g == schoolbook_mul(f, g) and f * f == schoolbook_mul(f, f)
+        assert -f + f == Poly.zero(p)
+        if p is not None and g:
+            assert divmod(f, g) == schoolbook_divmod(f, g)
+    assert ring._METER.get() is None
+
+
+def test_meter_closes_when_the_request_raises():
+    """The meter of a refused request is closed, and the next one starts
+    from zero."""
+    f = Poly(range(1, 100), 7)
+
+    def request():
+        f * f
+        return ring._METER.get()[0]
+
+    first = ring._metered("word", request)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ring, "MAX_WORK", first - 1)
+        with pytest.raises(ValueError, match="^word passed the work budget of"):
+            ring._metered("word", request)
+        assert ring._METER.get() is None
+        patch.setattr(ring, "MAX_WORK", first)
+        assert ring._metered("word", request) == first
