@@ -46,14 +46,18 @@ _INT_RE = re.compile(r"[+-]?[0-9]+")
 
 def _shown(value, show=repr) -> str:
     """How a message quotes a value: a str by its repr, another by ``show``,
-    past 40 characters by the first 40 and the length; an int of more than
-    MAX_INT_DIGITS digits, which CPython does not convert to text, by its
-    bit length."""
+    past 40 characters by the first 40 and the length.  CPython converts no
+    int of more than MAX_INT_DIGITS digits to text, so ``show`` raises
+    ValueError on one, or on a value holding one: such an int is quoted by
+    its bit length, another value by its type."""
     if isinstance(value, str):
         return repr(value) if len(value) <= 40 else f"{value[:40]!r}... ({len(value)} characters)"
-    if isinstance(value, int) and abs(value) >= 10**MAX_INT_DIGITS:
-        return f"<an integer of {value.bit_length()} bits>"
-    text = show(value)
+    try:
+        text = show(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"<an integer of {value.bit_length()} bits>"
+        return f"<a {type(value).__name__} holding an integer of more than {MAX_INT_DIGITS} digits>"
     return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 

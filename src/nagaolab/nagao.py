@@ -16,7 +16,8 @@ hard boundary of the API.  ``phi_p`` reduces such words mod p and checks the
 result against the matrix decomposition over F_p, comparing engine forms
 with those of ``_nagao_forms``; it builds the reduced product it returns
 and, once, the ``NormalForm`` of the matrix route.  Every factorization
-must multiply back (``gl2._mat_prod`` over ``Gen._coeffs``).
+must multiply back (``gl2._mat_prod`` over ``Gen._coeffs``), which proves
+det = 1: the determinant is computed only when the factorization fails.
 """
 
 from __future__ import annotations
@@ -43,10 +44,20 @@ __all__ = [
 # -- elementary factorizations ---------------------------------------
 
 
+def _refuse(m: Mat2, failure: str) -> None:
+    """Raise for a factorization of m that failed: a ValueError naming det m
+    when it is not 1, the input's fault (exit 2), else RuntimeError(failure),
+    an implementation bug.  The determinant is computed only here."""
+    det = m.det()
+    if det != Poly.one(m.mod):
+        raise ValueError(f"determinant must be 1, got {_shown(det, str)}")
+    raise RuntimeError(failure)
+
+
 def _verify_roundtrip(gens, m: Mat2) -> None:
     """Refuse a word that does not multiply back to m exactly, on coefficient tuples."""
     if _mat_prod([g._coeffs() for g in gens], m.mod) != m.coeffs:
-        raise RuntimeError("factorization failed to multiply back to its input")
+        _refuse(m, "factorization failed to multiply back to its input")
 
 
 def sl2fpt_elementary_factor(m: Mat2) -> list[Gen]:
@@ -58,19 +69,22 @@ def sl2fpt_elementary_factor(m: Mat2) -> list[Gen]:
     reduces; a zero upper-left entry forces the lower-left to be a unit,
     and one shear restores a nonzero pivot.  The word multiplies back to
     the input exactly.
+
+    Every letter has det 1, so a word that multiplies back proves det m = 1:
+    the determinant is computed only when the loop finds no unit pivot or
+    the round trip fails, by ``_refuse``.
     """
     p = m.mod
     if p is None:
         raise ValueError("sl2fpt_elementary_factor expects coefficients mod p")
-    det = m.det()
-    if det != Poly.one(p):
-        raise ValueError(f"determinant must be 1, got {_shown(det, str)}")
     a, b, c, d = m.coeffs
     steps: list[tuple[str, tuple[int, ...]]] = []
     while c:
         if not a:
-            # det = -bc = 1 here, so c is a nonzero constant: q = -c^-1
-            # makes a - q*c = 1
+            if len(c) > 1:
+                break  # det = -b*c is then not 1
+            # det = -bc = 1 makes c a nonzero constant: q = -c^-1 makes
+            # a - q*c = 1
             q = (-pow(c[0], -1, p) % p,)
             steps.append(("E12", q))
             a, b = _ONE, _dot(b, _ONE, _scale(q, -1, p), d, p)
@@ -88,6 +102,8 @@ def sl2fpt_elementary_factor(m: Mat2) -> list[Gen]:
             # likewise a*d = 1 + b*c: d has at most max(len(b) + len(c) -
             # len(a), 1) coefficients
             d = _dot(d, _ONE, _scale(q, -1, p), b, p, max(len(b) + len(c) - len(a), 1))
+    if c or len(a) != 1:
+        _refuse(m, "Euclid loop ended without a unit pivot (implementation bug)")
     gens = [Gen(kind, Poly._canon(q, p), p) for kind, q in steps]
     u0 = a[0]
     if u0 != 1:
@@ -143,37 +159,45 @@ def _nf_by_degree_reduction(struct: AmalgamStructure, m: Mat2) -> tuple[Form, tu
     degrees tie and 0 when d is smaller.  Each peel applies the letter's
     inverse as a column operation on the coefficient tuples of the entries:
     E12(f) subtracts f times the first column from the second, [[0, -1],
-    [1, e]] maps the columns (x, y) to (e*x - y, x).  A peel is recorded as
+    [1, e]] maps the columns (x, y) to (e*x - y, x).  The peel of E12(q -
+    q(0)) always leaves a tie, or d smaller with q(0) = 0, so it is fused
+    with the constant peel [[0, -1], [1, q(0)]] that follows: with d = q*c +
+    r the two map (a, b, c, d) to (a*q - b, a, -r, c).  A peel is recorded as
     its f or its e, and the forms are built after the loop.  No ``Poly`` or
     ``Mat2`` is built, and only ``_check_forms`` on the output is shared
-    with the rewriter this route checks.
+    with the rewriter this route checks.  The bounded column update assumes
+    det m = 1, which ``sl2fpt_elementary_factor``'s round trip proves before
+    this route runs.
     """
     p = struct.mod
     minus_one = (p - 1,)
     rev: list[tuple[int, ...] | int] = []
     a, b, c, d = m.coeffs
-    # With L = len(c) + len(d), no peel raises L; an E12 peel with c != 0 and
-    # the tie case of the constant peel lower it, and the constant peel with
-    # deg d < deg c is followed by c = 0 or by an E12 peel.  So every two
-    # peels with c != 0 lower L, which is at least 1 while c != 0, and c = 0
-    # takes one peel more: at most 2 * L + 1 peels.
+    # With L = len(c) + len(d), no peel raises L.  The tie peel lowers it, and
+    # the fused peel, counted as two, lowers it by at least 2, since len(r) <
+    # len(c) < len(d).  The constant peel with deg d < deg c keeps L and is
+    # followed by the fused peel, by the c = 0 peel or by the end.  So while
+    # c != 0, which keeps L at least 1, L drops by at least 1 per two counted
+    # peels, but for a last constant peel; c = 0 takes one peel more: at most
+    # 2 * L + 1 counted peels.
     peels_left = 2 * (len(c) + len(d)) + 1
     while c or len(b) > 1:
-        if not peels_left:
+        if peels_left <= 0:
             raise RuntimeError("degree reduction passed its step bound (implementation bug)")
         peels_left -= 1
-        if not c or len(d) > len(c):
-            if not c:  # then a and d are constant
-                f = (0,) + _scale(b[1:], pow(a[0], -1, p), p)
-            else:  # d - c*f is the remainder of d by c plus q(0)*c
-                q, r = _divmod_coeffs(d, c, p)
-                f = (0,) + q[1:]
-                d = _dot(r, _ONE, q[:1] if q[0] else (), c, p)
-            rev.append(f)
-            # det = 1 after the peel, so b*c = a*d - 1 bounds b by max(len(a)
-            # + len(d) - len(c), 1) coefficients when c != 0; when c = 0 the
-            # peel leaves b(0)
-            b = _dot(b, _ONE, _scale(a, -1, p), f, p, max(len(a) + len(d) - len(c), 1) if c else 1)
+        if not c:
+            if len(a) != 1 or len(d) != 1:
+                raise RuntimeError("degree reduction left a nonconstant diagonal (implementation bug)")
+            rev.append((0,) + _scale(b[1:], pow(a[0], -1, p), p))
+            b = b[:1] if b[0] else ()
+        elif len(d) > len(c):
+            peels_left -= 1
+            q, r = _divmod_coeffs(d, c, p)
+            rev += [(0,) + q[1:], q[0]]
+            # det = 1 after the peels, so (a*q - b)*c = 1 - a*r: a*q - b has
+            # max(len(a) + len(r) - len(c), 1) coefficients, and 1 if r = ()
+            n = max(len(a) + len(r) - len(c), 1) if r else 1
+            a, b, c, d = _dot(a, q, minus_one, b, p, n), a, _scale(r, -1, p), c
         else:
             e = d[-1] * pow(c[-1], -1, p) % p if len(d) == len(c) else 0
             rev.append(e)

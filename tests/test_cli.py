@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import nagaolab
 from nagaolab import ring
 from nagaolab.cli import main
-from nagaolab.gl2 import e12, e21, identity
+from nagaolab.gl2 import Mat2, e12, e21, identity
 from nagaolab.homology import GROUP_IDS
 from nagaolab.limits import CrossValidationError
 from nagaolab.ring import Poly
@@ -119,6 +119,29 @@ def test_nf_det_not_one(capsys):
     assert err == "error: determinant must be 1, got 2\n"
     code, out, err = run(capsys, "nf", "--mod", "5", "[[1 + t, 0],[0, 1]]")
     assert (code, out, err) == (2, "", "error: determinant must be 1, got 1 + t\n")
+
+
+# Matrices of det != 1, one for each way the factorization fails: the loop
+# finds no pivot (a zero first column, a = 0 with c nonconstant, a gcd that
+# is no unit) or the word does not multiply back.
+_DET_NOT_ONE = [
+    ("3", "[[0,0],[0,1]]", "0"),
+    ("3", "[[0,1],[t,0]]", "2*t"),
+    ("3", "[[t,0],[0,t]]", "t^2"),
+    ("3", "[[1,0],[0,2]]", "2"),
+    ("5", "[[1 + t, 0], [0, 1]]", "1 + t"),
+    ("3", "[[1, t], [t, 1]]", "1 + 2*t^2"),
+]
+
+
+@pytest.mark.parametrize("mod, text, det", _DET_NOT_ONE, ids=[text for _, text, _ in _DET_NOT_ONE])
+def test_nf_det_not_one_takes_one_determinant(capsys, monkeypatch, mod, text, det):
+    """The determinant is computed once the factorization has failed, once,
+    for the test and the message: exit 2 and one stderr line."""
+    real_det, calls = Mat2.det, []
+    monkeypatch.setattr(Mat2, "det", lambda m: calls.append(m) or real_det(m))
+    assert run(capsys, "nf", "--mod", mod, text) == (2, "", f"error: determinant must be 1, got {det}\n")
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

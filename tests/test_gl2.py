@@ -481,10 +481,13 @@ _HUGE = 10**5000  # 5 001 digits, more than CPython converts to text by default
     (lambda: diag(-3 * _HUGE, 3), "<an integer of 16612 bits> is not a unit mod 3"),
     (lambda: Gen("D", _HUGE, None), "<an integer of 16610 bits> is not a unit of Z"),
     (lambda: Poly.monomial(_HUGE), "exponent <an integer of 16610 bits> exceeds the degree cap 10000"),
-], ids=["diag-z", "diag-mod-3", "gen-d", "monomial"])
+    (lambda: Poly.from_json({"coeffs": {"a": _HUGE}}),
+     "polynomial field 'coeffs' must be a list, got <a dict holding an integer of more than 4300 digits>"),
+], ids=["diag-z", "diag-mod-3", "gen-d", "monomial", "json-container"])
 def test_huge_ints_are_quoted_by_size(build, check):
     """An int with more digits than CPython converts to text is quoted by
-    its bit length, with no conversion, so the message names the check."""
+    its bit length, and a container holding one by its type, so the message
+    names the check."""
     with pytest.raises(ValueError) as exc:
         build()
     assert str(exc.value) == check

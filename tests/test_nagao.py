@@ -267,7 +267,7 @@ def _seeded_matrices():
 _DET_BOUNDED_UPDATES = (
     "b = _dot(b, _ONE, _scale(q, -1, p), d, p, ",  # Euclid, E12 step
     "d = _dot(d, _ONE, _scale(q, -1, p), b, p, ",  # Euclid, E21 step
-    "b = _dot(b, _ONE, _scale(a, -1, p), f, p, ",  # degree reduction, E12 peel
+    "a, b, c, d = _dot(a, q, minus_one, b, p, ",  # degree reduction, fused peel
 )
 
 
@@ -383,6 +383,20 @@ def test_degree_reduction_stops_at_its_step_bound(monkeypatch):
     m = parse_matrix("[[1, 0], [t, 1]]", 3) * parse_matrix("[[1, t^2], [0, 1]]", 3)
     with pytest.raises(RuntimeError, match="^degree reduction passed its step bound"):
         _nf_by_degree_reduction(AmalgamStructure(3), m)
+
+
+def test_det_one_takes_no_determinant(monkeypatch):
+    """A word of det-1 letters that multiplies back proves det m = 1, so
+    nagao_normal_form and phi_p compute no determinant of an SL2 input."""
+    det, calls = Mat2.det, []
+    monkeypatch.setattr(Mat2, "det", lambda m: calls.append(m) or det(m))
+    for p, m in _seeded_matrices():
+        nagao_normal_form(p, m)
+    rng = random.Random(2014)
+    for p in (2, 3, 5, 7):
+        for _ in range(10):
+            phi_p(rand_word(rng, None, rng.randint(1, 8), 3), p)
+    assert calls == []
 
 
 def test_nagao_nf_rejects_wrong_ring_or_det(monkeypatch):
