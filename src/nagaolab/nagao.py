@@ -15,9 +15,11 @@ integer-polynomial matrix is not decidable by the methods here.  That is a
 hard boundary of the API.  ``phi_p`` reduces such words mod p and checks the
 result against the matrix decomposition over F_p, comparing engine forms
 with those of ``_nagao_forms``; it builds the reduced product it returns
-and, once, the ``NormalForm`` of the matrix route.  Every factorization
-must multiply back (``gl2._mat_prod`` over ``Gen._coeffs``), which proves
-det = 1: the determinant is computed only when the factorization fails.
+and, once, the ``NormalForm`` of the matrix route.  The Euclid loop divides
+the first column alone; one ``gl2._mat_prod`` of its letters then solves
+the last letter from the second column and checks the whole matrix.  So
+every factorization multiplies back, which proves det = 1: the determinant
+is computed only when the factorization fails.
 """
 
 from __future__ import annotations
@@ -54,64 +56,60 @@ def _refuse(m: Mat2, failure: str) -> None:
     raise RuntimeError(failure)
 
 
-def _verify_roundtrip(gens, m: Mat2) -> None:
-    """Refuse a word that does not multiply back to m exactly, on coefficient tuples."""
-    if _mat_prod([g._coeffs() for g in gens], m.mod) != m.coeffs:
-        _refuse(m, "factorization failed to multiply back to its input")
-
-
 def sl2fpt_elementary_factor(m: Mat2) -> list[Gen]:
     """Factor an SL2(F_p[t]) matrix into E12(f), E21(f), D(u) letters.
 
-    F_p[t] is Euclidean, so the Euclidean algorithm on the first column
-    terminates with an upper-triangular matrix whose diagonal is a unit
-    (det 1 makes gcd(a, c) a unit).  Degree comparisons pick which row
-    reduces; a zero upper-left entry forces the lower-left to be a unit,
-    and one shear restores a nonzero pivot.  The word multiplies back to
-    the input exactly.
+    F_p[t] is Euclidean, so the Euclidean algorithm on the first column (a,
+    c) alone ends at (u, 0) with u a unit (det 1 makes gcd(a, c) a unit).
+    Degree comparisons pick which row reduces; a zero upper-left entry
+    forces the lower-left to be a unit, and one shear restores a nonzero
+    pivot.  With X the product of the quotient letters and D(u), m = X *
+    E12(beta) for the one beta that the round trip solves: it checks X's
+    first column against (a, c), divides exactly for beta in the row whose
+    first entry is nonzero, and multiplies out the other row.  So the word
+    multiplies back to the input exactly.
 
     Every letter has det 1, so a word that multiplies back proves det m = 1:
-    the determinant is computed only when the loop finds no unit pivot or
-    the round trip fails, by ``_refuse``.
+    the determinant is computed only when the constant term of det m is not
+    1, the loop finds no unit pivot or the round trip fails, by ``_refuse``.
     """
     p = m.mod
     if p is None:
         raise ValueError("sl2fpt_elementary_factor expects coefficients mod p")
     a, b, c, d = m.coeffs
+    if ((a[0] if a else 0) * (d[0] if d else 0) - (b[0] if b else 0) * (c[0] if c else 0)) % p != 1:
+        _refuse(m, "constant term of the determinant is not 1")  # det(0) != 1 proves det m != 1
     steps: list[tuple[str, tuple[int, ...]]] = []
     while c:
         if not a:
             if len(c) > 1:
-                break  # det = -b*c is then not 1
-            # det = -bc = 1 makes c a nonzero constant: q = -c^-1 makes
-            # a - q*c = 1
+                break  # gcd(a, c) = c is then no unit
+            # a unit c: q = -c^-1 makes a - q*c = 1
             q = (-pow(c[0], -1, p) % p,)
             steps.append(("E12", q))
-            a, b = _ONE, _dot(b, _ONE, _scale(q, -1, p), d, p)
-            continue
-        if len(c) < len(a):
+            a = _ONE
+        elif len(c) < len(a):
             q, a = _divmod_coeffs(a, c, p)
             steps.append(("E12", q))
-            # det = 1 after the update, so b*c = a*d - 1: b has len(a) +
-            # len(d) - len(c) coefficients unless a*d is a constant, and at
-            # most 1 then; only that many of b - q*d are computed
-            b = _dot(b, _ONE, _scale(q, -1, p), d, p, max(len(a) + len(d) - len(c), 1))
         else:
             q, c = _divmod_coeffs(c, a, p)
             steps.append(("E21", q))
-            # likewise a*d = 1 + b*c: d has at most max(len(b) + len(c) -
-            # len(a), 1) coefficients
-            d = _dot(d, _ONE, _scale(q, -1, p), b, p, max(len(b) + len(c) - len(a), 1))
     if c or len(a) != 1:
         _refuse(m, "Euclid loop ended without a unit pivot (implementation bug)")
     gens = [Gen(kind, Poly._canon(q, p), p) for kind, q in steps]
-    u0 = a[0]
-    if u0 != 1:
-        gens.append(Gen("D", u0, p))
-        b = _scale(b, pow(u0, -1, p), p)
-    if b:
-        gens.append(Gen("E12", Poly._canon(b, p), p))
-    _verify_roundtrip(gens, m)
+    if a[0] != 1:
+        gens.append(Gen("D", a[0], p))
+    # m = X * E12(beta) iff X's first column is (a, c) and each row's
+    # second entry is x_i1 * beta + x_i2
+    x11, x12, x21, x22 = _mat_prod([g._coeffs() for g in gens], p)
+    a, b, c, d = m.coeffs
+    rows = [(a, b, x12), (c, d, x22)]
+    (e1, e2, x), (o1, o2, y) = rows if a else rows[::-1]
+    beta, r = _divmod_coeffs(_dot(e2, _ONE, (p - 1,), x, p), e1, p)
+    if (x11, x21) != (a, c) or r or _dot(o1, beta, _ONE, y, p) != o2:
+        _refuse(m, "factorization failed to multiply back to its input")
+    if beta:
+        gens.append(Gen("E12", Poly._canon(beta, p), p))
     return gens
 
 

@@ -135,6 +135,47 @@ def schoolbook_divmod(a, b):
     return Poly(q, p), Poly(rem[:db], p)
 
 
+def two_column_factor(m):
+    """The Euclid factorization of an SL2(F_p[t]) matrix that updates the
+    second column with the first on every step, on the schoolbook oracles:
+    the oracle for nagao.sl2fpt_elementary_factor, which divides the first
+    column alone.  Its letters are the quotients, then D(u) for a pivot u !=
+    1 and E12(u^-1 * b) for a final b != 0."""
+    p = m.mod
+    a, b, c, d = m.entries()
+    gens = []
+    while not c.is_zero:
+        if a.is_zero:  # det 1 makes c a unit: E12(-c^-1) makes a = 1
+            q = Poly.constant(-pow(c.coeffs[0], -1, p), p)
+            gens.append(Gen("E12", q, p))
+            a, b = schoolbook_add(a, schoolbook_mul(q, c), -1), schoolbook_add(b, schoolbook_mul(q, d), -1)
+        elif c.degree < a.degree:
+            q, a = schoolbook_divmod(a, c)
+            gens.append(Gen("E12", q, p))
+            b = schoolbook_add(b, schoolbook_mul(q, d), -1)
+        else:
+            q, c = schoolbook_divmod(c, a)
+            gens.append(Gen("E21", q, p))
+            d = schoolbook_add(d, schoolbook_mul(q, b), -1)
+    u = a.coeffs[0]
+    if u != 1:
+        gens.append(Gen("D", u, p))
+        b = schoolbook_mul(Poly.constant(pow(u, -1, p), p), b)
+    if not b.is_zero:
+        gens.append(Gen("E12", b, p))
+    return gens
+
+
+def one_off(g):
+    """The generator g altered, as a list of letters: another argument, or a
+    dropped W."""
+    if g.kind in ("E12", "E21"):
+        return [Gen(g.kind, g.arg + 1, g.mod)]
+    if g.kind == "D":
+        return [Gen("D", -g.arg, g.mod)]
+    return []
+
+
 def trial_division_is_prime(n):
     """Primality by trial division: the oracle for limits.is_prime, usable
     while n or its smallest factor stays below about 10**12."""

@@ -7,6 +7,7 @@ from nagaolab.gl2 import (
     Gen,
     Mat2,
     _mat_mul,
+    _mat_prod,
     diag,
     e12,
     e21,
@@ -26,6 +27,8 @@ from helpers import (
     entrywise_det,
     entrywise_mat_mul,
     is_unipotent_up_to_sign,
+    one_off,
+    rand_const_gen,
     rand_poly,
     rand_sl2_const,
 )
@@ -381,6 +384,30 @@ def test_quadruple_kernel_matches_entrywise_oracle():
                         m, k = _shaped(rng, mod, s1, n, big), _shaped(rng, mod, s2, n, big)
                         got = _mat_mul(m.coeffs, k.coeffs, mod)
                         assert got == entrywise_mat_mul(m, k).coeffs, (mod, big, n, s1, s2)
+
+
+def test_word_product_is_exact_to_one_generator():
+    """gl2._mat_prod, the product of the factorization's round trip and of
+    nf_evaluate, is the entrywise product of the word, and a word one
+    generator off (E12(f + 1), E21(f + 1), D(-u) or a dropped W) never
+    multiplies to the same matrix, over Z and with W."""
+    rng = random.Random(2010)
+    words = [([rand_const_gen(rng, None) for _ in range(rng.randint(1, 4))], None) for _ in range(30)]
+    for mod in (None, 5):
+        t = Poly.parse("t", mod)
+        words.append(([Gen("E21", t, mod), Gen("D", -1, mod), Gen("E12", t * t + 1, mod),
+                       Gen("W", None, mod)], mod))
+    altered = set()
+    for gens, mod in words:
+        x = _mat_prod([g._coeffs() for g in gens], mod)
+        m = identity(mod)
+        for g in gens:
+            m = entrywise_mat_mul(m, g.matrix())
+        assert x == m.coeffs
+        for i, g in enumerate(gens):
+            assert _mat_prod([h._coeffs() for h in gens[:i] + one_off(g) + gens[i + 1 :]], mod) != x
+            altered.add((g.kind, mod is None))
+    assert altered == {(kind, over_z) for kind in ("E12", "E21", "D", "W") for over_z in (True, False)}
 
 
 @pytest.mark.parametrize("mod", (None, 5))

@@ -1,6 +1,7 @@
 import inspect
 import linecache
 import random
+import re
 import sys
 
 import pytest
@@ -18,16 +19,18 @@ from nagaolab.nagao import (
     phi_p,
     sl2fpt_elementary_factor,
 )
-from nagaolab.ring import Poly, _scale
+from nagaolab.gl2 import _ONE
+from nagaolab.ring import Poly, _dot, _scale
 from nagaolab.witnesses import make_witness
 
 from helpers import (
     const_mat,
     evaluate_word,
-    rand_const_gen,
+    one_off,
     rand_fp_gen,
     rand_fp_matrix,
     rand_word,
+    two_column_factor,
     word_of,
 )
 
@@ -76,35 +79,72 @@ def test_fpt_factor_rejects_nonunimodular():
         sl2fpt_elementary_factor(identity())
 
 
-def _one_off(g):
-    """The generator g altered: another argument, or a dropped W."""
-    if g.kind in ("E12", "E21"):
-        return [Gen(g.kind, g.arg + 1, g.mod)]
-    if g.kind == "D":
-        return [Gen("D", -g.arg, g.mod)]
-    return []
-
-
-def test_roundtrip_refuses_a_word_one_generator_off():
-    """_verify_roundtrip is an exact equality: a word one generator off
-    (E12(f + 1), E21(f + 1), D(-u) or a dropped W) never passes."""
+def test_roundtrip_refuses_a_word_one_generator_off(monkeypatch):
+    """The round trip inside the factorization is exact: with any letter
+    that it multiplies out one off (E12(f + 1), E21(f + 1) or D(-u)), it
+    raises.  The product kernel's own exactness over Z and with W is
+    tested in test_gl2.py."""
     rng = random.Random(2010)
-    words = [([rand_const_gen(rng, None) for _ in range(rng.randint(1, 4))], None) for _ in range(30)]
-    for p in (3, 5):
-        words += [(sl2fpt_elementary_factor(rand_fp_matrix(rng, p, 6, 4)), p) for _ in range(20)]
-    for mod in (None, 5):
-        t = Poly.parse("t", mod)
-        words.append(([Gen("E21", t, mod), Gen("D", -1, mod), Gen("E12", t * t + 1, mod),
-                       Gen("W", None, mod)], mod))
     altered = set()
-    for gens, mod in words:
-        m = _product(gens, mod)
-        nagao._verify_roundtrip(gens, m)
-        for i, g in enumerate(gens):
-            with pytest.raises(RuntimeError, match="multiply back"):
-                nagao._verify_roundtrip(gens[:i] + _one_off(g) + gens[i + 1 :], m)
-            altered.add((g.kind, mod is None))
-    assert altered == {(kind, over_z) for kind in ("E12", "E21", "D", "W") for over_z in (True, False)}
+    for p in (3, 5):
+        for _ in range(20):
+            m = rand_fp_matrix(rng, p, 6, 4)
+            gens = sl2fpt_elementary_factor(m)
+            # the last letter is E12(beta) iff beta != 0, since the loop's
+            # last letter is an E21 or a D; beta is solved, not multiplied
+            for i in range(len(gens) - bool(gens and gens[-1].kind == "E12")):
+                built = []
+
+                def one_off_at_i(kind, arg, mod):
+                    built.append(Gen(kind, arg, mod))
+                    return one_off(built[-1])[0] if len(built) == i + 1 else built[-1]
+
+                monkeypatch.setattr(nagao, "Gen", one_off_at_i)
+                with pytest.raises(RuntimeError, match="multiply back"):
+                    sl2fpt_elementary_factor(m)
+                monkeypatch.undo()
+                altered.add(gens[i].kind)
+    assert altered == {"E12", "E21", "D"}
+
+
+def test_det_zero_term_not_one_is_refused_before_the_loop(monkeypatch):
+    """det(0) = a(0)*d(0) - b(0)*c(0) is the constant term of det m, so an
+    input with det(0) != 1 is refused before any division, with the one
+    determinant its message names."""
+    divisions, dets = [], []
+    divmod_coeffs, det = nagao._divmod_coeffs, Mat2.det
+    monkeypatch.setattr(nagao, "_divmod_coeffs", lambda *args: divisions.append(args) or divmod_coeffs(*args))
+    monkeypatch.setattr(Mat2, "det", lambda m: dets.append(m) or det(m))
+    doubled = []  # first row doubled: det 2
+    for p, m in _seeded_matrices():
+        a, b, c, d = m.coeffs
+        doubled.append((p, Mat2._of_coeffs((_scale(a, 2, p), _scale(b, 2, p), c, d), p), "2"))
+    for p, m, got in doubled + [(5, parse_matrix("[[2 + t, t], [t, 1]]", 5), "2 + t + 4*t^2"),
+                                (3, parse_matrix("[[0, 0], [0, 1]]", 3), "0")]:
+        del dets[:]
+        with pytest.raises(ValueError, match=rf"^determinant must be 1, got {re.escape(got)}$"):
+            nagao_normal_form(p, m)
+        assert len(dets) == 1
+    assert divisions == []
+
+
+def test_round_trip_refuses_each_wrong_second_column_entry():
+    """Each check of the solve decides alone.  With b off by t and deg a >
+    1, the division for beta leaves the remainder t; with d off by t, or b
+    when a = 0, only the other row's product differs.  Each change keeps
+    det(0) = 1 and the first column, so the round trip is what names det !=
+    1."""
+    t = (0, 1)
+    wrong = []
+    for p, m in _seeded_matrices():
+        a, b, c, d = m.coeffs
+        assert len(a) > 2
+        wrong += [(p, (a, _dot(b, _ONE, t, _ONE, p), c, d)), (p, (a, b, c, _dot(d, _ONE, t, _ONE, p)))]
+        x = (Gen("D", 2, p).matrix() * w(p) * Mat2._of_coeffs((_ONE, b, (), _ONE), p)).coeffs
+        wrong.append((p, (x[0], _dot(x[1], _ONE, t, _ONE, p), x[2], x[3])))
+    for p, x in wrong:
+        with pytest.raises(ValueError, match="^determinant must be 1, got "):
+            sl2fpt_elementary_factor(Mat2._of_coeffs(x, p))
 
 
 # -- Nagao normal form -----------------------------------------------------
@@ -262,11 +302,9 @@ def _seeded_matrices():
     return mats
 
 
-# The three column updates that compute only as many coefficients as det = 1
+# The column updates that compute only as many coefficients as det = 1
 # leaves room for, each known by the start of its source line.
 _DET_BOUNDED_UPDATES = (
-    "b = _dot(b, _ONE, _scale(q, -1, p), d, p, ",  # Euclid, E12 step
-    "d = _dot(d, _ONE, _scale(q, -1, p), b, p, ",  # Euclid, E21 step
     "a, b, c, d = _dot(a, q, minus_one, b, p, ",  # degree reduction, fused peel
 )
 
@@ -296,6 +334,90 @@ def test_a_det_bound_one_short_is_caught(monkeypatch, site):
         else:
             assert AmalgamStructure(p).nf_evaluate(nf) == m
     assert caught >= 1
+
+
+# Three faults of the round trip's solve in sl2fpt_elementary_factor, each
+# as the exact source text and its replacement.
+_SOLVE_MUTANTS = {
+    "remainder ignored": (" or r or ", " or "),
+    "other row skipped": (" or _dot(o1, beta, _ONE, y, p) != o2:", ":"),
+    "first column skipped": ("(x11, x21) != (a, c) or ", ""),
+}
+
+
+def _faulty_inputs():
+    """The seeded matrices made wrong two ways: with the second column times
+    delta, det delta != 1 with gcd(a, c) a unit and det(0) = 1, for delta = 1
+    + t and 1 + a*t (a | delta - 1: the division is exact); and as SL2
+    matrices whose first Euclid quotient is to be one off (q + 1), the
+    inputs flagged True."""
+    for p, m in _seeded_matrices():
+        a, b, c, d = m.coeffs
+        for h in ((1,), a):
+            delta = _dot(_ONE, _ONE, (0,) + h, _ONE, p)
+            yield p, Mat2._of_coeffs((a, _dot(b, delta, (), (), p), c, _dot(d, delta, (), (), p)), p), False
+        yield p, m, True
+
+
+@pytest.mark.parametrize("mutant", _SOLVE_MUTANTS)
+def test_a_solve_mutant_is_refused(monkeypatch, mutant):
+    """With one check of the round trip's solve removed, every faulty input
+    is still refused, by the other checks of the factorization or by the
+    cross-validation, and no wrong normal form gets out."""
+    old, new = _SOLVE_MUTANTS[mutant]
+    source = inspect.getsource(nagao.sl2fpt_elementary_factor)
+    assert source.count(old) == 1
+    off = []
+
+    def off_by_one(a, b, p):
+        q, r = nagao._divmod_coeffs(a, b, p)
+        if off:  # the first division of the factorization is a Euclid step
+            off.pop()
+            q = _dot(q, _ONE, _ONE, _ONE, p)
+        return q, r
+
+    namespace = {**vars(nagao), "_divmod_coeffs": off_by_one}
+    exec(compile(source.replace(old, new), f"<{mutant}>", "exec"), namespace)
+    monkeypatch.setattr(nagao, "sl2fpt_elementary_factor", namespace["sl2fpt_elementary_factor"])
+    for p, m, quotient_off in _faulty_inputs():
+        off[:] = [True] if quotient_off else []
+        with pytest.raises((ValueError, RuntimeError)):
+            nagao_normal_form(p, m)
+
+
+@st.composite
+def _factor_shapes(draw):
+    """A shape's name and an SL2(F_p[t]) matrix of that shape: a random
+    product of generators (``_fp_matrices``), the pivot u != 1 (unless p =
+    2), the identity, c = 0, a = 0 (beta solved from the bottom row) or c a
+    constant (a = 0 inside the loop)."""
+    p, m = draw(_fp_matrices())
+    f, g = (Poly(draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=8)), p) for _ in range(2))
+    u = draw(st.integers(min(2, p - 1), p - 1))
+    shape = draw(st.sampled_from(("random", "u != 1", "identity", "c = 0", "a = 0", "c constant")))
+    m = {
+        "random": m,
+        "u != 1": Gen("D", u, p).matrix() * e21(f) * e12(g),
+        "identity": identity(p),
+        "c = 0": Gen("D", u, p).matrix() * e12(f),
+        "a = 0": Gen("D", u, p).matrix() * w(p) * e12(f),
+        "c constant": e12(f * Poly.parse("t", p) + 1) * e21(Poly.constant(u, p)) * e12(g),
+    }[shape]
+    return shape, m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_factor_shapes())
+def test_factor_matches_the_two_column_loop(shape_m):
+    """The factorization on the first column alone gives the letters of the
+    loop that also updates the second column (``two_column_factor``)."""
+    shape, m = shape_m
+    a, b, c, d = m.coeffs
+    gens = sl2fpt_elementary_factor(m)
+    assert gens == two_column_factor(m)
+    shown = {"identity": m.is_identity, "c = 0": not c, "a = 0": not a, "c constant": len(c) == 1,
+             "u != 1": m.mod == 2 or any(x.kind == "D" for x in gens)}
+    assert shown.get(shape, True)
 
 
 def test_phi_p_refuses_disagreeing_routes(monkeypatch):
