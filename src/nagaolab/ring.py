@@ -19,7 +19,8 @@ coefficients): both operands are packed into one Python int each, in byte
 slots wide enough that no product coefficient overflows its slot (signed
 slots over Z), CPython's Karatsuba bigint multiply does the work, and the
 slots are read back.  Division over F_p is ``_divmod_coeffs`` on coefficient
-tuples, which ``Poly.__divmod__`` wraps: long division, which reduces only
+tuples, which ``Poly.__divmod__`` wraps: a one-coefficient divisor scales
+the dividend by its inverse; otherwise long division, which reduces only
 the coefficient it reads next and the remainder once at the end, until both
 the divisor and the quotient reach ``_NEWTON_MIN_LEN`` (40) coefficients;
 from there the quotient is rev(a) * rev(b)^-1 mod t^(deg q + 1), with the
@@ -30,15 +31,24 @@ over every F_p measured, and from 40 Newton division is at least as fast as
 long division.
 
 The Newton branch never leaves the packed ints (von zur Gathen and Gerhard,
-*Modern Computer Algebra*, 8.4 and 9.1).  One slot width, from max(deg q +
-1, deg b) * (p - 1)**2, serves every product of the division, since no slot
-it reads sums more residue products than that; rev(b) is packed once, a
-mask truncates a product, and a right shift by h slots reads slots h..2h-1
-(the middle product).  Each Newton step computes only the correction: with
-g correct to h coefficients, f*g = 1 + t^h*e mod t^2h, and g - t^h*(g*e mod
-t^h) is correct to 2h; only the h coefficients of e and of the correction
-are unpacked, reduced and packed again.  The quotient and the remainder's
-q*b mod t^(deg b) each take one packed multiply and one masked read.
+*Modern Computer Algebra*, 8.4 and 9.1).  With k = deg q + 1, rev(b) is
+inverted only to h = ceil(k/2) coefficients, and that inverse g gives both
+halves of rev(q), the last Newton step folded into the quotient (as Karp
+and Markstein do for numbers, ACM TOMS 23(4), 1997): the low half is
+rev(a)*g mod t^h, and the high half g*e mod t^(k - h), where e is the slots
+h..k-1 of rev(a) - rev(b)*q_low.  To each slot of e a multiple of p is
+added that no slot of rev(b)*q_low exceeds, so no slot goes negative, and
+one slot width covers the largest slot any read sees.  The inverse runs
+over the precision chain h, ceil(h/2), ... from the bottom, so that no step
+computes more than it keeps; the chain stops at ``_SERIES_BASE_LEN`` (8)
+coefficients or fewer, which the plain recurrence gives for less than their
+Newton steps cost.  Each step computes only the correction: with g correct
+to j coefficients, f*g = 1 + t^j*e mod t^prec, and g - t^j*(g*e mod
+t^(prec - j)) is correct to prec.  A right shift by j slots and the step's
+one mask read e (the middle product), and only the coefficients of e and
+of the correction are unpacked, reduced and packed again, through ``array``
+in C (``int.to_bytes`` above 8 bytes, in the same loop).  The remainder's
+q*b mod t^(deg b) takes one packed multiply and one masked read.
 
 ``_dot`` is the fused kernel of the ``Poly`` operators and the 2x2 matrix
 layer: the canonical coefficients of x*y + u*v, with all-constant operands
@@ -91,6 +101,8 @@ import itertools
 import re
 import sys
 from array import array
+from functools import partial
+from operator import mul
 
 from .limits import MAX_DEGREE, _int_of, _shown, is_prime
 
@@ -389,13 +401,20 @@ _KRONECKER_MIN_LEN = 16
 # divmod over F_p uses long division while the divisor or the quotient has
 # fewer coefficients than this, and a Newton power-series inverse from here on.
 _NEWTON_MIN_LEN = 40
+# The series inverse takes its first coefficients, at most this many, from
+# the plain recurrence, which costs less than the Newton steps up to there.
+_SERIES_BASE_LEN = 8
 
-# Unsigned array type code per slot width in bytes (the lower-case code is
-# the signed type), so that slots of these widths pack and unpack in C.
+# (pack, unpack) of ``_slot_io`` per (slot width in bytes, signed) for the
+# widths with an array type (the lower-case code is the signed type): one
+# array call in C, which packs a list of ints and reads the slots of bytes.
 # Array items are stored in native byte order, so they stand in for
 # int.to_bytes(..., "little") only on little-endian hosts; elsewhere every
 # width takes the to_bytes path.
-_SLOT_CODES = {array(code).itemsize: code for code in "QIHB"} if sys.byteorder == "little" else {}
+_ARRAY_SLOTS = {
+    (array(code).itemsize, signed): (partial(array, typecode),) * 2
+    for code in "QIHB" for signed, typecode in ((False, code), (True, code.lower()))
+} if sys.byteorder == "little" else {}
 
 
 def _dot(x, y, u, v, mod: int | None, n: int | None = None) -> tuple[int, ...]:
@@ -461,12 +480,14 @@ def _dot(x, y, u, v, mod: int | None, n: int | None = None) -> tuple[int, ...]:
     return _strip(cs)
 
 
-def _scale(x, u: int, mod: int | None) -> tuple[int, ...]:
+def _scale(x, u: int, mod: int | None, u_bits: int | None = None) -> tuple[int, ...]:
     """The canonical coefficient tuple of u*x for a nonzero scalar u of the
     ring ``mod`` (reduced mod p): reduced mod p, and over a domain no strip
-    is needed."""
+    is needed.  It charges the open meter len(x) products by a factor of
+    u_bits bits, u's own width by default."""
     if _METER.get() is not None:
-        _charge(_mul_cost(1, len(x), u.bit_length(), (mod - 1).bit_length() if mod else 0)[0])
+        _charge(_mul_cost(1, len(x), u.bit_length() if u_bits is None else u_bits,
+                          (mod - 1).bit_length() if mod else 0)[0])
     if mod is None:
         return tuple([u * c for c in x])
     return tuple([u * c % mod for c in x])
@@ -474,27 +495,48 @@ def _scale(x, u: int, mod: int | None) -> tuple[int, ...]:
 
 def _divmod_coeffs(a, b, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Quotient and remainder of a by b over F_p, as canonical coefficient
-    tuples; a and b are canonical and b is nonempty."""
+    tuples; a and b are canonical and b is nonempty.
+
+    A one-coefficient b scales a by its inverse (``_scale``, charged as the
+    k-step loop it replaces).  Below _NEWTON_MIN_LEN in the divisor or the
+    quotient it is long division.  From there on, with k = deg q + 1 and h =
+    ceil(k/2), g = rev(b)^-1 mod t^h (``_series_inverse``) gives both halves
+    of rev(q) = rev(a) / rev(b) mod t^k: the low half is rev(a)*g mod t^h,
+    and with rev(a) - rev(b)*q_low = t^h*e mod t^k the high half is g*e mod
+    t^(k - h).  The remainder is the deg b low coefficients of a - q*b.  All
+    of it runs on packed ints in one slot width."""
     db = len(b) - 1
     k = len(a) - db  # quotient length
     if k <= 0:
         return (), a
+    bits = (p - 1).bit_length()
+    if not db:
+        return _scale(a, pow(b[0], -1, p), p, bits), ()
     newton = min(k, len(b)) >= _NEWTON_MIN_LEN
     if _METER.get() is not None:
         # Newton: about 3 products k by k and one k by db; long division:
         # k*db products in the loop, priced as one row of that length
-        bits = (p - 1).bit_length()
         _charge(3 * _mul_cost(k, k, bits, bits)[0] + _mul_cost(k, db, bits, bits)[0] if newton
-                else _mul_cost(k * max(db, 1), 1, bits, bits)[0])
+                else _mul_cost(k * db, 1, bits, bits)[0])
     if newton:
-        # rev(q) = rev(a) / rev(b) mod t^k; r = a - q*b, of which only
-        # the db low coefficients can be nonzero.  Each slot read below sums
-        # at most max(k, db) products of residues, so one width serves all.
-        w = _slot_width(max(k, db) * (p - 1) ** 2)
-        inv = _series_inverse(b[::-1], k, p, w)
-        q = _reduced(_evaluate(a[db:][::-1], w, 0) * inv, k, w, p)[::-1]
-        low = _slots(_evaluate(q[:db], w, 0) * _evaluate(b[:db], w, 0), db, w, False)
-        rem = [(x - y) % p for x, y in zip(a[:db], low)]
+        # Every slot read sums at most h (or, for the remainder, min(k, db))
+        # products of residues; the reads of e add to each of its slots off,
+        # the multiple of p that no slot of rev(b)*q_low exceeds, so that none
+        # goes negative.  So one width serves all.
+        h, n = (k + 1) // 2, k // 2
+        off = -(-h * (p - 1) ** 2 // p) * p
+        w = _slot_width(max(min(k, db) * (p - 1) ** 2, off + p - 1))
+        pack, unpack = _slot_io(w)
+        s = 8 * w
+        packed = lambda cs: int.from_bytes(pack(cs), "little")
+        low = lambda x, m: unpack((x & (1 << s * m) - 1).to_bytes(m * w, "little"))
+        ra, rb = a[db:][::-1], b[::-1]  # rev(a) mod t^k and rev(b)
+        g = _series_inverse(rb, h, p, w)
+        q_low = [c % p for c in low(packed(ra[:h]) * g, h)]
+        x = packed(ra[h:]) + packed([off] * n) - (packed(rb[:k]) * packed(q_low) >> s * h)
+        e = packed([c % p for c in low(x, n)])
+        q = (q_low + [c % p for c in low(g * e, n)])[::-1]
+        rem = [(c - d) % p for c, d in zip(a[:db], low(packed(q[:db]) * packed(b[:db]), db))]
     else:
         # Only the coefficient read next is reduced; the top coefficient a
         # step cancels is never read again, so b[:db] is subtracted, and the
@@ -637,9 +679,14 @@ def _kronecker(a, b, bound: int, signed: bool, n: int) -> list[int]:
     cut to n < len(a) + len(b) - 1 slots is masked to them before the read.
     """
     w = _slot_width(bound, signed)
+    pack, unpack = _slot_io(w, signed)
+    x, y = int.from_bytes(pack(a), "little"), int.from_bytes(pack(b), "little")
     # the top bit of each of the n slots, or 0 over F_p
     tops = int.from_bytes((1 << (8 * w - 1)).to_bytes(w, "little") * n, "little") if signed else 0
-    return _slots((_evaluate(a, w, tops) * _evaluate(b, w, tops) + tops) ^ tops, n, w, signed)
+    if tops:
+        x, y = x - ((x & tops) << 1), y - ((y & tops) << 1)
+    x = (x * y + tops) ^ tops
+    return list(unpack((x & (1 << 8 * w * n) - 1).to_bytes(n * w, "little")))
 
 
 def _slot_width(bound: int, signed: bool = False) -> int:
@@ -664,54 +711,57 @@ def _packed_dot(x, y, u, v, p: int, n: int | None) -> tuple[int, ...]:
         bits = (p - 1).bit_length()
         _charge(sum(_mul_cost(len(f), len(g), bits, bits)[0] for f, g in pairs if g != (1,)))
     w = _slot_width(sum(p - 1 if g == (1,) else min(len(f), len(g)) * (p - 1) ** 2 for f, g in pairs))
-    total = sum(_evaluate(f, w, 0) if g == (1,) else _evaluate(f, w, 0) * _evaluate(g, w, 0) for f, g in pairs)
-    return _strip(_reduced(total, m, w, p))
+    pack, unpack = _slot_io(w)
+    total = 0
+    for f, g in pairs:
+        x = int.from_bytes(pack(f), "little")
+        total += x if g == (1,) else x * int.from_bytes(pack(g), "little")
+    return _strip([c % p for c in unpack((total & (1 << 8 * w * m) - 1).to_bytes(m * w, "little"))])
 
 
-def _evaluate(cs, w: int, tops: int) -> int:
-    """sum(c * 2**(8*w*i)) for coefficients with |c| < 2**(8*w - 1) when
-    ``tops`` is the slot top-bit mask (signed), else 0 <= c < 2**(8*w)."""
-    code = _SLOT_CODES.get(w)
-    if code is not None:
-        data = array(code.lower() if tops else code, cs).tobytes()
-    else:
-        data = b"".join(c.to_bytes(w, "little", signed=bool(tops)) for c in cs)
-    x = int.from_bytes(data, "little")
-    return x - ((x & tops) << 1)
-
-
-def _slots(x: int, n: int, w: int, signed: bool) -> list[int]:
-    """The n low w-byte slots of x >= 0, least significant first, read as
-    two's complement if ``signed``."""
-    data = (x & ((1 << (8 * w * n)) - 1)).to_bytes(n * w, "little")
-    code = _SLOT_CODES.get(w)
-    if code is not None:
-        return array(code.lower() if signed else code, data).tolist()
-    return [int.from_bytes(data[i : i + w], "little", signed=signed) for i in range(0, n * w, w)]
-
-
-def _reduced(x: int, n: int, w: int, p: int) -> list[int]:
-    """The n low w-byte slots of x >= 0, reduced mod p."""
-    return [c % p for c in _slots(x, n, w, False)]
+def _slot_io(w: int, signed: bool = False):
+    """(pack, unpack) for w-byte slots, two's complement if ``signed``:
+    pack(cs) is a bytes-like object of the slots holding the ints cs, and
+    unpack(data) the ints of the slots of a bytes object.  Both are one
+    ``array`` call in C for the widths of ``_ARRAY_SLOTS``, and one
+    ``int.to_bytes`` or ``int.from_bytes`` per slot above 8 bytes."""
+    io = _ARRAY_SLOTS.get((w, signed))
+    if io is not None:
+        return io
+    return (lambda cs: b"".join([c.to_bytes(w, "little", signed=signed) for c in cs]),
+            lambda data: [int.from_bytes(data[i : i + w], "little", signed=signed) for i in range(0, len(data), w)])
 
 
 def _series_inverse(f, k: int, p: int, w: int) -> int:
     """The k reduced coefficients of g with f*g = 1 mod (p, t^k), f[0] != 0,
     packed in w-byte slots that hold k*(p - 1)**2, by Newton iteration on
-    the packed ints.  Each step doubles the number h of correct
-    coefficients and computes only the correction: with f*g = 1 + t^h*e mod
-    t^2h, g <- g - t^h*(g*e mod t^h).  A mask truncates, e is slots h..2h-1
-    of f*g read by a right shift (the middle product), and only the h
-    coefficients of e and of the correction are unpacked, reduced and
-    packed again."""
-    bits = 8 * w
-    packed_f = _evaluate(f[:k], w, 0)
-    g, h = pow(f[0], -1, p), 1
-    while h < k:
-        prec = min(2 * h, k)
-        e = _reduced((packed_f & ((1 << (bits * prec)) - 1)) * g >> (bits * h), prec - h, w, p)
-        correction = _slots((g & ((1 << (bits * (prec - h))) - 1)) * _evaluate(e, w, 0), prec - h, w, False)
-        g |= _evaluate([-c % p for c in correction], w, 0) << (bits * h)
+    the packed ints over the precision chain k, ceil(k/2), ..., down to at
+    most _SERIES_BASE_LEN coefficients, which the plain recurrence gives.
+    From there each step takes g from h correct coefficients to prec <= 2h
+    and computes only the correction.  With f*g = 1 + t^h*e mod t^prec, g
+    <- g - t^h*(g*e mod t^(prec - h)); e is slots h..prec-1 of f*g, read by
+    a right shift and the step's one mask (the middle product), and only
+    the prec - h coefficients of e and of the correction are unpacked,
+    reduced and packed again."""
+    pack, unpack = _slot_io(w)
+    s = 8 * w
+    packed_f = int.from_bytes(pack(f[:k]), "little")
+    chain = []
+    while k > _SERIES_BASE_LEN:
+        chain.append(k)
+        k = (k + 1) // 2
+    # the first k coefficients by the recurrence g_i = -g_0 (f_1 g_(i-1) + ... + f_i g_0)
+    base = [pow(f[0], -1, p)]
+    for i in range(1, k):
+        base.append(-base[0] * sum(map(mul, f[1 : i + 1], reversed(base))) % p)
+    g, h = int.from_bytes(pack(base), "little"), k
+    # each step packs and reads inline, with no call per conversion
+    for prec in reversed(chain):
+        n = prec - h
+        mask = (1 << s * n) - 1
+        e = [-c % p for c in unpack((packed_f * g >> s * h & mask).to_bytes(n * w, "little"))]
+        x = g * int.from_bytes(pack(e), "little") & mask
+        g |= int.from_bytes(pack([c % p for c in unpack(x.to_bytes(n * w, "little"))]), "little") << s * h
         h = prec
     return g
 

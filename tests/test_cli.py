@@ -121,9 +121,10 @@ def test_nf_det_not_one(capsys):
     assert (code, out, err) == (2, "", "error: determinant must be 1, got 1 + t\n")
 
 
-# Matrices of det != 1, one for each way the factorization fails: the loop
-# finds no pivot (a zero first column, a = 0 with c nonconstant, a gcd that
-# is no unit) or the word does not multiply back.
+# Matrices of det != 1, one for each way they are refused: det m is not 1 at
+# t = 0 or at t = 1, before the loop; with det 1 at both, the loop finds no
+# pivot (a = 0 with c nonconstant, a gcd that is no unit) or the word does
+# not multiply back.
 _DET_NOT_ONE = [
     ("3", "[[0,0],[0,1]]", "0"),
     ("3", "[[0,1],[t,0]]", "2*t"),
@@ -131,6 +132,9 @@ _DET_NOT_ONE = [
     ("3", "[[1,0],[0,2]]", "2"),
     ("5", "[[1 + t, 0], [0, 1]]", "1 + t"),
     ("3", "[[1, t], [t, 1]]", "1 + 2*t^2"),
+    ("3", "[[0, 1], [2 + t + 2*t^2, 0]]", "1 + 2*t + t^2"),
+    ("3", "[[1 + t + 2*t^2, 0], [0, 1]]", "1 + t + 2*t^2"),
+    ("3", "[[1, t], [t, 1 + t]]", "1 + t + 2*t^2"),
 ]
 
 

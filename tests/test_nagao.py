@@ -128,17 +128,31 @@ def test_det_zero_term_not_one_is_refused_before_the_loop(monkeypatch):
     assert divisions == []
 
 
+def test_det_at_one_not_one_is_refused_before_the_loop(monkeypatch):
+    """det(1) = a(1)*d(1) - b(1)*c(1) is det m at t = 1, a sum of the
+    coefficients, so an input with det(0) = 1 but det(1) != 1 is refused
+    before any division, with the one determinant its message names."""
+    def no_division(*args):
+        raise AssertionError("divided")
+
+    monkeypatch.setattr(nagao, "_divmod_coeffs", no_division)
+    for p, text, got in ((5, "[[1, t], [t, 1 + t + t^2]]", "1 + t"), (3, "[[1, t], [t, 1]]", "1 + 2*t^2"),
+                         (7, "[[1 + t^40, 0], [0, 1]]", "1 + t^40")):
+        with pytest.raises(ValueError, match=rf"^determinant must be 1, got {re.escape(got)}$"):
+            nagao_normal_form(p, parse_matrix(text, p))
+
+
 def test_round_trip_refuses_each_wrong_second_column_entry():
-    """Each check of the solve decides alone.  With b off by t and deg a >
-    1, the division for beta leaves the remainder t; with d off by t, or b
-    when a = 0, only the other row's product differs.  Each change keeps
-    det(0) = 1 and the first column, so the round trip is what names det !=
-    1."""
-    t = (0, 1)
+    """Each check of the solve decides alone.  With b off by t - t^2 and
+    deg a > 2, the division for beta leaves the remainder t - t^2; with d
+    off by t - t^2, or b when a = 0, only the other row's product differs.
+    Each change keeps det m at t = 0 and t = 1 and the first column, so the
+    round trip is what names det != 1."""
     wrong = []
     for p, m in _seeded_matrices():
         a, b, c, d = m.coeffs
-        assert len(a) > 2
+        assert len(a) > 3
+        t = (0, 1, p - 1)
         wrong += [(p, (a, _dot(b, _ONE, t, _ONE, p), c, d)), (p, (a, b, c, _dot(d, _ONE, t, _ONE, p)))]
         x = (Gen("D", 2, p).matrix() * w(p) * Mat2._of_coeffs((_ONE, b, (), _ONE), p)).coeffs
         wrong.append((p, (x[0], _dot(x[1], _ONE, t, _ONE, p), x[2], x[3])))
@@ -347,14 +361,14 @@ _SOLVE_MUTANTS = {
 
 def _faulty_inputs():
     """The seeded matrices made wrong two ways: with the second column times
-    delta, det delta != 1 with gcd(a, c) a unit and det(0) = 1, for delta = 1
-    + t and 1 + a*t (a | delta - 1: the division is exact); and as SL2
-    matrices whose first Euclid quotient is to be one off (q + 1), the
-    inputs flagged True."""
+    delta, det delta != 1 with gcd(a, c) a unit and det 1 at t = 0 and t =
+    1, for delta = 1 + (t - t^2) and 1 + a*(t - t^2) (a | delta - 1: the
+    division is exact); and as SL2 matrices whose first Euclid quotient is
+    to be one off (q + 1), the inputs flagged True."""
     for p, m in _seeded_matrices():
         a, b, c, d = m.coeffs
-        for h in ((1,), a):
-            delta = _dot(_ONE, _ONE, (0,) + h, _ONE, p)
+        for h in (_ONE, a):
+            delta = _dot(_ONE, _ONE, (0, 1, p - 1), h, p)
             yield p, Mat2._of_coeffs((a, _dot(b, delta, (), (), p), c, _dot(d, delta, (), (), p)), p), False
         yield p, m, True
 

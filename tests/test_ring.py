@@ -737,34 +737,64 @@ def _tight_divisor(p, lb):
     return Poly([0] * (lb - 2) + [1, p - 1], p)
 
 
+def _newton_shapes(rng, p, lb, lq):
+    """Dividend and divisor pairs of lb + lq - 1 and lb coefficients: every
+    coefficient p - 1 (top), the tight divisor under a top dividend, and
+    random."""
+    la = lb + lq - 1
+    top = Poly([p - 1] * la, p)
+    return ((top, Poly([p - 1] * lb, p)), (top, _tight_divisor(p, lb)),
+            (dense_poly(rng, p, la), dense_poly(rng, p, lb)))
+
+
 def test_newton_division_every_slot_width():
     """The packed Newton division against long division in every slot
-    width, with every coefficient p - 1 or the quotient's product at its
-    bound, and the divisor longer, as long as, or shorter than the quotient."""
+    width it picks, with every coefficient p - 1 or the quotient's product
+    at its bound, and the divisor longer, as long as, or shorter than the
+    quotient."""
     rng = random.Random(919)
     x = ring._NEWTON_MIN_LEN
     widths = set()
-    for p in NEWTON_PRIMES:
-        for lb, lq in ((x, x), (x, 2 * x + 5), (2 * x + 5, x), (x + 1, 70), (70, x + 1)):
-            k, db = lq, lb - 1
-            widths.add(ring._slot_width(max(k, db) * (p - 1) ** 2))
-            la = lb + lq - 1
-            top = Poly([p - 1] * la, p)
-            for a, b in ((top, Poly([p - 1] * lb, p)), (top, _tight_divisor(p, lb)),
-                         (dense_poly(rng, p, la), dense_poly(rng, p, lb))):
-                q, r = divmod(a, b)
-                assert (q, r) == schoolbook_divmod(a, b), (p, lb, lq)
+    slot_width = ring._slot_width
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ring, "_slot_width", lambda *args: widths.add(slot_width(*args)) or slot_width(*args))
+        for p in NEWTON_PRIMES:
+            for lb, lq in ((x, x), (x, 2 * x + 5), (2 * x + 5, x), (x + 1, 70), (70, x + 1)):
+                for a, b in _newton_shapes(rng, p, lb, lq):
+                    q, r = divmod(a, b)
+                    assert (q, r) == schoolbook_divmod(a, b), (p, lb, lq)
     assert widths == {1, 2, 4, 8, 9, 17}
+
+
+# Where the Newton division's precision chains (h = ceil(k/2), ceil(h/2),
+# ...) change shape: a quotient or divisor length one below, at and one
+# above 2**j.
+CHAIN_EDGES = tuple(2**j + d for j in (6, 7, 8) for d in (-1, 0, 1))
+
+
+def test_newton_division_at_the_chain_edges():
+    """The Newton division against long division with the quotient or the
+    divisor at a chain edge, against an odd quotient or divisor length, in
+    every shape and every slot width."""
+    rng = random.Random(929)
+    x = ring._NEWTON_MIN_LEN
+    for p in NEWTON_PRIMES:
+        for edge in CHAIN_EDGES:
+            for lb, lq in ((edge, edge), (x + 1, edge), (edge, x + 3)):
+                for a, b in _newton_shapes(rng, p, lb, lq):
+                    assert divmod(a, b) == schoolbook_divmod(a, b), (p, lb, lq)
 
 
 @st.composite
 def _newton_operands(draw):
     """A dividend and divisor over F_p of every slot width, with divisor and
-    quotient lengths on both sides of _NEWTON_MIN_LEN and either one the
-    longer, and optionally every coefficient p - 1 or the tight divisor."""
+    quotient lengths on both sides of _NEWTON_MIN_LEN, at the chain edges
+    or odd, and either one the longer, and optionally every coefficient p -
+    1 or the tight divisor."""
     p = draw(st.sampled_from(NEWTON_PRIMES))
     x = ring._NEWTON_MIN_LEN
-    size = st.integers(x - 2, x + 2) | st.integers(1, 3 * x)
+    size = (st.integers(x - 2, x + 2) | st.integers(1, 3 * x) | st.sampled_from(CHAIN_EDGES)
+            | st.integers(x // 2, 2 * x).map(lambda n: 2 * n + 1))
     lb, lq = draw(size.filter(lambda n: n >= 2)), draw(size)
     shape = draw(st.sampled_from(("random", "top", "tight")))
     if shape == "random":
@@ -860,6 +890,11 @@ def test_truncated_product_equals_schoolbook_slice(case):
         assert ring._packed_dot(a.coeffs, b.coeffs, (), (), p, n) == Poly(low, p).coeffs
 
 
+def _slot_values(x, n, w):
+    """The n low w-byte slots of x >= 0, read with shifts and masks."""
+    return [x >> (8 * w * i) & (1 << 8 * w) - 1 for i in range(n)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.sampled_from(NEWTON_PRIMES),
@@ -876,10 +911,52 @@ def test_series_inverse_property(p, k, length, rnd):
     w = ring._slot_width(k * (p - 1) ** 2)
     packed = ring._series_inverse(f, k, p, w)
     assert 0 <= packed < 2 ** (8 * w * k)
-    g = ring._slots(packed, k, w, False)
+    g = _slot_values(packed, k, w)
     assert all(0 <= c < p for c in g)
     product = schoolbook_mul(Poly(f, p), Poly(g, p)).coeffs
     assert list(product[:k]) + [0] * (k - len(product)) == [1] + [0] * (k - 1)
+
+
+def _schoolbook_inverse(f, k, p):
+    """The k coefficients of f^-1 mod (p, t^k), one per step of the
+    recurrence g_i = -g_0 * (f_1 g_(i-1) + ... + f_i g_0)."""
+    g0 = pow(f[0], -1, p)
+    g = [g0]
+    for i in range(1, k):
+        g.append(-g0 * sum(f[j] * g[i - j] for j in range(1, min(i, len(f) - 1) + 1)) % p)
+    return g
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_series_inverse_every_precision(p):
+    """_series_inverse(f, k, p, w) for every k from 1 to 300: the k
+    coefficients of f^-1, the prefix of the schoolbook inverse, in the
+    w-byte slots of k*(p - 1)**2."""
+    rng = random.Random(p)
+    f = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(299)]
+    inverse = _schoolbook_inverse(f, 300, p)
+    for k in range(1, 301):
+        w = ring._slot_width(k * (p - 1) ** 2)
+        assert _slot_values(ring._series_inverse(f, k, p, w), k + 1, w) == inverse[:k] + [0], k
+
+
+def test_division_by_a_constant_is_one_scale(monkeypatch):
+    """A one-coefficient divisor scales the dividend by its inverse, in one
+    ``_scale`` call charged as the k-step loop it replaces, once."""
+    rng = random.Random(939)
+    charges, charge = [], ring._charge
+    monkeypatch.setattr(ring, "_charge", lambda work: charges.append(work) or charge(work))
+    scales, scale = [], ring._scale
+    monkeypatch.setattr(ring, "_scale", lambda *args: scales.append(args) or scale(*args))
+    for p in (2, 101, 2**64 - 59):
+        bits = (p - 1).bit_length()
+        for la in (1, 2, 17, 300, 2000):
+            a, b = dense_poly(rng, p, la), Poly([rng.randrange(1, p)], p)
+            assert divmod(a, b) == schoolbook_divmod(a, b)
+            del charges[:], scales[:]
+            assert ring._metered("test", lambda: divmod(a, b)) == schoolbook_divmod(a, b)
+            assert len(scales) == 1
+            assert charges == [ring._mul_cost(la, 1, bits, bits)[0]]
 
 
 @pytest.mark.parametrize("oracle", [
@@ -887,6 +964,7 @@ def test_series_inverse_property(p, k, length, rnd):
     test_mul_kernel_extreme_coefficients,
     test_divmod_kernel_both_sides_of_crossover,
     test_newton_division_every_slot_width,
+    test_newton_division_at_the_chain_edges,
     test_newton_division_property,
     test_dot_kernel_matches_poly_operators,
     test_dot_kernel_cancellation,
@@ -898,7 +976,7 @@ def test_kernels_without_array_slots(monkeypatch, oracle):
     """With no array type codes, as on a big-endian host, every slot width
     packs and unpacks through int.to_bytes; the multiply, divide and _dot
     oracles hold there too."""
-    monkeypatch.setattr(ring, "_SLOT_CODES", {})
+    monkeypatch.setattr(ring, "_ARRAY_SLOTS", {})
     oracle()
 
 
