@@ -13,7 +13,9 @@ The rewriting engine does not hold factor elements as ``Mat2``.  In both
 factors a, c and d are constants and only b can be a polynomial, so an
 element is held as its engine form, the tuple (a, b, c, d) with a, c, d
 canonical ints (reduced mod p over F_p) and b the canonical coefficient
-tuple of the upper-right entry.  ``_mul`` is the one product: int arithmetic
+tuple of the upper-right entry; ``_quad_form`` is the one conversion of a
+coefficient quadruple into a form, for ``_form_of`` and ``nagao``'s
+generator letters.  ``_mul`` is the one product: int arithmetic
 when both b entries are constant, a scalar times coefficient-tuple sum when
 both lower-left entries are 0 (reduced mod p in the same pass), and a
 RuntimeError (engine bug) for anything else.  ``transversal`` builds each
@@ -53,7 +55,7 @@ from collections.abc import Iterable
 from itertools import zip_longest
 
 from .gl2 import Mat2, _mat_prod, _unit_inverse
-from .limits import _shown, is_prime
+from .limits import _prime, _shown
 from .ring import _scale, _strip
 
 __all__ = ["Letter", "NormalForm", "AmalgamStructure"]
@@ -69,6 +71,15 @@ def _mat(x: Form, mod: int | None) -> Mat2:
     """The matrix of an engine form over the ring ``mod``."""
     a, b, c, d = x
     return Mat2._of_coeffs(((a,) if a else (), b, (c,) if c else (), (d,) if d else ()), mod)
+
+
+def _quad_form(quad) -> Form | None:
+    """The engine form of a coefficient quadruple (a, b, c, d), or None when
+    a, c or d is not constant; the one conversion into engine forms."""
+    a, b, c, d = quad
+    if len(a) > 1 or len(c) > 1 or len(d) > 1:
+        return None
+    return (a[0] if a else 0, b, c[0] if c else 0, d[0] if d else 0)
 
 
 class Letter(namedtuple("Letter", "factor mat")):
@@ -101,8 +112,8 @@ class AmalgamStructure:
     unipotent with zero constant term."""
 
     def __init__(self, mod: int | None = None):
-        if mod is not None and not is_prime(mod):
-            raise ValueError(f"p must be prime, got {_shown(mod)}")
+        if mod is not None:
+            _prime(mod, "p must be prime, got {}")
         self.mod = mod
 
     def factors(self, m: Mat2) -> tuple[int, ...]:
@@ -118,10 +129,7 @@ class AmalgamStructure:
     def _form_of(self, m: Mat2) -> Form | None:
         """The engine form of m, or None when m is over another ring or has
         a nonconstant a, c or d entry and so lies in neither factor."""
-        a, b, c, d = m.coeffs
-        if m.mod != self.mod or len(a) > 1 or len(c) > 1 or len(d) > 1:
-            return None
-        return (a[0] if a else 0, b, c[0] if c else 0, d[0] if d else 0)
+        return _quad_form(m.coeffs) if m.mod == self.mod else None
 
     # -- engine: factor elements as forms (a, b, c, d) --------------------
 

@@ -28,7 +28,7 @@ import re
 import sys
 
 from .homology import GROUP_IDS, UnsupportedGroupError, coinvariant_dims, dim_table, mv_ledger_check
-from .limits import MAX_DEGREE, CrossValidationError, SearchCapExceeded, _int_of, _shown, is_prime
+from .limits import MAX_DEGREE, CrossValidationError, SearchCapExceeded, _fields, _int_arg, _int_of, _shown, is_prime
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -87,15 +87,10 @@ def _word_from_json(items, mod):
     for idx, item in enumerate(items):
         if isinstance(item, str):
             yield from letters_from_gens([parse_gen(item, mod)], mod)
-        elif isinstance(item, dict) and "factor" in item and "matrix" in item:
-            unknown = [key for key in item if key not in ("factor", "matrix")]
-            if unknown:
-                raise ValueError(f"word item {idx} has the unknown field {_shown(unknown[0])}")
-            if type(item["factor"]) is not int:
-                raise ValueError(f"word item {idx} field 'factor' must be an integer, got {_shown(item['factor'])}")
-            mat = item["matrix"]
-            mat = parse_matrix(mat, mod) if isinstance(mat, str) else mat_from_json(mat, mod)
-            yield Letter(item["factor"], mat)
+        elif isinstance(item, dict):
+            _fields(item, f"word item {idx}", ("factor", "matrix"))
+            factor, mat = _int_arg(item["factor"], f"word item {idx} field 'factor'"), item["matrix"]
+            yield Letter(factor, parse_matrix(mat, mod) if isinstance(mat, str) else mat_from_json(mat, mod))
         else:
             raise ValueError(f"word items must be shorthand strings or factor/matrix objects, got {_shown(item)}")
 
@@ -135,12 +130,7 @@ def _nf_from_json(obj, mod):
     allowed and not read."""
     from .amalgam import Letter
 
-    unknown = [key for key in obj if key not in ("head", "tags", "tail", "length", "matrix")]
-    if unknown:
-        raise ValueError(f"normal form JSON has the unknown field {_shown(unknown[0])}")
-    missing = [field for field in ("head", "tags", "tail") if field not in obj]
-    if missing:
-        raise ValueError(f"normal form JSON lacks the field(s) {', '.join(map(repr, missing))}")
+    _fields(obj, "normal form JSON", ("head", "tags", "tail"), ("length", "matrix"))
     tags, tail = obj["tags"], obj["tail"]
     if not isinstance(tags, list) or not all(type(t) is int for t in tags):
         raise ValueError(f"normal form field 'tags' must be a list of integers, got {_shown(tags)}")

@@ -24,8 +24,8 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 
-from .limits import _int_of, _shown
-from .ring import Poly, PolyParseError, _Value, _check_modulus, _dot, _reduce_coeffs, _scale
+from .limits import _int_of, _prime, _shown
+from .ring import Poly, PolyParseError, _Value, _dot, _reduce_coeffs, _scale
 
 __all__ = [
     "Mat2",
@@ -127,7 +127,7 @@ class Mat2(_Value):
         """Entrywise reduction mod p; a group homomorphism on SL2(Z[t])."""
         if self.mod is not None:
             raise ValueError("reduce_mod_p expects integer coefficients")
-        _check_modulus(p)
+        _prime(p)
         return Mat2._of_coeffs([_reduce_coeffs(e, p) for e in self.coeffs], p)
 
     def is_unipotent(self) -> bool:
@@ -206,7 +206,8 @@ class Gen(namedtuple("Gen", "kind arg mod")):
     __slots__ = ()
 
     def __new__(cls, kind: str, arg: Poly | int | None, mod: int | None):
-        _check_modulus(mod)
+        if mod is not None:
+            _prime(mod)
         if kind in ("E12", "E21"):
             if not isinstance(arg, Poly) or arg.mod != mod:
                 raise ValueError(f"{kind} needs a Poly over the same ring")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .limits import _shown, is_prime
+from .limits import _int_arg, _prime, _shown, is_prime
 
 __all__ = [
     "GROUP_IDS",
@@ -43,27 +43,21 @@ class UnsupportedGroupError(ValueError):
 
 
 def _validate(p: int, i: int, d: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {_shown(p)}")
-    if i < 0:
-        raise ValueError("homological degree must be >= 0")
-    if d < 0:
-        raise ValueError("truncation degree must be >= 0")
+    _prime(p, "p must be prime, got {}")
+    _int_arg(i, "homological degree", 0)
+    _int_arg(d, "truncation degree", 0)
 
 
 def dim_exterior(n: int, i: int) -> int:
     """Dimension of the degree-i part of an exterior algebra on n generators."""
-    if n < 0 or i < 0:
-        raise ValueError("dimension arguments must be >= 0")
-    return comb(n, i)
+    return comb(_int_arg(n, "generator count", 0), _int_arg(i, "degree", 0))
 
 
 def dim_divided_power(n: int, i: int) -> int:
     """Dimension of the degree-i part of a divided power algebra on n
     generators sitting in degree 2: multisets of total multiplicity i/2."""
-    if n < 0 or i < 0:
-        raise ValueError("dimension arguments must be >= 0")
-    if i % 2:
+    _int_arg(n, "generator count", 0)
+    if _int_arg(i, "degree", 0) % 2:
         return 0
     j = i // 2
     if n == 0:
@@ -93,8 +87,9 @@ def _bz_dim(p: int, i: int) -> int:
 
 
 def _bzt_dim(p: int, i: int, d: int) -> int:
-    # Kunneth for B(Z) x t*Z[t]; the free part contributes plain wedges.
-    return sum(_bz_dim(p, l) * comb(d, i - l) for l in range(i + 1))
+    # Kunneth for B(Z) x t*Z[t]; the free part contributes plain wedges,
+    # none above degree d.
+    return sum(_bz_dim(p, l) * comb(d, i - l) for l in range(max(i - d, 0), i + 1))
 
 
 def _sl2z_dim(p: int, i: int) -> int:
@@ -165,6 +160,7 @@ def dim_table(group: str, p: int, max_i: int, d: int) -> list[dict]:
     """The rows (group, p, d, i, dim, flags) of dim H_i(group, F_p) for
     i = 0..max_i at truncation degree d; the flags of ``sl2fpt_bquot`` name
     the summand it leaves out."""
+    _validate(p, max_i, d)
     flags = "plus an opaque H_i(SL2(F_p)) summand (not computed)" if group == "sl2fpt_bquot" else ""
     return [
         {"group": group, "p": p, "d": d, "i": i, "dim": h_dims(group, p, i, d), "flags": flags}
@@ -203,12 +199,8 @@ def class_order_lower_bound(i: int, prime_bound: int = 7) -> int:
     integral homology it maps into: always 2 * 3, times every prime
     5 <= q <= prime_bound with (q - 1)/2 dividing i.  This is only the bound
     the reduction argument yields, never a claim of the exact order."""
-    if type(i) is not int:
-        raise ValueError(f"the degree must be an integer, got {_shown(i)}")
-    if type(prime_bound) is not int:
-        raise ValueError(f"prime_bound must be an integer, got {_shown(prime_bound)}")
-    if i < 1:
-        raise ValueError("the bound applies to classes of degree >= 1")
+    _int_arg(i, "the degree", 1)
+    _int_arg(prime_bound, "prime_bound")
     bound = 6
     # a prime q > 2i + 1 has (q - 1)/2 > i, which cannot divide i
     for q in range(5, min(prime_bound, 2 * i + 1) + 1):

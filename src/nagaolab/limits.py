@@ -1,8 +1,17 @@
-"""What every layer validates its input with: the input caps, primality,
-and the two rules for outside input, the integer rule ``_int_of`` and the
-quoting rule ``_shown``; and the two errors a request can end in besides
-``ValueError``: ``CrossValidationError`` (raised by ``nagao``) and
-``SearchCapExceeded`` (raised by ``witnesses``).
+"""The argument rules every layer validates its input with, written out
+once each, and the two errors a request can end in besides ``ValueError``:
+``CrossValidationError`` (raised by ``nagao``) and ``SearchCapExceeded``
+(raised by ``witnesses``).
+
+The rules: ``_prime`` (a prime int, by ``is_prime``), ``_int_arg`` (an int
+argument, with an optional least value), ``_fields`` (the fields of a JSON
+object), ``_int_of`` (integer text, under the digit cap ``MAX_INT_DIGITS``)
+and ``_shown`` (how a message quotes a value).  Each refusal is one short
+line, a ``ValueError`` unless ``_int_of`` is given another error.  Of the
+input caps only ``MAX_DEGREE`` and ``MAX_INT_DIGITS`` live here; ``cli``
+holds its request caps (``MAX_I``, ``MAX_RANGE_VALUES``, ``MAX_WITNESS_K``,
+``MAX_WORD_LEN``, ``MAX_WORD_BITS``), ``witnesses`` ``SN_MAX_PRIME`` and
+``ring`` the work budget ``MAX_WORK``.
 
 A leaf: it imports nothing from the package, so that a module needing only
 these names (``homology``, and ``cli`` for its argument types and its
@@ -76,15 +85,53 @@ def _int_of(text, what: str, bad: str | None, error=ValueError, *args, index: in
     return int(text)
 
 
+def _int_arg(value, what: str, least: int | None = None) -> int:
+    """``value`` when it is an int (not a bool) of at least ``least``; else
+    ValueError "<what> must be an integer, got ..." or "<what> must be >=
+    <least>, got ..."."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {_shown(value)}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {_shown(value)}")
+    return value
+
+
+def _prime(p, bad: str = "modulus must be a prime, got {}") -> int:
+    """``p`` when ``is_prime`` accepts it, so an int and never a bool, float
+    or str; else ValueError(bad) with ``{}`` as ``_shown(p)``."""
+    if not is_prime(p):
+        raise ValueError(bad.format(_shown(p)))
+    return p
+
+
+def _fields(obj: dict, what: str, required: tuple, optional: tuple = ()) -> None:
+    """Refuse a JSON object with a field outside ``required`` and ``optional``
+    ("<what> has the unknown field 'x'"), or without one of ``required``
+    ("<what> lacks the field(s) 'x', 'y'")."""
+    unknown = [key for key in obj if key not in required and key not in optional]
+    if unknown:
+        raise ValueError(f"{what} has the unknown field {_shown(unknown[0])}")
+    missing = [key for key in required if key not in obj]
+    if missing:
+        raise ValueError(f"{what} lacks the field(s) {', '.join(map(repr, missing))}")
+
+
+def is_prime(n) -> bool:
+    """Whether n is a prime int; never true of a bool, float or str.  Exact
+    for every n < 2**64; raises ValueError for a larger int."""
+    return type(n) is int and _is_prime(n)
+
+
 # Deterministic Miller-Rabin bases: no composite below 2**64 is a strong
 # pseudoprime to all of them.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 @lru_cache(maxsize=None)
-def is_prime(n: int) -> bool:
-    """Primality by Miller-Rabin over the prime bases 2 to 37, exact for
-    every n < 2**64; raises ValueError for larger n."""
+def _is_prime(n: int) -> bool:
+    """Primality of an int by Miller-Rabin over the prime bases 2 to 37; the
+    type test stays in ``is_prime``, in front of this cache, which would
+    answer 3.0 with the entry of 3."""
     if n >= 2**64:
         raise ValueError(f"primality is decided only below 2**64, got {_shown(n)}")
     if n < 2:

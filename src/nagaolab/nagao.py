@@ -26,9 +26,9 @@ factorization fails.
 
 from __future__ import annotations
 
-from .amalgam import AmalgamStructure, Form, Letter, NormalForm, _mat
+from .amalgam import AmalgamStructure, Form, Letter, NormalForm, _mat, _quad_form
 from .gl2 import _ONE, Gen, Mat2, _mat_prod
-from .limits import CrossValidationError, _shown
+from .limits import CrossValidationError, _prime, _shown
 from .ring import Poly, _divmod_coeffs, _dot, _reduce_coeffs, _scale
 
 __all__ = [
@@ -136,14 +136,15 @@ def _gen_forms(gens, mod: int | None) -> list[tuple[int, Form]]:
         if g.kind == "E21":
             forms += [(1, w_inv), (2, (1, _scale(g.arg.coeffs, -1, mod), 0, 1)), (1, w_form)]
         else:
-            a, b, c, d = g._coeffs()
-            forms.append((2 if g.kind == "E12" else 1, (a[0] if a else 0, b, c[0] if c else 0, d[0] if d else 0)))
+            forms.append((2 if g.kind == "E12" else 1, _quad_form(g._coeffs())))
     return forms
 
 
 def letters_from_gens(gens, mod: int | None = None) -> list[Letter]:
     """Tag generator letters into the amalgam factors, as ``_gen_forms``
     does, with each letter's matrix built from its form."""
+    if mod is not None:
+        _prime(mod)
     return [Letter(factor, _mat(x, mod)) for factor, x in _gen_forms(gens, mod)]
 
 
@@ -264,7 +265,7 @@ def phi_p(word, p: int):
     membership again before the rewrite, the two routes are compared on
     engine forms, and the ``NormalForm`` is built once, for the answer.
     """
-    struct_z, struct_p = AmalgamStructure(), AmalgamStructure(p)
+    struct_z, struct_p = AmalgamStructure(), AmalgamStructure(_prime(p, "p must be prime, got {}"))
     word = [(l, struct_z._check_letter(l.factor, struct_z._form_of(l.mat), l.mat)) for l in word]
     x = _mat_prod([l.mat.coeffs for l, _ in word], None)
     mat_p = Mat2._of_coeffs([_reduce_coeffs(e, p) for e in x], p)

@@ -88,10 +88,12 @@ coerces and reduces every coefficient.  Each operator is one ``_dot`` call
 ``_canon`` wraps unchecked.  ``reduce_mod_p`` checks p once, then reduces,
 strips and wraps.  ``parse`` is one pass over the tokens of ``_tokenize``.
 
-The degree cap ``MAX_DEGREE``, ``is_prime`` and the rules for integer text
-(``_int_of``) and for quoting input in a message (``_shown``), which validate
-the modulus and every input here, come from ``limits``, the leaf module that
-``homology`` and the CLI use without loading this one.
+Every input here is checked by a rule of ``limits``, the leaf module that
+``homology`` and the CLI use without loading this one: the modulus by the
+prime rule ``_prime``, the exponent of ``monomial`` by the integer-argument
+rule ``_int_arg``, a JSON object by ``_fields``, integer text by ``_int_of``,
+and every quoted value by ``_shown``; the degree cap ``MAX_DEGREE`` lives
+there too, and the work budget ``MAX_WORK`` here.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ from array import array
 from functools import partial
 from operator import mul
 
-from .limits import MAX_DEGREE, _int_of, _shown, is_prime
+from .limits import MAX_DEGREE, _fields, _int_arg, _int_of, _prime, _shown
 
 __all__ = [
     "Poly",
@@ -118,11 +120,6 @@ class PolyParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.message, self.position = message, position
-
-
-def _check_modulus(mod: int | None) -> None:
-    if mod is not None and not is_prime(mod):
-        raise ValueError(f"modulus must be a prime, got {_shown(mod)}")
 
 
 def _strip(cs: list[int]) -> tuple[int, ...]:
@@ -173,10 +170,11 @@ class Poly(_Value):
     __slots__ = ()
 
     def __init__(self, coeffs=(), mod: int | None = None):
-        _check_modulus(mod)
-        cs = [int(c) for c in coeffs]
-        if mod is not None:
-            cs = [c % mod for c in cs]
+        if mod is None:
+            cs = [int(c) for c in coeffs]
+        else:
+            _prime(mod)
+            cs = [int(c) % mod for c in coeffs]
         object.__setattr__(self, "coeffs", _strip(cs))
         object.__setattr__(self, "mod", mod)
 
@@ -197,9 +195,7 @@ class Poly(_Value):
     @classmethod
     def monomial(cls, exp: int, coeff: int = 1, mod: int | None = None) -> "Poly":
         """coeff * t**exp."""
-        if exp < 0:
-            raise ValueError("negative exponent")
-        if exp > MAX_DEGREE:
+        if _int_arg(exp, "exponent", 0) > MAX_DEGREE:
             raise ValueError(f"exponent {_shown(exp)} exceeds the degree cap {MAX_DEGREE}")
         return cls((0,) * exp + (coeff,), mod)
 
@@ -282,7 +278,7 @@ class Poly(_Value):
         """Coefficientwise reduction Z[t] -> F_p[t]; a ring homomorphism."""
         if self.mod is not None:
             raise ValueError("reduce_mod_p expects integer coefficients")
-        _check_modulus(p)
+        _prime(p)
         return Poly._canon(_reduce_coeffs(self.coeffs, p), p)
 
     # -- text and JSON ------------------------------------------------
@@ -369,16 +365,10 @@ class Poly(_Value):
         list of coefficients, or one coefficient as a constant.  Coefficients
         are JSON integers or ASCII integer strings."""
         if isinstance(obj, dict):
-            unknown = [key for key in obj if key not in ("coeffs", "mod")]
-            if unknown:
-                raise ValueError(f"polynomial JSON has the unknown field {_shown(unknown[0])}")
-            if "coeffs" not in obj:
-                raise ValueError("polynomial JSON lacks the field 'coeffs'")
+            _fields(obj, "polynomial JSON", ("coeffs",), ("mod",))
             coeffs, given = obj["coeffs"], obj.get("mod", mod)
-            if (given is not None and type(given) is not int) or mod not in (None, given):
-                raise ValueError(
-                    f"polynomial field 'mod' must be {mod or 'a prime'}, got {_shown(given)}"
-                )
+            if "mod" in obj and (type(given) is not int or mod not in (None, given)):
+                raise ValueError(f"polynomial field 'mod' must be {mod or 'a prime'}, got {_shown(given)}")
             if not isinstance(coeffs, list):
                 raise ValueError(f"polynomial field 'coeffs' must be a list, got {_shown(coeffs)}")
             mod = given

@@ -26,7 +26,7 @@ import json
 from collections import namedtuple
 
 from .gl2 import Mat2, e12
-from .limits import SearchCapExceeded, _shown, is_prime
+from .limits import SearchCapExceeded, _int_arg, _prime, _shown
 from .nagao import nagao_normal_form
 from .ring import Poly
 
@@ -49,12 +49,9 @@ def make_witness(kind: str, p: int | None = None, k: int | None = None) -> Mat2:
     if kind == "x":
         if p is not None:
             raise ValueError("kind x takes no prime")
-    elif type(p) is not int or not is_prime(p):
-        raise ValueError(f"kind {kind} needs a prime, got {_shown(p)}")
-    if type(k) is not int:
-        raise ValueError(f"index k must be an integer, got {_shown(k)}")
-    if k < 1:
-        raise ValueError(f"index k must be >= 1, got {_shown(k)}")
+    else:
+        _prime(p, f"kind {kind} needs a prime, got {{}}")
+    _int_arg(k, "index k", 1)
     t_k = Poly.monomial(k)
     one = Poly.one()
     if kind == "x":
@@ -102,11 +99,11 @@ def _report(rows) -> WitnessReport:
     ))
 
 
-def _nf_equal(p: int, lhs: Mat2, rhs: Mat2) -> bool:
-    """Equality in SL2(F_p[t]) decided two ways, which must agree."""
-    by_matrix = lhs == rhs
-    by_nf = nagao_normal_form(p, lhs) == nagao_normal_form(p, rhs)
-    if by_matrix != by_nf:
+def _nf_equal(lhs, rhs) -> bool:
+    """Equality in SL2(F_p[t]) of two (matrix, normal form) pairs, decided
+    both ways, which must agree."""
+    by_matrix = lhs[0] == rhs[0]
+    if by_matrix != (lhs[1] == rhs[1]):
         raise RuntimeError("matrix and normal form equality disagree (bug)")
     return by_matrix
 
@@ -121,7 +118,10 @@ def _identity_rows(p: int, k: int) -> list:
     h_p, g_p, x_p = h.reduce_mod_p(p), g.reduce_mod_p(p), x.reduce_mod_p(p)
     x_p_inv = x_p.inv()
     x3_p = make_witness("x", None, 3 * k).reduce_mod_p(p)
-    eq_xk, eq_x3k = _nf_equal(p, h_p, x_p), _nf_equal(p, h_p, x3_p)
+    # one normal form per matrix: h_p equals x3_p and g_p equals x_p_inv, and
+    # their own normal forms decide that apart from the matrices
+    nf_h, nf_g, nf_x, nf_x_inv, nf_x3 = ((m, nagao_normal_form(p, m)) for m in (h_p, g_p, x_p, x_p_inv, x3_p))
+    eq_xk, eq_x3k = _nf_equal(nf_h, nf_x), _nf_equal(nf_h, nf_x3)
     return [
         (f"det_h({p},{k})", "det h(p,k) == 1", det_h == one, det_h, "1"),
         (f"det_g({p},{k})", "det g(p,k) == 1", det_g == one, det_g, "1"),
@@ -132,7 +132,7 @@ def _identity_rows(p: int, k: int) -> list:
          not g.is_unipotent(), g.trace(), "trace != 2"),
         (f"unipotent_x({k})", "x(k) is unipotent", x.is_unipotent(), x.trace(), "2"),
         (f"reduce_g({p},{k})", "g(p,k) mod p == x(k)^-1",
-         _nf_equal(p, g_p, x_p_inv), g_p, x_p_inv),
+         _nf_equal(nf_g, nf_x_inv), g_p, x_p_inv),
         (f"reduce_h({p},{k})", "h(p,k) mod p compared against x(k) and x(3k) mod p: "
          f"equals x(k): {eq_xk}; equals x(3k): {eq_x3k}",
          None, h_p, f"x(k) mod p = {x_p}, x(3k) mod p = {x3_p}"),
@@ -158,8 +158,7 @@ def verify_witness_suite(ps=(2, 3, 5, 7), ks=(1, 2, 3, 4)) -> WitnessReport:
     """Run every identity check over the given prime and index ranges."""
     rows = []
     for p in ps:
-        if not is_prime(p):
-            raise ValueError(f"witness primes must be prime, got {_shown(p)}")
+        _prime(p, "witness primes must be prime, got {}")
         for k in ks:
             rows += _identity_rows(p, k)
         rows += _coset_rows(p, ks)
@@ -188,12 +187,8 @@ def sn_witness_search(p: int, n: int) -> tuple[int, ...] | None:
     Refuses (SearchCapExceeded) when p > SN_MAX_PRIME or n > p, rather than
     running an unbounded search.
     """
-    if type(p) is not int or not is_prime(p):
-        raise ValueError(f"p must be prime, got {_shown(p)}")
-    if type(n) is not int:
-        raise ValueError(f"arity must be an integer, got {_shown(n)}")
-    if n < 1:
-        raise ValueError(f"arity must be >= 1, got {_shown(n)}")
+    _prime(p, "p must be prime, got {}")
+    _int_arg(n, "arity", 1)
     if p > SN_MAX_PRIME or n > p:
         raise SearchCapExceeded(
             f"search cap exceeded: p={_shown(p)}, n={_shown(n)} (caps: p <= {SN_MAX_PRIME}, n <= p)"

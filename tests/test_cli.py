@@ -190,7 +190,7 @@ def test_nf_det_not_one_takes_one_determinant(capsys, monkeypatch, mod, text, de
         (["--mod", "3", '[[1, {"coef": [1]}], [0, 1]]'],
          "error: polynomial JSON has the unknown field 'coef'"),
         (["--mod", "3", '[[1, {}], [0, 1]]'],
-         "error: polynomial JSON lacks the field 'coeffs'"),
+         "error: polynomial JSON lacks the field(s) 'coeffs'"),
         (["--mod", "3", '[[{"coeffs": ["1"], "mod": "x"}, 0], [0, 1]]'],
          "error: polynomial field 'mod' must be 3, got 'x'"),
         (["--mod", "3", '[[{"coeffs": ["1"], "mod": 5}, 0], [0, 1]]'],

@@ -42,11 +42,19 @@ def test_no_assert_in_the_library():
     assert found == []
 
 
+# Words of the messages of limits._fields and limits._int_arg, which no
+# other module writes out.
+_RULE_TEXTS = ("unknown field", "lacks the field", "must be an integer")
+
+
 def test_input_rules_live_in_limits():
-    """The integer rule and the quoting rule are written out once, in
-    ``limits``: no other module names the integer pattern or the digit cap
-    (it converts integer text with ``limits._int_of``), and none defines a
-    quoting function of its own besides ``limits._shown``."""
+    """The rules for outside input are written out once, in ``limits``: no
+    other module names the integer pattern or the digit cap (it converts
+    integer text with ``limits._int_of``), defines a quoting function of its
+    own besides ``limits._shown``, raises on an ``is_prime`` test of its own
+    (the prime rule is ``limits._prime``), or writes a message of the
+    object-field or integer-argument rules (``limits._fields`` and
+    ``limits._int_arg``)."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.stem == "limits":
@@ -55,6 +63,12 @@ def test_input_rules_live_in_limits():
             name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
             if name in ("_INT_RE", "MAX_INT_DIGITS") or (isinstance(node, ast.FunctionDef) and name == "_shown"):
                 found.append(f"{path.name}:{node.lineno}:{name}")
+            elif isinstance(node, ast.If) and any(
+                getattr(n, "id", None) == "is_prime" for n in ast.walk(node.test)
+            ) and any(isinstance(n, ast.Raise) for n in ast.walk(node)):
+                found.append(f"{path.name}:{node.lineno}:is_prime")
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found += [f"{path.name}:{node.lineno}:{text}" for text in _RULE_TEXTS if text in node.value]
     assert found == []
 
 

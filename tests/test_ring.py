@@ -264,7 +264,7 @@ def test_format_canonicalizes():
     assert str(Poly([1, -2, 1])) == "1 - 2*t + t^2"
     assert repr(Poly([1, -2, 1])) == "Poly([1, -2, 1], mod=None)"
     assert repr(Poly.monomial(2, 4, 3)) == "Poly([0, 0, 1], mod=3)"
-    with pytest.raises(ValueError, match="negative exponent"):
+    with pytest.raises(ValueError, match=re.escape("exponent must be >= 0, got -1")):
         Poly.monomial(-1)
     # the parser's degree cap, checked before the dense tuple is allocated
     assert Poly.monomial(MAX_DEGREE).degree == MAX_DEGREE

@@ -93,11 +93,10 @@ def test_equality_decisions_match_both_ways():
     assert verify_witness_suite((2, 3), (1, 3)).all_asserted_pass
 
 
-def test_equality_decisions_that_split_raise(monkeypatch):
-    monkeypatch.setattr(witnesses, "nagao_normal_form", lambda p, m: object())
+def test_equality_decisions_that_split_raise():
     m = e12(Poly.monomial(2, 1, 3))
     with pytest.raises(RuntimeError, match="^matrix and normal form equality disagree"):
-        witnesses._nf_equal(3, m, m)
+        witnesses._nf_equal((m, object()), (m, object()))
 
 
 # -- unit-subset-sum witnesses --------------------------------------------
