@@ -146,9 +146,13 @@ def _nf_from_json(obj, mod):
         yield Letter(t, _nf_matrix(m, "tail", mod))
 
 
-def _render_nf(struct, nf, fmt: str) -> str:
-    """The whole output, so that a failure while rendering prints nothing."""
+def _render_nf(struct, nf, fmt: str, given=None) -> str:
+    """The whole output, so that a failure while rendering prints nothing.
+    The normal form is multiplied out for the matrix line, which must equal
+    the given matrix of a matrix request."""
     matrix = struct.nf_evaluate(nf)
+    if given is not None and matrix != given:
+        raise CrossValidationError(f"the normal form multiplies out to {_shown(matrix, str)}, not to the input")
     if fmt == "json":
         return json.dumps({
             "length": nf.length,
@@ -195,12 +199,14 @@ def _cmd_nf(args) -> tuple[int, str]:
     what = "normal form" if isinstance(payload, dict) else "word" if is_word else "matrix"
 
     def request() -> str:
+        given = None
         if what == "matrix":
-            nf = nagao_normal_form(mod, mat_from_json(payload, mod) if is_json else parse_matrix(text, mod))
+            given = mat_from_json(payload, mod) if is_json else parse_matrix(text, mod)
+            nf = nagao_normal_form(mod, given)
         else:
             letters = _nf_from_json(payload, mod) if what == "normal form" else _word_from_json(payload, mod)
             nf = struct.normalize(list(_capped(letters, mod, what)))
-        return _render_nf(struct, nf, args.format)
+        return _render_nf(struct, nf, args.format, given)
 
     return EXIT_OK, _metered(what, request)
 

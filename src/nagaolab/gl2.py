@@ -11,9 +11,14 @@ Products and determinants do not go through the ``Poly`` operators.  A
 ``Mat2``, like a ``Poly``, is a ``ring._Value``: its ``coeffs`` are its
 entries' canonical coefficient tuples (a, b, c, d), and ``a``, ``b``, ``c``
 and ``d`` are ``Poly`` views built on each read.  ``_mat_mul`` is the one
-2x2 product on such quadruples, for ``Mat2.__mul__``; its left fold
-``_mat_prod`` is the one word product, for ``nf_evaluate`` and ``nagao``'s
-round trip and ``phi_p``.  The public constructor checks that the four
+2x2 product on such quadruples, for ``Mat2.__mul__``.  ``_mat_prod`` is the
+one word product, for ``nf_evaluate``, ``nagao``'s round trip and
+``phi_p``: over F_p, for a word whose letter entries are all shorter than
+``ring._KRONECKER_MIN_LEN`` and whose prime lets two letter products fit an
+8-byte slot, it is ``_packed_prod``, which holds the running product's
+entries as packed ints and reduces them mod p only when a slot could
+overflow; otherwise, and over Z, it is the left fold of ``_mat_mul``.  The
+choice reads only the input.  The public constructor checks that the four
 entries share a ring; the trusted ``_of_coeffs`` stores the results of
 arithmetic on valid matrices, and those of ``Gen.matrix`` and
 ``reduce_mod_p`` after one check of the modulus.
@@ -23,9 +28,22 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from itertools import chain
 
+from . import ring
 from .limits import _int_of, _prime, _shown
-from .ring import Poly, PolyParseError, _Value, _dot, _reduce_coeffs, _scale
+from .ring import (
+    _KRONECKER_MIN_LEN,
+    Poly,
+    PolyParseError,
+    _Value,
+    _dot,
+    _mul_cost,
+    _reduce_coeffs,
+    _scale,
+    _slot_io,
+    _strip,
+)
 
 __all__ = [
     "Mat2",
@@ -53,13 +71,80 @@ def _mat_mul(x: _Quad, y: _Quad, mod: int | None) -> _Quad:
     return (_dot(a, e, b, g, mod), _dot(a, f, b, h, mod), _dot(c, e, d, g, mod), _dot(c, f, d, h, mod))
 
 
+# every slot of _packed_prod stays below this, so that it fits 8 bytes
+_SLOT_LIMIT = 1 << 64
+
+
 def _mat_prod(quads, mod: int | None) -> _Quad:
-    """The product of a word of coefficient quadruples, folded from the left
-    with ``_mat_mul``; the identity for the empty word."""
+    """The product of a list of coefficient quadruples, the identity for the
+    empty word: ``_packed_prod`` over F_p when every letter entry has fewer
+    than _KRONECKER_MIN_LEN coefficients and 2*n*(p - 1)**2 < 2**64 for the
+    longest, n; otherwise, and over Z, folded from the left with
+    ``_mat_mul``."""
+    if mod is not None:
+        n = max(map(len, chain.from_iterable(quads)), default=0)
+        if n < _KRONECKER_MIN_LEN and 2 * n * (mod - 1) ** 2 < _SLOT_LIMIT:
+            return _packed_prod(quads, mod)
     x = _IDENTITY_QUAD
     for y in quads:
         x = _mat_mul(x, y, mod)
     return x
+
+
+def _packed_prod(quads, p: int) -> _Quad:
+    """The product over F_p of a word whose letter entries ``_mat_prod``
+    admits, with the running product's entries packed into 8-byte slots
+    (Kronecker substitution) and reduced mod p only when a slot could
+    overflow.
+
+    A letter (e, f, g, h) maps the entries (A, B, C, D) to (A*e + B*g, A*f
+    + B*h, C*e + D*g, C*f + D*h), as packed ints; a transvection, whose
+    diagonal is (1, 1), updates one column by two multiply-adds.  No slot
+    goes negative, and each column keeps a bound on its slots: a slot of A*e
+    is at most bound(A)*sum(e), so the new first column's slots are at most
+    b1*sum(e) + b2*sum(g), and the second's b1*sum(f) + b2*sum(h).  Before
+    a letter whose bounds would reach 2**64, the four entries are read back,
+    reduced mod p and packed again, and each column's largest coefficient
+    becomes its bound; then any letter fits, since 2*n*(p - 1)**2 < 2**64.
+    As no slot overflows, an entry has as many coefficients as its packed
+    int has slots, and that many are read back.  At the end each entry is
+    read back, reduced and stripped.  Before each letter it charges the open
+    meter its products in which neither factor is 0 or 1, priced at p's
+    width as ``_dot`` prices them."""
+    pack, unpack = _slot_io(8)
+    bits = (p - 1).bit_length() if ring._METER.get() is not None else 0
+
+    def length(x):
+        return -(-x.bit_length() // 64)
+
+    def reduced(x):
+        return [c % p for c in unpack(x.to_bytes(length(x) * 8, "little"))]
+
+    A, B, C, D = 1, 0, 0, 1
+    b1, b2 = 1, 1  # slot bounds of the columns (A, C) and (B, D)
+    for e, f, g, h in quads:
+        we, wf, wg, wh = sum(e), sum(f), sum(g), sum(h)
+        n1, n2 = b1 * we + b2 * wg, b1 * wf + b2 * wh
+        if n1 >= _SLOT_LIMIT or n2 >= _SLOT_LIMIT:
+            cs = [reduced(x) for x in (A, B, C, D)]
+            A, B, C, D = [int.from_bytes(pack(x), "little") for x in cs]
+            b1, b2 = max(cs[0] + cs[2], default=0), max(cs[1] + cs[3], default=0)
+            n1, n2 = b1 * we + b2 * wg, b1 * wf + b2 * wh
+        b1, b2 = n1, n2
+        if bits:
+            ring._charge(sum(_mul_cost(length(x), len(z), bits, bits)[0]
+                             for x, row in ((A, (e, f)), (B, (g, h)), (C, (e, f)), (D, (g, h)))
+                             for z in row if x > 1 and z and z != _ONE))
+        if e == h == _ONE and not g:  # a transvection updates one column
+            F = int.from_bytes(pack(f), "little")
+            B, D = A * F + B, C * F + D
+        elif e == h == _ONE and not f:
+            G = int.from_bytes(pack(g), "little")
+            A, C = A + B * G, C + D * G
+        else:
+            E, F, G, H = [int.from_bytes(pack(x), "little") for x in (e, f, g, h)]
+            A, B, C, D = A * E + B * G, A * F + B * H, C * E + D * G, C * F + D * H
+    return tuple(_strip(reduced(x)) for x in (A, B, C, D))
 
 
 class Mat2(_Value):

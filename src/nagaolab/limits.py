@@ -4,7 +4,8 @@ once each, and the two errors a request can end in besides ``ValueError``:
 (raised by ``witnesses``).
 
 The rules: ``_prime`` (a prime int, by ``is_prime``), ``_int_arg`` (an int
-argument, with an optional least value), ``_fields`` (the fields of a JSON
+argument, with an optional least value), ``_int_list`` (a list of ints, such
+as a polynomial's coefficients), ``_fields`` (the fields of a JSON
 object), ``_int_of`` (integer text, under the digit cap ``MAX_INT_DIGITS``)
 and ``_shown`` (how a message quotes a value).  Each refusal is one short
 line, a ``ValueError`` unless ``_int_of`` is given another error.  Of the
@@ -94,6 +95,16 @@ def _int_arg(value, what: str, least: int | None = None) -> int:
     if least is not None and value < least:
         raise ValueError(f"{what} must be >= {least}, got {_shown(value)}")
     return value
+
+
+def _int_list(values, what: str) -> list:
+    """``values`` as a list when each is an int (not a bool); else the
+    ValueError of ``_int_arg`` for the first that is not, as "<what> <i>"."""
+    values = list(values)
+    if not set(map(type, values)) <= {int}:
+        for i, value in enumerate(values):
+            _int_arg(value, f"{what} {i}")
+    return values
 
 
 def _prime(p, bad: str = "modulus must be a prime, got {}") -> int:

@@ -19,9 +19,9 @@ and, once, the ``NormalForm`` of the matrix route.  The Euclid loop divides
 the first column alone; one ``gl2._mat_prod`` of its letters then solves
 the last letter from the second column and checks the whole matrix.  So
 every factorization multiplies back, which proves det = 1: the determinant
-is computed only when det m is not 1 at t = 0 or t = 1, which the entries'
-constant terms and coefficient sums test before the loop, or the
-factorization fails.
+is computed only when det m is not 1 at t = 0, t = 1 or (for p > 2) t =
+-1, which the entries' constant terms, coefficient sums and alternating
+coefficient sums test before the loop, or the factorization fails.
 """
 
 from __future__ import annotations
@@ -72,18 +72,20 @@ def sl2fpt_elementary_factor(m: Mat2) -> list[Gen]:
     multiplies back to the input exactly.
 
     Every letter has det 1, so a word that multiplies back proves det m = 1:
-    the determinant is computed only when det m is not 1 at t = 0 or t = 1
-    (its constant term and its coefficient sum), the loop finds no unit
-    pivot or the round trip fails, by ``_refuse``.
+    the determinant is computed only when det m is not 1 at t = 0, t = 1 or,
+    for p > 2, t = -1 (its constant term, its coefficient sum and its
+    alternating coefficient sum), the loop finds no unit pivot or the round
+    trip fails, by ``_refuse``.
     """
     p = m.mod
     if p is None:
         raise ValueError("sl2fpt_elementary_factor expects coefficients mod p")
     a, b, c, d = m.coeffs
-    # det m evaluated at t = 0 and t = 1 in O(n): a value other than 1 proves det m != 1
-    if (((a[0] if a else 0) * (d[0] if d else 0) - (b[0] if b else 0) * (c[0] if c else 0)) % p != 1
-            or (sum(a) * sum(d) - sum(b) * sum(c)) % p != 1):
-        _refuse(m, "determinant at t = 0 or t = 1 is not 1")
+    # det m evaluated at t = 0, t = 1 and, for p > 2, t = -1, each in O(n):
+    # a value other than 1 proves det m != 1
+    for at in (lambda x: x[0] if x else 0, sum, lambda x: sum(x[::2]) - sum(x[1::2]))[: 3 if p > 2 else 2]:
+        if (at(a) * at(d) - at(b) * at(c)) % p != 1:
+            _refuse(m, "determinant at t = 0, 1 or -1 is not 1")
     steps: list[tuple[str, tuple[int, ...]]] = []
     while c:
         if not a:

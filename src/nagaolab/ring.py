@@ -82,16 +82,18 @@ no meter open, as in library calls, a kernel pays one ``ContextVar.get``.
 
 ``Poly`` and ``gl2.Mat2`` share the base ``_Value``: equality and hash on
 ``(coeffs, mod)``, no assignment, and the trusted constructor ``_canon``,
-which copy and pickle use.  The public constructor validates the modulus and
-coerces and reduces every coefficient.  Each operator is one ``_dot`` call
-(x - y takes the ring's -1 as the second scalar), whose canonical result
-``_canon`` wraps unchecked.  ``reduce_mod_p`` checks p once, then reduces,
-strips and wraps.  ``parse`` is one pass over the tokens of ``_tokenize``.
+which copy and pickle use.  The public constructor validates the modulus,
+refuses a coefficient that is not an int, and reduces every coefficient.
+Each operator is one ``_dot`` call (x - y takes the ring's -1 as the second
+scalar), whose canonical result ``_canon`` wraps unchecked.
+``reduce_mod_p`` checks p once, then reduces, strips and wraps.  ``parse``
+is one pass over the tokens of ``_tokenize``.
 
 Every input here is checked by a rule of ``limits``, the leaf module that
 ``homology`` and the CLI use without loading this one: the modulus by the
 prime rule ``_prime``, the exponent of ``monomial`` by the integer-argument
-rule ``_int_arg``, a JSON object by ``_fields``, integer text by ``_int_of``,
+rule ``_int_arg``, the coefficients given to ``Poly`` by the integer-list
+rule ``_int_list``, a JSON object by ``_fields``, integer text by ``_int_of``,
 and every quoted value by ``_shown``; the degree cap ``MAX_DEGREE`` lives
 there too, and the work budget ``MAX_WORK`` here.
 """
@@ -106,7 +108,7 @@ from array import array
 from functools import partial
 from operator import mul
 
-from .limits import MAX_DEGREE, _fields, _int_arg, _int_of, _prime, _shown
+from .limits import MAX_DEGREE, _fields, _int_arg, _int_list, _int_of, _prime, _shown
 
 __all__ = [
     "Poly",
@@ -170,12 +172,10 @@ class Poly(_Value):
     __slots__ = ()
 
     def __init__(self, coeffs=(), mod: int | None = None):
-        if mod is None:
-            cs = [int(c) for c in coeffs]
-        else:
+        if mod is not None:
             _prime(mod)
-            cs = [int(c) % mod for c in coeffs]
-        object.__setattr__(self, "coeffs", _strip(cs))
+        cs = _int_list(coeffs, "polynomial coefficient")
+        object.__setattr__(self, "coeffs", _strip(cs if mod is None else [c % mod for c in cs]))
         object.__setattr__(self, "mod", mod)
 
     # -- constructors -------------------------------------------------

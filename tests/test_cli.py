@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import nagaolab
-from nagaolab import ring
+from nagaolab import nagao, ring
 from nagaolab.cli import main
 from nagaolab.gl2 import Mat2, e12, e21, identity
 from nagaolab.homology import GROUP_IDS
@@ -122,30 +122,35 @@ def test_nf_det_not_one(capsys):
 
 
 # Matrices of det != 1, one for each way they are refused: det m is not 1 at
-# t = 0 or at t = 1, before the loop; with det 1 at both, the loop finds no
-# pivot (a = 0 with c nonconstant, a gcd that is no unit) or the word does
-# not multiply back.
+# t = 0, t = 1 or t = -1, before the loop; with det 1 at all three, the loop
+# finds no pivot (a = 0 with c nonconstant, a gcd that is no unit) or the
+# word does not multiply back.
 _DET_NOT_ONE = [
-    ("3", "[[0,0],[0,1]]", "0"),
-    ("3", "[[0,1],[t,0]]", "2*t"),
-    ("3", "[[t,0],[0,t]]", "t^2"),
-    ("3", "[[1,0],[0,2]]", "2"),
-    ("5", "[[1 + t, 0], [0, 1]]", "1 + t"),
-    ("3", "[[1, t], [t, 1]]", "1 + 2*t^2"),
-    ("3", "[[0, 1], [2 + t + 2*t^2, 0]]", "1 + 2*t + t^2"),
-    ("3", "[[1 + t + 2*t^2, 0], [0, 1]]", "1 + t + 2*t^2"),
-    ("3", "[[1, t], [t, 1 + t]]", "1 + t + 2*t^2"),
+    ("3", "[[0,0],[0,1]]", "0", True),
+    ("3", "[[0,1],[t,0]]", "2*t", True),
+    ("3", "[[t,0],[0,t]]", "t^2", True),
+    ("3", "[[1,0],[0,2]]", "2", True),
+    ("5", "[[1 + t, 0], [0, 1]]", "1 + t", True),
+    ("3", "[[1, t], [t, 1]]", "1 + 2*t^2", True),
+    ("5", "[[1 + t + 4*t^2, 0], [0, 1]]", "1 + t + 4*t^2", True),
+    ("3", "[[0, 1], [2 + t + 2*t^3, 0]]", "1 + 2*t + t^3", False),
+    ("3", "[[1 + 2*t + t^3, 0], [0, 1]]", "1 + 2*t + t^3", False),
+    ("3", "[[1, t], [t, 1 + 2*t + t^2 + t^3]]", "1 + 2*t + t^3", False),
 ]
 
 
-@pytest.mark.parametrize("mod, text, det", _DET_NOT_ONE, ids=[text for _, text, _ in _DET_NOT_ONE])
-def test_nf_det_not_one_takes_one_determinant(capsys, monkeypatch, mod, text, det):
+@pytest.mark.parametrize("mod, text, det, before_loop", _DET_NOT_ONE, ids=[text for _, text, _, _ in _DET_NOT_ONE])
+def test_nf_det_not_one_takes_one_determinant(capsys, monkeypatch, mod, text, det, before_loop):
     """The determinant is computed once the factorization has failed, once,
-    for the test and the message: exit 2 and one stderr line."""
+    for the test and the message: exit 2 and one stderr line.  The tests of
+    det m at three points refuse exactly the inputs marked before_loop."""
     real_det, calls = Mat2.det, []
     monkeypatch.setattr(Mat2, "det", lambda m: calls.append(m) or real_det(m))
+    refuse, failures = nagao._refuse, []
+    monkeypatch.setattr(nagao, "_refuse", lambda m, failure: failures.append(failure) or refuse(m, failure))
     assert run(capsys, "nf", "--mod", mod, text) == (2, "", f"error: determinant must be 1, got {det}\n")
     assert len(calls) == 1
+    assert (failures == ["determinant at t = 0, 1 or -1 is not 1"]) == before_loop, failures
 
 
 @pytest.mark.parametrize(
@@ -421,6 +426,25 @@ def test_nf_word_at_product_caps(capsys):
     big = 2**1998 - 1
     code, out, err = run(capsys, "nf", "--ring", "e2zt", json.dumps([f"E12({big}*t)", "W", f"E12({big}*t)"]))
     assert (code, err) == (0, "") and f"matrix: [[{big}*t, -1 + {big * big}*t^2], [1, {big}*t]]" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_nf_matrix_line_of_a_matrix_is_checked_against_it(capsys, monkeypatch, fmt):
+    """The matrix line of a matrix request is its normal form multiplied
+    out, which must equal the input: a wrong product is a verification
+    failure (exit 1) that prints nothing, while a word's line is printed as
+    evaluated."""
+    from nagaolab.amalgam import AmalgamStructure
+
+    text = "[[1 + t^2, t], [t, 1]]"
+    code, out, err = run(capsys, "nf", "--mod", "5", "--format", fmt, text)
+    assert (code, err) == (0, "")
+    monkeypatch.setattr(AmalgamStructure, "nf_evaluate", lambda self, nf: identity(5))
+    assert run(capsys, "nf", "--mod", "5", "--format", fmt, text) == (
+        1, "", "verification failure: the normal form multiplies out to [[1, 0], [0, 1]], not to the input\n")
+    code, out, err = run(capsys, "nf", "--mod", "5", "--format", fmt, '["E12(t)"]')
+    assert (code, err) == (0, "")
+    assert json.loads(out)["matrix"] == identity(5).to_json() if fmt == "json" else "matrix: [[1, 0], [0, 1]]" in out
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

@@ -1,9 +1,12 @@
+import inspect
+import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nagaolab.gl2 import (
+    _ONE,
     Gen,
     Mat2,
     _mat_mul,
@@ -17,7 +20,8 @@ from nagaolab.gl2 import (
     parse_matrix,
     w,
 )
-from nagaolab import ring
+from nagaolab import gl2, ring
+from nagaolab.cli import main
 from nagaolab.ring import Poly, PolyParseError
 from nagaolab.witnesses import make_witness
 
@@ -386,28 +390,207 @@ def test_quadruple_kernel_matches_entrywise_oracle():
                         assert got == entrywise_mat_mul(m, k).coeffs, (mod, big, n, s1, s2)
 
 
-def test_word_product_is_exact_to_one_generator():
+def test_word_product_is_exact_to_one_generator(monkeypatch):
     """gl2._mat_prod, the product of the factorization's round trip and of
     nf_evaluate, is the entrywise product of the word, and a word one
     generator off (E12(f + 1), E21(f + 1), D(-u) or a dropped W) never
-    multiplies to the same matrix, over Z and with W."""
+    multiplies to the same matrix: over Z, and over F_p on both paths, the
+    packed product (short entries at p = 5) and the fold (an entry of 16
+    coefficients, or p = 2**64 - 59)."""
+    packed, packed_prod = [], gl2._packed_prod
+    monkeypatch.setattr(gl2, "_packed_prod", lambda quads, p: packed.append(p) or packed_prod(quads, p))
     rng = random.Random(2010)
     words = [([rand_const_gen(rng, None) for _ in range(rng.randint(1, 4))], None) for _ in range(30)]
-    for mod in (None, 5):
+    long_f = " + ".join(f"t^{k}" for k in range(ring._KRONECKER_MIN_LEN))
+    for mod, f in ((None, "t^2 + 1"), (5, "t^2 + 1"), (5, long_f), (2**64 - 59, "t^2 + 1")):
         t = Poly.parse("t", mod)
-        words.append(([Gen("E21", t, mod), Gen("D", -1, mod), Gen("E12", t * t + 1, mod),
+        words.append(([Gen("E21", t, mod), Gen("D", -1, mod), Gen("E12", Poly.parse(f, mod), mod),
                        Gen("W", None, mod)], mod))
     altered = set()
     for gens, mod in words:
+        del packed[:]
         x = _mat_prod([g._coeffs() for g in gens], mod)
+        path = "Z" if mod is None else "packed" if packed else "fold"
         m = identity(mod)
         for g in gens:
             m = entrywise_mat_mul(m, g.matrix())
         assert x == m.coeffs
         for i, g in enumerate(gens):
             assert _mat_prod([h._coeffs() for h in gens[:i] + one_off(g) + gens[i + 1 :]], mod) != x
-            altered.add((g.kind, mod is None))
-    assert altered == {(kind, over_z) for kind in ("E12", "E21", "D", "W") for over_z in (True, False)}
+            altered.add((g.kind, path))
+    assert altered == {(kind, path) for kind in ("E12", "E21", "D", "W") for path in ("Z", "packed", "fold")}
+
+
+def _fold(quads, mod):
+    """The left fold of _mat_mul, the path of _mat_prod over Z and for long
+    entries or large primes."""
+    x = identity(mod).coeffs
+    for y in quads:
+        x = _mat_mul(x, y, mod)
+    return x
+
+
+def _entrywise_prod(quads, mod):
+    m = identity(mod)
+    for y in quads:
+        m = entrywise_mat_mul(m, Mat2(*(Poly(e, mod) for e in y)))
+    return m.coeffs
+
+
+@st.composite
+def _words(draw):
+    """A prime p, a length n, whether _mat_prod packs such words, and a word
+    over F_p of E12, E21, D, W and arbitrary letters ("M") whose entries
+    have at most n coefficients, often all p - 1 (so that the slot bounds
+    are reached).  (p, n) lies on both sides of the packed product's limits:
+    15 and 16 coefficients; 2 and 3 at p = 2**31 - 1; and 1 at p = 2**32 -
+    5, where (p - 1)**2 < 2**64 <= 2*(p - 1)**2.  The first letter is E12
+    with an entry of exactly n coefficients.  The word may be empty, and a
+    short one may be repeated 20 times, which forces reductions."""
+    p, n, packed = draw(st.sampled_from([(p, n, n < 16) for p in (2, 3, 7, 101) for n in (1, 2, 4, 15, 16)]
+                                        + [(2**31 - 1, 2, True), (2**31 - 1, 3, False), (2**32 - 5, 1, False)]))
+    coeff = st.just(p - 1) | st.integers(0, p - 1)
+
+    def entry():
+        size = draw(st.integers(0, n))
+        return Poly(draw(st.lists(coeff, min_size=size, max_size=size)), p)
+
+    f = Poly(draw(st.lists(coeff, min_size=n - 1, max_size=n - 1)) + [draw(st.integers(1, p - 1))], p)
+    word = [Gen("E12", f, p)._coeffs()]
+    for kind in draw(st.lists(st.sampled_from(("E12", "E21", "D", "W", "M")), max_size=8)):
+        if kind == "M":
+            word.append(tuple(entry().coeffs for _ in range(4)))
+        else:
+            arg = {"D": lambda: draw(st.integers(1, p - 1)), "W": lambda: None}.get(kind, entry)()
+            word.append(Gen(kind, arg, p)._coeffs())
+    return p, n, packed, word * draw(st.sampled_from((0, 1, 2, 20 if n < 15 else 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_words())
+@example((2**32 - 5, 1, False, [((2**32 - 6,),) * 4] * 3))
+@example((2**31 - 1, 3, False, [(_ONE, (1, 2, 3), (), _ONE)] * 3))
+@example((101, 16, False, [(_ONE, tuple(range(1, 17)), (), _ONE)] * 3))
+def test_packed_word_product_matches_the_fold(p_n_word):
+    """_mat_prod takes the packed product exactly when every entry is
+    shorter than _KRONECKER_MIN_LEN and 2*n*(p - 1)**2 < 2**64, and gives
+    the fold's product, and, on words of at most 30 letters, the entrywise
+    one on the schoolbook oracles."""
+    p, n, packed, word = p_n_word
+    calls, packed_prod = [], gl2._packed_prod
+    gl2._packed_prod = lambda quads, mod: calls.append(mod) or packed_prod(quads, mod)
+    try:
+        got = _mat_prod(word, p)
+    finally:
+        gl2._packed_prod = packed_prod
+    if word:
+        assert max(len(e) for y in word for e in y) == n
+        assert bool(calls) == packed
+    assert got == _fold(word, p)
+    if len(word) <= 30:
+        assert got == _entrywise_prod(word, p)
+
+
+def _counted_reductions(monkeypatch):
+    """A list that gains an item per read-back of _packed_prod's entries:
+    four per reduction, and four at the end."""
+    reads, slot_io = [], gl2._slot_io
+
+    def counted(w):
+        pack, unpack = slot_io(w)
+        return pack, lambda data: reads.append(w) or unpack(data)
+
+    monkeypatch.setattr(gl2, "_slot_io", counted)
+    return reads
+
+
+def _tight_words(p):
+    """Words over F_p whose slot bounds are reached: alternating E12 and E21
+    letters of constant p - 1, and of (p - 1)*(1 + t), long enough for at
+    least three reductions."""
+    letters = {}
+    for f in ((p - 1,), (p - 1, p - 1)):
+        x = (_ONE, f, (), _ONE), (_ONE, (), f, _ONE)
+        letters[len(f)] = list(x) * 150
+    return letters.values()
+
+
+@pytest.mark.parametrize("p", (2, 3, 7, 101, 2**31 - 1))
+def test_packed_word_product_through_reductions(monkeypatch, p):
+    """Tight words reduce at least three times and multiply out as the fold does."""
+    reads = _counted_reductions(monkeypatch)
+    for word in _tight_words(p):
+        del reads[:]
+        assert _mat_prod(word, p) == _fold(word, p)
+        assert len(reads) % 4 == 0 and len(reads) // 4 - 1 >= 3
+
+
+@pytest.mark.parametrize("p", (3, 101, 2**31 - 1))
+def test_packed_word_product_charges_as_it_runs(monkeypatch, p):
+    """Inside a request, the packed product charges ring._charge, before
+    each letter, what the fold charges for the same products of
+    nonconstant letters; a budget below that total refuses it."""
+    rng = random.Random(p)
+    word = [Gen(("E12", "E21")[i % 2], Poly([rng.randrange(p), rng.randrange(1, p)], p), p)._coeffs()
+            for i in range(60)]
+    charges, charge = [], ring._charge
+    monkeypatch.setattr(ring, "_charge", lambda work: charges.append(work) or charge(work))
+    totals = []
+    for product in (_mat_prod, _fold):
+        del charges[:]
+        assert ring._metered("test", lambda: product(word, p)) == _fold(word, p)
+        totals.append(sum(charges))
+    assert totals[0] == pytest.approx(totals[1], rel=1e-12) and totals[0] > 0
+    monkeypatch.setattr(ring, "MAX_WORK", totals[0] // 2)
+    with pytest.raises(ValueError, match="^test passed the work budget"):
+        ring._metered("test", lambda: _mat_prod(word, p))
+
+
+# Three faults of the packed word product, each as the exact source text and
+# its replacement.
+_PACKED_MUTANTS = {
+    "overflow test one letter late": ("if n1 >= _SLOT_LIMIT or n2 >= _SLOT_LIMIT:",
+                                      "if b1 >= _SLOT_LIMIT or b2 >= _SLOT_LIMIT:"),
+    "a letter-entry weight one short": ("sum(e), sum(f), sum(g)", "sum(e), sum(f) - 1, sum(g)"),
+    "read-back length one short": ("x.to_bytes(length(x) * 8", "x.to_bytes((length(x) - 1) * 8"),
+}
+
+
+@pytest.mark.parametrize("mutant", _PACKED_MUTANTS)
+def test_a_packed_product_mutant_is_caught(capsys, monkeypatch, mutant):
+    """With one fault in _packed_prod, some tight word multiplies out wrong
+    or raises; and ``nf`` on a matrix whose Euclid word is tight either
+    fails or prints what it prints without the fault, so no wrong normal
+    form or matrix line gets out."""
+    old, new = _PACKED_MUTANTS[mutant]
+    source = inspect.getsource(gl2._packed_prod)
+    assert source.count(old) == 1
+    requests = []
+    for p in (3, 7, 101):
+        m = identity(p)
+        for i in range(40):
+            m = entrywise_mat_mul(m, (e12 if i % 2 else e21)(Poly([0, p - 1], p)))
+        argv = ["nf", "--mod", str(p), json.dumps(m.to_json())]
+        assert main(argv) == 0
+        requests.append((argv, capsys.readouterr().out))
+        assert f"matrix: {m}" in requests[-1][1]
+    namespace = dict(vars(gl2))
+    exec(compile(source.replace(old, new), f"<{mutant}>", "exec"), namespace)
+    monkeypatch.setattr(gl2, "_packed_prod", namespace["_packed_prod"])
+    wrong = 0
+    for p in (2, 3, 7, 101):
+        for word in _tight_words(p):
+            try:
+                wrong += _mat_prod(word, p) != _fold(word, p)
+            except OverflowError:
+                wrong += 1
+    assert wrong
+    for argv, out in requests:
+        try:
+            code = main(argv)
+        except Exception:  # a fault may end in any exception, so long as nothing is printed
+            code = None
+        assert (code, capsys.readouterr().out) in ((0, out), (1, ""), (None, ""))
 
 
 @pytest.mark.parametrize("mod", (None, 5))

@@ -42,8 +42,11 @@ ENTRY_POINTS = {
     "Poly": (MODULUS, lambda v: Poly([1, 2, 5], v)),
     "Poly.zero": (MODULUS, Poly.zero),
     "Poly.one": (MODULUS, Poly.one),
+    "Poly-coeff": (INTEGER, lambda v: Poly([1, v], 5)),
     "Poly.constant": (MODULUS, lambda v: Poly.constant(2, v)),
+    "Poly.constant-c": (INTEGER, lambda v: Poly.constant(v, 5)),
     "Poly.monomial-exp": (INTEGER, Poly.monomial),
+    "Poly.monomial-coeff": (INTEGER, lambda v: Poly.monomial(2, v)),
     "Poly.monomial-mod": (MODULUS, lambda v: Poly.monomial(2, 1, v)),
     "Poly.parse": (MODULUS, lambda v: Poly.parse("1 + t", v)),
     "Poly.from_json-mod": (MODULUS, lambda v: Poly.from_json([1, 2], v)),
@@ -55,7 +58,9 @@ ENTRY_POINTS = {
     "Gen-D": (MODULUS, lambda v: Gen("D", 2, v)),
     "identity": (MODULUS, identity),
     "e12": (MODULUS, lambda v: e12(1, v)),
+    "e12-f": (INTEGER, lambda v: e12(v, 3)),
     "e21": (MODULUS, lambda v: e21(1, v)),
+    "e21-f": (INTEGER, e21),
     "diag": (MODULUS, lambda v: diag(1, v)),
     "w": (MODULUS, w),
     "parse_gen": (MODULUS, lambda v: parse_gen("D(2)", v)),

@@ -142,23 +142,45 @@ def test_det_at_one_not_one_is_refused_before_the_loop(monkeypatch):
             nagao_normal_form(p, parse_matrix(text, p))
 
 
-def test_round_trip_refuses_each_wrong_second_column_entry():
-    """Each check of the solve decides alone.  With b off by t - t^2 and
-    deg a > 2, the division for beta leaves the remainder t - t^2; with d
-    off by t - t^2, or b when a = 0, only the other row's product differs.
-    Each change keeps det m at t = 0 and t = 1 and the first column, so the
+def test_det_at_minus_one_not_one_is_refused_before_the_loop(monkeypatch):
+    """For p > 2, det(-1) = a(-1)*d(-1) - b(-1)*c(-1), from alternating
+    coefficient sums, refuses an input with det 1 at t = 0 and t = 1 before
+    any division.  Over F_2, where -1 = 1, such an input reaches the loop."""
+    divisions = []
+    divmod_coeffs = nagao._divmod_coeffs
+    monkeypatch.setattr(nagao, "_divmod_coeffs", lambda *args: divisions.append(args) or divmod_coeffs(*args))
+    for p, text, got in ((5, "[[1 + t + 4*t^2, 0], [0, 1]]", "1 + t + 4*t^2"),
+                         (3, "[[1 + t + 2*t^2, 0], [0, 1]]", "1 + t + 2*t^2"),
+                         (3, "[[0, 1], [2 + t + 2*t^2, 0]]", "1 + 2*t + t^2"),
+                         (7, "[[1, t], [t, 1 + 6*t + 2*t^2]]", "1 + 6*t + t^2")):
+        with pytest.raises(ValueError, match=rf"^determinant must be 1, got {re.escape(got)}$"):
+            nagao_normal_form(p, parse_matrix(text, p))
+    assert divisions == []
+    with pytest.raises(ValueError, match=r"^determinant must be 1, got 1 \+ t \+ t\^2$"):
+        nagao_normal_form(2, parse_matrix("[[1 + t, t], [1, 1 + t]]", 2))
+    assert divisions != []
+
+
+def test_round_trip_refuses_each_wrong_second_column_entry(monkeypatch):
+    """Each check of the solve decides alone.  With b off by t^3 - t and
+    deg a > 3, the division for beta leaves the remainder t^3 - t; with d
+    off by t^3 - t, or b when a = 0, only the other row's product differs.
+    Each change keeps det m at t = 0, 1 and -1 and the first column, so the
     round trip is what names det != 1."""
+    refuse, failures = nagao._refuse, []
+    monkeypatch.setattr(nagao, "_refuse", lambda m, failure: failures.append(failure) or refuse(m, failure))
     wrong = []
     for p, m in _seeded_matrices():
         a, b, c, d = m.coeffs
-        assert len(a) > 3
-        t = (0, 1, p - 1)
+        assert len(a) > 4
+        t = (0, p - 1, 0, 1)
         wrong += [(p, (a, _dot(b, _ONE, t, _ONE, p), c, d)), (p, (a, b, c, _dot(d, _ONE, t, _ONE, p)))]
         x = (Gen("D", 2, p).matrix() * w(p) * Mat2._of_coeffs((_ONE, b, (), _ONE), p)).coeffs
         wrong.append((p, (x[0], _dot(x[1], _ONE, t, _ONE, p), x[2], x[3])))
     for p, x in wrong:
         with pytest.raises(ValueError, match="^determinant must be 1, got "):
             sl2fpt_elementary_factor(Mat2._of_coeffs(x, p))
+    assert failures == ["factorization failed to multiply back to its input"] * len(wrong)
 
 
 # -- Nagao normal form -----------------------------------------------------
@@ -361,14 +383,14 @@ _SOLVE_MUTANTS = {
 
 def _faulty_inputs():
     """The seeded matrices made wrong two ways: with the second column times
-    delta, det delta != 1 with gcd(a, c) a unit and det 1 at t = 0 and t =
-    1, for delta = 1 + (t - t^2) and 1 + a*(t - t^2) (a | delta - 1: the
+    delta, det delta != 1 with gcd(a, c) a unit and det 1 at t = 0, 1 and
+    -1, for delta = 1 + (t^3 - t) and 1 + a*(t^3 - t) (a | delta - 1: the
     division is exact); and as SL2 matrices whose first Euclid quotient is
     to be one off (q + 1), the inputs flagged True."""
     for p, m in _seeded_matrices():
         a, b, c, d = m.coeffs
         for h in (_ONE, a):
-            delta = _dot(_ONE, _ONE, (0, 1, p - 1), h, p)
+            delta = _dot(_ONE, _ONE, (0, p - 1, 0, 1), h, p)
             yield p, Mat2._of_coeffs((a, _dot(b, delta, (), (), p), c, _dot(d, delta, (), (), p)), p), False
         yield p, m, True
 
@@ -390,13 +412,16 @@ def test_a_solve_mutant_is_refused(monkeypatch, mutant):
             q = _dot(q, _ONE, _ONE, _ONE, p)
         return q, r
 
-    namespace = {**vars(nagao), "_divmod_coeffs": off_by_one}
+    failures = []
+    namespace = {**vars(nagao), "_divmod_coeffs": off_by_one,
+                 "_refuse": lambda m, failure: failures.append(failure) or nagao._refuse(m, failure)}
     exec(compile(source.replace(old, new), f"<{mutant}>", "exec"), namespace)
     monkeypatch.setattr(nagao, "sl2fpt_elementary_factor", namespace["sl2fpt_elementary_factor"])
     for p, m, quotient_off in _faulty_inputs():
         off[:] = [True] if quotient_off else []
         with pytest.raises((ValueError, RuntimeError)):
             nagao_normal_form(p, m)
+    assert "determinant at t = 0, 1 or -1 is not 1" not in failures  # each input passes the tests before the loop
 
 
 @st.composite
