@@ -35,8 +35,9 @@ as forms, each checked by ``_check_letter``, and both routes are compared
 on forms.  The oracles that check the engine share no arithmetic with it.
 ``nf_evaluate``, the Euclid factorization's round trip and ``phi_p``'s
 product over Z multiply the entries' coefficient tuples with
-``gl2._mat_prod``: over F_p, a word of short letter entries on packed
-integers reduced mod p only when a slot could overflow, and otherwise the
+``gl2._mat_prod``: a word of short letter entries on packed integers,
+read back only when a slot could overflow (over F_p to reduce mod p), and
+otherwise, or over Z from where a letter's coefficients pass 63 bits, the
 left fold of ``gl2._mat_mul``.  The factorization and the degree reduction
 work by column operations on them with the ``ring`` kernels, and the
 degree reduction shares only ``_check_forms`` on its output with the

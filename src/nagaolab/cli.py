@@ -149,10 +149,12 @@ def _nf_from_json(obj, mod):
 def _render_nf(struct, nf, fmt: str, given=None) -> str:
     """The whole output, so that a failure while rendering prints nothing.
     The normal form is multiplied out for the matrix line, which must equal
-    the given matrix of a matrix request."""
+    the given matrix of a matrix request, and otherwise have determinant 1."""
     matrix = struct.nf_evaluate(nf)
     if given is not None and matrix != given:
         raise CrossValidationError(f"the normal form multiplies out to {_shown(matrix, str)}, not to the input")
+    if given is None and matrix.det().coeffs != (1,):
+        raise CrossValidationError(f"the normal form multiplies out to {_shown(matrix, str)}, of determinant other than 1")
     if fmt == "json":
         return json.dumps({
             "length": nf.length,

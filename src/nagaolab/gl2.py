@@ -13,15 +13,18 @@ entries' canonical coefficient tuples (a, b, c, d), and ``a``, ``b``, ``c``
 and ``d`` are ``Poly`` views built on each read.  ``_mat_mul`` is the one
 2x2 product on such quadruples, for ``Mat2.__mul__``.  ``_mat_prod`` is the
 one word product, for ``nf_evaluate``, ``nagao``'s round trip and
-``phi_p``: over F_p, for a word whose letter entries are all shorter than
-``ring._KRONECKER_MIN_LEN`` and whose prime lets two letter products fit an
-8-byte slot, it is ``_packed_prod``, which holds the running product's
-entries as packed ints and reduces them mod p only when a slot could
-overflow; otherwise, and over Z, it is the left fold of ``_mat_mul``.  The
-choice reads only the input.  The public constructor checks that the four
-entries share a ring; the trusted ``_of_coeffs`` stores the results of
-arithmetic on valid matrices, and those of ``Gen.matrix`` and
-``reduce_mod_p`` after one check of the modulus.
+``phi_p``: for a word whose letter entries are all shorter than
+``ring._KRONECKER_MIN_LEN``, over Z and over F_p at a prime that lets two
+letter products fit an 8-byte slot, it is ``_packed_prod``, which holds the
+running product's entries as packed ints, signed over Z, and reads them
+back only when a slot could overflow: over F_p to reduce them mod p, over
+Z to tighten the slot bounds, or to fold the rest of the word with
+``_mat_mul`` if a letter still does not fit; otherwise it is the left fold
+of ``_mat_mul``.  The choice reads only the input.  The public
+constructor checks that the four entries share a ring; the trusted
+``_of_coeffs`` stores the results of arithmetic on valid matrices, and
+those of ``Gen.matrix`` and ``reduce_mod_p`` after one check of the
+modulus.
 """
 
 from __future__ import annotations
@@ -71,80 +74,124 @@ def _mat_mul(x: _Quad, y: _Quad, mod: int | None) -> _Quad:
     return (_dot(a, e, b, g, mod), _dot(a, f, b, h, mod), _dot(c, e, d, g, mod), _dot(c, f, d, h, mod))
 
 
-# every slot of _packed_prod stays below this, so that it fits 8 bytes
+# every slot of _packed_prod stays below this, and over Z, where slots are
+# signed, below half of it in absolute value, so that it fits 8 bytes
 _SLOT_LIMIT = 1 << 64
+# an 8-byte slot with only its top bit set
+_TOP = (1 << 63).to_bytes(8, "little")
 
 
 def _mat_prod(quads, mod: int | None) -> _Quad:
     """The product of a list of coefficient quadruples, the identity for the
-    empty word: ``_packed_prod`` over F_p when every letter entry has fewer
-    than _KRONECKER_MIN_LEN coefficients and 2*n*(p - 1)**2 < 2**64 for the
-    longest, n; otherwise, and over Z, folded from the left with
-    ``_mat_mul``."""
-    if mod is not None:
-        n = max(map(len, chain.from_iterable(quads)), default=0)
-        if n < _KRONECKER_MIN_LEN and 2 * n * (mod - 1) ** 2 < _SLOT_LIMIT:
-            return _packed_prod(quads, mod)
-    x = _IDENTITY_QUAD
+    empty word: ``_packed_prod`` when every letter entry has fewer than
+    _KRONECKER_MIN_LEN coefficients and, over F_p, 2*n*(p - 1)**2 < 2**64
+    for the longest, n; otherwise folded from the left with ``_mat_mul``."""
+    n = max(map(len, chain.from_iterable(quads)), default=0)
+    if n < _KRONECKER_MIN_LEN and (mod is None or 2 * n * (mod - 1) ** 2 < _SLOT_LIMIT):
+        return _packed_prod(quads, mod)
+    return _fold(_IDENTITY_QUAD, quads, mod)
+
+
+def _fold(x: _Quad, quads, mod: int | None) -> _Quad:
+    """x times the quadruples of quads, folded from the left with ``_mat_mul``."""
     for y in quads:
         x = _mat_mul(x, y, mod)
     return x
 
 
-def _packed_prod(quads, p: int) -> _Quad:
-    """The product over F_p of a word whose letter entries ``_mat_prod``
-    admits, with the running product's entries packed into 8-byte slots
-    (Kronecker substitution) and reduced mod p only when a slot could
-    overflow.
+def _packed_prod(quads, p: int | None) -> _Quad:
+    """The product over Z (p None) or F_p of a word whose letter entries
+    ``_mat_prod`` admits, with the running product's entries packed into
+    8-byte slots (Kronecker substitution): each entry is the int sum(c_i *
+    2**(64*i)) of its coefficients, negative or not, so that ``+`` and
+    ``*`` on these ints are exact polynomial arithmetic while no slot
+    overflows.
 
     A letter (e, f, g, h) maps the entries (A, B, C, D) to (A*e + B*g, A*f
-    + B*h, C*e + D*g, C*f + D*h), as packed ints; a transvection, whose
-    diagonal is (1, 1), updates one column by two multiply-adds.  No slot
-    goes negative, and each column keeps a bound on its slots: a slot of A*e
-    is at most bound(A)*sum(e), so the new first column's slots are at most
-    b1*sum(e) + b2*sum(g), and the second's b1*sum(f) + b2*sum(h).  Before
-    a letter whose bounds would reach 2**64, the four entries are read back,
-    reduced mod p and packed again, and each column's largest coefficient
-    becomes its bound; then any letter fits, since 2*n*(p - 1)**2 < 2**64.
-    As no slot overflows, an entry has as many coefficients as its packed
-    int has slots, and that many are read back.  At the end each entry is
-    read back, reduced and stripped.  Before each letter it charges the open
-    meter its products in which neither factor is 0 or 1, priced at p's
-    width as ``_dot`` prices them."""
-    pack, unpack = _slot_io(8)
-    bits = (p - 1).bit_length() if ring._METER.get() is not None else 0
+    + B*h, C*e + D*g, C*f + D*h), as packed ints (a one-coefficient letter
+    entry is its int); a transvection, whose diagonal is (1, 1), updates
+    one column by two multiply-adds, and over Z an upper letter with the
+    diagonal (-1, -1) negates the first column and updates the second.
+    Each column keeps a bound on its slots' absolute values: a slot of A*e
+    is at most bound(A)*sum(|e|), so the new first column's slots are at
+    most b1*sum(|e|) + b2*sum(|g|), and the second's b1*sum(|f|) +
+    b2*sum(|h|), and no bound is below 1, so that every coefficient of a
+    letter that fits is below the limit too.  The limit is 2**64 over F_p,
+    where no slot goes negative, and 2**63 over Z, where a slot is read in
+    two's complement.  Before a letter whose bounds would reach it, the
+    four entries are read back (over F_p reduced mod p) and packed again,
+    and each column's largest absolute coefficient, or 1, becomes its
+    bound.  Over F_p any letter then fits, since 2*n*(p - 1)**2 < 2**64;
+    over Z a letter that still does not fit, and the rest of the word, are
+    folded with ``_mat_mul`` onto the entries read back.  As no slot
+    overflows, an entry has as many coefficients as its packed int has
+    slots, and that many are read back; over Z, as in ``ring._kronecker``,
+    half a slot added to every slot makes each a digit with no borrow, and
+    flipping its top bit turns the digit into the coefficient in two's
+    complement.  At the end each entry is read back and stripped.  Before
+    each letter it charges the open meter its products in which neither
+    factor is 0 or 1, priced as ``_dot`` prices them: at p's width over
+    F_p, and at width 0 over Z, as the fold prices its schoolbook
+    products."""
+    signed = p is None
+    limit = _SLOT_LIMIT >> signed
+    pack, unpack = _slot_io(8, signed)
+    peak = (lambda cs: max(map(abs, cs))) if signed else max  # the largest |c|
+    abs4 = (abs,) * 4
+    metered = ring._METER.get() is not None
+    bits = 0 if signed else (p - 1).bit_length()
 
     def length(x):
-        return -(-x.bit_length() // 64)
+        return abs(x).bit_length() // 64 + 1 if signed else -(-x.bit_length() // 64)
 
-    def reduced(x):
-        return [c % p for c in unpack(x.to_bytes(length(x) * 8, "little"))]
+    def read(x):
+        if not signed:
+            return [c % p for c in unpack(x.to_bytes(length(x) * 8, "little"))]
+        n = length(x)
+        tops = int.from_bytes(_TOP * n, "little")
+        return unpack(((x + tops) ^ tops).to_bytes(n * 8, "little"))
+
+    # a letter entry or an entry read back as its packed int; over F_p the
+    # transvections pack inline, which spares a call per letter
+    def packed(cs):
+        if len(cs) < 2:
+            return cs[0] if cs else 0
+        x = int.from_bytes(pack(cs), "little")
+        return x - ((x & int.from_bytes(_TOP * len(cs), "little")) << 1) if signed else x
 
     A, B, C, D = 1, 0, 0, 1
     b1, b2 = 1, 1  # slot bounds of the columns (A, C) and (B, D)
-    for e, f, g, h in quads:
-        we, wf, wg, wh = sum(e), sum(f), sum(g), sum(h)
+    quads = iter(quads)
+    for y in quads:
+        e, f, g, h = y
+        # the weights sum(|c|) of the letter's entries
+        we, wf, wg, wh = map(sum, map(map, abs4, y)) if signed else (sum(e), sum(f), sum(g), sum(h))
         n1, n2 = b1 * we + b2 * wg, b1 * wf + b2 * wh
-        if n1 >= _SLOT_LIMIT or n2 >= _SLOT_LIMIT:
-            cs = [reduced(x) for x in (A, B, C, D)]
-            A, B, C, D = [int.from_bytes(pack(x), "little") for x in cs]
-            b1, b2 = max(cs[0] + cs[2], default=0), max(cs[1] + cs[3], default=0)
+        if n1 >= limit or n2 >= limit:
+            cs = [read(x) for x in (A, B, C, D)]
+            b1, b2 = peak(chain(cs[0], cs[2], _ONE)), peak(chain(cs[1], cs[3], _ONE))
             n1, n2 = b1 * we + b2 * wg, b1 * wf + b2 * wh
-        b1, b2 = n1, n2
-        if bits:
+            if n1 >= limit or n2 >= limit:
+                return _fold(tuple(map(_strip, cs)), chain((y,), quads), p)
+            A, B, C, D = map(packed, cs)
+        b1, b2 = n1 or 1, n2 or 1  # at least 1, so that a letter that fits packs
+        if metered:
             ring._charge(sum(_mul_cost(length(x), len(z), bits, bits)[0]
                              for x, row in ((A, (e, f)), (B, (g, h)), (C, (e, f)), (D, (g, h)))
-                             for z in row if x > 1 and z and z != _ONE))
+                             for z in row if x not in (0, 1) and z and z != _ONE))
         if e == h == _ONE and not g:  # a transvection updates one column
-            F = int.from_bytes(pack(f), "little")
+            F = packed(f) if signed else int.from_bytes(pack(f), "little")
             B, D = A * F + B, C * F + D
         elif e == h == _ONE and not f:
-            G = int.from_bytes(pack(g), "little")
+            G = packed(g) if signed else int.from_bytes(pack(g), "little")
             A, C = A + B * G, C + D * G
+        elif e == h == (-1,) and not g:
+            F = packed(f)
+            A, B, C, D = -A, A * F - B, -C, C * F - D
         else:
-            E, F, G, H = [int.from_bytes(pack(x), "little") for x in (e, f, g, h)]
+            E, F, G, H = map(packed, y)
             A, B, C, D = A * E + B * G, A * F + B * H, C * E + D * G, C * F + D * H
-    return tuple(_strip(reduced(x)) for x in (A, B, C, D))
+    return tuple(_strip(read(x)) for x in (A, B, C, D))
 
 
 class Mat2(_Value):

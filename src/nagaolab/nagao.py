@@ -260,8 +260,9 @@ def phi_p(word, p: int):
     mod p is a homomorphism compatible with both amalgam decompositions.
 
     Each letter is checked into its engine form over Z once.  The word is
-    multiplied out on coefficient quadruples by ``gl2._mat_prod``, and only
-    the reduced product is built as a ``Mat2``; its cross-validated normal
+    multiplied out on coefficient quadruples by ``gl2._mat_prod``, on packed
+    signed integers while its letters are short and its coefficients fit 63
+    bits, and only the reduced product is built as a ``Mat2``; its cross-validated normal
     form comes as engine forms from ``_nagao_forms``, the core it shares
     with ``nagao_normal_form``.  The forms reduced mod p are checked for
     membership again before the rewrite, the two routes are compared on

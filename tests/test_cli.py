@@ -432,8 +432,9 @@ def test_nf_word_at_product_caps(capsys):
 def test_nf_matrix_line_of_a_matrix_is_checked_against_it(capsys, monkeypatch, fmt):
     """The matrix line of a matrix request is its normal form multiplied
     out, which must equal the input: a wrong product is a verification
-    failure (exit 1) that prints nothing, while a word's line is printed as
-    evaluated."""
+    failure (exit 1) that prints nothing, while a word's or a normal form's
+    line, over F_p or over Z, is printed as evaluated if its determinant is
+    1, and is otherwise such a failure."""
     from nagaolab.amalgam import AmalgamStructure
 
     text = "[[1 + t^2, t], [t, 1]]"
@@ -445,6 +446,15 @@ def test_nf_matrix_line_of_a_matrix_is_checked_against_it(capsys, monkeypatch, f
     code, out, err = run(capsys, "nf", "--mod", "5", "--format", fmt, '["E12(t)"]')
     assert (code, err) == (0, "")
     assert json.loads(out)["matrix"] == identity(5).to_json() if fmt == "json" else "matrix: [[1, 0], [0, 1]]" in out
+    normal_form = json.dumps({"head": [[1, 0], [0, 1]], "tags": [2], "tail": [[[1, [0, 1]], [0, 1]]]})
+    for mod in (5, None):
+        wrong = Mat2(*(Poly(c, mod) for c in ((1,), (0, 1), (), (1, 1))))  # det 1 + t
+        monkeypatch.setattr(AmalgamStructure, "nf_evaluate", lambda self, nf: wrong)
+        ring_args = ("--mod", "5") if mod else ("--ring", "e2zt")
+        for request in ('["E12(t)"]', normal_form):
+            assert run(capsys, "nf", *ring_args, "--format", fmt, request) == (
+                1, "", "verification failure: the normal form multiplies out to [[1, t], [0, 1 + t]], "
+                "of determinant other than 1\n")
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])

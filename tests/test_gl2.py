@@ -394,15 +394,15 @@ def test_word_product_is_exact_to_one_generator(monkeypatch):
     """gl2._mat_prod, the product of the factorization's round trip and of
     nf_evaluate, is the entrywise product of the word, and a word one
     generator off (E12(f + 1), E21(f + 1), D(-u) or a dropped W) never
-    multiplies to the same matrix: over Z, and over F_p on both paths, the
-    packed product (short entries at p = 5) and the fold (an entry of 16
-    coefficients, or p = 2**64 - 59)."""
+    multiplies to the same matrix: over Z and over F_p, on both paths, the
+    packed product (short entries, at p = 5 over F_p) and the fold (an entry
+    of 16 coefficients, or p = 2**64 - 59)."""
     packed, packed_prod = [], gl2._packed_prod
     monkeypatch.setattr(gl2, "_packed_prod", lambda quads, p: packed.append(p) or packed_prod(quads, p))
     rng = random.Random(2010)
     words = [([rand_const_gen(rng, None) for _ in range(rng.randint(1, 4))], None) for _ in range(30)]
     long_f = " + ".join(f"t^{k}" for k in range(ring._KRONECKER_MIN_LEN))
-    for mod, f in ((None, "t^2 + 1"), (5, "t^2 + 1"), (5, long_f), (2**64 - 59, "t^2 + 1")):
+    for mod, f in ((None, "t^2 + 1"), (None, long_f), (5, "t^2 + 1"), (5, long_f), (2**64 - 59, "t^2 + 1")):
         t = Poly.parse("t", mod)
         words.append(([Gen("E21", t, mod), Gen("D", -1, mod), Gen("E12", Poly.parse(f, mod), mod),
                        Gen("W", None, mod)], mod))
@@ -410,20 +410,24 @@ def test_word_product_is_exact_to_one_generator(monkeypatch):
     for gens, mod in words:
         del packed[:]
         x = _mat_prod([g._coeffs() for g in gens], mod)
-        path = "Z" if mod is None else "packed" if packed else "fold"
+        path = ("Z" if mod is None else "F_p", "packed" if packed else "fold")
+        short = max(len(e) for g in gens for e in g._coeffs()) < ring._KRONECKER_MIN_LEN
+        assert bool(packed) == (short and mod != 2**64 - 59)
         m = identity(mod)
         for g in gens:
             m = entrywise_mat_mul(m, g.matrix())
         assert x == m.coeffs
         for i, g in enumerate(gens):
             assert _mat_prod([h._coeffs() for h in gens[:i] + one_off(g) + gens[i + 1 :]], mod) != x
-            altered.add((g.kind, path))
-    assert altered == {(kind, path) for kind in ("E12", "E21", "D", "W") for path in ("Z", "packed", "fold")}
+            altered.add((g.kind, *path))
+    assert altered == {(kind, ring_, path) for kind in ("E12", "E21", "D", "W")
+                       for ring_ in ("Z", "F_p") for path in ("packed", "fold")}
 
 
 def _fold(quads, mod):
-    """The left fold of _mat_mul, the path of _mat_prod over Z and for long
-    entries or large primes."""
+    """The left fold of _mat_mul, the path of _mat_prod for long entries or
+    large primes, and over Z for the rest of a word whose coefficients pass
+    2**63."""
     x = identity(mod).coeffs
     for y in quads:
         x = _mat_mul(x, y, mod)
@@ -466,16 +470,58 @@ def _words(draw):
     return p, n, packed, word * draw(st.sampled_from((0, 1, 2, 20 if n < 15 else 2)))
 
 
-@settings(max_examples=150, deadline=None)
-@given(_words())
+@st.composite
+def _z_words(draw):
+    """None, a length n, whether _mat_prod packs such words, and a word over
+    Z of SL2(Z) letters (products of E12(c), E21(c), D(-1) and W), B(Z[t])
+    letters [[u, f], [0, u]] with u = 1 or -1, and arbitrary letters ("M"),
+    whose entries have at most n coefficients, of either sign: small, up to
+    2**40, or near 2**63 (so that the slot bounds pass 2**63, and with a
+    coefficient past it the rest of the word is folded).  n lies on both
+    sides of _KRONECKER_MIN_LEN.  The first letter is B(Z[t]) with an entry
+    of exactly n coefficients.  The word may be empty, and a short one may
+    be repeated 20 times, which forces read-backs."""
+    n = draw(st.sampled_from((1, 2, 4, 15, 16)))
+    coeff = (st.integers(-4, 4) | st.integers(-(2**40), 2**40)
+             | st.sampled_from((2**62, -(2**62), 2**63 - 1, -(2**63), 2**63)))
+
+    def entry(size=None):
+        size = draw(st.integers(0, n)) if size is None else size
+        return Poly(draw(st.lists(coeff, min_size=size, max_size=size)))
+
+    def b_letter(f):
+        u = draw(st.sampled_from((1, -1)))
+        return ((u,), f.coeffs, (), (u,))
+
+    f = entry(n - 1) + Poly.monomial(n - 1, draw(st.sampled_from((1, -1, 5, -(2**40)))))
+    word = [b_letter(f)]
+    for kind in draw(st.lists(st.sampled_from(("SL2", "B", "M")), max_size=6)):
+        if kind == "SL2":
+            m = identity(None)
+            for gen in draw(st.lists(st.sampled_from(("E12", "E21", "D", "W")), min_size=1, max_size=3)):
+                c = Poly.constant(draw(st.integers(-3, 3)))
+                m = m * {"E12": e12(c), "E21": e21(c), "D": diag(-1), "W": w()}[gen]
+            word.append(m.coeffs)
+        else:
+            word.append(b_letter(entry()) if kind == "B" else tuple(entry().coeffs for _ in range(4)))
+    return None, n, n < 16, word * draw(st.sampled_from((0, 1, 2, 20 if n < 4 else 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_words() | _z_words())
 @example((2**32 - 5, 1, False, [((2**32 - 6,),) * 4] * 3))
 @example((2**31 - 1, 3, False, [(_ONE, (1, 2, 3), (), _ONE)] * 3))
 @example((101, 16, False, [(_ONE, tuple(range(1, 17)), (), _ONE)] * 3))
+@example((None, 2, True, [(_ONE, (1, 1), (), _ONE), ((), (-1,), _ONE, ())] * 200))
+@example((None, 1, True, [(_ONE, (2**63,), (), _ONE), ((), (-1,), _ONE, ())] * 3))
+@example((None, 15, True, [((-1,), tuple(range(-7, 8)), (), (-1,))] * 3))
+@example((None, 16, False, [(_ONE, tuple(range(-8, 8)), (), _ONE)] * 3))
+@example((None, 2, True, [(_ONE, (0, 1), (), _ONE), ((),) * 4, ((), (0, 2**63), (), ())]))
 def test_packed_word_product_matches_the_fold(p_n_word):
-    """_mat_prod takes the packed product exactly when every entry is
-    shorter than _KRONECKER_MIN_LEN and 2*n*(p - 1)**2 < 2**64, and gives
-    the fold's product, and, on words of at most 30 letters, the entrywise
-    one on the schoolbook oracles."""
+    """Over Z (p None) and F_p, _mat_prod takes the packed product exactly
+    when every entry is shorter than _KRONECKER_MIN_LEN and, over F_p,
+    2*n*(p - 1)**2 < 2**64, and gives the fold's product, and, on words of
+    at most 30 letters, the entrywise one on the schoolbook oracles."""
     p, n, packed, word = p_n_word
     calls, packed_prod = [], gl2._packed_prod
     gl2._packed_prod = lambda quads, mod: calls.append(mod) or packed_prod(quads, mod)
@@ -493,15 +539,52 @@ def test_packed_word_product_matches_the_fold(p_n_word):
 
 def _counted_reductions(monkeypatch):
     """A list that gains an item per read-back of _packed_prod's entries:
-    four per reduction, and four at the end."""
+    four per read-back before a letter (over F_p a reduction), and four at
+    the end unless the rest of the word is folded."""
     reads, slot_io = [], gl2._slot_io
 
-    def counted(w):
-        pack, unpack = slot_io(w)
+    def counted(w, signed=False):
+        pack, unpack = slot_io(w, signed)
         return pack, lambda data: reads.append(w) or unpack(data)
 
     monkeypatch.setattr(gl2, "_slot_io", counted)
     return reads
+
+
+def _counted_folds(monkeypatch):
+    """A list that gains an item per fold of a word's rest by _packed_prod,
+    or of a whole word by _mat_prod."""
+    folds, fold = [], gl2._fold
+    monkeypatch.setattr(gl2, "_fold", lambda x, quads, mod: folds.append(x) or fold(x, quads, mod))
+    return folds
+
+
+def _tight_z_words():
+    """Words over Z whose slot bounds pass 2**63: M = E12(c*t) E21(c*t) and
+    M^-1 alternating, whose product stays small, so that the entries are
+    read back and the word stays packed; (E12(1 + t) W)^200 and (E12(-1 +
+    t) W)^200, whose coefficients pass 2**63, so that the rest is folded;
+    and a first letter with a coefficient of 2**63, folded whole."""
+    c = 2**12
+    m = ((1, 0, c * c), (0, c), (0, c), _ONE)
+    m_inv = (_ONE, (0, -c), (0, -c), (1, 0, c * c))
+    grown = [[e12(Poly(f)).coeffs, w().coeffs] * k for f, k in (([1, 1], 200), ([-1, 1], 200), ([2**63], 3))]
+    return [[m, m_inv] * 20] + grown
+
+
+def test_z_word_product_reads_back_and_folds_the_rest(monkeypatch):
+    """Over Z the packed product reads its entries back when a slot bound
+    would pass 2**63, and keeps going packed when the letter then fits;
+    when it does not, the rest of the word is folded from the entries read
+    back.  Either way it gives the fold's product."""
+    reads, folds = _counted_reductions(monkeypatch), _counted_folds(monkeypatch)
+    for word, folded in zip(_tight_z_words(), (False, True, True, True)):
+        del reads[:], folds[:]
+        got = _mat_prod(word, None)
+        assert len(folds) == folded and len(reads) % 4 == 0
+        assert len(reads) // 4 >= 1 if folded else len(reads) // 4 - 1 >= 3
+        assert got == _fold(word, None)
+    assert _mat_prod(_tight_z_words()[0], None) == identity(None).coeffs
 
 
 def _tight_words(p):
@@ -525,14 +608,15 @@ def test_packed_word_product_through_reductions(monkeypatch, p):
         assert len(reads) % 4 == 0 and len(reads) // 4 - 1 >= 3
 
 
-@pytest.mark.parametrize("p", (3, 101, 2**31 - 1))
+@pytest.mark.parametrize("p", (None, 3, 101, 2**31 - 1))
 def test_packed_word_product_charges_as_it_runs(monkeypatch, p):
     """Inside a request, the packed product charges ring._charge, before
     each letter, what the fold charges for the same products of
-    nonconstant letters; a budget below that total refuses it."""
-    rng = random.Random(p)
-    word = [Gen(("E12", "E21")[i % 2], Poly([rng.randrange(p), rng.randrange(1, p)], p), p)._coeffs()
-            for i in range(60)]
+    nonconstant letters, over Z and over F_p; a budget below that total
+    refuses it."""
+    rng = random.Random(p or 0)
+    coeff = (lambda lo: rng.choice((-1, 1)) * rng.randrange(lo, 10)) if p is None else (lambda lo: rng.randrange(lo, p))
+    word = [Gen(("E12", "E21")[i % 2], Poly([coeff(0), coeff(1)], p), p)._coeffs() for i in range(60)]
     charges, charge = [], ring._charge
     monkeypatch.setattr(ring, "_charge", lambda work: charges.append(work) or charge(work))
     totals = []
@@ -546,14 +630,61 @@ def test_packed_word_product_charges_as_it_runs(monkeypatch, p):
         ring._metered("test", lambda: _mat_prod(word, p))
 
 
-# Three faults of the packed word product, each as the exact source text and
-# its replacement.
+# Faults of the packed word product, each as the exact source text and its
+# replacement: three on both rings, caught over F_p ...
 _PACKED_MUTANTS = {
-    "overflow test one letter late": ("if n1 >= _SLOT_LIMIT or n2 >= _SLOT_LIMIT:",
-                                      "if b1 >= _SLOT_LIMIT or b2 >= _SLOT_LIMIT:"),
-    "a letter-entry weight one short": ("sum(e), sum(f), sum(g)", "sum(e), sum(f) - 1, sum(g)"),
+    "overflow test one letter late": ("if n1 >= limit or n2 >= limit:\n            cs",
+                                      "if b1 >= limit or b2 >= limit:\n            cs"),
+    "a letter-entry weight one short": ("b1 * wf + b2 * wh\n        if", "b1 * (wf - 1) + b2 * wh\n        if"),
     "read-back length one short": ("x.to_bytes(length(x) * 8", "x.to_bytes((length(x) - 1) * 8"),
 }
+# ... and four of the signed slots over Z.
+_PACKED_Z_MUTANTS = {
+    "signed correction dropped on read-back": ("((x + tops) ^ tops)", "(x)"),
+    "sum(e) as a weight in place of sum(|e|)": ("map(sum, map(map, abs4, y))", "map(sum, y)"),
+    "limit 2**64 over Z": ("limit = _SLOT_LIMIT >> signed", "limit = _SLOT_LIMIT"),
+    "signed read-back one slot short": ("n = length(x)\n", "n = length(x) - 1\n"),
+}
+
+
+def _nf_outputs(capsys, argvs):
+    """Each nf request, which must exit 0, with its output."""
+    requests = []
+    for argv in argvs:
+        assert main(argv) == 0
+        requests.append((argv, capsys.readouterr().out))
+    return requests
+
+
+def _mutate(monkeypatch, mutant, old, new):
+    """Replace gl2._packed_prod by its source with old replaced by new."""
+    source = inspect.getsource(gl2._packed_prod)
+    assert source.count(old) == 1
+    namespace = dict(vars(gl2))
+    exec(compile(source.replace(old, new), f"<{mutant}>", "exec"), namespace)
+    monkeypatch.setattr(gl2, "_packed_prod", namespace["_packed_prod"])
+
+
+def _count_wrong(words, mod):
+    """How many words _mat_prod multiplies out otherwise than the fold, or
+    not at all."""
+    wrong = 0
+    for word in words:
+        try:
+            wrong += _mat_prod(word, mod) != _fold(word, mod)
+        except OverflowError:
+            wrong += 1
+    return wrong
+
+
+def _check_nf_outputs(capsys, requests):
+    """Each request fails or prints what it printed before the fault."""
+    for argv, out in requests:
+        try:
+            code = main(argv)
+        except Exception:  # a fault may end in any exception, so long as nothing is printed
+            code = None
+        assert (code, capsys.readouterr().out) in ((0, out), (1, ""), (None, ""))
 
 
 @pytest.mark.parametrize("mutant", _PACKED_MUTANTS)
@@ -562,35 +693,42 @@ def test_a_packed_product_mutant_is_caught(capsys, monkeypatch, mutant):
     or raises; and ``nf`` on a matrix whose Euclid word is tight either
     fails or prints what it prints without the fault, so no wrong normal
     form or matrix line gets out."""
-    old, new = _PACKED_MUTANTS[mutant]
-    source = inspect.getsource(gl2._packed_prod)
-    assert source.count(old) == 1
-    requests = []
+    ms = []
     for p in (3, 7, 101):
         m = identity(p)
         for i in range(40):
             m = entrywise_mat_mul(m, (e12 if i % 2 else e21)(Poly([0, p - 1], p)))
-        argv = ["nf", "--mod", str(p), json.dumps(m.to_json())]
-        assert main(argv) == 0
-        requests.append((argv, capsys.readouterr().out))
-        assert f"matrix: {m}" in requests[-1][1]
-    namespace = dict(vars(gl2))
-    exec(compile(source.replace(old, new), f"<{mutant}>", "exec"), namespace)
-    monkeypatch.setattr(gl2, "_packed_prod", namespace["_packed_prod"])
-    wrong = 0
-    for p in (2, 3, 7, 101):
-        for word in _tight_words(p):
-            try:
-                wrong += _mat_prod(word, p) != _fold(word, p)
-            except OverflowError:
-                wrong += 1
-    assert wrong
-    for argv, out in requests:
-        try:
-            code = main(argv)
-        except Exception:  # a fault may end in any exception, so long as nothing is printed
-            code = None
-        assert (code, capsys.readouterr().out) in ((0, out), (1, ""), (None, ""))
+        ms.append(m)
+    requests = _nf_outputs(capsys, [["nf", "--mod", str(m.mod), json.dumps(m.to_json())] for m in ms])
+    for m, (_, out) in zip(ms, requests):
+        assert f"matrix: {m}" in out
+    _mutate(monkeypatch, mutant, *_PACKED_MUTANTS[mutant])
+    assert sum(_count_wrong(_tight_words(p), p) for p in (2, 3, 7, 101))
+    _check_nf_outputs(capsys, requests)
+
+
+# A 40-letter word over Z of short letters, whose product stays packed
+_SHORT_Z_WORD = ["E12(1 - 2*t + t^3)", "E21(-2)", "W", "E12(3*t - t^2)", "D(-1)"] * 8
+
+
+@pytest.mark.parametrize("mutant", _PACKED_Z_MUTANTS)
+def test_a_z_packed_product_mutant_is_caught(capsys, monkeypatch, mutant):
+    """With one fault in _packed_prod's signed slots, some word over Z whose
+    slot bounds pass 2**63, or with negative coefficients, multiplies out
+    wrong or raises; and ``nf --ring e2zt`` on a word of short letters,
+    which stays packed, and on (E12(1 + t) W)^200, whose product is folded
+    from where its coefficients pass 2**63, either fails or prints what it
+    prints without the fault, so no wrong matrix line gets out."""
+    words = (_SHORT_Z_WORD, ["E12(1 + t)", "W"] * 200)
+    folds = _counted_folds(monkeypatch)
+    requests = []
+    for word, folded in zip(words, (0, 1)):
+        del folds[:]
+        requests += _nf_outputs(capsys, [["nf", "--ring", "e2zt", json.dumps(word)]])
+        assert len(folds) == folded
+    _mutate(monkeypatch, mutant, *_PACKED_Z_MUTANTS[mutant])
+    assert _count_wrong(_tight_z_words(), None)
+    _check_nf_outputs(capsys, requests)
 
 
 @pytest.mark.parametrize("mod", (None, 5))
