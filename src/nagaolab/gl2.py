@@ -16,7 +16,7 @@ one word product, for ``nf_evaluate``, ``nagao``'s round trip and
 ``phi_p``: for a word whose letter entries are all shorter than
 ``ring._KRONECKER_MIN_LEN``, over Z and over F_p at a prime that lets two
 letter products fit an 8-byte slot, it is ``_packed_prod``, which holds the
-running product's entries as packed ints, signed over Z, and reads them
+running product's entries as ints packed by ``ring._pack``, and reads them
 back only when a slot could overflow: over F_p to reduce them mod p, over
 Z to tighten the slot bounds, or to fold the rest of the word with
 ``_mat_mul`` if a letter still does not fit; otherwise it is the left fold
@@ -42,10 +42,11 @@ from .ring import (
     _Value,
     _dot,
     _mul_cost,
+    _pack,
     _reduce_coeffs,
     _scale,
-    _slot_io,
     _strip,
+    _unpack,
 )
 
 __all__ = [
@@ -77,8 +78,6 @@ def _mat_mul(x: _Quad, y: _Quad, mod: int | None) -> _Quad:
 # every slot of _packed_prod stays below this, and over Z, where slots are
 # signed, below half of it in absolute value, so that it fits 8 bytes
 _SLOT_LIMIT = 1 << 64
-# an 8-byte slot with only its top bit set
-_TOP = (1 << 63).to_bytes(8, "little")
 
 
 def _mat_prod(quads, mod: int | None) -> _Quad:
@@ -102,10 +101,10 @@ def _fold(x: _Quad, quads, mod: int | None) -> _Quad:
 def _packed_prod(quads, p: int | None) -> _Quad:
     """The product over Z (p None) or F_p of a word whose letter entries
     ``_mat_prod`` admits, with the running product's entries packed into
-    8-byte slots (Kronecker substitution): each entry is the int sum(c_i *
-    2**(64*i)) of its coefficients, negative or not, so that ``+`` and
-    ``*`` on these ints are exact polynomial arithmetic while no slot
-    overflows.
+    8-byte slots, signed over Z (Kronecker substitution): each entry is the
+    int sum(c_i * 2**(64*i)) of its coefficients, negative or not, so that
+    ``+`` and ``*`` on these ints are exact polynomial arithmetic while no
+    slot overflows.
 
     A letter (e, f, g, h) maps the entries (A, B, C, D) to (A*e + B*g, A*f
     + B*h, C*e + D*g, C*f + D*h), as packed ints (a one-coefficient letter
@@ -125,17 +124,13 @@ def _packed_prod(quads, p: int | None) -> _Quad:
     over Z a letter that still does not fit, and the rest of the word, are
     folded with ``_mat_mul`` onto the entries read back.  As no slot
     overflows, an entry has as many coefficients as its packed int has
-    slots, and that many are read back; over Z, as in ``ring._kronecker``,
-    half a slot added to every slot makes each a digit with no borrow, and
-    flipping its top bit turns the digit into the coefficient in two's
-    complement.  At the end each entry is read back and stripped.  Before
-    each letter it charges the open meter its products in which neither
-    factor is 0 or 1, priced as ``_dot`` prices them: at p's width over
-    F_p, and at width 0 over Z, as the fold prices its schoolbook
-    products."""
+    slots, and that many are read back.  At the end each entry is read back
+    and stripped.  Before each letter it charges the open meter its
+    products in which neither factor is 0 or 1, priced as ``_dot`` prices
+    them: at p's width over F_p, and at width 0 over Z, as the fold prices
+    its schoolbook products."""
     signed = p is None
     limit = _SLOT_LIMIT >> signed
-    pack, unpack = _slot_io(8, signed)
     peak = (lambda cs: max(map(abs, cs))) if signed else max  # the largest |c|
     abs4 = (abs,) * 4
     metered = ring._METER.get() is not None
@@ -145,19 +140,13 @@ def _packed_prod(quads, p: int | None) -> _Quad:
         return abs(x).bit_length() // 64 + 1 if signed else -(-x.bit_length() // 64)
 
     def read(x):
-        if not signed:
-            return [c % p for c in unpack(x.to_bytes(length(x) * 8, "little"))]
-        n = length(x)
-        tops = int.from_bytes(_TOP * n, "little")
-        return unpack(((x + tops) ^ tops).to_bytes(n * 8, "little"))
+        cs = _unpack(x, 8, length(x), signed)
+        return cs if signed else [c % p for c in cs]
 
-    # a letter entry or an entry read back as its packed int; over F_p the
-    # transvections pack inline, which spares a call per letter
-    def packed(cs):
+    def packed(cs):  # a letter entry or an entry read back as its packed int
         if len(cs) < 2:
             return cs[0] if cs else 0
-        x = int.from_bytes(pack(cs), "little")
-        return x - ((x & int.from_bytes(_TOP * len(cs), "little")) << 1) if signed else x
+        return _pack(cs, 8, signed)
 
     A, B, C, D = 1, 0, 0, 1
     b1, b2 = 1, 1  # slot bounds of the columns (A, C) and (B, D)
@@ -180,10 +169,10 @@ def _packed_prod(quads, p: int | None) -> _Quad:
                              for x, row in ((A, (e, f)), (B, (g, h)), (C, (e, f)), (D, (g, h)))
                              for z in row if x not in (0, 1) and z and z != _ONE))
         if e == h == _ONE and not g:  # a transvection updates one column
-            F = packed(f) if signed else int.from_bytes(pack(f), "little")
+            F = packed(f)
             B, D = A * F + B, C * F + D
         elif e == h == _ONE and not f:
-            G = packed(g) if signed else int.from_bytes(pack(g), "little")
+            G = packed(g)
             A, C = A + B * G, C + D * G
         elif e == h == (-1,) and not g:
             F = packed(f)

@@ -18,11 +18,13 @@ Kronecker substitution unless ``_mul_cost`` estimates the loop cheaper (wide
 coefficients): both operands are packed into one Python int each, in byte
 slots wide enough that no product coefficient overflows its slot (signed
 slots over Z), CPython's Karatsuba bigint multiply does the work, and the
-slots are read back.  Division over F_p is ``_divmod_coeffs`` on coefficient
-tuples, which ``Poly.__divmod__`` wraps: a one-coefficient divisor scales
-the dividend by its inverse; otherwise long division, which reduces only
-the coefficient it reads next and the remainder once at the end, until both
-the divisor and the quotient reach ``_NEWTON_MIN_LEN`` (40) coefficients;
+slots are read back.  Every packed kernel writes and reads its slots
+through ``_pack`` and ``_unpack``, which alone hold the slot format.
+Division over F_p is ``_divmod_coeffs`` on coefficient tuples, which
+``Poly.__divmod__`` wraps: a one-coefficient divisor scales the dividend by
+its inverse; otherwise long division, which reduces only the coefficient
+it reads next and the remainder once at the end, until both the divisor
+and the quotient reach ``_NEWTON_MIN_LEN`` (40) coefficients;
 from there the quotient is rev(a) * rev(b)^-1 mod t^(deg q + 1), with the
 power-series inverse computed by Newton iteration, and the remainder is the
 deg b low coefficients of a - q*b.  Both length crossovers come from timing
@@ -46,8 +48,7 @@ Newton steps cost.  Each step computes only the correction: with g correct
 to j coefficients, f*g = 1 + t^j*e mod t^prec, and g - t^j*(g*e mod
 t^(prec - j)) is correct to prec.  A right shift by j slots and the step's
 one mask read e (the middle product), and only the coefficients of e and
-of the correction are unpacked, reduced and packed again, through ``array``
-in C (``int.to_bytes`` above 8 bytes, in the same loop).  The remainder's
+of the correction are unpacked, reduced and packed again.  The remainder's
 q*b mod t^(deg b) takes one packed multiply and one masked read.
 
 ``_dot`` is the fused kernel of the ``Poly`` operators and the 2x2 matrix
@@ -105,7 +106,6 @@ import itertools
 import re
 import sys
 from array import array
-from functools import partial
 from operator import mul
 
 from .limits import MAX_DEGREE, _fields, _int_arg, _int_list, _int_of, _prime, _shown
@@ -395,14 +395,13 @@ _NEWTON_MIN_LEN = 40
 # the plain recurrence, which costs less than the Newton steps up to there.
 _SERIES_BASE_LEN = 8
 
-# (pack, unpack) of ``_slot_io`` per (slot width in bytes, signed) for the
-# widths with an array type (the lower-case code is the signed type): one
-# array call in C, which packs a list of ints and reads the slots of bytes.
-# Array items are stored in native byte order, so they stand in for
-# int.to_bytes(..., "little") only on little-endian hosts; elsewhere every
-# width takes the to_bytes path.
+# The array type code of ``_pack`` and ``_unpack`` per (slot width in bytes,
+# signed), for the widths with an array type (the lower-case code is the
+# signed type).  Array items are stored in native byte order, so they stand
+# in for int.to_bytes(..., "little") only on little-endian hosts; elsewhere
+# every width takes the to_bytes path.
 _ARRAY_SLOTS = {
-    (array(code).itemsize, signed): (partial(array, typecode),) * 2
+    (array(code).itemsize, signed): typecode
     for code in "QIHB" for signed, typecode in ((False, code), (True, code.lower()))
 } if sys.byteorder == "little" else {}
 
@@ -516,17 +515,13 @@ def _divmod_coeffs(a, b, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         h, n = (k + 1) // 2, k // 2
         off = -(-h * (p - 1) ** 2 // p) * p
         w = _slot_width(max(min(k, db) * (p - 1) ** 2, off + p - 1))
-        pack, unpack = _slot_io(w)
-        s = 8 * w
-        packed = lambda cs: int.from_bytes(pack(cs), "little")
-        low = lambda x, m: unpack((x & (1 << s * m) - 1).to_bytes(m * w, "little"))
         ra, rb = a[db:][::-1], b[::-1]  # rev(a) mod t^k and rev(b)
         g = _series_inverse(rb, h, p, w)
-        q_low = [c % p for c in low(packed(ra[:h]) * g, h)]
-        x = packed(ra[h:]) + packed([off] * n) - (packed(rb[:k]) * packed(q_low) >> s * h)
-        e = packed([c % p for c in low(x, n)])
-        q = (q_low + [c % p for c in low(g * e, n)])[::-1]
-        rem = [(c - d) % p for c, d in zip(a[:db], low(packed(q[:db]) * packed(b[:db]), db))]
+        q_low = [c % p for c in _unpack(_pack(ra[:h], w) * g, w, h)]
+        x = _pack(ra[h:], w) + _pack([off] * n, w) - (_pack(rb[:k], w) * _pack(q_low, w) >> 8 * w * h)
+        e = _pack([c % p for c in _unpack(x, w, n)], w)
+        q = (q_low + [c % p for c in _unpack(g * e, w, n)])[::-1]
+        rem = [(c - d) % p for c, d in zip(a[:db], _unpack(_pack(q[:db], w) * _pack(b[:db], w), w, db))]
     else:
         # Only the coefficient read next is reduced; the top coefficient a
         # step cancels is never read again, so b[:db] is subtracted, and the
@@ -652,31 +647,17 @@ def _mul_cost(la: int, lb: int, wa: int, wb: int) -> tuple[float, bool]:
 def _kronecker(a, b, bound: int, signed: bool, n: int) -> list[int]:
     """The n low unreduced coefficients of a*b by Kronecker substitution.
 
-    Each operand is evaluated at t = 2**(8*w) by writing its coefficients
-    into w-byte slots of one integer, the two integers are multiplied with
-    CPython's bigint (Karatsuba) multiply, and the slots of the product are
-    read back.  Every product coefficient is a sum of min(len) terms, so it
-    is at most the caller's bound = min(len) * max|a| * max|b| in absolute
-    value, and w is chosen with bound < 2**(8*w) (2**(8*w - 1) if signed)
-    so that no slot spills into the next; big coefficients only widen w.
-
-    Signed (Z[t]) slots are two's complement.  A negative coefficient c
-    packs as c + 2**(8*w), with the top bit of its slot set, so the packed
-    value is corrected by one 2**(8*w) per set top bit.  In the product,
-    adding half a slot to every slot makes each slot a digit in
-    [0, 2**(8*w)) with no borrow across slots, and flipping the top bit of
-    every slot turns that digit back into c in two's complement.  A product
-    cut to n < len(a) + len(b) - 1 slots is masked to them before the read.
+    Each operand is evaluated at t = 2**(8*w) by packing its coefficients
+    into w-byte slots of one integer (signed over Z[t]), the two integers
+    are multiplied with CPython's bigint (Karatsuba) multiply, and the n low
+    slots of the product are read back.  Every product coefficient is a sum
+    of min(len) terms, so it is at most the caller's bound = min(len) *
+    max|a| * max|b| in absolute value, and w is chosen with bound <
+    2**(8*w) (2**(8*w - 1) if signed) so that no slot spills into the next;
+    big coefficients only widen w.
     """
     w = _slot_width(bound, signed)
-    pack, unpack = _slot_io(w, signed)
-    x, y = int.from_bytes(pack(a), "little"), int.from_bytes(pack(b), "little")
-    # the top bit of each of the n slots, or 0 over F_p
-    tops = int.from_bytes((1 << (8 * w - 1)).to_bytes(w, "little") * n, "little") if signed else 0
-    if tops:
-        x, y = x - ((x & tops) << 1), y - ((y & tops) << 1)
-    x = (x * y + tops) ^ tops
-    return list(unpack((x & (1 << 8 * w * n) - 1).to_bytes(n * w, "little")))
+    return list(_unpack(_pack(a, w, signed) * _pack(b, w, signed), w, n, signed))
 
 
 def _slot_width(bound: int, signed: bool = False) -> int:
@@ -701,25 +682,55 @@ def _packed_dot(x, y, u, v, p: int, n: int | None) -> tuple[int, ...]:
         bits = (p - 1).bit_length()
         _charge(sum(_mul_cost(len(f), len(g), bits, bits)[0] for f, g in pairs if g != (1,)))
     w = _slot_width(sum(p - 1 if g == (1,) else min(len(f), len(g)) * (p - 1) ** 2 for f, g in pairs))
-    pack, unpack = _slot_io(w)
     total = 0
     for f, g in pairs:
-        x = int.from_bytes(pack(f), "little")
-        total += x if g == (1,) else x * int.from_bytes(pack(g), "little")
-    return _strip([c % p for c in unpack((total & (1 << 8 * w * m) - 1).to_bytes(m * w, "little"))])
+        total += _pack(f, w) if g == (1,) else _pack(f, w) * _pack(g, w)
+    return _strip([c % p for c in _unpack(total, w, m)])
 
 
-def _slot_io(w: int, signed: bool = False):
-    """(pack, unpack) for w-byte slots, two's complement if ``signed``:
-    pack(cs) is a bytes-like object of the slots holding the ints cs, and
-    unpack(data) the ints of the slots of a bytes object.  Both are one
-    ``array`` call in C for the widths of ``_ARRAY_SLOTS``, and one
-    ``int.to_bytes`` or ``int.from_bytes`` per slot above 8 bytes."""
-    io = _ARRAY_SLOTS.get((w, signed))
-    if io is not None:
-        return io
-    return (lambda cs: b"".join([c.to_bytes(w, "little", signed=signed) for c in cs]),
-            lambda data: [int.from_bytes(data[i : i + w], "little", signed=signed) for i in range(0, len(data), w)])
+def _pack(cs, w: int, signed: bool = False) -> int:
+    """The int sum(cs[i] * 2**(8*w*i)) of the ints cs, each written into a
+    w-byte slot: in [0, 2**(8*w)), or in [-2**(8*w - 1), 2**(8*w - 1)) if
+    ``signed``.  The empty list packs to 0.
+
+    ``_pack`` and ``_unpack`` alone hold the slot format.  The slots are
+    little-endian bytes, written by one ``array`` call in C for the widths
+    of ``_ARRAY_SLOTS`` (1, 2, 4 and 8 bytes on a little-endian host), and
+    by one ``int.to_bytes`` per slot otherwise.  Signed slots are two's
+    complement: a negative c is written as c + 2**(8*w), with the top bit
+    of its slot set, so the int read from the bytes is corrected by one
+    2**(8*w) at each slot whose top bit is set."""
+    typecode = _ARRAY_SLOTS.get((w, signed))
+    if typecode is None:
+        x = int.from_bytes(b"".join([c.to_bytes(w, "little", signed=signed) for c in cs]), "little")
+    else:
+        x = int.from_bytes(array(typecode, cs), "little")
+    return x - ((x & _tops(w, len(cs))) << 1) if signed else x
+
+
+def _unpack(x: int, w: int, n: int, signed: bool = False):
+    """The n low w-byte slots of x, as the ints of ``_pack``'s slot range:
+    x is masked to them and read by one ``array`` call or one
+    ``int.from_bytes`` per slot, and the array or list is returned itself,
+    not copied.
+
+    Signed, x is sum(c_i * 2**(8*w*i)) with every c_i in the signed range,
+    so a slot may borrow from the one above.  Adding half a slot to each of
+    the n slots makes every slot a digit in [0, 2**(8*w)) with no borrow,
+    and flipping its top bit turns the digit into c_i in two's complement."""
+    if signed:
+        tops = _tops(w, n)
+        x = (x + tops) ^ tops
+    data = (x & (1 << 8 * w * n) - 1).to_bytes(n * w, "little")
+    typecode = _ARRAY_SLOTS.get((w, signed))
+    if typecode is None:
+        return [int.from_bytes(data[i : i + w], "little", signed=signed) for i in range(0, len(data), w)]
+    return array(typecode, data)
+
+
+def _tops(w: int, n: int) -> int:
+    """The int with the top bit of each of n w-byte slots set, and no other."""
+    return int.from_bytes((1 << 8 * w - 1).to_bytes(w, "little") * n, "little")
 
 
 def _series_inverse(f, k: int, p: int, w: int) -> int:
@@ -733,9 +744,8 @@ def _series_inverse(f, k: int, p: int, w: int) -> int:
     a right shift and the step's one mask (the middle product), and only
     the prec - h coefficients of e and of the correction are unpacked,
     reduced and packed again."""
-    pack, unpack = _slot_io(w)
     s = 8 * w
-    packed_f = int.from_bytes(pack(f[:k]), "little")
+    packed_f = _pack(f[:k], w)
     chain = []
     while k > _SERIES_BASE_LEN:
         chain.append(k)
@@ -744,14 +754,11 @@ def _series_inverse(f, k: int, p: int, w: int) -> int:
     base = [pow(f[0], -1, p)]
     for i in range(1, k):
         base.append(-base[0] * sum(map(mul, f[1 : i + 1], reversed(base))) % p)
-    g, h = int.from_bytes(pack(base), "little"), k
-    # each step packs and reads inline, with no call per conversion
+    g, h = _pack(base, w), k
     for prec in reversed(chain):
         n = prec - h
-        mask = (1 << s * n) - 1
-        e = [-c % p for c in unpack((packed_f * g >> s * h & mask).to_bytes(n * w, "little"))]
-        x = g * int.from_bytes(pack(e), "little") & mask
-        g |= int.from_bytes(pack([c % p for c in unpack(x.to_bytes(n * w, "little"))]), "little") << s * h
+        e = [-c % p for c in _unpack(packed_f * g >> s * h, w, n)]
+        g |= _pack([c % p for c in _unpack(g * _pack(e, w), w, n)], w) << s * h
         h = prec
     return g
 

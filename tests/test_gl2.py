@@ -25,6 +25,7 @@ from nagaolab.cli import main
 from nagaolab.ring import Poly, PolyParseError
 from nagaolab.witnesses import make_witness
 
+import test_ring
 from helpers import (
     const_mat,
     dense_poly,
@@ -541,13 +542,8 @@ def _counted_reductions(monkeypatch):
     """A list that gains an item per read-back of _packed_prod's entries:
     four per read-back before a letter (over F_p a reduction), and four at
     the end unless the rest of the word is folded."""
-    reads, slot_io = [], gl2._slot_io
-
-    def counted(w, signed=False):
-        pack, unpack = slot_io(w, signed)
-        return pack, lambda data: reads.append(w) or unpack(data)
-
-    monkeypatch.setattr(gl2, "_slot_io", counted)
+    reads, unpack = [], gl2._unpack
+    monkeypatch.setattr(gl2, "_unpack", lambda x, *args: reads.append(x) or unpack(x, *args))
     return reads
 
 
@@ -608,6 +604,19 @@ def test_packed_word_product_through_reductions(monkeypatch, p):
         assert len(reads) % 4 == 0 and len(reads) // 4 - 1 >= 3
 
 
+def test_tight_word_products_without_array_slots(monkeypatch):
+    """With no array type codes, as on a big-endian host, the packed word
+    product packs and reads its slots through int.to_bytes; the tight words
+    over F_p and over Z still read back and multiply out as the fold does."""
+    monkeypatch.setattr(ring, "_ARRAY_SLOTS", {})
+    reads = _counted_reductions(monkeypatch)
+    for mod, words in [(p, _tight_words(p)) for p in (2, 3, 7, 101, 2**31 - 1)] + [(None, _tight_z_words())]:
+        del reads[:]
+        for word in words:
+            assert _mat_prod(word, mod) == _fold(word, mod)
+        assert reads
+
+
 @pytest.mark.parametrize("p", (None, 3, 101, 2**31 - 1))
 def test_packed_word_product_charges_as_it_runs(monkeypatch, p):
     """Inside a request, the packed product charges ring._charge, before
@@ -636,14 +645,18 @@ _PACKED_MUTANTS = {
     "overflow test one letter late": ("if n1 >= limit or n2 >= limit:\n            cs",
                                       "if b1 >= limit or b2 >= limit:\n            cs"),
     "a letter-entry weight one short": ("b1 * wf + b2 * wh\n        if", "b1 * (wf - 1) + b2 * wh\n        if"),
-    "read-back length one short": ("x.to_bytes(length(x) * 8", "x.to_bytes((length(x) - 1) * 8"),
+    "read-back length one short": ("_unpack(x, 8, length(x), signed)", "_unpack(x, 8, length(x) - 1, signed)"),
 }
-# ... and four of the signed slots over Z.
+# ... and four of the signed slots over Z, one of them in ring._unpack.
 _PACKED_Z_MUTANTS = {
-    "signed correction dropped on read-back": ("((x + tops) ^ tops)", "(x)"),
+    "signed correction dropped on read-back": ("x = (x + tops) ^ tops", "x = x"),
     "sum(e) as a weight in place of sum(|e|)": ("map(sum, map(map, abs4, y))", "map(sum, y)"),
     "limit 2**64 over Z": ("limit = _SLOT_LIMIT >> signed", "limit = _SLOT_LIMIT"),
-    "signed read-back one slot short": ("n = length(x)\n", "n = length(x) - 1\n"),
+    "signed read-back one slot short": ("abs(x).bit_length() // 64 + 1", "abs(x).bit_length() // 64"),
+}
+# A fault of the slot codec, which ring's Kronecker product and the word product share
+_CODEC_MUTANTS = {
+    "_pack's signed correction dropped": ("x - ((x & _tops(w, len(cs))) << 1) if signed else x", "x"),
 }
 
 
@@ -657,22 +670,28 @@ def _nf_outputs(capsys, argvs):
 
 
 def _mutate(monkeypatch, mutant, old, new):
-    """Replace gl2._packed_prod by its source with old replaced by new."""
-    source = inspect.getsource(gl2._packed_prod)
-    assert source.count(old) == 1
-    namespace = dict(vars(gl2))
-    exec(compile(source.replace(old, new), f"<{mutant}>", "exec"), namespace)
-    monkeypatch.setattr(gl2, "_packed_prod", namespace["_packed_prod"])
+    """Replace the one function of gl2._packed_prod and ring's slot codec
+    whose source holds old, once, by that source with old replaced by new,
+    in ring and in gl2, which imports the codec by name."""
+    sources = {fn: inspect.getsource(fn) for fn in (gl2._packed_prod, ring._pack, ring._unpack)}
+    assert sum(source.count(old) for source in sources.values()) == 1
+    fn = next(fn for fn, source in sources.items() if old in source)
+    namespace = dict(vars(inspect.getmodule(fn)))
+    exec(compile(sources[fn].replace(old, new), f"<{mutant}>", "exec"), namespace)
+    for module in (ring, gl2):
+        if getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, namespace[fn.__name__])
 
 
 def _count_wrong(words, mod):
     """How many words _mat_prod multiplies out otherwise than the fold, or
-    not at all."""
+    not at all: a slot read one short may lose a coefficient, or ask for a
+    negative slot count."""
     wrong = 0
     for word in words:
         try:
             wrong += _mat_prod(word, mod) != _fold(word, mod)
-        except OverflowError:
+        except (OverflowError, ValueError):
             wrong += 1
     return wrong
 
@@ -729,6 +748,21 @@ def test_a_z_packed_product_mutant_is_caught(capsys, monkeypatch, mutant):
     _mutate(monkeypatch, mutant, *_PACKED_Z_MUTANTS[mutant])
     assert _count_wrong(_tight_z_words(), None)
     _check_nf_outputs(capsys, requests)
+
+
+@pytest.mark.parametrize("oracle", [
+    test_ring.test_mul_kernel_signed_and_huge_coefficients,
+    test_ring.test_mul_kernel_extreme_coefficients,
+], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("mutant", _CODEC_MUTANTS)
+def test_a_codec_mutant_is_caught(monkeypatch, mutant, oracle):
+    """With one fault in ring's slot codec, in ring and in gl2, some word
+    over Z with negative coefficients multiplies out wrong or raises, and a
+    Kronecker test of ring over Z fails."""
+    _mutate(monkeypatch, mutant, *_CODEC_MUTANTS[mutant])
+    assert _count_wrong(_tight_z_words(), None)
+    with pytest.raises(AssertionError):
+        oracle()
 
 
 @pytest.mark.parametrize("mod", (None, 5))

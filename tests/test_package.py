@@ -72,6 +72,22 @@ def test_input_rules_live_in_limits():
     assert found == []
 
 
+def test_slot_format_lives_in_the_codec():
+    """The packed-slot format is written out once, in ring's codec: no
+    function besides ``ring._pack``, ``ring._unpack`` and their top-bit
+    helper ``ring._tops``, and no module-level code, calls ``from_bytes`` or
+    ``to_bytes``."""
+    codec = {("ring", "_pack"), ("ring", "_unpack"), ("ring", "_tops")}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            if (path.stem, getattr(top, "name", None)) in codec:
+                continue
+            found += [f"{path.name}:{node.lineno}:{node.attr}" for node in ast.walk(top)
+                      if isinstance(node, ast.Attribute) and node.attr in ("from_bytes", "to_bytes")]
+    assert found == []
+
+
 def test_every_name_in_all_exists():
     assert MODULES == sorted(LAYERS)
     missing = []

@@ -980,6 +980,56 @@ def test_kernels_without_array_slots(monkeypatch, oracle):
     oracle()
 
 
+def _slot_range(w, signed):
+    """The least and the largest int of one w-byte slot, unsigned or signed."""
+    return (-(2 ** (8 * w - 1)), 2 ** (8 * w - 1) - 1) if signed else (0, 2 ** (8 * w) - 1)
+
+
+def _slot_ints(w, signed):
+    """Ints of one w-byte slot, often at its extremes."""
+    lo, hi = _slot_range(w, signed)
+    return st.sampled_from((lo, hi, 0, -1 if signed else 1)) | st.integers(lo, hi)
+
+
+@st.composite
+def _slot_lists(draw):
+    """A slot width of every kernel path (array and to_bytes), signedness,
+    a list of slot ints, and a slot count at most its length."""
+    w, signed = draw(st.sampled_from((1, 2, 4, 8, 9, 17))), draw(st.booleans())
+    cs = draw(st.lists(_slot_ints(w, signed), max_size=40))
+    return w, signed, cs, draw(st.integers(0, len(cs)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_slot_lists())
+def test_slot_codec_round_trip(case):
+    """_pack writes cs into w-byte slots, sum(cs[i] * 2**(8*w*i)), and
+    _unpack reads the n low slots back, with array types and without (as on
+    a big-endian host)."""
+    w, signed, cs, n = case
+    for array_slots in (ring._ARRAY_SLOTS, {}):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ring, "_ARRAY_SLOTS", array_slots)
+            x = ring._pack(cs, w, signed)
+            assert x == sum(c << 8 * w * i for i, c in enumerate(cs))
+            assert list(ring._unpack(x, w, len(cs), signed)) == cs
+            assert list(ring._unpack(x, w, n, signed)) == cs[:n]
+
+
+def test_slot_codec_extremes():
+    """Every slot width and signedness round-trips its extremes, alone and
+    side by side, and the empty list, which packs to 0."""
+    for w, signed, array_slots in itertools.product((1, 2, 4, 8, 9, 17), (False, True), (ring._ARRAY_SLOTS, {})):
+        lo, hi = _slot_range(w, signed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ring, "_ARRAY_SLOTS", array_slots)
+            assert ring._pack([], w, signed) == 0 and list(ring._unpack(0, w, 0, signed)) == []
+            for cs in ([lo], [hi], [lo, hi, lo], [hi, lo, hi, 0]):
+                x = ring._pack(cs, w, signed)
+                for n in range(len(cs) + 1):
+                    assert list(ring._unpack(x, w, n, signed)) == cs[:n], (w, signed, cs, n)
+
+
 def test_is_prime():
     assert [n for n in range(2, 32) if is_prime(n)] == [
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31,
