@@ -41,8 +41,8 @@ from .ring import (
     PolyParseError,
     _Value,
     _dot,
-    _mul_cost,
     _pack,
+    _price,
     _reduce_coeffs,
     _scale,
     _strip,
@@ -125,16 +125,13 @@ def _packed_prod(quads, p: int | None) -> _Quad:
     folded with ``_mat_mul`` onto the entries read back.  As no slot
     overflows, an entry has as many coefficients as its packed int has
     slots, and that many are read back.  At the end each entry is read back
-    and stripped.  Before each letter it charges the open meter its
-    products in which neither factor is 0 or 1, priced as ``_dot`` prices
-    them: at p's width over F_p, and at width 0 over Z, as the fold prices
-    its schoolbook products."""
+    and stripped.  Before each letter it charges the open meter the
+    ``ring._price`` of its products in which neither factor is 0 or 1."""
     signed = p is None
     limit = _SLOT_LIMIT >> signed
     peak = (lambda cs: max(map(abs, cs))) if signed else max  # the largest |c|
     abs4 = (abs,) * 4
     metered = ring._METER.get() is not None
-    bits = 0 if signed else (p - 1).bit_length()
 
     def length(x):
         return abs(x).bit_length() // 64 + 1 if signed else -(-x.bit_length() // 64)
@@ -165,7 +162,7 @@ def _packed_prod(quads, p: int | None) -> _Quad:
             A, B, C, D = map(packed, cs)
         b1, b2 = n1 or 1, n2 or 1  # at least 1, so that a letter that fits packs
         if metered:
-            ring._charge(sum(_mul_cost(length(x), len(z), bits, bits)[0]
+            ring._charge(sum(_price(length(x), len(z), p)
                              for x, row in ((A, (e, f)), (B, (g, h)), (C, (e, f)), (D, (g, h)))
                              for z in row if x not in (0, 1) and z and z != _ONE))
         if e == h == _ONE and not g:  # a transvection updates one column

@@ -52,15 +52,15 @@ of the correction are unpacked, reduced and packed again.  The remainder's
 q*b mod t^(deg b) takes one packed multiply and one masked read.
 
 ``_dot`` is the fused kernel of the ``Poly`` operators and the 2x2 matrix
-layer: the canonical coefficients of x*y + u*v, with all-constant operands
-multiplied as plain ints, one product alone when the other has a zero
-operand (a factor 1 costs nothing), a scalar times a polynomial plus a
-scalar times a polynomial in one pass (sums, differences, the product by a
-constant letter and most column updates), and otherwise both products
-summed and read back with one reduction pass and one strip.  Over F_p, when
-each product is long enough for Kronecker or has the factor (1,), the sum is
-taken on the packed ints, in slots wide enough for both products' bounds,
-and read back once (``_packed_dot``); otherwise the second raw product is
+layer: the canonical coefficients of x*y + u*v, with one product alone
+when the other has a zero operand (a factor 1 costs nothing), a scalar
+times a polynomial plus a scalar times a polynomial in one pass (sums,
+differences, the product by a constant letter and most column updates),
+and otherwise both products summed and read back with one reduction pass
+and one strip.  Over F_p, when each product is long enough for Kronecker
+or has the factor (1,), the sum is taken on the packed ints, in slots wide
+enough for both products' bounds, and read back once (``_packed_dot``);
+otherwise the second raw product is
 accumulated into the first one's list: the product with a one-coefficient
 operand goes first (a factor 1 costs one copy), and ``_raw_mul`` adds the
 other's schoolbook rows, or its Kronecker slots, into that list.  So x +
@@ -74,10 +74,9 @@ only a[:n] and b[:n] and stops each schoolbook row at coefficient n, and a
 packed product or sum is masked to n slots before it is read back.
 
 ``_metered`` runs an ``nf`` request with a work meter of its own
-(``_METER``).  ``_raw_mul``, ``_packed_dot``, ``_scale``, ``_divmod_coeffs``
-and ``_dot``'s one-pass sums charge it, as they run, the ``_mul_cost`` of
-their work, from the lengths and widths they have: p's width over F_p;
-over Z the widths ``_raw_mul`` reads to pick its kernel, else none.
+(``_METER``).  ``_raw_mul``, ``_packed_dot``, ``_scale``, ``_divmod_coeffs``,
+``_dot``'s one-pass sums and ``gl2._packed_prod`` charge it, as they run,
+the price of their products by the one rule ``_price`` states.
 ``_charge`` refuses the charge that takes the total past ``MAX_WORK``; with
 no meter open, as in library calls, a kernel pays one ``ContextVar.get``.
 
@@ -102,6 +101,7 @@ there too, and the work budget ``MAX_WORK`` here.
 from __future__ import annotations
 
 import contextvars
+import functools
 import itertools
 import re
 import sys
@@ -411,10 +411,10 @@ def _dot(x, y, u, v, mod: int | None, n: int | None = None) -> tuple[int, ...]:
     coefficients if n is given.
 
     The operands are canonical coefficient tuples of the ring ``mod``,
-    possibly empty.  Constants are multiplied as plain ints.  When one
-    product has an empty operand only the other is computed: a constant
-    factor scales the other by ``_scale``, and otherwise one raw product is
-    reduced mod p with no strip (over a domain lead(x) * lead(y) != 0).
+    possibly empty.  When one product has an empty operand only the other
+    is computed: a constant factor scales the other by ``_scale``, and
+    otherwise one raw product is reduced mod p with no strip (over a domain
+    lead(x) * lead(y) != 0).
     When each product has a one-coefficient operand, in either position,
     the sum is taken coefficient by coefficient in one pass.  Otherwise,
     over F_p with each product long enough for Kronecker or with a factor
@@ -424,11 +424,6 @@ def _dot(x, y, u, v, mod: int | None, n: int | None = None) -> tuple[int, ...]:
     list.  Either cuts both products to their n low coefficients when n
     bounds the result.  The last three get a single reduction pass and one
     strip."""
-    if len(x) < 2 and len(y) < 2 and len(u) < 2 and len(v) < 2:
-        s = (x[0] * y[0] if x and y else 0) + (u[0] * v[0] if u and v else 0)
-        if mod is not None:
-            s %= mod
-        return (s,) if s else ()
     if not (x and y and u and v):
         if not (x and y):
             x, y = u, v
@@ -444,9 +439,8 @@ def _dot(x, y, u, v, mod: int | None, n: int | None = None) -> tuple[int, ...]:
         # s*f + r*g for scalars s and r, in one pass
         s, f = (x[0], y) if len(x) == 1 else (y[0], x)
         r, g = (u[0], v) if len(u) == 1 else (v[0], u)
-        if _METER.get() is not None:
-            w = (mod - 1).bit_length() if mod else 0  # over Z the widths of f and g are not known
-            _charge(_mul_cost(1, len(f), s.bit_length(), w)[0] + _mul_cost(1, len(g), r.bit_length(), w)[0])
+        if _METER.get() is not None:  # a factor 1 costs nothing
+            _charge(sum(_price(1, len(h), mod) for c, h in ((s, f), (r, g)) if c != 1))
         pairs = itertools.zip_longest(f, g, fillvalue=0)
         if mod is None:
             return _strip([s * a + r * b for a, b in pairs])
@@ -469,14 +463,13 @@ def _dot(x, y, u, v, mod: int | None, n: int | None = None) -> tuple[int, ...]:
     return _strip(cs)
 
 
-def _scale(x, u: int, mod: int | None, u_bits: int | None = None) -> tuple[int, ...]:
+def _scale(x, u: int, mod: int | None) -> tuple[int, ...]:
     """The canonical coefficient tuple of u*x for a nonzero scalar u of the
     ring ``mod`` (reduced mod p): reduced mod p, and over a domain no strip
-    is needed.  It charges the open meter len(x) products by a factor of
-    u_bits bits, u's own width by default."""
+    is needed.  It charges the open meter the ``_price`` of 1 by len(x)
+    coefficients."""
     if _METER.get() is not None:
-        _charge(_mul_cost(1, len(x), u.bit_length() if u_bits is None else u_bits,
-                          (mod - 1).bit_length() if mod else 0)[0])
+        _charge(_price(1, len(x), mod))
     if mod is None:
         return tuple([u * c for c in x])
     return tuple([u * c % mod for c in x])
@@ -486,27 +479,26 @@ def _divmod_coeffs(a, b, p: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Quotient and remainder of a by b over F_p, as canonical coefficient
     tuples; a and b are canonical and b is nonempty.
 
-    A one-coefficient b scales a by its inverse (``_scale``, charged as the
-    k-step loop it replaces).  Below _NEWTON_MIN_LEN in the divisor or the
-    quotient it is long division.  From there on, with k = deg q + 1 and h =
-    ceil(k/2), g = rev(b)^-1 mod t^h (``_series_inverse``) gives both halves
-    of rev(q) = rev(a) / rev(b) mod t^k: the low half is rev(a)*g mod t^h,
-    and with rev(a) - rev(b)*q_low = t^h*e mod t^k the high half is g*e mod
-    t^(k - h).  The remainder is the deg b low coefficients of a - q*b.  All
-    of it runs on packed ints in one slot width."""
+    A one-coefficient b scales a by its inverse (``_scale``).  Below
+    _NEWTON_MIN_LEN in the divisor or the quotient it is long division.
+    From there on, with k = deg q + 1 and h = ceil(k/2), g = rev(b)^-1 mod
+    t^h (``_series_inverse``) gives both halves of rev(q) = rev(a) / rev(b)
+    mod t^k: the low half is rev(a)*g mod t^h, and with rev(a) -
+    rev(b)*q_low = t^h*e mod t^k the high half is g*e mod t^(k - h).  The
+    remainder is the deg b low coefficients of a - q*b.  All of it runs on
+    packed ints in one slot width.  It charges the open meter by
+    ``_price``."""
     db = len(b) - 1
     k = len(a) - db  # quotient length
     if k <= 0:
         return (), a
-    bits = (p - 1).bit_length()
     if not db:
-        return _scale(a, pow(b[0], -1, p), p, bits), ()
+        return _scale(a, pow(b[0], -1, p), p), ()
     newton = min(k, len(b)) >= _NEWTON_MIN_LEN
     if _METER.get() is not None:
         # Newton: about 3 products k by k and one k by db; long division:
         # k*db products in the loop, priced as one row of that length
-        _charge(3 * _mul_cost(k, k, bits, bits)[0] + _mul_cost(k, db, bits, bits)[0] if newton
-                else _mul_cost(k * db, 1, bits, bits)[0])
+        _charge(3 * _price(k, k, p) + _price(k, db, p) if newton else _price(k * db, 1, p))
     if newton:
         # Every slot read sums at most h (or, for the remainder, min(k, db))
         # products of residues; the reads of e add to each of its slots off,
@@ -549,8 +541,9 @@ def _raw_mul(a, b, mod: int | None, n: int | None = None, acc: list[int] | None 
     product is a new list, and a factor (1,) gives a copy of the other
     operand.  The coefficients are those of the ring ``mod``: of either sign
     over Z (None), else residues.  It charges the open meter the cost of its
-    kernel, at the widths it reads to pick it from _KRONECKER_MIN_LEN
-    coefficients, below at p's width (over Z, none); a copy costs nothing."""
+    kernel: from _KRONECKER_MIN_LEN coefficients the ``_mul_cost`` at the
+    widths it reads to pick it, below the ``_price`` of the loop; a copy
+    costs nothing."""
     if acc is None:
         acc = []
     if not a or not b:
@@ -563,8 +556,7 @@ def _raw_mul(a, b, mod: int | None, n: int | None = None, acc: list[int] | None 
     signed, la = mod is None, len(a)
     metered = _METER.get() is not None
     if metered and len(b) < _KRONECKER_MIN_LEN and (len(b) != 1 or b[0] != 1):
-        w = 0 if signed else (mod - 1).bit_length()
-        _charge(_mul_cost(la, len(b), w, w)[0])
+        _charge(_price(la, len(b), mod))
     if len(b) == 1 and not acc:
         c = b[0]
         return list(a) if c == 1 else [c * e for e in a]
@@ -615,17 +607,33 @@ def _charge(work: float) -> None:
         raise ValueError(f"{meter[1]} passed the work budget of {MAX_WORK} digit products")
 
 
+def _price(la: int, lb: int, mod: int | None) -> float:
+    """The work meter's price of a product of la by lb coefficients of the
+    ring ``mod``, the one pricing rule of an ``nf`` request: the
+    ``_mul_cost`` of the product with both operands at the ring's width,
+    that of p - 1 over F_p and 0 over Z, and nothing for a product of two
+    constants.  The callers charge no product by the factor 1.  Only
+    ``_raw_mul``'s Kronecker products are priced otherwise, at the
+    coefficient widths it reads to pick its kernel, since at width 0 a
+    product of wide integers would pass unpriced."""
+    if la < 2 and lb < 2:
+        return 0.0
+    w = (mod - 1).bit_length() if mod else 0
+    return _mul_cost(la, lb, w, w)[0]
+
+
 def _mul_cost(la: int, lb: int, wa: int, wb: int) -> tuple[float, bool]:
     """The estimated cost of a product of la by lb coefficients of at most
     wa and wb bits, in 30-bit digit products (about a nanosecond each with
     CPython 3.11 on a 2-vCPU x86 container), and whether ``_raw_mul`` takes
-    Kronecker for it.  From _KRONECKER_MIN_LEN
-    coefficients in the shorter operand the cheaper of two fitted estimates
-    picks the kernel: the loop makes la*lb products of about (wa/30 + 8)
-    (wb/30 + 8) each, with the interpreter's overhead; Kronecker packs both
-    operands into slots of w ~ wa + wb bits and multiplies la*w by lb*w
-    digits in about 12 * la*w * (lb*w)**0.585 (Karatsuba), fitted on lengths
-    16 to 1 000 and widths 4 to 3 000 bits over Z.  Against whole products
+    Kronecker for it.  The meter charges it by the rule of ``_price``.
+    From _KRONECKER_MIN_LEN coefficients in the shorter operand the cheaper
+    of two fitted estimates picks the kernel: the loop makes la*lb products
+    of about (wa/30 + 8) (wb/30 + 8) each, with the interpreter's overhead;
+    Kronecker packs both operands into slots of w ~ wa + wb bits and
+    multiplies la*w by lb*w digits in about 12 * la*w * (lb*w)**0.585
+    (Karatsuba), fitted on lengths 16 to 1 000 and widths 4 to 3 000 bits
+    over Z.  Against whole products
     at p = 3 to 2**64 - 59, the loop costs about 2.5 times its estimate and
     Kronecker its estimate plus, per coefficient packed and unpacked, about
     120 through ``array`` or 1 000 through ``int.to_bytes`` (slots above 64
@@ -679,8 +687,7 @@ def _packed_dot(x, y, u, v, p: int, n: int | None) -> tuple[int, ...]:
         x, y, u, v, m = x[:n], y[:n], u[:n], v[:n], n
     pairs = [(g, f) if f == (1,) else (f, g) for f, g in ((x, y), (u, v))]  # a factor (1,) second
     if _METER.get() is not None:  # a factor (1,) is packed, not multiplied
-        bits = (p - 1).bit_length()
-        _charge(sum(_mul_cost(len(f), len(g), bits, bits)[0] for f, g in pairs if g != (1,)))
+        _charge(sum(_price(len(f), len(g), p) for f, g in pairs if g != (1,)))
     w = _slot_width(sum(p - 1 if g == (1,) else min(len(f), len(g)) * (p - 1) ** 2 for f, g in pairs))
     total = 0
     for f, g in pairs:
@@ -728,8 +735,10 @@ def _unpack(x: int, w: int, n: int, signed: bool = False):
     return array(typecode, data)
 
 
+@functools.lru_cache(maxsize=64)
 def _tops(w: int, n: int) -> int:
-    """The int with the top bit of each of n w-byte slots set, and no other."""
+    """The int with the top bit of each of n w-byte slots set, and no other,
+    built once per (w, n) while it is among the 64 last asked for."""
     return int.from_bytes((1 << 8 * w - 1).to_bytes(w, "little") * n, "little")
 
 

@@ -6,9 +6,18 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
+from nagaolab import ring
 from nagaolab.amalgam import Letter
 from nagaolab.gl2 import Gen, Mat2, identity
 from nagaolab.ring import Poly
+
+
+def record_charges(monkeypatch) -> list[float]:
+    """Every charge the kernels make to the open work meter, in order, each
+    still charged."""
+    charges, charge = [], ring._charge
+    monkeypatch.setattr(ring, "_charge", lambda work: charges.append(work) or charge(work))
+    return charges
 
 
 def const_mat(a, b, c, d, mod=None):

@@ -19,6 +19,8 @@ from nagaolab.limits import CrossValidationError
 from nagaolab.ring import Poly
 from nagaolab.witnesses import CheckResult, WitnessReport
 
+from helpers import record_charges
+
 
 def _alternating_json(p, pairs):
     """Matrix JSON of (E12(t) E21(t))^pairs over F_p, by repeated squaring."""
@@ -343,13 +345,6 @@ def test_nf_any_json_payload_exits_cleanly(payload, p):
     assert len(err.getvalue().encode()) < 200
 
 
-def _record_charges(monkeypatch) -> list[float]:
-    """Every charge the kernels make, in order, each still charged."""
-    charges, charge = [], ring._charge
-    monkeypatch.setattr(ring, "_charge", lambda work: charges.append(work) or charge(work))
-    return charges
-
-
 # One request of each kind, small enough to run in well under a second.
 _METERED = [
     (["--mod", "101", json.dumps(["E12(t^40 + 3*t + 1)", "W", "E21(2*t^30 + t)", "W"] * 5)], "word"),
@@ -366,7 +361,7 @@ def test_meter_refuses_the_first_charge_past_the_budget(capsys, monkeypatch, arg
     one it is refused at the first charge that takes the total past the
     budget: exit 2, one stderr line naming the request kind and the budget,
     and nothing on stdout."""
-    charges = _record_charges(monkeypatch)
+    charges = record_charges(monkeypatch)
     code, out, err = run(capsys, "nf", *argv)
     total = sum(charges)
     assert (code, err) == (0, "") and total > 0 and len(charges) > 10
@@ -400,7 +395,7 @@ def test_requests_do_not_share_a_total(capsys, monkeypatch):
     """Each request opens its own meter: with a budget that one request
     just fits, it runs twice in a row, and again after a refused request."""
     small, _ = _METERED[0]
-    charges = _record_charges(monkeypatch)
+    charges = record_charges(monkeypatch)
     code, out, _ = run(capsys, "nf", *small)
     assert code == 0
     monkeypatch.setattr(ring, "MAX_WORK", math.ceil(sum(charges)))

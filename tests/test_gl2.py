@@ -36,6 +36,7 @@ from helpers import (
     rand_const_gen,
     rand_poly,
     rand_sl2_const,
+    record_charges,
 )
 
 RINGS = (None, 2, 3, 101, 2**31 - 1)
@@ -617,26 +618,56 @@ def test_tight_word_products_without_array_slots(monkeypatch):
         assert reads
 
 
+def _e2zt_shaped_words(rng):
+    """Words over Z in the shape of the benchmark's ``e2zt_words``: 20 to 60
+    letters, each at even odds an SL2(Z) letter, the product of one to
+    three of E12(c), E21(c), W and D(±1) for |c| <= 3, or a B(Z[t]) letter
+    [[u, f], [0, u]] with u = ±1 and one to four coefficients of f in [-4,
+    4]; and a word of the single letters D(±1), W, and E12 and E21 of one
+    and of two coefficients."""
+
+    def sl2z_letter():
+        m = identity(None)
+        for _ in range(rng.randint(1, 3)):
+            m = m * rng.choice((e12(rng.randint(-3, 3)), e21(rng.randint(-3, 3)), w(None), diag(rng.choice((1, -1)))))
+        return m.coeffs
+
+    def bzt_letter():
+        u = (rng.choice((1, -1)),)
+        return u, Poly([rng.randint(-4, 4) for _ in range(rng.randint(1, 4))]).coeffs, (), u
+
+    words = [[sl2z_letter() if rng.random() < 0.5 else bzt_letter() for _ in range(rng.randint(20, 60))]
+             for _ in range(12)]
+    singles = [diag(1), diag(-1), w(None), e12(-2), e21(3), e12(Poly([1, -2])), e21(Poly([0, 3]))]
+    return words + [[rng.choice(singles).coeffs for _ in range(60)]]
+
+
 @pytest.mark.parametrize("p", (None, 3, 101, 2**31 - 1))
 def test_packed_word_product_charges_as_it_runs(monkeypatch, p):
     """Inside a request, the packed product charges ring._charge, before
-    each letter, what the fold charges for the same products of
-    nonconstant letters, over Z and over F_p; a budget below that total
-    refuses it."""
+    each letter, what the fold charges for the same products: over Z and
+    over F_p on words of nonconstant E12 and E21 letters, and over Z also on
+    words in the shape of ``e2zt_words``; a budget below that total refuses
+    it.  Over F_p the other words are left out: between read-backs a packed
+    entry holds unreduced coefficients, so it may have more slots than the
+    fold's entry has coefficients (t + t at p = 2)."""
     rng = random.Random(p or 0)
     coeff = (lambda lo: rng.choice((-1, 1)) * rng.randrange(lo, 10)) if p is None else (lambda lo: rng.randrange(lo, p))
-    word = [Gen(("E12", "E21")[i % 2], Poly([coeff(0), coeff(1)], p), p)._coeffs() for i in range(60)]
-    charges, charge = [], ring._charge
-    monkeypatch.setattr(ring, "_charge", lambda work: charges.append(work) or charge(work))
-    totals = []
-    for product in (_mat_prod, _fold):
-        del charges[:]
-        assert ring._metered("test", lambda: product(word, p)) == _fold(word, p)
-        totals.append(sum(charges))
-    assert totals[0] == pytest.approx(totals[1], rel=1e-12) and totals[0] > 0
-    monkeypatch.setattr(ring, "MAX_WORK", totals[0] // 2)
-    with pytest.raises(ValueError, match="^test passed the work budget"):
-        ring._metered("test", lambda: _mat_prod(word, p))
+    words = [[Gen(("E12", "E21")[i % 2], Poly([coeff(0), coeff(1)], p), p)._coeffs() for i in range(60)]]
+    if p is None:
+        words += _e2zt_shaped_words(rng)
+    charges = record_charges(monkeypatch)
+    for word in words:
+        totals = []
+        for product in (_mat_prod, _fold):
+            del charges[:]
+            assert ring._metered("test", lambda: product(word, p)) == _fold(word, p)
+            totals.append(sum(charges))
+        assert totals[0] == pytest.approx(totals[1], rel=1e-12) and totals[0] > 0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ring, "MAX_WORK", totals[0] // 2)
+            with pytest.raises(ValueError, match="^test passed the work budget"):
+                ring._metered("test", lambda: _mat_prod(word, p))
 
 
 # Faults of the packed word product, each as the exact source text and its

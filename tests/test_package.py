@@ -1,7 +1,7 @@
-"""The package as a whole: no check that ``python -O`` strips, a public
-surface that matches what the modules define, one import path for each
-name, modules that load only the layers below them, and an import that
-stays cheap for a CLI request."""
+"""The package as a whole: no check that ``python -O`` strips, rules written
+out once, a public surface that matches what the modules define, one import
+path for each name, modules that load only the layers below them, and an
+import that stays cheap for a CLI request."""
 
 import ast
 import importlib
@@ -86,6 +86,25 @@ def test_slot_format_lives_in_the_codec():
             found += [f"{path.name}:{node.lineno}:{node.attr}" for node in ast.walk(top)
                       if isinstance(node, ast.Attribute) and node.attr in ("from_bytes", "to_bytes")]
     assert found == []
+
+
+def test_pricing_rule_lives_in_price():
+    """The work meter prices products by one rule, ``ring._price``: no
+    module but ``ring`` names ``ring._mul_cost``, and in ``ring`` only
+    ``_price`` and ``_raw_mul``'s kernel choice, one call, name it."""
+    found, raw_mul = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            where = (path.stem, getattr(top, "name", None))
+            if where in (("ring", "_price"), ("ring", "_mul_cost")):
+                continue
+            names = [f"{path.name}:{node.lineno}" for node in ast.walk(top) if "_mul_cost" in (
+                getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None))]
+            if where == ("ring", "_raw_mul"):
+                raw_mul = names
+            else:
+                found += names
+    assert found == [] and len(raw_mul) == 1
 
 
 def test_every_name_in_all_exists():

@@ -11,7 +11,15 @@ from nagaolab import ring
 from nagaolab.limits import MAX_DEGREE, is_prime
 from nagaolab.ring import Poly, PolyParseError
 
-from helpers import dense_poly, rand_poly, schoolbook_add, schoolbook_divmod, schoolbook_mul, trial_division_is_prime
+from helpers import (
+    dense_poly,
+    rand_poly,
+    record_charges,
+    schoolbook_add,
+    schoolbook_divmod,
+    schoolbook_mul,
+    trial_division_is_prime,
+)
 
 # 2**64 - 59 is the largest prime below 2**64, where products of residues
 # are wider than a machine word.
@@ -621,6 +629,23 @@ def test_dot_kernel_property(ops):
     assert _dot(*ops, max(len(full.coeffs), 1)) == full
 
 
+@pytest.mark.parametrize("mod", (None, 2, 3, 101, 2**64 - 59))
+def test_dot_kernel_on_constants(monkeypatch, mod):
+    """``_dot`` on every assignment to x, y, u and v of (), (1,), a unit
+    other than 1 and a constant that is neither, as far as the ring ``mod``
+    has them (over Z -1 and 2**64 + 3, over F_p p - 1 and p // 2): the
+    canonical tuple of the schoolbook x*y + u*v, and inside ``_metered`` a
+    product of constants is free."""
+    consts = (1, -1, 2**64 + 3) if mod is None else (1, mod - 1, mod // 2)
+    values = list(dict.fromkeys([()] + [Poly([c], mod).coeffs for c in consts]))
+    charges = record_charges(monkeypatch)
+    for x, y, u, v in itertools.product(values, repeat=4):
+        got, work = ring._metered("test", lambda: (ring._dot(x, y, u, v, mod), ring._METER.get()[0]))
+        want = _dot_oracle(*(Poly(e, mod) for e in (x, y, u, v)))
+        assert type(got) is tuple and got == want.coeffs, (x, y, u, v)
+        assert work == 0 and not any(charges), (x, y, u, v)
+
+
 @st.composite
 def _accumulated_dots(draw):
     """Operands of _dot's last branch, where the second product is added
@@ -942,10 +967,10 @@ def test_series_inverse_every_precision(p):
 
 def test_division_by_a_constant_is_one_scale(monkeypatch):
     """A one-coefficient divisor scales the dividend by its inverse, in one
-    ``_scale`` call charged as the k-step loop it replaces, once."""
+    ``_scale`` call charged once, as la products at p's width; a constant
+    by a constant is free."""
     rng = random.Random(939)
-    charges, charge = [], ring._charge
-    monkeypatch.setattr(ring, "_charge", lambda work: charges.append(work) or charge(work))
+    charges = record_charges(monkeypatch)
     scales, scale = [], ring._scale
     monkeypatch.setattr(ring, "_scale", lambda *args: scales.append(args) or scale(*args))
     for p in (2, 101, 2**64 - 59):
@@ -956,7 +981,7 @@ def test_division_by_a_constant_is_one_scale(monkeypatch):
             del charges[:], scales[:]
             assert ring._metered("test", lambda: divmod(a, b)) == schoolbook_divmod(a, b)
             assert len(scales) == 1
-            assert charges == [ring._mul_cost(la, 1, bits, bits)[0]]
+            assert charges == [ring._mul_cost(la, 1, bits, bits)[0] if la > 1 else 0]
 
 
 @pytest.mark.parametrize("oracle", [
@@ -1062,16 +1087,17 @@ def test_is_prime_large():
 def test_meter_total_is_the_sum_of_the_kernel_charges(monkeypatch):
     """Inside ``_metered`` each kernel charges its ``_mul_cost`` units: a
     loop product, a Kronecker product at the widths it reads, a long
-    division, a scale and a one-pass sum; the meter's total is their sum."""
+    division, a scale at p's width, a one-pass sum whose factors are both 1,
+    which is free, and one whose second factor is -1, at p's width; the
+    meter's total is their sum."""
     p, bits = 101, 7  # (p - 1).bit_length()
     rng = random.Random(26)
     f, g = dense_poly(rng, p, 30), dense_poly(rng, p, 5)
     wf = max(f.coeffs).bit_length()
-    charges, charge = [], ring._charge
-    monkeypatch.setattr(ring, "_charge", lambda work: charges.append(work) or charge(work))
+    charges = record_charges(monkeypatch)
 
     def work():
-        f * g, f * f, divmod(f, g), -f, f + g
+        f * g, f * f, divmod(f, g), -f, f + g, f - g
         return ring._METER.get()[0]
 
     total = ring._metered("test", work)
@@ -1079,8 +1105,9 @@ def test_meter_total_is_the_sum_of_the_kernel_charges(monkeypatch):
         ring._mul_cost(30, 5, bits, bits)[0],
         ring._mul_cost(30, 30, wf, wf)[0],
         ring._mul_cost(26 * 4, 1, bits, bits)[0],
-        ring._mul_cost(1, 30, 1, bits)[0],
-        ring._mul_cost(1, 30, 1, bits)[0] + ring._mul_cost(1, 5, 1, bits)[0],
+        ring._mul_cost(1, 30, bits, bits)[0],
+        0,
+        ring._mul_cost(1, 5, bits, bits)[0],
     ]
     assert total == sum(charges) > 0
     assert ring._METER.get() is None
