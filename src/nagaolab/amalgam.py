@@ -25,9 +25,11 @@ the one product of a split is the re-check in ``decompose``: a * s
 reproduces the input, a lies in A and s in its factor only.  ``normalize``
 is three steps: ``_check_letter`` checks each input letter into its form
 (tag 1 or 2, membership on ``_factors``); ``_rewrite`` folds the (factor,
-form) pairs with one ``decompose`` per letter and checks the normal-form
-invariants of its result with ``_check_forms``; ``_build`` makes the
-``Mat2`` objects of the returned ``NormalForm``.
+form) pairs with one ``decompose`` per maximal run of letters with one tag
+(a factor is a subgroup, so a run multiplies out inside it, and the
+normal form, being unique, does not depend on where the fold splits) and
+checks the normal-form invariants of its result with ``_check_forms``;
+``_build`` makes the ``Mat2`` objects of the returned ``NormalForm``.
 
 Engine forms stay inside the package.  In ``nagao`` the Euclid word of
 ``nagao_normal_form`` and the reduced word of ``phi_p`` enter ``_rewrite``
@@ -55,7 +57,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterable
-from itertools import zip_longest
+from itertools import groupby, zip_longest
+from operator import itemgetter
 
 from .gl2 import Mat2, _mat_prod, _unit_inverse
 from .limits import _prime, _shown
@@ -232,27 +235,35 @@ class AmalgamStructure:
         """The normal form (head, tail) of a word of (factor, form) pairs
         whose forms have passed ``_check_letter``, as engine forms.
 
-        Letters are folded in from the right, so base-subgroup parts
-        accumulate leftward into the head.  To prepend a letter g (factor f)
+        Letters are folded in from the right, one maximal run of letters
+        with the same tag at a time, so base-subgroup parts accumulate
+        leftward into the head.  To prepend a run g_1 ... g_k (factor f)
         onto an already normal suffix a * s_1 ... s_n:
 
-          * g absorbs the head: h = g * a, still inside factor f;
+          * the run absorbs the head: h = g_1 ... g_k * a, still inside
+            factor f, which is a subgroup;
           * if s_1 also lies in factor f it is absorbed as well (after which
             the next tail letter is from the other factor, by alternation);
           * h splits through the factor-f transversal as h = a' * s'; when h
             lies in A the tail is untouched and h becomes the head, otherwise
             s' becomes the new first tail letter and a' the head.
 
-        One checked ``decompose`` per input letter, and the tail is kept as
-        a list of (factor, form) pairs in reverse order (its first letter
-        last), so the rewrite is linear in word length.  The result passes
+        Folding the run's letters one at a time would split each partial
+        product and merge the next letter back into the split; the normal
+        form is unique, so one split of the whole run gives the same form.
+        One checked ``decompose`` per run, and the tail is kept as a list of
+        (factor, form) pairs in reverse order (its first letter last), so
+        the rewrite is linear in word length.  The result passes
         ``_check_forms`` before it is returned."""
+        mul, decompose = self._mul, self.decompose
         head, rtail = _IDENTITY, []
-        for factor, x in reversed(word):
-            h = self._mul(x, head)
+        for factor, run in groupby(reversed(word), itemgetter(0)):
+            h = head
+            for _, x in run:
+                h = mul(x, h)
             if rtail and rtail[-1][0] == factor:
-                h = self._mul(h, rtail.pop()[1])
-            head, s = self.decompose(factor, h)
+                h = mul(h, rtail.pop()[1])
+            head, s = decompose(factor, h)
             if s is not None:
                 rtail.append((factor, s))
         tail = tuple(reversed(rtail))

@@ -252,6 +252,24 @@ def nf_invert(struct, x):
     return struct.normalize(inv_word)
 
 
+def fold_per_letter(struct, word):
+    """The normal form (head, tail) of a word of checked (factor, form)
+    pairs, folded in from the right one letter at a time with one checked
+    ``decompose`` per letter: the oracle for ``_rewrite``, which splits once
+    per run of same-factor letters."""
+    head, rtail = (1, (), 0, 1), []
+    for factor, x in reversed(word):
+        h = struct._mul(x, head)
+        if rtail and rtail[-1][0] == factor:
+            h = struct._mul(h, rtail.pop()[1])
+        head, s = struct.decompose(factor, h)
+        if s is not None:
+            rtail.append((factor, s))
+    tail = tuple(reversed(rtail))
+    struct._check_forms(head, tail)
+    return head, tail
+
+
 def word_of(nf):
     """The normal form as a plain word (head tagged into factor 1)."""
     return ([] if nf.head.is_identity else [Letter(1, nf.head)]) + list(nf.tail)

@@ -1,10 +1,13 @@
+import inspect
 import itertools
 import math
 import random
+import textwrap
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from nagaolab import amalgam
 from nagaolab.amalgam import AmalgamStructure, Letter, NormalForm, _mat
 from nagaolab.gl2 import Mat2, _mat_mul, diag, e12, e21, identity, w
 from nagaolab.ring import Poly
@@ -14,6 +17,7 @@ from helpers import (
     det_in_base,
     det_in_factor,
     evaluate_word,
+    fold_per_letter,
     nf_invert,
     rand_b_letter,
     rand_letter,
@@ -471,7 +475,9 @@ def test_engine_product_outside_one_factor_is_a_bug():
         s._mul(s._form_of(e12(Poly.parse("t", 3))), s._form_of(w(3)))
 
 
-def test_normalize_decomposes_once_per_letter():
+def test_normalize_decomposes_once_per_run():
+    """One checked split per maximal run of same-tag letters, folded from
+    the right: the calls are the tag of each run, last run first."""
     calls = []
 
     class Counting(AmalgamStructure):
@@ -486,8 +492,90 @@ def test_normalize_decomposes_once_per_letter():
             word = rand_word(rng, mod, n, 4)
             del calls[:]
             nf = s.normalize(word)
-            assert calls == [letter.factor for letter in reversed(word)]
+            assert calls == [tag for tag, _ in itertools.groupby(letter.factor for letter in reversed(word))]
             assert nf == AmalgamStructure(mod).normalize(word)
+
+
+# Pieces of a run: a factor element, and pieces whose product is I, -I or
+# lies in A.  W is in factor 1 only; E12 of a constant and D(u) are in both.
+_PIECES = {
+    1: ("letter", "inverse pair", "E12(f) E12(-f)", "D(u) D(u^-1)", "W^2", "W^4"),
+    2: ("letter", "inverse pair", "E12(f) E12(-f)", "D(u) D(u^-1)"),
+}
+
+
+@st.composite
+def _run(draw, mod, tag):
+    """A run of 1-8 letters tagged into one factor, built from pieces."""
+    letters = []
+    for kind in draw(st.lists(st.sampled_from(_PIECES[tag]), min_size=1, max_size=4)):
+        if kind in ("letter", "inverse pair"):
+            x = draw(_factor_element(mod, tag))
+            piece = [x] if kind == "letter" else [x, x.inv()]
+        elif kind == "E12(f) E12(-f)":
+            f = Poly(draw(st.lists(_COEFF, max_size=1 if tag == 1 else 4)), mod)
+            piece = [e12(f), e12(-f)]
+        elif kind == "D(u) D(u^-1)":
+            u = diag(_unit(mod, draw(_COEFF)), mod)
+            piece = [u, u.inv()]
+        else:
+            piece = [w(mod)] * int(kind[-1])
+        if len(letters) + len(piece) <= 8:
+            letters += piece
+    return [Letter(tag, m) for m in letters]
+
+
+@st.composite
+def _run_words(draw):
+    """(mod, word): up to five runs over Z or F_p, their tags alternating."""
+    mod = draw(st.sampled_from([None, 2, 3, 101]))
+    tag, word = draw(st.sampled_from([1, 2])), []
+    for _ in range(draw(st.integers(0, 5))):
+        word += draw(_run(mod, tag))
+        tag = 3 - tag
+    return mod, word
+
+
+@settings(max_examples=200, deadline=None, report_multiple_bugs=False)
+@given(_run_words())
+@example((None, []))
+@example((3, [Letter(1, w(3))]))
+@example((None, [Letter(2, e12(Poly([0, 1])))]))
+# a run whose product is I follows a split, and the run after it merges
+# with the tail's first letter: E12(t) W^4 E12(t^2) = E12(t + t^2)
+@example((None, [Letter(2, e12(Poly([0, 1])))] + [Letter(1, w())] * 4 + [Letter(2, e12(Poly([0, 0, 1])))]))
+def test_rewrite_per_run_matches_the_letter_fold(case):
+    """One split per run gives the engine forms of the letter-by-letter
+    fold, and the normal form multiplies out to the word."""
+    mod, word = case
+    s = AmalgamStructure(mod)
+    checked = [(l.factor, s._check_letter(l.factor, s._form_of(l.mat), l.mat)) for l in word]
+    head, tail = s._rewrite(checked)
+    assert (head, tail) == fold_per_letter(s, checked)
+    assert s.nf_evaluate(s._build(head, tail)) == evaluate_word(word, mod)
+
+
+# Faults of the run merge in _rewrite, each applied by exact source text.
+_RUN_MUTANTS = {
+    "run product in the wrong order": ("h = mul(x, h)", "h = mul(h, x)"),
+    "merge across factor tags": ("if rtail and rtail[-1][0] == factor:", "if rtail:"),
+    "merged letter dropped": ("h = mul(x, h)", "h = mul(x, head)"),
+}
+
+
+@pytest.mark.parametrize("mutant", _RUN_MUTANTS)
+def test_a_run_merge_mutant_is_caught(monkeypatch, mutant):
+    """With one fault in the run merge, the property test against the
+    letter-by-letter fold fails.  A mutant whose source text no longer
+    occurs in _rewrite fails as stale."""
+    old, new = _RUN_MUTANTS[mutant]
+    source = textwrap.dedent(inspect.getsource(AmalgamStructure._rewrite))
+    assert source.count(old) == 1, f"stale mutant {mutant!r}"
+    namespace = dict(vars(amalgam))
+    exec(compile(source.replace(old, new), f"<{mutant}>", "exec"), namespace)
+    monkeypatch.setattr(AmalgamStructure, "_rewrite", namespace["_rewrite"])
+    with pytest.raises((AssertionError, RuntimeError)):
+        test_rewrite_per_run_matches_the_letter_fold()
 
 
 def test_normalize_multiplies_no_mat2(monkeypatch):

@@ -905,6 +905,24 @@ NF_Z = (
     '"tags": [1, 2, 1], "matrix": [[{"coeffs": ["-1", "6"]}, {"coeffs": ["-1", "2"]}], '
     '[{"coeffs": ["1", "3"]}, {"coeffs": ["0", "1"]}]]}'
 )
+# An E2(Z[t]) word of runs of letters from one factor: E12 letters in B(Z[t]),
+# and W, D and E21's W^-1 and W in SL2(Z); and its emitted normal form.
+Z_RUNS = json.dumps(["E12(1 - t + 2*t^3)", "E12(2*t^2)", "W", "E21(-1)", "D(-1)",
+                     "E12(t)", "E12(-t)", "E12(3 - t^2)", "W", "W"])
+NF_Z_RUNS = (
+    '{"length": 3, "head": [[{"coeffs": ["1"]}, {"coeffs": ["2"]}], [{"coeffs": []}, {"coeffs": ["1"]}]], '
+    '"tail": [[[{"coeffs": ["1"]}, {"coeffs": ["0", "-1", "2", "2"]}], [{"coeffs": []}, {"coeffs": ["1"]}]], '
+    '[[{"coeffs": []}, {"coeffs": ["-1"]}], [{"coeffs": ["1"]}, {"coeffs": ["3"]}]], '
+    '[[{"coeffs": ["1"]}, {"coeffs": ["0", "0", "-1"]}], [{"coeffs": []}, {"coeffs": ["1"]}]]], '
+    '"tags": [2, 1, 2], "matrix": [[{"coeffs": ["2", "-1", "2", "2"]}, '
+    '{"coeffs": ["5", "-3", "4", "7", "-2", "-2"]}], [{"coeffs": ["1"]}, {"coeffs": ["3", "0", "-1"]}]]}'
+)
+# A normal-form object over F_3 whose tail repeats tags, 2 2 1 1 2.
+NF_F3_REPEATED_TAGS = json.dumps({
+    "head": [[2, 0], [0, 2]], "tags": [2, 2, 1, 1, 2],
+    "tail": [[[1, {"coeffs": [0, 1]}], [0, 1]], [[2, {"coeffs": [1, 0, 1]}], [0, 2]],
+             [[0, 2], [1, 0]], [[0, 2], [1, 1]], [[1, {"coeffs": [0, 0, 2]}], [0, 1]]],
+})
 # The emitted normal form of E12(t^2000) over F_3.
 _T2000 = [[{"coeffs": ["1"], "mod": 3}, {"coeffs": ["0"] * 2000 + ["1"], "mod": 3}],
           [{"coeffs": [], "mod": 3}, {"coeffs": ["1"], "mod": 3}]]
@@ -1123,6 +1141,54 @@ GOLDEN = [
             "matrix: [[-1 + 6*t, -1 + 2*t], [1 + 3*t, t]]",
         ),
         id="nf-e2zt-json-normal-form-input",
+    ),
+    pytest.param(
+        ["nf", "--ring", "e2zt", Z_RUNS], 0,
+        _lines(
+            "length: 3",
+            "head:   [[1, 2], [0, 1]]",
+            "tail 1: factor 2  [[1, -t + 2*t^2 + 2*t^3], [0, 1]]",
+            "tail 2: factor 1  [[0, -1], [1, 3]]",
+            "tail 3: factor 2  [[1, -t^2], [0, 1]]",
+            "matrix: [[2 - t + 2*t^2 + 2*t^3, 5 - 3*t + 4*t^2 + 7*t^3 - 2*t^4 - 2*t^5], [1, 3 - t^2]]",
+        ),
+        id="nf-e2zt-word-of-runs",
+    ),
+    pytest.param(
+        ["nf", "--ring", "e2zt", "--format", "json", Z_RUNS], 0,
+        _pretty(NF_Z_RUNS),
+        id="nf-e2zt-word-of-runs-json",
+    ),
+    pytest.param(
+        ["nf", "--mod", "3", json.dumps(["E12(t + 2*t^3)", "E12(1 + t^2)", "W", "W", "D(2)"] * 100)], 0,
+        _lines(
+            "length: 1",
+            "head:   [[1, 1], [0, 1]]",
+            "tail 1: factor 2  [[1, t + t^2 + 2*t^3], [0, 1]]",
+            "matrix: [[1, 1 + t + t^2 + 2*t^3], [0, 1]]",
+        ),
+        id="nf-word-of-500-letters-in-runs",
+    ),
+    pytest.param(
+        # E21(t) is W^-1 E12(-t) W, so the word has two runs of two W letters
+        ["nf", "--mod", "5", '["W", "E21(t)", "W"]'], 0,
+        _lines(
+            "length: 1",
+            "head:   [[4, 0], [0, 4]]",
+            "tail 1: factor 2  [[1, 4*t], [0, 1]]",
+            "matrix: [[4, t], [0, 4]]",
+        ),
+        id="nf-word-w-runs-around-e21",
+    ),
+    pytest.param(
+        ["nf", "--mod", "3", NF_F3_REPEATED_TAGS], 0,
+        _lines(
+            "length: 1",
+            "head:   [[2, 0], [0, 2]]",
+            "tail 1: factor 2  [[1, t + t^2], [0, 1]]",
+            "matrix: [[2, 2*t + 2*t^2], [0, 2]]",
+        ),
+        id="nf-json-normal-form-repeated-tags",
     ),
     pytest.param(
         ["nf", "--ring", "e2zt", "[[1,0],[t,1]]"], 3, "",

@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import linecache
 import random
 import re
@@ -216,9 +217,10 @@ def test_nagao_nf_cross_validation_random():
             assert AmalgamStructure(p).nf_evaluate(nf) == m
 
 
-def test_nagao_nf_rechecks_every_split(monkeypatch):
-    """The rewriter splits through the checked decompose once per letter it
-    folds in; the degree reduction makes no decompose call."""
+def test_nagao_nf_rechecks_once_per_run(monkeypatch):
+    """The rewriter splits through the checked decompose once per maximal
+    run of same-tag letters it folds in, last run first; the degree
+    reduction makes no decompose call."""
     calls = []
     decompose = AmalgamStructure.decompose
 
@@ -234,7 +236,7 @@ def test_nagao_nf_rechecks_every_split(monkeypatch):
             letters = letters_from_gens(sl2fpt_elementary_factor(m), p)
             del calls[:]
             nagao_normal_form(p, m)
-            assert len(calls) == len(letters)
+            assert calls == [tag for tag, _ in itertools.groupby(letter.factor for letter in reversed(letters))]
 
 
 @st.composite
