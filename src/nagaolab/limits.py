@@ -138,11 +138,13 @@ def is_prime(n) -> bool:
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _is_prime(n: int) -> bool:
     """Primality of an int by Miller-Rabin over the prime bases 2 to 37; the
     type test stays in ``is_prime``, in front of this cache, which would
-    answer 3.0 with the entry of 3."""
+    answer 3.0 with the entry of 3.  The cache keeps the 64 last ints asked
+    about, since a request uses only a few primes, so that a scan of many
+    ints does not grow it without end."""
     if n >= 2**64:
         raise ValueError(f"primality is decided only below 2**64, got {_shown(n)}")
     if n < 2:

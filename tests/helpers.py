@@ -1,9 +1,13 @@
-"""Seeded random builders and enumeration oracles shared across the test
-modules."""
+"""Seeded random builders, enumeration oracles and the committed mutants
+shared across the test modules."""
 
+import importlib
+import inspect
 import itertools
 import random
-from collections import Counter
+import sys
+import textwrap
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 from nagaolab import ring
@@ -327,3 +331,87 @@ def weighted_monomials(exponents, i: int):
             for multiset in itertools.combinations_with_replacement(exps, j):
                 divided = tuple(sorted(Counter(multiset).items()))
                 yield WeightedMonomial(subset, divided)
+
+
+# A fault committed as a test: the text ``old``, which occurs once in the
+# function ``target`` ("module.qualname" in nagaolab), replaced by ``new``.
+# ``group`` names the kill test that must catch it; an "oracle" entry names
+# in ``test`` the Tier-1 test ("module.name") that must fail under it.
+Mutant = namedtuple("Mutant", "group target old new test", defaults=(None,))
+
+MUTANTS = {
+    "run product in the wrong order": Mutant("run", "amalgam.AmalgamStructure._rewrite",
+                                             "h = mul(x, h)", "h = mul(h, x)"),
+    "merge across factor tags": Mutant("run", "amalgam.AmalgamStructure._rewrite",
+                                       "if rtail and rtail[-1][0] == factor:", "if rtail:"),
+    "merged letter dropped": Mutant("run", "amalgam.AmalgamStructure._rewrite", "h = mul(x, h)", "h = mul(x, head)"),
+    "overflow test one letter late": Mutant("packed", "gl2._packed_prod",
+                                            "if n1 >= limit or n2 >= limit:\n            cs",
+                                            "if b1 >= limit or b2 >= limit:\n            cs"),
+    "a letter-entry weight one short": Mutant("packed", "gl2._packed_prod", "b1 * wf + b2 * wh\n        if",
+                                              "b1 * (wf - 1) + b2 * wh\n        if"),
+    "read-back length one short": Mutant("packed", "gl2._packed_prod", "_unpack(x, 8, length(x), signed)",
+                                         "_unpack(x, 8, length(x) - 1, signed)"),
+    "signed correction dropped on read-back": Mutant("packed_z", "ring._unpack", "x = (x + tops) ^ tops", "x = x"),
+    "sum(e) as a weight in place of sum(|e|)": Mutant("packed_z", "gl2._packed_prod", "map(sum, map(map, abs4, y))",
+                                                      "map(sum, y)"),
+    "limit 2**64 over Z": Mutant("packed_z", "gl2._packed_prod", "limit = _SLOT_LIMIT >> signed", "limit = _SLOT_LIMIT"),
+    "signed read-back one slot short": Mutant("packed_z", "gl2._packed_prod", "abs(x).bit_length() // 64 + 1",
+                                              "abs(x).bit_length() // 64"),
+    "_pack's signed correction dropped": Mutant("codec", "ring._pack",
+                                                "x - ((x & _tops(w, len(cs))) << 1) if signed else x", "x"),
+    "fused peel bound one short": Mutant("det_bound", "nagao._nf_by_degree_reduction", "_dot(a, q, minus_one, b, p, n)",
+                                         "_dot(a, q, minus_one, b, p, n - 1)"),
+    "remainder ignored": Mutant("solve", "nagao.sl2fpt_elementary_factor", " or r or ", " or "),
+    "other row skipped": Mutant("solve", "nagao.sl2fpt_elementary_factor", " or _dot(o1, beta, _ONE, y, p) != o2:", ":"),
+    "first column skipped": Mutant("solve", "nagao.sl2fpt_elementary_factor", "(x11, x21) != (a, c) or ", ""),
+    "E21 written as E12": Mutant("oracle", "gl2.Gen._coeffs", "(_ONE, (), self.arg.coeffs, _ONE)",
+                                 "(_ONE, self.arg.coeffs, (), _ONE)",
+                                 "test_gl2.test_gen_matrices_are_the_literal_matrices"),
+    "tie peel adds d": Mutant("oracle", "nagao._nf_by_degree_reduction", "_dot(e_poly, c, minus_one, d, p)",
+                              "_dot(e_poly, c, (1,), d, p)", "test_nagao.test_nagao_nf_cross_validation_random"),
+    "F_p coset representative wrong": Mutant("oracle", "amalgam.AmalgamStructure.transversal",
+                                             "r, y = 0, mod - 1", "r, y = 0, 1",
+                                             "test_nagao.test_nagao_nf_cross_validation_random"),
+    "schoolbook row not cut at n": Mutant("oracle", "ring._raw_mul", "a if j + la <= m else a[: m - j]", "a",
+                                          "test_nagao.test_nagao_nf_cross_validation_random"),
+    "Newton offset dropped": Mutant("oracle", "ring._divmod_coeffs", "off = -(-h * (p - 1) ** 2 // p) * p",
+                                    "off = 0", "test_ring.test_newton_division_every_slot_width"),
+    "slot width without the sign bit": Mutant("oracle", "ring._slot_width", "+ signed + 7", "+ 7",
+                                              "test_ring.test_mul_kernel_extreme_coefficients"),
+}
+
+
+def mutants(group):
+    """The names of the mutants of one group, in table order."""
+    return [name for name, mutant in MUTANTS.items() if mutant.group == group]
+
+
+def mutant_source(name):
+    """The class or module that holds the function the mutant ``name``
+    edits, that function, and its dedented source with the edit made; an
+    entry whose text does not occur exactly once there fails as stale."""
+    mutant = MUTANTS[name]
+    module, *path = mutant.target.split(".")
+    owner = importlib.import_module(f"nagaolab.{module}")
+    for part in path[:-1]:
+        owner = getattr(owner, part)
+    fn = getattr(owner, path[-1])
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(mutant.old) == 1, f"stale mutant {name!r}"
+    return owner, fn, source.replace(mutant.old, mutant.new)
+
+
+def mutate(monkeypatch, name, **names):
+    """Apply the mutant ``name`` for the rest of the test: its edited source
+    runs in its module's namespace updated by ``names``, and the new
+    function replaces the old in its class or module and in every nagaolab
+    module that binds the old by name."""
+    owner, fn, source = mutant_source(name)
+    namespace = {**vars(sys.modules[fn.__module__]), **names}
+    exec(compile(source, f"<mutant {name}>", "exec"), namespace)
+    new = namespace[fn.__name__]
+    monkeypatch.setattr(owner, fn.__name__, new)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("nagaolab.") and vars(module).get(fn.__name__) is fn:
+            monkeypatch.setattr(module, fn.__name__, new)

@@ -1,13 +1,10 @@
-import inspect
 import itertools
 import math
 import random
-import textwrap
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from nagaolab import amalgam
 from nagaolab.amalgam import AmalgamStructure, Letter, NormalForm, _mat
 from nagaolab.gl2 import Mat2, _mat_mul, diag, e12, e21, identity, w
 from nagaolab.ring import Poly
@@ -18,6 +15,8 @@ from helpers import (
     det_in_factor,
     evaluate_word,
     fold_per_letter,
+    mutants,
+    mutate,
     nf_invert,
     rand_b_letter,
     rand_letter,
@@ -555,25 +554,11 @@ def test_rewrite_per_run_matches_the_letter_fold(case):
     assert s.nf_evaluate(s._build(head, tail)) == evaluate_word(word, mod)
 
 
-# Faults of the run merge in _rewrite, each applied by exact source text.
-_RUN_MUTANTS = {
-    "run product in the wrong order": ("h = mul(x, h)", "h = mul(h, x)"),
-    "merge across factor tags": ("if rtail and rtail[-1][0] == factor:", "if rtail:"),
-    "merged letter dropped": ("h = mul(x, h)", "h = mul(x, head)"),
-}
-
-
-@pytest.mark.parametrize("mutant", _RUN_MUTANTS)
+@pytest.mark.parametrize("mutant", mutants("run"))
 def test_a_run_merge_mutant_is_caught(monkeypatch, mutant):
-    """With one fault in the run merge, the property test against the
-    letter-by-letter fold fails.  A mutant whose source text no longer
-    occurs in _rewrite fails as stale."""
-    old, new = _RUN_MUTANTS[mutant]
-    source = textwrap.dedent(inspect.getsource(AmalgamStructure._rewrite))
-    assert source.count(old) == 1, f"stale mutant {mutant!r}"
-    namespace = dict(vars(amalgam))
-    exec(compile(source.replace(old, new), f"<{mutant}>", "exec"), namespace)
-    monkeypatch.setattr(AmalgamStructure, "_rewrite", namespace["_rewrite"])
+    """With one fault in the run merge of _rewrite, the property test
+    against the letter-by-letter fold fails."""
+    mutate(monkeypatch, mutant)
     with pytest.raises((AssertionError, RuntimeError)):
         test_rewrite_per_run_matches_the_letter_fold()
 

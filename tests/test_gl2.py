@@ -1,4 +1,3 @@
-import inspect
 import json
 import random
 
@@ -32,6 +31,8 @@ from helpers import (
     entrywise_det,
     entrywise_mat_mul,
     is_unipotent_up_to_sign,
+    mutants,
+    mutate,
     one_off,
     rand_const_gen,
     rand_poly,
@@ -670,27 +671,6 @@ def test_packed_word_product_charges_as_it_runs(monkeypatch, p):
                 ring._metered("test", lambda: _mat_prod(word, p))
 
 
-# Faults of the packed word product, each as the exact source text and its
-# replacement: three on both rings, caught over F_p ...
-_PACKED_MUTANTS = {
-    "overflow test one letter late": ("if n1 >= limit or n2 >= limit:\n            cs",
-                                      "if b1 >= limit or b2 >= limit:\n            cs"),
-    "a letter-entry weight one short": ("b1 * wf + b2 * wh\n        if", "b1 * (wf - 1) + b2 * wh\n        if"),
-    "read-back length one short": ("_unpack(x, 8, length(x), signed)", "_unpack(x, 8, length(x) - 1, signed)"),
-}
-# ... and four of the signed slots over Z, one of them in ring._unpack.
-_PACKED_Z_MUTANTS = {
-    "signed correction dropped on read-back": ("x = (x + tops) ^ tops", "x = x"),
-    "sum(e) as a weight in place of sum(|e|)": ("map(sum, map(map, abs4, y))", "map(sum, y)"),
-    "limit 2**64 over Z": ("limit = _SLOT_LIMIT >> signed", "limit = _SLOT_LIMIT"),
-    "signed read-back one slot short": ("abs(x).bit_length() // 64 + 1", "abs(x).bit_length() // 64"),
-}
-# A fault of the slot codec, which ring's Kronecker product and the word product share
-_CODEC_MUTANTS = {
-    "_pack's signed correction dropped": ("x - ((x & _tops(w, len(cs))) << 1) if signed else x", "x"),
-}
-
-
 def _nf_outputs(capsys, argvs):
     """Each nf request, which must exit 0, with its output."""
     requests = []
@@ -698,20 +678,6 @@ def _nf_outputs(capsys, argvs):
         assert main(argv) == 0
         requests.append((argv, capsys.readouterr().out))
     return requests
-
-
-def _mutate(monkeypatch, mutant, old, new):
-    """Replace the one function of gl2._packed_prod and ring's slot codec
-    whose source holds old, once, by that source with old replaced by new,
-    in ring and in gl2, which imports the codec by name."""
-    sources = {fn: inspect.getsource(fn) for fn in (gl2._packed_prod, ring._pack, ring._unpack)}
-    assert sum(source.count(old) for source in sources.values()) == 1
-    fn = next(fn for fn, source in sources.items() if old in source)
-    namespace = dict(vars(inspect.getmodule(fn)))
-    exec(compile(sources[fn].replace(old, new), f"<{mutant}>", "exec"), namespace)
-    for module in (ring, gl2):
-        if getattr(module, fn.__name__, None) is fn:
-            monkeypatch.setattr(module, fn.__name__, namespace[fn.__name__])
 
 
 def _count_wrong(words, mod):
@@ -737,7 +703,7 @@ def _check_nf_outputs(capsys, requests):
         assert (code, capsys.readouterr().out) in ((0, out), (1, ""), (None, ""))
 
 
-@pytest.mark.parametrize("mutant", _PACKED_MUTANTS)
+@pytest.mark.parametrize("mutant", mutants("packed"))
 def test_a_packed_product_mutant_is_caught(capsys, monkeypatch, mutant):
     """With one fault in _packed_prod, some tight word multiplies out wrong
     or raises; and ``nf`` on a matrix whose Euclid word is tight either
@@ -752,7 +718,7 @@ def test_a_packed_product_mutant_is_caught(capsys, monkeypatch, mutant):
     requests = _nf_outputs(capsys, [["nf", "--mod", str(m.mod), json.dumps(m.to_json())] for m in ms])
     for m, (_, out) in zip(ms, requests):
         assert f"matrix: {m}" in out
-    _mutate(monkeypatch, mutant, *_PACKED_MUTANTS[mutant])
+    mutate(monkeypatch, mutant)
     assert sum(_count_wrong(_tight_words(p), p) for p in (2, 3, 7, 101))
     _check_nf_outputs(capsys, requests)
 
@@ -761,7 +727,7 @@ def test_a_packed_product_mutant_is_caught(capsys, monkeypatch, mutant):
 _SHORT_Z_WORD = ["E12(1 - 2*t + t^3)", "E21(-2)", "W", "E12(3*t - t^2)", "D(-1)"] * 8
 
 
-@pytest.mark.parametrize("mutant", _PACKED_Z_MUTANTS)
+@pytest.mark.parametrize("mutant", mutants("packed_z"))
 def test_a_z_packed_product_mutant_is_caught(capsys, monkeypatch, mutant):
     """With one fault in _packed_prod's signed slots, some word over Z whose
     slot bounds pass 2**63, or with negative coefficients, multiplies out
@@ -776,7 +742,7 @@ def test_a_z_packed_product_mutant_is_caught(capsys, monkeypatch, mutant):
         del folds[:]
         requests += _nf_outputs(capsys, [["nf", "--ring", "e2zt", json.dumps(word)]])
         assert len(folds) == folded
-    _mutate(monkeypatch, mutant, *_PACKED_Z_MUTANTS[mutant])
+    mutate(monkeypatch, mutant)
     assert _count_wrong(_tight_z_words(), None)
     _check_nf_outputs(capsys, requests)
 
@@ -785,12 +751,12 @@ def test_a_z_packed_product_mutant_is_caught(capsys, monkeypatch, mutant):
     test_ring.test_mul_kernel_signed_and_huge_coefficients,
     test_ring.test_mul_kernel_extreme_coefficients,
 ], ids=lambda f: f.__name__)
-@pytest.mark.parametrize("mutant", _CODEC_MUTANTS)
+@pytest.mark.parametrize("mutant", mutants("codec"))
 def test_a_codec_mutant_is_caught(monkeypatch, mutant, oracle):
     """With one fault in ring's slot codec, in ring and in gl2, some word
     over Z with negative coefficients multiplies out wrong or raises, and a
     Kronecker test of ring over Z fails."""
-    _mutate(monkeypatch, mutant, *_CODEC_MUTANTS[mutant])
+    mutate(monkeypatch, mutant)
     assert _count_wrong(_tight_z_words(), None)
     with pytest.raises(AssertionError):
         oracle()

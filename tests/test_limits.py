@@ -161,3 +161,12 @@ def test_is_prime_reads_no_cached_answer_for_another_type():
     for _ in range(2):
         assert [is_prime(n) for n in (3.0, True, "3", None, [3])] == [False] * 5
         assert is_prime(3) and is_prime(2)
+
+
+def test_is_prime_cache_stays_bounded():
+    """10 000 distinct ints leave no more cache entries than its bound."""
+    limits._is_prime.cache_clear()
+    for n in range(10**6, 10**6 + 10_000):
+        is_prime(n)
+    info = limits._is_prime.cache_info()
+    assert 0 < info.currsize <= info.maxsize

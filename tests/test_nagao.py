@@ -1,9 +1,6 @@
-import inspect
 import itertools
-import linecache
 import random
 import re
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +24,8 @@ from nagaolab.witnesses import make_witness
 from helpers import (
     const_mat,
     evaluate_word,
+    mutants,
+    mutate,
     one_off,
     rand_fp_gen,
     rand_fp_matrix,
@@ -340,29 +339,12 @@ def _seeded_matrices():
     return mats
 
 
-# The column updates that compute only as many coefficients as det = 1
-# leaves room for, each known by the start of its source line.
-_DET_BOUNDED_UPDATES = (
-    "a, b, c, d = _dot(a, q, minus_one, b, p, ",  # degree reduction, fused peel
-)
-
-
-@pytest.mark.parametrize("site", _DET_BOUNDED_UPDATES)
-def test_a_det_bound_one_short_is_caught(monkeypatch, site):
+@pytest.mark.parametrize("mutant", mutants("det_bound"))
+def test_a_det_bound_one_short_is_caught(monkeypatch, mutant):
     """With the length bound of one det-bounded update one short, the
     round trip, the form checks or the cross-validation refuse some of the
     seeded matrices, and no wrong normal form gets out."""
-    source = inspect.getsource(nagao)
-    assert source.count(site) == 1
-    dot = nagao._dot
-
-    def one_short(x, y, u, v, mod, n=None):
-        frame = sys._getframe(1)
-        if linecache.getline(frame.f_code.co_filename, frame.f_lineno).strip().startswith(site):
-            n -= 1
-        return dot(x, y, u, v, mod, n)
-
-    monkeypatch.setattr(nagao, "_dot", one_short)
+    mutate(monkeypatch, mutant)
     caught = 0
     for p, m in _seeded_matrices():
         try:
@@ -372,15 +354,6 @@ def test_a_det_bound_one_short_is_caught(monkeypatch, site):
         else:
             assert AmalgamStructure(p).nf_evaluate(nf) == m
     assert caught >= 1
-
-
-# Three faults of the round trip's solve in sl2fpt_elementary_factor, each
-# as the exact source text and its replacement.
-_SOLVE_MUTANTS = {
-    "remainder ignored": (" or r or ", " or "),
-    "other row skipped": (" or _dot(o1, beta, _ONE, y, p) != o2:", ":"),
-    "first column skipped": ("(x11, x21) != (a, c) or ", ""),
-}
 
 
 def _faulty_inputs():
@@ -397,14 +370,11 @@ def _faulty_inputs():
         yield p, m, True
 
 
-@pytest.mark.parametrize("mutant", _SOLVE_MUTANTS)
+@pytest.mark.parametrize("mutant", mutants("solve"))
 def test_a_solve_mutant_is_refused(monkeypatch, mutant):
     """With one check of the round trip's solve removed, every faulty input
     is still refused, by the other checks of the factorization or by the
     cross-validation, and no wrong normal form gets out."""
-    old, new = _SOLVE_MUTANTS[mutant]
-    source = inspect.getsource(nagao.sl2fpt_elementary_factor)
-    assert source.count(old) == 1
     off = []
 
     def off_by_one(a, b, p):
@@ -415,10 +385,8 @@ def test_a_solve_mutant_is_refused(monkeypatch, mutant):
         return q, r
 
     failures = []
-    namespace = {**vars(nagao), "_divmod_coeffs": off_by_one,
-                 "_refuse": lambda m, failure: failures.append(failure) or nagao._refuse(m, failure)}
-    exec(compile(source.replace(old, new), f"<{mutant}>", "exec"), namespace)
-    monkeypatch.setattr(nagao, "sl2fpt_elementary_factor", namespace["sl2fpt_elementary_factor"])
+    mutate(monkeypatch, mutant, _divmod_coeffs=off_by_one,
+           _refuse=lambda m, failure: failures.append(failure) or nagao._refuse(m, failure))
     for p, m, quotient_off in _faulty_inputs():
         off[:] = [True] if quotient_off else []
         with pytest.raises((ValueError, RuntimeError)):
